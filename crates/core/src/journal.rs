@@ -1,17 +1,23 @@
-//! Checkpoint/resume journal for pipeline runs.
+//! The merged snapshot of a run's checkpoint journal.
 //!
-//! [`run_pipeline_resumable`](crate::run_pipeline_resumable) records every
-//! processed domain's [`DomainOutcome`](crate::pipeline::DomainOutcome) in a
-//! [`RunJournal`]. The journal serializes to sorted JSONL (one domain per
-//! line, ordered by domain), so an interrupted run can be resumed: domains
-//! already journaled are replayed from their recorded outcome instead of
-//! re-annotated, and — because every per-domain outcome is a pure function
-//! of `(world, config)` — the resumed run's dataset is byte-identical to an
-//! uninterrupted one.
+//! The streaming engine checkpoints every processed domain's
+//! [`DomainOutcome`](crate::pipeline::DomainOutcome) as a [`JournalEntry`]
+//! in a [`ShardedJournal`]. A [`RunJournal`] is that journal's merged view
+//! ([`ShardedJournal::merged`]) and its consolidated on-disk format: sorted
+//! JSONL, one domain per line, ordered by domain. [`ShardedJournal::open`]
+//! seeds from a consolidated file, so an interrupted run can be resumed:
+//! domains already journaled are replayed from their recorded outcome
+//! instead of re-annotated, and — because every per-domain outcome is a
+//! pure function of `(world, config)` — the resumed run's dataset is
+//! byte-identical to an uninterrupted one.
 //!
 //! Loading is tolerant of a torn tail: a process killed mid-write leaves a
 //! truncated final line, which parses as garbage and is simply dropped
 //! (that domain is re-processed on resume).
+//!
+//! [`ShardedJournal`]: crate::ShardedJournal
+//! [`ShardedJournal::merged`]: crate::ShardedJournal::merged
+//! [`ShardedJournal::open`]: crate::ShardedJournal::open
 
 use crate::dataset::AnnotatedPolicy;
 use serde::{Deserialize, Serialize};

@@ -16,15 +16,16 @@
 //! * [`pipeline`] — whole-universe orchestration over a
 //!   [`aipan_webgen::World`]: crawl funnel, per-domain processing, and the
 //!   §3.1/§3.2 funnel statistics.
-//! * [`journal`] — the sorted-JSONL checkpoint journal behind
-//!   [`pipeline::run_pipeline_resumable`]: interrupted runs resume from
-//!   their journaled per-domain outcomes and produce byte-identical
-//!   datasets.
-//! * [`shard`] — that journal split into independently locked,
-//!   incrementally appended JSONL segments: the checkpoint store of the
-//!   streaming engine ([`pipeline::run_pipeline_sharded`]), durable at
-//!   per-domain granularity, with a quarantine segment for dead-lettered
-//!   domains and deterministic disk-fault injection on the append path.
+//! * [`shard`] — the checkpoint journal of the streaming engine
+//!   ([`pipeline::run_pipeline_sharded`]): independently locked,
+//!   incrementally appended JSONL segments, durable at per-domain
+//!   granularity, with a quarantine segment for dead-lettered domains and
+//!   deterministic disk-fault injection on the append path. Interrupted
+//!   runs resume from their journaled per-domain outcomes and produce
+//!   byte-identical datasets.
+//! * [`journal`] — the journal's merged, sorted-JSONL snapshot
+//!   ([`journal::RunJournal`]): what [`shard::ShardedJournal::merged`]
+//!   returns and [`shard::ShardedJournal::consolidate`] writes.
 //! * [`health`] — the supervisor's self-report ([`health::RunHealth`]):
 //!   per-stage error taxonomy, quarantine list, transport rollups, and an
 //!   `ok | degraded | failed` verdict, serialized to byte-stable JSON.
@@ -44,8 +45,8 @@ pub use dataset::{AnnotatedPolicy, Dataset, SegmentationMethod};
 pub use health::{RunHealth, TransportRollup, Verdict, HEALTH_SCHEMA_VERSION};
 pub use journal::{JournalEntry, RunJournal};
 pub use pipeline::{
-    run_pipeline, run_pipeline_resumable, run_pipeline_sharded, ExtractionFunnel, Pipeline,
-    PipelineConfig, PipelineRun, SupervisorPolicy,
+    run_pipeline, run_pipeline_sharded, ExtractionFunnel, Pipeline, PipelineConfig, PipelineRun,
+    SupervisorPolicy,
 };
 pub use segment::{segment, SegmentedPolicy};
 pub use shard::{

@@ -3,7 +3,7 @@
 use crate::annotate::{annotate_policy_in, AnnotateArena, AnnotateOptions};
 use crate::dataset::{AnnotatedPolicy, Dataset, SegmentationMethod};
 use crate::health::{HealthInputs, RunHealth};
-use crate::journal::{JournalEntry, RunJournal};
+use crate::journal::JournalEntry;
 use crate::segment::{self, Method, SegmentedPolicy};
 use crate::shard::{ShardedJournal, DEFAULT_SHARDS};
 use aipan_chatbot::{ModelProfile, SimulatedChatbot, TokenUsage};
@@ -167,22 +167,17 @@ impl Pipeline {
     /// content/language filters, or when text extraction fails per the
     /// §3.2.1 success definition.
     pub fn process_domain(&self, crawl: &DomainCrawl, sector: Sector) -> Option<AnnotatedPolicy> {
-        self.process_domain_full(crawl, sector).policy
+        self.process_domain_arena(crawl, sector, &mut AnnotateArena::new())
+            .policy
     }
 
     /// Process one crawled domain, returning its funnel contributions
     /// alongside the policy: the pages are extracted exactly once and both
     /// the `english_privacy_pages` count and the policy-page selection come
-    /// from that single pass (`run_pipeline` previously re-extracted the
-    /// whole corpus a second time just to count pages).
-    pub fn process_domain_full(&self, crawl: &DomainCrawl, sector: Sector) -> DomainOutcome {
-        self.process_domain_arena(crawl, sector, &mut AnnotateArena::new())
-    }
-
-    /// [`Pipeline::process_domain_full`], with annotation scratch buffers
-    /// drawn from `arena`. A streaming worker threads one arena through
-    /// every domain it processes, so the per-policy full-text and fold
-    /// allocations happen once per worker instead of once per policy.
+    /// from that single pass. Annotation scratch buffers are drawn from
+    /// `arena`; a streaming worker threads one arena through every domain
+    /// it processes, so the per-policy full-text and fold allocations
+    /// happen once per worker instead of once per policy.
     pub fn process_domain_arena(
         &self,
         crawl: &DomainCrawl,
@@ -262,7 +257,7 @@ impl Pipeline {
 }
 
 /// One domain's contribution to the §3.2 funnel, from a single extraction
-/// pass (see [`Pipeline::process_domain_full`]).
+/// pass (see [`Pipeline::process_domain_arena`]).
 #[derive(Debug)]
 pub struct DomainOutcome {
     /// English, HTML, deduplicated privacy pages found on the domain.
@@ -271,42 +266,16 @@ pub struct DomainOutcome {
     pub policy: Option<AnnotatedPolicy>,
 }
 
-/// Run the full pipeline over a simulated world.
+/// Run the full pipeline over a simulated world, checkpointing into a
+/// throwaway in-memory journal. Callers that want durable, resumable runs
+/// use [`run_pipeline_sharded`] with [`ShardedJournal::open`].
 pub fn run_pipeline(world: &World, config: PipelineConfig) -> PipelineRun {
-    run_pipeline_resumable(world, config, &mut RunJournal::new())
-}
-
-/// Run the full pipeline, checkpointing into (and resuming from) `journal`.
-///
-/// Domains already present in `journal` are replayed from their recorded
-/// [`JournalEntry`] instead of re-annotated; every newly processed domain
-/// is journaled. Because each per-domain outcome is a pure deterministic
-/// function of `(world, config)`, a run resumed from any prefix of a prior
-/// run's journal produces a byte-identical dataset and funnel — only token
-/// usage differs (replayed domains cost no chatbot calls). Crawling is
-/// always re-run: it is cheap, deterministic, and its transport metrics
-/// are not part of the journaled state.
-///
-/// This is a thin wrapper over [`run_pipeline_sharded`] with an in-memory
-/// sharded journal; callers that want durable incremental checkpoints use
-/// [`run_pipeline_sharded`] with [`ShardedJournal::open`] directly.
-pub fn run_pipeline_resumable(
-    world: &World,
-    config: PipelineConfig,
-    journal: &mut RunJournal,
-) -> PipelineRun {
-    let sharded = ShardedJournal::in_memory(DEFAULT_SHARDS);
-    for entry in journal.iter() {
-        sharded.record(entry.clone());
-    }
-    let run = run_pipeline_sharded(world, config, &sharded);
-    *journal = sharded.merged();
-    run
+    run_pipeline_sharded(world, config, &ShardedJournal::in_memory(DEFAULT_SHARDS))
 }
 
 /// The streaming pipeline engine: every domain flows through
 /// generate → crawl → extract → segment → annotate → journal inside **one**
-/// worker task ([`stream_all_with`]), instead of crawling the whole
+/// worker task ([`stream_all_supervised`]), instead of crawling the whole
 /// universe first and annotating it second.
 ///
 /// Streaming is what bounds memory: a crawl's page bodies are dropped the
@@ -319,22 +288,25 @@ pub fn run_pipeline_resumable(
 /// afterwards, so the totals match a serial run exactly).
 ///
 /// Already-journaled domains are re-crawled (cheap, and the crawl funnel is
-/// not journaled state) but not re-annotated. Results are deterministic and
-/// worker-count-invariant: the dataset, funnels, and journal contents are
-/// byte-identical for any `config.workers`.
+/// not journaled state) but not re-annotated. Because each per-domain
+/// outcome is a pure deterministic function of `(world, config)`, a run
+/// resumed from any prefix of a prior run's journal produces a
+/// byte-identical dataset and funnel — only token usage differs (replayed
+/// domains cost no chatbot calls). Results are also worker-count-invariant:
+/// the dataset, funnels, and journal contents are byte-identical for any
+/// `config.workers`.
 ///
-/// The drive is *supervised* ([`stream_all_supervised`]): a panic anywhere
-/// in one domain's chain is caught, dead-lettered into the journal's
-/// quarantine segment, and the run continues — the panicking domain simply
-/// produces no journal entry (so a resume retries it), and a domain whose
-/// cumulative kill count reaches [`SupervisorPolicy::max_kills`] is
-/// poisoned: filtered out of the dispatch list entirely, making the
-/// resumed run byte-identical to a clean run over the universe minus the
-/// poisoned domains. When [`SupervisorPolicy::memory_cap_bytes`] is set,
-/// admission of new domains additionally blocks on the world's site-memory
-/// gauge (deadlock-free: an over-cap run degrades to one domain at a
-/// time). The run's [`RunHealth`] report is returned on the
-/// [`PipelineRun`].
+/// The drive is *supervised*: a panic anywhere in one domain's chain is
+/// caught, dead-lettered into the journal's quarantine segment, and the
+/// run continues — the panicking domain simply produces no journal entry
+/// (so a resume retries it), and a domain whose cumulative kill count
+/// reaches [`SupervisorPolicy::max_kills`] is poisoned: filtered out of the
+/// dispatch list entirely, making the resumed run byte-identical to a
+/// clean run over the universe minus the poisoned domains. When
+/// [`SupervisorPolicy::memory_cap_bytes`] is set, admission of new domains
+/// additionally blocks on the world's site-memory gauge (deadlock-free: an
+/// over-cap run degrades to one domain at a time). The run's [`RunHealth`]
+/// report is returned on the [`PipelineRun`].
 pub fn run_pipeline_sharded(
     world: &World,
     config: PipelineConfig,

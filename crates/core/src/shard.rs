@@ -1,10 +1,11 @@
 //! Sharded, incrementally-written journal segments.
 //!
-//! The single-file [`RunJournal`](crate::RunJournal) is rewritten in full
-//! at the end of a run; a process killed mid-run loses every domain since
-//! the last rewrite. A [`ShardedJournal`] instead assigns each domain to
-//! one of `N` segments by a stable hash of its name and **appends** the
-//! domain's entry to that segment's JSONL file the moment it is processed.
+//! A single-file journal written at the end of a run would lose every
+//! domain of a process killed mid-run. A [`ShardedJournal`] instead
+//! assigns each domain to one of `N` segments by a stable hash of its name
+//! and **appends** the domain's entry to that segment's JSONL file the
+//! moment it is processed; only [`ShardedJournal::consolidate`] folds them
+//! into the single sorted [`RunJournal`] file.
 //! Streaming workers touch disjoint locks most of the time (different
 //! domains usually hash to different shards), and a kill at any instant
 //! costs at most the one torn line per segment that
@@ -221,8 +222,8 @@ pub struct ShardedJournal {
 
 impl ShardedJournal {
     /// An in-memory sharded journal (no segment files): the checkpoint
-    /// store for callers that only want resume-from-a-prior-`RunJournal`
-    /// semantics without durability.
+    /// store of a run that needs no durability
+    /// ([`run_pipeline`](crate::run_pipeline)).
     pub fn in_memory(shards: usize) -> ShardedJournal {
         let shards = shards.max(1);
         ShardedJournal {
@@ -512,7 +513,7 @@ impl ShardedJournal {
         merged
     }
 
-    /// Rewrite the merged journal to the legacy single file at `base` and
+    /// Replace the single file at `base` with the merged journal and
     /// delete the segment files: the end-of-run consolidation that keeps
     /// the on-disk artifact format of pre-sharding runs. The quarantine
     /// segment is compacted, not deleted — poisoned domains must stay
@@ -522,17 +523,14 @@ impl ShardedJournal {
     }
 
     /// [`ShardedJournal::consolidate`], stopping at `stop` — the kill-point
-    /// hook for crash-window tests. The consolidated file is written *and
-    /// fsynced* before any segment is deleted, so a crash between the two
-    /// steps finds either the old segments or a durable consolidated file,
-    /// never neither (the original implementation deleted segments against
-    /// an unsynced file, and a crash in that window could lose every
-    /// acknowledged outcome).
+    /// hook for crash-window tests. The merged journal replaces `base`
+    /// (temp file, fsync, rename, directory fsync) before any segment is
+    /// deleted, so a crash at any point leaves the old consolidated file or
+    /// the new one whole, plus every segment until the new file is durable.
+    /// `base` is never rewritten in place: on a resumed run, every entry of
+    /// the previous run lives only there.
     pub fn consolidate_until(&self, base: &Path, stop: ConsolidateStep) -> std::io::Result<()> {
-        let mut file = File::create(base)?;
-        file.write_all(self.merged().to_jsonl().as_bytes())?;
-        file.sync_all()?;
-        drop(file);
+        replace_file(base, self.merged().to_jsonl().as_bytes())?;
         if stop == ConsolidateStep::AfterSync {
             return Ok(());
         }
@@ -565,22 +563,39 @@ impl ShardedJournal {
             text.push_str(&serde_json::to_string(record).unwrap_or_default());
             text.push('\n');
         }
-        let mut file = File::create(&path)?;
-        file.write_all(text.as_bytes())?;
-        file.sync_all()?;
-        drop(file);
+        replace_file(&path, text.as_bytes())?;
         store.writer = OpenOptions::new().append(true).open(&path).ok();
         store.appended = 0;
         Ok(())
     }
 }
 
+/// Atomically replace the file at `path` with `bytes`: write a sibling
+/// `<path>.tmp`, fsync it, rename it over `path`, then fsync the parent
+/// directory so the rename itself is durable. A crash at any step leaves
+/// either the old file or the new one whole at `path`.
+fn replace_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
+}
+
 /// Where [`ShardedJournal::consolidate_until`] stops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConsolidateStep {
-    /// Stop after the consolidated file is written and fsynced, before any
-    /// segment is deleted: the crash window the durability ordering
-    /// protects.
+    /// Stop after the consolidated file is durable in place of the old
+    /// one, before any segment is deleted: the crash window the durability
+    /// ordering protects.
     AfterSync,
     /// Run consolidation to completion.
     Complete,
@@ -729,6 +744,38 @@ mod tests {
         for i in 0..15 {
             assert!(reopened.contains(&format!("d{i}.com")));
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn consolidate_replaces_old_journal_instead_of_rewriting_it() {
+        let dir = scratch_dir("replace");
+        let base = dir.join("run.jsonl");
+        let journal = ShardedJournal::open(&base, 4);
+        for i in 0..6 {
+            journal.record(entry(&format!("d{i}.com"), i));
+        }
+        journal.consolidate(&base).expect("first consolidate");
+        drop(journal);
+        let old = std::fs::read(&base).unwrap();
+        // A hard link keeps the first consolidated file's inode reachable:
+        // rewriting `base` in place would change the link's bytes too.
+        let link = dir.join("old.jsonl");
+        std::fs::hard_link(&base, &link).unwrap();
+
+        // A resumed run: everything so far lives only in `base`.
+        let resumed = ShardedJournal::open(&base, 4);
+        resumed.record(entry("late.com", 7));
+        resumed.consolidate(&base).expect("second consolidate");
+
+        assert_eq!(
+            std::fs::read(&link).unwrap(),
+            old,
+            "old journal rewritten in place"
+        );
+        let merged = RunJournal::from_jsonl(&std::fs::read_to_string(&base).unwrap());
+        assert_eq!(merged.len(), 7, "base holds every entry");
+        assert_eq!(merged, resumed.merged());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

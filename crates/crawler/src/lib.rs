@@ -21,9 +21,10 @@
 //! exclusion policy before crawling, skips disallowed paths, and accounts
 //! the politeness delay implied by `Crawl-delay`.
 //!
-//! Modules: [`crawl`] (single-domain procedure), [`pool`] (crossbeam worker
-//! pool for whole-universe crawls with graceful shutdown), [`report`]
-//! (funnel accounting matching §3.1/§4).
+//! Modules: [`crawl`] (single-domain procedure), [`pool`] (the one
+//! supervised worker pool behind every whole-universe crawl and streaming
+//! run: scoped threads sharing an atomic domain cursor, per-domain panic
+//! isolation), [`report`] (funnel accounting matching §3.1/§4).
 
 #![warn(missing_docs)]
 
@@ -37,8 +38,8 @@ pub use crawl::{
     LinkSource, MAX_PAGES,
 };
 pub use pool::{
-    crawl_all, crawl_all_with, stream_all_supervised, stream_all_with, DeadLetter, FailStage,
-    PoolConfig, SupervisedOutcome, SupervisorOptions,
+    crawl_all, crawl_all_with, stream_all_supervised, DeadLetter, FailStage, PoolConfig,
+    SupervisedOutcome, SupervisorOptions,
 };
 pub use report::{CrawlFunnel, CrawlReport};
 pub use robots::RobotsPolicy;

@@ -1,17 +1,19 @@
-//! Whole-universe crawling on a crossbeam worker pool.
+//! Whole-universe crawling on one scoped worker pool.
 //!
-//! Work distribution follows the channel-based worker pattern of the
-//! networking guides (adapted from async task spawning to scoped threads,
-//! since the dependency set is synchronous): a bounded job channel feeds
-//! `workers` threads, each driving its own clone of the shared [`Client`];
-//! results flow back over a second channel and are re-sorted by domain so
-//! output order is deterministic regardless of scheduling.
+//! Every multi-domain drive goes through [`stream_all_supervised`]: one
+//! worker body (admit → crawl → process → result or dead letter) runs
+//! inline on the caller's thread when `workers <= 1`, and otherwise on
+//! `workers` scoped threads that each take the next domain from a shared
+//! atomic cursor over the caller's slice. Workers hand back their results,
+//! dead letters and state when joined, and results are re-sorted by domain
+//! so output order is deterministic regardless of scheduling.
+//! [`crawl_all_with`] is that driver with a `process` that returns the
+//! crawl.
 
 use crate::crawl::{crawl_domain_with, CrawlOptions, DomainCrawl};
 use aipan_net::Client;
-use crossbeam::channel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Worker-pool configuration.
@@ -39,199 +41,35 @@ pub fn crawl_all(client: &Client, domains: &[String], config: PoolConfig) -> Vec
 /// Crawl every domain in `domains` and return the results sorted by domain.
 ///
 /// Each domain crawl owns its own fetch session seeded from `options`, so
-/// results are byte-identical for any worker count. The pool shuts down
-/// gracefully: the job channel is closed after the last job, workers drain
-/// it and exit, and the scope joins them all before returning. If a worker
-/// panics, the panic is propagated to the caller instead of returning a
-/// silently truncated result set. With `workers <= 1` the crawl runs
-/// serially on the caller's thread — same results, none of the thread or
-/// channel overhead.
+/// results are byte-identical for any worker count. The crawl runs on
+/// [`stream_all_supervised`]; if a domain's crawl panics, the first dead
+/// letter (by domain) is re-raised on the caller's thread once the pool
+/// has drained, instead of returning a silently truncated result set.
 pub fn crawl_all_with(
     client: &Client,
     domains: &[String],
     config: PoolConfig,
     options: &CrawlOptions,
 ) -> Vec<DomainCrawl> {
-    let workers = config.workers.max(1);
-    if workers == 1 {
-        // Serial fast path: no threads, no channels, no clones of the
-        // client — just the same per-domain crawl in the same sorted
-        // order the pool would produce.
-        let mut results: Vec<DomainCrawl> = Vec::with_capacity(domains.len());
-        for domain in domains {
-            results.push(crawl_domain_with(client, domain, options));
-        }
-        results.sort_by(|a, b| a.domain.cmp(&b.domain));
-        return results;
+    let outcome = stream_all_supervised(
+        client,
+        domains,
+        config,
+        options,
+        &SupervisorOptions::default(),
+        || (),
+        |_state: &mut (), crawl: DomainCrawl| crawl,
+        |_state: &mut ()| {},
+        |_letter: &DeadLetter| {},
+    );
+    if let Some(letter) = outcome.dead_letters.into_iter().next() {
+        std::panic::resume_unwind(Box::new(letter.message));
     }
-    let (job_tx, job_rx) = channel::bounded::<String>(workers * 2);
-    let (res_tx, res_rx) = channel::unbounded::<DomainCrawl>();
-
-    let mut results: Vec<DomainCrawl> = Vec::with_capacity(domains.len());
-    let scope_result = crossbeam::scope(|scope| {
-        let mut worker_handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let client = client.clone();
-            let options = *options;
-            worker_handles.push(scope.spawn(move |_| {
-                for domain in job_rx.iter() {
-                    let crawl = crawl_domain_with(&client, &domain, &options);
-                    if res_tx.send(crawl).is_err() {
-                        break;
-                    }
-                }
-            }));
-        }
-        drop(job_rx);
-        drop(res_tx);
-
-        // Feed jobs from this thread while collecting results to avoid
-        // deadlock on the bounded job channel.
-        let feeder = scope.spawn({
-            let job_tx = job_tx.clone();
-            let domains = domains.to_vec();
-            move |_| {
-                for d in domains {
-                    if job_tx.send(d).is_err() {
-                        break;
-                    }
-                }
-            }
-        });
-        drop(job_tx);
-        for crawl in res_rx.iter() {
-            results.push(crawl);
-        }
-        // The feeder thread body cannot panic; a failed join only means the
-        // thread was torn down, and the result channel has already drained.
-        let _ = feeder.join();
-        // All workers have exited (the result channel drained), so joins
-        // cannot block. A panicking worker means `results` is truncated and
-        // silently wrong — re-raise its original panic payload loudly.
-        for handle in worker_handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-    if let Err(payload) = scope_result {
-        // Defense in depth for crossbeam implementations that report child
-        // panics through the scope result instead.
-        std::panic::resume_unwind(payload);
-    }
-
-    results.sort_by(|a, b| a.domain.cmp(&b.domain));
-    results
-}
-
-/// Drive every domain through the **whole** per-domain chain on the worker
-/// pool: each worker crawls a domain and immediately hands the finished
-/// crawl to `process`, so generate → crawl → extract → annotate run
-/// end-to-end inside one worker task instead of parallelizing only the
-/// crawl stage. `process` takes the crawl by value — page bodies can be
-/// dropped the moment the domain is done, which is what bounds a streaming
-/// run's memory by in-flight domains rather than the universe.
-///
-/// `init` builds one private state value per worker (scratch arenas,
-/// per-worker tallies); `process` may mutate it freely without locks.
-/// Returns the per-domain results sorted by domain — byte-identical for
-/// any worker count, because each domain's work is a pure function of the
-/// domain — plus every worker's final state (in unspecified order: fold
-/// worker states commutatively). With `workers <= 1` everything runs
-/// serially on the caller's thread, no threads or channels.
-pub fn stream_all_with<S, R, I, F>(
-    client: &Client,
-    domains: &[String],
-    config: PoolConfig,
-    options: &CrawlOptions,
-    init: I,
-    process: F,
-) -> (Vec<(String, R)>, Vec<S>)
-where
-    S: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, DomainCrawl) -> R + Sync,
-{
-    let workers = config.workers.max(1);
-    if workers == 1 {
-        let mut state = init();
-        let mut results: Vec<(String, R)> = Vec::with_capacity(domains.len());
-        for domain in domains {
-            let crawl = crawl_domain_with(client, domain, options);
-            results.push((domain.clone(), process(&mut state, crawl)));
-        }
-        results.sort_by(|a, b| a.0.cmp(&b.0));
-        return (results, vec![state]);
-    }
-    let (job_tx, job_rx) = channel::bounded::<String>(workers * 2);
-    let (res_tx, res_rx) = channel::unbounded::<(String, R)>();
-    let (state_tx, state_rx) = channel::unbounded::<S>();
-
-    let mut results: Vec<(String, R)> = Vec::with_capacity(domains.len());
-    let scope_result = crossbeam::scope(|scope| {
-        let mut worker_handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let state_tx = state_tx.clone();
-            let client = client.clone();
-            let options = *options;
-            let init = &init;
-            let process = &process;
-            worker_handles.push(scope.spawn(move |_| {
-                let mut state = init();
-                for domain in job_rx.iter() {
-                    let crawl = crawl_domain_with(&client, &domain, &options);
-                    let result = process(&mut state, crawl);
-                    if res_tx.send((domain, result)).is_err() {
-                        break;
-                    }
-                }
-                let _ = state_tx.send(state);
-            }));
-        }
-        drop(job_rx);
-        drop(res_tx);
-        drop(state_tx);
-
-        // Feed jobs from a dedicated thread while this one collects
-        // results, to avoid deadlock on the bounded job channel.
-        let feeder = scope.spawn({
-            let job_tx = job_tx.clone();
-            let domains = domains.to_vec();
-            move |_| {
-                for d in domains {
-                    if job_tx.send(d).is_err() {
-                        break;
-                    }
-                }
-            }
-        });
-        drop(job_tx);
-        for pair in res_rx.iter() {
-            results.push(pair);
-        }
-        // The feeder body cannot panic; a failed join only means teardown,
-        // and the result channel has already drained.
-        let _ = feeder.join();
-        // All workers have exited (the result channel drained). A panicking
-        // worker means `results` is silently truncated — re-raise it.
-        for handle in worker_handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-    if let Err(payload) = scope_result {
-        std::panic::resume_unwind(payload);
-    }
-
-    results.sort_by(|a, b| a.0.cmp(&b.0));
-    let states: Vec<S> = state_rx.into_iter().collect();
-    (results, states)
+    outcome
+        .results
+        .into_iter()
+        .map(|(_, crawl)| crawl)
+        .collect()
 }
 
 /// Stage of the per-domain chain a supervised panic was caught in.
@@ -404,19 +242,39 @@ fn run_chain<S, R>(
     }
 }
 
-/// [`stream_all_with`], under a fault-isolating supervisor: a panic
-/// anywhere in one domain's chain no longer kills the run. The panic is
-/// caught per-domain, rendered into a [`DeadLetter`] (handed to
-/// `on_dead_letter` at the moment it happens, e.g. to quarantine it in a
-/// journal), the worker's state is repaired through `recover` — reset
-/// scratch buffers, keep commutative tallies — and the worker moves on to
-/// the next domain. Workers never die, so the result set is never
-/// truncated: it is exactly the surviving domains, sorted.
+/// Drive every domain through the **whole** per-domain chain on the worker
+/// pool: each worker crawls a domain and immediately hands the finished
+/// crawl to `process`, so generate → crawl → extract → annotate run
+/// end-to-end inside one worker task. `process` takes the crawl by value —
+/// page bodies can be dropped the moment the domain is done, which is what
+/// bounds a streaming run's memory by in-flight domains rather than the
+/// universe.
+///
+/// `init` builds one private state value per worker (scratch arenas,
+/// per-worker tallies); `process` may mutate it freely without locks.
+///
+/// The drive is supervised: a panic anywhere in one domain's chain does
+/// not kill the run. The panic is caught per-domain, rendered into a
+/// [`DeadLetter`] (handed to `on_dead_letter` at the moment it happens,
+/// e.g. to quarantine it in a journal), the worker's state is repaired
+/// through `recover` — reset scratch buffers, keep commutative tallies —
+/// and the worker moves on to the next domain. Workers never die, so the
+/// result set is never truncated: it is exactly the surviving domains,
+/// sorted by domain, and byte-identical for any worker count because each
+/// domain's work is a pure function of the domain.
+///
+/// With `workers <= 1` the worker body runs on the caller's thread.
+/// Otherwise `workers` scoped threads share one atomic cursor into
+/// `domains`, so each domain is dispatched exactly once; every worker's
+/// final state comes back (in unspecified order: fold worker states
+/// commutatively), including those of workers that found nothing left to
+/// take.
 ///
 /// `supervisor` additionally bounds memory: when both a cap and a probe
 /// are configured, workers block before starting a new domain while the
 /// probed figure is over the cap and at least one other domain is in
-/// flight (see [`AdmissionGate::admit`] for why that cannot deadlock).
+/// flight. That cannot deadlock: with nothing in flight, admission always
+/// proceeds, so an over-cap run degrades to one domain at a time.
 #[allow(clippy::too_many_arguments)]
 pub fn stream_all_supervised<S, R, I, F, G, D>(
     client: &Client,
@@ -439,16 +297,20 @@ where
 {
     let workers = config.workers.max(1);
     let gate = AdmissionGate::new(supervisor);
-    if workers == 1 {
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
         let mut state = init();
-        let mut results: Vec<(String, R)> = Vec::with_capacity(domains.len());
-        let mut dead_letters: Vec<DeadLetter> = Vec::with_capacity(domains.len());
-        for domain in domains {
+        let mut done: Vec<Result<(String, R), DeadLetter>> =
+            Vec::with_capacity(domains.len().div_ceil(workers));
+        // Relaxed: the cursor publishes nothing but an index into the
+        // immutable `domains` slice.
+        let next = || domains.get(cursor.fetch_add(1, Ordering::Relaxed));
+        for domain in std::iter::from_fn(next) {
             gate.admit();
             let outcome = run_chain(client, domain, options, &mut state, &process);
             gate.release();
-            match outcome {
-                ChainOutcome::Done(result) => results.push((domain.clone(), result)),
+            done.push(match outcome {
+                ChainOutcome::Done(result) => Ok((domain.clone(), result)),
                 ChainOutcome::Died(stage, message) => {
                     recover(&mut state);
                     let letter = DeadLetter {
@@ -457,115 +319,49 @@ where
                         message,
                     };
                     on_dead_letter(&letter);
-                    dead_letters.push(letter);
+                    Err(letter)
                 }
-            }
+            });
         }
-        results.sort_by(|a, b| a.0.cmp(&b.0));
-        dead_letters.sort_by(|a, b| a.domain.cmp(&b.domain));
-        return SupervisedOutcome {
-            results,
-            dead_letters,
-            states: vec![state],
-            backpressure_stalls: gate.stalls.load(Ordering::Relaxed),
-        };
-    }
-    let (job_tx, job_rx) = channel::bounded::<String>(workers * 2);
-    let (res_tx, res_rx) = channel::unbounded::<(String, R)>();
-    let (dead_tx, dead_rx) = channel::unbounded::<DeadLetter>();
-    let (state_tx, state_rx) = channel::unbounded::<S>();
+        (done, state)
+    };
+    let harvests = if workers == 1 {
+        vec![worker()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            // Workers catch every per-domain panic, so a join failure can
+            // only come from the supervisor scaffolding or the caller's
+            // `init`/`recover`/`on_dead_letter` hooks — re-raise it.
+            handles
+                .into_iter()
+                .map(|handle| {
+                    handle
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
+                .collect::<Vec<_>>()
+        })
+    };
 
-    let mut results: Vec<(String, R)> = Vec::with_capacity(domains.len());
-    let gate = &gate;
-    let scope_result = crossbeam::scope(|scope| {
-        let mut worker_handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let dead_tx = dead_tx.clone();
-            let state_tx = state_tx.clone();
-            let client = client.clone();
-            let options = *options;
-            let init = &init;
-            let process = &process;
-            let recover = &recover;
-            let on_dead_letter = &on_dead_letter;
-            worker_handles.push(scope.spawn(move |_| {
-                let mut state = init();
-                for domain in job_rx.iter() {
-                    gate.admit();
-                    let outcome = run_chain(&client, &domain, &options, &mut state, process);
-                    gate.release();
-                    match outcome {
-                        ChainOutcome::Done(result) => {
-                            if res_tx.send((domain, result)).is_err() {
-                                break;
-                            }
-                        }
-                        ChainOutcome::Died(stage, message) => {
-                            recover(&mut state);
-                            let letter = DeadLetter {
-                                domain,
-                                stage,
-                                message,
-                            };
-                            on_dead_letter(&letter);
-                            if dead_tx.send(letter).is_err() {
-                                break;
-                            }
-                        }
-                    }
-                }
-                let _sent = state_tx.send(state);
-            }));
-        }
-        drop(job_rx);
-        drop(res_tx);
-        drop(dead_tx);
-        drop(state_tx);
-
-        // Feed jobs from a dedicated thread while this one collects
-        // results, to avoid deadlock on the bounded job channel.
-        let feeder = scope.spawn({
-            let job_tx = job_tx.clone();
-            let domains = domains.to_vec();
-            move |_| {
-                for d in domains {
-                    if job_tx.send(d).is_err() {
-                        break;
-                    }
-                }
-            }
-        });
-        drop(job_tx);
-        for pair in res_rx.iter() {
-            results.push(pair);
-        }
-        // The feeder body cannot panic; a failed join only means teardown,
-        // and the result channel has already drained.
-        let _joined = feeder.join();
-        // Workers catch every per-domain panic, so a join failure here can
-        // only come from the supervisor scaffolding itself — re-raise it.
-        for handle in worker_handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-    if let Err(payload) = scope_result {
-        std::panic::resume_unwind(payload);
-    }
-
-    results.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut dead_letters: Vec<DeadLetter> = dead_rx.into_iter().collect();
-    dead_letters.sort_by(|a, b| a.domain.cmp(&b.domain));
-    let states: Vec<S> = state_rx.into_iter().collect();
-    SupervisedOutcome {
-        results,
-        dead_letters,
-        states,
+    let mut outcome = SupervisedOutcome {
+        results: Vec::with_capacity(domains.len()),
+        dead_letters: Vec::new(),
+        states: Vec::with_capacity(workers),
         backpressure_stalls: gate.stalls.load(Ordering::Relaxed),
+    };
+    for (done, state) in harvests {
+        for item in done {
+            match item {
+                Ok(pair) => outcome.results.push(pair),
+                Err(letter) => outcome.dead_letters.push(letter),
+            }
+        }
+        outcome.states.push(state);
     }
+    outcome.results.sort_by(|a, b| a.0.cmp(&b.0));
+    outcome.dead_letters.sort_by(|a, b| a.domain.cmp(&b.domain));
+    outcome
 }
 
 #[cfg(test)]
@@ -668,29 +464,59 @@ mod tests {
         assert_eq!(client1.metrics(), client6.metrics());
     }
 
+    /// [`stream_all_supervised`] with no backpressure and no-op
+    /// `recover`/`on_dead_letter` hooks.
+    fn stream<S: Send, R: Send>(
+        client: &Client,
+        domains: &[String],
+        workers: usize,
+        init: impl Fn() -> S + Sync,
+        process: impl Fn(&mut S, DomainCrawl) -> R + Sync,
+    ) -> SupervisedOutcome<R, S> {
+        stream_all_supervised(
+            client,
+            domains,
+            PoolConfig { workers },
+            &CrawlOptions::default(),
+            &SupervisorOptions::default(),
+            init,
+            process,
+            |_state: &mut S| {},
+            |_letter: &DeadLetter| {},
+        )
+    }
+
     #[test]
     fn streaming_results_invariant_across_worker_counts() {
-        let (net, domains) = make_net(15);
-        let options = CrawlOptions::default();
-        let mut baseline: Option<Vec<(String, usize)>> = None;
-        for workers in [1usize, 2, 5, 8] {
-            let client = Client::new(net.clone(), FaultInjector::new(0, FaultConfig::none()));
-            let (results, states) = stream_all_with(
-                &client,
-                &domains,
-                PoolConfig { workers },
-                &options,
-                || 0usize,
-                |count: &mut usize, crawl: DomainCrawl| {
-                    *count += 1;
-                    crawl.pages.len()
-                },
-            );
-            assert_eq!(states.len(), workers);
-            assert_eq!(states.iter().sum::<usize>(), domains.len());
-            match &baseline {
-                None => baseline = Some(results),
-                Some(expected) => assert_eq!(&results, expected),
+        // 15 domains outnumber every worker count; 3 domains leave 5 and 8
+        // workers with nothing to take.
+        for n in [15usize, 3] {
+            let (net, domains) = make_net(n);
+            let mut baseline: Option<Vec<(String, usize)>> = None;
+            for workers in [1usize, 2, 5, 8] {
+                let client = Client::new(net.clone(), FaultInjector::new(0, FaultConfig::none()));
+                let outcome = stream(
+                    &client,
+                    &domains,
+                    workers,
+                    || 0usize,
+                    |count: &mut usize, crawl: DomainCrawl| {
+                        *count += 1;
+                        crawl.pages.len()
+                    },
+                );
+                assert_eq!(outcome.states.len(), workers);
+                // The per-worker counters sum to the domain count: the
+                // cursor dispatches each domain exactly once.
+                assert_eq!(
+                    outcome.states.iter().sum::<usize>(),
+                    n,
+                    "n={n} workers={workers}"
+                );
+                match &baseline {
+                    None => baseline = Some(outcome.results),
+                    Some(expected) => assert_eq!(&outcome.results, expected),
+                }
             }
         }
     }
@@ -699,35 +525,9 @@ mod tests {
     fn streaming_empty_domain_list_yields_worker_states() {
         let (net, _) = make_net(1);
         let client = Client::new(net, FaultInjector::new(0, FaultConfig::none()));
-        let (results, states) = stream_all_with(
-            &client,
-            &[],
-            PoolConfig { workers: 3 },
-            &CrawlOptions::default(),
-            || 7u32,
-            |_state: &mut u32, _crawl: DomainCrawl| (),
-        );
-        assert!(results.is_empty());
-        assert_eq!(states, vec![7, 7, 7]);
-    }
-
-    #[test]
-    #[should_panic(expected = "process exploded")]
-    fn streaming_process_panic_propagates() {
-        let (net, domains) = make_net(6);
-        let client = Client::new(net, FaultInjector::new(0, FaultConfig::none()));
-        stream_all_with(
-            &client,
-            &domains,
-            PoolConfig { workers: 3 },
-            &CrawlOptions::default(),
-            || (),
-            |_state: &mut (), crawl: DomainCrawl| {
-                if crawl.domain == "site3.com" {
-                    panic!("process exploded");
-                }
-            },
-        );
+        let outcome = stream(&client, &[], 3, || 7u32, |_state: &mut u32, _crawl| ());
+        assert!(outcome.results.is_empty());
+        assert_eq!(outcome.states, vec![7, 7, 7]);
     }
 
     #[test]
@@ -737,16 +537,15 @@ mod tests {
         domains.push("ghost.com".to_string());
         let client = Client::new(net.clone(), FaultInjector::new(0, FaultConfig::none()));
         let batch = CrawlReport::new(crawl_all(&client, &domains, PoolConfig { workers: 1 }));
-        let (_, funnels) = stream_all_with(
+        let outcome = stream(
             &client,
             &domains,
-            PoolConfig { workers: 4 },
-            &CrawlOptions::default(),
+            4,
             CrawlFunnel::default,
             |funnel: &mut CrawlFunnel, crawl: DomainCrawl| funnel.absorb(&crawl),
         );
         let mut merged = CrawlFunnel::default();
-        for funnel in &funnels {
+        for funnel in &outcome.states {
             merged.merge(funnel);
         }
         assert_eq!(merged, batch.funnel);
