@@ -1,9 +1,44 @@
-//! Property-based tests for the vocabulary matcher and task layer.
+//! Property-based tests for the vocabulary matcher, the task layer and the
+//! JSON tuple protocol that model output arrives in.
 
 use aipan_chatbot::matcher::VocabMatcher;
 use aipan_chatbot::tasks::{classify_heading, classify_line, parse_numbered};
 use aipan_chatbot::{protocol, ModelProfile};
+use aipan_taxonomy::Aspect;
 use proptest::prelude::*;
+
+/// Row text built from what a JSON string must escape or carry as
+/// multibyte UTF-8: quotes, backslashes, newlines, tabs, control chars,
+/// `é`, `中` and `😀`, between plain ASCII.
+const HOSTILE_TEXT: &str =
+    "(\"|\\\\|\n|\t|\r|\u{0}|\u{1}|\u{1f}|\u{7f}|é|中|😀|a|Z| |/|\\[|\\]|,|:){0,16}";
+
+/// Text shaped like broken protocol output: JSON punctuation, escapes
+/// (including surrogate halves), literals and numbers in any order.
+const JSON_SOUP: &str =
+    "(\\[|\\]|\\{|\\}|,|:|\"|\\\\|\\\\u|D83D|DE00|null|true|-|0|17|e|\\.| |é|😀){0,60}";
+
+/// Every protocol parser and the well-formedness check, on one output.
+fn parse_all(output: &str) {
+    let _ = protocol::is_well_formed(output);
+    let _ = protocol::parse_labels(output);
+    let _ = protocol::parse_extractions(output);
+    let _ = protocol::parse_normalizations(output);
+    let _ = protocol::parse_purposes(output);
+    let _ = protocol::parse_handling(output);
+    let _ = protocol::parse_rights(output);
+}
+
+/// No proper prefix of `encoded` is well-formed: a completion truncated
+/// anywhere must be caught by the re-prompt loop.
+fn no_prefix_well_formed(encoded: &str) -> Result<(), String> {
+    for (cut, _) in encoded.char_indices() {
+        let prefix = &encoded[..cut];
+        prop_assert!(!protocol::is_well_formed(prefix), "prefix {:?}", prefix);
+    }
+    prop_assert!(protocol::is_well_formed(encoded), "{:?}", encoded);
+    Ok(())
+}
 
 proptest! {
     #[test]
@@ -62,5 +97,86 @@ proptest! {
     #[test]
     fn parse_numbered_tolerates_arbitrary_input(input in ".{0,300}") {
         let _ = parse_numbered(&input);
+    }
+
+    #[test]
+    fn protocol_parsers_never_panic_on_arbitrary_text(text in ".{0,200}") {
+        parse_all(&text);
+    }
+
+    #[test]
+    fn protocol_parsers_never_panic_on_json_soup(soup in JSON_SOUP) {
+        parse_all(&soup);
+        parse_all(&format!("[{soup}]"));
+        parse_all(&format!("[[1,\"{soup}\"]]"));
+    }
+
+    #[test]
+    fn labels_roundtrip_and_truncations_rejected(rows in proptest::collection::vec(
+        (0usize..100_000, proptest::collection::vec(0usize..Aspect::ALL.len(), 0..4)),
+        0..6,
+    )) {
+        let rows: Vec<protocol::LabelRow> = rows
+            .into_iter()
+            .map(|(n, aspects)| (n, aspects.into_iter().map(|i| Aspect::ALL[i]).collect()))
+            .collect();
+        let encoded = protocol::encode_labels(&rows);
+        prop_assert_eq!(protocol::parse_labels(&encoded), rows);
+        no_prefix_well_formed(&encoded)?;
+    }
+
+    #[test]
+    fn extractions_roundtrip_hostile_text(rows in proptest::collection::vec(
+        (0usize..100_000, HOSTILE_TEXT),
+        0..5,
+    )) {
+        let encoded = protocol::encode_extractions(&rows);
+        prop_assert_eq!(protocol::parse_extractions(&encoded), rows);
+        no_prefix_well_formed(&encoded)?;
+    }
+
+    #[test]
+    fn normalizations_roundtrip_hostile_text(rows in proptest::collection::vec(
+        (0usize..100_000, HOSTILE_TEXT, HOSTILE_TEXT),
+        0..5,
+    )) {
+        let encoded = protocol::encode_normalizations(&rows);
+        prop_assert_eq!(protocol::parse_normalizations(&encoded), rows);
+        no_prefix_well_formed(&encoded)?;
+    }
+
+    #[test]
+    fn purposes_roundtrip_hostile_text(rows in proptest::collection::vec(
+        (0usize..100_000, HOSTILE_TEXT, HOSTILE_TEXT, HOSTILE_TEXT),
+        0..5,
+    )) {
+        let encoded = protocol::encode_purposes(&rows);
+        prop_assert_eq!(protocol::parse_purposes(&encoded), rows);
+        no_prefix_well_formed(&encoded)?;
+    }
+
+    #[test]
+    fn handling_roundtrip_hostile_text(rows in proptest::collection::vec(
+        (0usize..100_000, HOSTILE_TEXT, HOSTILE_TEXT, HOSTILE_TEXT),
+        0..5,
+    )) {
+        // Even line numbers carry a period, odd ones `null`.
+        let rows: Vec<protocol::HandlingRow> = rows
+            .into_iter()
+            .map(|(n, text, label, period)| (n, text, label, (n % 2 == 0).then_some(period)))
+            .collect();
+        let encoded = protocol::encode_handling(&rows);
+        prop_assert_eq!(protocol::parse_handling(&encoded), rows);
+        no_prefix_well_formed(&encoded)?;
+    }
+
+    #[test]
+    fn rights_roundtrip_hostile_text(rows in proptest::collection::vec(
+        (0usize..100_000, HOSTILE_TEXT, HOSTILE_TEXT),
+        0..5,
+    )) {
+        let encoded = protocol::encode_rights(&rows);
+        prop_assert_eq!(protocol::parse_rights(&encoded), rows);
+        no_prefix_well_formed(&encoded)?;
     }
 }

@@ -107,6 +107,11 @@ impl RunJournal {
     pub fn iter(&self) -> impl Iterator<Item = &JournalEntry> {
         self.entries.values()
     }
+
+    /// Consume the journal, yielding its entries in domain order.
+    pub fn into_entries(self) -> impl Iterator<Item = JournalEntry> {
+        self.entries.into_values()
+    }
 }
 
 #[cfg(test)]

@@ -268,16 +268,16 @@ impl ShardedJournal {
         let mut journal = ShardedJournal::in_memory(shards);
         journal.faults = faults;
         if let Ok(text) = std::fs::read_to_string(base) {
-            for entry in RunJournal::from_jsonl(&text).iter() {
-                journal.insert_in_memory(entry.clone());
+            for entry in RunJournal::from_jsonl(&text).into_entries() {
+                journal.insert_in_memory(entry);
             }
         }
         for (index, shard) in journal.shards.iter().enumerate() {
             let path = segment_path(base, index);
             let mut shard = shard.lock();
             if let Ok(text) = std::fs::read_to_string(&path) {
-                for entry in RunJournal::from_jsonl(&text).iter() {
-                    shard.entries.insert(entry.domain.clone(), entry.clone());
+                for entry in RunJournal::from_jsonl(&text).into_entries() {
+                    shard.entries.insert(entry.domain.clone(), entry);
                 }
             }
             match OpenOptions::new().create(true).append(true).open(&path) {
