@@ -245,8 +245,10 @@ impl Pipeline {
             .filter(|p| p.content_type == ContentType::Html)
             .filter_map(|p| {
                 let doc = extract(&p.body);
-                let text = doc.text();
-                if text.trim().is_empty() || !lang::is_english(&text) {
+                // Lines are trimmed and never empty, so no lines means no text.
+                if doc.lines.is_empty()
+                    || !lang::is_english_lines(doc.lines.iter().map(|l| l.text.as_str()))
+                {
                     None
                 } else {
                     Some((doc, p.final_url.path.clone()))

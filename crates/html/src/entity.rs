@@ -4,6 +4,8 @@
 //! decimal/hex numeric references. Unknown references are passed through
 //! verbatim (the forgiving behaviour browsers exhibit).
 
+use std::borrow::Cow;
+
 /// Named entities recognized by [`decode`]. Kept small on purpose: corporate
 /// privacy pages overwhelmingly use this subset.
 const NAMED: &[(&str, &str)] = &[
@@ -43,33 +45,38 @@ const NAMED: &[(&str, &str)] = &[
 /// * References may omit the trailing semicolon only for `&amp`, `&lt`,
 ///   `&gt`, `&quot`, `&nbsp` (the legacy forms browsers accept).
 /// * Anything unrecognized is emitted unchanged.
-pub fn decode(input: &str) -> String {
+///
+/// Input without `&` is returned borrowed; otherwise the runs between
+/// `&`s are copied whole.
+pub fn decode(input: &str) -> Cow<'_, str> {
+    let Some(first) = input.find('&') else {
+        return Cow::Borrowed(input);
+    };
     let mut out = String::with_capacity(input.len());
-    let bytes = input.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'&' {
-            let ch_len = utf8_len(bytes[i]);
-            out.push_str(&input[i..i + ch_len]);
-            i += ch_len;
-            continue;
+    out.push_str(&input[..first]);
+    let mut rest = &input[first + 1..];
+    loop {
+        // `rest` starts just after an `&`.
+        match decode_one(rest, &mut out) {
+            Some(consumed) => rest = &rest[consumed..],
+            None => out.push('&'),
         }
-        // Find a candidate reference: up to 12 chars ending in ';'.
-        let rest = &input[i + 1..];
-        if let Some((decoded, consumed)) = decode_one(rest) {
-            out.push_str(&decoded);
-            i += 1 + consumed;
-        } else {
-            out.push('&');
-            i += 1;
+        match rest.find('&') {
+            Some(amp) => {
+                out.push_str(&rest[..amp]);
+                rest = &rest[amp + 1..];
+            }
+            None => {
+                out.push_str(rest);
+                return Cow::Owned(out);
+            }
         }
     }
-    out
 }
 
-/// Attempt to decode a single reference starting just after `&`. Returns the
-/// decoded text and the number of bytes consumed (excluding the `&`).
-fn decode_one(rest: &str) -> Option<(String, usize)> {
+/// Attempt to decode a single reference starting just after `&`, appending
+/// it to `out`. Returns the number of bytes consumed (excluding the `&`).
+fn decode_one(rest: &str, out: &mut String) -> Option<usize> {
     if let Some(num) = rest.strip_prefix('#') {
         // Numeric reference.
         let (digits, radix): (&str, u32) =
@@ -84,13 +91,13 @@ fn decode_one(rest: &str) -> Option<(String, usize)> {
             .map(|(i, c)| i + c.len_utf8())
             .last()?;
         let code = u32::from_str_radix(&digits[..end], radix).ok()?;
-        let ch = char::from_u32(code).unwrap_or('\u{fffd}');
+        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
         let prefix_len = rest.len() - digits.len(); // "#" or "#x"
         let mut consumed = prefix_len + end;
         if rest[consumed..].starts_with(';') {
             consumed += 1;
         }
-        return Some((ch.to_string(), consumed));
+        return Some(consumed);
     }
     // Named reference: letters only, then optional ';'.
     let name_end = rest
@@ -100,19 +107,17 @@ fn decode_one(rest: &str) -> Option<(String, usize)> {
         .last()?;
     let name = &rest[..name_end];
     let has_semi = rest[name_end..].starts_with(';');
-    for (n, v) in NAMED {
-        if *n == name {
-            if has_semi {
-                return Some((v.to_string(), name_end + 1));
-            }
-            // Legacy semicolon-less forms.
-            if matches!(*n, "amp" | "lt" | "gt" | "quot" | "nbsp") {
-                return Some((v.to_string(), name_end));
-            }
-            return None;
-        }
-    }
-    None
+    let (n, v) = NAMED.iter().find(|(n, _)| *n == name)?;
+    let consumed = if has_semi {
+        name_end + 1
+    } else if matches!(*n, "amp" | "lt" | "gt" | "quot" | "nbsp") {
+        // Legacy semicolon-less forms.
+        name_end
+    } else {
+        return None;
+    };
+    out.push_str(v);
+    Some(consumed)
 }
 
 /// Escape text for inclusion in HTML content (used by the site generator).
@@ -128,15 +133,6 @@ pub fn escape(input: &str) -> String {
         }
     }
     out
-}
-
-fn utf8_len(first_byte: u8) -> usize {
-    match first_byte {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
 }
 
 #[cfg(test)]

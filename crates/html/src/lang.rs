@@ -61,18 +61,27 @@ const STOPWORDS: &[&str] = &[
 
 /// Fraction of tokens in `text` that are English stop words (0.0–1.0).
 ///
-/// Tokens are lower-cased alphabetic runs. Returns 0.0 for empty input.
+/// Tokens are alphabetic runs, matched without regard to ASCII case.
+/// Returns 0.0 for empty input.
 pub fn english_score(text: &str) -> f64 {
+    score_lines([text])
+}
+
+/// [`english_score`] of lines taken together. Tokens never span a line
+/// break, so this equals the score of the lines joined by newlines, without
+/// joining them.
+fn score_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> f64 {
     let mut total = 0usize;
     let mut hits = 0usize;
-    for token in text
-        .split(|c: char| !c.is_alphabetic())
-        .filter(|t| !t.is_empty())
-    {
-        total += 1;
-        let lower = token.to_ascii_lowercase();
-        if STOPWORDS.contains(&lower.as_str()) {
-            hits += 1;
+    for line in lines {
+        for token in line
+            .split(|c: char| !c.is_alphabetic())
+            .filter(|t| !t.is_empty())
+        {
+            total += 1;
+            if STOPWORDS.iter().any(|w| w.eq_ignore_ascii_case(token)) {
+                hits += 1;
+            }
         }
     }
     if total == 0 {
@@ -88,6 +97,13 @@ pub const ENGLISH_THRESHOLD: f64 = 0.18;
 /// Whether `text` is (predominantly) English.
 pub fn is_english(text: &str) -> bool {
     english_score(text) >= ENGLISH_THRESHOLD
+}
+
+/// Whether lines taken together — an extracted page's, say — are
+/// (predominantly) English: [`is_english`] of the lines joined by newlines,
+/// without joining them.
+pub fn is_english_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> bool {
+    score_lines(lines) >= ENGLISH_THRESHOLD
 }
 
 #[cfg(test)]
@@ -126,6 +142,24 @@ mod tests {
         assert_eq!(english_score(""), 0.0);
         assert_eq!(english_score("12345 !!! ###"), 0.0);
         assert!(!is_english(""));
+    }
+
+    #[test]
+    fn lines_score_like_their_joined_text() {
+        let lines = [
+            "Wir erheben personenbezogene Daten",
+            "We collect THE information",
+            "of-the-AND",
+            "Übersicht: privacy POLICY",
+        ];
+        let mut joined = String::new();
+        for line in lines {
+            joined.push_str(line);
+            joined.push('\n');
+        }
+        assert_eq!(score_lines(lines), english_score(&joined));
+        assert_eq!(is_english_lines(lines), is_english(&joined));
+        assert!(!is_english_lines([]));
     }
 
     #[test]

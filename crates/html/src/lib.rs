@@ -4,29 +4,36 @@
 //! stand-in for the `inscriptis` HTML-to-text library used by the paper
 //! (§3.2.1) plus the heading/bold detection of Appendix B.
 //!
-//! The crate is built in three layers:
+//! Extraction is one pass over the input with two parts:
 //!
 //! 1. [`tokenizer`] — a forgiving HTML tokenizer (tags, attributes, text,
-//!    comments, raw-text elements like `<script>`). Malformed markup never
-//!    panics; it degrades to text.
-//! 2. [`dom`] — a stack-based tree builder with the implicit-close rules
-//!    needed for real-world pages (`<p>`, `<li>`, void elements).
-//! 3. [`text`] — the inscriptis-style renderer: block-level layout into
-//!    numbered lines, heading detection (`<h1>`–`<h6>` plus bold text on its
-//!    own line, per Appendix B), anchor extraction with page-region
-//!    attribution (header/body/footer), and title extraction.
+//!    comments, raw-text elements like `<script>`) yielding tokens borrowed
+//!    from the input. Malformed markup never panics; it degrades to text.
+//! 2. [`text`] — the streaming inscriptis-style renderer. An explicit stack
+//!    of open elements applies the implicit-close rules needed for
+//!    real-world pages (`<p>`, `<li>`, void elements) and reports the tree
+//!    in document order; the renderer lays it out into numbered lines,
+//!    detects headings (`<h1>`–`<h6>` plus bold text on its own line, per
+//!    Appendix B), extracts anchors with page-region attribution
+//!    (header/body/footer), and extracts the title. No tree is built.
+//!
+//! The contract, for input that may be hostile: [`extract`] never panics,
+//! does work linear in the size of its input plus its output (each tag also
+//! costs a lookup in a map of the open tag names), and never recurses, so
+//! nesting depth cannot overflow the stack. Output can grow faster than
+//! input only through nested anchors, each of which records the text of
+//! everything inside it.
 //!
 //! [`lang`] adds the stop-word-based English detector used to drop
 //! non-English policies, and [`entity`] decodes character references.
 
 #![warn(missing_docs)]
 
-pub mod dom;
 pub mod entity;
 pub mod lang;
 pub mod text;
 pub mod tokenizer;
+mod tree;
 
-pub use dom::{Node, NodeKind};
 pub use lang::english_score;
 pub use text::{extract, ExtractedDoc, HeadingLevel, Line, LineKind, PageLink, PageRegion};

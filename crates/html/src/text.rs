@@ -1,8 +1,11 @@
 //! Inscriptis-style layout-aware text extraction.
 //!
-//! Renders a DOM into a sequence of numbered [`Line`]s, the representation
+//! Renders a page into a sequence of numbered [`Line`]s, the representation
 //! the annotation prompts consume (each input line is prefixed `[123]` by
-//! the prompt builder). Along the way it records the two signals Appendix B
+//! the prompt builder). The renderer consumes the tree's events in one pass
+//! and keeps what each open element means for its content (bold, heading,
+//! region, hidden) on a stack of frames, so it neither recurses nor looks
+//! ahead into subtrees. Along the way it records the two signals Appendix B
 //! needs for segmentation:
 //!
 //! * heading lines — text inside `<h1>`–`<h6>`, **plus bold text
@@ -17,7 +20,8 @@
 //! elements. Image `alt` text is likewise not rendered (image-based
 //! policies yield no text).
 
-use crate::dom::{Node, NodeKind};
+use crate::tokenizer::Attrs;
+use crate::tree::{self, Event};
 use serde::{Deserialize, Serialize};
 
 /// Heading level of a heading line.
@@ -147,14 +151,24 @@ impl ExtractedDoc {
             .count()
     }
 
-    /// Links whose anchor text or href contains `needle` (case-insensitive).
-    pub fn links_containing(&self, needle: &str) -> impl Iterator<Item = &PageLink> {
-        let needle = needle.to_ascii_lowercase();
+    /// Links whose anchor text or href contains `needle` (ASCII
+    /// case-insensitive).
+    pub fn links_containing<'s>(&'s self, needle: &'s str) -> impl Iterator<Item = &'s PageLink> {
         self.links.iter().filter(move |l| {
-            l.text.to_ascii_lowercase().contains(&needle)
-                || l.href.to_ascii_lowercase().contains(&needle)
+            contains_ignore_ascii_case(&l.text, needle)
+                || contains_ignore_ascii_case(&l.href, needle)
         })
     }
+}
+
+/// Whether `needle` occurs in `haystack`, comparing ASCII letters without
+/// regard to case.
+fn contains_ignore_ascii_case(haystack: &str, needle: &str) -> bool {
+    needle.is_empty()
+        || haystack
+            .as_bytes()
+            .windows(needle.len())
+            .any(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
 }
 
 /// Extract a page: parse `html` and render it to lines + links.
@@ -168,9 +182,8 @@ impl ExtractedDoc {
 /// assert!(doc.text().contains("email address"));
 /// ```
 pub fn extract(html: &str) -> ExtractedDoc {
-    let dom = Node::parse(html);
     let mut r = Renderer::default();
-    r.walk(&dom, &WalkCtx::default());
+    tree::build(html, |event| r.event(event));
     r.finish()
 }
 
@@ -181,12 +194,60 @@ const HEADER_FRACTION: f64 = 0.2;
 /// `<footer>` ancestor exists.
 const FOOTER_FRACTION: f64 = 0.2;
 
+/// What the enclosing elements say about the text inside them.
 #[derive(Debug, Clone, Copy, Default)]
-struct WalkCtx {
+struct Ctx {
     bold: bool,
     heading: Option<HeadingLevel>,
     region: Option<PageRegion>,
-    in_title: bool,
+}
+
+/// How an open element renders.
+#[derive(Debug)]
+struct Frame {
+    /// The context this element's children render in; `None` when they are
+    /// not rendered.
+    ctx: Option<Ctx>,
+    /// What closing the element does.
+    close: Close,
+}
+
+impl Frame {
+    fn shown(ctx: Ctx, close: Close) -> Frame {
+        Frame {
+            ctx: Some(ctx),
+            close,
+        }
+    }
+
+    fn hidden(close: Close) -> Frame {
+        Frame { ctx: None, close }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Close {
+    Nothing,
+    /// End the current line (blocks, headings, regions, a shown summary).
+    Flush,
+    /// Record the innermost open anchor.
+    Link,
+    /// Stop the search a `<head>` or collapsed `<details>` started.
+    EndSearch,
+    /// Set the document title from the text read inside `<title>`.
+    Title,
+}
+
+/// A hidden subtree looks for one element: `<head>` for its first
+/// `<title>`, a collapsed `<details>` for its first `<summary>`, whose
+/// content renders in the details' context. Only one search can be active:
+/// nothing inside a hidden subtree renders until its search succeeds.
+#[derive(Debug, Clone, Copy, Default)]
+enum Search {
+    #[default]
+    None,
+    Title,
+    Summary(Ctx),
 }
 
 #[derive(Debug, Default)]
@@ -199,6 +260,14 @@ struct Renderer {
     buf_has_plain: bool,
     title: Option<String>,
     links: Vec<PendingLink>,
+    /// Open elements, innermost last (the document itself is implicit).
+    frames: Vec<Frame>,
+    /// Open anchors that will be recorded, innermost last; each collects
+    /// all the text inside it, rendered or not.
+    anchors: Vec<PendingLink>,
+    /// Text of the `<title>` being read.
+    title_text: Option<String>,
+    search: Search,
 }
 
 #[derive(Debug)]
@@ -209,125 +278,203 @@ struct PendingLink {
     region: Option<PageRegion>,
 }
 
+/// End of the run of chars starting at byte `from` of `s` that all are
+/// (`space`) or all are not whitespace, as `char::is_whitespace` defines it.
+fn run_end(s: &str, from: usize, space: bool) -> usize {
+    let bytes = s.as_bytes();
+    let mut i = from;
+    while let Some(&b) = bytes.get(i) {
+        let (is_space, len) = if b.is_ascii() {
+            (matches!(b, b'\t'..=b'\r' | b' '), 1)
+        } else {
+            match s.get(i..).and_then(|r| r.chars().next()) {
+                Some(c) => (c.is_whitespace(), c.len_utf8()),
+                None => break,
+            }
+        };
+        if is_space != space {
+            break;
+        }
+        i += len;
+    }
+    i
+}
+
+/// Append a text node to an element's text content: trimmed pieces joined
+/// by single spaces.
+fn push_content(out: &mut String, text: &str) {
+    if !out.is_empty() && !out.ends_with(' ') {
+        out.push(' ');
+    }
+    out.push_str(text.trim());
+}
+
+/// Drop the trailing separator `push_content` may leave (pieces are
+/// trimmed, so there is never leading whitespace).
+fn finish_content(out: &mut String) {
+    out.truncate(out.trim_end().len());
+}
+
 impl Renderer {
-    fn walk(&mut self, node: &Node, ctx: &WalkCtx) {
-        match &node.kind {
-            NodeKind::Document => {
-                for c in &node.children {
-                    self.walk(c, ctx);
+    fn event(&mut self, event: Event<'_, '_>) {
+        match event {
+            Event::Enter(name, attrs) => {
+                let frame = match self.ctx() {
+                    Some(ctx) => self.enter(name, attrs, ctx),
+                    None => self.enter_hidden(name),
+                };
+                self.frames.push(frame);
+            }
+            Event::Text(text) => {
+                for anchor in &mut self.anchors {
+                    push_content(&mut anchor.text, text);
+                }
+                if let Some(title) = &mut self.title_text {
+                    push_content(title, text);
+                }
+                if let Some(ctx) = self.ctx() {
+                    self.push_text(text, &ctx);
                 }
             }
-            NodeKind::Text(t) => self.push_text(t, ctx),
-            NodeKind::Element { name, .. } => self.walk_element(node, name, ctx),
+            Event::Exit => self.exit(),
         }
     }
 
-    fn walk_element(&mut self, node: &Node, name: &str, ctx: &WalkCtx) {
+    /// The context of the innermost open element's content.
+    fn ctx(&self) -> Option<Ctx> {
+        self.frames.last().map_or(Some(Ctx::default()), |f| f.ctx)
+    }
+
+    /// An element opens where content renders.
+    fn enter(&mut self, name: &str, attrs: Attrs<'_>, ctx: Ctx) -> Frame {
         match name {
-            "script" | "style" | "noscript" | "template" | "iframe" | "svg" | "head" => {
+            "script" | "style" | "noscript" | "template" | "iframe" | "svg" => {
+                Frame::hidden(Close::Nothing)
+            }
+            "head" => {
                 // Head is skipped except we still want the title.
-                if name == "head" {
-                    let mut tctx = *ctx;
-                    tctx.in_title = true;
-                    if let Some(title) = node.find("title") {
-                        let text = title.text_content();
-                        if !text.is_empty() {
-                            self.title = Some(text);
-                        }
-                    }
-                    let _ = tctx;
-                }
+                self.search = Search::Title;
+                Frame::hidden(Close::EndSearch)
             }
-            "details" if node.attr("open").is_none() => {
+            "details" if attrs.get("open").is_none() => {
                 // Collapsed expandable content: render only the <summary>.
-                if let Some(summary) = node.find("summary") {
-                    self.flush_line();
-                    self.walk_children(summary, ctx);
-                    self.flush_line();
-                }
+                self.search = Search::Summary(ctx);
+                Frame::hidden(Close::EndSearch)
             }
-            "br" => self.flush_line(),
-            "img" | "input" | "hr" | "meta" | "link" | "base" => {}
+            "br" => {
+                self.flush_line();
+                Frame::hidden(Close::Nothing)
+            }
+            "img" | "input" | "hr" | "meta" | "link" | "base" => Frame::hidden(Close::Nothing),
             "a" => {
-                let href = node.attr("href").unwrap_or("").to_string();
-                let start_line = self.lines.len() + 1;
-                let text = node.text_content();
-                self.walk_children(node, ctx);
-                if !href.is_empty() {
-                    self.links.push(PendingLink {
-                        href,
-                        text,
-                        line: start_line,
-                        region: ctx.region,
-                    });
+                let href = attrs.get("href").unwrap_or_default();
+                if href.is_empty() {
+                    return Frame::shown(ctx, Close::Nothing);
+                }
+                self.anchors.push(PendingLink {
+                    href: href.into_owned(),
+                    text: String::new(),
+                    line: self.lines.len() + 1,
+                    region: ctx.region,
+                });
+                Frame::shown(ctx, Close::Link)
+            }
+            "b" | "strong" => Frame::shown(Ctx { bold: true, ..ctx }, Close::Nothing),
+            "header" | "nav" => self.block(Ctx {
+                region: Some(PageRegion::Header),
+                ..ctx
+            }),
+            "footer" => self.block(Ctx {
+                region: Some(PageRegion::Footer),
+                ..ctx
+            }),
+            _ => match HeadingLevel::from_tag(name) {
+                Some(level) => self.block(Ctx {
+                    heading: Some(level),
+                    ..ctx
+                }),
+                None if is_block(name) => self.block(ctx),
+                None => Frame::shown(ctx, Close::Nothing),
+            },
+        }
+    }
+
+    /// An element opens inside a hidden subtree: it renders nothing unless
+    /// it is what the subtree's search looks for.
+    fn enter_hidden(&mut self, name: &str) -> Frame {
+        match (self.search, name) {
+            (Search::Title, "title") => {
+                self.search = Search::None;
+                self.title_text = Some(String::new());
+                Frame::hidden(Close::Title)
+            }
+            (Search::Summary(ctx), "summary") => {
+                self.search = Search::None;
+                self.flush_line();
+                Frame::shown(ctx, Close::Flush)
+            }
+            _ => Frame::hidden(Close::Nothing),
+        }
+    }
+
+    fn block(&mut self, ctx: Ctx) -> Frame {
+        self.flush_line();
+        Frame::shown(ctx, Close::Flush)
+    }
+
+    fn exit(&mut self) {
+        let Some(frame) = self.frames.pop() else {
+            return;
+        };
+        match frame.close {
+            Close::Nothing => {}
+            Close::Flush => self.flush_line(),
+            Close::Link => {
+                if let Some(mut link) = self.anchors.pop() {
+                    finish_content(&mut link.text);
+                    self.links.push(link);
                 }
             }
-            "b" | "strong" => {
-                let mut c = *ctx;
-                c.bold = true;
-                self.walk_children(node, &c);
-            }
-            "header" | "nav" => {
-                let mut c = *ctx;
-                c.region = Some(PageRegion::Header);
-                self.block(node, &c);
-            }
-            "footer" => {
-                let mut c = *ctx;
-                c.region = Some(PageRegion::Footer);
-                self.block(node, &c);
-            }
-            _ => {
-                if let Some(level) = HeadingLevel::from_tag(name) {
-                    let mut c = *ctx;
-                    c.heading = Some(level);
-                    self.flush_line();
-                    self.walk_children(node, &c);
-                    self.flush_line();
-                } else if is_block(name) {
-                    self.block(node, ctx);
-                } else {
-                    self.walk_children(node, ctx);
+            Close::EndSearch => self.search = Search::None,
+            Close::Title => {
+                if let Some(mut text) = self.title_text.take() {
+                    finish_content(&mut text);
+                    if !text.is_empty() {
+                        self.title = Some(text);
+                    }
                 }
             }
         }
     }
 
-    fn block(&mut self, node: &Node, ctx: &WalkCtx) {
-        self.flush_line();
-        self.walk_children(node, ctx);
-        self.flush_line();
-    }
-
-    fn walk_children(&mut self, node: &Node, ctx: &WalkCtx) {
-        for c in &node.children {
-            self.walk(c, ctx);
+    /// Append a text node to the current line, collapsing each whitespace
+    /// run to one space; a leading run is dropped at the start of a line or
+    /// after a space. Text between runs that need no change — a lone `' '`
+    /// between words — is copied whole.
+    fn push_text(&mut self, raw: &str, ctx: &Ctx) {
+        let lead = run_end(raw, 0, true);
+        if lead > 0 && !self.buf.is_empty() && !self.buf.ends_with(' ') {
+            self.buf.push(' ');
         }
-    }
-
-    fn push_text(&mut self, raw: &str, ctx: &WalkCtx) {
-        if raw.chars().all(char::is_whitespace) {
-            // Whitespace-only node: collapses to a single pending space.
-            if !self.buf.is_empty() && !self.buf.ends_with(' ') {
-                self.buf.push(' ');
-            }
+        if lead == raw.len() {
+            // Whitespace only: at most the pending space above.
             return;
         }
-        if raw.starts_with(char::is_whitespace) && !self.buf.is_empty() && !self.buf.ends_with(' ')
-        {
-            self.buf.push(' ');
-        }
-        let mut first = true;
-        for w in raw.split_whitespace() {
-            if !first {
+        let mut copied = lead;
+        let mut word_end = run_end(raw, lead, false);
+        while word_end < raw.len() {
+            let space_end = run_end(raw, word_end, true);
+            let lone_space = space_end == word_end + 1
+                && raw.as_bytes().get(word_end) == Some(&b' ')
+                && space_end < raw.len();
+            if !lone_space {
+                self.buf.push_str(&raw[copied..word_end]);
                 self.buf.push(' ');
+                copied = space_end;
             }
-            self.buf.push_str(w);
-            first = false;
+            word_end = run_end(raw, space_end, false);
         }
-        if raw.ends_with(char::is_whitespace) {
-            self.buf.push(' ');
-        }
+        self.buf.push_str(&raw[copied..]);
         if let Some(h) = ctx.heading {
             self.buf_heading = Some(match self.buf_heading {
                 Some(existing) if existing.rank() <= h.rank() => existing,
@@ -342,21 +489,25 @@ impl Renderer {
     }
 
     fn flush_line(&mut self) {
-        let text = std::mem::take(&mut self.buf).trim().to_string();
         let heading = self.buf_heading.take();
         let has_bold = std::mem::take(&mut self.buf_has_bold);
         let has_plain = std::mem::take(&mut self.buf_has_plain);
-        if text.is_empty() {
-            return;
+        // Spaces only ever follow text, so trimming the end trims the line.
+        let text = self.buf.trim_end();
+        if !text.is_empty() {
+            let kind = if let Some(h) = heading {
+                LineKind::Heading(h)
+            } else if has_bold && !has_plain {
+                LineKind::Heading(HeadingLevel::Bold)
+            } else {
+                LineKind::Text
+            };
+            self.lines.push(Line {
+                text: text.to_string(),
+                kind,
+            });
         }
-        let kind = if let Some(h) = heading {
-            LineKind::Heading(h)
-        } else if has_bold && !has_plain {
-            LineKind::Heading(HeadingLevel::Bold)
-        } else {
-            LineKind::Text
-        };
-        self.lines.push(Line { text, kind });
+        self.buf.clear();
     }
 
     fn finish(mut self) -> ExtractedDoc {
@@ -565,6 +716,53 @@ mod tests {
         let doc = extract("<ul><li>alpha</li><li>beta</li><li>gamma</li></ul>");
         let texts: Vec<_> = doc.lines.iter().map(|l| l.text.as_str()).collect();
         assert_eq!(texts, vec!["alpha", "beta", "gamma"]);
+    }
+
+    #[test]
+    fn text_content_joins_with_spaces() {
+        let doc = extract("<a href='/x'>Hello <b>dear</b>\n world </a>");
+        assert_eq!(doc.links[0].text, "Hello dear world");
+    }
+
+    #[test]
+    fn nested_anchors_recorded_innermost_first() {
+        let doc = extract("<a href='/outer'>outer <a href='/inner'>inner</a></a>");
+        let links: Vec<_> = doc
+            .links
+            .iter()
+            .map(|l| (l.href.as_str(), l.text.as_str()))
+            .collect();
+        assert_eq!(links, [("/inner", "inner"), ("/outer", "outer inner")]);
+    }
+
+    #[test]
+    fn collapsed_details_render_first_summary_in_their_own_context() {
+        // The first <summary> anywhere inside renders, with the details'
+        // context (bold here), not that of the elements around it.
+        let doc = extract(
+            "<b><details><i><summary>More</summary></i><summary>Other</summary>secret\
+             </details></b>after",
+        );
+        let lines: Vec<_> = doc
+            .lines
+            .iter()
+            .map(|l| (l.text.as_str(), l.kind))
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                ("More", LineKind::Heading(HeadingLevel::Bold)),
+                ("after", LineKind::Text)
+            ]
+        );
+    }
+
+    #[test]
+    fn only_the_first_title_in_head_counts() {
+        let doc =
+            extract("<head><title></title><title>Second</title></head><title>Body title</title>");
+        assert_eq!(doc.title, None);
+        assert_eq!(doc.text(), "Body title\n");
     }
 
     #[test]

@@ -1,45 +1,63 @@
 //! A forgiving HTML tokenizer.
 //!
-//! Produces a flat stream of [`Token`]s: start tags (with attributes), end
+//! [`Tokenizer`] yields a flat stream of [`Token`]s borrowed from the input:
+//! start tags (with their attributes, looked up on demand in [`Attrs`]), end
 //! tags, text, comments, and doctype. Raw-text elements (`<script>`,
-//! `<style>`) swallow their content until the matching close tag, as per the
-//! HTML parsing algorithm. Malformed input never panics — stray `<` become
-//! text, unterminated constructs run to end-of-input.
+//! `<style>`, `<textarea>`, `<title>`) swallow their content until the
+//! matching close tag, as per the HTML parsing algorithm. Malformed input
+//! never panics — stray `<` become text, unterminated constructs run to
+//! end-of-input. Every byte of the input is scanned a bounded number of
+//! times, so work is linear in input size.
 
 use crate::entity;
+use std::borrow::Cow;
 
-/// A single HTML attribute, name lower-cased, value entity-decoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Attribute {
-    /// Attribute name (lower-case).
-    pub name: String,
-    /// Attribute value ("" for bare attributes).
-    pub value: String,
+/// The attributes of a start tag: the source between the tag name and its
+/// closing `>`, parsed when asked.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Attrs<'a>(&'a str);
+
+impl<'a> Attrs<'a> {
+    /// Entity-decoded value of the first attribute named `name` (given in
+    /// lower case; attribute names match without regard to ASCII case).
+    /// A bare attribute has the value "".
+    pub fn get(&self, name: &str) -> Option<Cow<'a, str>> {
+        let mut scan = Scan::new(self.0, 0);
+        while let Some(item) = scan.next_item() {
+            if let Item::Attr(n, value) = item {
+                if !n.is_empty() && n.eq_ignore_ascii_case(name) {
+                    return Some(entity::decode(value));
+                }
+            }
+        }
+        None
+    }
 }
 
 /// One token from the input stream.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
-    /// `<name attr=...>`; `self_closing` reflects a trailing `/`.
+pub enum Token<'a> {
+    /// `<name attr=...>`; `self_closing` reflects a `/` among the attributes.
     StartTag {
         /// Tag name (lower-case).
-        name: String,
-        /// Attributes in document order.
-        attrs: Vec<Attribute>,
-        /// Whether the tag ended with `/>`.
+        name: Cow<'a, str>,
+        /// Attributes.
+        attrs: Attrs<'a>,
+        /// Whether the tag contained a `/` outside attribute values, as in
+        /// `<br/>`.
         self_closing: bool,
     },
     /// `</name>`.
     EndTag {
         /// Tag name (lower-case).
-        name: String,
+        name: Cow<'a, str>,
     },
-    /// Entity-decoded character data.
-    Text(String),
+    /// Character data: entity-decoded, except inside raw-text elements.
+    Text(Cow<'a, str>),
     /// `<!-- ... -->` (content, undecoded).
-    Comment(String),
+    Comment(&'a str),
     /// `<!DOCTYPE ...>` (content after `<!`, undecoded).
-    Doctype(String),
+    Doctype(&'a str),
 }
 
 /// Elements whose content is raw text (no nested markup).
@@ -47,250 +65,260 @@ fn is_raw_text(name: &str) -> bool {
     matches!(name, "script" | "style" | "textarea" | "title")
 }
 
-/// Tokenize `input` into a vector of tokens.
-pub fn tokenize(input: &str) -> Vec<Token> {
-    Tokenizer::new(input).run()
+fn lowercase(s: &str) -> Cow<'_, str> {
+    if s.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(s.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(s)
+    }
 }
 
-struct Tokenizer<'a> {
+/// Iterator over the tokens of an HTML document.
+pub struct Tokenizer<'a> {
     input: &'a str,
     pos: usize,
-    tokens: Vec<Token>,
+    /// A raw-text element just opened; its content comes next.
+    raw: Option<Cow<'a, str>>,
+    /// The end tag that closes raw text already yielded.
+    raw_end: Option<Cow<'a, str>>,
 }
 
 impl<'a> Tokenizer<'a> {
-    fn new(input: &'a str) -> Self {
+    /// Tokenize `input`.
+    pub fn new(input: &'a str) -> Self {
         Tokenizer {
             input,
             pos: 0,
-            tokens: Vec::new(),
+            raw: None,
+            raw_end: None,
         }
-    }
-
-    fn run(mut self) -> Vec<Token> {
-        while self.pos < self.input.len() {
-            match self.rest().find('<') {
-                None => {
-                    self.emit_text(self.pos, self.input.len());
-                    break;
-                }
-                Some(rel) => {
-                    let lt = self.pos + rel;
-                    self.emit_text(self.pos, lt);
-                    self.pos = lt;
-                    self.consume_markup();
-                }
-            }
-        }
-        self.tokens
     }
 
     fn rest(&self) -> &'a str {
         &self.input[self.pos..]
     }
 
-    fn emit_text(&mut self, start: usize, end: usize) {
-        if start < end {
-            let decoded = entity::decode(&self.input[start..end]);
-            if !decoded.is_empty() {
-                self.tokens.push(Token::Text(decoded));
-            }
-        }
-    }
-
-    /// `self.pos` is at a `<`. Consume one markup construct.
-    fn consume_markup(&mut self) {
+    /// `self.pos` is at a `<`. Consume one markup construct, returning its
+    /// token if it produces one.
+    fn markup(&mut self) -> Option<Token<'a>> {
         let rest = self.rest();
-        debug_assert!(rest.starts_with('<'));
         let after = &rest[1..];
 
         if let Some(comment) = after.strip_prefix("!--") {
             // Comment: until -->
-            match comment.find("-->") {
+            return Some(match comment.find("-->") {
                 Some(end) => {
-                    self.tokens.push(Token::Comment(comment[..end].to_string()));
                     self.pos += 1 + 3 + end + 3;
+                    Token::Comment(&comment[..end])
                 }
                 None => {
-                    self.tokens.push(Token::Comment(comment.to_string()));
                     self.pos = self.input.len();
+                    Token::Comment(comment)
                 }
-            }
-            return;
+            });
         }
         if after.starts_with('!') || after.starts_with('?') {
             // Doctype / processing instruction: until '>'.
-            match after.find('>') {
+            return Some(match after.find('>') {
                 Some(end) => {
-                    self.tokens.push(Token::Doctype(after[1..end].to_string()));
                     self.pos += 1 + end + 1;
+                    Token::Doctype(&after[1..end])
                 }
                 None => {
-                    self.tokens.push(Token::Doctype(after[1..].to_string()));
                     self.pos = self.input.len();
+                    Token::Doctype(&after[1..])
                 }
-            }
-            return;
+            });
         }
         if let Some(close) = after.strip_prefix('/') {
             // End tag.
-            match close.find('>') {
-                Some(end) => {
-                    let name = close[..end]
-                        .trim()
-                        .trim_end_matches('/')
-                        .to_ascii_lowercase();
-                    if !name.is_empty() {
-                        self.tokens.push(Token::EndTag { name });
-                    }
-                    self.pos += 2 + end + 1;
-                }
-                None => {
-                    self.pos = self.input.len();
-                }
-            }
-            return;
+            let Some(end) = close.find('>') else {
+                self.pos = self.input.len();
+                return None;
+            };
+            self.pos += 2 + end + 1;
+            let name = close[..end].trim().trim_end_matches('/');
+            return (!name.is_empty()).then(|| Token::EndTag {
+                name: lowercase(name),
+            });
         }
         if !after.starts_with(|c: char| c.is_ascii_alphabetic()) {
             // Stray '<': emit as text.
-            self.tokens.push(Token::Text("<".to_string()));
             self.pos += 1;
-            return;
+            return Some(Token::Text(Cow::Borrowed(&rest[..1])));
         }
         // Start tag.
-        match self.parse_start_tag() {
-            Some((name, attrs, self_closing, consumed)) => {
-                self.pos += consumed;
-                let raw = is_raw_text(&name) && !self_closing;
-                self.tokens.push(Token::StartTag {
-                    name: name.clone(),
-                    attrs,
-                    self_closing,
-                });
-                if raw {
-                    self.consume_raw_text(&name);
-                }
-            }
-            None => {
-                // Unterminated tag; drop the rest.
-                self.pos = self.input.len();
-            }
-        }
-    }
-
-    /// Parse a start tag beginning at `self.pos` (which is `<`). Returns
-    /// (name, attrs, self_closing, bytes consumed including both angle
-    /// brackets), or None if unterminated.
-    fn parse_start_tag(&self) -> Option<(String, Vec<Attribute>, bool, usize)> {
-        let rest = self.rest();
         let bytes = rest.as_bytes();
         let mut i = 1; // skip '<'
-        let name_start = i;
         while i < bytes.len()
             && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'-' || bytes[i] == b':')
         {
             i += 1;
         }
-        let name = rest[name_start..i].to_ascii_lowercase();
-        let mut attrs = Vec::new();
+        let name = lowercase(&rest[1..i]);
+        let mut scan = Scan::new(rest, i);
         let mut self_closing = false;
-        loop {
-            // Skip whitespace.
-            while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-                i += 1;
+        while let Some(item) = scan.next_item() {
+            self_closing |= matches!(item, Item::Slash);
+        }
+        if scan.i >= rest.len() {
+            // Unterminated tag; drop the rest.
+            self.pos = self.input.len();
+            return None;
+        }
+        self.pos += scan.i + 1;
+        if is_raw_text(&name) && !self_closing {
+            self.raw = Some(name.clone());
+        }
+        Some(Token::StartTag {
+            name,
+            attrs: Attrs(&rest[i..scan.i]),
+            self_closing,
+        })
+    }
+
+    /// After a raw-text start tag, consume content until `</name` (ASCII
+    /// case-insensitive) and the `>` after it: the content as one Text token
+    /// (undecoded, as the HTML spec treats raw text), then the end tag.
+    fn raw_text(&mut self, name: Cow<'a, str>) -> Option<Token<'a>> {
+        let rest = self.rest();
+        let bytes = rest.as_bytes();
+        let close = rest.match_indices("</").map(|(idx, _)| idx).find(|&idx| {
+            bytes
+                .get(idx + 2..idx + 2 + name.len())
+                .is_some_and(|n| n.eq_ignore_ascii_case(name.as_bytes()))
+        });
+        let Some(idx) = close else {
+            self.pos = self.input.len();
+            return (!rest.is_empty()).then_some(Token::Text(Cow::Borrowed(rest)));
+        };
+        // Find the '>' terminating the close tag.
+        let after = &rest[idx..];
+        let end = after.find('>').map(|e| e + 1).unwrap_or(after.len());
+        self.pos += idx + end;
+        if idx == 0 {
+            return Some(Token::EndTag { name });
+        }
+        self.raw_end = Some(name);
+        Some(Token::Text(Cow::Borrowed(&rest[..idx])))
+    }
+}
+
+impl<'a> Iterator for Tokenizer<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        if let Some(name) = self.raw_end.take() {
+            return Some(Token::EndTag { name });
+        }
+        if let Some(name) = self.raw.take() {
+            if let Some(token) = self.raw_text(name) {
+                return Some(token);
             }
-            if i >= bytes.len() {
-                return None;
+        }
+        while self.pos < self.input.len() {
+            let rest = self.rest();
+            let lt = rest.find('<').unwrap_or(rest.len());
+            if lt > 0 {
+                self.pos += lt;
+                return Some(Token::Text(entity::decode(&rest[..lt])));
             }
-            match bytes[i] {
-                b'>' => return Some((name, attrs, self_closing, i + 1)),
-                b'/' => {
-                    self_closing = true;
-                    i += 1;
-                }
-                b'"' | b'\'' => {
-                    // Stray quote; skip.
-                    i += 1;
-                }
-                _ => {
-                    // Attribute name.
-                    let attr_start = i;
-                    while i < bytes.len()
-                        && !bytes[i].is_ascii_whitespace()
-                        && !matches!(bytes[i], b'=' | b'>' | b'/')
-                    {
-                        i += 1;
-                    }
-                    let attr_name = rest[attr_start..i].to_ascii_lowercase();
-                    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-                        i += 1;
-                    }
-                    let mut value = String::new();
-                    if i < bytes.len() && bytes[i] == b'=' {
-                        i += 1;
-                        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-                            i += 1;
-                        }
-                        if i < bytes.len() && (bytes[i] == b'"' || bytes[i] == b'\'') {
-                            let quote = bytes[i];
-                            i += 1;
-                            let val_start = i;
-                            while i < bytes.len() && bytes[i] != quote {
-                                i += 1;
-                            }
-                            value = entity::decode(&rest[val_start..i]);
-                            if i < bytes.len() {
-                                i += 1; // closing quote
-                            }
-                        } else {
-                            let val_start = i;
-                            while i < bytes.len()
-                                && !bytes[i].is_ascii_whitespace()
-                                && bytes[i] != b'>'
-                            {
-                                i += 1;
-                            }
-                            value = entity::decode(&rest[val_start..i]);
-                        }
-                    }
-                    if !attr_name.is_empty() {
-                        attrs.push(Attribute {
-                            name: attr_name,
-                            value,
-                        });
-                    }
-                }
+            if let Some(token) = self.markup() {
+                return Some(token);
             }
+        }
+        None
+    }
+}
+
+/// One step of the attribute scanner.
+enum Item<'a> {
+    /// An attribute's raw name (possibly empty, as in `=x`) and raw value
+    /// ("" for a bare attribute).
+    Attr(&'a str, &'a str),
+    /// A `/` outside any attribute value.
+    Slash,
+}
+
+/// Scans the attribute area of a start tag up to its closing `>` or the
+/// end of `src`. The tokenizer runs it once over the rest of the input to
+/// find the tag's end; [`Attrs`] runs it again over just the attribute
+/// area, where the end of the slice stands in for the `>`.
+struct Scan<'a> {
+    src: &'a str,
+    i: usize,
+}
+
+impl<'a> Scan<'a> {
+    fn new(src: &'a str, i: usize) -> Self {
+        Scan { src, i }
+    }
+
+    fn skip_whitespace(&mut self) {
+        let bytes = self.src.as_bytes();
+        while self.i < bytes.len() && bytes[self.i].is_ascii_whitespace() {
+            self.i += 1;
         }
     }
 
-    /// After a raw-text start tag, consume content until `</name>` and emit
-    /// it as a single Text token (undecoded, as the HTML spec treats raw
-    /// text) plus the end tag.
-    fn consume_raw_text(&mut self, name: &str) {
-        let rest = self.rest();
-        let close = format!("</{name}");
-        let lower = rest.to_ascii_lowercase();
-        match lower.find(&close) {
-            Some(idx) => {
-                if idx > 0 {
-                    self.tokens.push(Token::Text(rest[..idx].to_string()));
+    /// The next attribute or `/`; `None` at the closing `>` (where `i` is
+    /// left) or at the end of `src`.
+    fn next_item(&mut self) -> Option<Item<'a>> {
+        let bytes = self.src.as_bytes();
+        loop {
+            self.skip_whitespace();
+            match bytes.get(self.i)? {
+                b'>' => return None,
+                b'/' => {
+                    self.i += 1;
+                    return Some(Item::Slash);
                 }
-                // Find the '>' terminating the close tag.
-                let after = &rest[idx..];
-                let end = after.find('>').map(|e| e + 1).unwrap_or(after.len());
-                self.tokens.push(Token::EndTag {
-                    name: name.to_string(),
-                });
-                self.pos += idx + end;
-            }
-            None => {
-                if !rest.is_empty() {
-                    self.tokens.push(Token::Text(rest.to_string()));
+                b'"' | b'\'' => {
+                    // Stray quote; skip.
+                    self.i += 1;
                 }
-                self.pos = self.input.len();
+                _ => break,
             }
         }
+        let name_start = self.i;
+        while self.i < bytes.len()
+            && !bytes[self.i].is_ascii_whitespace()
+            && !matches!(bytes[self.i], b'=' | b'>' | b'/')
+        {
+            self.i += 1;
+        }
+        let name = &self.src[name_start..self.i];
+        self.skip_whitespace();
+        if bytes.get(self.i) != Some(&b'=') {
+            return Some(Item::Attr(name, ""));
+        }
+        self.i += 1;
+        self.skip_whitespace();
+        let value = match bytes.get(self.i) {
+            Some(&quote @ (b'"' | b'\'')) => {
+                self.i += 1;
+                let start = self.i;
+                while self.i < bytes.len() && bytes[self.i] != quote {
+                    self.i += 1;
+                }
+                let value = &self.src[start..self.i];
+                if self.i < bytes.len() {
+                    self.i += 1; // closing quote
+                }
+                value
+            }
+            _ => {
+                let start = self.i;
+                while self.i < bytes.len()
+                    && !bytes[self.i].is_ascii_whitespace()
+                    && bytes[self.i] != b'>'
+                {
+                    self.i += 1;
+                }
+                &self.src[start..self.i]
+            }
+        };
+        Some(Item::Attr(name, value))
     }
 }
 
@@ -298,11 +326,22 @@ impl<'a> Tokenizer<'a> {
 mod tests {
     use super::*;
 
-    fn start(name: &str) -> Token {
+    fn tokenize(input: &str) -> Vec<Token<'_>> {
+        Tokenizer::new(input).collect()
+    }
+
+    fn start(name: &str) -> Token<'_> {
         Token::StartTag {
             name: name.into(),
-            attrs: vec![],
+            attrs: Attrs::default(),
             self_closing: false,
+        }
+    }
+
+    fn attrs<'a>(token: &Token<'a>) -> Attrs<'a> {
+        match token {
+            Token::StartTag { attrs, .. } => *attrs,
+            other => panic!("unexpected {other:?}"),
         }
     }
 
@@ -322,45 +361,24 @@ mod tests {
     #[test]
     fn attributes_quoted_and_bare() {
         let toks = tokenize(r#"<a href="/privacy" class='x' hidden data-n=5>"#);
-        match &toks[0] {
-            Token::StartTag {
-                name,
-                attrs,
-                self_closing,
-            } => {
-                assert_eq!(name, "a");
-                assert!(!self_closing);
-                assert_eq!(
-                    attrs[0],
-                    Attribute {
-                        name: "href".into(),
-                        value: "/privacy".into()
-                    }
-                );
-                assert_eq!(
-                    attrs[1],
-                    Attribute {
-                        name: "class".into(),
-                        value: "x".into()
-                    }
-                );
-                assert_eq!(
-                    attrs[2],
-                    Attribute {
-                        name: "hidden".into(),
-                        value: "".into()
-                    }
-                );
-                assert_eq!(
-                    attrs[3],
-                    Attribute {
-                        name: "data-n".into(),
-                        value: "5".into()
-                    }
-                );
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(
+            matches!(&toks[0], Token::StartTag { name, self_closing: false, .. } if name == "a")
+        );
+        let attrs = attrs(&toks[0]);
+        assert_eq!(attrs.get("href").as_deref(), Some("/privacy"));
+        assert_eq!(attrs.get("class").as_deref(), Some("x"));
+        assert_eq!(attrs.get("hidden").as_deref(), Some(""));
+        assert_eq!(attrs.get("data-n").as_deref(), Some("5"));
+    }
+
+    #[test]
+    fn attr_lookup() {
+        let toks = tokenize(r#"<a HREF="/privacy-policy" rel=nofollow href=/second =x>"#);
+        let attrs = attrs(&toks[0]);
+        assert_eq!(attrs.get("href").as_deref(), Some("/privacy-policy"));
+        assert_eq!(attrs.get("rel").as_deref(), Some("nofollow"));
+        assert_eq!(attrs.get("missing"), None);
+        assert_eq!(attrs.get(""), None);
     }
 
     #[test]
@@ -377,10 +395,7 @@ mod tests {
     #[test]
     fn entities_in_text_and_attrs() {
         let toks = tokenize(r#"<a title="Ben &amp; Jerry">&copy; 2024</a>"#);
-        match &toks[0] {
-            Token::StartTag { attrs, .. } => assert_eq!(attrs[0].value, "Ben & Jerry"),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(attrs(&toks[0]).get("title").as_deref(), Some("Ben & Jerry"));
         assert_eq!(toks[1], Token::Text("© 2024".into()));
     }
 
@@ -390,7 +405,7 @@ mod tests {
         assert!(
             matches!(&toks[0], Token::Doctype(d) if d.contains("DOCTYPE") || d.contains("html"))
         );
-        assert_eq!(toks[1], Token::Comment(" hi ".into()));
+        assert_eq!(toks[1], Token::Comment(" hi "));
     }
 
     #[test]
@@ -425,7 +440,7 @@ mod tests {
         let text: String = toks
             .iter()
             .filter_map(|t| match t {
-                Token::Text(s) => Some(s.as_str()),
+                Token::Text(s) => Some(s.as_ref()),
                 _ => None,
             })
             .collect();

@@ -19,19 +19,28 @@ proptest! {
 
     #[test]
     fn html_extract_never_panics_on_taggy_soup(
-        parts in proptest::collection::vec("(<[a-z]{1,6}>|</[a-z]{1,6}>|[a-z ]{1,12}|<!--|-->|&[a-z]{2,6};|<)", 0..60)
+        parts in proptest::collection::vec(
+            "(<[a-zA-Z]{1,8}>?|</[a-zA-Z]{0,8}>|[a-zA-Z ]{1,12}|.{0,12}|<!--|-->|&[a-zA-Z#0-9]{0,7};?|[<>/=\"' ]|\u{a0})",
+            0..120,
+        )
     ) {
         let input: String = parts.concat();
         let doc = aipan::html::extract(&input);
-        // Line numbering is dense and 1-based.
-        for (i, line) in doc.lines.iter().enumerate() {
-            prop_assert!(!line.text.is_empty() || i == usize::MAX);
+        // Lines are trimmed and never empty; a link points at an existing
+        // line or the one after the last.
+        for line in &doc.lines {
+            prop_assert!(!line.text.is_empty());
+            prop_assert_eq!(line.text.trim(), line.text.as_str());
+        }
+        for link in &doc.links {
+            prop_assert!(link.line >= 1 && link.line <= doc.lines.len() + 1);
         }
     }
 
     #[test]
     fn entity_escape_roundtrips(input in "[ -~]{0,200}") {
-        prop_assert_eq!(entity::decode(&entity::escape(&input)), input);
+        let escaped = entity::escape(&input);
+        prop_assert_eq!(entity::decode(&escaped), input);
     }
 
     #[test]
