@@ -121,7 +121,7 @@ fn bench_model_profiles(c: &mut Criterion) {
         ModelProfile::gpt35_turbo(),
     ] {
         let bot = SimulatedChatbot::new(profile.clone(), 7);
-        group.bench_function(&profile.id, |b| {
+        group.bench_function(profile.id.as_str(), |b| {
             b.iter(|| bot.complete(black_box(&prompt), black_box(&input)))
         });
     }

@@ -224,9 +224,8 @@ pub const RULES: &[RuleDoc] = &[
         summary: "lock acquired inside a corpus-scale hot loop with non-trivial held cost",
         rationale: "Acquiring a lock once per corpus element and holding it across \
                     allocating work serializes the worker pool exactly where the pipeline \
-                    fans out. The held-cost estimate scales with loop depth on the hot \
-                    path; `cargo lint --contention` ranks every lock by the same score so \
-                    the worst contention point is the first streaming-refactor candidate.",
+                    fans out. The held cost counts the allocation sites inside the \
+                    region; worker-dispatch and constant-bounded loops are exempt.",
         example: "for page in &corpus {\n    let mut ledger = self.usage.lock()?; // W2: per-page acquire\n    ledger.record(expensive_breakdown(page));\n}",
     },
     RuleDoc {

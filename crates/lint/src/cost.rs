@@ -1,6 +1,5 @@
 //! Hot-path cost analysis: per-fn static cost summaries propagated over
-//! the cross-crate call graph, the `H2`/`C2` allocation rules, and the
-//! `--hotpaths` ranking report.
+//! the cross-crate call graph, and the `H2`/`C2` allocation rules.
 //!
 //! **Cost model.** Every fn gets a *local* cost: each allocation site
 //! (clone-family methods, `collect`, `format!`/`vec!`, collection
@@ -103,7 +102,7 @@ const READ_ONLY_METHODS: &[&str] = &[
 const LOOP_SHIFT: u32 = 3;
 
 /// Depth levels beyond this scale no further (keeps shifts bounded).
-pub(crate) const MAX_SCALED_DEPTH: u32 = 4;
+const MAX_SCALED_DEPTH: u32 = 4;
 
 /// Extra factor charged to fns inside a call-graph cycle (recursion).
 const RECURSION_SHIFT: u32 = 3;
@@ -112,7 +111,7 @@ const RECURSION_SHIFT: u32 = 3;
 const MAX_PATH: usize = 8;
 
 /// Weight scaled by the loop factor for a site at `depth`.
-pub(crate) fn scaled(weight: u64, depth: u32) -> u64 {
+fn scaled(weight: u64, depth: u32) -> u64 {
     weight.saturating_mul(1u64 << (LOOP_SHIFT * depth.min(MAX_SCALED_DEPTH)))
 }
 
@@ -1468,75 +1467,6 @@ fn c2_fix(
             },
         ],
     })
-}
-
-/// Render the `--hotpaths` report: the top-`n` costliest entry chains,
-/// each following the most expensive callee from its entry point.
-pub fn hotpath_report(
-    ws: &Workspace,
-    graph: &CallGraph<'_>,
-    model: &CostModel,
-    n: usize,
-) -> String {
-    let mut ranked: Vec<usize> = model.entries.clone();
-    ranked.sort_by(|&a, &b| {
-        let ca = model.total.get(a).copied().unwrap_or(0);
-        let cb = model.total.get(b).copied().unwrap_or(0);
-        cb.cmp(&ca).then_with(|| {
-            let na = graph.fns.get(a).map(fn_display).unwrap_or_default();
-            let nb = graph.fns.get(b).map(fn_display).unwrap_or_default();
-            na.cmp(&nb).then(a.cmp(&b))
-        })
-    });
-    let mut out = String::new();
-    out.push_str("aipan-lint --hotpaths: costliest pipeline entry chains\n");
-    for (rank, &entry) in ranked.iter().take(n).enumerate() {
-        let mut chain = vec![entry];
-        let mut seen: BTreeSet<usize> = chain.iter().copied().collect();
-        let mut cur = entry;
-        while chain.len() < MAX_PATH {
-            let next = graph
-                .edges
-                .get(cur)
-                .map(Vec::as_slice)
-                .unwrap_or(&[])
-                .iter()
-                .map(|e| e.to)
-                .filter(|t| !seen.contains(t))
-                .max_by_key(|&t| (model.total.get(t).copied().unwrap_or(0), usize::MAX - t));
-            match next {
-                Some(t) if model.total.get(t).copied().unwrap_or(0) > 0 => {
-                    chain.push(t);
-                    seen.insert(t);
-                    cur = t;
-                }
-                _ => break,
-            }
-        }
-        let hops: Vec<String> = chain
-            .iter()
-            .filter_map(|&i| {
-                let node = graph.fns.get(i)?;
-                let cost = model.total.get(i).copied().unwrap_or(0);
-                Some(format!("{} (cost {cost})", fn_display(node)))
-            })
-            .collect();
-        let file = graph
-            .fns
-            .get(entry)
-            .and_then(|f| ws.files.get(f.file))
-            .map(|f| f.parsed.rel_path.as_str())
-            .unwrap_or("?");
-        out.push_str(&format!(
-            "{:>3}. {}\n     entry at {file}\n",
-            rank + 1,
-            hops.join(" -> ")
-        ));
-    }
-    if ranked.is_empty() {
-        out.push_str("(no pipeline entry points found)\n");
-    }
-    out
 }
 
 #[cfg(test)]

@@ -34,9 +34,9 @@
 //!
 //! Two entry points:
 //! - `cargo run -p aipan-lint` (or `cargo lint`): CLI with human diff-style
-//!   or `--format json` output, `--deny-warnings` for CI strictness,
-//!   `--hotpaths` for the ranked cost chains, and `--fix` /
-//!   `--fix --dry-run` for the machine-applicable rewrites (see [`fix`]).
+//!   or `--format json` output, `--deny-warnings` for CI strictness, and
+//!   `--fix` / `--fix --dry-run` for the machine-applicable rewrites (see
+//!   [`fix`]).
 //! - `crates/lint/tests/workspace_clean.rs`: tier-1 test failing on any
 //!   non-allowlisted finding, so `cargo test` alone enforces the contract.
 //!
@@ -59,7 +59,6 @@ pub mod findings;
 pub mod fix;
 pub mod graph;
 pub mod guards;
-pub mod incremental;
 pub mod invariants;
 pub mod lexer;
 pub mod locks;

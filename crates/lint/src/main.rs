@@ -1,11 +1,8 @@
 //! CLI for the workspace lint pass.
 //!
 //! ```text
-//! cargo run -p aipan-lint -- [--format human|json|sarif] [--deny-warnings] [--verbose] [--root DIR] [--allow FILE]
+//! cargo run -p aipan-lint -- [--format human|json] [--deny-warnings] [--verbose] [--root DIR] [--allow FILE]
 //! cargo run -p aipan-lint -- --explain RULE
-//! cargo run -p aipan-lint -- --hotpaths
-//! cargo run -p aipan-lint -- --contention
-//! cargo run -p aipan-lint -- --incremental
 //! cargo run -p aipan-lint -- --fix [--dry-run]
 //! ```
 //!
@@ -14,13 +11,10 @@
 //! pending), 2 usage or I/O error.
 
 use aipan_lint::allow::Allowlist;
-use aipan_lint::{catalog, fix, incremental, report, scan};
+use aipan_lint::{catalog, fix, report, scan};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-/// Entry chains listed by `--hotpaths`.
-const HOTPATHS_TOP: usize = 15;
 
 /// `--fix` re-lints and re-applies until a fixpoint, bounded by this many
 /// rounds (hoists can unlock further hoists; anything deeper is a bug).
@@ -31,16 +25,12 @@ const MAX_FIX_ROUNDS: usize = 5;
 enum OutputFormat {
     Human,
     Json,
-    Sarif,
 }
 
 struct Options {
     format: OutputFormat,
     deny_warnings: bool,
     verbose: bool,
-    hotpaths: bool,
-    contention: bool,
-    incremental: bool,
     fix: bool,
     dry_run: bool,
     root: Option<PathBuf>,
@@ -52,9 +42,6 @@ fn parse_args() -> Result<Options, String> {
         format: OutputFormat::Human,
         deny_warnings: false,
         verbose: false,
-        hotpaths: false,
-        contention: false,
-        incremental: false,
         fix: false,
         dry_run: false,
         root: None,
@@ -64,22 +51,15 @@ fn parse_args() -> Result<Options, String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             // `cargo lint` aliases to `run -p aipan-lint --`, so a second
-            // `--` from `cargo lint -- --json` arrives literally; ignore it.
+            // `--` from `cargo lint -- --fix` arrives literally; ignore it.
             "--" => {}
-            // `--json` is the legacy spelling of `--format json`.
-            "--json" => opts.format = OutputFormat::Json,
             "--format" => {
-                let value = args
-                    .next()
-                    .ok_or("--format needs `human`, `json`, or `sarif`")?;
+                let value = args.next().ok_or("--format needs `human` or `json`")?;
                 match value.as_str() {
                     "json" => opts.format = OutputFormat::Json,
                     "human" => opts.format = OutputFormat::Human,
-                    "sarif" => opts.format = OutputFormat::Sarif,
                     other => {
-                        return Err(format!(
-                            "--format must be `human`, `json`, or `sarif`, got `{other}`"
-                        ))
+                        return Err(format!("--format must be `human` or `json`, got `{other}`"))
                     }
                 }
             }
@@ -95,9 +75,6 @@ fn parse_args() -> Result<Options, String> {
             }
             "--deny-warnings" => opts.deny_warnings = true,
             "--verbose" => opts.verbose = true,
-            "--hotpaths" => opts.hotpaths = true,
-            "--contention" => opts.contention = true,
-            "--incremental" => opts.incremental = true,
             "--fix" => opts.fix = true,
             "--dry-run" => opts.dry_run = true,
             "--root" => {
@@ -115,12 +92,8 @@ fn parse_args() -> Result<Options, String> {
                     "aipan-lint: workspace determinism & invariant checks\n\n\
                      USAGE: cargo run -p aipan-lint -- [OPTIONS]\n\n\
                      OPTIONS:\n\
-                     \x20 --format FORMAT   output format: human (default), json, or sarif\n\
-                     \x20 --json            shorthand for --format json\n\
+                     \x20 --format FORMAT   output format: human (default) or json\n\
                      \x20 --explain RULE    print the catalog entry for one rule (e.g. X1)\n\
-                     \x20 --hotpaths        rank the costliest pipeline entry chains and exit\n\
-                     \x20 --contention      rank lock sites by hot-path held cost and exit\n\
-                     \x20 --incremental     reuse the content-hash cache in target/ (same output)\n\
                      \x20 --fix             apply machine-applicable fixes, re-lint to fixpoint\n\
                      \x20 --dry-run         with --fix: print the would-be unified diff instead\n\
                      \x20 --deny-warnings   any finding fails the run (CI mode)\n\
@@ -297,58 +270,10 @@ fn main() -> ExitCode {
         }
     };
 
-    if opts.hotpaths {
-        return match scan::hotpaths(&root, HOTPATHS_TOP) {
-            Ok(text) => {
-                print!("{text}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("aipan-lint: hotpath analysis failed: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    if opts.contention {
-        return match scan::contention(&root) {
-            Ok(text) => {
-                print!("{text}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("aipan-lint: contention analysis failed: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
     let allow_path = opts
         .allow
         .clone()
         .unwrap_or_else(|| root.join("lint.allow"));
-
-    if opts.incremental {
-        let (lint_report, stats) = match incremental::run_incremental(&root, &allow_path) {
-            Ok(pair) => pair,
-            Err(e) => {
-                eprintln!("aipan-lint: incremental scan failed: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        // Stats go to stderr so stdout stays byte-identical to a plain run.
-        eprintln!("aipan-lint --incremental: {}", stats.summary());
-        match opts.format {
-            OutputFormat::Json => println!("{}", report::json(&lint_report)),
-            OutputFormat::Sarif => println!("{}", report::sarif(&lint_report)),
-            OutputFormat::Human => print!("{}", report::human(&lint_report, opts.deny_warnings)),
-        }
-        return if lint_report.failed(opts.deny_warnings) {
-            ExitCode::from(1)
-        } else {
-            ExitCode::SUCCESS
-        };
-    }
 
     if opts.fix {
         return if opts.dry_run {
@@ -376,7 +301,6 @@ fn main() -> ExitCode {
 
     match opts.format {
         OutputFormat::Json => println!("{}", report::json(&lint_report)),
-        OutputFormat::Sarif => println!("{}", report::sarif(&lint_report)),
         OutputFormat::Human => {
             print!("{}", report::human(&lint_report, opts.deny_warnings));
             if opts.verbose {

@@ -1,11 +1,11 @@
-//! Rendering lint results: human diff-style text, machine-readable JSON,
-//! and SARIF 2.1.0.
+//! Rendering lint results: human diff-style text and machine-readable
+//! JSON.
 //!
-//! The JSON and SARIF forms are the CI surface (`cargo lint -- --format
-//! json|sarif`), so their shapes are deliberately rigid: object members
-//! are emitted from `BTreeMap`s, i.e. in sorted key order, and arrays in
-//! the report's deterministic finding order — two runs over the same
-//! tree produce byte-identical output.
+//! The JSON form is the CI surface (`cargo lint -- --format json`), so
+//! its shape is deliberately rigid: object members are emitted from
+//! `BTreeMap`s, i.e. in sorted key order, and arrays in the report's
+//! deterministic finding order — two runs over the same tree produce
+//! byte-identical output.
 
 use crate::findings::{Finding, Severity};
 use crate::scan::Report;
@@ -77,13 +77,12 @@ pub fn human(report: &Report, deny_warnings: bool) -> String {
 }
 
 /// JSON shape version. Bumped to 4 with the v6 type- and effect-aware
-/// vocabulary (`N1`/`N2`/`A1`/`F1`) and the SARIF output surface. The
-/// `--incremental` cache embeds this constant so a shape change
-/// invalidates every cached report.
+/// vocabulary (`N1`/`N2`/`A1`/`F1`); the member shapes are unchanged
+/// since 3.
 pub const SCHEMA_VERSION: u64 = 4;
 
 /// Render the report as a single JSON object with sorted member order:
-/// `{"files_scanned": N, "findings": [...], "schema_version": 2,
+/// `{"files_scanned": N, "findings": [...], "schema_version": 4,
 /// "suppressed": [...]}`.
 pub fn json(report: &Report) -> String {
     let obj = sorted_object(vec![
@@ -95,100 +94,9 @@ pub fn json(report: &Report) -> String {
     serde_json::to_string_pretty(&obj).unwrap_or_else(|_| obj.to_string())
 }
 
-/// SARIF severity level for a finding.
-fn sarif_level(severity: Severity) -> &'static str {
-    match severity {
-        Severity::Deny => "error",
-        Severity::Warn => "warning",
-    }
-}
-
-/// One SARIF `result` object for a finding. Data-invariant findings
-/// (line 0) carry no `region` — SARIF requires 1-based lines.
-fn sarif_result(f: &Finding) -> Value {
-    let mut physical = vec![(
-        "artifactLocation",
-        sorted_object(vec![("uri", f.file.to_value())]),
-    )];
-    if f.line > 0 {
-        physical.push((
-            "region",
-            sorted_object(vec![
-                ("startColumn", (u64::from(f.col.max(1))).to_value()),
-                ("startLine", u64::from(f.line).to_value()),
-            ]),
-        ));
-    }
-    sorted_object(vec![
-        ("level", sarif_level(f.severity).to_value()),
-        (
-            "locations",
-            Value::Array(vec![sorted_object(vec![(
-                "physicalLocation",
-                sorted_object(physical),
-            )])]),
-        ),
-        (
-            "message",
-            sorted_object(vec![("text", f.message.to_value())]),
-        ),
-        ("ruleId", f.rule.to_value()),
-    ])
-}
-
-/// Render the report as SARIF 2.1.0 (`cargo lint -- --format sarif`),
-/// the interchange shape CI annotation surfaces ingest. Determinism
-/// matches the JSON form: every object's members are emitted in sorted
-/// key order, the single run lists the full rule catalog in catalog
-/// order, and results ride in the report's deterministic finding order —
-/// two runs over the same tree are byte-identical.
-pub fn sarif(report: &Report) -> String {
-    let rules: Vec<Value> = crate::catalog::RULES
-        .iter()
-        .map(|r| {
-            sorted_object(vec![
-                (
-                    "defaultConfiguration",
-                    sorted_object(vec![("level", sarif_level(r.severity).to_value())]),
-                ),
-                ("id", r.id.to_value()),
-                (
-                    "shortDescription",
-                    sorted_object(vec![("text", r.summary.to_value())]),
-                ),
-            ])
-        })
-        .collect();
-    let run = sorted_object(vec![
-        (
-            "results",
-            Value::Array(report.findings.iter().map(sarif_result).collect()),
-        ),
-        (
-            "tool",
-            sorted_object(vec![(
-                "driver",
-                sorted_object(vec![
-                    ("name", "aipan-lint".to_value()),
-                    ("rules", Value::Array(rules)),
-                ]),
-            )]),
-        ),
-    ]);
-    let obj = sorted_object(vec![
-        (
-            "$schema",
-            "https://json.schemastore.org/sarif-2.1.0.json".to_value(),
-        ),
-        ("runs", Value::Array(vec![run])),
-        ("version", "2.1.0".to_value()),
-    ]);
-    serde_json::to_string_pretty(&obj).unwrap_or_else(|_| obj.to_string())
-}
-
 /// Build an object whose members are sorted by key via a `BTreeMap`, so
 /// field order can never depend on struct declaration or insertion order.
-pub(crate) fn sorted_object(members: Vec<(&str, Value)>) -> Value {
+fn sorted_object(members: Vec<(&str, Value)>) -> Value {
     let map: BTreeMap<String, Value> = members
         .into_iter()
         .map(|(k, v)| (k.to_string(), v))
@@ -196,11 +104,11 @@ pub(crate) fn sorted_object(members: Vec<(&str, Value)>) -> Value {
     Value::Object(map.into_iter().collect())
 }
 
-pub(crate) fn findings_value(findings: &[Finding]) -> Value {
+fn findings_value(findings: &[Finding]) -> Value {
     Value::Array(findings.iter().map(finding_value).collect())
 }
 
-pub(crate) fn finding_value(f: &Finding) -> Value {
+fn finding_value(f: &Finding) -> Value {
     sorted_object(vec![
         ("col", (f.col as u64).to_value()),
         ("file", f.file.to_value()),
@@ -211,50 +119,6 @@ pub(crate) fn finding_value(f: &Finding) -> Value {
         ("severity", f.severity.name().to_value()),
         ("snippet", f.snippet.to_value()),
     ])
-}
-
-/// Rebuild a [`Finding`] from its JSON value (the `--incremental` cache
-/// round-trip). Returns `None` on any shape mismatch — the caller treats
-/// that as a cold cache, never as an error. The rule id is interned
-/// through [`crate::catalog::find`] so the `&'static str` identity
-/// matches freshly-emitted findings exactly.
-pub(crate) fn finding_from_value(v: &Value) -> Option<Finding> {
-    let rule = crate::catalog::find(v.get("rule")?.as_str()?)?.id;
-    let severity = match v.get("severity")?.as_str()? {
-        "deny" => Severity::Deny,
-        "warn" => Severity::Warn,
-        _ => return None,
-    };
-    let fix = match v.get("fix")? {
-        Value::Null => None,
-        fx => {
-            let title = fx.get("title")?.as_str()?.to_string();
-            let mut edits = Vec::new();
-            for e in fx.get("edits")?.as_array()? {
-                edits.push(crate::fix::FixEdit {
-                    start: e.get("start")?.as_u64()? as usize,
-                    end: e.get("end")?.as_u64()? as usize,
-                    replacement: e.get("replacement")?.as_str()?.to_string(),
-                });
-            }
-            Some(crate::fix::Fix { title, edits })
-        }
-    };
-    Some(Finding {
-        rule,
-        severity,
-        file: v.get("file")?.as_str()?.to_string(),
-        line: v.get("line")?.as_u64()? as u32,
-        col: v.get("col")?.as_u64()? as u32,
-        message: v.get("message")?.as_str()?.to_string(),
-        snippet: v.get("snippet")?.as_str()?.to_string(),
-        fix,
-    })
-}
-
-/// Rebuild a finding list from a cached JSON array (`None` on mismatch).
-pub(crate) fn findings_from_value(v: &Value) -> Option<Vec<Finding>> {
-    v.as_array()?.iter().map(finding_from_value).collect()
 }
 
 /// The `fix` member: `null` when the rule attached no rewrite, otherwise
@@ -331,42 +195,6 @@ mod tests {
             findings[0].field("severity").unwrap().as_str(),
             Some("deny")
         );
-    }
-
-    #[test]
-    fn sarif_names_rules_levels_and_locations() {
-        let text = sarif(&sample_report());
-        let v: Value = serde_json::from_str(&text).expect("valid SARIF JSON");
-        assert_eq!(v.field("version").unwrap().as_str(), Some("2.1.0"));
-        let runs = v.field("runs").unwrap().as_array().expect("runs");
-        assert_eq!(runs.len(), 1);
-        let results = runs[0]
-            .field("results")
-            .unwrap()
-            .as_array()
-            .expect("results");
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].field("ruleId").unwrap().as_str(), Some("R1"));
-        assert_eq!(results[0].field("level").unwrap().as_str(), Some("error"));
-        // Data finding (line 0) carries no region.
-        let data_loc = &results[1]
-            .field("locations")
-            .unwrap()
-            .as_array()
-            .expect("locs")[0];
-        assert!(
-            data_loc
-                .field("physicalLocation")
-                .unwrap()
-                .field("region")
-                .is_err(),
-            "{text}"
-        );
-        // The driver lists the full catalog, and rendering is stable.
-        let driver = runs[0].field("tool").unwrap().field("driver").unwrap();
-        let rules = driver.field("rules").unwrap().as_array().expect("rules");
-        assert_eq!(rules.len(), crate::catalog::RULES.len());
-        assert_eq!(text, sarif(&sample_report()));
     }
 
     #[test]

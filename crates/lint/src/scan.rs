@@ -5,19 +5,26 @@
 //! third-party API mirrors, not our code), `target/`, and hidden
 //! directories.
 //!
-//! The driver runs two analysis layers over the same file set:
+//! [`run_filtered`] (and [`run`], its whole-workspace form) is the only
+//! driver. It runs every pass over the same file set, in this order:
 //!
 //! 1. **token rules** ([`crate::rules`]): each file independently through
-//!    the lexer-level passes (`D1`/`D2`/`R1`/`O1`/`H1`);
+//!    the lexer-level passes (`D1`/`D2`/`R1`/`O1`/`H1`/`B1`);
 //! 2. **graph rules**: all files parsed ([`crate::parser`]) into a
-//!    [`crate::graph::Workspace`] plus a [`crate::callgraph::CallGraph`],
-//!    then `L1` layering (against the `lint.toml` contract), `E1` error
-//!    flow, `K1` lock order, `X1` interprocedural panic-reachability,
-//!    `D3` determinism taint, and `P1` dead pub across the whole set at
-//!    once.
+//!    [`crate::graph::Workspace`], then `L1` layering against the
+//!    `lint.toml` contract;
+//! 3. **shared models**, built once over the workspace: the
+//!    [`crate::callgraph::CallGraph`], the [`crate::cost::CostModel`], the
+//!    [`crate::types::TypeIndex`] and the [`crate::effects::EffectModel`];
+//! 4. **dataflow and whole-workspace passes** over those models: `E1`
+//!    error flow, `K1` lock order, `X1` panic-reachability, `D3`
+//!    determinism taint, `H2`/`C2` cost, `M1`/`M2` guard liveness,
+//!    `S1`/`S2` retention, `W1`/`W2` sharing, `N1`/`N2` numeric safety,
+//!    `A1` atomics, `F1` filesystem effects, and `P1` dead pub;
+//! 5. the taxonomy data invariants (`T1`–`T3`).
 //!
-//! Taxonomy data invariants and allowlist bookkeeping (`A0`) run last, as
-//! before.
+//! Last, findings are partitioned through the allowlist, unused entries
+//! become `A0` findings, and both lists are sorted.
 
 use crate::allow::Allowlist;
 use crate::callgraph::CallGraph;
@@ -122,39 +129,38 @@ pub fn run(root: &Path, allowlist: Allowlist) -> io::Result<Report> {
     run_filtered(root, allowlist, |_| true)
 }
 
-/// Build the interprocedural cost model for the workspace at `root` and
-/// render the `--hotpaths` ranking of the top `top` costliest pipeline
-/// entry chains.
-pub fn hotpaths(root: &Path, top: usize) -> io::Result<String> {
-    let files = source_files(root)?;
+/// Read every kept source file under `root` as `(rel_path, text)` pairs.
+///
+/// Public so out-of-crate harnesses can rebuild the exact scan set and
+/// time individual passes against it.
+pub fn read_sources(root: &Path, keep: impl Fn(&str) -> bool) -> io::Result<Vec<(String, String)>> {
+    let files: Vec<String> = source_files(root)?
+        .into_iter()
+        .filter(|rel| keep(rel))
+        .collect();
     let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
-    for rel in &files {
-        let src = fs::read_to_string(root.join(rel))?;
-        sources.push((rel.clone(), src));
+    for rel in files {
+        let src = fs::read_to_string(root.join(&rel))?;
+        sources.push((rel, src));
+    }
+    Ok(sources)
+}
+
+/// Lint the subset of workspace files whose relative path satisfies
+/// `keep`. The graph passes see only the kept files, so a subset run
+/// answers "is this corner self-consistent?" — `tests/lint_self_clean.rs`
+/// uses it to hold `crates/lint` to its own rules with no allowlist.
+pub fn run_filtered(
+    root: &Path,
+    mut allowlist: Allowlist,
+    keep: impl Fn(&str) -> bool,
+) -> io::Result<Report> {
+    let sources = read_sources(root, keep)?;
+    let mut raw = Vec::new();
+    for (rel, src) in &sources {
+        raw.extend(rules::lint_source(rel, src));
     }
     let workspace = Workspace::build(&sources);
-    let callgraph = CallGraph::build(&workspace);
-    let model = cost::CostModel::build(&workspace, &callgraph);
-    Ok(cost::hotpath_report(&workspace, &callgraph, &model, top))
-}
-
-/// Layer 1: the per-file token rules for one source file. The
-/// incremental driver caches this layer per content hash — it depends
-/// only on the file text, never on the rest of the workspace.
-pub(crate) fn token_findings(rel: &str, src: &str) -> Vec<Finding> {
-    rules::lint_source(rel, src)
-}
-
-/// Layer 2: the whole-workspace graph rules (layering, call-graph
-/// passes, retention, sharing, dead pub) plus the data invariants.
-/// These see every kept file at once, so the incremental driver re-runs
-/// this layer whenever any file changed.
-pub(crate) fn graph_findings(
-    root: &Path,
-    sources: &[(String, String)],
-) -> io::Result<Vec<Finding>> {
-    let mut raw = Vec::new();
-    let workspace = Workspace::build(sources);
     let config_path = root.join("lint.toml");
     if config_path.is_file() {
         let text = fs::read_to_string(&config_path)?;
@@ -189,12 +195,7 @@ pub(crate) fn graph_findings(
     ));
     raw.extend(workspace.check_dead_pub());
     raw.extend(invariants::check_all());
-    Ok(raw)
-}
 
-/// Final step shared by every driver: partition raw findings through the
-/// allowlist, append `A0` unused-entry findings, and sort.
-pub(crate) fn finish(raw: Vec<Finding>, mut allowlist: Allowlist, files_scanned: usize) -> Report {
     let mut findings = Vec::new();
     let mut suppressed = Vec::new();
     for finding in raw {
@@ -207,56 +208,11 @@ pub(crate) fn finish(raw: Vec<Finding>, mut allowlist: Allowlist, files_scanned:
     findings.extend(allowlist.unused());
     sort_findings(&mut findings);
     sort_findings(&mut suppressed);
-    Report {
+    Ok(Report {
         findings,
         suppressed,
-        files_scanned,
-    }
-}
-
-/// Read every kept source file under `root` as `(rel_path, text)` pairs.
-///
-/// Public so out-of-crate harnesses (`lintbench`) can rebuild the exact
-/// scan set and time individual passes against it.
-pub fn read_sources(root: &Path, keep: impl Fn(&str) -> bool) -> io::Result<Vec<(String, String)>> {
-    let files: Vec<String> = source_files(root)?
-        .into_iter()
-        .filter(|rel| keep(rel))
-        .collect();
-    let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
-    for rel in files {
-        let src = fs::read_to_string(root.join(&rel))?;
-        sources.push((rel, src));
-    }
-    Ok(sources)
-}
-
-/// Lint the subset of workspace files whose relative path satisfies
-/// `keep`. The graph passes see only the kept files, so a subset run
-/// answers "is this corner self-consistent?" — `tests/lint_self_clean.rs`
-/// uses it to hold `crates/lint` to its own rules with no allowlist.
-pub fn run_filtered(
-    root: &Path,
-    allowlist: Allowlist,
-    keep: impl Fn(&str) -> bool,
-) -> io::Result<Report> {
-    let sources = read_sources(root, keep)?;
-    let mut raw = Vec::new();
-    for (rel, src) in &sources {
-        raw.extend(token_findings(rel, src));
-    }
-    raw.extend(graph_findings(root, &sources)?);
-    Ok(finish(raw, allowlist, sources.len()))
-}
-
-/// Build the analyzed workspace at `root` and render the `--contention`
-/// per-lock ranking (the streaming-refactor worklist).
-pub fn contention(root: &Path) -> io::Result<String> {
-    let sources = read_sources(root, |_| true)?;
-    let workspace = Workspace::build(&sources);
-    let callgraph = CallGraph::build(&workspace);
-    let model = cost::CostModel::build(&workspace, &callgraph);
-    Ok(share::contention_report(&workspace, &callgraph, &model))
+        files_scanned: sources.len(),
+    })
 }
 
 #[cfg(test)]
@@ -287,62 +243,30 @@ mod tests {
     }
 
     #[test]
-    fn hotpaths_ranks_annotate_reachable_chains_above_crawl_only() {
+    fn cost_model_entries_cover_the_pipeline_and_annotate_surface() {
+        // `H2`/`N2`/`F1`/`W2` fire only in hot fns, so renaming an entry
+        // point would silently mute them: pin the real workspace's entries
+        // and one annotate fn the hot set must reach.
         let here = Path::new(env!("CARGO_MANIFEST_DIR"));
         let root = find_workspace_root(here).unwrap();
-        let report = hotpaths(&root, 10).expect("hotpath report builds");
-        // `run_pipeline` reaches both the crawl and annotate layers, so its
-        // chain must outrank the crawl-only `crawl_all` entry, and the
-        // annotate surface itself must appear among the ranked entries.
-        let lines: Vec<&str> = report.lines().collect();
-        let pipeline_rank = lines
+        let sources = read_sources(&root, |_| true).unwrap();
+        let workspace = Workspace::build(&sources);
+        let callgraph = CallGraph::build(&workspace);
+        let model = cost::CostModel::build(&workspace, &callgraph);
+        let entry_names: Vec<&str> = model
+            .entries
             .iter()
-            .position(|l| l.contains(". run_pipeline (cost"))
-            .expect("run_pipeline ranked");
-        let crawl_rank = lines
+            .filter_map(|&id| callgraph.fns.get(id).map(|f| f.name))
+            .collect();
+        for entry in ["run_pipeline", "crawl_all"] {
+            assert!(entry_names.contains(&entry), "{entry_names:?}");
+        }
+        let hot_annotate = callgraph
+            .fns
             .iter()
-            .position(|l| l.contains(". crawl_all (cost"))
-            .expect("crawl_all ranked");
-        assert!(
-            pipeline_rank < crawl_rank,
-            "annotate-reachable chain must outrank crawl-only chain:\n{report}"
-        );
-        assert!(report.contains("annotate_policy_with"), "{report}");
-    }
-
-    #[test]
-    fn contention_no_longer_ranks_annotate_stage_ledger_first() {
-        let here = Path::new(env!("CARGO_MANIFEST_DIR"));
-        let root = find_workspace_root(here).unwrap();
-        let report = contention(&root).expect("contention report builds");
-        let lines: Vec<&str> = report.lines().collect();
-        let rank_of = |needle: &str| {
-            lines
-                .iter()
-                .position(|l| l.contains(needle))
-                .unwrap_or_else(|| panic!("`{needle}` missing from ranking:\n{report}"))
-        };
-        // The annotate-stage usage ledger used to be the #1 lock (one
-        // Mutex around the whole usage map, clone-heavy breakdown work
-        // held inside it). After sharding it into per-task atomic
-        // counters behind a read-mostly RwLock index it must rank below
-        // the crawl-side host registry — the streaming-refactor worklist
-        // moved on. The old monolithic lock is gone entirely.
-        assert!(
-            !report.contains("chatbot::UsageLedger.inner"),
-            "monolithic ledger mutex should no longer exist:\n{report}"
-        );
-        let ledger = rank_of("chatbot::UsageLedger.tasks");
-        assert!(
-            rank_of("net::Internet.hosts") < ledger,
-            "sharded ledger index must rank below the host registry:\n{report}"
-        );
-        assert!(
-            !lines
-                .get(2)
-                .is_some_and(|l| l.contains("chatbot::UsageLedger")),
-            "ledger must not be the top-ranked lock:\n{report}"
-        );
+            .enumerate()
+            .any(|(id, f)| f.name == "annotate_policy_with" && model.is_hot(id));
+        assert!(hot_annotate, "annotate_policy_with must be hot");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! `W1`/`W2`: static sharing and lock-contention analysis for worker
-//! pools, plus the `--contention` ranking report.
+//! pools.
 //!
 //! BENCH_pipeline.json shows multi-worker cells *slower* than serial:
 //! workers parallelize the crawl but serialize on shared state in the
@@ -25,16 +25,6 @@
 //! (`for _ in 0..workers`) are not corpus loops — spawning N workers
 //! acquires N times, iterating the corpus acquires 30k times.
 //!
-//! **Contention ranking** (`cargo lint --contention`): every recognized
-//! acquisition site in the hot set is priced `(1 + held allocation
-//! weight) << 3·depth`, where depth saturates like the cost model's and
-//! adds the interprocedural loop multiplicity of the fn (propagated from
-//! the pipeline entries over hot call edges) to the site's own corpus
-//! loop depth. Sites aggregate per lock by *maximum* (contention is
-//! bounded by the worst site, not the sum of cheap ones), and the
-//! ranking is the streaming-refactor worklist recorded in
-//! EXPERIMENTS.md.
-//!
 //! Approximation directions (see DESIGN.md §6a): the bound-name set
 //! inside a closure is over-approximated (any binding anywhere in the
 //! closure), so captures — and therefore `W1` findings — are
@@ -51,8 +41,7 @@ use crate::findings::{Finding, Severity};
 use crate::graph::Workspace;
 use crate::guards;
 use crate::retain::{self, tree_any};
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
+use std::collections::BTreeSet;
 
 /// Held allocation weight at or above which `W2` fires (a bare
 /// counter-bump region weighs 1 and stays quiet; one clone or grow
@@ -797,119 +786,6 @@ fn stmt_alloc_weight(stmt: &Stmt) -> u64 {
     total
 }
 
-/// Per-line corpus loop depth for one fn (worker loops excluded),
-/// recorded as the max depth of any expression on the line.
-fn corpus_line_depths(body: &[Stmt]) -> BTreeMap<u32, u32> {
-    let mut map = BTreeMap::new();
-    let bounds = retain::bound_locals(body);
-    fn walk(stmts: &[Stmt], depth: u32, bounds: &BTreeSet<String>, map: &mut BTreeMap<u32, u32>) {
-        for stmt in stmts {
-            match stmt {
-                Stmt::Let {
-                    init,
-                    else_block,
-                    line,
-                    ..
-                } => {
-                    note(map, *line, depth);
-                    if let Some(e) = init {
-                        walk_expr(e, depth, bounds, map);
-                    }
-                    if let Some(b) = else_block {
-                        walk(b, depth, bounds, map);
-                    }
-                }
-                Stmt::Expr { expr, .. } => walk_expr(expr, depth, bounds, map),
-            }
-        }
-    }
-    fn walk_expr(e: &Expr, depth: u32, bounds: &BTreeSet<String>, map: &mut BTreeMap<u32, u32>) {
-        note(map, e.line, depth);
-        let is_loop = matches!(
-            e.kind,
-            ExprKind::While { .. }
-                | ExprKind::WhileLet { .. }
-                | ExprKind::For { .. }
-                | ExprKind::Loop { .. }
-        );
-        let inner = if is_loop && !is_worker_loop(e) && !is_constant_bounded_loop(e, bounds) {
-            depth.saturating_add(1)
-        } else {
-            depth
-        };
-        for_each_child(e, &mut |c| walk_expr(c, depth, bounds, map));
-        if let ExprKind::Match { arms, .. } = &e.kind {
-            for arm in arms {
-                walk_expr(&arm.body, depth, bounds, map);
-            }
-        }
-        for block in child_blocks(e) {
-            walk(block, inner, bounds, map);
-        }
-    }
-    fn note(map: &mut BTreeMap<u32, u32>, line: u32, depth: u32) {
-        let entry = map.entry(line).or_insert(0);
-        *entry = (*entry).max(depth);
-    }
-    walk(body, 0, &bounds, &mut map);
-    map
-}
-
-/// Interprocedural corpus-loop multiplicity per hot fn: entries start at
-/// 0; a callee inherits `min(MAX, caller + callsite depth)`, maximized
-/// over hot callers, to a fixpoint (monotone and bounded, so it
-/// terminates).
-fn hot_multiplicity(graph: &CallGraph<'_>, model: &CostModel) -> Vec<Option<u32>> {
-    let n = graph.fns.len();
-    let mut depth_maps: Vec<Option<BTreeMap<u32, u32>>> = vec![None; n];
-    let mut mult: Vec<Option<u32>> = vec![None; n];
-    for &e in &model.entries {
-        if let Some(slot) = mult.get_mut(e) {
-            *slot = Some(0);
-        }
-    }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for u in 0..n {
-            let Some(du) = mult.get(u).copied().flatten() else {
-                continue;
-            };
-            if depth_maps.get(u).is_some_and(Option::is_none) {
-                let map = graph
-                    .fns
-                    .get(u)
-                    .map(|nd| corpus_line_depths(&nd.info.body))
-                    .unwrap_or_default();
-                if let Some(slot) = depth_maps.get_mut(u) {
-                    *slot = Some(map);
-                }
-            }
-            let edges = graph.edges.get(u).map(Vec::as_slice).unwrap_or(&[]);
-            for edge in edges {
-                if !model.is_hot(edge.to) {
-                    continue;
-                }
-                let site_depth = depth_maps
-                    .get(u)
-                    .and_then(|m| m.as_ref())
-                    .and_then(|m| m.get(&edge.line))
-                    .copied()
-                    .unwrap_or(0);
-                let cand = du.saturating_add(site_depth).min(cost::MAX_SCALED_DEPTH);
-                let slot = mult.get_mut(edge.to);
-                if let Some(slot) = slot {
-                    if slot.is_none() || slot.is_some_and(|v| v < cand) {
-                        *slot = Some(cand);
-                        changed = true;
-                    }
-                }
-            }
-        }
-    }
-    mult
-}
-
 /// Run the `W1`/`W2` sharing passes over an analyzed workspace.
 pub fn check_sharing(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -980,8 +856,7 @@ pub fn check_sharing(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) -
                 format!(
                     "lock `{}` is acquired inside a corpus-scale loop with held \
                      allocation weight {} (threshold {}) (hot path: {}); move the \
-                     allocation out of the region or batch updates per iteration \
-                     (rank regions with `cargo lint --contention`)",
+                     allocation out of the region or batch updates per iteration",
                     site.lock,
                     site.held,
                     W2_HELD_MIN,
@@ -994,108 +869,4 @@ pub fn check_sharing(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) -
         }
     }
     findings
-}
-
-/// One aggregated lock in the contention ranking.
-pub struct ContentionEntry {
-    /// Lock identity (`crate::Struct.field` or `crate::fn::local`).
-    pub lock: String,
-    /// Max site score `(1 + held) << 3·depth`.
-    pub score: u64,
-    /// Number of hot acquisition sites aggregated.
-    pub sites: usize,
-    /// `file:line` of the highest-scoring site.
-    pub top_site: String,
-}
-
-/// Rank every lock by worst-case hot contention. Deterministic: sites
-/// aggregate per lock by maximum score, entries order by score
-/// descending then lock name ascending.
-///
-/// Every acquisition site in the workspace participates: fns the call
-/// graph proves hot scale by their interprocedural corpus multiplicity;
-/// fns it cannot resolve a path to (cross-type method calls do not
-/// resolve, so most annotate/crawl-stage methods are "cold" to the
-/// graph) are priced at base depth, where the held allocation weight
-/// still separates an allocate-under-lock ledger from a counter bump.
-/// This under-approximates depth for unresolved-but-reachable fns —
-/// scores are a lower bound, never an overstatement.
-pub fn contention_ranking(
-    ws: &Workspace,
-    graph: &CallGraph<'_>,
-    model: &CostModel,
-) -> Vec<ContentionEntry> {
-    let registry = guards::lock_registry(ws);
-    let mult = hot_multiplicity(graph, model);
-    let mut per_lock: BTreeMap<String, (u64, usize, String)> = BTreeMap::new();
-    for (id, node) in graph.fns.iter().enumerate() {
-        let d_fn = mult.get(id).copied().flatten().unwrap_or(0);
-        let Some(file) = ws.files.get(node.file) else {
-            continue;
-        };
-        let cfg = Cfg::build(&node.info.body);
-        let locals = guards::lock_locals(node, &cfg);
-        let fields = node
-            .self_ty
-            .and_then(|ty| registry.get(&(file.crate_name.clone(), ty.to_string())));
-        for site in acquisition_sites(node, fields, &locals) {
-            let depth = d_fn.saturating_add(site.depth).min(cost::MAX_SCALED_DEPTH);
-            let score = cost::scaled(site.held, depth);
-            let where_ = format!("{}:{}", file.parsed.rel_path, site.line);
-            let entry = per_lock
-                .entry(site.lock.clone())
-                .or_insert((0, 0, where_.clone()));
-            entry.1 = entry.1.saturating_add(1);
-            if score > entry.0 {
-                entry.0 = score;
-                entry.2 = where_;
-            }
-        }
-    }
-    let mut ranked: Vec<ContentionEntry> = per_lock
-        .into_iter()
-        .map(|(lock, (score, sites, top_site))| ContentionEntry {
-            lock,
-            score,
-            sites,
-            top_site,
-        })
-        .collect();
-    ranked.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.lock.cmp(&b.lock)));
-    ranked
-}
-
-/// Render the `--contention` report.
-pub fn contention_report(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) -> String {
-    let ranked = contention_ranking(ws, graph, model);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "aipan-lint --contention: per-lock hot contention ranking \
-         (score = (1 + held alloc weight) << 3*depth, max over sites)"
-    );
-    if ranked.is_empty() {
-        let _ = writeln!(
-            out,
-            "  (no lock acquisitions reachable from pipeline entries)"
-        );
-        return out;
-    }
-    let _ = writeln!(
-        out,
-        "{:>4}  {:>8}  {:>5}  {:40}  top site",
-        "rank", "score", "sites", "lock"
-    );
-    for (i, e) in ranked.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "{:>4}  {:>8}  {:>5}  {:40}  {}",
-            i + 1,
-            e.score,
-            e.sites,
-            e.lock,
-            e.top_site
-        );
-    }
-    out
 }

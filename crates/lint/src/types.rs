@@ -37,11 +37,6 @@ use crate::graph::Workspace;
 use crate::parser::{FnInfo, ItemKind};
 use std::collections::BTreeMap;
 
-/// Version stamp folded into the incremental cache's config signature:
-/// bump whenever index construction or inference changes shape, so warm
-/// replays never mix facts from two analyzer generations.
-pub const TYPES_SCHEMA: u64 = 1;
-
 /// The primitive-focused type lattice. `Named` carries the head of any
 /// nominal type (`String`, `Vec`, `AtomicU64`, `PolicyDoc`); everything
 /// the analyzer cannot prove is `Unknown`.

@@ -44,10 +44,8 @@ fn sample_report() -> Report {
 
 /// The full rendered document, byte for byte. `schema_version` is 4:
 /// the v6 lint added the `N1`/`N2`/`A1`/`F1` rule vocabulary from the
-/// type/effect layer, and the `--incremental` cache is keyed on this
-/// constant together with `TYPES_SCHEMA` (the member shapes are
-/// unchanged from 3, but cached reports must not replay across the
-/// vocabulary change).
+/// type/effect layer (the member shapes are unchanged from 3), so a
+/// consumer pinned to 4 knows every rule id it may meet.
 const SNAPSHOT: &str = r#"{
   "files_scanned": 2,
   "findings": [

@@ -1,4 +1,4 @@
-//! Property tests for the v5 retention/sharing/incremental layers:
+//! Property tests for the v5 retention/sharing layers:
 //!
 //! 1. **Streamed is never retained** — a collection that is consumed
 //!    (`clear`/`drain`/rebind) inside the loop that grows it is never
@@ -7,25 +7,16 @@
 //! 2. **Capture invariance under worker count** — the capture set of a
 //!    spawned worker closure depends only on the closure's params and
 //!    body, never on how many workers the surrounding loop spawns.
-//! 3. **Incremental replay is byte-identical** — on an unchanged tree a
-//!    warm `--incremental` run renders byte-identical JSON to the cold
-//!    run that populated the cache, and after touching one file the
-//!    partially-reused run renders byte-identical JSON to a from-scratch
-//!    scan of the same tree.
 
-use aipan_lint::allow::Allowlist;
 use aipan_lint::callgraph::CallGraph;
 use aipan_lint::cost::CostModel;
 use aipan_lint::expr::{for_each_expr, ExprKind};
 use aipan_lint::graph::Workspace;
-use aipan_lint::incremental::run_incremental;
 use aipan_lint::parser::{parse_file, ItemKind};
 use aipan_lint::retain::{retention_records, Retention, RetentionRecord};
 use aipan_lint::share::captured_roots;
-use aipan_lint::{report, scan};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 
 /// Build a one-file workspace and classify every collection in it.
 fn records_for(src: &str) -> Vec<RetentionRecord> {
@@ -131,79 +122,5 @@ proptest! {
         // Names bound inside the closure are never captures.
         prop_assert!(!a.contains("local"), "closure-local leaked into captures: {:?}", a);
         prop_assert!(!a.contains("y"), "closure-local leaked into captures: {:?}", a);
-    }
-}
-
-/// A scratch workspace under the OS temp dir, deleted on drop.
-struct ScratchWs {
-    root: PathBuf,
-}
-
-impl ScratchWs {
-    fn new(tag: &str, files: &[(&str, String)]) -> Result<ScratchWs, String> {
-        let root =
-            std::env::temp_dir().join(format!("aipan-lint-props-{}-{tag}", std::process::id()));
-        // A previous failed case may have left the directory behind.
-        let _ = std::fs::remove_dir_all(&root);
-        for (rel, text) in files {
-            let path = root.join(rel);
-            if let Some(parent) = path.parent() {
-                std::fs::create_dir_all(parent).map_err(|e| e.to_string())?;
-            }
-            std::fs::write(&path, text).map_err(|e| e.to_string())?;
-        }
-        Ok(ScratchWs { root })
-    }
-}
-
-impl Drop for ScratchWs {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.root);
-    }
-}
-
-proptest! {
-    #[test]
-    fn incremental_output_is_byte_identical_to_cold(
-        a_stmts in proptest::collection::vec(PAD, 0..5),
-        b_stmts in proptest::collection::vec(PAD, 0..5),
-        tag in 0u32..1000,
-    ) {
-        let fn_src = |name: &str, stmts: &[String]| {
-            format!(
-                "pub fn {name}() {{\n{}}}\n",
-                stmts.iter().map(|s| format!("    {s}\n")).collect::<String>(),
-            )
-        };
-        let ws = ScratchWs::new(
-            &format!("inc-{tag}"),
-            &[
-                ("crates/a/src/lib.rs", fn_src("alpha", &a_stmts)),
-                ("crates/b/src/lib.rs", fn_src("beta", &b_stmts)),
-            ],
-        )?;
-        let allow = ws.root.join("lint.allow");
-
-        // Cold populates the cache; warm must replay it byte-identically.
-        let (cold, _) = run_incremental(&ws.root, &allow)
-            .map_err(|e| format!("cold run: {e}"))?;
-        let (warm, stats) = run_incremental(&ws.root, &allow)
-            .map_err(|e| format!("warm run: {e}"))?;
-        prop_assert!(stats.replayed, "unchanged tree must replay: {}", stats.summary());
-        prop_assert_eq!(report::json(&cold), report::json(&warm));
-
-        // Touch one file: the partial run must match a from-scratch scan.
-        let touched = ws.root.join("crates/a/src/lib.rs");
-        let mut text = std::fs::read_to_string(&touched).map_err(|e| e.to_string())?;
-        text.push_str("\npub fn gamma() {\n    let g = 1;\n}\n");
-        std::fs::write(&touched, text).map_err(|e| e.to_string())?;
-
-        let (partial, stats) = run_incremental(&ws.root, &allow)
-            .map_err(|e| format!("partial run: {e}"))?;
-        prop_assert!(!stats.replayed, "changed tree must not replay");
-        prop_assert_eq!(stats.changed_files, 1, "{}", stats.summary());
-        let fresh = scan::run(&ws.root, Allowlist::default())
-            .map_err(|e| format!("fresh run: {e}"))?;
-        prop_assert_eq!(report::json(&partial), report::json(&fresh));
     }
 }

@@ -864,7 +864,7 @@ fn w2_lock_in_corpus_loop_fires_and_hoisted_or_worker_loop_does_not() {
     assert_eq!((f.rule, f.severity), ("W2", aipan_lint::Severity::Warn));
     assert_eq!(f.line, 5);
     assert!(f.message.contains("totals"), "{}", f.message);
-    assert!(f.message.contains("--contention"), "{}", f.message);
+    assert!(f.message.contains("batch updates"), "{}", f.message);
 
     // Clean: the lock hoisted out of the corpus loop (depth 0).
     let hoisted = workspace(&[(
