@@ -495,7 +495,7 @@ impl ModelComparison {
                 let Some(truth) = world.truth(domain) else {
                     continue;
                 };
-                let rows = protocol::parse_extractions(&bot.complete(&prompt, input));
+                let rows = protocol::parse_extractions(&bot.complete(prompt, input));
                 for (_, text) in rows {
                     extracted += 1;
                     let folded = fold(&text);

@@ -52,7 +52,7 @@ fn bench_chatbot_tasks(c: &mut Criterion) {
     ] {
         let prompt = TaskPrompt::build(kind);
         group.bench_function(kind.name(), |b| {
-            b.iter(|| bot.complete(black_box(&prompt), black_box(&input)))
+            b.iter(|| bot.complete(black_box(prompt), black_box(&input)))
         });
     }
     group.finish();
@@ -122,7 +122,7 @@ fn bench_model_profiles(c: &mut Criterion) {
     ] {
         let bot = SimulatedChatbot::new(profile.clone(), 7);
         group.bench_function(profile.id.as_str(), |b| {
-            b.iter(|| bot.complete(black_box(&prompt), black_box(&input)))
+            b.iter(|| bot.complete(black_box(prompt), black_box(&input)))
         });
     }
     group.finish();

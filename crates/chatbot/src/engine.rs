@@ -19,7 +19,7 @@ use crate::{protocol, Chatbot};
 /// let bot = SimulatedChatbot::new(ModelProfile::oracle(), 7);
 /// let prompt = TaskPrompt::build(TaskKind::ExtractDataTypes);
 /// let input = protocol::number_lines(["We collect your email address."]);
-/// let rows = protocol::parse_extractions(&bot.complete(&prompt, &input));
+/// let rows = protocol::parse_extractions(&bot.complete(prompt, &input));
 /// assert_eq!(rows, vec![(1, "email address".to_string())]);
 /// ```
 #[derive(Clone)]
@@ -164,7 +164,7 @@ mod tests {
         let bot = SimulatedChatbot::new(ModelProfile::oracle(), 1);
         let prompt = TaskPrompt::build(TaskKind::ExtractDataTypes);
         let input = number_lines(["We collect your email address."]);
-        let output = bot.complete(&prompt, &input);
+        let output = bot.complete(prompt, &input);
         let rows = parse_extractions(&output);
         assert_eq!(rows, vec![(1, "email address".to_string())]);
     }
@@ -173,8 +173,8 @@ mod tests {
     fn usage_accounted_per_task() {
         let bot = SimulatedChatbot::gpt4(2);
         let input = number_lines(["We collect your name."]);
-        bot.complete(&TaskPrompt::build(TaskKind::ExtractDataTypes), &input);
-        bot.complete(&TaskPrompt::build(TaskKind::AnnotateRights), &input);
+        bot.complete(TaskPrompt::build(TaskKind::ExtractDataTypes), &input);
+        bot.complete(TaskPrompt::build(TaskKind::AnnotateRights), &input);
         let usage = bot.usage();
         assert_eq!(usage.calls, 2);
         assert!(usage.prompt_tokens > 0);
@@ -189,7 +189,7 @@ mod tests {
         let mut malformed = 0;
         for i in 0..200 {
             let input = number_lines([format!("We collect your name, case {i}.").as_str()]);
-            let out = bot.complete(&prompt, &input);
+            let out = bot.complete(prompt, &input);
             if serde_json::from_str::<serde_json::Value>(&out).is_err() {
                 malformed += 1;
             }
@@ -211,12 +211,12 @@ mod tests {
         let mut failed_then_recovered = 0;
         for i in 0..60 {
             let input = number_lines([format!("We collect your email, case {i}.").as_str()]);
-            let first = bot.complete_attempt(&prompt, &input, 0);
+            let first = bot.complete_attempt(prompt, &input, 0);
             if crate::protocol::is_well_formed(&first) {
                 continue;
             }
             if (1..4)
-                .any(|a| crate::protocol::is_well_formed(&bot.complete_attempt(&prompt, &input, a)))
+                .any(|a| crate::protocol::is_well_formed(&bot.complete_attempt(prompt, &input, a)))
             {
                 failed_then_recovered += 1;
             }
@@ -234,17 +234,17 @@ mod tests {
         let bot = SimulatedChatbot::new(profile, 5);
         let prompt = TaskPrompt::build(TaskKind::ExtractDataTypes);
         let input = number_lines(["We collect your name."]);
-        let out = bot.complete(&prompt, &input);
+        let out = bot.complete(prompt, &input);
         assert!(out.starts_with("I cannot assist"));
         assert!(!crate::protocol::is_well_formed(&out));
-        assert_eq!(out, bot.complete(&prompt, &input));
+        assert_eq!(out, bot.complete(prompt, &input));
 
         let mut profile = ModelProfile::oracle();
         profile.truncation_rate = 1.0;
         let bot = SimulatedChatbot::new(profile, 5);
         let full_bot = SimulatedChatbot::new(ModelProfile::oracle(), 5);
-        let full = full_bot.complete(&prompt, &input);
-        let cut = bot.complete(&prompt, &input);
+        let full = full_bot.complete(prompt, &input);
+        let cut = bot.complete(prompt, &input);
         assert!(cut.len() < full.len(), "cut={cut:?} full={full:?}");
         assert!(full.starts_with(&cut), "truncation must be a prefix");
         assert!(!crate::protocol::is_well_formed(&cut));
@@ -255,7 +255,7 @@ mod tests {
         let bot = SimulatedChatbot::gpt4(4);
         let clone = bot.clone();
         clone.complete(
-            &TaskPrompt::build(TaskKind::ExtractDataTypes),
+            TaskPrompt::build(TaskKind::ExtractDataTypes),
             &number_lines(["We collect your name."]),
         );
         assert_eq!(bot.usage().calls, 1);
@@ -267,6 +267,6 @@ mod tests {
         let b = SimulatedChatbot::gpt4(5);
         let prompt = TaskPrompt::build(TaskKind::AnnotateHandling);
         let input = number_lines(["We retain your data for two (2) years."]);
-        assert_eq!(a.complete(&prompt, &input), b.complete(&prompt, &input));
+        assert_eq!(a.complete(prompt, &input), b.complete(prompt, &input));
     }
 }

@@ -9,6 +9,7 @@
 
 use aipan_taxonomy::glossary;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// The seven chatbot tasks of §3.2 and Appendix B.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -65,18 +66,30 @@ pub struct TaskPrompt {
 }
 
 impl TaskPrompt {
-    /// Build the prompt for `kind` with the standard glossaries attached.
-    pub fn build(kind: TaskKind) -> TaskPrompt {
-        let text = match kind {
-            TaskKind::LabelHeadings => label_headings_prompt(),
-            TaskKind::SegmentText => segment_text_prompt(),
-            TaskKind::ExtractDataTypes => extract_data_types_prompt(),
-            TaskKind::NormalizeDataTypes => normalize_data_types_prompt(),
-            TaskKind::AnnotatePurposes => annotate_purposes_prompt(),
-            TaskKind::AnnotateHandling => annotate_handling_prompt(),
-            TaskKind::AnnotateRights => annotate_rights_prompt(),
+    /// The prompt for `kind` with the standard glossaries attached. The
+    /// prompts are constant, so each is rendered once, on first use, and
+    /// shared from then on.
+    pub fn build(kind: TaskKind) -> &'static TaskPrompt {
+        static LABEL_HEADINGS: OnceLock<TaskPrompt> = OnceLock::new();
+        static SEGMENT_TEXT: OnceLock<TaskPrompt> = OnceLock::new();
+        static EXTRACT_DATA_TYPES: OnceLock<TaskPrompt> = OnceLock::new();
+        static NORMALIZE_DATA_TYPES: OnceLock<TaskPrompt> = OnceLock::new();
+        static ANNOTATE_PURPOSES: OnceLock<TaskPrompt> = OnceLock::new();
+        static ANNOTATE_HANDLING: OnceLock<TaskPrompt> = OnceLock::new();
+        static ANNOTATE_RIGHTS: OnceLock<TaskPrompt> = OnceLock::new();
+        let (prompt, render): (&OnceLock<TaskPrompt>, fn() -> String) = match kind {
+            TaskKind::LabelHeadings => (&LABEL_HEADINGS, label_headings_prompt),
+            TaskKind::SegmentText => (&SEGMENT_TEXT, segment_text_prompt),
+            TaskKind::ExtractDataTypes => (&EXTRACT_DATA_TYPES, extract_data_types_prompt),
+            TaskKind::NormalizeDataTypes => (&NORMALIZE_DATA_TYPES, normalize_data_types_prompt),
+            TaskKind::AnnotatePurposes => (&ANNOTATE_PURPOSES, annotate_purposes_prompt),
+            TaskKind::AnnotateHandling => (&ANNOTATE_HANDLING, annotate_handling_prompt),
+            TaskKind::AnnotateRights => (&ANNOTATE_RIGHTS, annotate_rights_prompt),
         };
-        TaskPrompt { kind, text }
+        prompt.get_or_init(|| TaskPrompt {
+            kind,
+            text: render(),
+        })
     }
 }
 

@@ -130,8 +130,8 @@ pub fn annotate_policy_in(
         doc.lines.iter().map(|l| l.text.as_str()),
     );
     let full_text_input: &str = &arena.full_text;
-    // Fold the policy exactly once; every verbatim-presence check below is
-    // a batched automaton scan over this buffer (no per-row fold).
+    // Fold the policy exactly once; every verbatim-presence check below
+    // looks in this buffer, on the row's cited line first.
     let folded_policy =
         FoldedDoc::from_lines_in(&mut arena.fold, doc.lines.iter().map(|l| l.text.as_str()));
 
@@ -152,7 +152,8 @@ pub fn annotate_policy_in(
     // hallucination check).
     let before = rows.len();
     if options.verify {
-        let present = folded_policy.verify_batch(rows.iter().map(|(_, text)| text.as_str()));
+        let present =
+            folded_policy.verify_batch(rows.iter().map(|(line, text)| (*line, text.as_str())));
         let mut idx = 0;
         rows.retain(|_| {
             let keep = present.get(idx).copied().unwrap_or(false);
@@ -176,7 +177,7 @@ pub fn annotate_policy_in(
         let norm_input = protocol::number_lines(unique.iter().map(String::as_str));
         let norm_out = complete_checked(
             chatbot,
-            &TaskPrompt::build(TaskKind::NormalizeDataTypes),
+            TaskPrompt::build(TaskKind::NormalizeDataTypes),
             &norm_input,
             options.reprompt_retries,
             &mut reprompts,
@@ -222,7 +223,11 @@ pub fn annotate_policy_in(
         fallbacks.push(AspectKind::Purposes);
     }
     let present = options.verify.then(|| {
-        folded_policy.verify_batch(purpose_rows.iter().map(|(_, text, _, _)| text.as_str()))
+        folded_policy.verify_batch(
+            purpose_rows
+                .iter()
+                .map(|(line, text, _, _)| (*line, text.as_str())),
+        )
     });
     for (i, (line, text, descriptor, category_name)) in purpose_rows.into_iter().enumerate() {
         if let Some(p) = &present {
@@ -257,7 +262,11 @@ pub fn annotate_policy_in(
         fallbacks.push(AspectKind::Handling);
     }
     let present = options.verify.then(|| {
-        folded_policy.verify_batch(handling_rows.iter().map(|(_, text, _, _)| text.as_str()))
+        folded_policy.verify_batch(
+            handling_rows
+                .iter()
+                .map(|(line, text, _, _)| (*line, text.as_str())),
+        )
     });
     for (i, (line, text, label_name, period)) in handling_rows.into_iter().enumerate() {
         if let Some(p) = &present {
@@ -295,9 +304,13 @@ pub fn annotate_policy_in(
     if used_fallback {
         fallbacks.push(AspectKind::Rights);
     }
-    let present = options
-        .verify
-        .then(|| folded_policy.verify_batch(rights_rows.iter().map(|(_, text, _)| text.as_str())));
+    let present = options.verify.then(|| {
+        folded_policy.verify_batch(
+            rights_rows
+                .iter()
+                .map(|(line, text, _)| (*line, text.as_str())),
+        )
+    });
     for (i, (line, text, label_name)) in rights_rows.into_iter().enumerate() {
         if let Some(p) = &present {
             if !p.get(i).copied().unwrap_or(false) {
@@ -393,7 +406,7 @@ fn extract_with_fallback<T>(
         let input = protocol::number_lines_with(section);
         let rows = parse(&complete_checked(
             chatbot,
-            &prompt,
+            prompt,
             &input,
             options.reprompt_retries,
             reprompts,
@@ -406,7 +419,7 @@ fn extract_with_fallback<T>(
     }
     let rows = parse(&complete_checked(
         chatbot,
-        &prompt,
+        prompt,
         full_text_input,
         options.reprompt_retries,
         reprompts,
@@ -563,6 +576,60 @@ mod tests {
         let out = annotate_policy(&Liar, &doc, &seg);
         assert!(out.annotations.is_empty());
         assert!(out.hallucinations_removed >= 1);
+    }
+
+    #[test]
+    fn verification_answers_do_not_depend_on_the_cited_line() {
+        // A model that cites line 0 or the wrong line: a mention that is in
+        // the policy is kept, one that is not is removed and counted.
+        struct MisCiting;
+        impl Chatbot for MisCiting {
+            fn complete(&self, prompt: &TaskPrompt, _input: &str) -> String {
+                match prompt.kind {
+                    TaskKind::ExtractDataTypes => protocol::encode_extractions(&[
+                        (0, "email address".to_string()),
+                        (2, "postal address".to_string()),
+                    ]),
+                    TaskKind::NormalizeDataTypes => protocol::encode_normalizations(&[(
+                        1,
+                        "email address".to_string(),
+                        "Contact info".to_string(),
+                    )]),
+                    TaskKind::AnnotatePurposes => protocol::encode_purposes(&[
+                        (
+                            1,
+                            "prevent fraud".to_string(),
+                            "fraud prevention".to_string(),
+                            "Security".to_string(),
+                        ),
+                        (
+                            0,
+                            "verify your identity".to_string(),
+                            "identity verification".to_string(),
+                            "Security".to_string(),
+                        ),
+                    ]),
+                    _ => "[]".to_string(),
+                }
+            }
+            fn model_id(&self) -> &str {
+                "mis-citing"
+            }
+            fn usage(&self) -> aipan_chatbot::TokenUsage {
+                aipan_chatbot::TokenUsage::default()
+            }
+        }
+        let doc =
+            extract("<p>We collect your email address.</p><p>We use data to prevent fraud.</p>");
+        let seg = segment(&oracle(), &doc);
+        let out = annotate_policy(&MisCiting, &doc, &seg);
+        let kept: Vec<(usize, &str)> = out
+            .annotations
+            .iter()
+            .map(|a| (a.line, a.text.as_str()))
+            .collect();
+        assert_eq!(kept, [(0, "email address"), (1, "prevent fraud")]);
+        assert_eq!(out.hallucinations_removed, 2);
     }
 
     #[test]

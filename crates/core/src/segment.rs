@@ -185,7 +185,7 @@ fn segment_by_headings(
     let toc_input =
         protocol::number_lines_with(headings.iter().map(|(n, line)| (*n, line.text.as_str())));
     let prompt = TaskPrompt::build(TaskKind::LabelHeadings);
-    let output = chatbot.complete(&prompt, &toc_input);
+    let output = chatbot.complete(prompt, &toc_input);
     let labels = protocol::parse_labels(&output);
     let label_map: BTreeMap<usize, Vec<Aspect>> = labels.into_iter().collect();
 
@@ -213,9 +213,14 @@ fn segment_by_headings(
 fn segment_by_text(chatbot: &dyn Chatbot, doc: &ExtractedDoc) -> SegmentedPolicy {
     let input = protocol::number_lines(doc.lines.iter().map(|l| l.text.as_str()));
     let prompt = TaskPrompt::build(TaskKind::SegmentText);
-    let output = chatbot.complete(&prompt, &input);
+    let output = chatbot.complete(prompt, &input);
     let mut aspect_lines: BTreeMap<Aspect, Vec<usize>> = BTreeMap::new();
+    // The model's line numbers are input: keep only lines the doc has.
+    let lines = 1..=doc.lines.len();
     for (n, aspects) in protocol::parse_labels(&output) {
+        if !lines.contains(&n) {
+            continue;
+        }
         for aspect in aspects {
             aspect_lines.entry(aspect).or_default().push(n);
         }
@@ -328,6 +333,40 @@ mod tests {
         let doc = extract("<div id=\"root\"></div><script>app()</script>");
         let seg = segment(&oracle(), &doc);
         assert!(!seg.is_successful_extraction(&doc));
+    }
+
+    #[test]
+    fn text_analysis_drops_lines_the_doc_does_not_have() {
+        // A model that labels line 0 and the line past the end, next to one
+        // real line.
+        struct OffByOne(usize);
+        impl Chatbot for OffByOne {
+            fn complete(&self, _prompt: &TaskPrompt, _input: &str) -> String {
+                protocol::encode_labels(&[
+                    (0, vec![Aspect::Types]),
+                    (self.0 + 1, vec![Aspect::Types, Aspect::Rights]),
+                    (1, vec![Aspect::Purposes]),
+                ])
+            }
+            fn model_id(&self) -> &str {
+                "off-by-one"
+            }
+            fn usage(&self) -> aipan_chatbot::TokenUsage {
+                aipan_chatbot::TokenUsage::default()
+            }
+        }
+        let doc = extract(
+            "<p>We collect your email address.</p>\
+             <p>You may update or correct your information.</p>",
+        );
+        let seg = segment(&OffByOne(doc.lines.len()), &doc);
+        assert_eq!(seg.method, Method::TextAnalysis);
+        // Line 0 once made these subtract with overflow in a debug build.
+        assert!(seg.text_for(Aspect::Types, &doc).is_empty());
+        assert_eq!(seg.core_word_count(&doc), 5);
+        assert_eq!(seg.lines_for(Aspect::Types), &[] as &[usize]);
+        assert_eq!(seg.lines_for(Aspect::Rights), &[] as &[usize]);
+        assert_eq!(seg.lines_for(Aspect::Purposes), &[1]);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub fn build_aspect_corpus(world: &World, teacher: &dyn Chatbot, limit: usize) -
     let mut corpus = Vec::new();
     for (domain, lines) in policy_lines(world, limit) {
         let input = protocol::number_lines(lines.iter().map(String::as_str));
-        let labels = protocol::parse_labels(&teacher.complete(&prompt, &input));
+        let labels = protocol::parse_labels(&teacher.complete(prompt, &input));
         for (n, aspects) in labels {
             let Some(text) = lines.get(n - 1) else {
                 continue;
@@ -75,7 +75,7 @@ pub fn build_rights_corpus(world: &World, teacher: &dyn Chatbot, limit: usize) -
     let mut corpus = Vec::new();
     for (domain, lines) in policy_lines(world, limit) {
         let input = protocol::number_lines(lines.iter().map(String::as_str));
-        let rows = protocol::parse_rights(&teacher.complete(&prompt, &input));
+        let rows = protocol::parse_rights(&teacher.complete(prompt, &input));
         let mut labels: Vec<Option<String>> = vec![None; lines.len()];
         for (n, _, label) in rows {
             if n >= 1 && n <= lines.len() {

@@ -1,13 +1,16 @@
 //! `FoldedDoc`: a policy document folded exactly once.
 //!
 //! The verification step of the paper's §3.2 loop asks, per candidate row,
-//! "does the folded policy contain the folded candidate text?". The legacy
-//! implementation folded the whole policy once per *task* and the candidate
-//! once per *row*, then ran a full substring scan per row. A [`FoldedDoc`]
-//! folds the document once at annotation start; [`FoldedDoc::verify_batch`]
-//! answers a whole batch of candidate rows with one Aho–Corasick scan of
-//! that buffer, folding each needle incrementally into the automaton trie
-//! (no per-row fold allocation).
+//! "does the folded policy contain the folded candidate text?". A
+//! [`FoldedDoc`] folds the document once at annotation start and keeps each
+//! line's span in that buffer. [`FoldedDoc::verify_batch`] takes each row
+//! with the line the model cited for it and looks inside that line's folded
+//! span first, where almost every real mention is found. Only the rows not
+//! found there go to one Aho–Corasick scan of the whole buffer, with their
+//! needles folded incrementally into the automaton trie. The line checks of
+//! a batch read at most one document's worth of bytes, so no citation
+//! pattern makes a batch cost more than two reads of the document plus its
+//! needles.
 
 use crate::ac::AcBuilder;
 use crate::fold::{fold_bytes, fold_into};
@@ -104,12 +107,69 @@ impl FoldedDoc {
         self.line_spans.get(idx).copied()
     }
 
-    /// For each needle, whether `fold(needle)` occurs as a substring of the
-    /// folded buffer — the batched equivalent of
-    /// `self.folded().contains(&fold(needle))` per needle, answered with a
-    /// single scan. Needles that fold to the empty string are trivially
-    /// present, matching `str::contains("")`.
-    pub fn verify_batch<'a>(&self, needles: impl IntoIterator<Item = &'a str>) -> Vec<bool> {
+    /// For each `(line, needle)` row, whether `fold(needle)` occurs as a
+    /// substring of the folded buffer: the batched equivalent of
+    /// `self.folded().contains(&fold(needle))` per row. `line` is the
+    /// 1-based line the row cites, as the chatbot protocol prints it; it
+    /// only decides where the answer is looked for first, never the answer.
+    ///
+    /// Each row is first checked inside the cited line's folded span, with
+    /// the needle folded into one buffer reused across the batch. The rows
+    /// not found there (line 0, a line past the end, a wrong line, a
+    /// mention spanning two lines, a hallucination) are answered together
+    /// by one automaton scan of the whole buffer, and a batch with no such
+    /// row scans nothing. The line checks of one batch read at most
+    /// `folded().len()` bytes in total: a check reads up to the end of the
+    /// match, or the whole line when the needle is not on it, and a row
+    /// whose line no longer fits in what is left goes to the scan. So a
+    /// batch costs at most two reads of the document plus its needles.
+    /// Needles that fold to the empty string are trivially present,
+    /// matching `str::contains("")`.
+    pub fn verify_batch<'a>(&self, rows: impl IntoIterator<Item = (usize, &'a str)>) -> Vec<bool> {
+        let rows = rows.into_iter();
+        let mut present = Vec::with_capacity(rows.size_hint().0);
+        let mut unresolved: Vec<(usize, &'a str)> = Vec::new();
+        let mut needle = String::new();
+        let mut budget = self.buf.len();
+        for (line, text) in rows {
+            needle.clear();
+            fold_into(&mut needle, text);
+            let span = line.checked_sub(1).and_then(|idx| self.line_span(idx));
+            let found = needle.is_empty()
+                || match span {
+                    Some((start, end)) if end - start <= budget => {
+                        let at = self
+                            .buf
+                            .get(start..end)
+                            .and_then(|folded_line| folded_line.find(needle.as_str()));
+                        match at {
+                            Some(at) => budget -= at + needle.len(),
+                            None => budget -= end - start,
+                        }
+                        at.is_some()
+                    }
+                    _ => false,
+                };
+            if !found {
+                unresolved.push((present.len(), text));
+            }
+            present.push(found);
+        }
+        if !unresolved.is_empty() {
+            let found = self.scan_whole(unresolved.iter().map(|&(_, text)| text));
+            for ((idx, _), hit) in unresolved.into_iter().zip(found) {
+                if let Some(slot) = present.get_mut(idx) {
+                    *slot = hit;
+                }
+            }
+        }
+        present
+    }
+
+    /// For each needle, whether `fold(needle)` occurs anywhere in the
+    /// folded buffer, answered with a single byte-automaton scan that stops
+    /// once every needle has been seen.
+    fn scan_whole<'a>(&self, needles: impl IntoIterator<Item = &'a str>) -> Vec<bool> {
         let mut builder = AcBuilder::new();
         let pats: Vec<Option<u32>> = needles
             .into_iter()
@@ -186,19 +246,30 @@ mod tests {
             "",
             "!!!",
             "collect your email address third",
+            "advertising! We do not",
         ];
-        let got = d.verify_batch(needles.iter().copied());
-        let expected: Vec<bool> = needles
+        // Every needle under every citation: its own line, a wrong one,
+        // line 0 and a line past the end.
+        let rows: Vec<(usize, &str)> = (0..=LINES.len() + 1)
+            .flat_map(|line| needles.iter().map(move |&n| (line, n)))
+            .collect();
+        let got = d.verify_batch(rows.iter().copied());
+        let expected: Vec<bool> = rows
             .iter()
-            .map(|n| d.folded().contains(&fold(n)))
+            .map(|(_, n)| d.folded().contains(&fold(n)))
             .collect();
         assert_eq!(got, expected);
+        assert_eq!(
+            d.verify_batch([(3, "advertising! We do not"), (4, "advertising! We do not")]),
+            vec![true, true],
+            "a mention spanning two lines is found by the whole-buffer scan"
+        );
     }
 
     #[test]
     fn duplicate_needles_verify_independently() {
         let d = doc();
-        let got = d.verify_batch(["email address", "email address", "nope"]);
+        let got = d.verify_batch([(1, "email address"), (1, "email address"), (1, "nope")]);
         assert_eq!(got, vec![true, true, false]);
     }
 
@@ -224,6 +295,6 @@ mod tests {
         let d = FoldedDoc::from_lines(std::iter::empty());
         assert_eq!(d.folded(), "");
         assert_eq!(d.line_count(), 0);
-        assert_eq!(d.verify_batch(["x", " ; "]), vec![false, true]);
+        assert_eq!(d.verify_batch([(1, "x"), (0, " ; ")]), vec![false, true]);
     }
 }

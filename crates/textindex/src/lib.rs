@@ -13,10 +13,15 @@
 //!   occurrence of *every* pattern.
 //! * [`FoldedDoc`] — a policy document folded exactly once through the
 //!   taxonomy normalization ([`aipan_taxonomy::normalize::fold`]) into a single
-//!   buffer with per-line spans. Verification queries run as one batched
-//!   automaton scan over that buffer ([`FoldedDoc::verify_batch`]), with
-//!   the needles folded incrementally ([`fold_bytes`]) so no per-row fold
-//!   `String` is ever allocated.
+//!   buffer with per-line spans. Verification ([`FoldedDoc::verify_batch`])
+//!   checks each row inside the span of the line the model cited, with the
+//!   needle folded into one buffer reused across the batch ([`fold_into`]).
+//!   These line checks read at most one document's worth of bytes per
+//!   batch, each charged up to the end of its match or, on a miss, the
+//!   whole line. Only the rows not found on their line, or past that
+//!   budget, go to one batched byte-automaton scan of the whole buffer,
+//!   with their needles folded incrementally into the trie
+//!   ([`fold_bytes`]).
 //!
 //! The folding helpers ([`fold_into`], [`fold_bytes`]) are byte-exact
 //! re-expressions of [`aipan_taxonomy::normalize::fold`] — property-tested against it

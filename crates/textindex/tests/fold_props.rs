@@ -1,6 +1,7 @@
 //! Property tests: the allocation-free fold re-expressions are byte-exact
 //! against `aipan_taxonomy::normalize::fold`, and `FoldedDoc::verify_batch` agrees
-//! with the legacy per-needle `contains(&fold(needle))` check.
+//! with the per-needle `contains(&fold(needle))` check whatever line a row
+//! cites.
 
 use aipan_taxonomy::normalize::fold;
 use aipan_textindex::{fold_bytes, fold_into, FoldedDoc};
@@ -49,16 +50,47 @@ proptest! {
             0..6
         ),
         needles in proptest::collection::vec(
-            "(email address|ip|data|info|[a-z]{0,6}|[ -~]{0,12})",
+            (
+                "(email address|ip|data|info|[a-z]{0,6}|[ -~]{0,12})",
+                0usize..16,
+                0usize..4,
+                (0usize..8, 0usize..12, 0usize..12),
+            ),
             0..10
         ),
     ) {
         let doc = FoldedDoc::from_lines(lines.iter().map(String::as_str));
-        let got = doc.verify_batch(needles.iter().map(String::as_str));
-        let expected: Vec<bool> = needles
+        // Each row cites a line in `0..=lines + 1`; a quarter of the needles
+        // are cut across the join of two adjacent lines instead.
+        let rows: Vec<(usize, String)> = needles
             .iter()
-            .map(|n| doc.folded().contains(&fold(n)))
+            .map(|(needle, cite, shape, (first, tail, head))| {
+                let line = cite % (lines.len() + 2);
+                let text = match lines.len().checked_sub(1) {
+                    Some(joins) if joins > 0 && *shape == 0 => {
+                        let upper = first % joins;
+                        spanning(&lines[upper], &lines[upper + 1], *tail, *head)
+                    }
+                    _ => needle.clone(),
+                };
+                (line, text)
+            })
             .collect();
-        prop_assert_eq!(got, expected, "lines={:?} needles={:?}", lines, needles);
+        let got = doc.verify_batch(rows.iter().map(|(line, text)| (*line, text.as_str())));
+        let expected: Vec<bool> = rows
+            .iter()
+            .map(|(_, text)| doc.folded().contains(&fold(text)))
+            .collect();
+        prop_assert_eq!(got, expected, "lines={:?} rows={:?}", lines, rows);
     }
+}
+
+/// The last `tail` chars of `upper`, a space, and the first `head` chars of
+/// `lower`: a mention that starts on one line and ends on the next.
+fn spanning(upper: &str, lower: &str, tail: usize, head: usize) -> String {
+    let skip = upper.chars().count().saturating_sub(tail);
+    let mut needle: String = upper.chars().skip(skip).collect();
+    needle.push(' ');
+    needle.extend(lower.chars().take(head));
+    needle
 }

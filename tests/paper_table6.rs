@@ -16,13 +16,10 @@ fn oracle() -> SimulatedChatbot {
 fn extract_types(text: &str) -> Vec<(String, String)> {
     let bot = oracle();
     let input = protocol::number_lines([text]);
-    let out = bot.complete(&TaskPrompt::build(TaskKind::ExtractDataTypes), &input);
+    let out = bot.complete(TaskPrompt::build(TaskKind::ExtractDataTypes), &input);
     let mentions = protocol::parse_extractions(&out);
     let norm_input = protocol::number_lines(mentions.iter().map(|(_, t)| t.as_str()));
-    let out = bot.complete(
-        &TaskPrompt::build(TaskKind::NormalizeDataTypes),
-        &norm_input,
-    );
+    let out = bot.complete(TaskPrompt::build(TaskKind::NormalizeDataTypes), &norm_input);
     protocol::parse_normalizations(&out)
         .into_iter()
         .map(|(_, descriptor, category)| (descriptor, category))
@@ -139,7 +136,7 @@ fn purposes_rows_contract_and_affiliate_sharing() {
          to our affiliated businesses or to our business partners, who may use it to \
          send you marketing and other communications.",
     ]);
-    let out = bot.complete(&TaskPrompt::build(TaskKind::AnnotatePurposes), &input);
+    let out = bot.complete(TaskPrompt::build(TaskKind::AnnotatePurposes), &input);
     let rows = protocol::parse_purposes(&out);
     assert!(
         rows.iter()
@@ -167,7 +164,7 @@ fn handling_rows_stated_retention_and_protection() {
          Layer (SSL) encryption technology for payment transactions, and digital \
          certificates.",
     ]);
-    let out = bot.complete(&TaskPrompt::build(TaskKind::AnnotateHandling), &input);
+    let out = bot.complete(TaskPrompt::build(TaskKind::AnnotateHandling), &input);
     let rows = protocol::parse_handling(&out);
     assert!(
         rows.iter()
@@ -196,7 +193,7 @@ fn rights_rows_settings_link_and_edit() {
         "We offer various self-help tools that will allow you to see and/or update \
          certain of your personal information in our records.",
     ]);
-    let out = bot.complete(&TaskPrompt::build(TaskKind::AnnotateRights), &input);
+    let out = bot.complete(TaskPrompt::build(TaskKind::AnnotateRights), &input);
     let rows = protocol::parse_rights(&out);
     assert!(
         rows.iter()
@@ -229,7 +226,7 @@ fn negated_real_world_context_ignored() {
         "This privacy notice does not apply to employment history or medical info \
          collected by our insurance subsidiaries.",
     ]);
-    let out = llama.complete(&TaskPrompt::build(TaskKind::ExtractDataTypes), &input);
+    let out = llama.complete(TaskPrompt::build(TaskKind::ExtractDataTypes), &input);
     // With negation_error = 0.7, at least one of the two negated mentions is
     // very likely extracted under this seed.
     let rows = protocol::parse_extractions(&out);
