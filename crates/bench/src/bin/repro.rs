@@ -2,40 +2,105 @@
 //! world pipeline run.
 //!
 //! Usage: `repro [experiment ...]` where experiment is one of
-//! `fig1 funnel tab1 tab2a tab2b tab3 tab5 val-crawl val-miss val-prec
+//! `fig1 funnel tab1 tab2a tab2b tab3 tab5 tab6 val-crawl val-miss val-prec
 //! sec5 sec6 usage all` (default `all`).
 //!
 //! Optional flags: `--seed N` (default 42), `--size N` (universe size,
-//! default 2916).
+//! default 2916). An unknown experiment or option, or a `--seed`/`--size`
+//! that is not a number, prints the usage text and exits 2 before the world
+//! is built.
 
 use aipan_analysis::{insights::Insights, tables, validation};
-use aipan_bench::fixtures;
 use aipan_chatbot::ModelProfile;
-use aipan_core::PipelineRun;
+use aipan_core::{run_pipeline, PipelineConfig, PipelineRun};
 use aipan_taxonomy::normalize::Normalizer;
-use aipan_webgen::World;
+use aipan_webgen::{build_world, World, WorldConfig};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 42u64;
-    let mut size = aipan_webgen::universe::UNIVERSE_SIZE;
-    let mut experiments: Vec<String> = Vec::new();
-    let mut iter = args.into_iter();
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [&str; 14] = [
+    "fig1",
+    "funnel",
+    "tab1",
+    "tab2a",
+    "tab2b",
+    "tab3",
+    "tab5",
+    "tab6",
+    "val-crawl",
+    "val-miss",
+    "val-prec",
+    "sec5",
+    "sec6",
+    "usage",
+];
+
+struct Args {
+    seed: u64,
+    size: usize,
+    experiments: Vec<String>,
+}
+
+fn parse_args() -> Result<Args, String> {
+    let mut args = Args {
+        seed: 42,
+        size: aipan_webgen::universe::UNIVERSE_SIZE,
+        experiments: Vec::new(),
+    };
+    let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--seed" => seed = iter.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
-            "--size" => size = iter.next().and_then(|v| v.parse().ok()).unwrap_or(size),
-            other => experiments.push(other.to_string()),
+            "--seed" => args.seed = number(&arg, iter.next())?,
+            "--size" => args.size = number(&arg, iter.next())?,
+            other if other == "all" || EXPERIMENTS.contains(&other) => {
+                args.experiments.push(other.to_string())
+            }
+            other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
+            other => return Err(format!("unknown experiment `{other}`")),
         }
     }
-    if experiments.is_empty() {
-        experiments.push("all".to_string());
+    if args.experiments.is_empty() {
+        args.experiments.push("all".to_string());
     }
+    Ok(args)
+}
+
+/// The number after `flag`, which must be there.
+fn number<T: std::str::FromStr>(flag: &str, next: Option<String>) -> Result<T, String> {
+    let value = next.ok_or_else(|| format!("{flag} needs a number"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag} needs a number, got `{value}`"))
+}
+
+fn main() {
+    let Args {
+        seed,
+        size,
+        experiments,
+    } = parse_args().unwrap_or_else(|e| {
+        eprintln!(
+            "repro: {e}\n\
+             usage: repro [--seed N] [--size N] [experiment ...]\n\
+             experiments: {} all",
+            EXPERIMENTS.join(" ")
+        );
+        std::process::exit(2);
+    });
 
     eprintln!("building world (seed {seed}, {size} constituents)...");
-    let world = fixtures::world(seed, size);
+    let world = build_world(WorldConfig {
+        seed,
+        universe_size: size,
+        ..Default::default()
+    });
     eprintln!("running pipeline...");
-    let run = fixtures::pipeline_run(&world, seed);
+    let run = run_pipeline(
+        &world,
+        PipelineConfig {
+            seed,
+            ..Default::default()
+        },
+    );
     let vocab = Normalizer::new();
     eprintln!(
         "glossary: {} data-type surfaces, {} purpose surfaces",
@@ -102,26 +167,11 @@ fn run_experiment(experiment: &str, world: &World, run: &PipelineRun, seed: u64)
         "sec6" => sec6(world, seed),
         "usage" => usage(run),
         "all" => {
-            for e in [
-                "fig1",
-                "funnel",
-                "tab1",
-                "tab2a",
-                "tab2b",
-                "tab3",
-                "tab5",
-                "tab6",
-                "val-crawl",
-                "val-miss",
-                "val-prec",
-                "sec5",
-                "sec6",
-                "usage",
-            ] {
+            for e in EXPERIMENTS {
                 run_experiment(e, world, run, seed);
             }
         }
-        other => eprintln!("unknown experiment: {other}"),
+        other => unreachable!("experiment `{other}` passed parse_args"),
     }
 }
 

@@ -123,8 +123,8 @@ impl ModelProfile {
         }
     }
 
-    /// A perfect oracle (no errors) — used by tests and the ablation
-    /// benches to isolate pipeline behaviour from model noise.
+    /// A perfect oracle (no errors) — used by tests to isolate pipeline
+    /// behaviour from model noise.
     pub fn oracle() -> ModelProfile {
         ModelProfile {
             id: "oracle".to_string(),

@@ -1,8 +1,8 @@
 //! Token accounting.
 //!
 //! The paper notes that sectioning the policy "helps … minimize token usage
-//! for subsequent annotation tasks"; the ablation benches quantify that
-//! claim, so usage must be tracked per task. Tokens are estimated with the
+//! for subsequent annotation tasks"; `tests/ablations.rs` checks that claim,
+//! so usage must be tracked per task. Tokens are estimated with the
 //! standard ~4-characters-per-token heuristic for English text.
 
 use parking_lot::RwLock;

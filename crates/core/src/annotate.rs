@@ -19,14 +19,14 @@ use aipan_taxonomy::{
 };
 use aipan_textindex::{fold_into, FoldArena, FoldedDoc};
 
-/// Annotation options (used by the ablation benches).
+/// Annotation options (the §3.2.2 ablations in `tests/ablations.rs` turn
+/// `fallback` and `verify` off).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnnotateOptions {
     /// Whether to fall back to the full text when a section yields nothing
-    /// (§3.2.2; ablation `ablate_fallback` turns this off).
+    /// (§3.2.2).
     pub fallback: bool,
-    /// Whether to run the verbatim hallucination check (ablation
-    /// `ablate_verification` turns this off).
+    /// Whether to run the verbatim hallucination check.
     pub verify: bool,
     /// Bounded re-prompt budget: how many times a task is re-issued when
     /// the completion is not well-formed JSON (refusal, truncation,

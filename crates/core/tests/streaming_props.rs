@@ -1,8 +1,9 @@
 //! Properties of the streaming engine: a lazy world driven through
 //! `run_pipeline_sharded` is byte-identical to the eager monolithic run at
-//! every worker count and seed, releases every materialized site, and
+//! every worker count and seed, releases every materialized site,
 //! resumes from a mid-shard kill point (torn segment tail, lost segment)
-//! without diverging.
+//! without diverging, and keeps the supervisor's contract under network,
+//! disk and worker-killing faults at once.
 
 use aipan_core::{
     run_pipeline, run_pipeline_sharded, segment_path, DiskFaultConfig, DiskFaultInjector,
@@ -50,6 +51,8 @@ fn streaming_run(world: &World, config: PipelineConfig) -> PipelineRun {
 /// returns: resident memory is bounded by in-flight domains, not the
 /// universe.
 fn assert_all_sites_released(world: &World) {
+    // Both checks below pass vacuously on an eager world.
+    assert!(world.is_lazy(), "only a lazy world releases its sites");
     assert_eq!(
         world.site_memory.current_bytes(),
         0,
@@ -370,5 +373,48 @@ fn combined_network_chatbot_disk_chaos_resume_is_byte_identical() {
     assert_eq!(journal.write_errors(), 0);
     assert_all_sites_released(&world);
     journal.consolidate(&base).expect("consolidate");
+    let _ = fs::remove_dir_all(base.parent().unwrap());
+}
+
+// The supervised contract with every fault injected at once: chaotic
+// network transients, disk faults on the journal's append path, and one
+// worker-killing host. The run completes `degraded` with exactly the
+// killing host quarantined, the bounded write retries absorb every disk
+// fault, and `RunHealth` carries the journal's retry count.
+#[test]
+fn supervised_run_under_full_chaos_quarantines_only_the_killing_host() {
+    let seed = 7;
+    let mut config = WorldConfig::small(seed, 100);
+    config.faults = FaultConfig::chaotic();
+    let world = build_world_lazy(config);
+    let victim = world.universe.unique_domains()[0].domain.clone();
+    poison_domain(&world, &victim);
+
+    let base = scratch_base("supervised");
+    let journal = ShardedJournal::open_with(
+        &base,
+        DEFAULT_SHARDS,
+        DiskFaultInjector::new(seed, DiskFaultConfig::chaotic()),
+    );
+    let run = run_pipeline_sharded(&world, pipeline_config(seed, 4), &journal);
+
+    assert_eq!(run.health.verdict, "degraded");
+    let quarantine: Vec<(&str, u32, &str)> = run
+        .health
+        .quarantine
+        .iter()
+        .map(|r| (r.domain.as_str(), r.kills, r.stage.as_str()))
+        .collect();
+    assert_eq!(quarantine, [(victim.as_str(), 1, "crawl")]);
+    assert_eq!(
+        run.health.journal_write_errors, 0,
+        "bounded retries must absorb every injected disk fault"
+    );
+    assert!(
+        run.health.disk_retries > 0,
+        "chaotic disk config must actually inject faults"
+    );
+    assert_eq!(run.health.disk_retries, journal.disk_retries() as u64);
+    assert_all_sites_released(&world);
     let _ = fs::remove_dir_all(base.parent().unwrap());
 }

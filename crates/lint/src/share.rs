@@ -1,12 +1,12 @@
 //! `W1`/`W2`: static sharing and lock-contention analysis for worker
 //! pools.
 //!
-//! BENCH_pipeline.json shows multi-worker cells *slower* than serial:
-//! workers parallelize the crawl but serialize on shared state in the
-//! annotate-heavy stage. This pass finds the static signatures of that
-//! failure. From every spawn point inside a loop (a worker pool), it
-//! computes the values reachable by the worker closure — capture
-//! analysis over the [`crate::expr`] walkers plus the
+//! Early pipeline timings measured multi-worker runs *slower* than
+//! serial: the workers parallelized the crawl but serialized on shared
+//! state in the annotate-heavy stage. This pass finds the static
+//! signatures of that failure. From every spawn point inside a loop (a
+//! worker pool), it computes the values reachable by the worker closure —
+//! capture analysis over the [`crate::expr`] walkers plus the
 //! [`crate::callgraph`] for callee effects — and combines them with the
 //! [`crate::guards`] lock vocabulary and [`crate::cost`] weights.
 //!

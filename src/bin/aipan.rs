@@ -13,21 +13,20 @@
 //! aipan audit    <domain> [--seed N] [--size N]       crawl + annotate one company
 //! aipan tables   [--seed N] [--size N]                print Tables 1–5 from a fresh run
 //! aipan validate [--seed N] [--size N]                run the §4 validation harness
-//! aipan distill  [--seed N] [--size N]                train + evaluate offline student models
 //! aipan analyze  <dataset.json>                       analyze a previously exported dataset
 //! ```
+//!
+//! An unknown option, an option without its value or a `--seed`/`--size`
+//! that is not a number prints the usage text and exits 2 before any world
+//! is built.
 
 use aipan::analysis::validation::{FailureAudit, MissingAspectAudit, PrecisionReport};
 use aipan::analysis::{insights::Insights, tables, trends};
-use aipan::chatbot::SimulatedChatbot;
 use aipan::core::pipeline::Pipeline;
 use aipan::core::{
     run_pipeline, run_pipeline_sharded, Dataset, PipelineConfig, ShardedJournal, DEFAULT_SHARDS,
 };
 use aipan::crawler::crawl_domain;
-use aipan::ml::{
-    build_aspect_corpus, build_rights_corpus, eval, train::split_by_domain, Featurizer,
-};
 use aipan::net::fault::FaultInjector;
 use aipan::net::Client;
 use aipan::taxonomy::datatypes::DataTypeMeta;
@@ -47,7 +46,7 @@ struct Args {
     health_out: Option<String>,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         command: String::new(),
         positional: Vec::new(),
@@ -61,32 +60,36 @@ fn parse_args() -> Args {
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--sector" => args.sector = iter.next(),
-            "--seed" => {
-                args.seed = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(args.seed)
-            }
-            "--size" => {
-                args.size = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(args.size)
-            }
-            "--out" => args.out = iter.next(),
-            "--resume" => args.resume = iter.next(),
-            "--health-out" => args.health_out = iter.next(),
+            "--sector" => args.sector = Some(value(&arg, iter.next())?),
+            "--seed" => args.seed = number(&arg, iter.next())?,
+            "--size" => args.size = number(&arg, iter.next())?,
+            "--out" => args.out = Some(value(&arg, iter.next())?),
+            "--resume" => args.resume = Some(value(&arg, iter.next())?),
+            "--health-out" => args.health_out = Some(value(&arg, iter.next())?),
+            other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
             other if args.command.is_empty() => args.command = other.to_string(),
             other => args.positional.push(other.to_string()),
         }
     }
-    args
+    Ok(args)
+}
+
+/// The argument after `flag`, which must be there.
+fn value(flag: &str, next: Option<String>) -> Result<String, String> {
+    next.ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// The number after `flag`, which must be there.
+fn number<T: std::str::FromStr>(flag: &str, next: Option<String>) -> Result<T, String> {
+    let value = next.ok_or_else(|| format!("{flag} needs a number"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag} needs a number, got `{value}`"))
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: aipan <run|audit|tables|validate|distill|analyze> [args]\n\
+        "usage: aipan <run|audit|tables|validate|analyze> [args]\n\
          \n\
          run      [--seed N] [--size N] [--out FILE] [--resume JOURNAL] [--health-out FILE]\n\
          \x20                                              run the pipeline, export dataset JSON;\n\
@@ -96,7 +99,6 @@ fn usage() -> ! {
          audit    <domain>   [--seed N] [--size N]     crawl + annotate one company\n\
          tables              [--seed N] [--size N]     print Tables 1-5\n\
          validate            [--seed N] [--size N]     run the §4 validation harness\n\
-         distill             [--seed N] [--size N]     train offline student models\n\
          analyze  <dataset.json> [--sector ABBREV]     analyze an exported dataset"
     );
     std::process::exit(2);
@@ -115,13 +117,15 @@ fn build(args: &Args) -> World {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| {
+        eprintln!("aipan: {e}");
+        usage()
+    });
     match args.command.as_str() {
         "run" => cmd_run(&args),
         "audit" => cmd_audit(&args),
         "tables" => cmd_tables(&args),
         "validate" => cmd_validate(&args),
-        "distill" => cmd_distill(&args),
         "analyze" => cmd_analyze(&args),
         _ => usage(),
     }
@@ -329,49 +333,6 @@ fn cmd_validate(args: &Args) {
         "{}",
         PrecisionReport::run(&world, &run.dataset, args.seed).render()
     );
-}
-
-fn cmd_distill(args: &Args) {
-    let world = build(args);
-    let teacher = SimulatedChatbot::gpt4(args.seed);
-    let featurizer = Featurizer::default();
-    for (name, corpus) in [
-        (
-            "aspect segmentation",
-            build_aspect_corpus(&world, &teacher, args.size),
-        ),
-        (
-            "rights labeling",
-            build_rights_corpus(&world, &teacher, args.size),
-        ),
-    ] {
-        let (train, test) = split_by_domain(&corpus);
-        let model = eval::train_student(&featurizer, &train);
-        let report = eval::evaluate(&model, &featurizer, &test);
-        let top1_sum: f64 = test
-            .iter()
-            .map(|line| {
-                model
-                    .predict_proba(&featurizer.featurize(&line.text))
-                    .into_iter()
-                    .map(|(_, p)| p)
-                    .fold(0.0, f64::max)
-            })
-            .sum();
-        let mean_top1 = if test.is_empty() {
-            0.0
-        } else {
-            top1_sum / test.len() as f64
-        };
-        println!(
-            "== {name}: {} train / {} test lines, {} classes, mean top-1 confidence {:.3} ==\n{}",
-            train.len(),
-            test.len(),
-            model.class_count(),
-            mean_top1,
-            report.render()
-        );
-    }
 }
 
 fn cmd_analyze(args: &Args) {

@@ -18,7 +18,6 @@
 //!   profiles (GPT-4-Turbo / GPT-3.5-Turbo / Llama-3.1).
 //! * [`core`] — the end-to-end pipeline and dataset types.
 //! * [`analysis`] — statistics, validation, and table regeneration.
-//! * [`ml`] — offline student models distilled from chatbot annotations.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the experiment index.
 
@@ -29,7 +28,6 @@ pub use aipan_chatbot as chatbot;
 pub use aipan_core as core;
 pub use aipan_crawler as crawler;
 pub use aipan_html as html;
-pub use aipan_ml as ml;
 pub use aipan_net as net;
 pub use aipan_taxonomy as taxonomy;
 pub use aipan_textindex as textindex;
