@@ -495,8 +495,9 @@ impl ModelComparison {
                 let Some(truth) = world.truth(domain) else {
                     continue;
                 };
+                // A malformed completion extracts nothing.
                 let rows = protocol::parse_extractions(&bot.complete(prompt, input));
-                for (_, text) in rows {
+                for (_, text) in rows.unwrap_or_default() {
                     extracted += 1;
                     let folded = fold(&text);
                     let planted_positive = truth.types.iter().any(|m| {

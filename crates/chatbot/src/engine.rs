@@ -20,7 +20,7 @@ use crate::{protocol, Chatbot};
 /// let prompt = TaskPrompt::build(TaskKind::ExtractDataTypes);
 /// let input = protocol::number_lines(["We collect your email address."]);
 /// let rows = protocol::parse_extractions(&bot.complete(prompt, &input));
-/// assert_eq!(rows, vec![(1, "email address".to_string())]);
+/// assert_eq!(rows, Some(vec![(1, "email address".to_string())]));
 /// ```
 #[derive(Clone)]
 pub struct SimulatedChatbot {
@@ -94,54 +94,51 @@ impl Chatbot for SimulatedChatbot {
         // LLM-side transient faults, keyed on (task, doc, attempt) so a
         // re-prompt redraws them: refusals, malformed output (GPT-3.5
         // exhibits these; GPT-4 effectively never), and mid-stream
-        // truncation.
+        // truncation. The document is hashed once here; the task keys its
+        // own decisions on the same key.
         let doc = tasks::doc_key(input);
         let tag = attempt.to_string();
-        let output =
-            if decide(
-                self.seed,
-                &[&self.profile.id, "refuse", prompt.kind.name(), &doc, &tag],
-                self.profile.refusal_rate,
-            ) {
-                "I cannot assist with analyzing this document.".to_string()
-            } else if !decide(
-                self.seed,
-                &[&self.profile.id, "follow", prompt.kind.name(), &doc, &tag],
-                self.profile.instruction_following,
-            ) {
-                "I'm sorry, here are the results you asked for:\n[[1, \"".to_string()
-            } else {
-                match prompt.kind {
-                    TaskKind::LabelHeadings => protocol::encode_labels(&tasks::run_label_headings(
-                        &self.profile,
-                        self.seed,
-                        input,
-                    )),
-                    TaskKind::SegmentText => protocol::encode_labels(&tasks::run_segment_text(
-                        &self.profile,
-                        self.seed,
-                        input,
-                    )),
-                    TaskKind::ExtractDataTypes => protocol::encode_extractions(
-                        &tasks::run_extract_datatypes(&self.profile, self.seed, input),
-                    ),
-                    TaskKind::NormalizeDataTypes => protocol::encode_normalizations(
-                        &tasks::run_normalize_datatypes(&self.profile, self.seed, input),
-                    ),
-                    TaskKind::AnnotatePurposes => protocol::encode_purposes(
-                        &tasks::run_annotate_purposes(&self.profile, self.seed, input),
-                    ),
-                    TaskKind::AnnotateHandling => protocol::encode_handling(
-                        &tasks::run_annotate_handling(&self.profile, self.seed, input),
-                    ),
-                    TaskKind::AnnotateRights => protocol::encode_rights(
-                        &tasks::run_annotate_rights(&self.profile, self.seed, input),
-                    ),
+        let (profile, seed) = (&self.profile, self.seed);
+        let output = if decide(
+            seed,
+            &[&profile.id, "refuse", prompt.kind.name(), &doc, &tag],
+            profile.refusal_rate,
+        ) {
+            "I cannot assist with analyzing this document.".to_string()
+        } else if !decide(
+            seed,
+            &[&profile.id, "follow", prompt.kind.name(), &doc, &tag],
+            profile.instruction_following,
+        ) {
+            "I'm sorry, here are the results you asked for:\n[[1, \"".to_string()
+        } else {
+            match prompt.kind {
+                TaskKind::LabelHeadings => {
+                    protocol::encode_labels(&tasks::run_label_headings(profile, seed, &doc, input))
                 }
-            };
+                TaskKind::SegmentText => {
+                    protocol::encode_labels(&tasks::run_segment_text(profile, seed, &doc, input))
+                }
+                TaskKind::ExtractDataTypes => protocol::encode_extractions(
+                    &tasks::run_extract_datatypes(profile, seed, &doc, input),
+                ),
+                TaskKind::NormalizeDataTypes => protocol::encode_normalizations(
+                    &tasks::run_normalize_datatypes(profile, seed, &doc, input),
+                ),
+                TaskKind::AnnotatePurposes => protocol::encode_purposes(
+                    &tasks::run_annotate_purposes(profile, seed, &doc, input),
+                ),
+                TaskKind::AnnotateHandling => protocol::encode_handling(
+                    &tasks::run_annotate_handling(profile, seed, &doc, input),
+                ),
+                TaskKind::AnnotateRights => {
+                    protocol::encode_rights(&tasks::run_annotate_rights(profile, seed, &doc, input))
+                }
+            }
+        };
         let output = self.maybe_truncate(prompt, &doc, &tag, output);
         self.ledger
-            .record(prompt.kind.name(), &prompt.text, input, &output);
+            .record(prompt.kind.name(), prompt.tokens(), input, &output);
         output
     }
 
@@ -166,7 +163,7 @@ mod tests {
         let input = number_lines(["We collect your email address."]);
         let output = bot.complete(prompt, &input);
         let rows = parse_extractions(&output);
-        assert_eq!(rows, vec![(1, "email address".to_string())]);
+        assert_eq!(rows, Some(vec![(1, "email address".to_string())]));
     }
 
     #[test]
@@ -212,11 +209,10 @@ mod tests {
         for i in 0..60 {
             let input = number_lines([format!("We collect your email, case {i}.").as_str()]);
             let first = bot.complete_attempt(prompt, &input, 0);
-            if crate::protocol::is_well_formed(&first) {
+            if parse_extractions(&first).is_some() {
                 continue;
             }
-            if (1..4)
-                .any(|a| crate::protocol::is_well_formed(&bot.complete_attempt(prompt, &input, a)))
+            if (1..4).any(|a| parse_extractions(&bot.complete_attempt(prompt, &input, a)).is_some())
             {
                 failed_then_recovered += 1;
             }
@@ -236,7 +232,7 @@ mod tests {
         let input = number_lines(["We collect your name."]);
         let out = bot.complete(prompt, &input);
         assert!(out.starts_with("I cannot assist"));
-        assert!(!crate::protocol::is_well_formed(&out));
+        assert_eq!(parse_extractions(&out), None);
         assert_eq!(out, bot.complete(prompt, &input));
 
         let mut profile = ModelProfile::oracle();
@@ -247,7 +243,7 @@ mod tests {
         let cut = bot.complete(prompt, &input);
         assert!(cut.len() < full.len(), "cut={cut:?} full={full:?}");
         assert!(full.starts_with(&cut), "truncation must be a prefix");
-        assert!(!crate::protocol::is_well_formed(&cut));
+        assert_eq!(parse_extractions(&cut), None);
     }
 
     #[test]

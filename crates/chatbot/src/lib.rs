@@ -8,9 +8,15 @@
 //! * every task is a **prompt** (role statement + numbered instructions +
 //!   glossary + input/output example, as in Figure 2) built by [`prompt`];
 //! * the model consumes **numbered text lines** (`[123] …`) and returns a
-//!   **JSON-formatted string** of tuples, parsed by [`protocol`];
+//!   **JSON-formatted string** of tuples, encoded and parsed by
+//!   [`protocol`];
 //! * prompt/input/output **token usage** is accounted per task by
 //!   [`tokens`].
+//!
+//! A completion reads its input once and its answer once: the engine
+//! hashes the input into its decision key once, the task borrows its lines
+//! from the input, the answer is written row by row, and the caller's
+//! single parse both decodes the rows and decides whether to re-prompt.
 //!
 //! The model itself is simulated: [`engine::SimulatedChatbot`] implements
 //! the [`Chatbot`] trait with a deterministic glossary/knowledge-based

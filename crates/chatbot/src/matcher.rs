@@ -11,7 +11,11 @@
 //! ([`aipan_textindex::AcAutomaton`]) built once over *both* vocabularies
 //! with per-pattern vocabulary tags: one pass over a line's tokens yields
 //! every data-type and purpose occurrence at once ([`scan_line_dual`]),
-//! which the task layer uses to avoid scanning each line twice. The
+//! which the task layer uses to avoid scanning each line twice. A caller
+//! that only needs to know *whether* each vocabulary occurs — whole-text
+//! segmentation labels a line `types` or `purposes` on that alone — asks
+//! `vocab_presence`, which streams the line's tokens through the same
+//! automaton without resolving matches or building match strings. The
 //! original token-walk scanner is preserved under `#[cfg(test)]` as the
 //! oracle for a differential property test: both scanners must agree
 //! exactly — text, target, span, and negation — on arbitrary lines.
@@ -93,6 +97,27 @@ pub struct DualScan {
 /// the other's longer phrases).
 pub fn scan_line_dual(line: &str) -> DualScan {
     engine().scan(line)
+}
+
+/// Which vocabularies occur on a line.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct VocabPresence {
+    /// Some data-type surface form occurs.
+    pub datatypes: bool,
+    /// Some purpose surface form occurs.
+    pub purposes: bool,
+}
+
+/// Whether each vocabulary occurs on `line`. Equal to
+/// `!scan_line_dual(line).datatypes.is_empty()` and
+/// `!scan_line_dual(line).purposes.is_empty()`: longest-match resolution
+/// walks the tokens from the left and emits the longest pattern at every
+/// token it visits, so it always emits a match at the first token where
+/// any pattern of a vocabulary starts. Answered from the raw occurrences
+/// instead, with no resolution, no match strings and no token buffer, and
+/// the scan stops once both vocabularies are seen.
+pub(crate) fn vocab_presence(line: &str) -> VocabPresence {
+    engine().presence(line)
 }
 
 /// Longest-match vocabulary scanner (one vocabulary view over the shared
@@ -259,8 +284,22 @@ impl Engine {
         }
     }
 
+    fn presence(&self, line: &str) -> VocabPresence {
+        let mut found = VocabPresence::default();
+        self.ac
+            .scan(Tokens::new(self, line).map(|t| t.sym), &mut |_, pat| {
+                match self.targets.get(pat as usize) {
+                    Some((Vocab::DataTypes, _)) => found.datatypes = true,
+                    Some((Vocab::Purposes, _)) => found.purposes = true,
+                    None => {}
+                }
+                !(found.datatypes && found.purposes)
+            });
+        found
+    }
+
     fn scan(&self, line: &str) -> DualScan {
-        let toks = self.tokenize(line);
+        let toks: Vec<Tok> = Tokens::new(self, line).collect();
         if toks.is_empty() {
             return DualScan::default();
         }
@@ -315,46 +354,17 @@ impl Engine {
         out
     }
 
-    /// Tokenize with the legacy character classes and Unicode lowercasing,
-    /// interning each token to its symbol without allocating per token
-    /// (the common all-ASCII-lowercase token is looked up as a line slice).
-    fn tokenize(&self, line: &str) -> Vec<Tok> {
-        let mut toks = Vec::new();
-        let mut scratch = String::new();
-        let mut start = 0usize;
-        let mut in_token = false;
-        let mut needs_fold = false;
-        for (idx, ch) in line.char_indices() {
-            let keep = ch.is_alphanumeric() || ch == '-' || ch == '/' || ch == '&' || ch == '\'';
-            if keep {
-                if !in_token {
-                    start = idx;
-                    in_token = true;
-                    needs_fold = false;
-                }
-                if ch.is_ascii_uppercase() || !ch.is_ascii() {
-                    needs_fold = true;
-                }
-            } else if in_token {
-                self.push_token(line, start, idx, needs_fold, &mut scratch, &mut toks);
-                in_token = false;
-            }
-        }
-        if in_token {
-            self.push_token(line, start, line.len(), needs_fold, &mut scratch, &mut toks);
-        }
-        toks
-    }
-
-    fn push_token(
+    /// One token's symbol and negation flag, interned without allocating
+    /// per token: a lower-case ASCII token is looked up as a line slice,
+    /// and any other is lower-cased with Unicode rules into `scratch`.
+    fn token(
         &self,
         line: &str,
         start: usize,
         end: usize,
         needs_fold: bool,
         scratch: &mut String,
-        toks: &mut Vec<Tok>,
-    ) {
+    ) -> Tok {
         let word: &str = if needs_fold {
             scratch.clear();
             for ch in line[start..end].chars() {
@@ -366,13 +376,66 @@ impl Engine {
         } else {
             &line[start..end]
         };
-        toks.push(Tok {
+        Tok {
             start: start as u32,
             end: end as u32,
             sym: self.symbols.get(word).copied().unwrap_or(NO_SYM),
             neg: is_negation_token(word),
-        });
+        }
     }
+}
+
+/// A line's tokens, produced lazily with the legacy character classes and
+/// Unicode lower-casing.
+struct Tokens<'a> {
+    engine: &'a Engine,
+    line: &'a str,
+    chars: std::str::CharIndices<'a>,
+    /// Fold buffer for [`Engine::token`]; allocated on the first token
+    /// that needs folding, reused for the rest of the line.
+    scratch: String,
+}
+
+impl<'a> Tokens<'a> {
+    fn new(engine: &'a Engine, line: &'a str) -> Tokens<'a> {
+        Tokens {
+            engine,
+            line,
+            chars: line.char_indices(),
+            scratch: String::new(),
+        }
+    }
+}
+
+impl Iterator for Tokens<'_> {
+    type Item = Tok;
+
+    fn next(&mut self) -> Option<Tok> {
+        let (start, first) = self.chars.by_ref().find(|&(_, ch)| is_token_char(ch))?;
+        let mut fold = needs_fold(first);
+        let mut end = self.line.len();
+        for (idx, ch) in self.chars.by_ref() {
+            if !is_token_char(ch) {
+                end = idx;
+                break;
+            }
+            fold |= needs_fold(ch);
+        }
+        Some(
+            self.engine
+                .token(self.line, start, end, fold, &mut self.scratch),
+        )
+    }
+}
+
+/// The legacy token character classes.
+fn is_token_char(ch: char) -> bool {
+    ch.is_alphanumeric() || ch == '-' || ch == '/' || ch == '&' || ch == '\''
+}
+
+/// Whether a token holding `ch` must be lower-cased before lookup.
+fn needs_fold(ch: char) -> bool {
+    ch.is_ascii_uppercase() || !ch.is_ascii()
 }
 
 fn vocab_index(vocab: Vocab) -> usize {
@@ -427,8 +490,7 @@ fn tokenize_with_spans(s: &str) -> Vec<(String, usize, usize)> {
     let mut current = String::new();
     let mut start = 0usize;
     for (idx, ch) in s.char_indices() {
-        let keep = ch.is_alphanumeric() || ch == '-' || ch == '/' || ch == '&' || ch == '\'';
-        if keep {
+        if is_token_char(ch) {
             if current.is_empty() {
                 start = idx;
             }
@@ -779,6 +841,24 @@ mod tests {
                 oracle.scan_line(&line),
                 "line={:?}", line
             );
+        }
+
+        #[test]
+        fn presence_equals_dual_scan_emptiness(
+            words in proptest::collection::vec(WORD_POOL, 0..20),
+            tail in ".{0,40}",
+        ) {
+            for line in [words.join(" "), format!("{} {tail}", words.join(" "))] {
+                let dual = scan_line_dual(&line);
+                prop_assert_eq!(
+                    vocab_presence(&line),
+                    VocabPresence {
+                        datatypes: !dual.datatypes.is_empty(),
+                        purposes: !dual.purposes.is_empty(),
+                    },
+                    "line={:?}", line
+                );
+            }
         }
 
         #[test]

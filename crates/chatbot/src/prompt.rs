@@ -5,8 +5,10 @@
 //! glossary compiled from the taxonomy, and an input/output example. The
 //! rendered text is what gets token-accounted and handed to the model; the
 //! [`TaskKind`] tag is what a simulated model dispatches on (a real LLM
-//! would read the instructions).
+//! would read the instructions). The prompts are constant, so each is
+//! rendered, and its tokens estimated, once per process.
 
+use crate::tokens::estimate_tokens;
 use aipan_taxonomy::glossary;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -56,13 +58,17 @@ impl TaskKind {
     }
 }
 
-/// A rendered task prompt.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A rendered task prompt. Only [`TaskPrompt::build`] makes one and its
+/// text cannot be edited afterwards, so its token estimate always matches
+/// its text.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskPrompt {
     /// The task this prompt instructs.
     pub kind: TaskKind,
     /// The full rendered prompt text.
-    pub text: String,
+    text: String,
+    /// [`estimate_tokens`] of `text`, counted once when it is rendered.
+    tokens: u64,
 }
 
 impl TaskPrompt {
@@ -86,10 +92,24 @@ impl TaskPrompt {
             TaskKind::AnnotateHandling => (&ANNOTATE_HANDLING, annotate_handling_prompt),
             TaskKind::AnnotateRights => (&ANNOTATE_RIGHTS, annotate_rights_prompt),
         };
-        prompt.get_or_init(|| TaskPrompt {
-            kind,
-            text: render(),
+        prompt.get_or_init(|| {
+            let text = render();
+            TaskPrompt {
+                kind,
+                tokens: estimate_tokens(&text),
+                text,
+            }
         })
+    }
+
+    /// The full rendered prompt text.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The prompt's token estimate: [`estimate_tokens`] of its text.
+    pub fn tokens(&self) -> u64 {
+        self.tokens
     }
 }
 
@@ -262,32 +282,33 @@ mod tests {
         for kind in TaskKind::ALL {
             let p = TaskPrompt::build(kind);
             assert_eq!(p.kind, kind);
-            assert!(p.text.len() > 200, "{kind:?} prompt too short");
-            assert!(p.text.contains("data privacy expert"));
-            assert!(p.text.contains("JSON"));
+            assert!(p.text().len() > 200, "{kind:?} prompt too short");
+            assert!(p.text().contains("data privacy expert"));
+            assert!(p.text().contains("JSON"));
+            assert_eq!(p.tokens(), estimate_tokens(p.text()));
         }
     }
 
     #[test]
     fn extraction_prompt_contains_negation_instruction() {
         let p = TaskPrompt::build(TaskKind::ExtractDataTypes);
-        assert!(p.text.contains("negated contexts"));
-        assert!(p.text.contains("we do not collect"));
+        assert!(p.text().contains("negated contexts"));
+        assert!(p.text().contains("we do not collect"));
     }
 
     #[test]
     fn glossaries_attached() {
         assert!(TaskPrompt::build(TaskKind::ExtractDataTypes)
-            .text
+            .text()
             .contains("email address"));
         assert!(TaskPrompt::build(TaskKind::NormalizeDataTypes)
-            .text
+            .text()
             .contains("postal address"));
         assert!(TaskPrompt::build(TaskKind::AnnotatePurposes)
-            .text
+            .text()
             .contains("fraud prevention"));
         assert!(TaskPrompt::build(TaskKind::LabelHeadings)
-            .text
+            .text()
             .contains("Information we collect"));
     }
 

@@ -2,12 +2,21 @@
 //!
 //! Task inputs are numbered-line documents (`[123] text…`); task outputs are
 //! JSON-formatted strings containing lists of tuples, exactly as the
-//! paper's prompts dictate. This module renders inputs and parses outputs —
-//! tolerantly, since models occasionally emit malformed rows (such rows are
-//! dropped, not fatal).
+//! paper's prompts dictate. This module renders inputs and encodes and
+//! parses outputs.
+//!
+//! The encoders write each row straight into the output string, escaping
+//! text through [`serde_json::write_json_string`]; the bytes are exactly
+//! those of the equivalent `serde_json::Value` tree's rendering. Each
+//! parser reads a completion once and answers two questions: `None` means
+//! the completion is not well-formed (not a top-level JSON array — a
+//! refusal, a malformed prefix, a truncation), which the re-prompt loop
+//! retries; `Some(rows)` holds the rows that decode, dropping malformed
+//! ones (models occasionally emit them; they are not fatal).
 
 use aipan_taxonomy::Aspect;
-use serde_json::Value;
+use serde_json::{write_json_string, Value};
+use std::fmt::Write as _;
 
 /// Render lines as a numbered-line document (1-based).
 pub fn number_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> String {
@@ -26,7 +35,8 @@ pub fn number_lines_into<'a>(out: &mut String, lines: impl IntoIterator<Item = &
     // a reused buffer that is already large enough.
     out.reserve(lines.size_hint().0.saturating_mul(48));
     for (i, line) in lines.enumerate() {
-        out.push_str(&format!("[{}] {}\n", i + 1, line));
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(out, "[{}] {line}", i + 1);
     }
 }
 
@@ -37,7 +47,7 @@ pub fn number_lines_with<'a>(lines: impl IntoIterator<Item = (usize, &'a str)>) 
     let lines = lines.into_iter();
     let mut out = String::with_capacity(lines.size_hint().0.saturating_mul(48));
     for (n, line) in lines {
-        out.push_str(&format!("[{n}] {line}\n"));
+        let _ = writeln!(out, "[{n}] {line}");
     }
     out
 }
@@ -55,27 +65,33 @@ pub type HandlingRow = (usize, String, String, Option<String>);
 /// A rights row: line, verbatim text, label.
 pub type RightsRow = (usize, String, String);
 
-/// Encode label rows (`[[1, ["types"]], …]`).
+/// Encode label rows (`[[1,["types"]],…]`).
 pub fn encode_labels(rows: &[LabelRow]) -> String {
-    let v: Vec<Value> = rows
-        .iter()
-        .map(|(n, aspects)| {
-            Value::Array(vec![
-                Value::from(*n),
-                Value::Array(aspects.iter().map(|a| Value::from(a.key())).collect()),
-            ])
-        })
-        .collect();
-    Value::Array(v).to_string()
+    encode_rows(
+        rows,
+        |(_, aspects)| aspects.len() * 12,
+        |out, (n, aspects)| {
+            push_line_no(out, *n);
+            out.push_str(",[");
+            for (i, aspect) in aspects.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_json_string(aspect.key(), out);
+            }
+            out.push(']');
+        },
+    )
 }
 
-/// Parse label rows; malformed rows are skipped.
-pub fn parse_labels(output: &str) -> Vec<LabelRow> {
-    parse_rows(output, |row| {
-        let n = row.first()?.as_u64()? as usize;
-        let aspects = row
-            .get(1)?
-            .as_array()?
+/// Parse label rows; `None` if `output` is not well-formed.
+pub fn parse_labels(output: &str) -> Option<Vec<LabelRow>> {
+    parse_rows(output, |mut row| {
+        let n = line_no(row.next())?;
+        let Value::Array(keys) = row.next()? else {
+            return None;
+        };
+        let aspects = keys
             .iter()
             .filter_map(|v| v.as_str().and_then(Aspect::from_key))
             .collect::<Vec<_>>();
@@ -83,155 +99,184 @@ pub fn parse_labels(output: &str) -> Vec<LabelRow> {
     })
 }
 
-/// Encode extraction rows (`[[4, "email address"], …]`).
+/// Encode extraction rows (`[[4,"email address"],…]`).
 pub fn encode_extractions(rows: &[ExtractRow]) -> String {
-    let v: Vec<Value> = rows
-        .iter()
-        .map(|(n, text)| Value::Array(vec![Value::from(*n), Value::from(text.as_str())]))
-        .collect();
-    Value::Array(v).to_string()
+    encode_rows(
+        rows,
+        |(_, text)| text.len(),
+        |out, (n, text)| {
+            push_line_no(out, *n);
+            push_text(out, text);
+        },
+    )
 }
 
-/// Parse extraction rows.
-pub fn parse_extractions(output: &str) -> Vec<ExtractRow> {
-    parse_rows(output, |row| {
-        let n = row.first()?.as_u64()? as usize;
-        let text = row.get(1)?.as_str()?.to_string();
-        Some((n, text))
+/// Parse extraction rows; `None` if `output` is not well-formed.
+pub fn parse_extractions(output: &str) -> Option<Vec<ExtractRow>> {
+    parse_rows(output, |mut row| {
+        Some((line_no(row.next())?, text(row.next())?))
     })
 }
 
-/// Encode normalization rows (`[[1, "postal address", "Contact info"], …]`).
+/// Encode normalization rows (`[[1,"postal address","Contact info"],…]`).
 pub fn encode_normalizations(rows: &[NormalizeRow]) -> String {
-    let v: Vec<Value> = rows
-        .iter()
-        .map(|(n, d, c)| {
-            Value::Array(vec![
-                Value::from(*n),
-                Value::from(d.as_str()),
-                Value::from(c.as_str()),
-            ])
-        })
-        .collect();
-    Value::Array(v).to_string()
+    encode_rows(
+        rows,
+        |(_, d, c)| d.len() + c.len(),
+        |out, (n, d, c)| {
+            push_line_no(out, *n);
+            push_text(out, d);
+            push_text(out, c);
+        },
+    )
 }
 
-/// Parse normalization rows.
-pub fn parse_normalizations(output: &str) -> Vec<NormalizeRow> {
-    parse_rows(output, |row| {
-        Some((
-            row.first()?.as_u64()? as usize,
-            row.get(1)?.as_str()?.to_string(),
-            row.get(2)?.as_str()?.to_string(),
-        ))
+/// Parse normalization rows; `None` if `output` is not well-formed.
+pub fn parse_normalizations(output: &str) -> Option<Vec<NormalizeRow>> {
+    parse_rows(output, |mut row| {
+        Some((line_no(row.next())?, text(row.next())?, text(row.next())?))
     })
 }
 
 /// Encode purpose rows.
 pub fn encode_purposes(rows: &[PurposeRow]) -> String {
-    let v: Vec<Value> = rows
-        .iter()
-        .map(|(n, t, d, c)| {
-            Value::Array(vec![
-                Value::from(*n),
-                Value::from(t.as_str()),
-                Value::from(d.as_str()),
-                Value::from(c.as_str()),
-            ])
-        })
-        .collect();
-    Value::Array(v).to_string()
+    encode_rows(
+        rows,
+        |(_, t, d, c)| t.len() + d.len() + c.len(),
+        |out, (n, t, d, c)| {
+            push_line_no(out, *n);
+            push_text(out, t);
+            push_text(out, d);
+            push_text(out, c);
+        },
+    )
 }
 
-/// Parse purpose rows.
-pub fn parse_purposes(output: &str) -> Vec<PurposeRow> {
-    parse_rows(output, |row| {
+/// Parse purpose rows; `None` if `output` is not well-formed.
+pub fn parse_purposes(output: &str) -> Option<Vec<PurposeRow>> {
+    parse_rows(output, |mut row| {
         Some((
-            row.first()?.as_u64()? as usize,
-            row.get(1)?.as_str()?.to_string(),
-            row.get(2)?.as_str()?.to_string(),
-            row.get(3)?.as_str()?.to_string(),
+            line_no(row.next())?,
+            text(row.next())?,
+            text(row.next())?,
+            text(row.next())?,
         ))
     })
 }
 
 /// Encode handling rows (period is `null` when absent).
 pub fn encode_handling(rows: &[HandlingRow]) -> String {
-    let v: Vec<Value> = rows
-        .iter()
-        .map(|(n, t, l, p)| {
-            Value::Array(vec![
-                Value::from(*n),
-                Value::from(t.as_str()),
-                Value::from(l.as_str()),
-                p.as_deref().map(Value::from).unwrap_or(Value::Null),
-            ])
-        })
-        .collect();
-    Value::Array(v).to_string()
+    encode_rows(
+        rows,
+        |(_, t, l, p)| t.len() + l.len() + p.as_ref().map_or(0, String::len),
+        |out, (n, t, l, p)| {
+            push_line_no(out, *n);
+            push_text(out, t);
+            push_text(out, l);
+            match p {
+                Some(p) => push_text(out, p),
+                None => out.push_str(",null"),
+            }
+        },
+    )
 }
 
-/// Parse handling rows.
-pub fn parse_handling(output: &str) -> Vec<HandlingRow> {
-    parse_rows(output, |row| {
+/// Parse handling rows; `None` if `output` is not well-formed.
+pub fn parse_handling(output: &str) -> Option<Vec<HandlingRow>> {
+    parse_rows(output, |mut row| {
         Some((
-            row.first()?.as_u64()? as usize,
-            row.get(1)?.as_str()?.to_string(),
-            row.get(2)?.as_str()?.to_string(),
-            row.get(3).and_then(|v| v.as_str()).map(str::to_string),
+            line_no(row.next())?,
+            text(row.next())?,
+            text(row.next())?,
+            text(row.next()),
         ))
     })
 }
 
 /// Encode rights rows.
 pub fn encode_rights(rows: &[RightsRow]) -> String {
-    let v: Vec<Value> = rows
-        .iter()
-        .map(|(n, t, l)| {
-            Value::Array(vec![
-                Value::from(*n),
-                Value::from(t.as_str()),
-                Value::from(l.as_str()),
-            ])
-        })
-        .collect();
-    Value::Array(v).to_string()
-}
-
-/// Parse rights rows.
-pub fn parse_rights(output: &str) -> Vec<RightsRow> {
-    parse_rows(output, |row| {
-        Some((
-            row.first()?.as_u64()? as usize,
-            row.get(1)?.as_str()?.to_string(),
-            row.get(2)?.as_str()?.to_string(),
-        ))
-    })
-}
-
-/// Whether `output` is structurally well-formed protocol output: a
-/// top-level JSON array. Distinguishes a *valid empty result* (`[]`) from
-/// refusals, malformed prefixes, and truncated completions, which a
-/// bounded re-prompt loop should retry.
-pub fn is_well_formed(output: &str) -> bool {
-    matches!(
-        serde_json::from_str::<Value>(output.trim()),
-        Ok(Value::Array(_))
+    encode_rows(
+        rows,
+        |(_, t, l)| t.len() + l.len(),
+        |out, (n, t, l)| {
+            push_line_no(out, *n);
+            push_text(out, t);
+            push_text(out, l);
+        },
     )
 }
 
-/// Shared tolerant parser: top-level array of arrays; rows that fail `f`
-/// are dropped. Non-JSON output yields an empty vec.
-fn parse_rows<T>(output: &str, f: impl Fn(&[Value]) -> Option<T>) -> Vec<T> {
-    let Ok(value) = serde_json::from_str::<Value>(output.trim()) else {
-        return Vec::new();
+/// Parse rights rows; `None` if `output` is not well-formed.
+pub fn parse_rights(output: &str) -> Option<Vec<RightsRow>> {
+    parse_rows(output, |mut row| {
+        Some((line_no(row.next())?, text(row.next())?, text(row.next())?))
+    })
+}
+
+/// Shared encoder: a JSON array of rows, each row an array whose fields
+/// `row` writes (the line number first, every later field after a `,`).
+/// `text_len` is a row's string bytes, to size the buffer up front.
+fn encode_rows<R>(
+    rows: &[R],
+    text_len: impl Fn(&R) -> usize,
+    row: impl Fn(&mut String, &R),
+) -> String {
+    // Brackets, commas, quotes and a line number come to under 24 bytes a
+    // row; escapes past that grow the buffer as usual.
+    let capacity = rows.iter().map(|r| text_len(r) + 24).sum::<usize>() + 2;
+    let mut out = String::with_capacity(capacity);
+    out.push('[');
+    for (i, r) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        row(&mut out, r);
+        out.push(']');
+    }
+    out.push(']');
+    out
+}
+
+fn push_line_no(out: &mut String, n: usize) {
+    let _ = write!(out, "{n}");
+}
+
+fn push_text(out: &mut String, text: &str) {
+    out.push(',');
+    write_json_string(text, out);
+}
+
+/// Shared parser: `None` unless `output` is a top-level JSON array; rows
+/// that are not arrays, or that `row` cannot decode from their fields, are
+/// dropped. Field strings move out of the parsed tree rather than being
+/// copied.
+fn parse_rows<T>(
+    output: &str,
+    row: impl Fn(std::vec::IntoIter<Value>) -> Option<T>,
+) -> Option<Vec<T>> {
+    let Ok(Value::Array(rows)) = serde_json::from_str::<Value>(output.trim()) else {
+        return None;
     };
-    let Some(rows) = value.as_array() else {
-        return Vec::new();
-    };
-    rows.iter()
-        .filter_map(|row| row.as_array().and_then(|r| f(r)))
-        .collect()
+    Some(
+        rows.into_iter()
+            .filter_map(|r| match r {
+                Value::Array(fields) => row(fields.into_iter()),
+                _ => None,
+            })
+            .collect(),
+    )
+}
+
+fn line_no(field: Option<Value>) -> Option<usize> {
+    Some(field?.as_u64()? as usize)
+}
+
+fn text(field: Option<Value>) -> Option<String> {
+    match field? {
+        Value::String(s) => Some(s),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -261,8 +306,9 @@ mod tests {
             (1, vec![Aspect::Types]),
             (8, vec![Aspect::Purposes, Aspect::Other]),
         ];
-        let parsed = parse_labels(&encode_labels(&rows));
-        assert_eq!(parsed, rows);
+        let encoded = encode_labels(&rows);
+        assert_eq!(encoded, r#"[[1,["types"]],[8,["purposes","other"]]]"#);
+        assert_eq!(parse_labels(&encoded), Some(rows));
     }
 
     #[test]
@@ -271,13 +317,16 @@ mod tests {
             (4, "email address".to_string()),
             (9, "ip address".to_string()),
         ];
-        assert_eq!(parse_extractions(&encode_extractions(&rows)), rows);
+        assert_eq!(parse_extractions(&encode_extractions(&rows)), Some(rows));
     }
 
     #[test]
     fn normalizations_roundtrip() {
         let rows = vec![(1, "postal address".to_string(), "Contact info".to_string())];
-        assert_eq!(parse_normalizations(&encode_normalizations(&rows)), rows);
+        assert_eq!(
+            parse_normalizations(&encode_normalizations(&rows)),
+            Some(rows)
+        );
     }
 
     #[test]
@@ -288,7 +337,7 @@ mod tests {
             "fraud prevention".to_string(),
             "Security".to_string(),
         )];
-        assert_eq!(parse_purposes(&encode_purposes(&rows)), rows);
+        assert_eq!(parse_purposes(&encode_purposes(&rows)), Some(rows));
     }
 
     #[test]
@@ -307,28 +356,53 @@ mod tests {
                 None,
             ),
         ];
-        assert_eq!(parse_handling(&encode_handling(&rows)), rows);
+        let encoded = encode_handling(&rows);
+        assert_eq!(
+            encoded,
+            r#"[[3,"retain for two (2) years","Stated","2 years"],[5,"as long as necessary","Limited",null]]"#
+        );
+        assert_eq!(parse_handling(&encoded), Some(rows));
     }
 
     #[test]
     fn rights_roundtrip() {
         let rows = vec![(5, "update or correct".to_string(), "Edit".to_string())];
-        assert_eq!(parse_rights(&encode_rights(&rows)), rows);
+        assert_eq!(parse_rights(&encode_rights(&rows)), Some(rows));
     }
 
     #[test]
     fn malformed_output_tolerated() {
-        assert!(parse_labels("not json at all").is_empty());
-        assert!(parse_extractions("{\"a\": 1}").is_empty());
+        // Not a top-level array: not well-formed, so the loop re-prompts.
+        assert_eq!(parse_labels("not json at all"), None);
+        assert_eq!(parse_extractions("{\"a\": 1}"), None);
+        assert_eq!(
+            parse_extractions("I cannot assist with analyzing this."),
+            None
+        );
+        assert_eq!(parse_extractions("[[1, \"trunc"), None);
+        // A valid empty result is well-formed.
+        assert_eq!(parse_extractions(" [] \n"), Some(Vec::new()));
         // Bad rows dropped, good rows kept.
         let mixed = "[[1, \"ok\"], [\"bad\"], 42, [2, \"also ok\"]]";
-        let parsed = parse_extractions(mixed);
+        let parsed = parse_extractions(mixed).unwrap_or_default();
         assert_eq!(parsed.len(), 2);
     }
 
     #[test]
     fn unknown_aspect_keys_dropped() {
         let parsed = parse_labels("[[1, [\"types\", \"bogus\"]]]");
-        assert_eq!(parsed, vec![(1, vec![Aspect::Types])]);
+        assert_eq!(parsed, Some(vec![(1, vec![Aspect::Types])]));
+    }
+
+    #[test]
+    fn optional_period_is_null_absent_or_not_a_string() {
+        let parsed =
+            parse_handling(r#"[[1,"a","Limited",null],[2,"b","Limited"],[3,"c","Stated",7]]"#);
+        let periods: Vec<Option<String>> = parsed
+            .unwrap_or_default()
+            .into_iter()
+            .map(|r| r.3)
+            .collect();
+        assert_eq!(periods, [None, None, None]);
     }
 }

@@ -6,14 +6,26 @@
 //! so runs are deterministic but errors are uncorrelated across policies
 //! (the same boilerplate sentence can be mislabeled for one company and
 //! labeled correctly for another, as with a real sampled model).
+//!
+//! Every task reads its input once: the engine hashes the document into
+//! its [`doc_key`] and hands it in, [`parse_numbered`] yields the lines as
+//! slices of the input. Whole-text segmentation classifies every line of
+//! a policy in one pass: its keyword cues ("retain", "opt out", "third
+//! part", …) compile into one [`CueSet`], a dense byte automaton that
+//! answers which cues occur in the lower-cased line, and the vocabulary
+//! automaton is asked only whether each vocabulary occurs
+//! (`matcher::vocab_presence`). The `contains` classifier this replaces is
+//! kept under `#[cfg(test)]` as the oracle of a differential property
+//! test.
 
-use crate::matcher::{scan_line_dual, MatchTarget};
+use crate::matcher::{scan_line_dual, vocab_presence, MatchTarget};
 use crate::profile::{decide, pick, ModelProfile};
 use crate::protocol::{ExtractRow, HandlingRow, LabelRow, NormalizeRow, PurposeRow, RightsRow};
 use aipan_taxonomy::zeroshot::{ZeroShotDataType, ZERO_SHOT_DATA_TYPES};
 use aipan_taxonomy::{
     AccessLabel, Aspect, ChoiceLabel, DataTypeCategory, Normalizer, ProtectionLabel, RetentionLabel,
 };
+use aipan_textindex::CueSet;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -22,31 +34,37 @@ fn normalizer() -> &'static Normalizer {
     N.get_or_init(Normalizer::new)
 }
 
-/// Parse a numbered-line document (`[n] text`).
-pub fn parse_numbered(input: &str) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for line in input.lines() {
-        let line = line.trim_end();
-        let Some(rest) = line.strip_prefix('[') else {
-            continue;
-        };
-        let Some((num, text)) = rest.split_once(']') else {
-            continue;
-        };
-        let Ok(n) = num.trim().parse::<usize>() else {
-            continue;
-        };
-        out.push((n, text.trim_start().to_string()));
-    }
-    out
+/// Parse a numbered-line document (`[n] text`) into `(n, text)` pairs
+/// borrowed from `input`; lines without a `[number]` prefix are skipped.
+pub fn parse_numbered(input: &str) -> impl Iterator<Item = (usize, &str)> + '_ {
+    input.lines().filter_map(|line| {
+        let rest = line.trim_end().strip_prefix('[')?;
+        let (num, text) = rest.split_once(']')?;
+        let n = num.trim().parse::<usize>().ok()?;
+        Some((n, text.trim_start()))
+    })
 }
 
-/// Short stable key for a document (decision keying).
+/// Short stable key for a document (decision keying). The engine computes
+/// it once per completion and passes it to the task as `doc`.
 pub fn doc_key(input: &str) -> String {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
     input.hash(&mut h);
     format!("{:016x}", h.finish())
+}
+
+/// The cues of `set` occurring in `text` lower-cased. A [`CueSet`] folds
+/// ASCII case itself, so an ASCII line is scanned as it is; any other line
+/// is lower-cased with Unicode rules first, since a few non-ASCII
+/// characters lower-case to ASCII ones (`K` U+212A to `k`, `İ` U+0130 to
+/// `i` plus a combining dot).
+fn scan_lowered(set: &CueSet, text: &str) -> u128 {
+    if text.is_ascii() {
+        set.scan(text.as_bytes())
+    } else {
+        set.scan(text.to_lowercase().as_bytes())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -113,16 +131,20 @@ pub fn classify_heading(text: &str) -> Vec<Aspect> {
     aspects
 }
 
-/// Label a table of contents (input lines are headings).
-pub fn run_label_headings(profile: &ModelProfile, seed: u64, input: &str) -> Vec<LabelRow> {
-    let doc = doc_key(input);
+/// Label a table of contents (input lines are headings). `doc` is the
+/// input's [`doc_key`].
+pub fn run_label_headings(
+    profile: &ModelProfile,
+    seed: u64,
+    doc: &str,
+    input: &str,
+) -> Vec<LabelRow> {
     parse_numbered(input)
-        .into_iter()
         .map(|(n, text)| {
-            let mut aspects = classify_heading(&text);
+            let mut aspects = classify_heading(text);
             if decide(
                 seed,
-                &[&profile.id, "seg-noise", &doc, &n.to_string()],
+                &[&profile.id, "seg-noise", doc, &n.to_string()],
                 profile.segmentation_noise,
             ) {
                 aspects = vec![Aspect::Other];
@@ -132,67 +154,130 @@ pub fn run_label_headings(profile: &ModelProfile, seed: u64, input: &str) -> Vec
         .collect()
 }
 
-/// Classify one body line into aspects (the whole-text segmentation rules).
-pub fn classify_line(text: &str) -> Vec<Aspect> {
-    let t = text.to_lowercase();
-    let has = |needle: &str| t.contains(needle);
-    let mut aspects = Vec::new();
+/// The whole-text segmentation rules, in label order: a line gets an
+/// aspect when any of the aspect's cues occurs in the lower-cased line.
+/// `types` and `purposes` also fire when a vocabulary surface form of
+/// theirs occurs.
+const LINE_RULES: [(Aspect, &[&str]); 8] = [
+    (
+        Aspect::Handling,
+        &[
+            "retain",
+            "retention",
+            "indefinitely",
+            "safeguard",
+            "encrypt",
+            "need to know",
+            "privacy program",
+            "two-factor",
+            "audited",
+        ],
+    ),
+    (
+        Aspect::Rights,
+        &[
+            "opt out",
+            "opt-out",
+            "consent",
+            "update or correct",
+            "delete your account",
+            "access to review",
+            "copy of your",
+            "deactivate",
+            "privacy settings",
+            "deletion of certain",
+            "discontinue use",
+        ],
+    ),
+    (
+        Aspect::Sharing,
+        &["share", "disclos", "unaffiliated", "third part"],
+    ),
+    (
+        Aspect::Changes,
+        &[
+            "update this policy",
+            "changes to this",
+            "revise the date",
+            "material update",
+        ],
+    ),
+    (
+        Aspect::Audiences,
+        &["california", "minors", "children", "european"],
+    ),
+    (
+        Aspect::Methods,
+        &[
+            "how we collect",
+            "obtain information directly",
+            "automated technolog",
+        ],
+    ),
+    (
+        Aspect::Types,
+        &[
+            "we collect",
+            "we may collect",
+            "categories of personal information",
+            "information we collect includes",
+        ],
+    ),
+    (
+        Aspect::Purposes,
+        &["we use the information", "following purposes"],
+    ),
+];
 
-    if has("retain")
-        || has("retention")
-        || has("indefinitely")
-        || has("safeguard")
-        || has("encrypt")
-        || has("need to know")
-        || has("privacy program")
-        || has("two-factor")
-        || has("audited")
-    {
-        aspects.push(Aspect::Handling);
-    }
-    if has("opt out")
-        || has("opt-out")
-        || has("consent")
-        || has("update or correct")
-        || has("delete your account")
-        || has("access to review")
-        || has("copy of your")
-        || has("deactivate")
-        || has("privacy settings")
-        || has("deletion of certain")
-        || has("discontinue use")
-    {
-        aspects.push(Aspect::Rights);
-    }
-    if has("share") || has("disclos") || has("unaffiliated") || has("third part") {
-        aspects.push(Aspect::Sharing);
-    }
-    if has("update this policy")
-        || has("changes to this")
-        || has("revise the date")
-        || has("material update")
-    {
-        aspects.push(Aspect::Changes);
-    }
-    if has("california") || has("minors") || has("children") || has("european") {
-        aspects.push(Aspect::Audiences);
-    }
-    if has("how we collect") || has("obtain information directly") || has("automated technolog") {
-        aspects.push(Aspect::Methods);
-    }
-    // One combined automaton pass covers both vocabularies (the legacy
-    // code scanned the line once per matcher).
-    let vocab = scan_line_dual(text);
-    if !vocab.datatypes.is_empty()
-        || has("we collect")
-        || has("we may collect")
-        || has("categories of personal information")
-        || has("information we collect includes")
-    {
-        aspects.push(Aspect::Types);
-    }
-    if !vocab.purposes.is_empty() || has("we use the information") || has("following purposes") {
-        aspects.push(Aspect::Purposes);
+/// [`LINE_RULES`] compiled: one cue automaton over every rule's cues, and
+/// each aspect's mask of its cues' bits.
+struct LineCues {
+    set: CueSet,
+    rules: Vec<(Aspect, u128)>,
+}
+
+fn line_cues() -> &'static LineCues {
+    static CUES: OnceLock<LineCues> = OnceLock::new();
+    CUES.get_or_init(|| {
+        let mut cues = Vec::new();
+        let rules = LINE_RULES
+            .iter()
+            .map(|&(aspect, rule)| {
+                let first = cues.len();
+                cues.extend_from_slice(rule);
+                let mask = (first..cues.len()).fold(0u128, |mask, bit| {
+                    mask | 1u128
+                        .checked_shl(u32::try_from(bit).unwrap_or(u32::MAX))
+                        .unwrap_or(0)
+                });
+                (aspect, mask)
+            })
+            .collect();
+        LineCues {
+            set: CueSet::new(&cues),
+            rules,
+        }
+    })
+}
+
+/// Classify one body line into aspects (the whole-text segmentation rules,
+/// `LINE_RULES`): one cue pass over the line, then the vocabulary
+/// occurrence check only if `types` or `purposes` is still open.
+pub fn classify_line(text: &str) -> Vec<Aspect> {
+    let cues = line_cues();
+    let found = scan_lowered(&cues.set, text);
+    let mut vocab = None;
+    let mut aspects = Vec::new();
+    for &(aspect, mask) in &cues.rules {
+        let fires = found & mask != 0
+            || match aspect {
+                Aspect::Types => vocab.get_or_insert_with(|| vocab_presence(text)).datatypes,
+                Aspect::Purposes => vocab.get_or_insert_with(|| vocab_presence(text)).purposes,
+                _ => false,
+            };
+        if fires {
+            aspects.push(aspect);
+        }
     }
     if aspects.is_empty() {
         aspects.push(Aspect::Other);
@@ -200,7 +285,8 @@ pub fn classify_line(text: &str) -> Vec<Aspect> {
     aspects
 }
 
-/// Segment whole text into labeled lines (Appendix B step 2).
+/// Segment whole text into labeled lines (Appendix B step 2). `doc` is the
+/// input's [`doc_key`].
 ///
 /// Whole-text labeling is noisy: with probability `line_label_noise` *per
 /// aspect per document*, the model consistently fails to recognize that
@@ -209,23 +295,26 @@ pub fn classify_line(text: &str) -> Vec<Aspect> {
 /// fallback on real models. The wipe is per-aspect-consistent rather than
 /// per-line so that sections are either intact or empty — mirroring how a
 /// model that misreads a topic misreads all of it.
-pub fn run_segment_text(profile: &ModelProfile, seed: u64, input: &str) -> Vec<LabelRow> {
-    let doc = doc_key(input);
+pub fn run_segment_text(
+    profile: &ModelProfile,
+    seed: u64,
+    doc: &str,
+    input: &str,
+) -> Vec<LabelRow> {
     let wiped: Vec<Aspect> = Aspect::ALL
         .iter()
         .copied()
         .filter(|a| {
             decide(
                 seed,
-                &[&profile.id, "seg2-wipe", &doc, a.key()],
+                &[&profile.id, "seg2-wipe", doc, a.key()],
                 profile.line_label_noise,
             )
         })
         .collect();
     parse_numbered(input)
-        .into_iter()
         .map(|(n, text)| {
-            let mut aspects = classify_line(&text);
+            let mut aspects = classify_line(text);
             aspects.retain(|a| !wiped.contains(a));
             if aspects.is_empty() {
                 aspects.push(Aspect::Other);
@@ -239,16 +328,21 @@ pub fn run_segment_text(profile: &ModelProfile, seed: u64, input: &str) -> Vec<L
 // Data-type extraction and normalization
 // ---------------------------------------------------------------------------
 
-/// Extract verbatim data-type mentions (Figure 2b task).
-pub fn run_extract_datatypes(profile: &ModelProfile, seed: u64, input: &str) -> Vec<ExtractRow> {
-    let doc = doc_key(input);
+/// Extract verbatim data-type mentions (Figure 2b task). `doc` is the
+/// input's [`doc_key`].
+pub fn run_extract_datatypes(
+    profile: &ModelProfile,
+    seed: u64,
+    doc: &str,
+    input: &str,
+) -> Vec<ExtractRow> {
     let mut rows = Vec::new();
     for (n, text) in parse_numbered(input) {
         // Suppress data-type hits strictly inside a longer purpose phrase
         // (e.g. "email" inside "email newsletters"): a competent reader
         // attributes the span to the larger unit. One dual scan yields
         // both sides.
-        let scan = scan_line_dual(&text);
+        let scan = scan_line_dual(text);
         let purpose_spans: Vec<(usize, usize)> =
             scan.purposes.into_iter().map(|h| h.span).collect();
         let hits = scan
@@ -262,14 +356,14 @@ pub fn run_extract_datatypes(profile: &ModelProfile, seed: u64, input: &str) -> 
                 // extract them anyway (the Llama-3.1 failure of §6).
                 if !decide(
                     seed,
-                    &[&profile.id, "neg", &doc, &item],
+                    &[&profile.id, "neg", doc, &item],
                     profile.negation_error,
                 ) {
                     continue;
                 }
             } else if !decide(
                 seed,
-                &[&profile.id, "recall", &doc, &item],
+                &[&profile.id, "recall", doc, &item],
                 profile.extraction_recall,
             ) {
                 continue;
@@ -279,10 +373,10 @@ pub fn run_extract_datatypes(profile: &ModelProfile, seed: u64, input: &str) -> 
         // Context confusion: a span that is not a data type.
         if decide(
             seed,
-            &[&profile.id, "spurious", &doc, &n.to_string()],
+            &[&profile.id, "spurious", doc, &n.to_string()],
             profile.spurious_rate,
         ) {
-            if let Some(span) = spurious_span(seed, profile, &doc, n, &text) {
+            if let Some(span) = spurious_span(seed, profile, doc, n, text) {
                 rows.push((n, span));
             }
         }
@@ -291,7 +385,7 @@ pub fn run_extract_datatypes(profile: &ModelProfile, seed: u64, input: &str) -> 
     // the pipeline's verbatim verification).
     if decide(
         seed,
-        &[&profile.id, "hallucinate", &doc],
+        &[&profile.id, "hallucinate", doc],
         profile.hallucination_rate,
     ) {
         rows.push((1, "telepathic preference signals".to_string()));
@@ -322,19 +416,20 @@ fn spurious_span(
     words.get(idx).map(|w| w.to_string())
 }
 
-/// Normalize extracted mentions into descriptors + categories.
+/// Normalize extracted mentions into descriptors + categories. `doc` is
+/// the input's [`doc_key`].
 pub fn run_normalize_datatypes(
     profile: &ModelProfile,
     seed: u64,
+    doc: &str,
     input: &str,
 ) -> Vec<NormalizeRow> {
-    let doc = doc_key(input);
     let norm = normalizer();
     let mut rows = Vec::new();
     for (n, text) in parse_numbered(input) {
-        let (descriptor, category) = if let Some(hit) = norm.datatype(&text) {
+        let (descriptor, category) = if let Some(hit) = norm.datatype(text) {
             (hit.descriptor.to_string(), hit.category)
-        } else if let Some(z) = lookup_zero_shot(&text) {
+        } else if let Some(z) = lookup_zero_shot(text) {
             // The model's world knowledge exceeds the glossary: it can
             // still categorize and emits the term as an open descriptor.
             (z.term.to_string(), z.category)
@@ -343,7 +438,7 @@ pub fn run_normalize_datatypes(
             // plausible (prior-weighted) category.
             let guess = weighted_pick(
                 seed,
-                &[&profile.id, "guess-cat", &doc, &text],
+                &[&profile.id, "guess-cat", doc, text],
                 &DataTypeCategory::ALL,
                 category_prior,
             );
@@ -351,10 +446,10 @@ pub fn run_normalize_datatypes(
         };
         let category = if decide(
             seed,
-            &[&profile.id, "confuse", &doc, &n.to_string(), &text],
+            &[&profile.id, "confuse", doc, &n.to_string(), text],
             profile.type_confusion,
         ) {
-            confuse_category(seed, profile, &doc, &text, category)
+            confuse_category(seed, profile, doc, text, category)
         } else {
             category
         };
@@ -487,14 +582,19 @@ fn confuse_category(
 // Purposes
 // ---------------------------------------------------------------------------
 
-/// Extract and normalize data-collection purposes.
-pub fn run_annotate_purposes(profile: &ModelProfile, seed: u64, input: &str) -> Vec<PurposeRow> {
-    let doc = doc_key(input);
+/// Extract and normalize data-collection purposes. `doc` is the input's
+/// [`doc_key`].
+pub fn run_annotate_purposes(
+    profile: &ModelProfile,
+    seed: u64,
+    doc: &str,
+    input: &str,
+) -> Vec<PurposeRow> {
     let mut rows = Vec::new();
     for (n, text) in parse_numbered(input) {
         // Suppress purpose hits strictly inside a longer data-type phrase
         // (e.g. "access control" inside "media access control address").
-        let scan = scan_line_dual(&text);
+        let scan = scan_line_dual(text);
         let dt_spans: Vec<(usize, usize)> = scan.datatypes.into_iter().map(|h| h.span).collect();
         let hits = scan
             .purposes
@@ -505,14 +605,14 @@ pub fn run_annotate_purposes(profile: &ModelProfile, seed: u64, input: &str) -> 
             if hit.negated {
                 if !decide(
                     seed,
-                    &[&profile.id, "pneg", &doc, &item],
+                    &[&profile.id, "pneg", doc, &item],
                     profile.negation_error,
                 ) {
                     continue;
                 }
             } else if !decide(
                 seed,
-                &[&profile.id, "precall", &doc, &item],
+                &[&profile.id, "precall", doc, &item],
                 profile.extraction_recall,
             ) {
                 continue;
@@ -527,7 +627,7 @@ pub fn run_annotate_purposes(profile: &ModelProfile, seed: u64, input: &str) -> 
             };
             let category = if decide(
                 seed,
-                &[&profile.id, "pconfuse", &doc, &item],
+                &[&profile.id, "pconfuse", doc, &item],
                 profile.purpose_confusion,
             ) {
                 let others: Vec<aipan_taxonomy::PurposeCategory> =
@@ -538,7 +638,7 @@ pub fn run_annotate_purposes(profile: &ModelProfile, seed: u64, input: &str) -> 
                         .collect();
                 weighted_pick(
                     seed,
-                    &[&profile.id, "pconfuse-pick", &doc, &item],
+                    &[&profile.id, "pconfuse-pick", doc, &item],
                     &others,
                     purpose_prior,
                 )
@@ -629,23 +729,28 @@ pub fn classify_protection(text: &str) -> Vec<ProtectionLabel> {
     out
 }
 
-/// Annotate data retention/protection practices.
-pub fn run_annotate_handling(profile: &ModelProfile, seed: u64, input: &str) -> Vec<HandlingRow> {
-    let doc = doc_key(input);
+/// Annotate data retention/protection practices. `doc` is the input's
+/// [`doc_key`].
+pub fn run_annotate_handling(
+    profile: &ModelProfile,
+    seed: u64,
+    doc: &str,
+    input: &str,
+) -> Vec<HandlingRow> {
     let mut rows = Vec::new();
     for (n, text) in parse_numbered(input) {
-        if let Some((label, period)) = classify_retention(&text) {
-            let label = maybe_confuse_retention(profile, seed, &doc, n, label);
+        if let Some((label, period)) = classify_retention(text) {
+            let label = maybe_confuse_retention(profile, seed, doc, n, label);
             let period = if label == RetentionLabel::Stated {
                 period
             } else {
                 None
             };
-            rows.push((n, text.clone(), label.name().to_string(), period));
+            rows.push((n, text.to_string(), label.name().to_string(), period));
         }
-        for (idx, label) in classify_protection(&text).into_iter().enumerate() {
-            let label = maybe_confuse_protection(profile, seed, &doc, n, idx, label);
-            rows.push((n, text.clone(), label.name().to_string(), None));
+        for (idx, label) in classify_protection(text).into_iter().enumerate() {
+            let label = maybe_confuse_protection(profile, seed, doc, n, idx, label);
+            rows.push((n, text.to_string(), label.name().to_string(), None));
         }
     }
     rows
@@ -759,21 +864,26 @@ pub fn classify_access(text: &str) -> Vec<AccessLabel> {
     out
 }
 
-/// Annotate user choices/access practices.
-pub fn run_annotate_rights(profile: &ModelProfile, seed: u64, input: &str) -> Vec<RightsRow> {
-    let doc = doc_key(input);
+/// Annotate user choices/access practices. `doc` is the input's
+/// [`doc_key`].
+pub fn run_annotate_rights(
+    profile: &ModelProfile,
+    seed: u64,
+    doc: &str,
+    input: &str,
+) -> Vec<RightsRow> {
     let mut rows = Vec::new();
     for (n, text) in parse_numbered(input) {
         let mut produced = false;
-        for (idx, label) in classify_choices(&text).into_iter().enumerate() {
+        for (idx, label) in classify_choices(text).into_iter().enumerate() {
             produced = true;
-            let label = maybe_confuse_choice(profile, seed, &doc, n, idx, label);
-            rows.push((n, text.clone(), label.name().to_string()));
+            let label = maybe_confuse_choice(profile, seed, doc, n, idx, label);
+            rows.push((n, text.to_string(), label.name().to_string()));
         }
-        for (idx, label) in classify_access(&text).into_iter().enumerate() {
+        for (idx, label) in classify_access(text).into_iter().enumerate() {
             produced = true;
-            let label = maybe_confuse_access(profile, seed, &doc, n, idx, label);
-            rows.push((n, text.clone(), label.name().to_string()));
+            let label = maybe_confuse_access(profile, seed, doc, n, idx, label);
+            rows.push((n, text.to_string(), label.name().to_string()));
         }
         // Spurious "Do not use": boilerplate containing negations is the
         // category the paper found hardest to annotate accurately.
@@ -782,11 +892,15 @@ pub fn run_annotate_rights(profile: &ModelProfile, seed: u64, input: &str) -> Ve
             && (lower.contains("not ") || lower.contains("only "))
             && decide(
                 seed,
-                &[&profile.id, "spur-dnu", &doc, &n.to_string()],
+                &[&profile.id, "spur-dnu", doc, &n.to_string()],
                 profile.spurious_do_not_use,
             )
         {
-            rows.push((n, text.clone(), ChoiceLabel::DoNotUse.name().to_string()));
+            rows.push((
+                n,
+                text.to_string(),
+                ChoiceLabel::DoNotUse.name().to_string(),
+            ));
         }
     }
     rows
@@ -846,24 +960,227 @@ fn maybe_confuse_access(
     }
 }
 
+/// The `to_lowercase().contains` classifier the cue automaton replaces,
+/// kept verbatim as the differential oracle:
+/// `tests::cue_classifier_equals_contains_oracle*` require the cue-bitset
+/// classifier to reproduce it exactly on arbitrary lines.
+#[cfg(test)]
+mod legacy {
+    use super::*;
+
+    pub fn classify_line(text: &str) -> Vec<Aspect> {
+        let t = text.to_lowercase();
+        let has = |needle: &str| t.contains(needle);
+        let mut aspects = Vec::new();
+
+        if has("retain")
+            || has("retention")
+            || has("indefinitely")
+            || has("safeguard")
+            || has("encrypt")
+            || has("need to know")
+            || has("privacy program")
+            || has("two-factor")
+            || has("audited")
+        {
+            aspects.push(Aspect::Handling);
+        }
+        if has("opt out")
+            || has("opt-out")
+            || has("consent")
+            || has("update or correct")
+            || has("delete your account")
+            || has("access to review")
+            || has("copy of your")
+            || has("deactivate")
+            || has("privacy settings")
+            || has("deletion of certain")
+            || has("discontinue use")
+        {
+            aspects.push(Aspect::Rights);
+        }
+        if has("share") || has("disclos") || has("unaffiliated") || has("third part") {
+            aspects.push(Aspect::Sharing);
+        }
+        if has("update this policy")
+            || has("changes to this")
+            || has("revise the date")
+            || has("material update")
+        {
+            aspects.push(Aspect::Changes);
+        }
+        if has("california") || has("minors") || has("children") || has("european") {
+            aspects.push(Aspect::Audiences);
+        }
+        if has("how we collect") || has("obtain information directly") || has("automated technolog")
+        {
+            aspects.push(Aspect::Methods);
+        }
+        let vocab = scan_line_dual(text);
+        if !vocab.datatypes.is_empty()
+            || has("we collect")
+            || has("we may collect")
+            || has("categories of personal information")
+            || has("information we collect includes")
+        {
+            aspects.push(Aspect::Types);
+        }
+        if !vocab.purposes.is_empty() || has("we use the information") || has("following purposes")
+        {
+            aspects.push(Aspect::Purposes);
+        }
+        if aspects.is_empty() {
+            aspects.push(Aspect::Other);
+        }
+        aspects
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::number_lines;
+    use proptest::prelude::*;
 
     fn oracle() -> ModelProfile {
         ModelProfile::oracle()
+    }
+
+    /// Every cue of [`LINE_RULES`], some in upper case, next to
+    /// vocabulary, `İ` (U+0130, lower-cases to `i` plus a combining dot),
+    /// `K` (U+212A, lower-cases to `k`) and other non-ASCII letters.
+    const CUE_WORDS: &[&str] = &[
+        "retain",
+        "Retention",
+        "INDEFINITELY",
+        "safeguard",
+        "encrypt",
+        "need to know",
+        "need to \u{212a}now",
+        "privacy program",
+        "two-factor",
+        "audited",
+        "opt out",
+        "Opt-Out",
+        "consent",
+        "update or correct",
+        "delete your account",
+        "access to review",
+        "copy of your",
+        "deactivate",
+        "privacy settings",
+        "deletion of certain",
+        "discontinue use",
+        "share",
+        "disclos",
+        "unaffiliated",
+        "third part",
+        "update this policy",
+        "changes to this",
+        "revise the date",
+        "material update",
+        "california",
+        "minors",
+        "children",
+        "european",
+        "how we collect",
+        "obtain information directly",
+        "automated technolog",
+        "we collect",
+        "we may collect",
+        "categories of personal information",
+        "information we collect includes",
+        "we use the information",
+        "following purposes",
+        "email address",
+        "analytics",
+        "fraud prevention",
+        "\u{130}",
+        "\u{130}2",
+        "\u{212a}",
+        "\u{1e9e}",
+        "é",
+        "中",
+    ];
+
+    /// A word pool for stitched lines: [`CUE_WORDS`] (none has a regex
+    /// metacharacter) plus separators and noise.
+    fn cue_pool() -> String {
+        format!("({}| |, |\\.|[a-z]{{1,6}}|.{{0,6}})", CUE_WORDS.join("|"))
+    }
+
+    /// The cue-bitset classifier against its `contains` oracle on `line`.
+    fn same_as_oracle(line: &str) -> Result<(), String> {
+        prop_assert_eq!(
+            classify_line(line),
+            legacy::classify_line(line),
+            "line {:?}",
+            line
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn cue_classifier_equals_contains_oracle(
+            words in proptest::collection::vec(cue_pool(), 0..12)
+        ) {
+            // Every suffix, spaced and run together: a dozen lines a case.
+            for start in 0..=words.len() {
+                let tail = words.get(start..).unwrap_or_default();
+                same_as_oracle(&tail.concat())?;
+                same_as_oracle(&tail.join(" "))?;
+            }
+        }
+
+        #[test]
+        fn cue_classifier_equals_contains_oracle_arbitrary(line in ".{0,160}") {
+            same_as_oracle(&line)?;
+        }
+    }
+
+    #[test]
+    fn cue_classifier_equals_contains_oracle_on_every_pair() {
+        for a in CUE_WORDS {
+            for b in CUE_WORDS {
+                for line in [format!("{a} {b}"), format!("{a}{b}")] {
+                    if let Err(e) = same_as_oracle(&line) {
+                        panic!("{e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cues_that_only_unicode_lowercasing_reveals() {
+        // `K` (Kelvin sign) lower-cases to `k`: "\u{212a}NOW" reads "know".
+        let line = "Access is limited to staff with a NEED TO \u{212a}NOW.";
+        assert_eq!(classify_line(line), [Aspect::Handling]);
+        for line in [
+            line,
+            "We retain your data for \u{130}2 years.",
+            "We retain your data for \u{130}2 years.\u{212a}",
+            "WE SHARE \u{130}T WITH THIRD PARTIES",
+        ] {
+            if let Err(e) = same_as_oracle(line) {
+                panic!("{e}");
+            }
+        }
     }
 
     #[test]
     fn parse_numbered_roundtrip() {
         let doc = number_lines(["alpha", "beta"]);
         assert_eq!(
-            parse_numbered(&doc),
-            vec![(1, "alpha".to_string()), (2, "beta".to_string())]
+            parse_numbered(&doc).collect::<Vec<_>>(),
+            [(1, "alpha"), (2, "beta")]
         );
-        assert!(parse_numbered("no brackets here").is_empty());
-        assert_eq!(parse_numbered("[7] seven\njunk\n[9] nine").len(), 2);
+        assert_eq!(parse_numbered("no brackets here").count(), 0);
+        assert_eq!(
+            parse_numbered("[7] seven\njunk\n[ 9 ]   nine  \r\n").collect::<Vec<_>>(),
+            [(7, "seven"), (9, "nine")]
+        );
     }
 
     #[test]
@@ -913,7 +1230,7 @@ mod tests {
             "We may collect your email address and browsing history.",
             "We do not collect biometric data.",
         ]);
-        let rows = run_extract_datatypes(&oracle(), 1, &doc);
+        let rows = run_extract_datatypes(&oracle(), 1, &doc_key(&doc), &doc);
         let texts: Vec<&str> = rows.iter().map(|(_, t)| t.as_str()).collect();
         assert_eq!(texts, vec!["email address", "browsing history"]);
     }
@@ -924,7 +1241,7 @@ mod tests {
         let llama = ModelProfile::llama31();
         for i in 0..200 {
             let doc = format!("[1] policy {i}\n[2] We do not collect biometric data.\n");
-            let rows = run_extract_datatypes(&llama, 5, &doc);
+            let rows = run_extract_datatypes(&llama, 5, &doc_key(&doc), &doc);
             if rows.iter().any(|(_, t)| t == "biometric data") {
                 negated_hits += 1;
             }
@@ -936,7 +1253,7 @@ mod tests {
     #[test]
     fn normalization_maps_synonyms_and_zero_shot() {
         let input = number_lines(["mailing address", "podcast listening habits", "blorfable"]);
-        let rows = run_normalize_datatypes(&oracle(), 2, &input);
+        let rows = run_normalize_datatypes(&oracle(), 2, &doc_key(&input), &input);
         assert_eq!(rows[0].1, "postal address");
         assert_eq!(rows[0].2, "Contact info");
         assert_eq!(rows[1].1, "podcast listening habits");
@@ -949,7 +1266,7 @@ mod tests {
     #[test]
     fn purposes_annotated_with_categories() {
         let doc = number_lines(["We use your information to prevent fraud and for analytics."]);
-        let rows = run_annotate_purposes(&oracle(), 3, &doc);
+        let rows = run_annotate_purposes(&oracle(), 3, &doc_key(&doc), &doc);
         assert_eq!(rows.len(), 2);
         assert!(rows
             .iter()
@@ -1089,7 +1406,7 @@ mod tests {
             "We will not discriminate against you for exercising any right.",
             "Our services are not directed to minors.",
         ]);
-        let rows = run_annotate_rights(&oracle(), 7, &doc);
+        let rows = run_annotate_rights(&oracle(), 7, &doc_key(&doc), &doc);
         assert!(
             rows.is_empty(),
             "oracle must not produce spurious rows: {rows:?}"
@@ -1104,7 +1421,7 @@ mod tests {
             let doc = format!(
                 "[1] policy variant {i}\n[2] We will not discriminate against you for exercising any right.\n"
             );
-            let rows = run_annotate_rights(&gpt4, 11, &doc);
+            let rows = run_annotate_rights(&gpt4, 11, &doc_key(&doc), &doc);
             if rows.iter().any(|r| r.2 == "Do not use") {
                 spurious += 1;
             }
@@ -1150,13 +1467,14 @@ mod tests {
     fn deterministic_outputs() {
         let doc = number_lines(["We collect your name and ip address for analytics."]);
         let gpt4 = ModelProfile::gpt4_turbo();
+        let key = doc_key(&doc);
         assert_eq!(
-            run_extract_datatypes(&gpt4, 13, &doc),
-            run_extract_datatypes(&gpt4, 13, &doc)
+            run_extract_datatypes(&gpt4, 13, &key, &doc),
+            run_extract_datatypes(&gpt4, 13, &key, &doc)
         );
         assert_eq!(
-            run_annotate_purposes(&gpt4, 13, &doc),
-            run_annotate_purposes(&gpt4, 13, &doc)
+            run_annotate_purposes(&gpt4, 13, &key, &doc),
+            run_annotate_purposes(&gpt4, 13, &key, &doc)
         );
     }
 }

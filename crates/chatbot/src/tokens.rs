@@ -4,6 +4,11 @@
 //! for subsequent annotation tasks"; `tests/ablations.rs` checks that claim,
 //! so usage must be tracked per task. Tokens are estimated with the
 //! standard ~4-characters-per-token heuristic for English text.
+//!
+//! Every completion is counted once: the constant prompt's estimate is
+//! taken when the prompt is rendered ([`crate::TaskPrompt::tokens`]) and
+//! passed to [`UsageLedger::record`] as a number, and the input and output
+//! are each read once by [`estimate_tokens`].
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -13,10 +18,39 @@ use std::sync::Arc;
 
 /// Estimate the token count of `text` (≈ 4 characters per token, with a
 /// floor of the whitespace word count — legal text is word-dense).
+///
+/// Equal to `(text.chars().count() / 4).max(text.split_whitespace().count())`,
+/// counted in one pass over the bytes. An ASCII byte is one char, and
+/// whitespace when it is one of ` \t\n\x0B\x0C\r`, so ASCII text is never
+/// decoded. A UTF-8 continuation byte belongs to the char before it, and
+/// only a non-ASCII lead byte decodes its char to ask
+/// [`char::is_whitespace`].
 pub fn estimate_tokens(text: &str) -> u64 {
-    let chars = text.chars().count() as u64;
-    let words = text.split_whitespace().count() as u64;
+    let mut chars = 0u64;
+    let mut words = 0u64;
+    let mut in_word = false;
+    for (i, &b) in text.as_bytes().iter().enumerate() {
+        let word = if b.is_ascii() {
+            !is_ascii_space(b)
+        } else if b < 0xC0 {
+            continue;
+        } else {
+            !text
+                .get(i..)
+                .and_then(|rest| rest.chars().next())
+                .is_some_and(char::is_whitespace)
+        };
+        chars += 1;
+        words += u64::from(word & !in_word);
+        in_word = word;
+    }
     (chars / 4).max(words)
+}
+
+/// `char::is_whitespace` for an ASCII byte: space, `\t`, `\n`, `\x0B`,
+/// `\x0C` or `\r`.
+fn is_ascii_space(b: u8) -> bool {
+    b == b' ' || b.wrapping_sub(b'\t') < 5
 }
 
 /// Cumulative token usage.
@@ -99,10 +133,12 @@ impl UsageLedger {
         UsageLedger::default()
     }
 
-    /// Record one completion for `task`.
-    pub fn record(&self, task: &str, prompt: &str, input: &str, output: &str) {
+    /// Record one completion for `task` whose prompt estimates to
+    /// `prompt_tokens` (a [`crate::TaskPrompt`] carries its estimate, so the
+    /// constant prompt text is not re-counted per call).
+    pub fn record(&self, task: &str, prompt_tokens: u64, input: &str, output: &str) {
         let usage = TokenUsage {
-            prompt_tokens: estimate_tokens(prompt),
+            prompt_tokens,
             input_tokens: estimate_tokens(input),
             output_tokens: estimate_tokens(output),
             calls: 1,
@@ -153,6 +189,39 @@ impl UsageLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The two-pass definition the one-pass count replaces.
+    fn two_pass(text: &str) -> u64 {
+        let chars = text.chars().count() as u64;
+        let words = text.split_whitespace().count() as u64;
+        (chars / 4).max(words)
+    }
+
+    proptest! {
+        #[test]
+        fn estimate_equals_two_pass_definition(text in ".{0,200}") {
+            prop_assert_eq!(estimate_tokens(&text), two_pass(&text));
+        }
+
+        // All-ASCII text, every ASCII whitespace kind included.
+        #[test]
+        fn estimate_equals_two_pass_definition_on_ascii(
+            text in "( |\t|\n|\r|\x0B|\x0C|\x1C|[ -~]{1,6}){0,60}"
+        ) {
+            prop_assert!(text.is_ascii());
+            prop_assert_eq!(estimate_tokens(&text), two_pass(&text), "{:?}", text);
+        }
+
+        // Every ASCII and non-ASCII whitespace kind between words of every
+        // UTF-8 width.
+        #[test]
+        fn estimate_equals_two_pass_definition_on_whitespace_soup(
+            text in "( |\t|\n|\r|\x0B|\x0C|\x1C|\u{85}|\u{a0}|\u{1680}|\u{2028}|\u{2029}|\u{3000}|\u{feff}|a|Z|é|中|😀|[ -~]{1,6}){0,60}"
+        ) {
+            prop_assert_eq!(estimate_tokens(&text), two_pass(&text), "{:?}", text);
+        }
+    }
 
     #[test]
     fn estimates_scale_with_length() {
@@ -172,9 +241,9 @@ mod tests {
     #[test]
     fn ledger_accumulates_per_task() {
         let ledger = UsageLedger::new();
-        ledger.record("extract", "prompt text here", "input body", "output");
-        ledger.record("extract", "prompt text here", "more input", "out");
-        ledger.record("segment", "p", "i", "o");
+        ledger.record("extract", 4, "input body", "output");
+        ledger.record("extract", 4, "more input", "out");
+        ledger.record("segment", 1, "i", "o");
         assert_eq!(ledger.task_usage("extract").calls, 2);
         assert_eq!(ledger.task_usage("segment").calls, 1);
         assert_eq!(ledger.total().calls, 3);
@@ -186,7 +255,7 @@ mod tests {
     fn ledger_shared_across_clones() {
         let ledger = UsageLedger::new();
         let clone = ledger.clone();
-        clone.record("t", "p", "i", "o");
+        clone.record("t", 1, "i", "o");
         assert_eq!(ledger.task_usage("t").calls, 1);
     }
 
@@ -206,7 +275,7 @@ mod tests {
                         } else {
                             "segment"
                         };
-                        ledger.record(task, "prompt words here", "input body", "out");
+                        ledger.record(task, 3, "input body", "out");
                     }
                 });
             }

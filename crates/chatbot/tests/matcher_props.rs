@@ -2,10 +2,11 @@
 //! JSON tuple protocol that model output arrives in.
 
 use aipan_chatbot::matcher::VocabMatcher;
-use aipan_chatbot::tasks::{classify_heading, classify_line, parse_numbered};
+use aipan_chatbot::tasks::{classify_heading, classify_line, doc_key, parse_numbered};
 use aipan_chatbot::{protocol, ModelProfile};
 use aipan_taxonomy::Aspect;
 use proptest::prelude::*;
+use serde_json::Value;
 
 /// Row text built from what a JSON string must escape or carry as
 /// multibyte UTF-8: quotes, backslashes, newlines, tabs, control chars,
@@ -18,26 +19,48 @@ const HOSTILE_TEXT: &str =
 const JSON_SOUP: &str =
     "(\\[|\\]|\\{|\\}|,|:|\"|\\\\|\\\\u|D83D|DE00|null|true|-|0|17|e|\\.| |é|😀){0,60}";
 
-/// Every protocol parser and the well-formedness check, on one output.
-fn parse_all(output: &str) {
-    let _ = protocol::is_well_formed(output);
-    let _ = protocol::parse_labels(output);
-    let _ = protocol::parse_extractions(output);
-    let _ = protocol::parse_normalizations(output);
-    let _ = protocol::parse_purposes(output);
-    let _ = protocol::parse_handling(output);
-    let _ = protocol::parse_rights(output);
+/// Every protocol parser on one output: none panics, and each says the
+/// output is well-formed exactly when it is a top-level JSON array (the
+/// definition the re-prompt loop has always retried on).
+fn parse_all(output: &str) -> Result<(), String> {
+    let well_formed = matches!(
+        serde_json::from_str::<Value>(output.trim()),
+        Ok(Value::Array(_))
+    );
+    let parsed = [
+        protocol::parse_labels(output).is_some(),
+        protocol::parse_extractions(output).is_some(),
+        protocol::parse_normalizations(output).is_some(),
+        protocol::parse_purposes(output).is_some(),
+        protocol::parse_handling(output).is_some(),
+        protocol::parse_rights(output).is_some(),
+    ];
+    prop_assert_eq!(parsed, [well_formed; 6], "output {:?}", output);
+    Ok(())
 }
 
-/// No proper prefix of `encoded` is well-formed: a completion truncated
-/// anywhere must be caught by the re-prompt loop.
-fn no_prefix_well_formed(encoded: &str) -> Result<(), String> {
+/// No proper prefix of `encoded` is well-formed under `parse`: a
+/// completion truncated anywhere must be caught by the re-prompt loop.
+fn no_prefix_well_formed<T>(
+    encoded: &str,
+    parse: impl Fn(&str) -> Option<Vec<T>>,
+) -> Result<(), String> {
     for (cut, _) in encoded.char_indices() {
         let prefix = &encoded[..cut];
-        prop_assert!(!protocol::is_well_formed(prefix), "prefix {:?}", prefix);
+        prop_assert!(parse(prefix).is_none(), "prefix {:?}", prefix);
     }
-    prop_assert!(protocol::is_well_formed(encoded), "{:?}", encoded);
+    prop_assert!(parse(encoded).is_some(), "{:?}", encoded);
     Ok(())
+}
+
+/// The `serde_json::Value` rendering the streaming encoders replace: an
+/// array of rows, each an array of the given fields.
+fn value_rendering(rows: impl Iterator<Item = Vec<Value>>) -> String {
+    Value::Array(rows.map(Value::Array).collect()).to_string()
+}
+
+fn text(s: &str) -> Value {
+    Value::from(s)
 }
 
 proptest! {
@@ -89,26 +112,29 @@ proptest! {
     ) {
         let doc = protocol::number_lines(lines.iter().map(String::as_str));
         let profile = ModelProfile::gpt4_turbo();
-        let a = aipan_chatbot::tasks::run_extract_datatypes(&profile, seed, &doc);
-        let b = aipan_chatbot::tasks::run_extract_datatypes(&profile, seed, &doc);
+        let key = doc_key(&doc);
+        let a = aipan_chatbot::tasks::run_extract_datatypes(&profile, seed, &key, &doc);
+        let b = aipan_chatbot::tasks::run_extract_datatypes(&profile, seed, &key, &doc);
         prop_assert_eq!(a, b);
     }
 
     #[test]
     fn parse_numbered_tolerates_arbitrary_input(input in ".{0,300}") {
-        let _ = parse_numbered(&input);
+        for (_, text) in parse_numbered(&input) {
+            prop_assert!(input.contains(text));
+        }
     }
 
     #[test]
     fn protocol_parsers_never_panic_on_arbitrary_text(text in ".{0,200}") {
-        parse_all(&text);
+        parse_all(&text)?;
     }
 
     #[test]
     fn protocol_parsers_never_panic_on_json_soup(soup in JSON_SOUP) {
-        parse_all(&soup);
-        parse_all(&format!("[{soup}]"));
-        parse_all(&format!("[[1,\"{soup}\"]]"));
+        parse_all(&soup)?;
+        parse_all(&format!("[{soup}]"))?;
+        parse_all(&format!("[[1,\"{soup}\"]]"))?;
     }
 
     #[test]
@@ -121,8 +147,17 @@ proptest! {
             .map(|(n, aspects)| (n, aspects.into_iter().map(|i| Aspect::ALL[i]).collect()))
             .collect();
         let encoded = protocol::encode_labels(&rows);
-        prop_assert_eq!(protocol::parse_labels(&encoded), rows);
-        no_prefix_well_formed(&encoded)?;
+        prop_assert_eq!(
+            &encoded,
+            &value_rendering(rows.iter().map(|(n, aspects)| {
+                vec![
+                    Value::from(*n),
+                    Value::Array(aspects.iter().map(|a| text(a.key())).collect()),
+                ]
+            }))
+        );
+        prop_assert_eq!(protocol::parse_labels(&encoded), Some(rows));
+        no_prefix_well_formed(&encoded, protocol::parse_labels)?;
     }
 
     #[test]
@@ -131,8 +166,12 @@ proptest! {
         0..5,
     )) {
         let encoded = protocol::encode_extractions(&rows);
-        prop_assert_eq!(protocol::parse_extractions(&encoded), rows);
-        no_prefix_well_formed(&encoded)?;
+        prop_assert_eq!(
+            &encoded,
+            &value_rendering(rows.iter().map(|(n, t)| vec![Value::from(*n), text(t)]))
+        );
+        prop_assert_eq!(protocol::parse_extractions(&encoded), Some(rows));
+        no_prefix_well_formed(&encoded, protocol::parse_extractions)?;
     }
 
     #[test]
@@ -141,8 +180,12 @@ proptest! {
         0..5,
     )) {
         let encoded = protocol::encode_normalizations(&rows);
-        prop_assert_eq!(protocol::parse_normalizations(&encoded), rows);
-        no_prefix_well_formed(&encoded)?;
+        prop_assert_eq!(
+            &encoded,
+            &value_rendering(rows.iter().map(|(n, d, c)| vec![Value::from(*n), text(d), text(c)]))
+        );
+        prop_assert_eq!(protocol::parse_normalizations(&encoded), Some(rows));
+        no_prefix_well_formed(&encoded, protocol::parse_normalizations)?;
     }
 
     #[test]
@@ -151,8 +194,14 @@ proptest! {
         0..5,
     )) {
         let encoded = protocol::encode_purposes(&rows);
-        prop_assert_eq!(protocol::parse_purposes(&encoded), rows);
-        no_prefix_well_formed(&encoded)?;
+        prop_assert_eq!(
+            &encoded,
+            &value_rendering(rows.iter().map(|(n, t, d, c)| {
+                vec![Value::from(*n), text(t), text(d), text(c)]
+            }))
+        );
+        prop_assert_eq!(protocol::parse_purposes(&encoded), Some(rows));
+        no_prefix_well_formed(&encoded, protocol::parse_purposes)?;
     }
 
     #[test]
@@ -166,8 +215,19 @@ proptest! {
             .map(|(n, text, label, period)| (n, text, label, (n % 2 == 0).then_some(period)))
             .collect();
         let encoded = protocol::encode_handling(&rows);
-        prop_assert_eq!(protocol::parse_handling(&encoded), rows);
-        no_prefix_well_formed(&encoded)?;
+        prop_assert_eq!(
+            &encoded,
+            &value_rendering(rows.iter().map(|(n, t, l, p)| {
+                vec![
+                    Value::from(*n),
+                    text(t),
+                    text(l),
+                    p.as_deref().map(text).unwrap_or(Value::Null),
+                ]
+            }))
+        );
+        prop_assert_eq!(protocol::parse_handling(&encoded), Some(rows));
+        no_prefix_well_formed(&encoded, protocol::parse_handling)?;
     }
 
     #[test]
@@ -176,7 +236,11 @@ proptest! {
         0..5,
     )) {
         let encoded = protocol::encode_rights(&rows);
-        prop_assert_eq!(protocol::parse_rights(&encoded), rows);
-        no_prefix_well_formed(&encoded)?;
+        prop_assert_eq!(
+            &encoded,
+            &value_rendering(rows.iter().map(|(n, t, l)| vec![Value::from(*n), text(t), text(l)]))
+        );
+        prop_assert_eq!(protocol::parse_rights(&encoded), Some(rows));
+        no_prefix_well_formed(&encoded, protocol::parse_rights)?;
     }
 }

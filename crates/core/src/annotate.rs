@@ -175,14 +175,14 @@ pub fn annotate_policy_in(
             }
         }
         let norm_input = protocol::number_lines(unique.iter().map(String::as_str));
-        let norm_out = complete_checked(
+        let norm_rows = complete_parsed(
             chatbot,
             TaskPrompt::build(TaskKind::NormalizeDataTypes),
             &norm_input,
             options.reprompt_retries,
             &mut reprompts,
+            protocol::parse_normalizations,
         );
-        let norm_rows = protocol::parse_normalizations(&norm_out);
         // index (1-based) → (descriptor, category)
         let mut normalized: Vec<Option<(String, DataTypeCategory)>> = vec![None; unique.len()];
         for (idx, descriptor, category_name) in norm_rows {
@@ -363,28 +363,29 @@ pub fn annotate_policy_in(
     }
 }
 
-/// Complete `prompt` with a bounded re-prompt loop: when the completion is
-/// not well-formed protocol output (refusal, truncation, malformed JSON),
-/// re-issue the task with an incremented attempt number — up to `retries`
-/// extra attempts — so transient LLM faults are redrawn. The last output is
-/// returned either way; the tolerant parsers downstream handle a completion
-/// that is still malformed after the budget is spent.
-fn complete_checked(
+/// Complete `prompt` with a bounded re-prompt loop and parse the answer.
+/// Each completion is parsed once: `parse` returns `None` when it is not
+/// well-formed protocol output (refusal, truncation, malformed JSON), and
+/// the task is re-issued with an incremented attempt number — up to
+/// `retries` extra attempts — so transient LLM faults are redrawn. A task
+/// still malformed after the budget is spent yields no rows.
+fn complete_parsed<T>(
     chatbot: &dyn Chatbot,
     prompt: &TaskPrompt,
     input: &str,
     retries: u32,
     reprompts: &mut usize,
-) -> String {
-    let mut output = chatbot.complete_attempt(prompt, input, 0);
-    for attempt in 1..=retries {
-        if protocol::is_well_formed(&output) {
-            break;
+    parse: impl Fn(&str) -> Option<Vec<T>>,
+) -> Vec<T> {
+    for attempt in 0..=retries {
+        if attempt > 0 {
+            *reprompts += 1;
         }
-        *reprompts += 1;
-        output = chatbot.complete_attempt(prompt, input, attempt);
+        if let Some(rows) = parse(&chatbot.complete_attempt(prompt, input, attempt)) {
+            return rows;
+        }
     }
-    output
+    Vec::new()
 }
 
 /// Run `task` on the aspect's section text; if it parses to nothing, run it
@@ -399,43 +400,47 @@ fn extract_with_fallback<T>(
     full_text_input: &str,
     options: &AnnotateOptions,
     reprompts: &mut usize,
-    parse: impl Fn(&str) -> Vec<T>,
+    parse: impl Fn(&str) -> Option<Vec<T>>,
 ) -> (Vec<T>, bool) {
     let prompt = TaskPrompt::build(task);
     if !section.is_empty() {
         let input = protocol::number_lines_with(section);
-        let rows = parse(&complete_checked(
+        let rows = complete_parsed(
             chatbot,
             prompt,
             &input,
             options.reprompt_retries,
             reprompts,
-        ));
+            &parse,
+        );
         if !rows.is_empty() || !options.fallback {
             return (rows, false);
         }
     } else if !options.fallback {
         return (Vec::new(), false);
     }
-    let rows = parse(&complete_checked(
+    let rows = complete_parsed(
         chatbot,
         prompt,
         full_text_input,
         options.reprompt_retries,
         reprompts,
-    ));
+        parse,
+    );
     (rows, true)
 }
 
-/// Convert a normalized "N unit" period string to days.
+/// Convert a normalized "N unit" period string to days; `None` when the
+/// string is not a period or the day count does not fit a `u32` (the
+/// number is model output: "20000000 years" must not wrap).
 pub fn parse_period_days(period: &str) -> Option<u32> {
     let mut parts = period.split_whitespace();
     let n: u32 = parts.next()?.parse().ok()?;
     let unit = parts.next()?;
     match unit {
         "day" | "days" => Some(n),
-        "month" | "months" => Some(n * 30),
-        "year" | "years" => Some(n * 365),
+        "month" | "months" => n.checked_mul(30),
+        "year" | "years" => n.checked_mul(365),
         _ => None,
     }
 }
@@ -702,6 +707,28 @@ mod tests {
         assert_eq!(parse_period_days("6 months"), Some(180));
         assert_eq!(parse_period_days("soon"), None);
         assert_eq!(parse_period_days(""), None);
+        // Day counts past `u32::MAX` are not periods, not wrapped values.
+        assert_eq!(parse_period_days("20000000 years"), None);
+        assert_eq!(parse_period_days("143165577 months"), None);
+        assert_eq!(parse_period_days("11767033 years"), Some(4_294_967_045));
+        assert_eq!(parse_period_days("4294967295 days"), Some(u32::MAX));
+    }
+
+    #[test]
+    fn absurd_stated_period_is_kept_without_a_day_count() {
+        // The model reports the period as stated; its day count overflows
+        // a `u32`, so the annotation keeps its label and drops the count.
+        let out = annotate_html(
+            "<p>We retain your personal information for 20000000 years after your last visit.</p>",
+        );
+        let retention: Vec<(RetentionLabel, Option<u32>)> = out
+            .for_aspect(AspectKind::Handling)
+            .filter_map(|a| match a.payload {
+                AnnotationPayload::Retention { label, period_days } => Some((label, period_days)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(retention, [(RetentionLabel::Stated, None)]);
     }
 
     #[test]

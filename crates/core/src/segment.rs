@@ -186,7 +186,8 @@ fn segment_by_headings(
         protocol::number_lines_with(headings.iter().map(|(n, line)| (*n, line.text.as_str())));
     let prompt = TaskPrompt::build(TaskKind::LabelHeadings);
     let output = chatbot.complete(prompt, &toc_input);
-    let labels = protocol::parse_labels(&output);
+    // A malformed completion labels nothing (every line falls to `other`).
+    let labels = protocol::parse_labels(&output).unwrap_or_default();
     let label_map: BTreeMap<usize, Vec<Aspect>> = labels.into_iter().collect();
 
     let mut aspect_lines: BTreeMap<Aspect, Vec<usize>> = BTreeMap::new();
@@ -217,7 +218,7 @@ fn segment_by_text(chatbot: &dyn Chatbot, doc: &ExtractedDoc) -> SegmentedPolicy
     let mut aspect_lines: BTreeMap<Aspect, Vec<usize>> = BTreeMap::new();
     // The model's line numbers are input: keep only lines the doc has.
     let lines = 1..=doc.lines.len();
-    for (n, aspects) in protocol::parse_labels(&output) {
+    for (n, aspects) in protocol::parse_labels(&output).unwrap_or_default() {
         if !lines.contains(&n) {
             continue;
         }

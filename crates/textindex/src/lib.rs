@@ -2,7 +2,7 @@
 //!
 //! The paper's §3.2 annotate-and-verify loop touches every policy line many
 //! times: vocabulary scanning per task, substring verification per candidate
-//! row, and normalization folds per mention. This crate centralizes the two
+//! row, and normalization folds per mention. This crate centralizes the
 //! data structures that let the pipeline do each of those passes exactly
 //! once:
 //!
@@ -11,6 +11,10 @@
 //!   interns: byte values for substring search, token identifiers for
 //!   vocabulary phrase matching. One scan of a document yields *every*
 //!   occurrence of *every* pattern.
+//! * [`CueSet`] — a dense byte automaton over a few dozen short ASCII
+//!   cues that answers, in one pass over a line, which of them occur (the
+//!   simulated chatbot's whole-text segmentation reads each line once
+//!   through it instead of once per cue).
 //! * [`FoldedDoc`] — a policy document folded exactly once through the
 //!   taxonomy normalization ([`aipan_taxonomy::normalize::fold`]) into a single
 //!   buffer with per-line spans. Verification ([`FoldedDoc::verify_batch`])
@@ -30,9 +34,11 @@
 //! is.
 
 pub mod ac;
+pub mod cues;
 pub mod doc;
 pub mod fold;
 
 pub use ac::{AcAutomaton, AcBuilder};
+pub use cues::CueSet;
 pub use doc::{FoldArena, FoldedDoc};
 pub use fold::{fold_bytes, fold_into, FoldBytes};

@@ -1,9 +1,10 @@
 //! Differential property tests: the Aho–Corasick automaton reports exactly
-//! the occurrence set of a naive per-pattern sliding-window search, over a
-//! deliberately small alphabet so overlaps, nestings, and shared prefixes
-//! are dense.
+//! the occurrence set of a naive per-pattern sliding-window search, and the
+//! dense cue automaton exactly the cues `contains` finds in the ASCII
+//! lower-cased text, over deliberately small alphabets so overlaps,
+//! nestings, and shared prefixes are dense.
 
-use aipan_textindex::AcBuilder;
+use aipan_textindex::{AcBuilder, CueSet};
 use proptest::prelude::*;
 
 /// Every `(end_index, pattern_index)` occurrence, the naive way.
@@ -46,7 +47,29 @@ fn ac_occurrences(patterns: &[String], text: &str) -> Vec<(usize, u32)> {
     out
 }
 
+/// Bit `i` set when cue `i` occurs in the ASCII lower-cased text.
+fn contains_bits(cues: &[String], text: &str) -> u128 {
+    let lower = text.to_ascii_lowercase();
+    cues.iter()
+        .enumerate()
+        .filter(|(_, cue)| lower.contains(cue.as_str()))
+        .fold(0, |bits, (i, _)| bits | 1 << i)
+}
+
 proptest! {
+    #[test]
+    fn cue_set_equals_contains_on_lowercased_text(
+        cues in proptest::collection::vec("[ab -]{0,5}", 1..40),
+        text in "[abcAB é-]{0,60}",
+    ) {
+        let refs: Vec<&str> = cues.iter().map(String::as_str).collect();
+        prop_assert_eq!(
+            CueSet::new(&refs).scan(text.as_bytes()),
+            contains_bits(&cues, &text),
+            "cues={:?} text={:?}", cues, text
+        );
+    }
+
     #[test]
     fn automaton_equals_naive_search(
         patterns in proptest::collection::vec("[ab]{0,4}", 1..8),

@@ -114,7 +114,7 @@ proptest! {
     ) {
         let rows: Vec<(usize, String)> = rows;
         let encoded = protocol::encode_extractions(&rows);
-        prop_assert_eq!(protocol::parse_extractions(&encoded), rows);
+        prop_assert_eq!(protocol::parse_extractions(&encoded), Some(rows));
     }
 
     #[test]
@@ -129,13 +129,13 @@ proptest! {
             .map(|(n, idxs)| (n, idxs.into_iter().map(|i| Aspect::ALL[i]).collect()))
             .collect();
         let encoded = protocol::encode_labels(&rows);
-        prop_assert_eq!(protocol::parse_labels(&encoded), rows);
+        prop_assert_eq!(protocol::parse_labels(&encoded), Some(rows));
     }
 
     #[test]
     fn numbered_lines_parse_back(lines in proptest::collection::vec("[ -~&&[^\\[\\]]]{0,40}", 0..15)) {
         let doc = protocol::number_lines(lines.iter().map(String::as_str));
-        let parsed = aipan::chatbot::tasks::parse_numbered(&doc);
+        let parsed: Vec<_> = aipan::chatbot::tasks::parse_numbered(&doc).collect();
         prop_assert_eq!(parsed.len(), lines.len());
         for ((n, text), (i, original)) in parsed.iter().zip(lines.iter().enumerate()) {
             prop_assert_eq!(*n, i + 1);
