@@ -138,6 +138,29 @@ proptest! {
     }
 
     #[test]
+    fn protocol_parsers_never_panic_on_deep_nesting(
+        depth in 0usize..8,
+        shape in 0usize..4,
+        soup in JSON_SOUP,
+    ) {
+        // Around the reader's nesting cap, and far past what a recursive
+        // reader survives on a test thread's 2 MiB stack.
+        let depth = [1, 2, 126, 127, 128, 129, 5_000, 100_000][depth];
+        let (open, close) = ("[".repeat(depth), "]".repeat(depth));
+        let output = match shape {
+            0 => open,
+            1 => format!("{open}{close}"),
+            2 => format!("[[1,\"x\"],{}{soup}{}]", "{\"a\":".repeat(depth), "}".repeat(depth)),
+            _ => format!("[[1,{open}\"{soup}\"{close}]]"),
+        };
+        parse_all(&output)?;
+        if shape == 1 {
+            let well_formed = serde_json::from_str::<Value>(&output).is_ok();
+            prop_assert_eq!(well_formed, depth <= serde::MAX_DEPTH);
+        }
+    }
+
+    #[test]
     fn labels_roundtrip_and_truncations_rejected(rows in proptest::collection::vec(
         (0usize..100_000, proptest::collection::vec(0usize..Aspect::ALL.len(), 0..4)),
         0..6,

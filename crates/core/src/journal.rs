@@ -11,9 +11,14 @@
 //! pure function of `(world, config)` — the resumed run's dataset is
 //! byte-identical to an uninterrupted one.
 //!
-//! Loading is tolerant of a torn tail: a process killed mid-write leaves a
-//! truncated final line, which parses as garbage and is simply dropped
-//! (that domain is re-processed on resume).
+//! Every reader of journal text goes through one per-line parser
+//! (`JournalEntry::from_line`): each line stands alone, so a malformed
+//! line — a truncated final line from an interrupted write, a line that is
+//! not valid UTF-8, or one nested far too deep — is dropped, not fatal
+//! (that domain is re-processed on resume), and every other line still
+//! loads. Lines are read straight into typed entries, with no JSON tree in
+//! between, and no line takes more stack than a shallow one, however
+//! deeply it nests.
 //!
 //! [`ShardedJournal`]: crate::ShardedJournal
 //! [`ShardedJournal::merged`]: crate::ShardedJournal::merged
@@ -35,6 +40,18 @@ pub struct JournalEntry {
     pub policy: Option<AnnotatedPolicy>,
 }
 
+impl JournalEntry {
+    /// Parse one journal line. Surrounding whitespace is ignored; a blank
+    /// or malformed line is `None`.
+    pub(crate) fn from_line(line: &str) -> Option<JournalEntry> {
+        let line = line.trim();
+        if line.is_empty() {
+            return None;
+        }
+        serde_json::from_str(line).ok()
+    }
+}
+
 /// A checkpoint journal: domain → outcome, kept sorted by domain.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunJournal {
@@ -52,14 +69,8 @@ impl RunJournal {
     /// fatal: the affected domains are simply re-processed.
     pub fn from_jsonl(text: &str) -> RunJournal {
         let mut journal = RunJournal::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Ok(entry) = serde_json::from_str::<JournalEntry>(line) {
-                journal.insert(entry);
-            }
+        for entry in text.split('\n').filter_map(JournalEntry::from_line) {
+            journal.insert(entry);
         }
         journal
     }
@@ -68,12 +79,8 @@ impl RunJournal {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for entry in self.entries.values() {
-            // JournalEntry contains no map types, so to_string cannot fail;
-            // an empty line (dropped on load) is the safe degradation.
-            if let Ok(line) = serde_json::to_string(entry) {
-                out.push_str(&line);
-                out.push('\n');
-            }
+            entry.write_json(&mut out);
+            out.push('\n');
         }
         out
     }

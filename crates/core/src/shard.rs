@@ -8,20 +8,29 @@
 //! into the single sorted [`RunJournal`] file.
 //! Streaming workers touch disjoint locks most of the time (different
 //! domains usually hash to different shards), and a kill at any instant
-//! costs at most the one torn line per segment that
-//! [`RunJournal::from_jsonl`]'s tolerant parser already drops.
+//! costs at most the one torn line per segment that the journal's
+//! per-line parser already drops.
 //!
 //! The shard assignment is a pure function of the domain name, so segment
 //! contents are deterministic and worker-count-invariant; the merged view
 //! ([`ShardedJournal::merged`]) is the same sorted journal a serial run
 //! would have produced.
+//!
+//! Neither end of a run holds a whole journal file in memory.
+//! [`ShardedJournal::open`] reads the consolidated file, each segment and
+//! the quarantine file line by line as bytes through one reused line
+//! buffer, checks each line's UTF-8 on its own and parses it straight into
+//! its domain's shard, so one bad line costs only itself.
+//! [`ShardedJournal::consolidate`] writes each entry straight from the
+//! locked shards, merged in domain order, through a buffered writer over
+//! the temporary file that then replaces the consolidated one.
 
 use crate::journal::{JournalEntry, RunJournal};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -250,13 +259,16 @@ impl ShardedJournal {
 
     /// Open (or create) a durable sharded journal rooted at `base`.
     ///
-    /// Seeds the in-memory state from the legacy single-file journal at
-    /// `base` (if present), from every existing segment file, and from the
-    /// quarantine segment — all through torn-tail-tolerant line parsers —
-    /// then opens each segment for append. Segment entries override legacy
-    /// ones. A segment that cannot be opened for writing degrades to
-    /// memory-only (counted in [`ShardedJournal::write_errors`]); the run
-    /// still completes.
+    /// Seeds the in-memory state from the consolidated journal at `base`
+    /// (if present), then from every existing segment file in index order,
+    /// and from the quarantine segment — line by line, each line parsed on
+    /// its own, so torn, non-UTF-8 or otherwise malformed lines drop
+    /// without costing their neighbours — then opens each segment for
+    /// append. Every entry lands in its domain's shard, and a later line
+    /// for a domain replaces an earlier one, so segment entries override
+    /// the consolidated file's. A segment that cannot be opened for writing
+    /// degrades to memory-only (counted in
+    /// [`ShardedJournal::write_errors`]); the run still completes.
     pub fn open(base: &Path, shards: usize) -> ShardedJournal {
         ShardedJournal::open_with(base, shards, DiskFaultInjector::none())
     }
@@ -267,21 +279,13 @@ impl ShardedJournal {
     pub fn open_with(base: &Path, shards: usize, faults: DiskFaultInjector) -> ShardedJournal {
         let mut journal = ShardedJournal::in_memory(shards);
         journal.faults = faults;
-        if let Ok(text) = std::fs::read_to_string(base) {
-            for entry in RunJournal::from_jsonl(&text).into_entries() {
-                journal.insert_in_memory(entry);
-            }
-        }
+        let mut line = Vec::new();
+        journal.load(base, &mut line);
         for (index, shard) in journal.shards.iter().enumerate() {
             let path = segment_path(base, index);
-            let mut shard = shard.lock();
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                for entry in RunJournal::from_jsonl(&text).into_entries() {
-                    shard.entries.insert(entry.domain.clone(), entry);
-                }
-            }
+            journal.load(&path, &mut line);
             match OpenOptions::new().create(true).append(true).open(&path) {
-                Ok(file) => shard.writer = Some(file),
+                Ok(file) => shard.lock().writer = Some(file),
                 Err(_) => {
                     journal.write_errors.fetch_add(1, Ordering::Relaxed);
                 }
@@ -290,18 +294,32 @@ impl ShardedJournal {
         {
             let mut store = journal.quarantine.lock();
             let path = quarantine_path(base);
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                // Cumulative records: the last well-formed line per domain
-                // is the newest; torn tails drop like any segment line.
-                for line in text.lines() {
-                    if let Ok(record) = serde_json::from_str::<QuarantineRecord>(line) {
-                        store.records.insert(record.domain.clone(), record);
-                    }
+            // Cumulative records: the last well-formed line per domain is
+            // the newest; torn tails drop like any segment line.
+            for_each_line(&path, &mut line, |bytes| {
+                if let Some(record) = std::str::from_utf8(bytes)
+                    .ok()
+                    .and_then(|text| serde_json::from_str::<QuarantineRecord>(text).ok())
+                {
+                    store.records.insert(record.domain.clone(), record);
                 }
-            }
+            });
             store.path = Some(path);
         }
         journal
+    }
+
+    /// Parse each line of the journal file at `path` into its domain's
+    /// shard, reading through `line`.
+    fn load(&self, path: &Path, line: &mut Vec<u8>) {
+        for_each_line(path, line, |bytes| {
+            if let Some(entry) = std::str::from_utf8(bytes)
+                .ok()
+                .and_then(JournalEntry::from_line)
+            {
+                self.insert_in_memory(entry);
+            }
+        });
     }
 
     /// Record a finished domain: insert it into its shard and append one
@@ -314,8 +332,8 @@ impl ShardedJournal {
     /// [`ShardedJournal::write_errors`].
     pub fn record(&self, entry: JournalEntry) {
         let index = shard_of(&entry.domain, self.shards.len());
-        // JournalEntry contains no map types, so to_string cannot fail.
-        let line = serde_json::to_string(&entry).unwrap_or_default();
+        let mut line = String::new();
+        entry.write_json(&mut line);
         let Some(shard) = self.shards.get(index) else {
             return;
         };
@@ -402,7 +420,8 @@ impl ShardedJournal {
         record.stage = stage.to_string();
         record.message = message.to_string();
         let kills = record.kills;
-        let line = serde_json::to_string(record).unwrap_or_default();
+        let mut line = String::new();
+        record.write_json(&mut line);
         let mut open_failed = false;
         if store.writer.is_none() {
             if let Some(path) = store.path.clone() {
@@ -530,7 +549,7 @@ impl ShardedJournal {
     /// `base` is never rewritten in place: on a resumed run, every entry of
     /// the previous run lives only there.
     pub fn consolidate_until(&self, base: &Path, stop: ConsolidateStep) -> std::io::Result<()> {
-        replace_file(base, self.merged().to_jsonl().as_bytes())?;
+        replace_file(base, |out| self.write_merged(out))?;
         if stop == ConsolidateStep::AfterSync {
             return Ok(());
         }
@@ -541,6 +560,36 @@ impl ShardedJournal {
             }
         }
         self.compact_quarantine()
+    }
+
+    /// Write the bytes of [`RunJournal::to_jsonl`] of the
+    /// [`merged`](ShardedJournal::merged) journal to `out`, straight from
+    /// the locked shards: every domain lives in one shard, so a merge of
+    /// the shards' sorted entries is the journal in domain order.
+    fn write_merged(&self, out: &mut impl Write) -> std::io::Result<()> {
+        let shards: Vec<_> = self.shards.iter().map(|shard| shard.lock()).collect();
+        let mut heads: Vec<_> = shards
+            .iter()
+            .map(|shard| shard.entries.values().peekable())
+            .collect();
+        let mut line = String::new();
+        loop {
+            let mut next: Option<(usize, &JournalEntry)> = None;
+            for (index, head) in heads.iter_mut().enumerate() {
+                if let Some(&entry) = head.peek() {
+                    if next.is_none_or(|(_, first)| entry.domain < first.domain) {
+                        next = Some((index, entry));
+                    }
+                }
+            }
+            let Some((index, entry)) = next else {
+                return Ok(());
+            };
+            if let Some(head) = heads.get_mut(index) {
+                head.next();
+            }
+            write_line(out, &mut line, entry)?;
+        }
     }
 
     /// Rewrite the quarantine segment to one line per domain (the run
@@ -558,28 +607,67 @@ impl ShardedJournal {
             }
             return Ok(());
         }
-        let mut text = String::new();
-        for record in store.records.values() {
-            text.push_str(&serde_json::to_string(record).unwrap_or_default());
-            text.push('\n');
-        }
-        replace_file(&path, text.as_bytes())?;
+        replace_file(&path, |out| {
+            let mut line = String::new();
+            store
+                .records
+                .values()
+                .try_for_each(|record| write_line(out, &mut line, record))
+        })?;
         store.writer = OpenOptions::new().append(true).open(&path).ok();
         store.appended = 0;
         Ok(())
     }
 }
 
-/// Atomically replace the file at `path` with `bytes`: write a sibling
-/// `<path>.tmp`, fsync it, rename it over `path`, then fsync the parent
-/// directory so the rename itself is durable. A crash at any step leaves
-/// either the old file or the new one whole at `path`.
-fn replace_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+/// Write `value` to `out` as one JSONL line, serialized into `line`.
+fn write_line(
+    out: &mut impl Write,
+    line: &mut String,
+    value: &impl Serialize,
+) -> std::io::Result<()> {
+    line.clear();
+    value.write_json(line);
+    line.push('\n');
+    out.write_all(line.as_bytes())
+}
+
+/// Bytes a journal file is read and written in at a time.
+const IO_CHUNK: usize = 64 * 1024;
+
+/// Call `each` with every line of the file at `path`, without its `\n`,
+/// the last one even when no `\n` ends it. Lines are read as bytes into
+/// `line`, which is reused from one line (and one file) to the next. A
+/// missing or unreadable file has no lines; a read error ends the file.
+fn for_each_line(path: &Path, line: &mut Vec<u8>, mut each: impl FnMut(&[u8])) {
+    let Ok(file) = File::open(path) else {
+        return;
+    };
+    let mut reader = BufReader::with_capacity(IO_CHUNK, file);
+    loop {
+        line.clear();
+        match reader.read_until(b'\n', line) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => each(line.strip_suffix(b"\n").unwrap_or(line)),
+        }
+    }
+}
+
+/// Atomically replace the file at `path` with the bytes `write` produces:
+/// write them through a buffer to a sibling `<path>.tmp`, fsync it, rename
+/// it over `path`, then fsync the parent directory so the rename itself is
+/// durable. A crash at any step leaves either the old file or the new one
+/// whole at `path`.
+fn replace_file(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    let mut file = File::create(&tmp)?;
-    file.write_all(bytes)?;
+    let mut out = BufWriter::with_capacity(IO_CHUNK, File::create(&tmp)?);
+    write(&mut out)?;
+    let file = out.into_inner().map_err(|e| e.into_error())?;
     file.sync_all()?;
     drop(file);
     std::fs::rename(&tmp, path)?;

@@ -1,4 +1,4 @@
-//! Allocation budget for the chatbot and annotate stages.
+//! Allocation budget for the chatbot, annotate and journal stages.
 //!
 //! Crawls a small fixed-seed world, then segments and annotates each
 //! domain's main English policy exactly as `Pipeline::process_domain_arena`
@@ -14,14 +14,25 @@
 //! out — each at the measured value plus [`SLACK`], so a change that makes
 //! either stage allocate more per unit of work fails here instead of only
 //! showing in the benchmark's traced `chatbot.alloc` and `annotate.alloc`.
+//!
+//! The journal stage takes every domain's outcome through a durable
+//! `ShardedJournal` as a run and a resume do: `record` each one, then
+//! `consolidate`, then `open` the consolidated file again. It pins the
+//! allocations per entry of each step, and the largest single allocation
+//! `consolidate` makes, which stays one I/O buffer rather than growing
+//! with the journal.
+//!
 //! The counts are the same in debug and release builds; the slack covers
 //! small differences in how the standard library grows buffers between
 //! toolchains. A change that lowers a count re-pins it in the same change.
 
 use aipan_chatbot::{Chatbot, SimulatedChatbot, TaskPrompt, TokenUsage};
 use aipan_core::annotate::{annotate_policy_in, AnnotateArena};
-use aipan_core::segment::segment;
-use aipan_core::{Pipeline, PipelineConfig};
+use aipan_core::segment::{segment, Method};
+use aipan_core::{
+    AnnotatedPolicy, JournalEntry, Pipeline, PipelineConfig, SegmentationMethod, ShardedJournal,
+    DEFAULT_SHARDS,
+};
 use aipan_crawler::crawl_domain_with;
 use aipan_net::fault::FaultInjector;
 use aipan_net::Client;
@@ -41,9 +52,21 @@ const INPUT_BYTES: u64 = 2_344_014;
 const POLICIES: u64 = 65;
 /// Allocations per chatbot call: 95,164 over 439 calls.
 const CHATBOT_ALLOCS_PER_CALL: f64 = 216.8;
-/// Allocations per annotated policy outside the chatbot calls: 122,754
+/// Allocations per annotated policy outside the chatbot calls: 100,487
 /// over 65 policies.
-const ANNOTATE_ALLOCS_PER_POLICY: f64 = 1888.6;
+const ANNOTATE_ALLOCS_PER_POLICY: f64 = 1546.0;
+/// Journal entries: one per domain of the world.
+const ENTRIES: u64 = 80;
+/// Allocations per `ShardedJournal::record`: 889 over 80 entries.
+const RECORD_ALLOCS_PER_ENTRY: f64 = 11.12;
+/// Allocations per entry of `open` on the consolidated journal: 10,105
+/// over 80 entries.
+const OPEN_ALLOCS_PER_ENTRY: f64 = 126.32;
+/// Allocations per entry of `consolidate`: 42 over 80 entries.
+const CONSOLIDATE_ALLOCS_PER_ENTRY: f64 = 0.53;
+/// The largest single allocation `consolidate` makes, in bytes: its write
+/// buffer.
+const CONSOLIDATE_LARGEST_ALLOC: f64 = 65_536.0;
 /// How far a per-unit allocation count may grow past its pin.
 const SLACK: f64 = 0.05;
 
@@ -52,15 +75,22 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn note() {
+fn note(size: usize) {
     // `try_with` fails only while the thread tears down its locals.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|n| n.set(n.get().max(size)));
 }
 
 fn allocs() -> u64 {
     ALLOCS.try_with(Cell::get).unwrap_or(0)
+}
+
+/// The largest allocation since the last call, in bytes.
+fn take_largest() -> usize {
+    LARGEST.try_with(|n| n.replace(0)).unwrap_or(0)
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -68,19 +98,19 @@ fn allocs() -> u64 {
 // which never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -127,7 +157,8 @@ impl Chatbot for CountingChatbot {
     }
 }
 
-/// Allocation counts of segment + annotate over the world's policies.
+/// Allocation counts of segment + annotate over the world's policies, and
+/// the journal entries of the world's domains.
 #[derive(Debug)]
 struct Counts {
     calls: u64,
@@ -135,6 +166,7 @@ struct Counts {
     policies: u64,
     chatbot_allocs: u64,
     annotate_allocs: u64,
+    entries: Vec<JournalEntry>,
 }
 
 fn measure() -> Counts {
@@ -154,27 +186,44 @@ fn measure() -> Counts {
     let mut arena = AnnotateArena::new();
     let mut policies = 0u64;
     let mut annotate_allocs = 0u64;
+    let mut entries = Vec::new();
     for company in world.universe.unique_domains() {
         let crawl = crawl_domain_with(&client, &company.domain, &config.crawl);
-        if !crawl.is_success() {
-            continue;
+        let mut entry = JournalEntry {
+            domain: company.domain.clone(),
+            english_privacy_pages: 0,
+            policy: None,
+        };
+        if crawl.is_success() {
+            let pages = pipeline.english_privacy_pages(&crawl);
+            entry.english_privacy_pages = pages.len();
+            let best = pages.into_iter().max_by_key(|(doc, _)| doc.word_count());
+            if let Some((doc, path)) = best {
+                let seg = segment(&bot, &doc);
+                if seg.is_successful_extraction(&doc) {
+                    let chat_before = bot.allocs.load(Ordering::Relaxed);
+                    let before = allocs();
+                    let outcome = annotate_policy_in(&bot, &doc, &seg, config.annotate, &mut arena);
+                    let total = allocs() - before;
+                    annotate_allocs += total - (bot.allocs.load(Ordering::Relaxed) - chat_before);
+                    policies += 1;
+                    entry.policy = Some(AnnotatedPolicy {
+                        domain: company.domain.clone(),
+                        sector: company.sector,
+                        annotations: outcome.annotations,
+                        fallbacks: outcome.fallbacks,
+                        hallucinations_removed: outcome.hallucinations_removed,
+                        core_word_count: seg.core_word_count(&doc),
+                        segmentation: match seg.method {
+                            Method::Headings => SegmentationMethod::Headings,
+                            Method::TextAnalysis => SegmentationMethod::TextAnalysis,
+                        },
+                        policy_path: path,
+                    });
+                }
+            }
         }
-        let best = pipeline
-            .english_privacy_pages(&crawl)
-            .into_iter()
-            .max_by_key(|(doc, _)| doc.word_count());
-        let Some((doc, _)) = best else { continue };
-        let seg = segment(&bot, &doc);
-        if !seg.is_successful_extraction(&doc) {
-            continue;
-        }
-        let chat_before = bot.allocs.load(Ordering::Relaxed);
-        let before = allocs();
-        let outcome = annotate_policy_in(&bot, &doc, &seg, config.annotate, &mut arena);
-        let total = allocs() - before;
-        annotate_allocs += total - (bot.allocs.load(Ordering::Relaxed) - chat_before);
-        drop(outcome);
-        policies += 1;
+        entries.push(entry);
     }
     Counts {
         calls: bot.calls.load(Ordering::Relaxed),
@@ -182,12 +231,57 @@ fn measure() -> Counts {
         policies,
         chatbot_allocs: bot.allocs.load(Ordering::Relaxed),
         annotate_allocs,
+        entries,
+    }
+}
+
+/// Allocations of the journal stage over `entries`.
+#[derive(Debug)]
+struct JournalCounts {
+    entries: u64,
+    record: u64,
+    consolidate: u64,
+    consolidate_largest: usize,
+    open: u64,
+}
+
+fn measure_journal(entries: Vec<JournalEntry>) -> JournalCounts {
+    let dir = std::env::temp_dir().join(format!("aipan-alloc-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create journal dir");
+    let base = dir.join("run.jsonl");
+    let count = entries.len() as u64;
+    let journal = ShardedJournal::open(&base, DEFAULT_SHARDS);
+    let before = allocs();
+    for entry in entries {
+        journal.record(entry);
+    }
+    let record = allocs() - before;
+    take_largest();
+    let before = allocs();
+    journal.consolidate(&base).expect("consolidate");
+    let consolidate = allocs() - before;
+    let consolidate_largest = take_largest();
+    drop(journal);
+    let before = allocs();
+    let reopened = ShardedJournal::open(&base, DEFAULT_SHARDS);
+    let open = allocs() - before;
+    assert_eq!(reopened.len() as u64, count, "every entry reopens");
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+    JournalCounts {
+        entries: count,
+        record,
+        consolidate,
+        consolidate_largest,
+        open,
     }
 }
 
 #[test]
 fn chatbot_and_annotate_stay_within_their_allocation_budgets() {
-    let counts = measure();
+    let mut counts = measure();
+    counts.entries.clear();
     eprintln!("{counts:?}");
     assert_eq!(
         (counts.calls, counts.input_bytes, counts.policies),
@@ -207,4 +301,33 @@ fn chatbot_and_annotate_stay_within_their_allocation_budgets() {
         per_policy <= budget,
         "annotate allocations per policy grew: {per_policy:.2} > budget {budget:.2}"
     );
+}
+
+#[test]
+fn journal_stays_within_its_allocation_budget() {
+    let journal = measure_journal(measure().entries);
+    eprintln!("{journal:?}");
+    assert_eq!(journal.entries, ENTRIES, "the journal's work changed");
+    let per_entry = |n: u64| n as f64 / journal.entries as f64;
+    for (step, measured, pin) in [
+        ("record", per_entry(journal.record), RECORD_ALLOCS_PER_ENTRY),
+        ("open", per_entry(journal.open), OPEN_ALLOCS_PER_ENTRY),
+        (
+            "consolidate",
+            per_entry(journal.consolidate),
+            CONSOLIDATE_ALLOCS_PER_ENTRY,
+        ),
+        (
+            "consolidate's largest allocation",
+            journal.consolidate_largest as f64,
+            CONSOLIDATE_LARGEST_ALLOC,
+        ),
+    ] {
+        eprintln!("journal {step}: {measured:.2}");
+        let budget = pin * (1.0 + SLACK);
+        assert!(
+            measured <= budget,
+            "journal {step} grew: {measured:.2} > budget {budget:.2}"
+        );
+    }
 }
