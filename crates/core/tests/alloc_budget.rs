@@ -1,19 +1,25 @@
-//! Allocation budget for the chatbot, annotate and journal stages.
+//! Allocation budget for the crawl, extract, segment, chatbot, annotate and
+//! journal stages.
 //!
-//! Crawls a small fixed-seed world, then segments and annotates each
-//! domain's main English policy exactly as `Pipeline::process_domain_arena`
-//! does, through a chatbot wrapper that counts its calls, its input bytes
-//! and the allocations made inside each call. A thread-local counting
-//! global allocator attributes every allocation to the test thread, so the
-//! counts do not depend on timing or on the test harness.
+//! Crawls a small fixed-seed world, then extracts each domain's privacy
+//! pages and segments and annotates its main English policy exactly as
+//! `Pipeline::process_domain_arena` does, through a chatbot wrapper that
+//! counts its calls, its input bytes and the allocations made inside each
+//! call. A thread-local counting global allocator attributes every
+//! allocation to the test thread, so the counts do not depend on timing or
+//! on the test harness.
 //!
 //! Calls and input bytes are pinned exactly: they are the work the
-//! protocol asks for, and no speedup changes them. Allocations are pinned
-//! as budgets — chatbot allocations per call, and annotate allocations per
-//! policy with the chatbot calls made inside `annotate_policy_in` taken
-//! out — each at the measured value plus [`SLACK`], so a change that makes
-//! either stage allocate more per unit of work fails here instead of only
-//! showing in the benchmark's traced `chatbot.alloc` and `annotate.alloc`.
+//! protocol asks for, and no speedup changes them; so are the domains,
+//! pages and policies each stage takes in. Allocations are pinned as
+//! budgets — crawl allocations per domain, extract allocations per HTML
+//! privacy page, chatbot allocations per call, and segment and annotate
+//! allocations per policy with the chatbot calls made inside `segment` and
+//! `annotate_policy_in` taken out — each at the measured value plus
+//! [`SLACK`], so a change that makes a stage allocate more per unit of
+//! work fails here instead of only showing in the benchmark's traced
+//! `crawler.alloc`, `html.alloc`, `segment.alloc`, `chatbot.alloc` and
+//! `annotate.alloc`.
 //!
 //! The journal stage takes every domain's outcome through a durable
 //! `ShardedJournal` as a run and a resume do: `record` each one, then
@@ -24,7 +30,10 @@
 //!
 //! The counts are the same in debug and release builds; the slack covers
 //! small differences in how the standard library grows buffers between
-//! toolchains. A change that lowers a count re-pins it in the same change.
+//! toolchains. Tables built lazily on first use are counted by the test
+//! thread that builds them, so each pin is the count a test reads when it
+//! runs alone, and a test that runs after another reads at most that. A
+//! change that lowers a count re-pins it in the same change.
 
 use aipan_chatbot::{Chatbot, SimulatedChatbot, TaskPrompt, TokenUsage};
 use aipan_core::annotate::{annotate_policy_in, AnnotateArena};
@@ -35,6 +44,7 @@ use aipan_core::{
 };
 use aipan_crawler::crawl_domain_with;
 use aipan_net::fault::FaultInjector;
+use aipan_net::http::ContentType;
 use aipan_net::Client;
 use aipan_webgen::{build_world, WorldConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -43,6 +53,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 const SEED: u64 = 1;
 const COMPANIES: usize = 80;
+
+/// Domains crawled: every domain of the world.
+const DOMAINS: u64 = 80;
+/// Allocations per domain crawl: 24,482 over 80 domains. It was 46,940
+/// (586.75, debug build) while the crawler rendered every homepage and
+/// seed page to text to read its links.
+const CRAWL_ALLOCS_PER_DOMAIN: f64 = 306.02;
+/// HTML privacy pages of the successful crawls, each extracted once.
+const HTML_PAGES: u64 = 124;
+/// Allocations per HTML privacy page of `english_privacy_pages` (extract
+/// and the language check): 14,186 over 124 pages.
+const EXTRACT_ALLOCS_PER_PAGE: f64 = 114.4;
+/// Policies segmented: each domain's longest English privacy page.
+const SEGMENTED: u64 = 66;
+/// Allocations per segmented policy outside the chatbot calls: 24,172
+/// over 66 policies.
+const SEGMENT_ALLOCS_PER_POLICY: f64 = 366.24;
 
 /// Chatbot completions (segmentation and annotation, re-prompts included).
 const CALLS: u64 = 439;
@@ -161,6 +188,12 @@ impl Chatbot for CountingChatbot {
 /// the journal entries of the world's domains.
 #[derive(Debug)]
 struct Counts {
+    domains: u64,
+    crawl_allocs: u64,
+    html_pages: u64,
+    extract_allocs: u64,
+    segmented: u64,
+    segment_allocs: u64,
     calls: u64,
     input_bytes: u64,
     policies: u64,
@@ -184,22 +217,40 @@ fn measure() -> Counts {
         FaultInjector::new(world.config.seed, world.config.faults),
     );
     let mut arena = AnnotateArena::new();
+    let (mut domains, mut crawl_allocs) = (0u64, 0u64);
+    let (mut html_pages, mut extract_allocs) = (0u64, 0u64);
+    let (mut segmented, mut segment_allocs) = (0u64, 0u64);
     let mut policies = 0u64;
     let mut annotate_allocs = 0u64;
     let mut entries = Vec::new();
     for company in world.universe.unique_domains() {
+        let before = allocs();
         let crawl = crawl_domain_with(&client, &company.domain, &config.crawl);
+        crawl_allocs += allocs() - before;
+        domains += 1;
         let mut entry = JournalEntry {
             domain: company.domain.clone(),
             english_privacy_pages: 0,
             policy: None,
         };
         if crawl.is_success() {
+            html_pages += crawl
+                .privacy_pages()
+                .iter()
+                .filter(|p| p.content_type == ContentType::Html)
+                .count() as u64;
+            let before = allocs();
             let pages = pipeline.english_privacy_pages(&crawl);
+            extract_allocs += allocs() - before;
             entry.english_privacy_pages = pages.len();
             let best = pages.into_iter().max_by_key(|(doc, _)| doc.word_count());
             if let Some((doc, path)) = best {
+                let chat_before = bot.allocs.load(Ordering::Relaxed);
+                let before = allocs();
                 let seg = segment(&bot, &doc);
+                let total = allocs() - before;
+                segment_allocs += total - (bot.allocs.load(Ordering::Relaxed) - chat_before);
+                segmented += 1;
                 if seg.is_successful_extraction(&doc) {
                     let chat_before = bot.allocs.load(Ordering::Relaxed);
                     let before = allocs();
@@ -226,6 +277,12 @@ fn measure() -> Counts {
         entries.push(entry);
     }
     Counts {
+        domains,
+        crawl_allocs,
+        html_pages,
+        extract_allocs,
+        segmented,
+        segment_allocs,
         calls: bot.calls.load(Ordering::Relaxed),
         input_bytes: bot.input_bytes.load(Ordering::Relaxed),
         policies,
@@ -301,6 +358,46 @@ fn chatbot_and_annotate_stay_within_their_allocation_budgets() {
         per_policy <= budget,
         "annotate allocations per policy grew: {per_policy:.2} > budget {budget:.2}"
     );
+}
+
+#[test]
+fn crawl_extract_and_segment_stay_within_their_allocation_budgets() {
+    let mut counts = measure();
+    counts.entries.clear();
+    eprintln!("{counts:?}");
+    assert_eq!(
+        (counts.domains, counts.html_pages, counts.segmented),
+        (DOMAINS, HTML_PAGES, SEGMENTED),
+        "the work changed: domains crawled, pages extracted or policies segmented"
+    );
+    for (stage, allocs, units, pin) in [
+        (
+            "crawl allocations per domain",
+            counts.crawl_allocs,
+            counts.domains,
+            CRAWL_ALLOCS_PER_DOMAIN,
+        ),
+        (
+            "extract allocations per page",
+            counts.extract_allocs,
+            counts.html_pages,
+            EXTRACT_ALLOCS_PER_PAGE,
+        ),
+        (
+            "segment allocations per policy",
+            counts.segment_allocs,
+            counts.segmented,
+            SEGMENT_ALLOCS_PER_POLICY,
+        ),
+    ] {
+        let measured = allocs as f64 / units as f64;
+        eprintln!("{stage}: {measured:.2}");
+        let budget = pin * (1.0 + SLACK);
+        assert!(
+            measured <= budget,
+            "{stage} grew: {measured:.2} > budget {budget:.2}"
+        );
+    }
 }
 
 #[test]

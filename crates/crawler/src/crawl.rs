@@ -1,7 +1,7 @@
 //! The single-domain crawl procedure (§3.1 navigation policy).
 
 use crate::robots::RobotsPolicy;
-use aipan_html::{extract, PageRegion};
+use aipan_html::{links, PageLink, PageRegion};
 use aipan_net::http::ContentType;
 use aipan_net::retry::{FetchSession, RetryPolicy};
 use aipan_net::{Client, Status, Url};
@@ -28,6 +28,19 @@ const SKIP_EXTENSIONS: &[&str] = &[
 fn is_binary_link(url: &Url) -> bool {
     url.extension()
         .map_or(false, |ext| SKIP_EXTENSIONS.contains(&ext.as_str()))
+}
+
+/// The first `max` links in `region` whose text or target mentions
+/// "privacy", in page order.
+fn privacy_links(
+    links: &[PageLink],
+    region: PageRegion,
+    max: usize,
+) -> impl Iterator<Item = &PageLink> {
+    links
+        .iter()
+        .filter(move |l| l.region == region && l.mentions("privacy"))
+        .take(max)
 }
 
 /// How a page was discovered.
@@ -132,7 +145,8 @@ pub struct DomainCrawl {
     /// Whether robots.txt disallowed the entire site.
     pub robots_blocked: bool,
     /// Simulated politeness delay honored across the crawl (ms), from
-    /// robots `Crawl-delay` (default 500 ms between fetches).
+    /// robots `Crawl-delay` (default 500 ms between fetches), saturating
+    /// at `u64::MAX`.
     pub politeness_delay_ms: u64,
     /// Transport retries spent by this crawl's fetch session.
     pub retries: u64,
@@ -247,8 +261,9 @@ impl CrawlState {
         DomainCrawl {
             domain: domain.to_string(),
             outcome,
-            politeness_delay_ms: self.delay_per_fetch
-                * self.fetch_attempts.saturating_sub(1) as u64,
+            politeness_delay_ms: self
+                .delay_per_fetch
+                .saturating_mul(self.fetch_attempts.saturating_sub(1) as u64),
             pages: self.pages,
             fetch_attempts: self.fetch_attempts,
             robots_skipped: self.robots_skipped,
@@ -313,28 +328,30 @@ pub fn crawl_domain_with(client: &Client, domain: &str, options: &CrawlOptions) 
     };
     visited.insert(home_url.clone());
     visited.insert(home.final_url.clone());
-    let home_doc = extract(&String::from_utf8_lossy(&home.response.body));
-    state.pages.push(CrawledPage {
+    let home_ok = home.response.status.is_success();
+    let home_page = CrawledPage {
         url: home_url.clone(),
-        final_url: home.final_url.clone(),
+        final_url: home.final_url,
         status: home.response.status,
         content_type: home.response.content_type,
         body: home.response.body_text(),
         via: LinkSource::Homepage,
-    });
+    };
+    let home_links = if home_ok {
+        links(&home_page.body)
+    } else {
+        Vec::new()
+    };
+    state.pages.push(home_page);
 
-    if !home.response.status.is_success() {
+    if !home_ok {
         let retries = session.total_retries();
         return state.finish(domain, CrawlOutcome::NoPrivacyPage, false, retries);
     }
 
     // 2. Up to three "privacy" links from the bottom of the homepage.
     let mut seed_targets: Vec<(Url, LinkSource)> = Vec::with_capacity(MAX_FOOTER_LINKS + 2);
-    let footer_links = home_doc
-        .links_containing("privacy")
-        .filter(|l| l.region == PageRegion::Footer)
-        .take(MAX_FOOTER_LINKS);
-    for link in footer_links {
+    for link in privacy_links(&home_links, PageRegion::Footer, MAX_FOOTER_LINKS) {
         if let Ok(url) = home_url.join(&link.href) {
             if url.same_site(&home_url) && !is_binary_link(&url) {
                 seed_targets.push((url, LinkSource::FooterLink));
@@ -383,12 +400,8 @@ pub fn crawl_domain_with(client: &Client, domain: &str, options: &CrawlOptions) 
         if fetched.response.status.is_success()
             && fetched.response.content_type == ContentType::Html
         {
-            let doc = extract(&body);
-            for link in doc
-                .links_containing("privacy")
-                .filter(|l| l.region == PageRegion::Header)
-                .take(MAX_HEADER_LINKS)
-            {
+            let page_links = links(&body);
+            for link in privacy_links(&page_links, PageRegion::Header, MAX_HEADER_LINKS) {
                 if let Ok(target) = fetched.final_url.join(&link.href) {
                     if target.same_site(&home_url)
                         && !is_binary_link(&target)
@@ -464,6 +477,7 @@ fn fetch_robots(session: &mut FetchSession, home_url: &Url) -> RobotsPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CrawlFunnel;
     use aipan_net::fault::{FaultConfig, FaultInjector};
     use aipan_net::host::StaticSite;
     use aipan_net::http::Response;
@@ -771,6 +785,62 @@ mod tests {
         );
         // Crawl-delay: 2 → 2000 ms between fetches.
         assert!(crawl.politeness_delay_ms >= 2000);
+    }
+
+    #[test]
+    fn hostile_crawl_delay_saturates_instead_of_overflowing() {
+        // `1e300` s is past `u64` milliseconds and saturates, `inf` counts
+        // as no delay, and `1e15` s (1e18 ms) fits one crawl but not eight
+        // summed in the funnel. None may overflow the session clock, a
+        // crawl's politeness total or the funnel's.
+        let crawl_with_delay = |value: &str| {
+            let net = Internet::new();
+            net.register(
+                "x.com",
+                StaticSite::new()
+                    .page(
+                        "/robots.txt",
+                        Response {
+                            status: Status::OK,
+                            content_type: ContentType::Plain,
+                            body: format!("User-agent: *\nCrawl-delay: {value}\n").into(),
+                            location: None,
+                        },
+                    )
+                    .page(
+                        "/",
+                        home_with_footer("<a href=\"/privacy\">Privacy Policy</a>"),
+                    )
+                    .page("/privacy", Response::html("<p>policy</p>"))
+                    .page("/privacy-policy", Response::html("<p>policy</p>")),
+            );
+            crawl_domain(&client_for(net), "x.com")
+        };
+        let mut funnel = CrawlFunnel::default();
+        for (value, per_fetch) in [
+            ("1e300", u64::MAX),
+            ("inf", DEFAULT_POLITENESS_MS),
+            ("1e15", 1_000_000_000_000_000_000),
+        ] {
+            let crawl = crawl_with_delay(value);
+            assert!(crawl.is_success(), "{value}: {:?}", crawl.outcome);
+            // Homepage, footer link and both probes: three waits.
+            assert_eq!(crawl.fetch_attempts, 4, "{value}");
+            assert_eq!(
+                crawl.politeness_delay_ms,
+                per_fetch.saturating_mul(3),
+                "{value}"
+            );
+            if value == "1e15" {
+                for _ in 0..8 {
+                    funnel.absorb(&crawl);
+                }
+            }
+        }
+        assert_eq!(funnel.politeness_delay_ms, u64::MAX);
+        let mut merged = funnel.clone();
+        merged.merge(&funnel);
+        assert_eq!(merged.politeness_delay_ms, u64::MAX);
     }
 
     #[test]

@@ -17,6 +17,14 @@
 //! (a non-homepage page reached via the heuristics) returns an HTTP status
 //! below 400.
 //!
+//! The crawler reads only anchors from a page, so it takes them from
+//! [`aipan_html::links`], the links-only pass of the renderer: the same
+//! links, line numbers and regions as `aipan_html::extract`, without
+//! laying out any text. A link is followed when its text or target
+//! mentions "privacy" ([`aipan_html::PageLink::mentions`]). Each page is
+//! rendered to text only later, by the pipeline's extract stage, and only
+//! if it is a privacy page.
+//!
 //! The crawler honors robots.txt ([`robots`]): it fetches and parses the
 //! exclusion policy before crawling, skips disallowed paths, and accounts
 //! the politeness delay implied by `Crawl-delay`.

@@ -26,7 +26,8 @@ pub struct CrawlFunnel {
     pub robots_skipped: usize,
     /// Domains whose robots.txt disallowed the entire site.
     pub robots_blocked_domains: usize,
-    /// Total simulated politeness delay honored (ms).
+    /// Total simulated politeness delay honored (ms), saturating at
+    /// `u64::MAX`.
     pub politeness_delay_ms: u64,
     /// Transport retries spent across all domain crawls.
     pub retries: u64,
@@ -100,8 +101,10 @@ impl CrawlFunnel {
         self.total_privacy_pages += crawl.privacy_pages().len();
         self.robots_skipped += crawl.robots_skipped;
         self.robots_blocked_domains += usize::from(crawl.robots_blocked);
-        self.politeness_delay_ms += crawl.politeness_delay_ms;
-        self.retries += crawl.retries;
+        self.politeness_delay_ms = self
+            .politeness_delay_ms
+            .saturating_add(crawl.politeness_delay_ms);
+        self.retries = self.retries.saturating_add(crawl.retries);
         self.salvaged_domains += usize::from(crawl.deadline_hit);
     }
 
@@ -119,8 +122,10 @@ impl CrawlFunnel {
         self.total_privacy_pages += other.total_privacy_pages;
         self.robots_skipped += other.robots_skipped;
         self.robots_blocked_domains += other.robots_blocked_domains;
-        self.politeness_delay_ms += other.politeness_delay_ms;
-        self.retries += other.retries;
+        self.politeness_delay_ms = self
+            .politeness_delay_ms
+            .saturating_add(other.politeness_delay_ms);
+        self.retries = self.retries.saturating_add(other.retries);
         self.salvaged_domains += other.salvaged_domains;
     }
 }

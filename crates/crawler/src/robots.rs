@@ -17,6 +17,10 @@ struct Group {
 }
 
 impl Group {
+    fn is_wildcard(&self) -> bool {
+        self.agents.iter().any(|a| a == "*")
+    }
+
     fn matches_agent(&self, user_agent: &str) -> bool {
         let ua = user_agent.to_ascii_lowercase();
         self.agents
@@ -95,8 +99,15 @@ impl RobotsPolicy {
                 "crawl-delay" => {
                     last_was_agent = false;
                     if let Some(g) = current.as_mut() {
-                        if let Ok(secs) = value.parse::<f64>() {
-                            g.crawl_delay_ms = Some((secs * 1000.0) as u64);
+                        // A delay that is not a finite, non-negative number
+                        // (`inf`, `NaN`, `-1`) counts as absent, like an
+                        // unparseable one; one too long for `u64`
+                        // milliseconds saturates.
+                        match value.parse::<f64>() {
+                            Ok(secs) if secs.is_finite() && secs >= 0.0 => {
+                                g.crawl_delay_ms = Some((secs * 1000.0) as u64);
+                            }
+                            _ => {}
                         }
                     }
                 }
@@ -116,12 +127,8 @@ impl RobotsPolicy {
     fn group_for(&self, user_agent: &str) -> Option<&Group> {
         self.groups
             .iter()
-            .find(|g| g.matches_agent(user_agent) && !g.agents.contains(&"*".to_string()))
-            .or_else(|| {
-                self.groups
-                    .iter()
-                    .find(|g| g.agents.contains(&"*".to_string()))
-            })
+            .find(|g| g.matches_agent(user_agent) && !g.is_wildcard())
+            .or_else(|| self.groups.iter().find(|g| g.is_wildcard()))
     }
 
     /// Whether `user_agent` may fetch `path`. Longest matching rule wins;
@@ -212,6 +219,17 @@ mod tests {
     fn crawl_delay_parsed() {
         let p = RobotsPolicy::parse("User-agent: *\nCrawl-delay: 2.5\nDisallow: /tmp");
         assert_eq!(p.crawl_delay_ms(UA), Some(2500));
+        // Only a finite, non-negative delay counts; one too long for `u64`
+        // milliseconds saturates.
+        let delay = |value: &str| {
+            RobotsPolicy::parse(&format!("User-agent: *\nCrawl-delay: {value}")).crawl_delay_ms(UA)
+        };
+        for absent in ["inf", "-inf", "infinity", "NaN", "-1", "-0.5", "soon"] {
+            assert_eq!(delay(absent), None, "{absent}");
+        }
+        assert_eq!(delay("-0"), Some(0));
+        assert_eq!(delay("1e15"), Some(1_000_000_000_000_000_000));
+        assert_eq!(delay("1e300"), Some(u64::MAX));
     }
 
     #[test]

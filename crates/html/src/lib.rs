@@ -17,12 +17,17 @@
 //!    Appendix B), extracts anchors with page-region attribution
 //!    (header/body/footer), and extracts the title. No tree is built.
 //!
-//! The contract, for input that may be hostile: [`extract`] never panics,
-//! does work linear in the size of its input plus its output (each tag also
-//! costs a lookup in a map of the open tag names), and never recurses, so
-//! nesting depth cannot overflow the stack. Output can grow faster than
-//! input only through nested anchors, each of which records the text of
-//! everything inside it.
+//! [`links`] runs the same renderer with a layout that only counts lines:
+//! it returns exactly `extract(html).links`, line numbers and regions
+//! included, without building any line text or the title. The crawler
+//! reads its §3.1 links from it.
+//!
+//! The contract, for input that may be hostile: [`extract`] and [`links`]
+//! never panic, do work linear in the size of their input plus their output
+//! (each tag also costs a lookup in a map of the open tag names), and never
+//! recurse, so nesting depth cannot overflow the stack. Output can grow
+//! faster than input only through nested anchors, each of which records the
+//! text of everything inside it.
 //!
 //! [`lang`] adds the stop-word-based English detector used to drop
 //! non-English policies, and [`entity`] decodes character references.
@@ -36,4 +41,4 @@ pub mod tokenizer;
 mod tree;
 
 pub use lang::english_score;
-pub use text::{extract, ExtractedDoc, HeadingLevel, Line, LineKind, PageLink, PageRegion};
+pub use text::{extract, links, ExtractedDoc, HeadingLevel, Line, LineKind, PageLink, PageRegion};

@@ -5,8 +5,10 @@
 //! the prompt builder). The renderer consumes the tree's events in one pass
 //! and keeps what each open element means for its content (bold, heading,
 //! region, hidden) on a stack of frames, so it neither recurses nor looks
-//! ahead into subtrees. Along the way it records the two signals Appendix B
-//! needs for segmentation:
+//! ahead into subtrees. What it does with the text it lays out is up to a
+//! layout: [`extract`] builds the lines, while [`links`] only counts them,
+//! which is all an anchor's line number and region need. Along the
+//! way it records the two signals Appendix B needs for segmentation:
 //!
 //! * heading lines — text inside `<h1>`–`<h6>`, **plus bold text
 //!   (`<b>`/`<strong>`) that appears on a line of its own** (not inline with
@@ -113,6 +115,16 @@ pub struct PageLink {
     pub region: PageRegion,
 }
 
+impl PageLink {
+    /// Whether the anchor text or the href contains `needle`, comparing
+    /// ASCII letters without regard to case: the §3.1 crawler's "contains
+    /// the word privacy" test.
+    pub fn mentions(&self, needle: &str) -> bool {
+        contains_ignore_ascii_case(&self.text, needle)
+            || contains_ignore_ascii_case(&self.href, needle)
+    }
+}
+
 /// The result of extracting a page.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExtractedDoc {
@@ -154,10 +166,7 @@ impl ExtractedDoc {
     /// Links whose anchor text or href contains `needle` (ASCII
     /// case-insensitive).
     pub fn links_containing<'s>(&'s self, needle: &'s str) -> impl Iterator<Item = &'s PageLink> {
-        self.links.iter().filter(move |l| {
-            contains_ignore_ascii_case(&l.text, needle)
-                || contains_ignore_ascii_case(&l.href, needle)
-        })
+        self.links.iter().filter(move |l| l.mentions(needle))
     }
 }
 
@@ -182,7 +191,31 @@ fn contains_ignore_ascii_case(haystack: &str, needle: &str) -> bool {
 /// assert!(doc.text().contains("email address"));
 /// ```
 pub fn extract(html: &str) -> ExtractedDoc {
-    let mut r = Renderer::default();
+    let (layout, links) = render::<Lines>(html);
+    ExtractedDoc {
+        title: layout.title,
+        lines: layout.lines,
+        links,
+    }
+}
+
+/// The anchors of a page: exactly `extract(html).links`, line numbers and
+/// regions included, from a pass that counts the lines instead of building
+/// them. It holds [`extract`]'s contract: it never panics, does work linear
+/// in its input plus its output, and never recurses.
+///
+/// ```
+/// let html = "<header><a href='/privacy'>Privacy</a></header><p>We collect data.</p>";
+/// assert_eq!(aipan_html::links(html), aipan_html::extract(html).links);
+/// ```
+pub fn links(html: &str) -> Vec<PageLink> {
+    render::<LineCount>(html).1
+}
+
+/// Parse `html` and render it into a layout `L`, returning the layout and
+/// the page's anchors.
+fn render<L: Layout + Default>(html: &str) -> (L, Vec<PageLink>) {
+    let mut r = Renderer::<L>::default();
     tree::build(html, |event| r.event(event));
     r.finish()
 }
@@ -250,23 +283,56 @@ enum Search {
     Summary(Ctx),
 }
 
+/// What the renderer does with the text it lays out. The frame, anchor,
+/// hidden-subtree and region rules are the [`Renderer`]'s alone; a layout
+/// only sees the rendered text runs, the line ends and the title.
+trait Layout {
+    /// A rendered text run joins the current line.
+    fn push_text(&mut self, raw: &str, ctx: &Ctx);
+    /// The current line ends; a line with no text is dropped.
+    fn flush_line(&mut self);
+    /// Lines kept so far.
+    fn line_count(&self) -> usize;
+    /// A text node inside the `<title>` being read.
+    fn push_title(&mut self, text: &str);
+    /// The `<title>` being read closes.
+    fn end_title(&mut self);
+}
+
+/// [`extract`]'s layout: the lines and the title.
 #[derive(Debug, Default)]
-struct Renderer {
+struct Lines {
     lines: Vec<Line>,
     // Current line state.
     buf: String,
     buf_heading: Option<HeadingLevel>,
     buf_has_bold: bool,
     buf_has_plain: bool,
+    /// Text of the `<title>` being read.
+    title_text: String,
     title: Option<String>,
+}
+
+/// [`links`]'s layout: how many lines [`Lines`] would keep, and no text.
+#[derive(Debug, Default)]
+struct LineCount {
+    lines: usize,
+    /// Whether a run of the current line has a char that is not whitespace,
+    /// which is what makes [`Lines`] keep the line.
+    has_text: bool,
+}
+
+#[derive(Debug, Default)]
+struct Renderer<L> {
+    layout: L,
     links: Vec<PendingLink>,
     /// Open elements, innermost last (the document itself is implicit).
     frames: Vec<Frame>,
     /// Open anchors that will be recorded, innermost last; each collects
     /// all the text inside it, rendered or not.
     anchors: Vec<PendingLink>,
-    /// Text of the `<title>` being read.
-    title_text: Option<String>,
+    /// Whether a `<title>` is being read.
+    in_title: bool,
     search: Search,
 }
 
@@ -315,7 +381,7 @@ fn finish_content(out: &mut String) {
     out.truncate(out.trim_end().len());
 }
 
-impl Renderer {
+impl<L: Layout> Renderer<L> {
     fn event(&mut self, event: Event<'_, '_>) {
         match event {
             Event::Enter(name, attrs) => {
@@ -329,11 +395,11 @@ impl Renderer {
                 for anchor in &mut self.anchors {
                     push_content(&mut anchor.text, text);
                 }
-                if let Some(title) = &mut self.title_text {
-                    push_content(title, text);
+                if self.in_title {
+                    self.layout.push_title(text);
                 }
                 if let Some(ctx) = self.ctx() {
-                    self.push_text(text, &ctx);
+                    self.layout.push_text(text, &ctx);
                 }
             }
             Event::Exit => self.exit(),
@@ -362,7 +428,7 @@ impl Renderer {
                 Frame::hidden(Close::EndSearch)
             }
             "br" => {
-                self.flush_line();
+                self.layout.flush_line();
                 Frame::hidden(Close::Nothing)
             }
             "img" | "input" | "hr" | "meta" | "link" | "base" => Frame::hidden(Close::Nothing),
@@ -374,7 +440,7 @@ impl Renderer {
                 self.anchors.push(PendingLink {
                     href: href.into_owned(),
                     text: String::new(),
-                    line: self.lines.len() + 1,
+                    line: self.layout.line_count() + 1,
                     region: ctx.region,
                 });
                 Frame::shown(ctx, Close::Link)
@@ -405,12 +471,12 @@ impl Renderer {
         match (self.search, name) {
             (Search::Title, "title") => {
                 self.search = Search::None;
-                self.title_text = Some(String::new());
+                self.in_title = true;
                 Frame::hidden(Close::Title)
             }
             (Search::Summary(ctx), "summary") => {
                 self.search = Search::None;
-                self.flush_line();
+                self.layout.flush_line();
                 Frame::shown(ctx, Close::Flush)
             }
             _ => Frame::hidden(Close::Nothing),
@@ -418,7 +484,7 @@ impl Renderer {
     }
 
     fn block(&mut self, ctx: Ctx) -> Frame {
-        self.flush_line();
+        self.layout.flush_line();
         Frame::shown(ctx, Close::Flush)
     }
 
@@ -428,7 +494,7 @@ impl Renderer {
         };
         match frame.close {
             Close::Nothing => {}
-            Close::Flush => self.flush_line(),
+            Close::Flush => self.layout.flush_line(),
             Close::Link => {
                 if let Some(mut link) = self.anchors.pop() {
                     finish_content(&mut link.text);
@@ -437,16 +503,44 @@ impl Renderer {
             }
             Close::EndSearch => self.search = Search::None,
             Close::Title => {
-                if let Some(mut text) = self.title_text.take() {
-                    finish_content(&mut text);
-                    if !text.is_empty() {
-                        self.title = Some(text);
-                    }
-                }
+                self.in_title = false;
+                self.layout.end_title();
             }
         }
     }
 
+    /// End the last line and give every anchor without a region ancestor
+    /// the region of its line's position in the page.
+    fn finish(mut self) -> (L, Vec<PageLink>) {
+        self.layout.flush_line();
+        let total = self.layout.line_count().max(1) as f64;
+        let links = self
+            .links
+            .into_iter()
+            .map(|p| {
+                let region = p.region.unwrap_or_else(|| {
+                    let frac = (p.line.max(1) - 1) as f64 / total;
+                    if frac < HEADER_FRACTION {
+                        PageRegion::Header
+                    } else if frac >= 1.0 - FOOTER_FRACTION {
+                        PageRegion::Footer
+                    } else {
+                        PageRegion::Body
+                    }
+                });
+                PageLink {
+                    href: p.href,
+                    text: p.text,
+                    line: p.line,
+                    region,
+                }
+            })
+            .collect();
+        (self.layout, links)
+    }
+}
+
+impl Layout for Lines {
     /// Append a text node to the current line, collapsing each whitespace
     /// run to one space; a leading run is dropped at the start of a line or
     /// after a space. Text between runs that need no change — a lone `' '`
@@ -510,37 +604,40 @@ impl Renderer {
         self.buf.clear();
     }
 
-    fn finish(mut self) -> ExtractedDoc {
-        self.flush_line();
-        let total = self.lines.len().max(1) as f64;
-        let links = self
-            .links
-            .into_iter()
-            .map(|p| {
-                let region = p.region.unwrap_or_else(|| {
-                    let frac = (p.line.max(1) - 1) as f64 / total;
-                    if frac < HEADER_FRACTION {
-                        PageRegion::Header
-                    } else if frac >= 1.0 - FOOTER_FRACTION {
-                        PageRegion::Footer
-                    } else {
-                        PageRegion::Body
-                    }
-                });
-                PageLink {
-                    href: p.href,
-                    text: p.text,
-                    line: p.line,
-                    region,
-                }
-            })
-            .collect();
-        ExtractedDoc {
-            title: self.title,
-            lines: self.lines,
-            links,
+    fn line_count(&self) -> usize {
+        self.lines.len()
+    }
+
+    fn push_title(&mut self, text: &str) {
+        push_content(&mut self.title_text, text);
+    }
+
+    fn end_title(&mut self) {
+        finish_content(&mut self.title_text);
+        if !self.title_text.is_empty() {
+            self.title = Some(std::mem::take(&mut self.title_text));
         }
     }
+}
+
+impl Layout for LineCount {
+    fn push_text(&mut self, raw: &str, _: &Ctx) {
+        if !self.has_text {
+            self.has_text = run_end(raw, 0, true) < raw.len();
+        }
+    }
+
+    fn flush_line(&mut self) {
+        self.lines += usize::from(std::mem::take(&mut self.has_text));
+    }
+
+    fn line_count(&self) -> usize {
+        self.lines
+    }
+
+    fn push_title(&mut self, _: &str) {}
+
+    fn end_title(&mut self) {}
 }
 
 fn is_block(name: &str) -> bool {
@@ -667,6 +764,32 @@ mod tests {
         let last = doc.links.iter().find(|l| l.href == "/last").unwrap();
         assert_eq!(first.region, PageRegion::Header);
         assert_eq!(last.region, PageRegion::Footer);
+    }
+
+    #[test]
+    fn links_equal_extracts_links() {
+        // Whitespace-only text (U+00A0 and U+3000 included) makes no line,
+        // so it must move neither a link's line nor its positional region.
+        let mut positional = String::from("<a href='/first'>first</a>");
+        for i in 0..10 {
+            positional.push_str(&format!(
+                "<p>line {i}</p><div> \u{a0}\n</div><p>\u{3000}</p>"
+            ));
+        }
+        positional.push_str("<p><a href='/last'>last</a></p>");
+        for html in [
+            positional.as_str(),
+            "<head><title>T</title></head><header><a href='/h'>Privacy</a></header>\
+             <p>body</p><footer><a href='/f'>x</a></footer>",
+            "<a href='/outer'>outer <a href='/inner'>inner</a></a>",
+            "<b><details><a href='/d'>hidden</a><summary><a href='/s'>More</a></summary>\
+             </details></b>",
+            "<p>a<br>b<br> <br><a href='/br'>c</a></p>",
+            "<a href='/empty'></a>",
+            "",
+        ] {
+            assert_eq!(links(html), extract(html).links, "{html}");
+        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! U+00A0, comments, doctypes and unclosed raw text. The pinned digest was
 //! computed with the extractor as it stood before its one-pass rewrite; a
 //! deliberate change to extractor output re-pins it in the same change.
+//! Every document also checks that `links` returns exactly `extract`'s
+//! links.
 
 use proptest::Gen;
 
@@ -123,6 +125,7 @@ fn tag_soup_corpus_matches_the_pinned_digest() {
             fragment(&mut gen, &tags, &mut doc);
         }
         let out = aipan_html::extract(&doc);
+        assert_eq!(aipan_html::links(&doc), out.links, "links of {doc:?}");
         lines += out.lines.len();
         links += out.links.len();
         titles += usize::from(out.title.is_some());

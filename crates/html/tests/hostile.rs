@@ -1,11 +1,12 @@
-//! `extract` on hostile input: work linear in the input, and no recursion.
+//! `extract` and `links` on hostile input: work linear in the input, and no
+//! recursion.
 //!
 //! The first two cases each hit a path whose work once grew with the square
 //! of the input (the extractor then took minutes on them in a debug build);
 //! they assert the output, not a time. The last one nests deeper than a
 //! recursive walk of the document could go on a worker thread's stack.
 
-use aipan_html::{extract, HeadingLevel, LineKind, PageRegion};
+use aipan_html::{extract, links, HeadingLevel, LineKind, PageRegion};
 
 #[test]
 fn raw_text_elements_do_not_rescan_the_rest_of_the_document() {
@@ -43,9 +44,9 @@ fn deep_nesting_does_not_overflow_a_worker_stack() {
         html.push_str(&open.repeat(depth));
     }
     html.push_str("policy text");
-    let doc = std::thread::Builder::new()
+    let (doc, links_only) = std::thread::Builder::new()
         .stack_size(2 << 20)
-        .spawn(move || extract(&html))
+        .spawn(move || (extract(&html), links(&html)))
         .expect("spawn extraction thread")
         .join()
         .expect("extraction thread finished");
@@ -57,4 +58,5 @@ fn deep_nesting_does_not_overflow_a_worker_stack() {
         && l.text == "policy text"
         && l.line == 1
         && l.region == PageRegion::Header));
+    assert_eq!(links_only, doc.links, "links-only pass");
 }

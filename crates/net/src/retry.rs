@@ -146,9 +146,11 @@ impl FetchSession {
         self.clock_ms
     }
 
-    /// Advance the simulated clock (e.g. for politeness delays).
+    /// Advance the simulated clock (e.g. for politeness delays). The clock
+    /// saturates at `u64::MAX` rather than wrapping, so a hostile delay
+    /// (a robots `Crawl-delay` of `1e300`) cannot turn time back.
     pub fn advance(&mut self, ms: u64) {
-        self.clock_ms += ms;
+        self.clock_ms = self.clock_ms.saturating_add(ms);
     }
 
     /// Retries spent against `domain` so far.
@@ -202,7 +204,7 @@ impl FetchSession {
             let outcome = self.client.fetch_attempt(url, attempt);
             match outcome {
                 Ok(res) if res.response.status.is_server_error() => {
-                    self.clock_ms += res.latency_ms;
+                    self.advance(res.latency_ms);
                     if self.try_schedule_retry(&domain, attempt, None) {
                         attempt += 1;
                         continue;
@@ -213,7 +215,7 @@ impl FetchSession {
                     return Ok(res);
                 }
                 Ok(res) => {
-                    self.clock_ms += res.latency_ms;
+                    self.advance(res.latency_ms);
                     self.record_success(&domain);
                     return Ok(res);
                 }
@@ -251,7 +253,7 @@ impl FetchSession {
         host.retries_spent += 1;
         let retry = attempt + 1;
         let backoff = self.policy.backoff_ms(self.seed, domain, retry);
-        self.clock_ms += backoff.max(wait_floor.unwrap_or(0));
+        self.advance(backoff.max(wait_floor.unwrap_or(0)));
         self.client.with_metrics(|m| m.retries += 1);
         true
     }
@@ -272,7 +274,7 @@ impl FetchSession {
         let reopen = host.half_open;
         host.half_open = false;
         if reopen || host.consecutive_failures >= threshold {
-            host.open_until_ms = Some(clock + cooldown);
+            host.open_until_ms = Some(clock.saturating_add(cooldown));
             self.client.with_metrics(|m| m.breaker_opens += 1);
         }
     }

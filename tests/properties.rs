@@ -14,7 +14,8 @@ proptest! {
 
     #[test]
     fn html_extract_never_panics(input in ".{0,800}") {
-        let _ = aipan::html::extract(&input);
+        let doc = aipan::html::extract(&input);
+        prop_assert_eq!(aipan::html::links(&input), doc.links);
     }
 
     #[test]
@@ -35,6 +36,8 @@ proptest! {
         for link in &doc.links {
             prop_assert!(link.line >= 1 && link.line <= doc.lines.len() + 1);
         }
+        // The links-only pass returns exactly the same links.
+        prop_assert_eq!(aipan::html::links(&input), doc.links);
     }
 
     #[test]
