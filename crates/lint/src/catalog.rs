@@ -29,7 +29,7 @@ pub const RULES: &[RuleDoc] = &[
     RuleDoc {
         id: "D1",
         severity: Severity::Deny,
-        summary: "wall-clock or entropy source outside crates/bench",
+        summary: "wall-clock or entropy source outside #[cfg(test)] code",
         rationale: "Every pipeline stage must be replayable byte-for-byte from its seed. \
                     `SystemTime::now`, `Instant::now`, `thread_rng`, and `from_entropy` \
                     smuggle ambient state into output that is diffed against golden files.",

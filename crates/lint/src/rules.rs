@@ -2,7 +2,7 @@
 //!
 //! | rule | severity | what it catches |
 //! |------|----------|-----------------|
-//! | `D1` | deny | wall-clock / entropy (`SystemTime::now`, `Instant::now`, `thread_rng`, `from_entropy`) outside `crates/bench` |
+//! | `D1` | deny | wall-clock / entropy (`SystemTime::now`, `Instant::now`, `thread_rng`, `from_entropy`) outside `#[cfg(test)]` code |
 //! | `D2` | warn | iteration over `HashMap`/`HashSet` in files that write ordered output |
 //! | `R1` | deny | `.unwrap()` / `.expect(..)` / `panic!` in library code |
 //! | `O1` | warn | `println!` / `eprintln!` in library code |
@@ -12,8 +12,7 @@
 //! Rules operate on the [`crate::lexer`] token stream, so occurrences inside
 //! string literals and comments never fire (except `H1`, which looks *only*
 //! at comments). Code under `#[cfg(test)]`, and files in `tests/`,
-//! `benches/`, or `examples/` trees, are exempt from `R1`/`O1`; `crates/bench`
-//! is exempt from `D1`.
+//! `benches/`, or `examples/` trees, are exempt from `R1`/`O1`.
 
 use crate::findings::{Finding, Severity};
 use crate::lexer::{lex, Token, TokenKind};
@@ -21,8 +20,6 @@ use crate::lexer::{lex, Token, TokenKind};
 /// What kind of compilation target a file belongs to; drives rule scoping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileClass {
-    /// Under `crates/bench/` (timing is this crate's whole point).
-    pub bench_crate: bool,
     /// Integration test, bench, or example target (`tests/`, `benches/`, `examples/`).
     pub test_target: bool,
     /// Binary target (`main.rs` or under `src/bin/`).
@@ -36,7 +33,6 @@ impl FileClass {
             rel_path.starts_with(&format!("{d}/")) || rel_path.contains(&format!("/{d}/"))
         };
         FileClass {
-            bench_crate: rel_path.starts_with("crates/bench/"),
             test_target: in_dir("tests") || in_dir("benches") || in_dir("examples"),
             binary: rel_path.ends_with("/main.rs") || in_dir("bin"),
         }
@@ -75,14 +71,7 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
     let in_test_code = |i: usize| excluded.iter().any(|&(start, end)| i >= start && i <= end);
 
     let mut findings = Vec::new();
-    rule_d1(
-        &sig,
-        class,
-        &in_test_code,
-        rel_path,
-        &snippet,
-        &mut findings,
-    );
+    rule_d1(&sig, &in_test_code, rel_path, &snippet, &mut findings);
     rule_d2(&sig, &in_test_code, rel_path, &snippet, &mut findings);
     rule_r1_o1(
         &sig,
@@ -154,15 +143,11 @@ fn cfg_test_ranges(sig: &[&Token<'_>]) -> Vec<(usize, usize)> {
 
 fn rule_d1(
     sig: &[&Token<'_>],
-    class: FileClass,
     in_test_code: &dyn Fn(usize) -> bool,
     rel_path: &str,
     snippet: &dyn Fn(u32) -> String,
     out: &mut Vec<Finding>,
 ) {
-    if class.bench_crate {
-        return;
-    }
     for (i, t) in sig.iter().enumerate() {
         if t.kind != TokenKind::Ident || in_test_code(i) {
             continue;
@@ -185,8 +170,8 @@ fn rule_d1(
                 t.line,
                 t.col,
                 format!(
-                    "{what} introduces wall-clock/entropy nondeterminism; outside crates/bench \
-                     all randomness must flow from a seeded generator"
+                    "{what} introduces wall-clock/entropy nondeterminism; all randomness \
+                     must flow from a seeded generator"
                 ),
                 snippet(t.line),
             ));
@@ -487,9 +472,8 @@ mod tests {
 
     #[test]
     fn classify_paths() {
-        assert!(FileClass::classify("crates/bench/src/lib.rs").bench_crate);
         assert!(FileClass::classify("crates/net/tests/roundtrip.rs").test_target);
-        assert!(FileClass::classify("crates/bench/benches/speed.rs").test_target);
+        assert!(FileClass::classify("crates/net/benches/speed.rs").test_target);
         assert!(FileClass::classify("src/bin/aipan.rs").binary);
         let lib = FileClass::classify("crates/net/src/url.rs");
         assert!(lib.is_library_code());
@@ -519,10 +503,13 @@ mod tests {
     }
 
     #[test]
-    fn d1_fires_outside_bench_only() {
+    fn d1_fires_outside_cfg_test_only() {
         let src = "pub fn t() { let _ = std::time::Instant::now(); }\n";
         assert_eq!(rules_fired("crates/core/src/lib.rs", src), vec!["D1"]);
-        assert!(rules_fired("crates/bench/src/lib.rs", src).is_empty());
+        assert_eq!(rules_fired("src/bin/aipan.rs", src), vec!["D1"]);
+        let src =
+            "#[cfg(test)]\nmod tests {\n    fn t() { let _ = std::time::Instant::now(); }\n}\n";
+        assert!(rules_fired("crates/core/src/lib.rs", src).is_empty());
     }
 
     #[test]

@@ -39,6 +39,8 @@ pub struct Universe {
 pub const UNIVERSE_SIZE: usize = 2916;
 /// Unique domains after deduplication, as in the paper.
 pub const UNIQUE_DOMAINS: usize = 2892;
+/// The smallest universe size [`Universe::generate_sized`] accepts.
+pub const MIN_UNIVERSE_SIZE: usize = 8;
 
 const NAME_HEADS: &[&str] = &[
     "Apex",
@@ -190,12 +192,13 @@ impl Universe {
         Universe::generate_sized(seed, UNIVERSE_SIZE)
     }
 
-    /// Generate a smaller universe (for tests/benches). `n >= 8`.
+    /// Generate a smaller universe (for tests/benches), of at least
+    /// [`MIN_UNIVERSE_SIZE`] constituents.
     ///
     /// Duplicate-share pairs scale proportionally so that
     /// `unique_domains() ≈ n - 24·n/2916`.
     pub fn generate_sized(seed: u64, n: usize) -> Universe {
-        assert!(n >= 8, "universe too small");
+        assert!(n >= MIN_UNIVERSE_SIZE, "universe too small");
         let mut rng = rng::stream(seed, "universe", "companies");
         let mut used_names: HashMap<String, u32> = HashMap::new();
         let mut companies: Vec<Company> = Vec::with_capacity(n);
