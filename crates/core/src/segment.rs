@@ -118,7 +118,7 @@ impl SegmentedPolicy {
             for &n in self.lines_for(aspect) {
                 if seen.insert(n) {
                     if let Some(line) = doc.lines.get(n - 1) {
-                        words += line.text.split_whitespace().count();
+                        words += line.word_count();
                     }
                 }
             }

@@ -56,15 +56,18 @@ const COMPANIES: usize = 80;
 
 /// Domains crawled: every domain of the world.
 const DOMAINS: u64 = 80;
-/// Allocations per domain crawl: 24,482 over 80 domains. It was 46,940
+/// Allocations per domain crawl: 23,118 over 80 domains. It was 46,940
 /// (586.75, debug build) while the crawler rendered every homepage and
-/// seed page to text to read its links.
-const CRAWL_ALLOCS_PER_DOMAIN: f64 = 306.02;
+/// seed page to text to read its links, and 24,482 (306.02) while the tree
+/// builder cloned each open tag name into a map and robots.txt parsing
+/// copied every key and value.
+const CRAWL_ALLOCS_PER_DOMAIN: f64 = 288.98;
 /// HTML privacy pages of the successful crawls, each extracted once.
 const HTML_PAGES: u64 = 124;
 /// Allocations per HTML privacy page of `english_privacy_pages` (extract
-/// and the language check): 14,186 over 124 pages.
-const EXTRACT_ALLOCS_PER_PAGE: f64 = 114.4;
+/// and the language check): 13,122 over 124 pages. It was 14,186 (114.4)
+/// while `privacy_pages` deduplicated through two hash sets.
+const EXTRACT_ALLOCS_PER_PAGE: f64 = 105.82;
 /// Policies segmented: each domain's longest English privacy page.
 const SEGMENTED: u64 = 66;
 /// Allocations per segmented policy outside the chatbot calls: 24,172

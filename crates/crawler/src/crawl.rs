@@ -160,20 +160,25 @@ impl DomainCrawl {
         self.outcome == CrawlOutcome::Success
     }
 
-    /// Potential privacy pages, deduplicated by final URL and body content.
+    /// Potential privacy pages in fetch order, deduplicated by final URL
+    /// and body content: a page is dropped when an earlier potential privacy
+    /// page had its final URL, or a page kept before it has its body. A
+    /// crawl holds at most [`MAX_PAGES`] pages, so each is compared with
+    /// the earlier ones directly (bodies by length first, then bytes).
     pub fn privacy_pages(&self) -> Vec<&CrawledPage> {
-        let mut seen_urls = HashSet::new();
-        let mut seen_bodies = HashSet::new();
-        let mut out = Vec::new();
-        for page in &self.pages {
+        let mut out: Vec<&CrawledPage> = Vec::new();
+        for (i, page) in self.pages.iter().enumerate() {
             if !page.is_potential_privacy_page() {
                 continue;
             }
-            if !seen_urls.insert(page.final_url.clone()) {
+            let earlier = self.pages.get(..i).unwrap_or_default();
+            if earlier
+                .iter()
+                .any(|p| p.is_potential_privacy_page() && p.final_url == page.final_url)
+            {
                 continue;
             }
-            let body_key = hash_body(&page.body);
-            if !seen_bodies.insert(body_key) {
+            if out.iter().any(|kept| kept.body == page.body) {
                 continue;
             }
             out.push(page);
@@ -196,13 +201,6 @@ impl DomainCrawl {
             .iter()
             .any(|p| p.via == via && p.status.is_success())
     }
-}
-
-fn hash_body(body: &str) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    body.hash(&mut h);
-    h.finish()
 }
 
 /// Default politeness delay between fetches when robots declares none.
@@ -721,6 +719,57 @@ mod tests {
             crawl.privacy_pages().len(),
             1,
             "redirected duplicate merged"
+        );
+    }
+
+    #[test]
+    fn privacy_pages_keep_fetch_order_and_drop_exact_duplicates() {
+        let page = |path: &str, status: Status, via: LinkSource, body: &str| {
+            let url = Url::parse(&format!("https://k.com{path}")).unwrap();
+            CrawledPage {
+                url: url.clone(),
+                final_url: url,
+                status,
+                content_type: ContentType::Html,
+                body: body.to_string(),
+                via,
+            }
+        };
+        let ok = |path: &str, body: &str| page(path, Status::OK, LinkSource::HeaderLink, body);
+        let crawl = DomainCrawl {
+            domain: "k.com".to_string(),
+            outcome: CrawlOutcome::Success,
+            pages: vec![
+                page("/", Status::OK, LinkSource::Homepage, "alpha"),
+                ok("/a", "alpha"),
+                page("/gone", Status::NOT_FOUND, LinkSource::FooterLink, "bravo"),
+                ok("/a", "other"),   // duplicate URL
+                ok("/c", "alpha"),   // duplicate body under a new URL
+                ok("/d", "bravo"),   // a different body of the same length
+                ok("/c", "charlie"), // the URL of a page dropped for its body
+                ok("/e", "bravo!"),
+                ok("/gone", "delta"),
+            ],
+            fetch_attempts: 9,
+            robots_skipped: 0,
+            robots_blocked: false,
+            politeness_delay_ms: 0,
+            retries: 0,
+            deadline_hit: false,
+        };
+        let kept: Vec<_> = crawl
+            .privacy_pages()
+            .iter()
+            .map(|p| (p.final_url.path.as_str(), p.body.as_str()))
+            .collect();
+        assert_eq!(
+            kept,
+            [
+                ("/a", "alpha"),
+                ("/d", "bravo"),
+                ("/e", "bravo!"),
+                ("/gone", "delta")
+            ]
         );
     }
 

@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 /// One user-agent group's rules.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 struct Group {
+    /// The group's user agents, in ASCII lower case.
     agents: Vec<String>,
     allow: Vec<String>,
     disallow: Vec<String>,
@@ -22,11 +23,20 @@ impl Group {
     }
 
     fn matches_agent(&self, user_agent: &str) -> bool {
-        let ua = user_agent.to_ascii_lowercase();
         self.agents
             .iter()
-            .any(|a| a == "*" || ua.contains(a.as_str()))
+            .any(|a| a == "*" || contains_ignore_ascii_case(user_agent, a))
     }
+}
+
+/// Whether `needle` occurs in `haystack`, comparing ASCII letters without
+/// regard to case.
+fn contains_ignore_ascii_case(haystack: &str, needle: &str) -> bool {
+    needle.is_empty()
+        || haystack
+            .as_bytes()
+            .windows(needle.len())
+            .any(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
 }
 
 /// A parsed robots.txt policy.
@@ -60,59 +70,46 @@ impl RobotsPolicy {
             let Some((key, value)) = line.split_once(':') else {
                 continue;
             };
-            let key = key.trim().to_ascii_lowercase();
-            let value = value.trim().to_string();
-            match key.as_str() {
-                "user-agent" => {
-                    if last_was_agent {
-                        // Consecutive user-agent lines share one group.
-                        if let Some(g) = current.as_mut() {
-                            g.agents.push(value.to_ascii_lowercase());
-                        }
-                    } else {
-                        if let Some(g) = current.take() {
-                            groups.push(g);
-                        }
-                        current = Some(Group {
-                            agents: vec![value.to_ascii_lowercase()],
-                            ..Group::default()
-                        });
-                    }
-                    last_was_agent = true;
-                }
-                "disallow" => {
-                    last_was_agent = false;
+            let (key, value) = (key.trim(), value.trim());
+            if key.eq_ignore_ascii_case("user-agent") {
+                if last_was_agent {
+                    // Consecutive user-agent lines share one group.
                     if let Some(g) = current.as_mut() {
-                        if !value.is_empty() {
-                            g.disallow.push(value);
-                        }
+                        g.agents.push(value.to_ascii_lowercase());
                     }
-                }
-                "allow" => {
-                    last_was_agent = false;
-                    if let Some(g) = current.as_mut() {
-                        if !value.is_empty() {
-                            g.allow.push(value);
-                        }
+                } else {
+                    if let Some(g) = current.take() {
+                        groups.push(g);
                     }
+                    current = Some(Group {
+                        agents: vec![value.to_ascii_lowercase()],
+                        ..Group::default()
+                    });
                 }
-                "crawl-delay" => {
-                    last_was_agent = false;
-                    if let Some(g) = current.as_mut() {
-                        // A delay that is not a finite, non-negative number
-                        // (`inf`, `NaN`, `-1`) counts as absent, like an
-                        // unparseable one; one too long for `u64`
-                        // milliseconds saturates.
-                        match value.parse::<f64>() {
-                            Ok(secs) if secs.is_finite() && secs >= 0.0 => {
-                                g.crawl_delay_ms = Some((secs * 1000.0) as u64);
-                            }
-                            _ => {}
-                        }
+                last_was_agent = true;
+                continue;
+            }
+            last_was_agent = false;
+            let Some(g) = current.as_mut() else {
+                continue;
+            };
+            if key.eq_ignore_ascii_case("disallow") {
+                if !value.is_empty() {
+                    g.disallow.push(value.to_string());
+                }
+            } else if key.eq_ignore_ascii_case("allow") {
+                if !value.is_empty() {
+                    g.allow.push(value.to_string());
+                }
+            } else if key.eq_ignore_ascii_case("crawl-delay") {
+                // A delay that is not a finite, non-negative number (`inf`,
+                // `NaN`, `-1`) counts as absent, like an unparseable one;
+                // one too long for `u64` milliseconds saturates.
+                match value.parse::<f64>() {
+                    Ok(secs) if secs.is_finite() && secs >= 0.0 => {
+                        g.crawl_delay_ms = Some((secs * 1000.0) as u64);
                     }
-                }
-                _ => {
-                    last_was_agent = false;
+                    _ => {}
                 }
             }
         }
@@ -247,6 +244,31 @@ mod tests {
         let p = RobotsPolicy::parse("User-agent: a\nUser-agent: b\nDisallow: /z");
         assert!(!p.is_allowed("a", "/z"));
         assert!(!p.is_allowed("b", "/z"));
+    }
+
+    #[test]
+    fn agents_and_keys_match_without_regard_to_case() {
+        let p = RobotsPolicy::parse(
+            "USER-AGENT: AIPAN-Crawler\nDISALLOW: /Private\nallow: /Private/Policy\n\
+             CRAWL-DELAY: 3\n\nUser-Agent: *\nDisAllow: /",
+        );
+        for ua in [
+            UA,
+            "AIPAN-CRAWLER/0.1",
+            "Mozilla (compatible; Aipan-Crawler)",
+        ] {
+            assert!(p.is_allowed(ua, "/privacy"), "{ua}");
+            assert!(!p.is_allowed(ua, "/Private/x"), "{ua}");
+            assert!(p.is_allowed(ua, "/Private/Policy"), "{ua}");
+            assert!(
+                p.is_allowed(ua, "/private/x"),
+                "paths keep their case: {ua}"
+            );
+            assert_eq!(p.crawl_delay_ms(ua), Some(3000), "{ua}");
+            assert!(!p.blocks_everything(ua), "{ua}");
+        }
+        assert!(p.blocks_everything("Googlebot"));
+        assert_eq!(p.crawl_delay_ms("aipan"), None);
     }
 
     #[test]

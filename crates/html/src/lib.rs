@@ -12,10 +12,12 @@
 //! 2. [`text`] — the streaming inscriptis-style renderer. An explicit stack
 //!    of open elements applies the implicit-close rules needed for
 //!    real-world pages (`<p>`, `<li>`, void elements) and reports the tree
-//!    in document order; the renderer lays it out into numbered lines,
-//!    detects headings (`<h1>`–`<h6>` plus bold text on its own line, per
-//!    Appendix B), extracts anchors with page-region attribution
-//!    (header/body/footer), and extracts the title. No tree is built.
+//!    in document order, each tag name resolved once to a small tag id that
+//!    these rules and the renderer match on; the renderer lays it out into
+//!    numbered lines, detects headings (`<h1>`–`<h6>` plus bold text on its
+//!    own line, per Appendix B), extracts anchors with page-region
+//!    attribution (header/body/footer), and extracts the title. No tree is
+//!    built.
 //!
 //! [`links`] runs the same renderer with a layout that only counts lines:
 //! it returns exactly `extract(html).links`, line numbers and regions
@@ -24,10 +26,11 @@
 //!
 //! The contract, for input that may be hostile: [`extract`] and [`links`]
 //! never panic, do work linear in the size of their input plus their output
-//! (each tag also costs a lookup in a map of the open tag names), and never
-//! recurse, so nesting depth cannot overflow the stack. Output can grow
-//! faster than input only through nested anchors, each of which records the
-//! text of everything inside it.
+//! (a tag whose name no rule mentions also costs a lookup in a map of the
+//! open elements with such names), and never recurse, so nesting depth
+//! cannot overflow the stack. Output can grow faster than input only
+//! through nested anchors, each of which records the text of everything
+//! inside it.
 //!
 //! [`lang`] adds the stop-word-based English detector used to drop
 //! non-English policies, and [`entity`] decodes character references.

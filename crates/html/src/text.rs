@@ -23,7 +23,7 @@
 //! policies yield no text).
 
 use crate::tokenizer::Attrs;
-use crate::tree::{self, Event};
+use crate::tree::{self, Event, Tag};
 use serde::{Deserialize, Serialize};
 
 /// Heading level of a heading line.
@@ -59,14 +59,14 @@ impl HeadingLevel {
         }
     }
 
-    fn from_tag(tag: &str) -> Option<HeadingLevel> {
+    fn from_tag(tag: Tag) -> Option<HeadingLevel> {
         Some(match tag {
-            "h1" => HeadingLevel::H1,
-            "h2" => HeadingLevel::H2,
-            "h3" => HeadingLevel::H3,
-            "h4" => HeadingLevel::H4,
-            "h5" => HeadingLevel::H5,
-            "h6" => HeadingLevel::H6,
+            Tag::H1 => HeadingLevel::H1,
+            Tag::H2 => HeadingLevel::H2,
+            Tag::H3 => HeadingLevel::H3,
+            Tag::H4 => HeadingLevel::H4,
+            Tag::H5 => HeadingLevel::H5,
+            Tag::H6 => HeadingLevel::H6,
             _ => return None,
         })
     }
@@ -88,6 +88,32 @@ pub struct Line {
     pub text: String,
     /// Heading or body text.
     pub kind: LineKind,
+}
+
+impl Line {
+    /// Number of whitespace-separated words in the line: exactly
+    /// `text.split_whitespace().count()`, counted in one pass over the
+    /// bytes.
+    pub fn word_count(&self) -> usize {
+        let bytes = self.text.as_bytes();
+        let mut words = 0;
+        let mut in_word = false;
+        let mut i = 0;
+        while let Some(&b) = bytes.get(i) {
+            let (space, len) = if is_plain(b) {
+                (false, 1)
+            } else {
+                match whitespace_at(&self.text, i) {
+                    Some(class) => class,
+                    None => break,
+                }
+            };
+            words += usize::from(!space && !in_word);
+            in_word = !space;
+            i += len;
+        }
+        words
+    }
 }
 
 /// Page region an anchor was found in.
@@ -149,10 +175,7 @@ impl ExtractedDoc {
 
     /// Total number of whitespace-separated words across all lines.
     pub fn word_count(&self) -> usize {
-        self.lines
-            .iter()
-            .map(|l| l.text.split_whitespace().count())
-            .sum()
+        self.lines.iter().map(Line::word_count).sum()
     }
 
     /// Number of heading lines (used by Appendix B's ">5 headings" rule).
@@ -344,26 +367,35 @@ struct PendingLink {
     region: Option<PageRegion>,
 }
 
+/// Whether the char at byte `i` of `s` is whitespace, as
+/// `char::is_whitespace` defines it, and its length; `None` at the end of
+/// `s`. An ASCII char is classified without decoding.
+fn whitespace_at(s: &str, i: usize) -> Option<(bool, usize)> {
+    let b = *s.as_bytes().get(i)?;
+    if b.is_ascii() {
+        return Some((matches!(b, b'\t'..=b'\r' | b' '), 1));
+    }
+    let c = s.get(i..)?.chars().next()?;
+    Some((c.is_whitespace(), c.len_utf8()))
+}
+
 /// End of the run of chars starting at byte `from` of `s` that all are
 /// (`space`) or all are not whitespace, as `char::is_whitespace` defines it.
 fn run_end(s: &str, from: usize, space: bool) -> usize {
-    let bytes = s.as_bytes();
     let mut i = from;
-    while let Some(&b) = bytes.get(i) {
-        let (is_space, len) = if b.is_ascii() {
-            (matches!(b, b'\t'..=b'\r' | b' '), 1)
-        } else {
-            match s.get(i..).and_then(|r| r.chars().next()) {
-                Some(c) => (c.is_whitespace(), c.len_utf8()),
-                None => break,
-            }
-        };
+    while let Some((is_space, len)) = whitespace_at(s, i) {
         if is_space != space {
             break;
         }
         i += len;
     }
     i
+}
+
+/// Whether byte `b` is an ASCII char above the space, which is never
+/// whitespace.
+fn is_plain(b: u8) -> bool {
+    b > b' ' && b.is_ascii()
 }
 
 /// Append a text node to an element's text content: trimmed pieces joined
@@ -384,10 +416,10 @@ fn finish_content(out: &mut String) {
 impl<L: Layout> Renderer<L> {
     fn event(&mut self, event: Event<'_, '_>) {
         match event {
-            Event::Enter(name, attrs) => {
+            Event::Enter(tag, attrs) => {
                 let frame = match self.ctx() {
-                    Some(ctx) => self.enter(name, attrs, ctx),
-                    None => self.enter_hidden(name),
+                    Some(ctx) => self.enter(tag, attrs, ctx),
+                    None => self.enter_hidden(tag),
                 };
                 self.frames.push(frame);
             }
@@ -412,27 +444,29 @@ impl<L: Layout> Renderer<L> {
     }
 
     /// An element opens where content renders.
-    fn enter(&mut self, name: &str, attrs: Attrs<'_>, ctx: Ctx) -> Frame {
-        match name {
-            "script" | "style" | "noscript" | "template" | "iframe" | "svg" => {
+    fn enter(&mut self, tag: Tag, attrs: Attrs<'_>, ctx: Ctx) -> Frame {
+        match tag {
+            Tag::Script | Tag::Style | Tag::Noscript | Tag::Template | Tag::Iframe | Tag::Svg => {
                 Frame::hidden(Close::Nothing)
             }
-            "head" => {
+            Tag::Head => {
                 // Head is skipped except we still want the title.
                 self.search = Search::Title;
                 Frame::hidden(Close::EndSearch)
             }
-            "details" if attrs.get("open").is_none() => {
+            Tag::Details if attrs.get("open").is_none() => {
                 // Collapsed expandable content: render only the <summary>.
                 self.search = Search::Summary(ctx);
                 Frame::hidden(Close::EndSearch)
             }
-            "br" => {
+            Tag::Br => {
                 self.layout.flush_line();
                 Frame::hidden(Close::Nothing)
             }
-            "img" | "input" | "hr" | "meta" | "link" | "base" => Frame::hidden(Close::Nothing),
-            "a" => {
+            Tag::Img | Tag::Input | Tag::Hr | Tag::Meta | Tag::Link | Tag::Base => {
+                Frame::hidden(Close::Nothing)
+            }
+            Tag::A => {
                 let href = attrs.get("href").unwrap_or_default();
                 if href.is_empty() {
                     return Frame::shown(ctx, Close::Nothing);
@@ -445,21 +479,21 @@ impl<L: Layout> Renderer<L> {
                 });
                 Frame::shown(ctx, Close::Link)
             }
-            "b" | "strong" => Frame::shown(Ctx { bold: true, ..ctx }, Close::Nothing),
-            "header" | "nav" => self.block(Ctx {
+            Tag::B | Tag::Strong => Frame::shown(Ctx { bold: true, ..ctx }, Close::Nothing),
+            Tag::Header | Tag::Nav => self.block(Ctx {
                 region: Some(PageRegion::Header),
                 ..ctx
             }),
-            "footer" => self.block(Ctx {
+            Tag::Footer => self.block(Ctx {
                 region: Some(PageRegion::Footer),
                 ..ctx
             }),
-            _ => match HeadingLevel::from_tag(name) {
+            _ => match HeadingLevel::from_tag(tag) {
                 Some(level) => self.block(Ctx {
                     heading: Some(level),
                     ..ctx
                 }),
-                None if is_block(name) => self.block(ctx),
+                None if is_block(tag) => self.block(ctx),
                 None => Frame::shown(ctx, Close::Nothing),
             },
         }
@@ -467,14 +501,14 @@ impl<L: Layout> Renderer<L> {
 
     /// An element opens inside a hidden subtree: it renders nothing unless
     /// it is what the subtree's search looks for.
-    fn enter_hidden(&mut self, name: &str) -> Frame {
-        match (self.search, name) {
-            (Search::Title, "title") => {
+    fn enter_hidden(&mut self, tag: Tag) -> Frame {
+        match (self.search, tag) {
+            (Search::Title, Tag::Title) => {
                 self.search = Search::None;
                 self.in_title = true;
                 Frame::hidden(Close::Title)
             }
-            (Search::Summary(ctx), "summary") => {
+            (Search::Summary(ctx), Tag::Summary) => {
                 self.search = Search::None;
                 self.layout.flush_line();
                 Frame::shown(ctx, Close::Flush)
@@ -543,32 +577,46 @@ impl<L: Layout> Renderer<L> {
 impl Layout for Lines {
     /// Append a text node to the current line, collapsing each whitespace
     /// run to one space; a leading run is dropped at the start of a line or
-    /// after a space. Text between runs that need no change — a lone `' '`
-    /// between words — is copied whole.
+    /// after a space. Everything between the runs that need a change is
+    /// copied whole, a lone `' '` between words included.
     fn push_text(&mut self, raw: &str, ctx: &Ctx) {
-        let lead = run_end(raw, 0, true);
-        if lead > 0 && !self.buf.is_empty() && !self.buf.ends_with(' ') {
-            self.buf.push(' ');
-        }
-        if lead == raw.len() {
-            // Whitespace only: at most the pending space above.
-            return;
-        }
-        let mut copied = lead;
-        let mut word_end = run_end(raw, lead, false);
-        while word_end < raw.len() {
-            let space_end = run_end(raw, word_end, true);
-            let lone_space = space_end == word_end + 1
-                && raw.as_bytes().get(word_end) == Some(&b' ')
-                && space_end < raw.len();
-            if !lone_space {
-                self.buf.push_str(&raw[copied..word_end]);
+        let bytes = raw.as_bytes();
+        // `raw[..copied]` is on the line already.
+        let mut copied = 0;
+        let mut i = 0;
+        while let Some(&b) = bytes.get(i) {
+            if is_plain(b) {
+                i += 1;
+                continue;
+            }
+            if b == b' ' && i > 0 && bytes.get(i + 1).copied().is_some_and(is_plain) {
+                // A lone space between words.
+                i += 2;
+                continue;
+            }
+            let space_end = run_end(raw, i, true);
+            if space_end == i {
+                // A control char or a non-ASCII char that is not whitespace.
+                i = run_end(raw, i, false);
+                continue;
+            }
+            if i == 0 {
+                if !self.buf.is_empty() && !self.buf.ends_with(' ') {
+                    self.buf.push(' ');
+                }
+                if space_end == raw.len() {
+                    // Whitespace only: at most the pending space above.
+                    return;
+                }
+                copied = space_end;
+            } else if space_end > i + 1 || b != b' ' {
+                self.buf.push_str(raw.get(copied..i).unwrap_or_default());
                 self.buf.push(' ');
                 copied = space_end;
             }
-            word_end = run_end(raw, space_end, false);
+            i = space_end;
         }
-        self.buf.push_str(&raw[copied..]);
+        self.buf.push_str(raw.get(copied..).unwrap_or_default());
         if let Some(h) = ctx.heading {
             self.buf_heading = Some(match self.buf_heading {
                 Some(existing) if existing.rank() <= h.rank() => existing,
@@ -640,44 +688,46 @@ impl Layout for LineCount {
     fn end_title(&mut self) {}
 }
 
-fn is_block(name: &str) -> bool {
+fn is_block(tag: Tag) -> bool {
     matches!(
-        name,
-        "p" | "div"
-            | "section"
-            | "article"
-            | "aside"
-            | "main"
-            | "ul"
-            | "ol"
-            | "li"
-            | "table"
-            | "tr"
-            | "td"
-            | "th"
-            | "thead"
-            | "tbody"
-            | "tfoot"
-            | "blockquote"
-            | "pre"
-            | "form"
-            | "fieldset"
-            | "figure"
-            | "figcaption"
-            | "address"
-            | "dl"
-            | "dt"
-            | "dd"
-            | "summary"
-            | "details"
-            | "body"
-            | "html"
+        tag,
+        Tag::P
+            | Tag::Div
+            | Tag::Section
+            | Tag::Article
+            | Tag::Aside
+            | Tag::Main
+            | Tag::Ul
+            | Tag::Ol
+            | Tag::Li
+            | Tag::Table
+            | Tag::Tr
+            | Tag::Td
+            | Tag::Th
+            | Tag::Thead
+            | Tag::Tbody
+            | Tag::Tfoot
+            | Tag::Blockquote
+            | Tag::Pre
+            | Tag::Form
+            | Tag::Fieldset
+            | Tag::Figure
+            | Tag::Figcaption
+            | Tag::Address
+            | Tag::Dl
+            | Tag::Dt
+            | Tag::Dd
+            | Tag::Summary
+            | Tag::Details
+            | Tag::Body
+            | Tag::Html
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn paragraphs_become_lines() {
@@ -793,6 +843,42 @@ mod tests {
     }
 
     #[test]
+    fn whitespace_runs_collapse_to_one_space() {
+        // Tabs, CRLF, double spaces, U+00A0, U+3000 and U+0085 at the start,
+        // middle and end of a run, alone and meeting runs of other nodes;
+        // U+200B and control chars are not whitespace.
+        for (html, line) in [
+            ("<p>\tone\t\ttwo\t</p>", "one two"),
+            (
+                "<p>one\ttwo\nthree\rfour\u{b}five\u{c}six\t<b>seven</b></p>",
+                "one two three four five six seven",
+            ),
+            ("<p>\r\none\r\ntwo\r\n</p>", "one two"),
+            ("<p>  one  two  </p>", "one two"),
+            ("<p>\u{a0}one\u{a0}two\u{a0}</p>", "one two"),
+            ("<p>\u{3000}one\u{3000}\u{3000}two \u{3000}</p>", "one two"),
+            ("<p>a b\u{a0} c \u{3000}d\t \te \r\nf</p>", "a b c d e f"),
+            (
+                "<p>one <b> two</b>\t<i>\r\nthree </i>four<i>\u{a0}</i> five</p>",
+                "one two three four five",
+            ),
+            (
+                "<p>x\u{85}y\u{200b}z\u{1} w\u{1}</p>",
+                "x y\u{200b}z\u{1} w\u{1}",
+            ),
+            (
+                "<p>é  中\u{a0}\u{a0}\u{212a} \u{130}</p>",
+                "é 中 \u{212a} \u{130}",
+            ),
+            ("<p> </p><p>\u{a0}\t</p><p>a</p>", "a"),
+        ] {
+            let doc = extract(html);
+            let lines: Vec<_> = doc.lines.iter().map(|l| l.text.as_str()).collect();
+            assert_eq!(lines, [line], "{html:?}");
+        }
+    }
+
+    #[test]
     fn links_containing_matches_text_and_href() {
         let doc = extract(
             r#"<a href="/legal">Privacy Notice</a><a href="/privacy-policy">Legal</a>
@@ -826,6 +912,27 @@ mod tests {
     fn word_count_counts_words() {
         let doc = extract("<p>one two three</p><p>four five</p>");
         assert_eq!(doc.word_count(), 5);
+    }
+
+    proptest! {
+        #[test]
+        fn line_word_count_equals_split_whitespace(
+            parts in proptest::collection::vec(
+                "(word|Wörter|中文|x|\t|\n|\u{b}|\u{c}|\r| |  |\u{85}|\u{a0}|\u{1680}|\
+                 \u{2000}|\u{2028}|\u{202f}|\u{3000}|\u{200b}|\u{1}|\u{7f}|.)",
+                0..30,
+            )
+        ) {
+            let line = Line {
+                text: parts.concat(),
+                kind: LineKind::Text,
+            };
+            prop_assert_eq!(
+                line.word_count(),
+                line.text.split_whitespace().count(),
+                "{:?}", line.text
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! `extract` and `links` on hostile input: work linear in the input, and no
 //! recursion.
 //!
-//! The first two cases each hit a path whose work once grew with the square
-//! of the input (the extractor then took minutes on them in a debug build);
-//! they assert the output, not a time. The last one nests deeper than a
-//! recursive walk of the document could go on a worker thread's stack.
+//! The first three cases each hit a path whose work once grew with the
+//! square of the input (the extractor then took minutes on them in a debug
+//! build); they assert the output, not a time. The last one nests deeper
+//! than a recursive walk of the document could go on a worker thread's
+//! stack.
 
 use aipan_html::{extract, links, HeadingLevel, LineKind, PageRegion};
 
@@ -28,6 +29,23 @@ fn unmatched_end_tags_do_not_scan_the_open_elements() {
         "<noscript>{}hidden{}</noscript>after",
         "<div>".repeat(depth),
         "</span>".repeat(misses)
+    );
+    let doc = extract(&html);
+    let lines: Vec<_> = doc.lines.iter().map(|l| l.text.as_str()).collect();
+    assert_eq!(lines, ["after"]);
+}
+
+#[test]
+fn unmatched_unknown_end_tags_do_not_scan_the_open_elements() {
+    // The same with names no rule mentions, which the open elements count
+    // by name rather than by tag, nested and missed in both cases.
+    let (depth, misses) = (5_000, 2_000_000);
+    let html = format!(
+        "<noscript>{}{}hidden{}{}</noscript>after",
+        "<x-div>".repeat(depth),
+        "<X-Div>".repeat(depth),
+        "</x-span>".repeat(misses),
+        "</X-SPAN>".repeat(misses / 4)
     );
     let doc = extract(&html);
     let lines: Vec<_> = doc.lines.iter().map(|l| l.text.as_str()).collect();

@@ -23,8 +23,9 @@
 //! `audit` default to seed 42 and 600. An unknown command, experiment or
 //! option, an option the subcommand does not read, a missing or extra
 //! positional argument, an option without its value, a `--seed`/`--size`
-//! that is not a number or a `--size` below 8 prints the usage text and
-//! exits 2 before any world is built.
+//! that is not a number, a `--size` below 8 or an unknown `--sector`
+//! abbreviation prints the usage text and exits 2 before any world is built
+//! or dataset read.
 
 use aipan::analysis::{insights::Insights, tables, trends, validation};
 use aipan::chatbot::ModelProfile;
@@ -68,7 +69,7 @@ struct Args {
     seed: u64,
     size: usize,
     out: Option<String>,
-    sector: Option<String>,
+    sector: Option<Sector>,
     resume: Option<String>,
     health_out: Option<String>,
 }
@@ -89,7 +90,12 @@ fn parse_args() -> Result<Args, String> {
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--sector" => args.sector = Some(value(&arg, iter.next())?),
+            "--sector" => {
+                let abbrev = value(&arg, iter.next())?;
+                let sector = Sector::from_abbrev(&abbrev)
+                    .ok_or_else(|| format!("unknown sector abbreviation `{abbrev}`"))?;
+                args.sector = Some(sector);
+            }
             "--seed" => args.seed = number(&arg, iter.next())?,
             "--size" => size = Some(number(&arg, iter.next())?),
             "--out" => args.out = Some(value(&arg, iter.next())?),
@@ -565,13 +571,9 @@ fn cmd_analyze(args: &Args) {
         eprintln!("cannot parse {path}: {e}");
         std::process::exit(1);
     });
-    if let Some(abbrev) = &args.sector {
-        let Some(sector) = Sector::from_abbrev(abbrev) else {
-            eprintln!("unknown sector abbreviation: {abbrev}");
-            std::process::exit(2);
-        };
+    if let Some(sector) = args.sector {
         dataset.policies.retain(|p| p.sector == sector);
-        println!("sector filter: {abbrev} ({sector:?})");
+        println!("sector filter: {} ({sector:?})", sector.abbrev());
     }
     println!(
         "{} policies, {} annotated",

@@ -81,6 +81,8 @@ fn bad_arguments_exit_2_before_building_a_world() {
         &["analyze", "s.json", "--seed", "3"],
         &["analyze", "s.json", "--size", "9"],
         &["analyze"],
+        // A bad sector is reported before the dataset is read.
+        &["analyze", "missing.json", "--sector", "ZZ"],
         &["repro", "--out", "ds.json", "funnel"],
         &["repro", "--health-out", "h.json"],
         // Not commands: `repro` prints these tables and audits.
