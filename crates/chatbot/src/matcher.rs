@@ -7,7 +7,7 @@
 //! matched text (for the pipeline's hallucination verification) and whether
 //! the mention sits in a negated context ("we do not collect …").
 //!
-//! Since PR 3 the scanning runs on a single shared Aho–Corasick automaton
+//! The scanning runs on a single shared Aho–Corasick automaton
 //! ([`aipan_textindex::AcAutomaton`]) built once over *both* vocabularies
 //! with per-pattern vocabulary tags: one pass over a line's tokens yields
 //! every data-type and purpose occurrence at once ([`scan_line_dual`]),
@@ -15,16 +15,24 @@
 //! that only needs to know *whether* each vocabulary occurs — whole-text
 //! segmentation labels a line `types` or `purposes` on that alone — asks
 //! `vocab_presence`, which streams the line's tokens through the same
-//! automaton without resolving matches or building match strings. The
-//! original token-walk scanner is preserved under `#[cfg(test)]` as the
-//! oracle for a differential property test: both scanners must agree
+//! automaton without resolving matches or building match strings.
+//!
+//! A token is a run of word chars, as [`aipan_textindex::word`] decides
+//! them, and its automaton symbol comes from the engine's word table: the
+//! lower-cased vocabulary words and the negation cues, in an
+//! open-addressing table built once with the automaton. An ASCII token is
+//! hashed as its bytes are read and compared with the table's words in
+//! place, so it costs no `String` and no map lookup; a token with a
+//! non-ASCII char is lower-cased with Unicode rules into a reused buffer
+//! first. The original token-walk scanner is preserved under `#[cfg(test)]`
+//! as the oracle for a differential property test: both scanners must agree
 //! exactly — text, target, span, and negation — on arbitrary lines.
 
 use aipan_taxonomy::datatypes::DATA_TYPE_DESCRIPTORS;
 use aipan_taxonomy::purposes::PURPOSE_DESCRIPTORS;
 use aipan_taxonomy::zeroshot::{ZERO_SHOT_DATA_TYPES, ZERO_SHOT_PURPOSES};
 use aipan_taxonomy::{DataTypeCategory, PurposeCategory};
-use aipan_textindex::{AcAutomaton, AcBuilder};
+use aipan_textindex::{fold_byte, is_word_char, AcAutomaton, AcBuilder};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -171,8 +179,8 @@ const NO_SYM: u32 = u32::MAX;
 /// still breaks ties exactly like the legacy stable longest-first sort).
 struct Engine {
     ac: AcAutomaton,
-    /// Lower-cased word token → interned symbol.
-    symbols: HashMap<String, u32>,
+    /// Every vocabulary word with its symbol, and the negation cues.
+    words: WordTable,
     /// Per-pattern vocabulary tag and match target, indexed by pattern id.
     targets: Vec<(Vocab, MatchTarget)>,
 }
@@ -182,20 +190,18 @@ fn engine() -> &'static Engine {
     ENGINE.get_or_init(Engine::build)
 }
 
-/// One scanned token: byte span in the line, interned symbol (or
-/// [`NO_SYM`]), and whether it is a negation cue.
+/// One scanned token: byte span in the line, symbol (or [`NO_SYM`]), and
+/// whether it is a negation cue.
 struct Tok {
-    start: u32,
-    end: u32,
+    start: usize,
+    end: usize,
     sym: u32,
     neg: bool,
 }
 
 impl Engine {
     fn build() -> Engine {
-        let mut symbols = HashMap::new();
-        let mut builder = AcBuilder::new();
-        let mut targets = Vec::new();
+        let mut build = EngineBuilder::default();
         // Insertion order per vocabulary mirrors the legacy matcher's
         // (glossary names, glossary surfaces, then zero-shot terms) so
         // pattern-id order reproduces its tie-breaking.
@@ -205,38 +211,17 @@ impl Engine {
                 category: spec.category,
                 zero_shot: false,
             };
-            add_pattern(
-                &mut builder,
-                &mut symbols,
-                &mut targets,
-                spec.name,
-                Vocab::DataTypes,
-                target,
-            );
-            for s in spec.surfaces {
-                add_pattern(
-                    &mut builder,
-                    &mut symbols,
-                    &mut targets,
-                    s,
-                    Vocab::DataTypes,
-                    target,
-                );
+            for surface in std::iter::once(&spec.name).chain(spec.surfaces) {
+                build.add(surface, Vocab::DataTypes, target);
             }
         }
         for z in ZERO_SHOT_DATA_TYPES {
-            add_pattern(
-                &mut builder,
-                &mut symbols,
-                &mut targets,
-                z.term,
-                Vocab::DataTypes,
-                MatchTarget::DataType {
-                    descriptor: z.term,
-                    category: z.category,
-                    zero_shot: true,
-                },
-            );
+            let target = MatchTarget::DataType {
+                descriptor: z.term,
+                category: z.category,
+                zero_shot: true,
+            };
+            build.add(z.term, Vocab::DataTypes, target);
         }
         for spec in PURPOSE_DESCRIPTORS {
             let target = MatchTarget::Purpose {
@@ -244,62 +229,39 @@ impl Engine {
                 category: spec.category,
                 zero_shot: false,
             };
-            add_pattern(
-                &mut builder,
-                &mut symbols,
-                &mut targets,
-                spec.name,
-                Vocab::Purposes,
-                target,
-            );
-            for s in spec.surfaces {
-                add_pattern(
-                    &mut builder,
-                    &mut symbols,
-                    &mut targets,
-                    s,
-                    Vocab::Purposes,
-                    target,
-                );
+            for surface in std::iter::once(&spec.name).chain(spec.surfaces) {
+                build.add(surface, Vocab::Purposes, target);
             }
         }
         for z in ZERO_SHOT_PURPOSES {
-            add_pattern(
-                &mut builder,
-                &mut symbols,
-                &mut targets,
-                z.term,
-                Vocab::Purposes,
-                MatchTarget::Purpose {
-                    descriptor: z.term,
-                    category: z.category,
-                    zero_shot: true,
-                },
-            );
+            let target = MatchTarget::Purpose {
+                descriptor: z.term,
+                category: z.category,
+                zero_shot: true,
+            };
+            build.add(z.term, Vocab::Purposes, target);
         }
-        Engine {
-            ac: builder.build(),
-            symbols,
-            targets,
-        }
+        build.build()
     }
 
     fn presence(&self, line: &str) -> VocabPresence {
         let mut found = VocabPresence::default();
-        self.ac
-            .scan(Tokens::new(self, line).map(|t| t.sym), &mut |_, pat| {
+        self.ac.scan(
+            Tokens::new(&self.words, line).map(|t| t.sym),
+            &mut |_, pat| {
                 match self.targets.get(pat as usize) {
                     Some((Vocab::DataTypes, _)) => found.datatypes = true,
                     Some((Vocab::Purposes, _)) => found.purposes = true,
                     None => {}
                 }
                 !(found.datatypes && found.purposes)
-            });
+            },
+        );
         found
     }
 
     fn scan(&self, line: &str) -> DualScan {
-        let toks: Vec<Tok> = Tokens::new(self, line).collect();
+        let toks: Vec<Tok> = Tokens::new(&self.words, line).collect();
         if toks.is_empty() {
             return DualScan::default();
         }
@@ -338,8 +300,8 @@ impl Engine {
             }
             let (len, pat) = best[i];
             if len > 0 {
-                let start = toks[i].start as usize;
-                let end = toks[i + len as usize - 1].end as usize;
+                let start = toks[i].start;
+                let end = toks[i + len as usize - 1].end;
                 out.push(VocabMatch {
                     text: line[start..end].to_string(),
                     target: self.targets[pat as usize].1,
@@ -353,57 +315,167 @@ impl Engine {
         }
         out
     }
+}
 
-    /// One token's symbol and negation flag, interned without allocating
-    /// per token: a lower-case ASCII token is looked up as a line slice,
-    /// and any other is lower-cased with Unicode rules into `scratch`.
-    fn token(
-        &self,
-        line: &str,
-        start: usize,
-        end: usize,
-        needs_fold: bool,
-        scratch: &mut String,
-    ) -> Tok {
-        let word: &str = if needs_fold {
-            scratch.clear();
-            for ch in line[start..end].chars() {
-                for lc in ch.to_lowercase() {
-                    scratch.push(lc);
-                }
-            }
-            scratch
-        } else {
-            &line[start..end]
-        };
-        Tok {
-            start: start as u32,
-            end: end as u32,
-            sym: self.symbols.get(word).copied().unwrap_or(NO_SYM),
-            neg: is_negation_token(word),
+/// Build-time state of the [`Engine`]: the automaton under construction
+/// and the words interned so far. Once every pattern is in, the words move
+/// into the engine's [`WordTable`] and the map is dropped.
+#[derive(Default)]
+struct EngineBuilder {
+    ac: AcBuilder,
+    symbols: HashMap<String, u32>,
+    targets: Vec<(Vocab, MatchTarget)>,
+}
+
+impl EngineBuilder {
+    fn add(&mut self, surface: &str, vocab: Vocab, target: MatchTarget) {
+        let tokens = tokenize_words(surface);
+        if tokens.is_empty() {
+            return;
+        }
+        let syms: Vec<u32> = tokens
+            .into_iter()
+            .map(|t| {
+                let next = u32::try_from(self.symbols.len()).unwrap_or(NO_SYM);
+                *self.symbols.entry(t).or_insert(next)
+            })
+            .collect();
+        if self.ac.add(syms).is_some() {
+            self.targets.push((vocab, target));
+        }
+    }
+
+    fn build(self) -> Engine {
+        // In symbol order, so the table's layout does not depend on the
+        // map's iteration order.
+        let mut words: Vec<(String, u32)> = self.symbols.into_iter().collect();
+        words.sort_unstable_by_key(|&(_, sym)| sym);
+        Engine {
+            ac: self.ac.build(),
+            words: WordTable::new(words),
+            targets: self.targets,
         }
     }
 }
 
-/// A line's tokens, produced lazily with the legacy character classes and
-/// Unicode lower-casing.
+/// The tokens that put the rest of their line in negated context.
+const NEGATION_CUES: [&str; 7] = [
+    "not", "never", "don't", "doesn't", "won't", "neither", "nor",
+];
+
+/// The engine's words — every lower-cased vocabulary token with its
+/// symbol, plus the [`NEGATION_CUES`] — in an open-addressing table with
+/// linear probing, at most half full.
+///
+/// A token is hashed as its bytes are read ([`hash_step`]). The hash only
+/// picks the slot a probe starts from, and a hit is an exact comparison of
+/// the word's bytes, so a lookup answers exactly what a map keyed by the
+/// word would, whatever the hash; no hash reaches an output. Only the
+/// program's own vocabulary is ever inserted, so no text can lengthen a
+/// probe past the longest run of occupied slots the build left.
+struct WordTable {
+    /// Per slot: one plus the index of its word in `words`, or 0 if empty.
+    slots: Vec<u32>,
+    words: Vec<Word>,
+}
+
+struct Word {
+    text: String,
+    sym: u32,
+    neg: bool,
+}
+
+impl WordTable {
+    /// The table over the interned `vocab` words and every negation cue
+    /// not among them, which gets [`NO_SYM`].
+    fn new(vocab: Vec<(String, u32)>) -> WordTable {
+        let mut words: Vec<Word> = vocab
+            .into_iter()
+            .map(|(text, sym)| Word {
+                neg: NEGATION_CUES.contains(&text.as_str()),
+                text,
+                sym,
+            })
+            .collect();
+        for cue in NEGATION_CUES {
+            if !words.iter().any(|w| w.text == cue) {
+                words.push(Word {
+                    text: cue.to_string(),
+                    sym: NO_SYM,
+                    neg: true,
+                });
+            }
+        }
+        let mut slots = vec![0u32; words.len().saturating_mul(2).next_power_of_two()];
+        let mask = slots.len() - 1;
+        for (word, id) in words.iter().zip(1u32..) {
+            let mut at = word_hash(word.text.as_bytes()) as usize;
+            while let Some(slot) = slots.get_mut(at & mask) {
+                if *slot == 0 {
+                    *slot = id;
+                    break;
+                }
+                at = at.wrapping_add(1);
+            }
+        }
+        WordTable { slots, words }
+    }
+
+    /// The word whose bytes `is_word` accepts, probing from `hash`, the
+    /// [`word_hash`] of the lower-cased bytes looked up. The table is at
+    /// most half full, so the probe ends at an empty slot on a miss.
+    fn get(&self, hash: u32, is_word: impl Fn(&[u8]) -> bool) -> Option<&Word> {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize;
+        loop {
+            let id = *self.slots.get(at & mask)?;
+            let word = self.words.get(id.checked_sub(1)? as usize)?;
+            if is_word(word.text.as_bytes()) {
+                return Some(word);
+            }
+            at = at.wrapping_add(1);
+        }
+    }
+}
+
+const HASH_START: u32 = 0x811c_9dc5;
+
+/// One byte of FNV-1a.
+fn hash_step(hash: u32, b: u8) -> u32 {
+    (hash ^ u32::from(b)).wrapping_mul(0x0100_0193)
+}
+
+fn word_hash(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(HASH_START, |hash, &b| hash_step(hash, b))
+}
+
+/// A line's tokens: runs of word chars, each looked up in the
+/// [`WordTable`] under its Unicode lower case. ASCII bytes are classified
+/// and lower-cased by [`fold_byte`], and an ASCII token is hashed as it is
+/// read and compared in place; only a token with a non-ASCII char is
+/// lower-cased into a buffer first.
 struct Tokens<'a> {
-    engine: &'a Engine,
+    words: &'a WordTable,
     line: &'a str,
-    chars: std::str::CharIndices<'a>,
-    /// Fold buffer for [`Engine::token`]; allocated on the first token
-    /// that needs folding, reused for the rest of the line.
+    /// Byte offset of the next unread char.
+    pos: usize,
+    /// Lower-case buffer for tokens with a non-ASCII char; allocated on
+    /// the first one, reused for the rest of the line.
     scratch: String,
 }
 
 impl<'a> Tokens<'a> {
-    fn new(engine: &'a Engine, line: &'a str) -> Tokens<'a> {
+    fn new(words: &'a WordTable, line: &'a str) -> Tokens<'a> {
         Tokens {
-            engine,
+            words,
             line,
-            chars: line.char_indices(),
+            pos: 0,
             scratch: String::new(),
         }
+    }
+
+    fn char_at(&self, at: usize) -> Option<char> {
+        self.line.get(at..)?.chars().next()
     }
 }
 
@@ -411,31 +483,62 @@ impl Iterator for Tokens<'_> {
     type Item = Tok;
 
     fn next(&mut self) -> Option<Tok> {
-        let (start, first) = self.chars.by_ref().find(|&(_, ch)| is_token_char(ch))?;
-        let mut fold = needs_fold(first);
-        let mut end = self.line.len();
-        for (idx, ch) in self.chars.by_ref() {
-            if !is_token_char(ch) {
-                end = idx;
+        let bytes = self.line.as_bytes();
+        let mut pos = self.pos;
+        loop {
+            let folded = fold_byte(*bytes.get(pos)?);
+            if folded == b' ' {
+                pos += 1;
+            } else if folded < 0x80 {
                 break;
+            } else {
+                let ch = self.char_at(pos)?;
+                if is_word_char(ch) {
+                    break;
+                }
+                pos += ch.len_utf8();
             }
-            fold |= needs_fold(ch);
         }
-        Some(
-            self.engine
-                .token(self.line, start, end, fold, &mut self.scratch),
-        )
+        let start = pos;
+        let mut hash = HASH_START;
+        let mut ascii = true;
+        while let Some(&b) = bytes.get(pos) {
+            let folded = fold_byte(b);
+            if folded == b' ' {
+                break;
+            } else if folded < 0x80 {
+                hash = hash_step(hash, folded);
+                pos += 1;
+            } else {
+                match self.char_at(pos) {
+                    Some(ch) if is_word_char(ch) => {
+                        ascii = false;
+                        pos += ch.len_utf8();
+                    }
+                    _ => break,
+                }
+            }
+        }
+        self.pos = pos;
+        let word = if ascii {
+            let token = bytes.get(start..pos).unwrap_or_default();
+            self.words
+                .get(hash, |word| word.eq_ignore_ascii_case(token))
+        } else {
+            self.scratch.clear();
+            let token = self.line.get(start..pos).unwrap_or_default();
+            self.scratch
+                .extend(token.chars().flat_map(char::to_lowercase));
+            let lower = self.scratch.as_bytes();
+            self.words.get(word_hash(lower), |word| word == lower)
+        };
+        Some(Tok {
+            start,
+            end: pos,
+            sym: word.map_or(NO_SYM, |w| w.sym),
+            neg: word.is_some_and(|w| w.neg),
+        })
     }
-}
-
-/// The legacy token character classes.
-fn is_token_char(ch: char) -> bool {
-    ch.is_alphanumeric() || ch == '-' || ch == '/' || ch == '&' || ch == '\''
-}
-
-/// Whether a token holding `ch` must be lower-cased before lookup.
-fn needs_fold(ch: char) -> bool {
-    ch.is_ascii_uppercase() || !ch.is_ascii()
 }
 
 fn vocab_index(vocab: Vocab) -> usize {
@@ -445,30 +548,8 @@ fn vocab_index(vocab: Vocab) -> usize {
     }
 }
 
-fn add_pattern(
-    builder: &mut AcBuilder,
-    symbols: &mut HashMap<String, u32>,
-    targets: &mut Vec<(Vocab, MatchTarget)>,
-    surface: &str,
-    vocab: Vocab,
-    target: MatchTarget,
-) {
-    let tokens = tokenize_words(surface);
-    if tokens.is_empty() {
-        return;
-    }
-    let syms: Vec<u32> = tokens
-        .into_iter()
-        .map(|t| {
-            let next = u32::try_from(symbols.len()).unwrap_or(u32::MAX);
-            *symbols.entry(t).or_insert(next)
-        })
-        .collect();
-    if builder.add(syms).is_some() {
-        targets.push((vocab, target));
-    }
-}
-
+/// The legacy oracle's negation test.
+#[cfg(test)]
 fn is_negation_token(word: &str) -> bool {
     matches!(
         word,
@@ -490,7 +571,7 @@ fn tokenize_with_spans(s: &str) -> Vec<(String, usize, usize)> {
     let mut current = String::new();
     let mut start = 0usize;
     for (idx, ch) in s.char_indices() {
-        if is_token_char(ch) {
+        if is_word_char(ch) {
             if current.is_empty() {
                 start = idx;
             }
@@ -802,6 +883,110 @@ mod tests {
         assert_eq!(dual.purposes, VocabMatcher::for_purposes().scan_line(line));
         assert!(!dual.datatypes.is_empty());
         assert!(!dual.purposes.is_empty());
+    }
+
+    fn title_case(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        let mut word_start = true;
+        for ch in s.chars() {
+            if word_start {
+                out.extend(ch.to_uppercase());
+            } else {
+                out.push(ch);
+            }
+            word_start = ch == ' ';
+        }
+        out
+    }
+
+    /// Every surface form the engine knows and every negation cue, in
+    /// lower, upper and title case, alone and inside a sentence. A word
+    /// the table probes wrongly, or a hash collision the byte comparison
+    /// lets through, shows here even where a random word pool never draws
+    /// it.
+    #[test]
+    fn every_vocabulary_surface_scans_as_the_legacy_oracle() {
+        let datatypes = LegacyMatcher::for_datatypes();
+        let purposes = LegacyMatcher::for_purposes();
+        let surfaces: Vec<&str> =
+            DATA_TYPE_DESCRIPTORS
+                .iter()
+                .flat_map(|spec| std::iter::once(spec.name).chain(spec.surfaces.iter().copied()))
+                .chain(ZERO_SHOT_DATA_TYPES.iter().map(|z| z.term))
+                .chain(PURPOSE_DESCRIPTORS.iter().flat_map(|spec| {
+                    std::iter::once(spec.name).chain(spec.surfaces.iter().copied())
+                }))
+                .chain(ZERO_SHOT_PURPOSES.iter().map(|z| z.term))
+                .chain(NEGATION_CUES)
+                .collect();
+        assert!(surfaces.len() > 500, "{} surfaces", surfaces.len());
+        for surface in surfaces {
+            for form in [
+                surface.to_lowercase(),
+                surface.to_uppercase(),
+                title_case(surface),
+            ] {
+                for line in [form.clone(), format!("We collect {form} today.")] {
+                    let dual = scan_line_dual(&line);
+                    assert_eq!(dual.datatypes, datatypes.scan_line(&line), "{line:?}");
+                    assert_eq!(dual.purposes, purposes.scan_line(&line), "{line:?}");
+                    assert_eq!(
+                        vocab_presence(&line),
+                        VocabPresence {
+                            datatypes: !dual.datatypes.is_empty(),
+                            purposes: !dual.purposes.is_empty(),
+                        },
+                        "{line:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_table_holds_each_word_once_under_its_own_symbol() {
+        let table = &engine().words;
+        let mut syms = std::collections::BTreeSet::new();
+        for word in &table.words {
+            let text = word.text.as_bytes();
+            let found = table.get(word_hash(text), |w| w == text);
+            assert!(
+                found.is_some_and(|f| std::ptr::eq(f, word)),
+                "{:?} not found at its own entry",
+                word.text
+            );
+            assert_eq!(word.neg, is_negation_token(&word.text), "{:?}", word.text);
+            if word.sym != NO_SYM {
+                assert!(syms.insert(word.sym), "symbol {} twice", word.sym);
+            }
+            // A longer or shorter word probes to a miss or to another word.
+            for other in [format!("{}x", word.text), word.text[1..].to_string()] {
+                let hit = table.get(word_hash(other.as_bytes()), |w| w == other.as_bytes());
+                assert!(hit.is_none_or(|h| h.text == other), "{other:?}");
+            }
+        }
+        assert_eq!(
+            syms.len(),
+            table.words.iter().filter(|w| w.sym != NO_SYM).count()
+        );
+        assert!(NEGATION_CUES
+            .iter()
+            .all(|cue| table.words.iter().any(|w| w.text == *cue && w.neg)));
+        assert!(table.slots.len() >= 2 * table.words.len());
+    }
+
+    #[test]
+    fn non_ascii_tokens_lower_case_into_vocabulary_words() {
+        // U+212A KELVIN SIGN lower-cases to ASCII `k` under Unicode rules,
+        // so "BAN\u{212A}" is the token "bank"; U+0130 lower-cases to `i`
+        // plus a combining dot, which no vocabulary word holds.
+        let table = &engine().words;
+        let sym_of = |line: &str| -> Vec<u32> { Tokens::new(table, line).map(|t| t.sym).collect() };
+        assert_eq!(sym_of("BAN\u{212A}"), sym_of("bank"));
+        assert_ne!(sym_of("bank"), vec![NO_SYM]);
+        assert_eq!(sym_of("\u{130}P"), vec![NO_SYM]);
+        assert_eq!(sym_of("NOT"), sym_of("not"));
+        assert!(Tokens::new(table, "N\u{212A}OT don't").all(|t| t.neg == (t.start > 0)));
     }
 
     /// Word pool for stitched lines: real vocabulary surfaces, negation

@@ -80,11 +80,14 @@ const CALLS: u64 = 439;
 const INPUT_BYTES: u64 = 2_344_014;
 /// Policies segmented and annotated.
 const POLICIES: u64 = 65;
-/// Allocations per chatbot call: 95,164 over 439 calls.
-const CHATBOT_ALLOCS_PER_CALL: f64 = 216.8;
-/// Allocations per annotated policy outside the chatbot calls: 100,487
-/// over 65 policies.
-const ANNOTATE_ALLOCS_PER_POLICY: f64 = 1546.0;
+/// Allocations per chatbot call: 88,261 over 439 calls. It was 95,164
+/// (216.8) while the vocabulary tokenizer lower-cased every token with an
+/// upper-case letter into a `String` and interned words in a `HashMap`.
+const CHATBOT_ALLOCS_PER_CALL: f64 = 201.05;
+/// Allocations per annotated policy outside the chatbot calls: 97,323
+/// over 65 policies. It was 100,487 (1546.0) while `fold_into` pushed one
+/// char at a time, growing the dedup keys as it went.
+const ANNOTATE_ALLOCS_PER_POLICY: f64 = 1497.28;
 /// Journal entries: one per domain of the world.
 const ENTRIES: u64 = 80;
 /// Allocations per `ShardedJournal::record`: 889 over 80 entries.

@@ -13,7 +13,7 @@
 //! needles.
 
 use crate::ac::AcBuilder;
-use crate::fold::{fold_bytes, fold_into};
+use crate::fold::{fold_bytes, fold_into, fold_line, into_string};
 
 /// A document folded once: `fold(line) + ' '` per line, concatenated —
 /// byte-identical to folding and joining the lines individually.
@@ -32,7 +32,7 @@ pub struct FoldedDoc {
 /// document, instead of allocated fresh for every policy.
 #[derive(Debug, Default)]
 pub struct FoldArena {
-    buf: String,
+    buf: Vec<u8>,
     line_spans: Vec<(usize, usize)>,
 }
 
@@ -46,13 +46,15 @@ impl FoldArena {
     /// [`FoldedDoc::from_lines_in`] call. Dropping the doc instead is not
     /// an error — the next fold simply allocates fresh buffers.
     pub fn recycle(&mut self, doc: FoldedDoc) {
-        self.buf = doc.buf;
+        self.buf = doc.buf.into_bytes();
         self.line_spans = doc.line_spans;
     }
 }
 
+/// Fold every line into `buf` (as bytes, checked as UTF-8 once at the
+/// end) and record its span.
 fn fill<'a>(
-    mut buf: String,
+    mut buf: Vec<u8>,
     mut line_spans: Vec<(usize, usize)>,
     lines: impl Iterator<Item = &'a str>,
 ) -> FoldedDoc {
@@ -64,17 +66,20 @@ fn fill<'a>(
     line_spans.reserve(lines.size_hint().0);
     for line in lines {
         let start = buf.len();
-        fold_into(&mut buf, line);
+        fold_line(&mut buf, line);
         line_spans.push((start, buf.len()));
-        buf.push(' ');
+        buf.push(b' ');
     }
-    FoldedDoc { buf, line_spans }
+    FoldedDoc {
+        buf: into_string(buf),
+        line_spans,
+    }
 }
 
 impl FoldedDoc {
     /// Fold each line once into the shared buffer.
     pub fn from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> FoldedDoc {
-        fill(String::new(), Vec::new(), lines.into_iter())
+        fill(Vec::new(), Vec::new(), lines.into_iter())
     }
 
     /// [`FoldedDoc::from_lines`], but built in `arena`'s recycled buffers:

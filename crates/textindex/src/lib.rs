@@ -26,19 +26,28 @@
 //!   budget, go to one batched byte-automaton scan of the whole buffer,
 //!   with their needles folded incrementally into the trie
 //!   ([`fold_bytes`]).
+//! * [`word`] — the one home of the word-character decision (alphanumeric,
+//!   `-`, `/`, `&`, `'`): ASCII bytes are classified and lower-cased by a
+//!   table ([`fold_byte`]), and a non-ASCII char is decoded only to ask
+//!   `char::is_alphanumeric` ([`is_word_char`]). The fold and the
+//!   chatbot's vocabulary tokenizer both read their bytes through it.
 //!
-//! The folding helpers ([`fold_into`], [`fold_bytes`]) are byte-exact
-//! re-expressions of [`aipan_taxonomy::normalize::fold`] — property-tested against it
-//! in `tests/fold_props.rs` — differing only in where the output goes
-//! (appended to a reused buffer / streamed as bytes) rather than in what it
+//! The folding helpers ([`fold_into`], [`fold_bytes`], and the build of a
+//! [`FoldedDoc`]) are byte-exact re-expressions of
+//! [`aipan_taxonomy::normalize::fold`] — property-tested against it in
+//! `tests/fold_props.rs` — differing only in where the output goes
+//! (appended to a reused buffer / streamed as bytes) and in how it is
+//! computed (an all-ASCII line in one byte loop), rather than in what it
 //! is.
 
 pub mod ac;
 pub mod cues;
 pub mod doc;
 pub mod fold;
+pub mod word;
 
 pub use ac::{AcAutomaton, AcBuilder};
 pub use cues::CueSet;
 pub use doc::{FoldArena, FoldedDoc};
 pub use fold::{fold_bytes, fold_into, FoldBytes};
+pub use word::{fold_byte, is_word_char};

@@ -2,17 +2,75 @@
 //! against `aipan_taxonomy::normalize::fold`, and `FoldedDoc::verify_batch` agrees
 //! with the per-needle `contains(&fold(needle))` check whatever line a row
 //! cites.
+//!
+//! `.` draws a non-ASCII char about once in 25, so most of its longer
+//! lines hold one and take the char loop. The byte loop that folds an
+//! all-ASCII line is reached through two more inputs: all-ASCII lines with
+//! separator runs at both ends ([`SEPARATORS`], [`ASCII`]), and the same
+//! lines with one non-ASCII char ([`NON_ASCII`]) inserted anywhere.
 
 use aipan_taxonomy::normalize::fold;
 use aipan_textindex::{fold_bytes, fold_into, FoldedDoc};
 use proptest::prelude::*;
 
+/// A run of ASCII separators of every class: the controls (`\x0B` and
+/// `\x1C` among them), space, every punctuation byte but `-` `/` `&` `'`,
+/// and `\x7F`.
+const SEPARATORS: &str = "[\x00-\x1F !-%(-,.:-@\\[-`{-\x7F]{0,4}";
+/// Any ASCII bytes, word and separator bytes alike.
+const ASCII: &str = "[\x00-\x7F]{0,32}";
+/// One non-ASCII char: word chars of every UTF-8 width (U+212A KELVIN SIGN
+/// and U+0130 among them) and separators.
+const NON_ASCII: &str = "[éßİ\u{212A}中Ⅻ\u{a0}\u{2028}\u{3000}…😀]";
+
+/// An all-ASCII line of 0–40 bytes: separators, any ASCII, separators.
+type AsciiParts = (String, String, String);
+
+fn ascii_line((head, body, tail): AsciiParts) -> String {
+    head + &body + &tail
+}
+
+/// An all-ASCII line with one non-ASCII char inserted at `at` (modulo its
+/// length plus one).
+fn one_non_ascii((parts, ch, at): (AsciiParts, String, usize)) -> String {
+    let mut line = ascii_line(parts);
+    line.insert_str(at % (line.len() + 1), &ch);
+    line
+}
+
+/// `FoldedDoc::from_lines(lines)` against folding each line alone.
+fn check_doc(lines: &[String]) -> Result<(), String> {
+    let doc = FoldedDoc::from_lines(lines.iter().map(String::as_str));
+    let mut expected = String::new();
+    for line in lines {
+        expected.push_str(&fold(line));
+        expected.push(' ');
+    }
+    prop_assert_eq!(doc.folded(), expected.as_str(), "lines={:?}", lines);
+    prop_assert_eq!(doc.line_count(), lines.len());
+    for (i, line) in lines.iter().enumerate() {
+        let span = doc.line_span(i);
+        prop_assert!(span.is_some());
+        if let Some((start, end)) = span {
+            let folded_line = fold(line);
+            prop_assert_eq!(&doc.folded()[start..end], folded_line.as_str());
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
-    fn fold_into_appends_exactly_fold(s in ".{0,120}") {
-        let mut buf = String::from("⟨seed⟩");
-        fold_into(&mut buf, &s);
-        prop_assert_eq!(buf, format!("⟨seed⟩{}", fold(&s)));
+    fn fold_into_appends_exactly_fold(
+        s in ".{0,120}",
+        ascii in (SEPARATORS, ASCII, SEPARATORS),
+        mixed in ((SEPARATORS, ASCII, SEPARATORS), NON_ASCII, 0usize..41),
+    ) {
+        for s in [s, ascii_line(ascii), one_non_ascii(mixed)] {
+            let mut buf = String::from("⟨seed⟩");
+            fold_into(&mut buf, &s);
+            prop_assert_eq!(buf, format!("⟨seed⟩{}", fold(&s)), "s={:?}", s);
+        }
     }
 
     #[test]
@@ -23,23 +81,25 @@ proptest! {
 
     #[test]
     fn folded_doc_buffer_equals_per_line_folds(
-        lines in proptest::collection::vec(".{0,60}", 0..8)
+        lines in proptest::collection::vec(".{0,60}", 0..8),
+        ascii in proptest::collection::vec((SEPARATORS, ASCII, SEPARATORS), 0..8),
+        mixed in proptest::collection::vec(
+            ((SEPARATORS, ASCII, SEPARATORS), NON_ASCII, 0usize..41),
+            0..8
+        ),
     ) {
-        let doc = FoldedDoc::from_lines(lines.iter().map(String::as_str));
-        let mut expected = String::new();
-        for line in &lines {
-            expected.push_str(&fold(line));
-            expected.push(' ');
-        }
-        prop_assert_eq!(doc.folded(), expected.as_str());
-        prop_assert_eq!(doc.line_count(), lines.len());
-        for (i, line) in lines.iter().enumerate() {
-            let span = doc.line_span(i);
-            prop_assert!(span.is_some());
-            if let Some((start, end)) = span {
-                let folded_line = fold(line);
-                prop_assert_eq!(&doc.folded()[start..end], folded_line.as_str());
+        let ascii: Vec<String> = ascii.into_iter().map(ascii_line).collect();
+        let mixed: Vec<String> = mixed.into_iter().map(one_non_ascii).collect();
+        // Each kind alone, then all three interleaved in one document, so
+        // the byte loop and the char loop append to the same buffer.
+        let mut interleaved = Vec::new();
+        for i in 0..8 {
+            for kind in [&lines, &ascii, &mixed] {
+                interleaved.extend(kind.get(i).cloned());
             }
+        }
+        for doc in [&lines, &ascii, &mixed, &interleaved] {
+            check_doc(doc)?;
         }
     }
 
