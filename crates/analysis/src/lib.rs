@@ -11,11 +11,6 @@
 //! * [`insights`] — the §5 headline findings (category-count distribution,
 //!   retention extremes, protection specificity, read/write access,
 //!   data-for-sale companies).
-//! * [`risk`] — privacy-exposure scoring and sector leaderboards (the
-//!   "legal exposure risk analysis" the Discussion says the dataset
-//!   unlocks).
-//! * [`trends`] — dataset-to-dataset diffing for longitudinal analysis
-//!   ("trends, policy peer group comparisons").
 //! * [`validation`] — the §4 validation: crawl-failure audit,
 //!   missing-aspect audit, stratified annotation precision (measured
 //!   against the synthetic world's planted ground truth), and the §6
@@ -24,14 +19,10 @@
 #![warn(missing_docs)]
 
 pub mod insights;
-pub mod risk;
 pub mod stats;
 pub mod tables;
-pub mod trends;
 pub mod validation;
 
 pub use insights::Insights;
-pub use risk::RiskScore;
 pub use stats::{CategoryStats, SectorBreakdown};
-pub use trends::TrendReport;
 pub use validation::{FailureAudit, MissingAspectAudit, ModelComparison, PrecisionReport};

@@ -4,7 +4,7 @@
 //! wall-clock/entropy input, rule D1) may leak into any emitted table,
 //! report, or serialized dataset.
 
-use aipan_analysis::{insights, risk, tables};
+use aipan_analysis::{insights, tables};
 use aipan_core::{run_pipeline, PipelineConfig};
 use aipan_webgen::{build_world, WorldConfig};
 
@@ -45,8 +45,7 @@ fn render_everything(seed: u64, companies: usize, workers: usize) -> String {
         3,
         seed,
     )));
-    // Risk ranking and narrative insights.
-    out.push_str(&risk::render(&risk::rank(&run.dataset), 15));
+    // Narrative insights.
     out.push_str(&insights::Insights::compute(&run.dataset).render());
     // Serialized dataset (JSON map ordering must be stable too).
     out.push_str(&serde_json::to_string(&run.dataset).unwrap_or_default());

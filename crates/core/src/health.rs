@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 /// Version stamp of the health JSON schema: bumped whenever a member is
 /// added, removed, or changes meaning.
-pub const HEALTH_SCHEMA_VERSION: u32 = 1;
+pub const HEALTH_SCHEMA_VERSION: u32 = 2;
 
 /// The overall verdict, as an inspectable enum (see
 /// [`RunHealth::classify`]; the serialized form is the lowercase `verdict`
@@ -113,8 +113,6 @@ pub struct HealthInputs {
     pub quarantine: Vec<QuarantineRecord>,
     /// Domains skipped outright because they reached the poison threshold.
     pub poisoned_skipped: Vec<String>,
-    /// Times a worker stalled at admission on the memory cap.
-    pub backpressure_stalls: u64,
     /// Journal appends that exhausted the write-retry budget.
     pub journal_write_errors: usize,
     /// Journal append attempts that were retried (and absorbed).
@@ -128,9 +126,6 @@ pub struct HealthInputs {
 /// run — health reports golden-test like datasets do.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunHealth {
-    /// Times a worker stalled at admission on the memory cap
-    /// (scheduling-dependent under a cap; always zero without one).
-    pub backpressure_stalls: u64,
     /// Journal append attempts that were retried and absorbed.
     pub disk_retries: u64,
     /// Domains whose chain ran to completion (the funnel's attempt count;
@@ -164,7 +159,6 @@ impl RunHealth {
             extraction,
             mut quarantine,
             mut poisoned_skipped,
-            backpressure_stalls,
             journal_write_errors,
             disk_retries,
             transport,
@@ -237,7 +231,6 @@ impl RunHealth {
         };
 
         RunHealth {
-            backpressure_stalls,
             disk_retries: disk_retries as u64,
             domains_total: crawl.domains_total as u64,
             errors,
@@ -293,7 +286,6 @@ mod tests {
             },
             quarantine: Vec::new(),
             poisoned_skipped: Vec::new(),
-            backpressure_stalls: 0,
             journal_write_errors: 0,
             disk_retries: 0,
             transport: TransportMetrics::default(),

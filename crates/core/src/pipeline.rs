@@ -9,7 +9,6 @@ use crate::shard::{ShardedJournal, DEFAULT_SHARDS};
 use aipan_chatbot::{ModelProfile, SimulatedChatbot, TokenUsage};
 use aipan_crawler::{
     stream_all_supervised, CrawlFunnel, CrawlOptions, DeadLetter, DomainCrawl, PoolConfig,
-    SupervisorOptions,
 };
 use aipan_html::{extract, lang, ExtractedDoc};
 use aipan_net::fault::FaultInjector;
@@ -33,11 +32,10 @@ pub struct PipelineConfig {
     /// Whether to segment before annotating (ablation: `false` feeds the
     /// whole text to every aspect's task).
     pub use_segmentation: bool,
-    /// Crawl resilience options: retry/backoff policy, fetch-session seed,
-    /// and the optional per-domain crawl deadline.
+    /// Crawl resilience options: retry/backoff policy and fetch-session
+    /// seed.
     pub crawl: CrawlOptions,
-    /// Streaming-supervisor policy: poison threshold and memory
-    /// backpressure cap.
+    /// Streaming-supervisor policy: the poison threshold.
     pub supervisor: SupervisorPolicy,
 }
 
@@ -55,7 +53,7 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Fault-isolation and backpressure policy of the streaming supervisor.
+/// Fault-isolation policy of the streaming supervisor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorPolicy {
     /// Cumulative worker kills after which a domain is poisoned — skipped
@@ -63,19 +61,11 @@ pub struct SupervisorPolicy {
     /// that quarantined it. The default of 2 gives every panicking domain
     /// exactly one retry on resume before it is written off.
     pub max_kills: u32,
-    /// Site-memory cap (bytes, against the world's
-    /// [`aipan_webgen::MemoryGauge`]) above which admission of new domains
-    /// blocks until in-flight domains release. `None` disables
-    /// backpressure.
-    pub memory_cap_bytes: Option<usize>,
 }
 
 impl Default for SupervisorPolicy {
     fn default() -> SupervisorPolicy {
-        SupervisorPolicy {
-            max_kills: 2,
-            memory_cap_bytes: None,
-        }
+        SupervisorPolicy { max_kills: 2 }
     }
 }
 
@@ -304,11 +294,8 @@ pub fn run_pipeline(world: &World, config: PipelineConfig) -> PipelineRun {
 /// (so a resume retries it), and a domain whose cumulative kill count
 /// reaches [`SupervisorPolicy::max_kills`] is poisoned: filtered out of the
 /// dispatch list entirely, making the resumed run byte-identical to a
-/// clean run over the universe minus the poisoned domains. When
-/// [`SupervisorPolicy::memory_cap_bytes`] is set, admission of new domains
-/// additionally blocks on the world's site-memory gauge (deadlock-free: an
-/// over-cap run degrades to one domain at a time). The run's [`RunHealth`]
-/// report is returned on the [`PipelineRun`].
+/// clean run over the universe minus the poisoned domains. The run's
+/// [`RunHealth`] report is returned on the [`PipelineRun`].
 pub fn run_pipeline_sharded(
     world: &World,
     config: PipelineConfig,
@@ -337,12 +324,6 @@ pub fn run_pipeline_sharded(
         funnel: CrawlFunnel,
     }
 
-    let probe = || world.site_memory.current_bytes();
-    let supervisor = SupervisorOptions {
-        memory_cap_bytes: config.supervisor.memory_cap_bytes,
-        memory_probe: Some(&probe),
-    };
-
     let pipeline_ref = &pipeline;
     let outcome = stream_all_supervised(
         &client,
@@ -351,7 +332,6 @@ pub fn run_pipeline_sharded(
             workers: config.workers,
         },
         &config.crawl,
-        &supervisor,
         || WorkerState {
             arena: AnnotateArena::new(),
             funnel: CrawlFunnel::default(),
@@ -440,7 +420,6 @@ pub fn run_pipeline_sharded(
         extraction: extraction.clone(),
         quarantine: journal.quarantine_records(),
         poisoned_skipped,
-        backpressure_stalls: outcome.backpressure_stalls,
         journal_write_errors: journal.write_errors(),
         disk_retries: journal.disk_retries(),
         transport: client.metrics(),

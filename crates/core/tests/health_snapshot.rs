@@ -13,8 +13,8 @@ use aipan_crawler::CrawlFunnel;
 use aipan_net::TransportMetrics;
 
 /// A representative degraded run: one domain quarantined at each stage,
-/// one poisoned skip, absorbed disk retries, a couple of backpressure
-/// stalls, and non-trivial transport resilience counters.
+/// one poisoned skip, absorbed disk retries, and non-trivial transport
+/// resilience counters.
 fn sample_health() -> RunHealth {
     RunHealth::assess(HealthInputs {
         crawl: CrawlFunnel {
@@ -48,7 +48,6 @@ fn sample_health() -> RunHealth {
             },
         ],
         poisoned_skipped: vec!["meltdown.example".to_string()],
-        backpressure_stalls: 2,
         journal_write_errors: 1,
         disk_retries: 4,
         transport: TransportMetrics {
@@ -65,9 +64,8 @@ fn sample_health() -> RunHealth {
     })
 }
 
-/// The full rendered document, byte for byte — `schema_version` 1.
+/// The full rendered document, byte for byte — `schema_version` 2.
 const SNAPSHOT: &str = r#"{
-  "backpressure_stalls": 2,
   "disk_retries": 4,
   "domains_total": 12,
   "errors": {
@@ -103,7 +101,7 @@ const SNAPSHOT: &str = r#"{
     "1 poisoned domain(s) skipped",
     "2 domain(s) quarantined after worker panics"
   ],
-  "schema_version": 1,
+  "schema_version": 2,
   "transport": {
     "breaker_opens": 1,
     "budget_exhausted": 1,
@@ -125,8 +123,8 @@ fn health_report_renders_byte_identically() {
 
 #[test]
 fn snapshot_version_matches_schema_constant() {
-    assert_eq!(HEALTH_SCHEMA_VERSION, 1, "schema bumped: refresh SNAPSHOT");
-    assert!(SNAPSHOT.contains("\"schema_version\": 1"));
+    assert_eq!(HEALTH_SCHEMA_VERSION, 2, "schema bumped: refresh SNAPSHOT");
+    assert!(SNAPSHOT.contains("\"schema_version\": 2"));
 }
 
 #[test]

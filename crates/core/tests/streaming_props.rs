@@ -7,7 +7,7 @@
 
 use aipan_core::{
     run_pipeline, run_pipeline_sharded, segment_path, DiskFaultConfig, DiskFaultInjector,
-    PipelineConfig, PipelineRun, ShardedJournal, DEFAULT_SHARDS,
+    PipelineConfig, PipelineRun, RunHealth, ShardedJournal, DEFAULT_SHARDS,
 };
 use aipan_net::fault::FaultConfig;
 use aipan_net::http::{Request, Response};
@@ -115,6 +115,13 @@ fn streaming_matches_eager_under_chaos_at_every_worker_count() {
         );
         assert_eq!(streamed.extraction, reference.extraction);
         assert_eq!(streamed.crawl_funnel, reference.crawl_funnel);
+        // No member of the health report depends on thread scheduling, so
+        // the whole report (transport rollups, error taxonomy, disk
+        // counters) equals the eager reference.
+        assert_eq!(
+            streamed.health, reference.health,
+            "health report with {workers} worker(s) diverged"
+        );
         assert_all_sites_released(&lazy_world);
     }
 }
@@ -202,16 +209,16 @@ fn poison_domain(world: &World, victim: &str) {
 }
 
 // Panic-injection chaos sweep: worlds with worker-killing hosts still
-// complete, and the quarantine (dead-letter set) and dataset are
-// worker-count invariant — fault isolation must not depend on which worker
-// happens to pick up the doomed domain.
+// complete, and the quarantine (dead-letter set), the whole health report
+// and the dataset are worker-count invariant — fault isolation must not
+// depend on which worker happens to pick up the doomed domain.
 #[test]
 fn panic_injection_dead_letters_are_worker_count_invariant() {
     let mut gen = Gen::from_name("panic_injection_dead_letters");
     for case in 0..4usize {
         let seed = Strategy::generate(&(0u64..1000), &mut gen);
         let domains = Strategy::generate(&(12usize..24), &mut gen);
-        let mut reference: Option<(Vec<aipan_core::QuarantineRecord>, String)> = None;
+        let mut reference: Option<(RunHealth, String)> = None;
         for workers in [1usize, 2, 5, 8] {
             let world = build_world_lazy(world_config(seed, domains, true));
             let all: Vec<String> = world
@@ -241,12 +248,13 @@ fn panic_injection_dead_letters_are_worker_count_invariant() {
 
             let bytes = dataset_bytes(&run);
             match &reference {
-                None => reference = Some((quarantine, bytes)),
-                Some((ref_quarantine, ref_bytes)) => {
+                None => reference = Some((run.health, bytes)),
+                Some((ref_health, ref_bytes)) => {
                     assert_eq!(
-                        &quarantine, ref_quarantine,
+                        &quarantine, &ref_health.quarantine,
                         "{tag}: dead-letter set diverged"
                     );
+                    assert_eq!(&run.health, ref_health, "{tag}: health report diverged");
                     assert_eq!(&bytes, ref_bytes, "{tag}: dataset diverged");
                 }
             }

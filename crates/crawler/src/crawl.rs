@@ -27,7 +27,7 @@ const SKIP_EXTENSIONS: &[&str] = &[
 /// Whether a link target's file extension marks it as a non-document asset.
 fn is_binary_link(url: &Url) -> bool {
     url.extension()
-        .map_or(false, |ext| SKIP_EXTENSIONS.contains(&ext.as_str()))
+        .is_some_and(|ext| SKIP_EXTENSIONS.contains(&ext.as_str()))
 }
 
 /// The first `max` links in `region` whose text or target mentions
@@ -94,32 +94,17 @@ pub enum CrawlOutcome {
     TransportFailure(String),
 }
 
-/// Per-crawl resilience knobs: the retry policy behind every fetch plus an
-/// optional deadline on the simulated clock.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Per-crawl resilience knobs: the retry policy behind every fetch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct CrawlOptions {
     /// Retry/backoff/breaker policy for this crawl's fetch session.
     pub retry: RetryPolicy,
     /// Seed for deterministic backoff jitter.
     pub seed: u64,
-    /// Per-domain crawl deadline in simulated milliseconds. When the
-    /// session clock (latency + backoff + politeness) passes it, the crawl
-    /// stops fetching and salvages the pages collected so far.
-    pub deadline_ms: Option<u64>,
-}
-
-impl Default for CrawlOptions {
-    fn default() -> Self {
-        CrawlOptions {
-            retry: RetryPolicy::default(),
-            seed: 0,
-            deadline_ms: None,
-        }
-    }
 }
 
 impl CrawlOptions {
-    /// The pre-resilience behavior: one attempt per fetch, no deadline.
+    /// The pre-resilience behavior: one attempt per fetch.
     pub fn no_retry() -> CrawlOptions {
         CrawlOptions {
             retry: RetryPolicy::no_retry(),
@@ -150,8 +135,6 @@ pub struct DomainCrawl {
     pub politeness_delay_ms: u64,
     /// Transport retries spent by this crawl's fetch session.
     pub retries: u64,
-    /// Whether the crawl hit its deadline and salvaged a partial page set.
-    pub deadline_hit: bool,
 }
 
 impl DomainCrawl {
@@ -214,7 +197,6 @@ struct CrawlState {
     pages: Vec<CrawledPage>,
     fetch_attempts: usize,
     robots_skipped: usize,
-    deadline_hit: bool,
     delay_per_fetch: u64,
 }
 
@@ -224,20 +206,8 @@ impl CrawlState {
             pages: Vec::new(),
             fetch_attempts: 0,
             robots_skipped: 0,
-            deadline_hit: false,
             delay_per_fetch: DEFAULT_POLITENESS_MS,
         }
-    }
-
-    /// Whether the simulated clock has passed the crawl deadline.
-    fn over_deadline(&mut self, session: &FetchSession, options: &CrawlOptions) -> bool {
-        if let Some(deadline) = options.deadline_ms {
-            if session.elapsed_ms() >= deadline {
-                self.deadline_hit = true;
-                return true;
-            }
-        }
-        false
     }
 
     /// Count one logical fetch, honoring politeness between fetches on the
@@ -267,21 +237,19 @@ impl CrawlState {
             robots_skipped: self.robots_skipped,
             robots_blocked,
             retries,
-            deadline_hit: self.deadline_hit,
         }
     }
 }
 
 /// Crawl one domain with the §3.1 navigation policy, honoring robots.txt,
-/// using the default retry policy and no deadline.
+/// using the default retry policy.
 pub fn crawl_domain(client: &Client, domain: &str) -> DomainCrawl {
     crawl_domain_with(client, domain, &CrawlOptions::default())
 }
 
 /// Crawl one domain with explicit resilience options. All fetches go
 /// through one [`FetchSession`] (retry/backoff/breaker on a simulated
-/// clock); if the deadline passes mid-crawl, the pages fetched so far are
-/// salvaged instead of discarding the domain.
+/// clock).
 pub fn crawl_domain_with(client: &Client, domain: &str, options: &CrawlOptions) -> DomainCrawl {
     let mut state = CrawlState::new();
     let mut session = client.session(options.seed, options.retry);
@@ -367,7 +335,7 @@ pub fn crawl_domain_with(client: &Client, domain: &str, options: &CrawlOptions) 
     // Fetch the seed pages; collect header links from each.
     let mut header_targets: Vec<(Url, LinkSource)> = Vec::with_capacity(seed_targets.len());
     for (url, via) in seed_targets {
-        if state.pages.len() >= MAX_PAGES || state.over_deadline(&session, options) {
+        if state.pages.len() >= MAX_PAGES {
             break;
         }
         // Footer-link targets are skipped if already visited; the two path
@@ -422,7 +390,7 @@ pub fn crawl_domain_with(client: &Client, domain: &str, options: &CrawlOptions) 
 
     // 4. Header "privacy" links from the seed pages.
     for (url, via) in header_targets {
-        if state.pages.len() >= MAX_PAGES || state.over_deadline(&session, options) {
+        if state.pages.len() >= MAX_PAGES {
             break;
         }
         if visited.contains(&url) {
@@ -755,7 +723,6 @@ mod tests {
             robots_blocked: false,
             politeness_delay_ms: 0,
             retries: 0,
-            deadline_hit: false,
         };
         let kept: Vec<_> = crawl
             .privacy_pages()
@@ -937,52 +904,6 @@ mod tests {
             crawl.outcome
         );
         assert_eq!(crawl.retries, 0);
-    }
-
-    #[test]
-    fn deadline_salvages_partial_page_set() {
-        // Every fetch costs 1000 ms; a 1500 ms deadline lets the homepage
-        // and the first footer target through robots+homepage latency, then
-        // stops. The salvaged set still counts as a crawl result.
-        let net = Internet::new();
-        let mut site = StaticSite::new().page(
-            "/",
-            home_with_footer(
-                "<a href=\"/privacy0\">Privacy 0</a>\
-                 <a href=\"/privacy1\">Privacy 1</a>\
-                 <a href=\"/privacy2\">Privacy 2</a>",
-            ),
-        );
-        for i in 0..3 {
-            site = site.page(&format!("/privacy{i}"), Response::html("<p>p</p>"));
-        }
-        net.register("slow.com", site);
-        let cfg = FaultConfig {
-            base_latency_ms: 1000,
-            ..FaultConfig::none()
-        };
-        let client = Client::new(net.clone(), FaultInjector::new(0, cfg));
-        let options = CrawlOptions {
-            deadline_ms: Some(1_500),
-            ..CrawlOptions::default()
-        };
-        let crawl = crawl_domain_with(&client, "slow.com", &options);
-        assert!(crawl.deadline_hit, "deadline should have fired");
-        assert!(
-            crawl.pages.len() < 6,
-            "crawl should stop early, got {} pages",
-            crawl.pages.len()
-        );
-        assert!(
-            !crawl.pages.is_empty(),
-            "partial pages must be salvaged, not discarded"
-        );
-
-        // Without a deadline the same site yields the full page set.
-        let unbounded = Client::new(net, FaultInjector::new(0, cfg));
-        let full = crawl_domain_with(&unbounded, "slow.com", &CrawlOptions::default());
-        assert!(!full.deadline_hit);
-        assert!(full.pages.len() > crawl.pages.len());
     }
 
     #[test]

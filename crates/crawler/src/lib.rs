@@ -47,7 +47,7 @@ pub use crawl::{
 };
 pub use pool::{
     crawl_all, crawl_all_with, stream_all_supervised, DeadLetter, FailStage, PoolConfig,
-    SupervisedOutcome, SupervisorOptions,
+    SupervisedOutcome,
 };
 pub use report::{CrawlFunnel, CrawlReport};
 pub use robots::RobotsPolicy;

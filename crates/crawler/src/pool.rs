@@ -1,7 +1,7 @@
 //! Whole-universe crawling on one scoped worker pool.
 //!
 //! Every multi-domain drive goes through [`stream_all_supervised`]: one
-//! worker body (admit → crawl → process → result or dead letter) runs
+//! worker body (crawl → process → result or dead letter) runs
 //! inline on the caller's thread when `workers <= 1`, and otherwise on
 //! `workers` scoped threads that each take the next domain from a shared
 //! atomic cursor over the caller's slice. Workers hand back their results,
@@ -13,8 +13,7 @@
 use crate::crawl::{crawl_domain_with, CrawlOptions, DomainCrawl};
 use aipan_net::Client;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Worker-pool configuration.
 #[derive(Debug, Clone, Copy)]
@@ -56,7 +55,6 @@ pub fn crawl_all_with(
         domains,
         config,
         options,
-        &SupervisorOptions::default(),
         || (),
         |_state: &mut (), crawl: DomainCrawl| crawl,
         |_state: &mut ()| {},
@@ -111,18 +109,6 @@ pub struct DeadLetter {
     pub message: String,
 }
 
-/// Backpressure and fault-isolation policy for [`stream_all_supervised`].
-#[derive(Clone, Copy, Default)]
-pub struct SupervisorOptions<'a> {
-    /// Probed memory figure above which admission of new domains blocks
-    /// (until in-flight domains finish and release memory). `None`
-    /// disables backpressure.
-    pub memory_cap_bytes: Option<usize>,
-    /// Memory probe consulted at admission — e.g. the lazy world's site
-    /// gauge. Backpressure is inert unless both cap and probe are set.
-    pub memory_probe: Option<&'a (dyn Fn() -> usize + Sync)>,
-}
-
 /// Everything a supervised streaming drive returns.
 pub struct SupervisedOutcome<R, S> {
     /// Per-domain results of the surviving domains, sorted by domain.
@@ -132,74 +118,6 @@ pub struct SupervisedOutcome<R, S> {
     /// Every worker's final state (in unspecified order: fold worker
     /// states commutatively).
     pub states: Vec<S>,
-    /// Times a worker blocked at admission waiting for probed memory to
-    /// drop back under the cap. Scheduling-dependent (not worker-count
-    /// invariant); always zero when backpressure is disabled.
-    pub backpressure_stalls: u64,
-}
-
-/// Admission gate shared by all supervised workers: counts in-flight
-/// domains and blocks admission while probed memory exceeds the cap.
-struct AdmissionGate<'a> {
-    cap: Option<usize>,
-    probe: Option<&'a (dyn Fn() -> usize + Sync)>,
-    in_flight: Mutex<usize>,
-    released: Condvar,
-    stalls: AtomicU64,
-}
-
-/// The supervised workers recover a poisoned guard instead of propagating:
-/// every panic a worker can raise is already caught per-domain, and the
-/// gate's counter stays consistent because admit/release pair around the
-/// catch.
-fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-impl<'a> AdmissionGate<'a> {
-    fn new(options: &SupervisorOptions<'a>) -> AdmissionGate<'a> {
-        AdmissionGate {
-            cap: options.memory_cap_bytes,
-            probe: options.memory_probe,
-            in_flight: Mutex::new(0),
-            released: Condvar::new(),
-            stalls: AtomicU64::new(0),
-        }
-    }
-
-    /// Block until admitting one more domain keeps probed memory within
-    /// the cap — or until nothing is in flight, in which case admission
-    /// always proceeds. That second clause is what makes the gate
-    /// deadlock-free: once every in-flight domain has finished (each
-    /// release notifies), waiting longer cannot shrink the probed figure,
-    /// so the gate admits one domain and degrades to serial rather than
-    /// hanging.
-    fn admit(&self) {
-        let mut in_flight = lock_or_recover(&self.in_flight);
-        if let (Some(cap), Some(probe)) = (self.cap, self.probe) {
-            let mut stalled = false;
-            while *in_flight > 0 && probe() > cap {
-                stalled = true;
-                in_flight = self
-                    .released
-                    .wait(in_flight)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            if stalled {
-                self.stalls.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        *in_flight += 1;
-    }
-
-    fn release(&self) {
-        let mut in_flight = lock_or_recover(&self.in_flight);
-        *in_flight = in_flight.saturating_sub(1);
-        drop(in_flight);
-        self.released.notify_all();
-    }
 }
 
 /// Render a caught panic payload into a dead-letter message.
@@ -270,18 +188,12 @@ fn run_chain<S, R>(
 /// commutatively), including those of workers that found nothing left to
 /// take.
 ///
-/// `supervisor` additionally bounds memory: when both a cap and a probe
-/// are configured, workers block before starting a new domain while the
-/// probed figure is over the cap and at least one other domain is in
-/// flight. That cannot deadlock: with nothing in flight, admission always
-/// proceeds, so an over-cap run degrades to one domain at a time.
 #[allow(clippy::too_many_arguments)]
 pub fn stream_all_supervised<S, R, I, F, G, D>(
     client: &Client,
     domains: &[String],
     config: PoolConfig,
     options: &CrawlOptions,
-    supervisor: &SupervisorOptions<'_>,
     init: I,
     process: F,
     recover: G,
@@ -296,7 +208,6 @@ where
     D: Fn(&DeadLetter) + Sync,
 {
     let workers = config.workers.max(1);
-    let gate = AdmissionGate::new(supervisor);
     let cursor = AtomicUsize::new(0);
     let worker = || {
         let mut state = init();
@@ -306,9 +217,7 @@ where
         // immutable `domains` slice.
         let next = || domains.get(cursor.fetch_add(1, Ordering::Relaxed));
         for domain in std::iter::from_fn(next) {
-            gate.admit();
             let outcome = run_chain(client, domain, options, &mut state, &process);
-            gate.release();
             done.push(match outcome {
                 ChainOutcome::Done(result) => Ok((domain.clone(), result)),
                 ChainOutcome::Died(stage, message) => {
@@ -348,7 +257,6 @@ where
         results: Vec::with_capacity(domains.len()),
         dead_letters: Vec::new(),
         states: Vec::with_capacity(workers),
-        backpressure_stalls: gate.stalls.load(Ordering::Relaxed),
     };
     for (done, state) in harvests {
         for item in done {
@@ -464,8 +372,8 @@ mod tests {
         assert_eq!(client1.metrics(), client6.metrics());
     }
 
-    /// [`stream_all_supervised`] with no backpressure and no-op
-    /// `recover`/`on_dead_letter` hooks.
+    /// [`stream_all_supervised`] with no-op `recover`/`on_dead_letter`
+    /// hooks.
     fn stream<S: Send, R: Send>(
         client: &Client,
         domains: &[String],
@@ -478,7 +386,6 @@ mod tests {
             domains,
             PoolConfig { workers },
             &CrawlOptions::default(),
-            &SupervisorOptions::default(),
             init,
             process,
             |_state: &mut S| {},
@@ -564,7 +471,6 @@ mod tests {
             &domains,
             PoolConfig { workers: 3 },
             &CrawlOptions::default(),
-            &SupervisorOptions::default(),
             || 0usize,
             |count: &mut usize, crawl: DomainCrawl| {
                 *count += 1;
@@ -582,7 +488,6 @@ mod tests {
                 message: "host exploded".to_string(),
             }]
         );
-        assert_eq!(outcome.backpressure_stalls, 0);
     }
 
     #[test]
@@ -593,13 +498,12 @@ mod tests {
         let observed = std::sync::Mutex::new(Vec::<String>::new());
         for workers in [1usize, 3] {
             recoveries.store(0, Ordering::SeqCst);
-            lock_or_recover(&observed).clear();
+            observed.lock().unwrap().clear();
             let outcome = stream_all_supervised(
                 &client,
                 &domains,
                 PoolConfig { workers },
                 &CrawlOptions::default(),
-                &SupervisorOptions::default(),
                 || 0usize,
                 |count: &mut usize, crawl: DomainCrawl| {
                     if crawl.domain == "site3.com" {
@@ -611,7 +515,7 @@ mod tests {
                     recoveries.fetch_add(1, Ordering::SeqCst);
                 },
                 |letter: &DeadLetter| {
-                    lock_or_recover(&observed).push(letter.domain.clone());
+                    observed.lock().unwrap().push(letter.domain.clone());
                 },
             );
             assert_eq!(outcome.results.len(), 7, "workers={workers}");
@@ -620,7 +524,7 @@ mod tests {
             assert_eq!(outcome.dead_letters[0].stage.as_str(), "process");
             assert_eq!(outcome.dead_letters[0].message, "annotator exploded");
             assert_eq!(recoveries.load(Ordering::SeqCst), 1);
-            assert_eq!(&*lock_or_recover(&observed), &["site3.com".to_string()]);
+            assert_eq!(&*observed.lock().unwrap(), &["site3.com".to_string()]);
             assert_eq!(outcome.states.iter().sum::<usize>(), 7);
         }
     }
@@ -634,7 +538,7 @@ mod tests {
             });
             domains.push(bad.to_string());
         }
-        let mut baseline: Option<(Vec<(String, usize)>, Vec<DeadLetter>)> = None;
+        let mut baseline = None;
         for workers in [1usize, 2, 5, 8] {
             let client = Client::new(net.clone(), FaultInjector::new(0, FaultConfig::none()));
             let outcome = stream_all_supervised(
@@ -642,7 +546,6 @@ mod tests {
                 &domains,
                 PoolConfig { workers },
                 &CrawlOptions::default(),
-                &SupervisorOptions::default(),
                 || (),
                 |_state: &mut (), crawl: DomainCrawl| crawl.pages.len(),
                 |_state: &mut ()| {},
@@ -656,73 +559,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn supervised_backpressure_over_cap_serializes_but_completes() {
-        let (net, domains) = make_net(10);
-        let client = Client::new(net, FaultInjector::new(0, FaultConfig::none()));
-        let in_process = std::sync::atomic::AtomicUsize::new(0);
-        let max_in_process = std::sync::atomic::AtomicUsize::new(0);
-        // A probe permanently over the cap: the gate must degrade to
-        // one-domain-at-a-time (never deadlock), so the pool still
-        // finishes every domain.
-        let probe = || usize::MAX;
-        let outcome = stream_all_supervised(
-            &client,
-            &domains,
-            PoolConfig { workers: 4 },
-            &CrawlOptions::default(),
-            &SupervisorOptions {
-                memory_cap_bytes: Some(1),
-                memory_probe: Some(&probe),
-            },
-            || (),
-            |_state: &mut (), _crawl: DomainCrawl| {
-                let now = in_process.fetch_add(1, Ordering::SeqCst) + 1;
-                max_in_process.fetch_max(now, Ordering::SeqCst);
-                in_process.fetch_sub(1, Ordering::SeqCst);
-            },
-            |_state: &mut ()| {},
-            |_letter: &DeadLetter| {},
-        );
-        assert_eq!(outcome.results.len(), 10);
-        assert!(outcome.dead_letters.is_empty());
-        assert_eq!(
-            max_in_process.load(Ordering::SeqCst),
-            1,
-            "over-cap admission must serialize in-flight domains"
-        );
-    }
-
-    #[test]
-    fn admission_gate_counts_a_deterministic_stall() {
-        let entered = std::sync::atomic::AtomicBool::new(false);
-        let probe = || {
-            entered.store(true, Ordering::SeqCst);
-            usize::MAX
-        };
-        let options = SupervisorOptions {
-            memory_cap_bytes: Some(1),
-            memory_probe: Some(&probe),
-        };
-        let gate = AdmissionGate::new(&options);
-        gate.admit(); // in_flight: 0 → 1, probe not consulted
-        assert!(!entered.load(Ordering::SeqCst));
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| {
-                gate.admit(); // blocks: one in flight, probe over cap
-                gate.release();
-            });
-            // The probe flips `entered` while the waiter holds the gate
-            // lock, so our release() below cannot overtake the wait().
-            while !entered.load(Ordering::SeqCst) {
-                std::thread::yield_now();
-            }
-            gate.release();
-            waiter.join().expect("waiter thread");
-        });
-        assert_eq!(gate.stalls.load(Ordering::Relaxed), 1);
     }
 
     #[test]

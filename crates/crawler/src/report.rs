@@ -31,9 +31,6 @@ pub struct CrawlFunnel {
     pub politeness_delay_ms: u64,
     /// Transport retries spent across all domain crawls.
     pub retries: u64,
-    /// Domains that hit their crawl deadline and salvaged a partial page
-    /// set.
-    pub salvaged_domains: usize,
 }
 
 impl CrawlFunnel {
@@ -105,7 +102,6 @@ impl CrawlFunnel {
             .politeness_delay_ms
             .saturating_add(crawl.politeness_delay_ms);
         self.retries = self.retries.saturating_add(crawl.retries);
-        self.salvaged_domains += usize::from(crawl.deadline_hit);
     }
 
     /// Merge another funnel's counts into this one. Every field is an
@@ -126,7 +122,6 @@ impl CrawlFunnel {
             .politeness_delay_ms
             .saturating_add(other.politeness_delay_ms);
         self.retries = self.retries.saturating_add(other.retries);
-        self.salvaged_domains += other.salvaged_domains;
     }
 }
 
@@ -192,7 +187,6 @@ mod tests {
             robots_blocked: false,
             politeness_delay_ms: 1000,
             retries: 2,
-            deadline_hit: false,
         };
         let fail = DomainCrawl {
             domain: "b.com".into(),
@@ -203,7 +197,6 @@ mod tests {
             robots_blocked: false,
             politeness_delay_ms: 0,
             retries: 3,
-            deadline_hit: true,
         };
         let report = CrawlReport::new(vec![ok, fail]);
         let f = &report.funnel;
@@ -214,7 +207,6 @@ mod tests {
         assert_eq!(f.privacy_path_hits, 0);
         assert_eq!(f.total_privacy_pages, 1);
         assert_eq!(f.retries, 5);
-        assert_eq!(f.salvaged_domains, 1);
         assert!((f.success_rate() - 0.5).abs() < 1e-9);
         assert_eq!(report.failed_domains().count(), 1);
     }

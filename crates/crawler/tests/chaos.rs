@@ -60,7 +60,6 @@ fn options_from(retry: (u32, u64, u64, u32), seed: u64) -> CrawlOptions {
             ..RetryPolicy::default()
         },
         seed,
-        deadline_ms: None,
     }
 }
 
@@ -84,7 +83,7 @@ fn fingerprint(crawls: &[DomainCrawl]) -> Vec<String> {
                 })
                 .collect();
             format!(
-                "{} {:?} attempts={} retries={} robots={}/{} delay={} deadline={} pages=[{}]",
+                "{} {:?} attempts={} retries={} robots={}/{} delay={} pages=[{}]",
                 c.domain,
                 c.outcome,
                 c.fetch_attempts,
@@ -92,7 +91,6 @@ fn fingerprint(crawls: &[DomainCrawl]) -> Vec<String> {
                 c.robots_skipped,
                 c.robots_blocked,
                 c.politeness_delay_ms,
-                c.deadline_hit,
                 pages.join(", ")
             )
         })
@@ -142,27 +140,6 @@ proptest! {
         let b = crawl_all_with(&client_b, &domains, PoolConfig { workers: workers_b }, &options);
         prop_assert_eq!(fingerprint(&a), fingerprint(&b));
         prop_assert_eq!(client_a.metrics(), client_b.metrics());
-    }
-
-    // Deadlines salvage deterministically: the same deadline produces the
-    // same partial page sets at any worker count, without panics.
-    #[test]
-    fn chaos_deadlines_salvage_deterministically(
-        rates in (0u64..25, 0u64..40, 0u64..30, 0u64..25),
-        fault_seed in 0u64..1_000_000,
-        deadline_ms in 1u64..5000,
-    ) {
-        let faults = faults_from(rates, 2, 800);
-        let (net, domains) = make_net(4);
-        let options = CrawlOptions {
-            deadline_ms: Some(deadline_ms),
-            ..CrawlOptions::default()
-        };
-        let client = Client::new(net.clone(), FaultInjector::new(fault_seed, faults));
-        let a = crawl_all_with(&client, &domains, PoolConfig { workers: 2 }, &options);
-        let client2 = Client::new(net, FaultInjector::new(fault_seed, faults));
-        let b = crawl_all_with(&client2, &domains, PoolConfig { workers: 4 }, &options);
-        prop_assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 }
 

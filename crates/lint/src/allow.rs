@@ -135,7 +135,7 @@ impl Allowlist {
         for (i, e) in self.entries.iter().enumerate() {
             if e.rule == finding.rule
                 && e.file == finding.file
-                && e.line.map_or(true, |l| l == finding.line)
+                && e.line.is_none_or(|l| l == finding.line)
             {
                 if let Some(h) = self.hits.get_mut(i) {
                     *h = true;

@@ -99,7 +99,7 @@ impl Config {
         }
         self.layering
             .get(from)
-            .map_or(false, |deps| deps.iter().any(|d| d == to))
+            .is_some_and(|deps| deps.iter().any(|d| d == to))
     }
 
     /// Whether a crate is declared in the contract at all.

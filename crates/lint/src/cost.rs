@@ -681,11 +681,9 @@ fn expr_mods(e: &Expr, out: &mut Vec<(String, u32, u32)>) {
                 out.push((root, operand.line, operand.col));
             }
         }
-        ExprKind::MethodCall { recv, name, .. } => {
-            if !READ_ONLY_METHODS.contains(&name.as_str()) {
-                if let Some((root, _)) = place_root(recv) {
-                    out.push((root, recv.line, recv.col));
-                }
+        ExprKind::MethodCall { recv, name, .. } if !READ_ONLY_METHODS.contains(&name.as_str()) => {
+            if let Some((root, _)) = place_root(recv) {
+                out.push((root, recv.line, recv.col));
             }
         }
         _ => {}

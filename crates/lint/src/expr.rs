@@ -758,40 +758,36 @@ impl<'a, 'b> BodyParser<'a, 'b> {
                         continue;
                     }
                 }
-                "(" => {
-                    if postfix_binds(min_bp) {
-                        let args = self.parse_paren_args();
-                        let start = lhs.tok;
-                        let name_tok = lhs.name_tok;
-                        let mut e = self.expr_at(
-                            start,
-                            ExprKind::Call {
-                                callee: Box::new(lhs),
-                                args,
-                            },
-                        );
-                        e.name_tok = name_tok;
-                        lhs = e;
-                        continue;
-                    }
+                "(" if postfix_binds(min_bp) => {
+                    let args = self.parse_paren_args();
+                    let start = lhs.tok;
+                    let name_tok = lhs.name_tok;
+                    let mut e = self.expr_at(
+                        start,
+                        ExprKind::Call {
+                            callee: Box::new(lhs),
+                            args,
+                        },
+                    );
+                    e.name_tok = name_tok;
+                    lhs = e;
+                    continue;
                 }
-                "[" => {
-                    if postfix_binds(min_bp) {
+                "[" if postfix_binds(min_bp) => {
+                    self.pos += 1;
+                    let index = self.parse_expr(0, false);
+                    if self.cur() == "]" {
                         self.pos += 1;
-                        let index = self.parse_expr(0, false);
-                        if self.cur() == "]" {
-                            self.pos += 1;
-                        }
-                        let start = lhs.tok;
-                        lhs = self.expr_at(
-                            start,
-                            ExprKind::Index {
-                                base: Box::new(lhs),
-                                index: Box::new(index),
-                            },
-                        );
-                        continue;
                     }
+                    let start = lhs.tok;
+                    lhs = self.expr_at(
+                        start,
+                        ExprKind::Index {
+                            base: Box::new(lhs),
+                            index: Box::new(index),
+                        },
+                    );
+                    continue;
                 }
                 "?" => {
                     self.pos += 1;
@@ -1075,9 +1071,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
                         continue;
                     }
                     elems.push(e);
-                    if self.cur() == "," {
-                        self.pos += 1;
-                    } else if self.pos == before {
+                    if self.cur() == "," || self.pos == before {
                         self.pos += 1;
                     }
                 }
@@ -1256,9 +1250,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
                     self.pos += 1;
                     self.scan_type(&[",", "|"]);
                 }
-                if self.cur() == "," {
-                    self.pos += 1;
-                } else if self.pos == before {
+                if self.cur() == "," || self.pos == before {
                     self.pos += 1;
                 }
             }
@@ -1426,16 +1418,11 @@ impl<'a, 'b> BodyParser<'a, 'b> {
     fn parse_path_expr(&mut self, start: usize, no_struct: bool) -> Expr {
         let mut segs = Vec::new();
         let mut last_seg_tok = self.pos;
-        loop {
-            match self.kind_at(self.pos) {
-                Some(TokenKind::Ident) => {
-                    let raw = self.cur();
-                    last_seg_tok = self.pos;
-                    segs.push(raw.strip_prefix("r#").unwrap_or(raw).to_string());
-                    self.pos += 1;
-                }
-                _ => break,
-            }
+        while let Some(TokenKind::Ident) = self.kind_at(self.pos) {
+            let raw = self.cur();
+            last_seg_tok = self.pos;
+            segs.push(raw.strip_prefix("r#").unwrap_or(raw).to_string());
+            self.pos += 1;
             // `::` continuation (segment or turbofish).
             if self.cur() == ":" && self.adjacent(self.pos) && self.peek(1) == ":" {
                 if self.peek(2) == "<" {
@@ -1532,9 +1519,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
                     fields.push((name, value));
                 }
             }
-            if self.cur() == "," {
-                self.pos += 1;
-            } else if self.pos == before {
+            if self.cur() == "," || self.pos == before {
                 self.pos += 1;
             }
         }
@@ -1569,9 +1554,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
                 }
             }
             args.push(arg);
-            if self.cur() == "," {
-                self.pos += 1;
-            } else if self.pos == before {
+            if self.cur() == "," || self.pos == before {
                 self.pos += 1;
             }
         }
@@ -1776,9 +1759,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
         while !self.done() && self.cur() != close {
             let before = self.pos;
             elems.push(self.parse_pat(true));
-            if self.cur() == "," {
-                self.pos += 1;
-            } else if self.pos == before {
+            if self.cur() == "," || self.pos == before {
                 self.pos += 1;
             }
         }
@@ -1831,9 +1812,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
                     ));
                 }
             }
-            if self.cur() == "," {
-                self.pos += 1;
-            } else if self.pos == before {
+            if self.cur() == "," || self.pos == before {
                 self.pos += 1;
             }
         }

@@ -170,8 +170,7 @@ impl<'a> Lexer<'a> {
             start = 2;
         }
         let len = start
-            + rest[start..]
-                .as_bytes()
+            + rest.as_bytes()[start..]
                 .iter()
                 .take_while(|&&b| is_ident_continue(b) || !b.is_ascii())
                 .count();
@@ -249,7 +248,7 @@ fn raw_string_len(rest: &str) -> Option<usize> {
     }
     i += 1;
     let closer: Vec<u8> = std::iter::once(b'"')
-        .chain(std::iter::repeat(b'#').take(hashes))
+        .chain(std::iter::repeat_n(b'#', hashes))
         .collect();
     while i < bytes.len() {
         if bytes[i..].starts_with(&closer) {

@@ -137,9 +137,8 @@ pub fn check_lock_order(ws: &Workspace) -> Vec<Finding> {
                     "{} then {} in {} ({}:{})",
                     a, b, w.fn_name, w.file, w.line
                 ));
-                let earlier = anchor.map_or(true, |cur| {
-                    (w.file.as_str(), w.line) < (cur.file.as_str(), cur.line)
-                });
+                let earlier = anchor
+                    .is_none_or(|cur| (w.file.as_str(), w.line) < (cur.file.as_str(), cur.line));
                 if earlier {
                     anchor = Some(w);
                 }

@@ -305,20 +305,20 @@ fn scan_expr(e: &Expr, fact: &BoundsFact, env: &NameEnv, out: &mut Vec<Seed>) {
                 }
             }
         }
-        ExprKind::Binary { op, lhs, rhs } if op == "/" || op == "%" => {
-            // Float division yields inf/NaN, it never panics; only
-            // integer division with a possibly-zero divisor seeds.
-            if !divisor_is_nonzero_literal(rhs)
+        // Float division yields inf/NaN, it never panics; only integer
+        // division with a possibly-zero divisor seeds.
+        ExprKind::Binary { op, lhs, rhs }
+            if (op == "/" || op == "%")
+                && !divisor_is_nonzero_literal(rhs)
                 && !matches!(ident_name(rhs), Some(n) if env.nonzero.contains(n))
                 && !is_float_operand(lhs, &env.floats)
-                && !is_float_operand(rhs, &env.floats)
-            {
-                out.push(Seed {
-                    line: e.line,
-                    col: e.col,
-                    desc: format!("`{op}` with a possibly-zero integer divisor"),
-                });
-            }
+                && !is_float_operand(rhs, &env.floats) =>
+        {
+            out.push(Seed {
+                line: e.line,
+                col: e.col,
+                desc: format!("`{op}` with a possibly-zero integer divisor"),
+            });
         }
         ExprKind::MethodCall { name, .. } if name == "unwrap" || name == "expect" => {
             out.push(Seed {
@@ -415,10 +415,7 @@ fn divisor_is_nonzero_literal(rhs: &Expr) -> bool {
 }
 
 fn is_zero_literal(text: &str) -> bool {
-    let digits = text
-        .split(|c| c == 'u' || c == 'i' || c == 'f' || c == '_')
-        .next()
-        .unwrap_or("");
+    let digits = text.split(['u', 'i', 'f', '_']).next().unwrap_or("");
     !digits.is_empty() && digits.chars().all(|c| c == '0' || c == '.')
 }
 
@@ -651,11 +648,9 @@ fn kill_effects(e: &Expr, fact: &mut BoundsFact) {
                 fact.kill_name(&place);
             }
         }
-        ExprKind::MethodCall { recv, name, .. } => {
-            if LEN_MUTATORS.contains(&name.as_str()) {
-                if let Some(base) = place_name(recv) {
-                    fact.kill_base(&base);
-                }
+        ExprKind::MethodCall { recv, name, .. } if LEN_MUTATORS.contains(&name.as_str()) => {
+            if let Some(base) = place_name(recv) {
+                fact.kill_base(&base);
             }
         }
         ExprKind::Ref {

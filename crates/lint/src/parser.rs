@@ -908,7 +908,7 @@ fn type_head(ty: &[String]) -> String {
             _ => {
                 if depth == 0
                     && t.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_')
-                    && t.bytes().next().map_or(false, |b| !b.is_ascii_digit())
+                    && t.bytes().next().is_some_and(|b| !b.is_ascii_digit())
                     && !NON_CALL_KEYWORDS.contains(&t.as_str())
                 {
                     head = t.clone();

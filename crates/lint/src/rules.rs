@@ -153,9 +153,9 @@ fn rule_d1(
             continue;
         }
         let clock_call = (t.text == "SystemTime" || t.text == "Instant")
-            && sig.get(i + 1).map_or(false, |t| t.text == ":")
-            && sig.get(i + 2).map_or(false, |t| t.text == ":")
-            && sig.get(i + 3).map_or(false, |t| t.text == "now");
+            && sig.get(i + 1).is_some_and(|t| t.text == ":")
+            && sig.get(i + 2).is_some_and(|t| t.text == ":")
+            && sig.get(i + 3).is_some_and(|t| t.text == "now");
         let entropy = t.text == "thread_rng" || t.text == "from_entropy";
         if clock_call || entropy {
             let what = if clock_call {
@@ -240,8 +240,8 @@ fn rule_d2(
             continue;
         }
         // `name.iter()` / `.keys()` / `.values()` / `.into_iter()` / `.drain()`.
-        let method_iter = sig.get(i + 1).map_or(false, |t| t.text == ".")
-            && sig.get(i + 2).map_or(false, |t| {
+        let method_iter = sig.get(i + 1).is_some_and(|t| t.text == ".")
+            && sig.get(i + 2).is_some_and(|t| {
                 matches!(t.text, "iter" | "keys" | "values" | "into_iter" | "drain")
             });
         // `for pat in [&][mut ][self.]name`: walk back over the tokens a
@@ -290,10 +290,10 @@ fn rule_r1_o1(
             t.text == name
                 && i >= 1
                 && sig[i - 1].text == "."
-                && sig.get(i + 1).map_or(false, |t| t.text == "(")
+                && sig.get(i + 1).is_some_and(|t| t.text == "(")
         };
         let macro_call =
-            |name: &str| t.text == name && sig.get(i + 1).map_or(false, |t| t.text == "!");
+            |name: &str| t.text == name && sig.get(i + 1).is_some_and(|t| t.text == "!");
         if method_call("unwrap") || method_call("expect") || macro_call("panic") {
             out.push(Finding::at(
                 "R1",
@@ -440,7 +440,7 @@ fn rule_b1(
             let is_call = c.kind == TokenKind::Ident
                 && !atomic_rmw
                 && (c.text.starts_with("fetch") || c.text.starts_with("complete"))
-                && span.get(off + 1).map_or(false, |t| t.text == "(");
+                && span.get(off + 1).is_some_and(|t| t.text == "(");
             if is_call && !flagged.contains(&(c.line, c.col)) {
                 flagged.push((c.line, c.col));
                 out.push(Finding::at(

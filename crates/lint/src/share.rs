@@ -615,7 +615,7 @@ fn acquisition_sites(
     let body = &node.info.body;
     let bounds = retain::bound_locals(body);
     fn lock_name(node: &FnNode<'_>, e: &Expr) -> Option<String> {
-        fn acq_recv<'e>(e: &'e Expr) -> Option<&'e Expr> {
+        fn acq_recv(e: &Expr) -> Option<&Expr> {
             if let ExprKind::MethodCall { recv, name, .. } = &e.kind {
                 if guards::ACQUIRE_METHODS.contains(&name.as_str()) {
                     return Some(recv);

@@ -541,10 +541,10 @@ impl<'w> LocalTypes<'w> {
                 ty: lit_ty(text),
                 scale: false,
             },
-            ExprKind::Unary { op, operand } => match op {
-                '-' | '!' => self.infer(fact, operand),
-                _ => TyFact::unknown(),
-            },
+            ExprKind::Unary {
+                op: '-' | '!',
+                operand,
+            } => self.infer(fact, operand),
             ExprKind::Ref { operand, .. } => self.infer(fact, operand),
             ExprKind::Binary { op, lhs, rhs } => match op.as_str() {
                 "==" | "!=" | "<" | "<=" | ">" | ">=" | "&&" | "||" => TyFact {

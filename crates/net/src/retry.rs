@@ -140,12 +140,6 @@ impl FetchSession {
         &self.client
     }
 
-    /// Simulated milliseconds elapsed in this session (latency + backoff +
-    /// explicit [`FetchSession::advance`] calls).
-    pub fn elapsed_ms(&self) -> u64 {
-        self.clock_ms
-    }
-
     /// Advance the simulated clock (e.g. for politeness delays). The clock
     /// saturates at `u64::MAX` rather than wrapping, so a hostile delay
     /// (a robots `Crawl-delay` of `1e300`) cannot turn time back.
@@ -371,9 +365,9 @@ mod tests {
         let res = session.fetch(&url("https://a.com/")).unwrap();
         assert!(res.response.status.is_success());
         assert!(
-            session.elapsed_ms() >= 5_000,
+            session.clock_ms >= 5_000,
             "clock {} ignored Retry-After",
-            session.elapsed_ms()
+            session.clock_ms
         );
     }
 

@@ -331,98 +331,6 @@ impl GroundTruth {
     }
 }
 
-impl GroundTruth {
-    /// Produce revision `rev` of this ground truth — the policy as it might
-    /// read after an update cycle (longitudinal snapshots for trend
-    /// analysis). Each revision independently: sometimes starts collecting
-    /// a new category, drops one, grants or withdraws a right, adds a
-    /// protection, or changes the stated retention period.
-    pub fn revise(&self, seed: u64, rev: u32) -> GroundTruth {
-        if rev == 0 {
-            return self.clone();
-        }
-        let mut truth = self.revise(seed, rev - 1);
-        let key = format!("{}:{rev}", self.domain);
-        let mut r = rng::stream(seed, "revision", &key);
-
-        // Start collecting a new category.
-        if r.gen::<f64>() < 0.10 {
-            let covered: std::collections::HashSet<DataTypeCategory> =
-                truth.types.iter().map(|m| m.category).collect();
-            let uncovered: Vec<DataTypeCategory> = DataTypeCategory::ALL
-                .iter()
-                .copied()
-                .filter(|c| !covered.contains(c))
-                .collect();
-            if !uncovered.is_empty() {
-                let category = uncovered[r.gen_range(0..uncovered.len())];
-                // Never contradict a planted negated mention.
-                let specs: Vec<_> = descriptors_for(category)
-                    .filter(|spec| {
-                        truth
-                            .negated_types
-                            .iter()
-                            .all(|n| n.descriptor != spec.name)
-                    })
-                    .collect();
-                let count = (1 + r.gen_range(0..2usize)).min(specs.len());
-                for spec in weighted_sample(&mut r, &specs, count, |s| s.weight) {
-                    let surface = pick_surface(&mut r, spec.name, spec.surfaces);
-                    truth.types.push(PlantedMention {
-                        descriptor: spec.name.to_string(),
-                        category,
-                        surface,
-                        zero_shot: false,
-                    });
-                }
-            }
-        }
-        // Stop collecting one category.
-        if r.gen::<f64>() < 0.06 && !truth.types.is_empty() {
-            let victim = truth.types[r.gen_range(0..truth.types.len())].category;
-            truth.types.retain(|m| m.category != victim);
-        }
-        // Grant a new access right.
-        if r.gen::<f64>() < 0.08 {
-            let missing: Vec<AccessLabel> = AccessLabel::ALL
-                .iter()
-                .copied()
-                .filter(|l| !truth.access.contains(l))
-                .collect();
-            if !missing.is_empty() {
-                truth.access.push(missing[r.gen_range(0..missing.len())]);
-            }
-        }
-        // Withdraw a choice.
-        if r.gen::<f64>() < 0.04 && !truth.choices.is_empty() {
-            let idx = r.gen_range(0..truth.choices.len());
-            truth.choices.remove(idx);
-        }
-        // Add a protection practice.
-        if r.gen::<f64>() < 0.07 {
-            let missing: Vec<ProtectionLabel> = ProtectionLabel::ALL
-                .iter()
-                .copied()
-                .filter(|l| !truth.protection.contains(l))
-                .collect();
-            if !missing.is_empty() {
-                truth
-                    .protection
-                    .push(missing[r.gen_range(0..missing.len())]);
-            }
-        }
-        // Change the stated retention period.
-        if r.gen::<f64>() < 0.05 {
-            for ret in &mut truth.retention {
-                if ret.label == RetentionLabel::Stated {
-                    ret.period_days = Some(sample_period_days(&mut r));
-                }
-            }
-        }
-        truth
-    }
-}
-
 /// Sample a unique-descriptor count: rounded Gaussian, clamped to
 /// `[1, available]`.
 fn sample_count(r: &mut impl Rng, mean: f64, sd: f64, available: usize) -> usize {
@@ -616,6 +524,18 @@ mod tests {
             for m in &t.types {
                 assert!(seen.insert(m.descriptor.clone()), "dup {}", m.descriptor);
             }
+            let mut access = std::collections::HashSet::new();
+            for l in &t.access {
+                assert!(access.insert(*l), "dup access label {l:?}");
+            }
+            let mut choices = std::collections::HashSet::new();
+            for l in &t.choices {
+                assert!(choices.insert(*l), "dup choice label {l:?}");
+            }
+            let mut protection = std::collections::HashSet::new();
+            for l in &t.protection {
+                assert!(protection.insert(*l), "dup protection label {l:?}");
+            }
         }
     }
 
@@ -668,63 +588,6 @@ mod tests {
             .count();
         let rate = with_zs as f64 / n as f64;
         assert!((rate - ZERO_SHOT_TYPE_RATE).abs() < 0.03, "rate {rate}");
-    }
-
-    #[test]
-    fn revision_zero_is_identity() {
-        let t = truth(21, "rev.com", Sector::InformationTechnology);
-        assert_eq!(t.revise(21, 0), t);
-    }
-
-    #[test]
-    fn revisions_are_deterministic_and_cumulative() {
-        let t = truth(21, "rev.com", Sector::InformationTechnology);
-        assert_eq!(t.revise(21, 3), t.revise(21, 3));
-        // Revision 3 builds on revision 2.
-        let via_two = t.revise(21, 2).retention.len();
-        let _ = via_two;
-        // Across many companies, some revision must change something.
-        let changed = (0..60)
-            .filter(|i| {
-                let t = truth(21, &format!("rv{i}.com"), Sector::Financials);
-                t.revise(21, 2) != t
-            })
-            .count();
-        assert!(changed > 10, "revisions too inert: {changed}/60");
-    }
-
-    #[test]
-    fn revisions_never_contradict_negations() {
-        for i in 0..80 {
-            let t = truth(22, &format!("neg{i}.com"), Sector::ConsumerDiscretionary);
-            let revised = t.revise(22, 3);
-            for neg in &revised.negated_types {
-                assert!(
-                    revised.types.iter().all(|p| p.descriptor != neg.descriptor),
-                    "revision contradicted negation of {}",
-                    neg.descriptor
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn revised_labels_stay_unique() {
-        for i in 0..40 {
-            let t = truth(23, &format!("uq{i}.com"), Sector::HealthCare).revise(23, 4);
-            let mut seen = std::collections::HashSet::new();
-            for m in &t.types {
-                assert!(
-                    seen.insert(m.descriptor.clone()),
-                    "dup descriptor {}",
-                    m.descriptor
-                );
-            }
-            let mut labels = std::collections::HashSet::new();
-            for l in &t.access {
-                assert!(labels.insert(*l), "dup access label {l:?}");
-            }
-        }
     }
 
     #[test]

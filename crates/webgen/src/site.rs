@@ -147,10 +147,6 @@ pub struct WorldConfig {
     pub universe_size: usize,
     /// Network fault configuration.
     pub faults: FaultConfig,
-    /// Policy revision number: 0 is the initial snapshot; higher values
-    /// apply that many update cycles to every policy (longitudinal trend
-    /// analysis).
-    pub revision: u32,
 }
 
 impl Default for WorldConfig {
@@ -159,7 +155,6 @@ impl Default for WorldConfig {
             seed: 42,
             universe_size: UNIVERSE_SIZE,
             faults: FaultConfig::default(),
-            revision: 0,
         }
     }
 }
@@ -171,14 +166,7 @@ impl WorldConfig {
             seed,
             universe_size,
             faults: FaultConfig::default(),
-            revision: 0,
         }
-    }
-
-    /// The same world at a later policy revision.
-    pub fn at_revision(mut self, revision: u32) -> WorldConfig {
-        self.revision = revision;
-        self
     }
 }
 
@@ -256,7 +244,9 @@ impl World {
 }
 
 /// Current and peak resident bytes, tracked with commutative atomic ops so
-/// worker threads never serialize on the gauge.
+/// worker threads never serialize on the gauge. The lazy world accounts
+/// every site it materializes and releases here; the streaming tests check
+/// that `current` returns to zero, and the benchmark reports the peak.
 #[derive(Debug, Default)]
 pub struct MemoryGauge {
     current: AtomicUsize,
@@ -272,8 +262,8 @@ impl MemoryGauge {
 
     /// Account `bytes` released. Saturates at zero: a double release (or a
     /// release racing a concurrent accounting reset) must not wrap
-    /// `current` to ~`usize::MAX` and poison every later backpressure
-    /// decision made against the gauge.
+    /// `current` to ~`usize::MAX` and corrupt every later reading of the
+    /// gauge, the peak included.
     pub fn sub(&self, bytes: usize) {
         let _prev = self
             .current
@@ -295,7 +285,7 @@ impl MemoryGauge {
 
 /// A virtual host whose site is generated on first fetch.
 ///
-/// Site assembly is a pure function of `(seed, revision, company, fate)` —
+/// Site assembly is a pure function of `(seed, company, fate)` —
 /// all per-domain randomness is drawn from keyed RNG streams — so a lazily
 /// materialized site is byte-identical to the one eager [`build_world`]
 /// would have registered, regardless of fetch order or worker count. The
@@ -303,7 +293,6 @@ impl MemoryGauge {
 /// a streaming pipeline holds only its in-flight domains' sites.
 pub struct LazySite {
     seed: u64,
-    revision: u32,
     company: Company,
     fate: CompanyFate,
     gauge: Arc<MemoryGauge>,
@@ -319,12 +308,7 @@ impl LazySite {
         if let Some(site) = self.built.lock().clone() {
             return site;
         }
-        let assembled = Arc::new(assemble_site(
-            self.seed,
-            self.revision,
-            &self.company,
-            self.fate,
-        ));
+        let assembled = Arc::new(assemble_site(self.seed, &self.company, self.fate));
         let bytes = assembled.resident_bytes();
         {
             let mut slot = self.built.lock();
@@ -394,16 +378,12 @@ fn build_world_mode(config: WorldConfig, lazy: bool) -> World {
         let style = PolicyStyle::sample(config.seed, &domain);
         let truth = match fate {
             CompanyFate::NoPolicy => None,
-            _ => Some(
-                GroundTruth::sample(config.seed, &domain, company.sector)
-                    .revise(config.seed, config.revision),
-            ),
+            _ => Some(GroundTruth::sample(config.seed, &domain, company.sector)),
         };
 
         if lazy {
             let host = Arc::new(LazySite {
                 seed: config.seed,
-                revision: config.revision,
                 company: company.clone(),
                 fate,
                 gauge: site_memory.clone(),
@@ -438,14 +418,12 @@ fn build_world_mode(config: WorldConfig, lazy: bool) -> World {
 }
 
 /// Assemble one domain's full site from scratch — the lazy-generation
-/// entry point. Pure in `(seed, revision, company, fate)`.
-fn assemble_site(seed: u64, revision: u32, company: &Company, fate: CompanyFate) -> StaticSite {
+/// entry point. Pure in `(seed, company, fate)`.
+fn assemble_site(seed: u64, company: &Company, fate: CompanyFate) -> StaticSite {
     let style = PolicyStyle::sample(seed, &company.domain);
     let truth = match fate {
         CompanyFate::NoPolicy => None,
-        _ => {
-            Some(GroundTruth::sample(seed, &company.domain, company.sector).revise(seed, revision))
-        }
+        _ => Some(GroundTruth::sample(seed, &company.domain, company.sector)),
     };
     assemble_site_with(seed, company, fate, truth.as_ref(), &style)
 }
@@ -673,7 +651,7 @@ fn build_site(
         CompanyFate::HiddenLegalLink => {
             // Footer says "Legal Notices"; policy lives at a path without
             // the word "privacy".
-            let site = StaticSite::new()
+            StaticSite::new()
                 .page(
                     "/",
                     page(
@@ -691,14 +669,13 @@ fn build_site(
                         &policy_html,
                         &footer_links(&[("Legal Notices", "/legal-notices")]),
                     ),
-                );
-            site
+                )
         }
         CompanyFate::JsActionLink => {
             let footer = "<a href=\"/terms\">Terms of Use</a> \
                           <a href=\"javascript:openPrivacyModal()\">Privacy Policy</a> \
                           <a href=\"/accessibility\">Accessibility</a>";
-            let site = StaticSite::new()
+            StaticSite::new()
                 .page(
                     "/",
                     page(
@@ -708,8 +685,7 @@ fn build_site(
                         footer,
                     ),
                 )
-                .page("/modal/privacy-content", policy_page(&policy_html));
-            site
+                .page("/modal/privacy-content", policy_page(&policy_html))
         }
         CompanyFate::ConsentBoxLink => {
             let main = format!(
@@ -718,17 +694,16 @@ fn build_site(
                  Privacy Statement</a>.</p></details>",
                 marketing(company)
             );
-            let site = StaticSite::new()
+            StaticSite::new()
                 .page(
                     "/",
                     page(&company.name, &standard_header(), &main, &footer_links(&[])),
                 )
-                .page("/legal/privacy-statement", policy_page(&policy_html));
-            site
+                .page("/legal/privacy-statement", policy_page(&policy_html))
         }
         CompanyFate::PdfPolicy => {
             let pdf_body = format!("%PDF-1.7 privacy policy of {}", company.name);
-            let site = StaticSite::new()
+            StaticSite::new()
                 .page(
                     "/",
                     page(
@@ -738,12 +713,11 @@ fn build_site(
                         &footer_links(&[("Privacy Policy", "/docs/privacy-policy.pdf")]),
                     ),
                 )
-                .page("/docs/privacy-policy.pdf", Response::pdf(pdf_body));
-            site
+                .page("/docs/privacy-policy.pdf", Response::pdf(pdf_body))
         }
         CompanyFate::NonEnglish => {
             let german = render_policy_german(&company.name);
-            let site = StaticSite::new()
+            StaticSite::new()
                 .page(
                     "/",
                     page(
@@ -765,12 +739,11 @@ fn build_site(
                         &german,
                         &footer_links(&[("Privacy Policy", "/privacy")]),
                     ),
-                );
-            site
+                )
         }
         CompanyFate::MixedLanguage => {
             let mixed = render_policy_mixed(truth, style, &company.name, seed);
-            let site = StaticSite::new()
+            StaticSite::new()
                 .page(
                     "/",
                     page(
@@ -780,14 +753,13 @@ fn build_site(
                         &footer_links(&[("Privacy Policy", "/privacy-policy")]),
                     ),
                 )
-                .page("/privacy-policy", policy_page(&mixed));
-            site
+                .page("/privacy-policy", policy_page(&mixed))
         }
         CompanyFate::JsLoadedPolicy => {
             let shell = "<div id=\"root\"></div>\
                          <script src=\"/static/bundle.js\"></script>\
                          <script>window.__APP__ = { page: 'privacy' };</script>";
-            let site = StaticSite::new()
+            StaticSite::new()
                 .page(
                     "/",
                     page(
@@ -797,14 +769,13 @@ fn build_site(
                         &footer_links(&[("Privacy Policy", "/privacy-policy")]),
                     ),
                 )
-                .page("/privacy-policy", policy_page(shell));
-            site
+                .page("/privacy-policy", policy_page(shell))
         }
         CompanyFate::ImagePolicy => {
             let main = "<h1>Privacy Policy</h1>\
                         <img src=\"/assets/privacy-policy.png\" \
                         alt=\"Scanned privacy policy document\">";
-            let site = StaticSite::new()
+            StaticSite::new()
                 .page(
                     "/",
                     page(
@@ -814,15 +785,14 @@ fn build_site(
                         &footer_links(&[("Privacy Policy", "/privacy-policy")]),
                     ),
                 )
-                .page("/privacy-policy", policy_page(main));
-            site
+                .page("/privacy-policy", policy_page(main))
         }
         CompanyFate::ExpandablePolicy => {
             let main = format!(
                 "<h1>Privacy Policy</h1>\
                  <details><summary>Read our full privacy policy</summary>{policy_html}</details>"
             );
-            let site = StaticSite::new()
+            StaticSite::new()
                 .page(
                     "/",
                     page(
@@ -832,8 +802,7 @@ fn build_site(
                         &footer_links(&[("Privacy Policy", "/privacy-policy")]),
                     ),
                 )
-                .page("/privacy-policy", policy_page(&main));
-            site
+                .page("/privacy-policy", policy_page(&main))
         }
         // Callers route NoPolicy to `build_no_policy_site` directly; fall
         // back to it here too rather than aborting.

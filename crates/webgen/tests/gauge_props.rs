@@ -1,8 +1,9 @@
-//! Properties of the site-memory gauge the streaming supervisor's
-//! backpressure decisions are made against: `current` never exceeds
-//! `peak`, releases saturate at zero instead of wrapping, and balanced
-//! add/sub sequences always return to zero — under any interleaving of
-//! operations, including erroneous double releases.
+//! Properties of the lazy world's site-memory gauge, which accounts every
+//! site materialization and release and whose readings the streaming
+//! tests and the benchmark's peak-site-bytes figure rely on: `current`
+//! never exceeds `peak`, releases saturate at zero instead of wrapping,
+//! and balanced add/sub sequences always return to zero — under any
+//! interleaving of operations, including erroneous double releases.
 
 use aipan_webgen::MemoryGauge;
 use proptest::prelude::*;

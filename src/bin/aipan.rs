@@ -27,7 +27,7 @@
 //! abbreviation prints the usage text and exits 2 before any world is built
 //! or dataset read.
 
-use aipan::analysis::{insights::Insights, tables, trends, validation};
+use aipan::analysis::{insights::Insights, tables, validation};
 use aipan::chatbot::ModelProfile;
 use aipan::core::pipeline::Pipeline;
 use aipan::core::{
@@ -40,6 +40,7 @@ use aipan::net::Client;
 use aipan::taxonomy::datatypes::DataTypeMeta;
 use aipan::taxonomy::normalize::Normalizer;
 use aipan::taxonomy::purposes::PurposeMeta;
+use aipan::taxonomy::records::AspectKind;
 use aipan::taxonomy::sector::Sector;
 use aipan::webgen::universe::{MIN_UNIVERSE_SIZE, UNIVERSE_SIZE};
 use aipan::webgen::{build_world_lazy, SearchIndex, World, WorldConfig};
@@ -265,11 +266,10 @@ fn cmd_run(args: &Args) {
         run.crawl_funnel.domains_total, run.crawl_funnel.crawl_success, run.extraction.annotated
     );
     println!(
-        "health: {} ({} quarantined, {} poisoned skipped, {} backpressure stall(s))",
+        "health: {} ({} quarantined, {} poisoned skipped)",
         run.health.verdict,
         run.health.quarantine.len(),
-        run.health.poisoned_skipped.len(),
-        run.health.backpressure_stalls
+        run.health.poisoned_skipped.len()
     );
     for reason in &run.health.reasons {
         println!("  - {reason}");
@@ -580,10 +580,9 @@ fn cmd_analyze(args: &Args) {
         dataset.len(),
         dataset.annotated().count()
     );
-    let counts = trends::aspect_counts(&dataset);
-    let rendered: Vec<String> = counts
+    let rendered: Vec<String> = AspectKind::ALL
         .iter()
-        .map(|(kind, n)| format!("{kind:?} {n}"))
+        .map(|&kind| format!("{kind:?} {}", dataset.annotation_count(kind)))
         .collect();
     println!("annotations per aspect: {}", rendered.join(", "));
     let mut type_meta: BTreeMap<DataTypeMeta, usize> = BTreeMap::new();

@@ -153,3 +153,38 @@ fn repro_all_matches_the_pinned_digest() {
         "`aipan repro all --size 200` output changed"
     );
 }
+
+/// Pins `aipan analyze` on a real dataset, with and without a sector
+/// filter: the per-aspect counts, the meta-category tallies, Table 1/4 and
+/// the §5 insights it prints for a 40-company run.
+#[test]
+fn analyze_matches_the_pinned_digest() {
+    let dir = ScratchDir::new("analyze");
+    let out = aipan(
+        &dir.0,
+        &["run", "--seed", "3", "--size", "40", "--out", "ds.json"],
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for (args, pinned) in [
+        (&["analyze", "ds.json"][..], (7_387, "77753f8d74ee091b")),
+        (
+            &["analyze", "ds.json", "--sector", "IT"],
+            (6_422, "9171a873a5d89bd4"),
+        ),
+    ] {
+        let out = aipan(&dir.0, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert_eq!(
+            (out.stdout.len(), fnv1a(&out.stdout)),
+            (pinned.0, pinned.1.to_string()),
+            "`aipan {}` output changed",
+            args.join(" ")
+        );
+    }
+}
