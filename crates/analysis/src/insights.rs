@@ -287,24 +287,33 @@ impl Insights {
             self.cats_gt_25,
             pct(self.cats_gt_25)
         );
-        let _ = writeln!(
-            out,
-            "  retention median:         {} days (~{:.1} years)   [paper: 2 years]",
-            self.retention_median_days,
-            self.retention_median_days as f64 / 365.0
-        );
-        let _ = writeln!(
-            out,
-            "  retention min:            {} day(s) at {:?}   [paper: 1 day, arescre.com & pg.com]",
-            self.retention_min.0, self.retention_min.1
-        );
-        let _ = writeln!(
-            out,
-            "  retention max:            {} days (~{:.0} years) at {:?}   [paper: 50 years, bms.com]",
-            self.retention_max.0,
-            self.retention_max.0 as f64 / 365.0,
-            self.retention_max.1
-        );
+        if self.retention_max.1.is_empty() {
+            // No policy states a period: the median and extremes are only
+            // placeholders.
+            let _ = writeln!(
+                out,
+                "  retention:                no policy in the population states a period   [paper: median 2 years]"
+            );
+        } else {
+            let _ = writeln!(
+                out,
+                "  retention median:         {} days (~{:.1} years)   [paper: 2 years]",
+                self.retention_median_days,
+                self.retention_median_days as f64 / 365.0
+            );
+            let _ = writeln!(
+                out,
+                "  retention min:            {} day(s) at {:?}   [paper: 1 day, arescre.com & pg.com]",
+                self.retention_min.0, self.retention_min.1
+            );
+            let _ = writeln!(
+                out,
+                "  retention max:            {} days (~{:.0} years) at {:?}   [paper: 50 years, bms.com]",
+                self.retention_max.0,
+                self.retention_max.0 as f64 / 365.0,
+                self.retention_max.1
+            );
+        }
         let _ = writeln!(
             out,
             "  generic protection:       {:>6} ({:.1}%)   [paper: >70%]",
@@ -407,6 +416,26 @@ mod tests {
         assert_eq!(ins.retention_min, (1, vec!["short.com".to_string()]));
         assert_eq!(ins.retention_max, (18250, vec!["long.com".to_string()]));
         assert_eq!(ins.retention_median_days, 730);
+    }
+
+    #[test]
+    fn render_says_when_no_policy_states_a_period() {
+        let limited = Annotation::new(
+            AnnotationPayload::Retention {
+                label: RetentionLabel::Limited,
+                period_days: None,
+            },
+            "as long as necessary",
+            1,
+        );
+        let ds = Dataset {
+            policies: vec![policy("limited.com", vec![limited])],
+        };
+        let text = Insights::compute(&ds).render();
+        assert!(text.contains("no policy in the population states a period"));
+        assert!(!text.contains("retention median"), "{text}");
+        assert!(!text.contains("retention min"), "{text}");
+        assert!(!text.contains("retention max"), "{text}");
     }
 
     #[test]

@@ -370,6 +370,42 @@ mod tests {
         assert_eq!(parse_rights(&encode_rights(&rows)), Some(rows));
     }
 
+    /// The JSON writer and reader scan string bodies eight bytes at a time;
+    /// every row text here puts one byte they stop on, or a multibyte char,
+    /// at each offset of the first two words.
+    #[test]
+    fn roundtrip_with_a_special_at_every_offset() {
+        for special in ["\"", "\\", "\0", "\u{8}", "\n", "\u{1f}", "é", "€", "😀"] {
+            for len in 0..=24 {
+                for offset in 0..=len.min(16) {
+                    let mut t = "a".repeat(len);
+                    t.insert_str(offset, special);
+                    let s = |suffix: &str| format!("{t}{suffix}");
+                    let n = offset + 1;
+                    let extractions = vec![(n, t.clone())];
+                    assert_eq!(
+                        parse_extractions(&encode_extractions(&extractions)),
+                        Some(extractions)
+                    );
+                    let normalizations = vec![(n, t.clone(), s("c"))];
+                    assert_eq!(
+                        parse_normalizations(&encode_normalizations(&normalizations)),
+                        Some(normalizations)
+                    );
+                    let purposes = vec![(n, t.clone(), s("d"), s("c"))];
+                    assert_eq!(parse_purposes(&encode_purposes(&purposes)), Some(purposes));
+                    let handling = vec![
+                        (n, t.clone(), s("l"), Some(s("p"))),
+                        (n, s(""), t.clone(), None),
+                    ];
+                    assert_eq!(parse_handling(&encode_handling(&handling)), Some(handling));
+                    let rights = vec![(n, t.clone(), s("r"))];
+                    assert_eq!(parse_rights(&encode_rights(&rights)), Some(rights));
+                }
+            }
+        }
+    }
+
     #[test]
     fn malformed_output_tolerated() {
         // Not a top-level array: not well-formed, so the loop re-prompts.

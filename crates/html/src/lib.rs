@@ -9,6 +9,8 @@
 //! 1. [`tokenizer`] — a forgiving HTML tokenizer (tags, attributes, text,
 //!    comments, raw-text elements like `<script>`) yielding tokens borrowed
 //!    from the input. Malformed markup never panics; it degrades to text.
+//!    Each text run is found eight bytes per step and borrowed as it is
+//!    unless it holds an `&`, so only such a run is read twice.
 //! 2. [`text`] — the streaming inscriptis-style renderer. An explicit stack
 //!    of open elements applies the implicit-close rules needed for
 //!    real-world pages (`<p>`, `<li>`, void elements) and reports the tree

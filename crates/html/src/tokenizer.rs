@@ -8,6 +8,15 @@
 //! never panics — stray `<` become text, unterminated constructs run to
 //! end-of-input. Every byte of the input is scanned a bounded number of
 //! times, so work is linear in input size.
+//!
+//! Text is most of a page's bytes, and every page the crawler fetches
+//! passes through here (both [`crate::links`] and [`crate::extract`] read
+//! it). A text run ends at the next `<`: one pass over the run, eight
+//! bytes per step (one `u64` in which a mask flags the `<` and `&` bytes),
+//! finds that `<` and whether an `&` comes before it. A run without an
+//! `&` is borrowed as it is; only a run with one is read again, by
+//! [`entity::decode`]. The two-pass scan this replaced, `find('<')` and
+//! then `decode`'s own search for `&`, is the oracle of its tests.
 
 use crate::entity;
 use std::borrow::Cow;
@@ -217,17 +226,85 @@ impl<'a> Iterator for Tokenizer<'a> {
             }
         }
         while self.pos < self.input.len() {
-            let rest = self.rest();
-            let lt = rest.find('<').unwrap_or(rest.len());
-            if lt > 0 {
-                self.pos += lt;
-                return Some(Token::Text(entity::decode(&rest[..lt])));
+            let (len, text) = text_run(self.rest());
+            if len > 0 {
+                self.pos += len;
+                return Some(Token::Text(text));
             }
             if let Some(token) = self.markup() {
                 return Some(token);
             }
         }
         None
+    }
+}
+
+/// The text at the start of `rest`, up to its first `<` or its end: the
+/// run's length and the run entity-decoded. One pass finds both the `<`
+/// and whether an `&` comes before it, so a run without one (nearly every
+/// run) is borrowed as it is and only a run with one is read again, by
+/// [`entity::decode`].
+fn text_run(rest: &str) -> (usize, Cow<'_, str>) {
+    let (len, amp) = scan_text(rest.as_bytes());
+    let run = rest.get(..len).unwrap_or(rest);
+    let text = if amp {
+        entity::decode(run)
+    } else {
+        Cow::Borrowed(run)
+    };
+    (len, text)
+}
+
+/// One in each byte of a `u64`.
+const ONES: u64 = 0x0101_0101_0101_0101;
+/// The high bit of each byte of a `u64`.
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// The position of the first `<` in `bytes` (their length if there is
+/// none) and whether an `&` comes before it, reading eight bytes per step.
+fn scan_text(bytes: &[u8]) -> (usize, bool) {
+    let (chunks, tail) = bytes.as_chunks::<8>();
+    let mut amp = false;
+    for (i, chunk) in chunks.iter().enumerate() {
+        let word = u64::from_le_bytes(*chunk);
+        let amps = bytes_equal(word, b'&');
+        let lts = bytes_equal(word, b'<');
+        if lts != 0 {
+            // The bits below the first `<`'s flag cover the bytes before it.
+            let before = (lts & lts.wrapping_neg()) - 1;
+            let at = i * 8 + (lts.trailing_zeros() / 8) as usize;
+            return (at, amp || amps & before != 0);
+        }
+        amp |= amps != 0;
+    }
+    let at = chunks.len() * 8;
+    for (i, &b) in tail.iter().enumerate() {
+        if b == b'<' {
+            return (at + i, amp);
+        }
+        amp |= b == b'&';
+    }
+    (bytes.len(), amp)
+}
+
+/// The high bit of each byte of `word` (first byte lowest) that equals
+/// `b`, and possibly of bytes above such a byte: a borrow out of a match
+/// can flag the byte above it, so the lowest flag is always a match.
+fn bytes_equal(word: u64, b: u8) -> u64 {
+    let x = word ^ (ONES * u64::from(b));
+    x.wrapping_sub(ONES) & !x & HIGH_BITS
+}
+
+/// The two passes [`text_run`] replaced, kept as the oracle of its tests:
+/// `find('<')`, then [`entity::decode`]'s own search for `&`.
+#[cfg(test)]
+mod legacy {
+    use crate::entity;
+    use std::borrow::Cow;
+
+    pub(super) fn text_run(rest: &str) -> (usize, Cow<'_, str>) {
+        let lt = rest.find('<').unwrap_or(rest.len());
+        (lt, entity::decode(&rest[..lt]))
     }
 }
 
@@ -463,5 +540,71 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(tokenize("").is_empty());
+    }
+
+    /// Equal length and text, and borrowed exactly when the legacy run is:
+    /// a run holding an `&` that decodes to itself still counts.
+    fn assert_run_like_legacy(s: &str) {
+        let (len, text) = text_run(s);
+        let (legacy_len, legacy_text) = legacy::text_run(s);
+        assert_eq!(
+            (len, matches!(text, Cow::Borrowed(_)), text),
+            (
+                legacy_len,
+                matches!(legacy_text, Cow::Borrowed(_)),
+                legacy_text
+            ),
+            "{s:?}"
+        );
+    }
+
+    #[test]
+    fn text_run_matches_legacy_at_every_offset() {
+        let controls = (0u8..0x20).map(char::from);
+        let mut specials: Vec<String> = controls.map(String::from).collect();
+        specials.extend(["\"", "\\", "\x7f", "<", "&", "&amp;", "é", "€", "😀"].map(String::from));
+        for len in 0..=24 {
+            for offset in 0..=len.min(16) {
+                for special in &specials {
+                    let mut s = "a".repeat(len);
+                    s.insert_str(offset, special);
+                    assert_run_like_legacy(&s);
+                }
+                // An entity and a `<` at every pair of offsets, either first.
+                for other in 0..=len.min(16) {
+                    let mut s = "a".repeat(len);
+                    s.insert(offset, '<');
+                    s.insert_str(other, "&lt;");
+                    assert_run_like_legacy(&s);
+                }
+            }
+        }
+    }
+
+    /// A char drawn from `v`: mostly letters, then any ASCII byte (the
+    /// specials included) and 2-, 3- and 4-byte chars.
+    fn char_of(v: u32) -> char {
+        let pick = v >> 4;
+        match v & 15 {
+            0 => char::from_u32(0x80 + pick % 0x780),
+            1 => char::from_u32(0xE000 + pick % 0x1000),
+            2 => char::from_u32(0x1_0000 + pick),
+            3..=6 => char::from_u32(pick % 0x80),
+            _ => char::from_u32(u32::from(b'a') + pick % 26),
+        }
+        .unwrap_or('a')
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn text_run_matches_legacy(
+            chars in proptest::collection::vec(0u32..0x1_0000, 0..80),
+            entity in 0usize..3,
+        ) {
+            let s: String = chars.iter().copied().map(char_of).collect();
+            // Make `<` and `&` common enough to meet each other.
+            let s = s.replace('x', "<").replace('y', ["&", "&lt;", "&amp;"][entity]);
+            assert_run_like_legacy(&s);
+        }
     }
 }

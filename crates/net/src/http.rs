@@ -174,9 +174,16 @@ impl Response {
         }
     }
 
-    /// Body interpreted as UTF-8 (lossy).
+    /// Body interpreted as UTF-8 (lossy): equal to
+    /// `String::from_utf8_lossy(&self.body)`. The body is validated first,
+    /// which reads a word at a time where it is ASCII, and a valid body
+    /// (every body the simulated web serves) is copied once; only an
+    /// invalid one takes the lossy decode.
     pub fn body_text(&self) -> String {
-        String::from_utf8_lossy(&self.body).into_owned()
+        match std::str::from_utf8(&self.body) {
+            Ok(text) => text.to_owned(),
+            Err(_) => String::from_utf8_lossy(&self.body).into_owned(),
+        }
     }
 }
 
@@ -220,5 +227,57 @@ mod tests {
     fn mime_strings() {
         assert!(ContentType::Html.mime().starts_with("text/html"));
         assert_eq!(ContentType::Pdf.mime(), "application/pdf");
+    }
+
+    /// `body_text` against the lossy decode it replaced.
+    fn assert_decodes_like_lossy(body: &[u8]) {
+        let text = Response::html(body.to_vec()).body_text();
+        assert_eq!(text, String::from_utf8_lossy(body), "{body:?}");
+    }
+
+    #[test]
+    fn body_text_matches_lossy_decode_at_every_offset() {
+        let mut specials: Vec<Vec<u8>> = (0u8..0x20).map(|b| vec![b]).collect();
+        specials.extend(
+            [&b"\""[..], b"\\", b"\x7f", b"<", b"&"]
+                .into_iter()
+                .map(<[u8]>::to_vec),
+        );
+        specials.extend(["é", "€", "😀"].map(|c| c.as_bytes().to_vec()));
+        // Invalid: a lone 0xFF, a lone continuation byte, a 3-byte char cut
+        // short, an overlong `/`.
+        specials.extend([vec![0xFF], vec![0x80], vec![0xE2, 0x82], vec![0xC0, 0xAF]]);
+        for len in 0..=24 {
+            for offset in 0..=len.min(16) {
+                for special in &specials {
+                    let mut body = vec![b'a'; len];
+                    body.splice(offset..offset, special.iter().copied());
+                    assert_decodes_like_lossy(&body);
+                }
+            }
+        }
+        // The truncated char as the body's last bytes, after any prefix.
+        for len in 0..=24 {
+            let mut body = vec![b'a'; len];
+            body.extend([0xE2, 0x82]);
+            assert_decodes_like_lossy(&body);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn body_text_matches_lossy_decode(
+            bytes in proptest::collection::vec(0u8..=255, 0..64),
+            ascii in proptest::collection::vec(0u8..0x80, 0..64),
+            at in 0usize..64,
+            byte in 0u8..=255,
+        ) {
+            assert_decodes_like_lossy(&bytes);
+            // Mostly ASCII with at most one arbitrary byte: valid or not.
+            let mut body = ascii.clone();
+            body.insert(at.min(ascii.len()), byte);
+            assert_decodes_like_lossy(&ascii);
+            assert_decodes_like_lossy(&body);
+        }
     }
 }

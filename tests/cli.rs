@@ -174,7 +174,7 @@ fn analyze_matches_the_pinned_digest() {
         (&["analyze", "ds.json"][..], (7_387, "77753f8d74ee091b")),
         (
             &["analyze", "ds.json", "--sector", "IT"],
-            (6_422, "9171a873a5d89bd4"),
+            (6_290, "24563e1187274971"),
         ),
     ] {
         let out = aipan(&dir.0, args);
