@@ -565,7 +565,10 @@ fn normalized_matches(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aipan_core::{run_pipeline, PipelineConfig};
+    use aipan_core::{
+        run_pipeline, run_pipeline_sharded, AnnotatedPolicy, JournalEntry, PipelineConfig,
+        SegmentationMethod, ShardedJournal,
+    };
     use aipan_webgen::{build_world, WorldConfig};
     use std::sync::OnceLock;
 
@@ -606,6 +609,40 @@ mod tests {
             audit.truly_absent * 2 >= audit.sample_size,
             "most sampled misses should be genuine: {audit:?}"
         );
+    }
+
+    #[test]
+    fn funnel_counts_the_missing_aspect_population_the_audit_counts() {
+        // A journaled policy with no annotation at all is extracted but not
+        // annotated, so neither count may include it.
+        let world = build_world(WorldConfig::small(3, 60));
+        let company = world.universe.unique_domains()[0];
+        let domain = company.domain.clone();
+        let journal = ShardedJournal::in_memory(4);
+        journal.record(JournalEntry {
+            domain: domain.clone(),
+            english_privacy_pages: 1,
+            policy: Some(AnnotatedPolicy {
+                domain: domain.clone(),
+                sector: company.sector,
+                annotations: Vec::new(),
+                fallbacks: Vec::new(),
+                hallucinations_removed: 0,
+                core_word_count: 100,
+                segmentation: SegmentationMethod::Headings,
+                policy_path: "/privacy".to_string(),
+            }),
+        });
+        let config = PipelineConfig {
+            seed: 3,
+            ..Default::default()
+        };
+        let run = run_pipeline_sharded(&world, config, &journal);
+        let unannotated = run.dataset.by_domain(&domain).expect("journaled policy");
+        assert!(unannotated.annotations.is_empty());
+        let audit = MissingAspectAudit::run(&world, &run.dataset, 20, 2);
+        assert!(audit.missing_total > 0);
+        assert_eq!(run.extraction.missing_any_aspect, audit.missing_total);
     }
 
     #[test]

@@ -80,7 +80,9 @@ pub struct ExtractionFunnel {
     pub extraction_success: usize,
     /// Domains receiving at least one annotation (the paper's 2529).
     pub annotated: usize,
-    /// Domains missing annotations for ≥1 studied aspect (the paper's 375).
+    /// Annotated domains missing annotations for ≥1 studied aspect (the
+    /// paper's 375 of its 2529): counted over the same population as
+    /// `annotated`, as the missing-aspect audit counts it.
     pub missing_any_aspect: usize,
     /// Policies where the full-text fallback fired at least once (708).
     pub policies_with_fallback: usize,
@@ -402,9 +404,9 @@ pub fn run_pipeline_sharded(
         extraction.extraction_success += 1;
         if !policy.annotations.is_empty() {
             extraction.annotated += 1;
-        }
-        if !policy.missing_aspects().is_empty() {
-            extraction.missing_any_aspect += 1;
+            if !policy.missing_aspects().is_empty() {
+                extraction.missing_any_aspect += 1;
+            }
         }
         if !policy.fallbacks.is_empty() {
             extraction.policies_with_fallback += 1;

@@ -198,8 +198,10 @@ fn parse_string(value: &str, lineno: u32) -> Result<String, ParseError> {
     }
 }
 
-/// Strip a `#`-to-end-of-line comment, respecting quoted strings.
-fn strip_comment(line: &str) -> &str {
+/// Strip a `#`-to-end-of-line comment, respecting quoted strings; shared
+/// with the `lint.toml` parser in [`crate::config`], which reads the same
+/// TOML subset.
+pub(crate) fn strip_comment(line: &str) -> &str {
     let mut in_string = false;
     for (i, ch) in line.char_indices() {
         match ch {

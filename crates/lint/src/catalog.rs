@@ -157,8 +157,7 @@ pub const RULES: &[RuleDoc] = &[
         rationale: "A `.clone()`/`.to_string()`/`.to_owned()`/`.to_vec()` whose source is \
                     proven unmodified inside the loop (by a may-modified dataflow over \
                     the fn's CFG) allocates the same bytes once per iteration. Hoist the \
-                    clone above the loop; where the rewrite is provably safe the finding \
-                    carries a machine-applicable fix.",
+                    clone above the loop.",
         example: "for row in rows {\n    let hdr = header.clone(); // C2: header never changes in the loop\n    emit(&hdr, row);\n}",
     },
     RuleDoc {
@@ -238,7 +237,7 @@ pub const RULES: &[RuleDoc] = &[
                     proves the operand's type AND its corpus-scale provenance \
                     (`.len()`/`.count()` results, counter-family names); provably \
                     lossless widenings with an exact std `From` impl are reported at \
-                    Warn with a machine-applicable `Dst::from(..)` rewrite instead.",
+                    Warn instead, naming the `Dst::from(..)` form.",
         example: "let pages = corpus.len();\nreport.total = pages as u32; // N1: wraps past 4Gi pages",
     },
     RuleDoc {

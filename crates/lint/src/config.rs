@@ -19,6 +19,7 @@
 //! declared graph must be acyclic — a layering contract with a cycle
 //! defines no layers at all.
 
+use crate::allow::strip_comment;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Parsed `lint.toml` contents.
@@ -232,19 +233,6 @@ fn parse_string_array(value: &str, lineno: u32) -> Result<Vec<String>, ConfigErr
         }
     }
     Ok(out)
-}
-
-/// Strip a `#`-to-end-of-line comment, respecting quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    for (i, ch) in line.char_indices() {
-        match ch {
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
-    }
-    line
 }
 
 #[cfg(test)]

@@ -22,9 +22,7 @@
 //! **`H2` allocation-in-hot-loop** (Warn): a container bound with
 //! `Vec::new()`/`String::new()` in a hot fn that grows inside a loop —
 //! every `push` may reallocate on the hottest paths the workspace has.
-//! The fix is `with_capacity`; when the only growth site is a `for` loop
-//! over a plain iterable the capacity is provable and the finding
-//! carries a machine-applicable fix.
+//! The message names the remedy, `with_capacity`.
 //!
 //! **`C2` redundant-clone-in-loop** (Warn): a `let y = x.clone()` (or
 //! `to_string`/`to_vec`/`to_owned`) inside a loop whose receiver is
@@ -34,17 +32,15 @@
 //! the receiver root's sites lie inside the innermost enclosing loop.
 //! Unknown method calls on the root count as modifications, so the
 //! analysis under-approximates invariance (fewer findings), never the
-//! reverse. When every in-loop use of `y` is read-shaped the finding
-//! carries a hoist fix.
+//! reverse. The message names the remedy: hoist the `let` above the
+//! loop.
 
 use crate::callgraph::{CallGraph, FnNode};
 use crate::cfg::{Cfg, Step};
 use crate::dataflow::{replay, solve, Analysis};
-use crate::expr::{child_blocks, for_each_child, Expr, ExprKind, Pat, Stmt};
+use crate::expr::{for_each_child, Expr, ExprKind, Pat};
 use crate::findings::{Finding, Severity};
-use crate::fix::{offset_in_lines, Fix, FixEdit};
 use crate::graph::Workspace;
-use crate::parser::FnInfo;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Methods that produce a fresh owned allocation from a place.
@@ -757,274 +753,6 @@ impl<'a> Analysis<'a> for MayMod {
     }
 }
 
-/// Walk statements tracking the stack of enclosing loop expressions;
-/// `visit` sees every statement with its loop stack (innermost last).
-fn walk_with_loops<'a>(
-    stmts: &'a [Stmt],
-    stack: &mut Vec<&'a Expr>,
-    visit: &mut impl FnMut(&'a Stmt, &[&'a Expr]),
-) {
-    for stmt in stmts {
-        visit(stmt, stack);
-        match stmt {
-            Stmt::Let {
-                init, else_block, ..
-            } => {
-                if let Some(e) = init {
-                    walk_expr_with_loops(e, stack, visit);
-                }
-                if let Some(b) = else_block {
-                    walk_with_loops(b, stack, visit);
-                }
-            }
-            Stmt::Expr { expr, .. } => walk_expr_with_loops(expr, stack, visit),
-        }
-    }
-}
-
-fn walk_expr_with_loops<'a>(
-    e: &'a Expr,
-    stack: &mut Vec<&'a Expr>,
-    visit: &mut impl FnMut(&'a Stmt, &[&'a Expr]),
-) {
-    let is_loop = matches!(
-        e.kind,
-        ExprKind::While { .. }
-            | ExprKind::WhileLet { .. }
-            | ExprKind::For { .. }
-            | ExprKind::Loop { .. }
-    );
-    if is_loop {
-        stack.push(e);
-    }
-    for block in child_blocks(e) {
-        walk_with_loops(block, stack, visit);
-    }
-    if is_loop {
-        stack.pop();
-    }
-    for_each_child(e, &mut |c| walk_expr_with_loops(c, stack, visit));
-}
-
-/// Whether an expression tree contains a grow call `recv.method(..)` on
-/// the named container at the given position.
-fn contains_grow_at(e: &Expr, container: &str, line: u32, col: u32) -> bool {
-    if let ExprKind::MethodCall { recv, name, .. } = &e.kind {
-        if GROW_METHODS.contains(&name.as_str())
-            && recv.line == line
-            && recv.col == col
-            && matches!(&recv.kind, ExprKind::Path(segs) if segs.as_slice() == [container])
-        {
-            return true;
-        }
-    }
-    let mut found = false;
-    for_each_child(e, &mut |c| {
-        if !found {
-            found = contains_grow_at(c, container, line, col);
-        }
-    });
-    if found {
-        return true;
-    }
-    for block in child_blocks(e) {
-        for stmt in block {
-            let inner = match stmt {
-                Stmt::Let { init, .. } => init.as_ref(),
-                Stmt::Expr { expr, .. } => Some(expr),
-            };
-            if let Some(inner) = inner {
-                if contains_grow_at(inner, container, line, col) {
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
-/// Provable element count for a `for` iterable: a plain local path,
-/// optionally behind `&` or trailing `iter`/`iter_mut`/`into_iter`/
-/// `enumerate` calls, yields `root.len()`.
-fn provable_len(iter: &Expr) -> Option<String> {
-    match &iter.kind {
-        ExprKind::Path(segs) => match segs.as_slice() {
-            [only] if only != "self" => Some(format!("{only}.len()")),
-            _ => None,
-        },
-        ExprKind::Ref { operand, .. } => provable_len(operand),
-        ExprKind::MethodCall {
-            recv, name, args, ..
-        } if args.is_empty()
-            && matches!(
-                name.as_str(),
-                "iter" | "iter_mut" | "into_iter" | "enumerate"
-            ) =>
-        {
-            provable_len(recv)
-        }
-        _ => None,
-    }
-}
-
-/// Names bound anywhere in a fn (params, lets, patterns) — used to vet
-/// that a capacity source is in scope before the allocation.
-fn bound_before(info_params: &[String], cfg: &Cfg<'_>, name: &str, line: u32) -> bool {
-    if info_params.iter().any(|p| p == name) {
-        return true;
-    }
-    for node in &cfg.nodes {
-        for step in &node.steps {
-            let (step_line, _) = step.pos();
-            if step_line >= line {
-                continue;
-            }
-            let mut names = Vec::new();
-            match step {
-                Step::Bind { pat, .. } | Step::PatBind { pat, .. } | Step::ForHead { pat, .. } => {
-                    pat.bound_names(&mut names);
-                }
-                _ => {}
-            }
-            if names.iter().any(|n| n == name) {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// Container heads whose `.len()` is guaranteed to exist.
-const SIZED_TY_HEADS: &[&str] = &[
-    "Vec", "VecDeque", "String", "str", "BTreeMap", "BTreeSet", "HashMap", "HashSet",
-];
-
-/// Whether type tokens name a container with a `.len()` method: leading
-/// `&`/`mut` stripped, then a sized head or a slice. Anything involving
-/// `impl`/`dyn` (opaque trait types) is rejected outright.
-fn ty_has_len(ty: &[String]) -> bool {
-    if ty.iter().any(|t| t == "impl" || t == "dyn") {
-        return false;
-    }
-    let head = ty.iter().find(|t| *t != "&" && *t != "mut");
-    head.is_some_and(|t| SIZED_TY_HEADS.contains(&t.as_str()) || t == "[")
-}
-
-/// Whether `name`'s declared type provably has `.len()`: a param or a
-/// single-name `let` whose annotation names a sized container, or a `let`
-/// initialized from an unambiguous container constructor (`vec![..]`,
-/// `Vec::...`, `String::...`). Pattern-bound and unannotated names are
-/// rejected — an emitted fix must compile, so under-approximating here
-/// only costs a machine fix, never correctness.
-fn root_has_len(info: &FnInfo, name: &str) -> bool {
-    for p in &info.params {
-        if p.name == name {
-            return ty_has_len(&p.ty);
-        }
-    }
-    let mut proven = false;
-    let mut stack = Vec::new();
-    walk_with_loops(&info.body, &mut stack, &mut |stmt, _| {
-        let Stmt::Let { pat, ty, init, .. } = stmt else {
-            return;
-        };
-        let mut names = Vec::new();
-        pat.bound_names(&mut names);
-        if names.as_slice() != [name.to_string()] {
-            return;
-        }
-        if !ty.is_empty() && ty_has_len(ty) {
-            proven = true;
-            return;
-        }
-        let Some(init) = init else {
-            return;
-        };
-        match &init.kind {
-            ExprKind::MacroCall { path, .. } if path.last().is_some_and(|s| s == "vec") => {
-                proven = true;
-            }
-            ExprKind::Call { callee, .. } => {
-                if let ExprKind::Path(segs) = &callee.kind {
-                    if segs
-                        .first()
-                        .is_some_and(|s| s == "Vec" || s == "String" || s == "VecDeque")
-                    {
-                        proven = true;
-                    }
-                }
-            }
-            _ => {}
-        }
-    });
-    proven
-}
-
-/// Whether every use of `name` in the statements is read-shaped (method
-/// receiver, reference, index base, field base, comparison operand) —
-/// the vet for hoisting a clone whose value must not be moved twice.
-fn uses_are_read_shaped(stmts: &[Stmt], name: &str) -> bool {
-    fn bare_use(e: &Expr, name: &str) -> bool {
-        matches!(&e.kind, ExprKind::Path(segs) if segs.as_slice() == [name])
-    }
-    fn check(e: &Expr, name: &str) -> bool {
-        match &e.kind {
-            ExprKind::Path(_) | ExprKind::Lit(_) => !bare_use(e, name),
-            ExprKind::MethodCall { recv, args, .. } => {
-                let recv_ok = bare_use(recv, name) || check(recv, name);
-                recv_ok && args.iter().all(|a| check(a, name))
-            }
-            ExprKind::Ref { operand, .. } => bare_use(operand, name) || check(operand, name),
-            ExprKind::Index { base, index } => {
-                (bare_use(base, name) || check(base, name)) && check(index, name)
-            }
-            ExprKind::Field { base, .. } => bare_use(base, name) || check(base, name),
-            ExprKind::Binary { op, lhs, rhs } => {
-                let cmp = matches!(op.as_str(), "==" | "!=" | "<" | ">" | "<=" | ">=");
-                let lhs_ok = (cmp && bare_use(lhs, name)) || check(lhs, name);
-                let rhs_ok = (cmp && bare_use(rhs, name)) || check(rhs, name);
-                lhs_ok && rhs_ok
-            }
-            _ => {
-                let mut ok = true;
-                for_each_child(e, &mut |c| {
-                    if ok {
-                        ok = check(c, name);
-                    }
-                });
-                if ok {
-                    for block in child_blocks(e) {
-                        if !uses_are_read_shaped_inner(block, name) {
-                            ok = false;
-                        }
-                    }
-                }
-                ok
-            }
-        }
-    }
-    fn uses_are_read_shaped_inner(stmts: &[Stmt], name: &str) -> bool {
-        for stmt in stmts {
-            let ok = match stmt {
-                Stmt::Let {
-                    init, else_block, ..
-                } => {
-                    init.as_ref().is_none_or(|e| check(e, name))
-                        && else_block
-                            .as_ref()
-                            .is_none_or(|b| uses_are_read_shaped_inner(b, name))
-                }
-                Stmt::Expr { expr, .. } => check(expr, name),
-            };
-            if !ok {
-                return false;
-            }
-        }
-        true
-    }
-    uses_are_read_shaped_inner(stmts, name)
-}
-
 /// Run the `H2` and `C2` passes over an analyzed workspace.
 pub fn check_cost(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -1036,9 +764,9 @@ pub fn check_cost(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) -> V
         let loops = natural_loops(&cfg);
         let depths = loop_depths(&cfg);
         if model.is_hot(id) {
-            check_h2(ws, graph, model, id, node, &cfg, &depths, &mut findings);
+            check_h2(file, graph, model, id, &cfg, &depths, &mut findings);
         }
-        check_c2(file, node, &cfg, &loops, &depths, &mut findings);
+        check_c2(file, &cfg, &loops, &depths, &mut findings);
     }
     findings
 }
@@ -1049,26 +777,19 @@ struct Candidate {
     ctor: String,
     bind_line: u32,
     bind_col: u32,
-    init_line: u32,
-    init_col: u32,
     depth: u32,
     ambiguous: bool,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn check_h2(
-    ws: &Workspace,
+    file: &crate::graph::AnalyzedFile,
     graph: &CallGraph<'_>,
     model: &CostModel,
     id: usize,
-    node: &FnNode<'_>,
     cfg: &Cfg<'_>,
     depths: &[u32],
     findings: &mut Vec<Finding>,
 ) {
-    let Some(file) = ws.files.get(node.file) else {
-        return;
-    };
     let mut candidates: Vec<Candidate> = Vec::new();
     for (nid, block) in cfg.nodes.iter().enumerate() {
         let d = depths.get(nid).copied().unwrap_or(0);
@@ -1107,8 +828,6 @@ fn check_h2(
                 ctor,
                 bind_line: *line,
                 bind_col: *col,
-                init_line: init.line,
-                init_col: init.col,
                 depth: d,
                 ambiguous: false,
             });
@@ -1138,8 +857,7 @@ fn check_h2(
         let Some(path) = model.hot_path(graph, id) else {
             continue;
         };
-        let fix = h2_fix(file, node, cfg, cand, sites);
-        let mut finding = Finding::at(
+        findings.push(Finding::at(
             "H2",
             Severity::Warn,
             &file.parsed.rel_path,
@@ -1154,9 +872,7 @@ fn check_h2(
                 sites.len()
             ),
             file.snippet(cand.bind_line),
-        );
-        finding.fix = fix;
-        findings.push(finding);
+        ));
     }
 }
 
@@ -1175,80 +891,8 @@ fn collect_grows(e: &Expr, depth: u32, out: &mut BTreeMap<String, Vec<(u32, u32,
     for_each_child(e, &mut |c| collect_grows(c, depth, out));
 }
 
-/// Attach the `with_capacity` fix when the candidate's single growth
-/// site sits in a `for` loop over an iterable with a provable length.
-fn h2_fix(
-    file: &crate::graph::AnalyzedFile,
-    node: &FnNode<'_>,
-    cfg: &Cfg<'_>,
-    cand: &Candidate,
-    sites: &[(u32, u32, u32)],
-) -> Option<Fix> {
-    if cand.ctor != "Vec" || sites.len() != 1 {
-        return None;
-    }
-    let (grow_line, grow_col, _) = sites.first().copied()?;
-    // Innermost AST loop holding the growth site.
-    let mut innermost: Option<&Expr> = None;
-    let mut stack = Vec::new();
-    walk_with_loops(&node.info.body, &mut stack, &mut |stmt, loops| {
-        if innermost.is_some() {
-            return;
-        }
-        let expr = match stmt {
-            Stmt::Expr { expr, .. } => expr,
-            Stmt::Let {
-                init: Some(init), ..
-            } => init,
-            _ => return,
-        };
-        if contains_grow_at(expr, &cand.name, grow_line, grow_col) {
-            innermost = loops.last().copied();
-        }
-    });
-    let ExprKind::For { iter, .. } = &innermost?.kind else {
-        return None;
-    };
-    let capacity = provable_len(iter)?;
-    let root = capacity.split('.').next().unwrap_or("");
-    if root == cand.name {
-        return None;
-    }
-    let params: Vec<String> = node.info.params.iter().map(|p| p.name.clone()).collect();
-    if !bound_before(&params, cfg, root, cand.bind_line) {
-        return None;
-    }
-    // The rewrite calls `.len()` on the root, so its declared type must
-    // provably have one (`impl IntoIterator` params etc. do not).
-    if !root_has_len(node.info, root) {
-        return None;
-    }
-    // The replaced text must be exactly the ctor call.
-    let line_text = file.lines.get(cand.init_line.saturating_sub(1) as usize)?;
-    let col = cand.init_col.saturating_sub(1) as usize;
-    if !line_text
-        .get(col..)
-        .is_some_and(|t| t.starts_with("Vec::new()"))
-    {
-        return None;
-    }
-    let start = offset_in_lines(&file.lines, cand.init_line, cand.init_col);
-    Some(Fix {
-        title: format!(
-            "pre-allocate `{}` with `Vec::with_capacity({capacity})`",
-            cand.name
-        ),
-        edits: vec![FixEdit {
-            start,
-            end: start + "Vec::new()".len(),
-            replacement: format!("Vec::with_capacity({capacity})"),
-        }],
-    })
-}
-
 fn check_c2(
     file: &crate::graph::AnalyzedFile,
-    node: &FnNode<'_>,
     cfg: &Cfg<'_>,
     loops: &[BTreeSet<usize>],
     depths: &[u32],
@@ -1376,8 +1020,7 @@ fn check_c2(
         if y_modified {
             continue;
         }
-        let fix = c2_fix(file, node, &cand.y, &cand.root, cand.line, cand.col);
-        let mut finding = Finding::at(
+        findings.push(Finding::at(
             "C2",
             Severity::Warn,
             &file.parsed.rel_path,
@@ -1390,81 +1033,8 @@ fn check_c2(
                 cand.display, cand.method, cand.root, cand.y
             ),
             file.snippet(cand.line),
-        );
-        finding.fix = fix;
-        findings.push(finding);
+        ));
     }
-}
-
-/// Attach the hoist fix for a loop-invariant clone: delete the whole
-/// single-line `let` and re-insert it immediately above the innermost
-/// enclosing loop statement, at the loop's indentation.
-fn c2_fix(
-    file: &crate::graph::AnalyzedFile,
-    node: &FnNode<'_>,
-    y: &str,
-    root: &str,
-    line: u32,
-    col: u32,
-) -> Option<Fix> {
-    let _ = root;
-    let line_text = file.lines.get(line.saturating_sub(1) as usize)?;
-    let indent = line_text.len() - line_text.trim_start().len();
-    let stmt_text = line_text.trim();
-    // Whole-line single statement: the `let` starts the line and the
-    // statement ends it.
-    if col.saturating_sub(1) as usize != indent || !stmt_text.ends_with(';') {
-        return None;
-    }
-    // Locate the innermost AST loop holding this let, and vet `y`'s
-    // in-loop uses as read-shaped so the hoisted value is never moved.
-    let mut target: Option<(&Expr, &[Stmt])> = None;
-    let mut stack = Vec::new();
-    walk_with_loops(&node.info.body, &mut stack, &mut |stmt, loops| {
-        if target.is_some() {
-            return;
-        }
-        if let Stmt::Let {
-            line: l, col: c, ..
-        } = stmt
-        {
-            if *l == line && *c == col {
-                if let Some(lp) = loops.last() {
-                    let body = child_blocks(lp).into_iter().next();
-                    if let Some(body) = body {
-                        target = Some((*lp, body.as_slice()));
-                    }
-                }
-            }
-        }
-    });
-    let (loop_expr, body) = target?;
-    if !uses_are_read_shaped(body, y) {
-        return None;
-    }
-    let loop_line_text = file.lines.get(loop_expr.line.saturating_sub(1) as usize)?;
-    let loop_indent = &loop_line_text[..loop_line_text.len() - loop_line_text.trim_start().len()];
-    if loop_expr.col.saturating_sub(1) as usize != loop_indent.len() {
-        return None;
-    }
-    let insert_at = offset_in_lines(&file.lines, loop_expr.line, 1);
-    let del_start = offset_in_lines(&file.lines, line, 1);
-    let del_end = offset_in_lines(&file.lines, line + 1, 1);
-    Some(Fix {
-        title: format!("hoist `let {y}` above the loop"),
-        edits: vec![
-            FixEdit {
-                start: insert_at,
-                end: insert_at,
-                replacement: format!("{loop_indent}{stmt_text}\n"),
-            },
-            FixEdit {
-                start: del_start,
-                end: del_end,
-                replacement: String::new(),
-            },
-        ],
-    })
 }
 
 #[cfg(test)]

@@ -42,8 +42,6 @@ pub struct Finding {
     pub message: String,
     /// Offending source line (or table entry), trimmed; may be empty.
     pub snippet: String,
-    /// Machine-applicable rewrite, when the rule can prove one.
-    pub fix: Option<crate::fix::Fix>,
 }
 
 impl Finding {
@@ -65,7 +63,6 @@ impl Finding {
             col,
             message,
             snippet,
-            fix: None,
         }
     }
 

@@ -35,8 +35,9 @@
 //! Two entry points:
 //! - `cargo run -p aipan-lint` (or `cargo lint`): CLI with human diff-style
 //!   or `--format json` output, `--deny-warnings` for CI strictness, and
-//!   `--fix` / `--fix --dry-run` for the machine-applicable rewrites (see
-//!   [`fix`]).
+//!   `--explain RULE` for a rule's catalog entry (see [`catalog`]). It
+//!   reports; every fix is made at the source by hand, guided by the
+//!   remedy each finding's message names.
 //! - `crates/lint/tests/workspace_clean.rs`: tier-1 test failing on any
 //!   non-allowlisted finding, so `cargo test` alone enforces the contract.
 //!
@@ -56,7 +57,6 @@ pub mod effects;
 pub mod error_flow;
 pub mod expr;
 pub mod findings;
-pub mod fix;
 pub mod graph;
 pub mod guards;
 pub mod invariants;

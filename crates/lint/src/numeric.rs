@@ -7,10 +7,10 @@
 //! paper's 56-domain corpus silently wraps at the 10–100× scale the
 //! pipeline targets; scale provenance is what keeps the rule off index
 //! arithmetic and protocol constants. A provably lossless widening cast
-//! with an exact std `From` impl is reported at Warn with a
-//! machine-applicable fix rewriting `x as u64` to `u64::from(x)` (the
-//! cast keeps compiling if the operand's type ever widens; the `From`
-//! form stops it). Widenings *without* a `From` impl (`u32 as usize`)
+//! with an exact std `From` impl is reported at Warn, its message naming
+//! the `u64::from(x)` form that replaces `x as u64` (the cast keeps
+//! compiling if the operand's type ever widens; the `From` form stops
+//! it). Widenings *without* a `From` impl (`u32 as usize`)
 //! and same-width `Noop` casts are exempt.
 //!
 //! **`N2` unchecked counter arithmetic** (Warn): a compound assignment
@@ -35,7 +35,6 @@ use crate::cost::{self, CostModel};
 use crate::dataflow;
 use crate::expr::{for_each_child, Expr, ExprKind};
 use crate::findings::{Finding, Severity};
-use crate::fix::{Fix, FixEdit};
 use crate::graph::{AnalyzedFile, Workspace};
 use crate::types::{self, CastKind, LocalTypes, Ty, TyFact, TypeIndex};
 use std::collections::BTreeMap;
@@ -56,42 +55,6 @@ fn operand_desc(operand: &Expr, src: &Ty) -> String {
         Some(segs) => format!("`{}`", segs.join(".")),
         None => format!("this `{}` value", src.name()),
     }
-}
-
-/// Build the `u64::from(x)` rewrite for a widening cast, when the site
-/// is textually simple enough to prove the span: a single-segment
-/// operand and a single-token target type on one source line, matching
-/// `name as ty` exactly. Returns `None` otherwise — the finding then
-/// ships without a fix rather than with a guessed span.
-fn widen_fix(file: &AnalyzedFile, operand: &Expr, ty: &[String], dst: &Ty) -> Option<Fix> {
-    let [name] = operand.plain_path()?.try_into().ok()?;
-    let [ty_tok] = ty else { return None };
-    let line_text = file.lines.get(operand.line.checked_sub(1)? as usize)?;
-    let rest = line_text.get(operand.col.saturating_sub(1) as usize..)?;
-    let after_name = rest.strip_prefix(name.as_str())?;
-    let after_ws = after_name.trim_start();
-    let after_as = after_ws.strip_prefix("as")?;
-    if !after_as.starts_with(char::is_whitespace) {
-        return None;
-    }
-    let after_ty = after_as.trim_start().strip_prefix(ty_tok.as_str())?;
-    if after_ty
-        .chars()
-        .next()
-        .is_some_and(|c| c.is_alphanumeric() || c == '_' || c == ':' || c == '<')
-    {
-        return None;
-    }
-    let span_len = rest.len() - after_ty.len();
-    let start = crate::fix::offset_in_lines(&file.lines, operand.line, operand.col);
-    Some(Fix {
-        title: format!("replace `as {ty_tok}` with `{}::from(..)`", dst.name()),
-        edits: vec![FixEdit {
-            start,
-            end: start + span_len,
-            replacement: format!("{}::from({name})", dst.name()),
-        }],
-    })
 }
 
 /// Shared per-site context for the expression walk.
@@ -135,7 +98,7 @@ fn walk(ctx: &mut SiteCtx<'_, '_>, fact: &BTreeMap<String, TyFact>, e: &Expr) {
                         ));
                     }
                     CastKind::Widen { from_impl: true } => {
-                        let mut finding = Finding::at(
+                        ctx.findings.push(Finding::at(
                             "N1",
                             Severity::Warn,
                             &ctx.file.parsed.rel_path,
@@ -151,9 +114,7 @@ fn walk(ctx: &mut SiteCtx<'_, '_>, fact: &BTreeMap<String, TyFact>, e: &Expr) {
                                 dst.name(),
                             ),
                             ctx.file.snippet(e.line),
-                        );
-                        finding.fix = widen_fix(ctx.file, operand, ty, &dst);
-                        ctx.findings.push(finding);
+                        ));
                     }
                     CastKind::Widen { from_impl: false } | CastKind::Noop | CastKind::Opaque => {}
                 }
@@ -275,7 +236,6 @@ mod tests {
         assert_eq!((f.rule, f.severity), ("N1", Severity::Deny));
         assert_eq!(f.line, 3);
         assert!(f.message.contains("narrowing truncates"), "{}", f.message);
-        assert!(f.fix.is_none(), "lossy casts get no autofix");
     }
 
     #[test]
@@ -285,15 +245,8 @@ mod tests {
         assert_eq!(findings.len(), 1, "{findings:?}");
         let f = findings.first().expect("finding");
         assert_eq!((f.rule, f.severity), ("N1", Severity::Warn));
-        let fix = f.fix.as_ref().expect("widening fix");
-        assert_eq!(fix.edits.len(), 1);
-        let edit = fix.edits.first().expect("edit");
-        assert_eq!(edit.replacement, "u64::from(page_count)");
-        let fixed = crate::fix::apply_edits(src, &fix.edits);
-        assert!(
-            fixed.contains("u64::from(page_count)") && !fixed.contains(" as u64"),
-            "{fixed}"
-        );
+        assert_eq!((f.line, f.col), (2, 5));
+        assert!(f.message.contains("`u64::from`"), "{}", f.message);
     }
 
     #[test]

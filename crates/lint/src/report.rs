@@ -76,13 +76,13 @@ pub fn human(report: &Report, deny_warnings: bool) -> String {
     out
 }
 
-/// JSON shape version. Bumped to 4 with the v6 type- and effect-aware
-/// vocabulary (`N1`/`N2`/`A1`/`F1`); the member shapes are unchanged
-/// since 3.
-pub const SCHEMA_VERSION: u64 = 4;
+/// JSON shape version: 5 gives each finding exactly the seven members
+/// `finding_value` writes; 4 carried an eighth, `fix`, and introduced the
+/// type- and effect-aware vocabulary (`N1`/`N2`/`A1`/`F1`).
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// Render the report as a single JSON object with sorted member order:
-/// `{"files_scanned": N, "findings": [...], "schema_version": 4,
+/// `{"files_scanned": N, "findings": [...], "schema_version": 5,
 /// "suppressed": [...]}`.
 pub fn json(report: &Report) -> String {
     let obj = sorted_object(vec![
@@ -112,35 +112,11 @@ fn finding_value(f: &Finding) -> Value {
     sorted_object(vec![
         ("col", (f.col as u64).to_value()),
         ("file", f.file.to_value()),
-        ("fix", fix_value(f.fix.as_ref())),
         ("line", (f.line as u64).to_value()),
         ("message", f.message.to_value()),
         ("rule", f.rule.to_value()),
         ("severity", f.severity.name().to_value()),
         ("snippet", f.snippet.to_value()),
-    ])
-}
-
-/// The `fix` member: `null` when the rule attached no rewrite, otherwise
-/// an object with the edit spans in sorted member order.
-fn fix_value(fix: Option<&crate::fix::Fix>) -> Value {
-    let Some(fix) = fix else {
-        return Value::Null;
-    };
-    let edits: Vec<Value> = fix
-        .edits
-        .iter()
-        .map(|e| {
-            sorted_object(vec![
-                ("end", (e.end as u64).to_value()),
-                ("replacement", e.replacement.to_value()),
-                ("start", (e.start as u64).to_value()),
-            ])
-        })
-        .collect();
-    sorted_object(vec![
-        ("edits", Value::Array(edits)),
-        ("title", fix.title.to_value()),
     ])
 }
 
@@ -209,11 +185,11 @@ mod tests {
             fs < fi && fi < sv && sv < su,
             "top-level keys must be sorted"
         );
-        // Finding keys in sorted order: col < file < fix < line < message
+        // Finding keys in sorted order: col < file < line < message
         // < rule < severity < snippet within the first finding object.
         let first = &text[fi..sv];
         let positions: Vec<usize> = [
-            "col", "file", "fix", "line", "message", "rule", "severity", "snippet",
+            "col", "file", "line", "message", "rule", "severity", "snippet",
         ]
         .iter()
         .map(|k| first.find(&format!("\"{k}\"")).expect("finding key"))

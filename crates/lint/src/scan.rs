@@ -105,7 +105,8 @@ fn walk_dir(dir: &Path, root: &Path, out: &mut Vec<String>) -> io::Result<()> {
 pub struct Report {
     /// Findings that survived the allowlist, sorted deterministically.
     pub findings: Vec<Finding>,
-    /// Findings suppressed by `lint.allow` (kept for `--verbose` display).
+    /// Findings suppressed by `lint.allow` (counted in the human summary,
+    /// listed under `suppressed` in the JSON report).
     pub suppressed: Vec<Finding>,
     /// Number of files scanned.
     pub files_scanned: usize,

@@ -156,8 +156,8 @@ impl Ty {
         matches!(self, Ty::Int(_) | Ty::Isize)
     }
 
-    /// Rust source name, for messages and autofix replacements (`Named`
-    /// renders its head; `Unknown` renders `_`).
+    /// Rust source name, for messages (`Named` renders its head;
+    /// `Unknown` renders `_`).
     pub fn name(&self) -> String {
         match self {
             Ty::Uint(b) => format!("u{b}"),
@@ -178,7 +178,7 @@ impl Ty {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CastKind {
     /// Every source value is representable; `from_impl` says whether the
-    /// exact std `From` impl exists (the `N1` autofix rewrites only
+    /// exact std `From` impl exists (`N1` suggests `Dst::from` only for
     /// those — `u32 as usize` widens on 64-bit hosts but has no `From`).
     Widen {
         /// `Dst::from(src)` compiles.
@@ -197,7 +197,7 @@ pub enum CastKind {
 /// Whether the exact `impl From<src> for dst` exists in std. The table
 /// is deliberately exhaustive rather than rule-derived: `From<u32> for
 /// usize` and `From<usize> for u64` famously do *not* exist, so a
-/// width-based rule would rewrite casts into compile errors.
+/// width-based rule would suggest rewrites that do not compile.
 fn from_impl(src: &Ty, dst: &Ty) -> bool {
     match (src, dst) {
         (Ty::Uint(a), Ty::Uint(b)) | (Ty::Int(a), Ty::Int(b)) | (Ty::Uint(a), Ty::Int(b)) => b > a,
@@ -963,7 +963,7 @@ mod tests {
             classify_cast(&Ty::Uint(32), &Ty::Uint(64)),
             Widen { from_impl: true }
         );
-        // Widens on 64-bit hosts but has no `From` — exempt, not fixable.
+        // Widens on 64-bit hosts but has no `From` — exempt, nothing to suggest.
         assert_eq!(
             classify_cast(&Ty::Uint(32), &Ty::Usize),
             Widen { from_impl: false }

@@ -1,7 +1,6 @@
 //! End-to-end tests of the `aipan-lint` binary: argument parsing, output
-//! formats, exit codes and `--fix --dry-run`, run against a scratch
-//! two-crate workspace whose only finding is one machine-fixable `N1`
-//! widening-cast warning.
+//! formats and exit codes, run against a scratch two-crate workspace
+//! whose only finding is one `N1` widening-cast warning.
 
 use aipan_lint::allow::Allowlist;
 use aipan_lint::{report, scan};
@@ -9,7 +8,7 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 /// Crate `a`: the one finding, `byte_count as u64` (a provable widening
-/// with an exact std `From` impl, so `N1` warns and attaches a fix).
+/// with an exact std `From` impl, so `N1` warns and names `u64::from`).
 const CRATE_A: &str = "//! Scratch crate a.\n\
                        \n\
                        /// Widen a byte count.\n\
@@ -60,10 +59,6 @@ impl ScratchWs {
             .output()
             .expect("run aipan-lint")
     }
-
-    fn crate_a(&self) -> String {
-        std::fs::read_to_string(self.root.join("crates/a/src/lib.rs")).expect("read crate a")
-    }
 }
 
 impl Drop for ScratchWs {
@@ -89,7 +84,7 @@ fn json_stdout_is_the_library_report() {
         (finding.rule, finding.severity),
         ("N1", aipan_lint::Severity::Warn)
     );
-    assert!(finding.fix.is_some(), "{finding:?}");
+    assert!(finding.message.contains("`u64::from`"), "{finding:?}");
 
     let out = ws.lint(&["--format", "json"]);
     assert_eq!(out.status.code(), Some(0));
@@ -112,34 +107,6 @@ fn warnings_fail_only_under_deny_warnings() {
 }
 
 #[test]
-fn fix_dry_run_prints_a_diff_and_writes_nothing() {
-    let ws = ScratchWs::new("fix");
-    let before = ws.crate_a();
-    let dry = ws.lint(&["--fix", "--dry-run"]);
-    assert_eq!(dry.status.code(), Some(1), "{}", stdout(&dry));
-    let text = stdout(&dry);
-    assert!(
-        text.contains("--- a/crates/a/src/lib.rs\n+++ b/crates/a/src/lib.rs\n"),
-        "{text}"
-    );
-    assert!(
-        text.contains("-    let total_bytes = byte_count as u64;"),
-        "{text}"
-    );
-    assert!(
-        text.contains("+    let total_bytes = u64::from(byte_count);"),
-        "{text}"
-    );
-    assert_eq!(ws.crate_a(), before, "--dry-run must not write");
-
-    // Applying the fix leaves the tree clean under the strictest gate.
-    let fixed = ws.lint(&["--fix"]);
-    assert_eq!(fixed.status.code(), Some(0), "{}", stdout(&fixed));
-    assert!(ws.crate_a().contains("u64::from(byte_count)"));
-    assert_eq!(ws.lint(&["--deny-warnings"]).status.code(), Some(0));
-}
-
-#[test]
 fn removed_spellings_are_usage_errors() {
     let ws = ScratchWs::new("removed");
     for args in [
@@ -148,6 +115,9 @@ fn removed_spellings_are_usage_errors() {
         &["--contention"],
         &["--format", "sarif"],
         &["--json"],
+        &["--fix"],
+        &["--dry-run"],
+        &["--verbose"],
     ] {
         let out = ws.lint(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} must be rejected");

@@ -5,31 +5,21 @@
 //! snapshot *and* whatever consumes the JSON.
 
 use aipan_lint::findings::{Finding, Severity};
-use aipan_lint::fix::{Fix, FixEdit};
 use aipan_lint::report;
 use aipan_lint::scan::Report;
 
 fn sample_report() -> Report {
-    let mut with_fix = Finding::at(
-        "X1",
-        Severity::Deny,
-        "crates/x/src/lib.rs",
-        4,
-        13,
-        "panic reachable from pub fn `get`".to_string(),
-        "xs[i]".to_string(),
-    );
-    with_fix.fix = Some(Fix {
-        title: "use checked indexing".to_string(),
-        edits: vec![FixEdit {
-            start: 10,
-            end: 15,
-            replacement: "xs.get(i)".to_string(),
-        }],
-    });
     Report {
         findings: vec![
-            with_fix,
+            Finding::at(
+                "X1",
+                Severity::Deny,
+                "crates/x/src/lib.rs",
+                4,
+                13,
+                "panic reachable from pub fn `get`".to_string(),
+                "xs[i]".to_string(),
+            ),
             Finding::for_data(
                 "T2",
                 "crates/taxonomy/src/rights.rs",
@@ -42,26 +32,17 @@ fn sample_report() -> Report {
     }
 }
 
-/// The full rendered document, byte for byte. `schema_version` is 4:
-/// the v6 lint added the `N1`/`N2`/`A1`/`F1` rule vocabulary from the
-/// type/effect layer (the member shapes are unchanged from 3), so a
-/// consumer pinned to 4 knows every rule id it may meet.
+/// The full rendered document, byte for byte. `schema_version` is 5:
+/// each finding has exactly the seven members below (4 carried an
+/// eighth, `fix`, and introduced the `N1`/`N2`/`A1`/`F1` rule vocabulary
+/// from the type/effect layer), so a consumer pinned to 5 knows every
+/// member it may meet.
 const SNAPSHOT: &str = r#"{
   "files_scanned": 2,
   "findings": [
     {
       "col": 13,
       "file": "crates/x/src/lib.rs",
-      "fix": {
-        "edits": [
-          {
-            "end": 15,
-            "replacement": "xs.get(i)",
-            "start": 10
-          }
-        ],
-        "title": "use checked indexing"
-      },
       "line": 4,
       "message": "panic reachable from pub fn `get`",
       "rule": "X1",
@@ -71,7 +52,6 @@ const SNAPSHOT: &str = r#"{
     {
       "col": 0,
       "file": "crates/taxonomy/src/rights.rs",
-      "fix": null,
       "line": 0,
       "message": "duplicate canonical name",
       "rule": "T2",
@@ -79,7 +59,7 @@ const SNAPSHOT: &str = r#"{
       "snippet": ""
     }
   ],
-  "schema_version": 4,
+  "schema_version": 5,
   "suppressed": []
 }"#;
 

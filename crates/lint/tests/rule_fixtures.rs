@@ -504,15 +504,7 @@ fn h2_growth_in_hot_loop_fires_and_preallocated_does_not() {
     assert_eq!(f.line, 2);
     assert!(f.message.contains("hot path"), "{}", f.message);
     assert!(f.message.contains("annotate_all"), "{}", f.message);
-    // The iterated slice has a provable `.len()`, so the finding carries a
-    // machine-applicable pre-allocation fix.
-    let fix = f.fix.as_ref().expect("H2 fix attached");
-    assert!(
-        fix.edits[0]
-            .replacement
-            .contains("Vec::with_capacity(docs.len())"),
-        "{fix:?}"
-    );
+    assert!(f.message.contains("`with_capacity`"), "{}", f.message);
 
     // Clean: the same loop with the capacity pre-allocated.
     let clean = workspace(&[(
@@ -940,7 +932,6 @@ fn n1_corpus_scale_narrowing_denies_and_bounded_narrowing_does_not() {
     let f = &findings[0];
     assert_eq!((f.rule, f.severity), ("N1", aipan_lint::Severity::Deny));
     assert_eq!(f.line, 3);
-    assert!(f.fix.is_none(), "lossy narrowing must not be auto-fixed");
 
     // Clean: the same cast on a non-scale operand (small closed domain).
     let clean = workspace(&[(
@@ -964,10 +955,7 @@ fn n1_provable_widening_warns_with_an_applicable_from_rewrite() {
     assert_eq!(findings.len(), 1, "{findings:?}");
     let f = &findings[0];
     assert_eq!((f.rule, f.severity), ("N1", aipan_lint::Severity::Warn));
-    let fix = f.fix.as_ref().expect("widening carries a From rewrite");
-    let fixed = aipan_lint::fix::apply_edits(src, &fix.edits);
-    assert!(fixed.contains("u64::from(byte_count)"), "{fixed}");
-    assert!(!fixed.contains(" as u64"), "{fixed}");
+    assert!(f.message.contains("`u64::from`"), "{}", f.message);
 
     // Clean: usize -> u64 has no std `From` impl; stays silent rather
     // than suggesting a rewrite that would not compile.

@@ -3,8 +3,8 @@
 //! must depend only on what each binding's initializer proves, never on
 //! statement order. Reordering independent `let` statements (none
 //! references another's binding) is therefore fact-preserving — the
-//! stability the `N1`/`N2` rules rely on when `--fix` rewrites move
-//! code around.
+//! stability the `N1`/`N2` rules rely on when an edit moves code around,
+//! such as hoisting a `let` out of a loop as `C2` asks.
 
 use aipan_lint::graph::Workspace;
 use aipan_lint::parser::{parse_file, ItemKind};
