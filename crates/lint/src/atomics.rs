@@ -33,9 +33,13 @@
 //! per-fn and flow-insensitive, so a load and store on provably disjoint
 //! paths still pair up (over-approximates — the conservative direction
 //! for a race rule).
+//!
+//! A site is a call of a method named in `ATOMIC_METHODS`, so the pass
+//! solves local types only for a fn whose body holds one (see
+//! `types::any_site`); a `#[cfg(test)]` reference keeps the
+//! unconditional per-fn solve, held equal by a test in `scan.rs`.
 
-use crate::callgraph::CallGraph;
-use crate::cfg::Cfg;
+use crate::callgraph::{CallGraph, FnNode};
 use crate::cost;
 use crate::dataflow;
 use crate::expr::{for_each_child, Expr, ExprKind};
@@ -152,8 +156,52 @@ fn sites_in(
     for_each_child(e, &mut |c| sites_in(lt, fact, c, file, depths, out));
 }
 
-/// Run the `A1` pass over every call-graph fn.
+/// Run the `A1` pass over every call-graph fn that calls a method named
+/// in `ATOMIC_METHODS` (see `may_access`).
 pub fn check_atomics(ws: &Workspace, graph: &CallGraph<'_>, index: &TypeIndex) -> Vec<Finding> {
+    check_sites(ws, graph, |node| {
+        if may_access(node) {
+            fn_sites(index, node)
+        } else {
+            Vec::new()
+        }
+    })
+}
+
+/// Whether a fn's body calls a method named in [`ATOMIC_METHODS`] — the
+/// only expressions [`sites_in`] records, so a fn without one needs no
+/// type solve.
+fn may_access(node: &FnNode<'_>) -> bool {
+    types::any_site(&node.cfg, &|e| match &e.kind {
+        ExprKind::MethodCall { name, .. } => ATOMIC_METHODS.contains(&name.as_str()),
+        _ => false,
+    })
+}
+
+/// Solve local types for one fn and collect its atomic access sites.
+fn fn_sites(index: &TypeIndex, node: &FnNode<'_>) -> Vec<AtomicSite> {
+    let lt = LocalTypes::new(index, node);
+    let facts = types::solve_fn(&lt, &node.cfg);
+    let mut sites = Vec::new();
+    for (nid, cfg_node) in node.cfg.nodes.iter().enumerate() {
+        let Some(fact_in) = facts.get(nid).and_then(|f| f.as_ref()) else {
+            continue;
+        };
+        dataflow::replay(&lt, &cfg_node.steps, fact_in, &mut |step, fact| {
+            if let Some(e) = cost::step_expr(step) {
+                sites_in(&lt, fact, e, node.file, &node.line_depths, &mut sites);
+            }
+        });
+    }
+    sites
+}
+
+/// `A1` over the access sites `sites_of` collects from each fn.
+fn check_sites(
+    ws: &Workspace,
+    graph: &CallGraph<'_>,
+    mut sites_of: impl FnMut(&FnNode<'_>) -> Vec<AtomicSite>,
+) -> Vec<Finding> {
     let mut findings = Vec::new();
     // Workspace-wide ordering census: field identity -> orderings seen,
     // plus the first site for the mixed-ordering finding's anchor.
@@ -163,21 +211,7 @@ pub fn check_atomics(ws: &Workspace, graph: &CallGraph<'_>, index: &TypeIndex) -
         let Some(file) = ws.files.get(node.file) else {
             continue;
         };
-        let lt = LocalTypes::new(index, node);
-        let cfg = Cfg::build(&node.info.body);
-        let facts = types::solve_fn(&lt, &cfg);
-        let depths = cost::line_loop_depths(&node.info.body);
-        let mut sites = Vec::new();
-        for (nid, cfg_node) in cfg.nodes.iter().enumerate() {
-            let Some(fact_in) = facts.get(nid).and_then(|f| f.as_ref()) else {
-                continue;
-            };
-            dataflow::replay(&lt, &cfg_node.steps, fact_in, &mut |step, fact| {
-                for e in cost::step_exprs(step) {
-                    sites_in(&lt, fact, e, node.file, &depths, &mut sites);
-                }
-            });
-        }
+        let sites = sites_of(node);
         let loaded: BTreeSet<&(String, String)> = sites
             .iter()
             .filter(|s| s.method == "load")
@@ -267,6 +301,33 @@ pub fn check_atomics(ws: &Workspace, graph: &CallGraph<'_>, index: &TypeIndex) -
         }
     }
     findings
+}
+
+/// The reference for the gated solve: the unconditional loop, which
+/// solves local types for every fn.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// [`check_atomics`] without the gate.
+    pub(crate) fn check_atomics(
+        ws: &Workspace,
+        graph: &CallGraph<'_>,
+        index: &TypeIndex,
+    ) -> Vec<Finding> {
+        check_sites(ws, graph, |node| fn_sites(index, node))
+    }
+
+    /// How many access sites the full solve finds in the fns the gate
+    /// skips.
+    pub(crate) fn skipped_sites(graph: &CallGraph<'_>, index: &TypeIndex) -> usize {
+        graph
+            .fns
+            .iter()
+            .filter(|node| !may_access(node))
+            .map(|node| fn_sites(index, node).len())
+            .sum()
+    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,14 @@
 //! resolve — callers get edges to all candidates, which over-approximates
 //! reachability (safe for `X1`) and over-approximates fallibility (safe
 //! for `E1`).
+//!
+//! Building the graph also lowers every fn body, once per scan: each
+//! [`FnNode`] carries its [`Cfg`], the loop depth of each CFG node and
+//! the loop depth of each source line. Every dataflow pass reads the
+//! lowering from the node instead of building it again.
 
+use crate::cfg::Cfg;
+use crate::cost;
 use crate::graph::Workspace;
 use crate::parser::{CallSite, FnInfo, Item, ItemKind};
 use std::collections::BTreeMap;
@@ -54,6 +61,13 @@ pub struct FnNode<'a> {
     pub col: u32,
     /// Parsed body facts.
     pub info: &'a FnInfo,
+    /// The body's control-flow graph.
+    pub cfg: Cfg<'a>,
+    /// Loop-nesting depth of each CFG node (see [`cost::loop_depths`]).
+    pub depths: Vec<u32>,
+    /// Loop depth of every source line holding a step: the deepest node
+    /// with a step on that line.
+    pub line_depths: BTreeMap<u32, u32>,
 }
 
 /// A resolved call edge `caller → callee`.
@@ -342,16 +356,24 @@ fn collect_fns<'a>(
             continue;
         }
         match &item.kind {
-            ItemKind::Fn(info) => out.push(FnNode {
-                file,
-                crate_name,
-                self_ty,
-                name: &item.name,
-                is_pub: item.is_pub,
-                line: item.line,
-                col: item.col,
-                info,
-            }),
+            ItemKind::Fn(info) => {
+                let cfg = Cfg::build(&info.body);
+                let depths = cost::loop_depths(&cfg);
+                let line_depths = cost::line_depths(&cfg, &depths);
+                out.push(FnNode {
+                    file,
+                    crate_name,
+                    self_ty,
+                    name: &item.name,
+                    is_pub: item.is_pub,
+                    line: item.line,
+                    col: item.col,
+                    info,
+                    cfg,
+                    depths,
+                    line_depths,
+                });
+            }
             ItemKind::Impl { self_ty: ty, .. } => {
                 collect_fns(&item.children, file, crate_name, Some(ty.as_str()), out);
             }

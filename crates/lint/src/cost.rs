@@ -342,34 +342,22 @@ pub(crate) fn alloc_weight(e: &Expr) -> u64 {
     sites.iter().map(|s| s.weight).sum()
 }
 
-/// Top-level expressions evaluated by one step.
-pub(crate) fn step_exprs<'a>(step: &Step<'a>) -> Vec<&'a Expr> {
+/// The top-level expression one step evaluates, if any (a `PatBind`'s
+/// scrutinee is evaluated by the step before it).
+pub(crate) fn step_expr<'a>(step: &Step<'a>) -> Option<&'a Expr> {
     match *step {
-        Step::Eval(e) | Step::Cond(e) => vec![e],
-        Step::Bind { init, .. } => init.into_iter().collect(),
-        Step::ForHead { iter, .. } => vec![iter],
-        Step::PatBind { .. } => Vec::new(),
+        Step::Eval(e) | Step::Cond(e) => Some(e),
+        Step::Bind { init, .. } => init,
+        Step::ForHead { iter, .. } => Some(iter),
+        Step::PatBind { .. } => None,
     }
 }
 
-/// Loop depth of every source line holding a step of `body` — what the
-/// effect (`F1`) and numeric (`N2`) passes use to ask "is this site
-/// inside a loop?" with exactly the cost model's notion of depth.
-pub(crate) fn line_loop_depths(body: &[crate::expr::Stmt]) -> BTreeMap<u32, u32> {
-    let cfg = Cfg::build(body);
-    let depths = loop_depths(&cfg);
-    summarize(&cfg, &depths).line_depth
-}
-
-/// Per-fn static summary: local cost plus the loop depth of every
-/// source line that holds a step.
-struct FnSummary {
-    local: u64,
-    line_depth: BTreeMap<u32, u32>,
-}
-
-fn summarize(cfg: &Cfg<'_>, depths: &[u32]) -> FnSummary {
-    let mut local = 0u64;
+/// Loop depth of every source line holding a step — what the call-graph
+/// lowering stores on each [`FnNode`] so the effect (`F1`), atomics
+/// (`A1`) and cost passes ask "is this site inside a loop?" with exactly
+/// the cost model's notion of depth.
+pub(crate) fn line_depths(cfg: &Cfg<'_>, depths: &[u32]) -> BTreeMap<u32, u32> {
     let mut line_depth = BTreeMap::new();
     for (id, node) in cfg.nodes.iter().enumerate() {
         let d = depths.get(id).copied().unwrap_or(0);
@@ -377,8 +365,20 @@ fn summarize(cfg: &Cfg<'_>, depths: &[u32]) -> FnSummary {
             let (line, _) = step.pos();
             let slot = line_depth.entry(line).or_insert(0u32);
             *slot = (*slot).max(d);
+        }
+    }
+    line_depth
+}
+
+/// Intra-fn cost: every allocation site's weight, scaled by the loop
+/// depth of its CFG node.
+fn local_cost(cfg: &Cfg<'_>, depths: &[u32]) -> u64 {
+    let mut local = 0u64;
+    for (id, node) in cfg.nodes.iter().enumerate() {
+        let d = depths.get(id).copied().unwrap_or(0);
+        for step in &node.steps {
             let mut sites = Vec::new();
-            for e in step_exprs(step) {
+            if let Some(e) = step_expr(step) {
                 allocs_in(e, &mut sites);
             }
             for site in sites {
@@ -386,7 +386,7 @@ fn summarize(cfg: &Cfg<'_>, depths: &[u32]) -> FnSummary {
             }
         }
     }
-    FnSummary { local, line_depth }
+    local
 }
 
 /// The interprocedural cost model for one analyzed workspace.
@@ -498,25 +498,19 @@ impl CostModel {
     /// Build the cost model for a workspace and its call graph.
     pub fn build(ws: &Workspace, graph: &CallGraph<'_>) -> CostModel {
         let n = graph.fns.len();
-        let mut local = vec![0u64; n];
-        let mut line_depths: Vec<BTreeMap<u32, u32>> = Vec::with_capacity(n);
-        for (i, node) in graph.fns.iter().enumerate() {
-            let cfg = Cfg::build(&node.info.body);
-            let depths = loop_depths(&cfg);
-            let summary = summarize(&cfg, &depths);
-            if let Some(slot) = local.get_mut(i) {
-                *slot = summary.local;
-            }
-            line_depths.push(summary.line_depth);
-        }
+        let local: Vec<u64> = graph
+            .fns
+            .iter()
+            .map(|node| local_cost(&node.cfg, &node.depths))
+            .collect();
 
         // Call successors plus per-edge loop multipliers.
         let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut mults: Vec<Vec<u64>> = vec![Vec::new(); n];
         for (u, edges) in graph.edges.iter().enumerate() {
+            let line_depths = graph.fns.get(u).map(|node| &node.line_depths);
             for edge in edges {
                 let depth = line_depths
-                    .get(u)
                     .and_then(|m| m.get(&edge.line))
                     .copied()
                     .unwrap_or(0);
@@ -760,13 +754,10 @@ pub fn check_cost(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) -> V
         let Some(file) = ws.files.get(node.file) else {
             continue;
         };
-        let cfg = Cfg::build(&node.info.body);
-        let loops = natural_loops(&cfg);
-        let depths = loop_depths(&cfg);
         if model.is_hot(id) {
-            check_h2(file, graph, model, id, &cfg, &depths, &mut findings);
+            check_h2(file, graph, model, id, node, &mut findings);
         }
-        check_c2(file, &cfg, &loops, &depths, &mut findings);
+        check_c2(file, node, &mut findings);
     }
     findings
 }
@@ -786,10 +777,10 @@ fn check_h2(
     graph: &CallGraph<'_>,
     model: &CostModel,
     id: usize,
-    cfg: &Cfg<'_>,
-    depths: &[u32],
+    node: &FnNode<'_>,
     findings: &mut Vec<Finding>,
 ) {
+    let (cfg, depths) = (&node.cfg, &node.depths);
     let mut candidates: Vec<Candidate> = Vec::new();
     for (nid, block) in cfg.nodes.iter().enumerate() {
         let d = depths.get(nid).copied().unwrap_or(0);
@@ -842,7 +833,7 @@ fn check_h2(
     for (nid, block) in cfg.nodes.iter().enumerate() {
         let d = depths.get(nid).copied().unwrap_or(0);
         for step in &block.steps {
-            for top in step_exprs(step) {
+            if let Some(top) = step_expr(step) {
                 collect_grows(top, d, &mut grows);
             }
         }
@@ -891,13 +882,8 @@ fn collect_grows(e: &Expr, depth: u32, out: &mut BTreeMap<String, Vec<(u32, u32,
     for_each_child(e, &mut |c| collect_grows(c, depth, out));
 }
 
-fn check_c2(
-    file: &crate::graph::AnalyzedFile,
-    cfg: &Cfg<'_>,
-    loops: &[BTreeSet<usize>],
-    depths: &[u32],
-    findings: &mut Vec<Finding>,
-) {
+fn check_c2(file: &crate::graph::AnalyzedFile, node: &FnNode<'_>, findings: &mut Vec<Finding>) {
+    let (cfg, depths) = (&node.cfg, &node.depths);
     // Candidate clone binds in loops.
     struct CloneBind {
         nid: usize,
@@ -953,6 +939,7 @@ fn check_c2(
     if cands.is_empty() {
         return;
     }
+    let loops = natural_loops(cfg);
 
     // Map every modification site to the CFG nodes that perform it.
     let mut site_nodes: BTreeMap<(String, u32, u32), BTreeSet<usize>> = BTreeMap::new();

@@ -142,7 +142,6 @@ pub fn check_effects(
         let Some(file) = ws.files.get(node.file) else {
             continue;
         };
-        let depths = cost::line_loop_depths(&node.info.body);
         let resolved_fs = |call: &CallSite| -> Option<String> {
             if is_fs_call(call) {
                 return Some(call.name.clone());
@@ -157,7 +156,7 @@ pub fn check_effects(
             }
         };
         for call in &node.info.calls {
-            if depths.get(&call.line).copied().unwrap_or(0) == 0 {
+            if node.line_depths.get(&call.line).copied().unwrap_or(0) == 0 {
                 continue;
             }
             let Some(callee) = resolved_fs(call) else {

@@ -14,8 +14,8 @@
 
 use crate::config::Config;
 use crate::findings::{Finding, Severity};
-use crate::lexer::{lex, TokenKind};
-use crate::parser::{parse_file, Item, ItemKind, ParsedFile};
+use crate::lexer::{lex, Token, TokenKind};
+use crate::parser::{parse_tokens, Item, ItemKind, ParsedFile};
 use crate::rules::FileClass;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -36,15 +36,60 @@ pub struct AnalyzedFile {
     /// Workspace-crate references: `(short name, line, col)` for every
     /// `aipan_*` identifier in code.
     pub crate_refs: Vec<(String, u32, u32)>,
-    /// Source lines, for finding snippets.
-    pub lines: Vec<String>,
+    /// The source text, kept whole (one allocation, not one per line)
+    /// for finding snippets.
+    pub text: String,
 }
 
 impl AnalyzedFile {
+    /// Parse and index one file from its source and its token stream (as
+    /// [`lex`] returns it), so a scan lexes each file once.
+    pub(crate) fn from_tokens(rel_path: &str, src: &str, tokens: &[Token<'_>]) -> AnalyzedFile {
+        let parsed = parse_tokens(rel_path, tokens);
+        let mut mentions = BTreeSet::new();
+        let mut mention = |name: &str| {
+            if !mentions.contains(name) {
+                mentions.insert(name.to_string());
+            }
+        };
+        let mut crate_refs = Vec::new();
+        for tok in tokens {
+            match tok.kind {
+                TokenKind::Ident => {
+                    let name = tok.text.strip_prefix("r#").unwrap_or(tok.text);
+                    mention(name);
+                    if let Some(short) = name.strip_prefix("aipan_") {
+                        crate_refs.push((short.to_string(), tok.line, tok.col));
+                    }
+                }
+                TokenKind::LineComment | TokenKind::BlockComment => {
+                    for word in tok
+                        .text
+                        .split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+                    {
+                        if !word.is_empty() {
+                            mention(word);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        AnalyzedFile {
+            crate_name: crate_of(rel_path),
+            class: FileClass::classify(rel_path),
+            mentions,
+            crate_refs,
+            text: src.to_string(),
+            parsed,
+        }
+    }
+
     /// Trimmed source line for a 1-based line number.
     pub fn snippet(&self, line: u32) -> String {
-        self.lines
-            .get(line.saturating_sub(1) as usize)
+        self.text
+            .lines()
+            .nth(line.saturating_sub(1) as usize)
             .map(|l| l.trim().to_string())
             .unwrap_or_default()
     }
@@ -69,45 +114,11 @@ pub(crate) fn crate_of(rel_path: &str) -> String {
 impl Workspace {
     /// Parse and index a set of `(rel_path, source)` files.
     pub fn build(files: &[(String, String)]) -> Workspace {
-        let analyzed = files
+        let files = files
             .iter()
-            .map(|(rel_path, src)| {
-                let parsed = parse_file(rel_path, src);
-                let mut mentions = BTreeSet::new();
-                let mut crate_refs = Vec::new();
-                for tok in lex(src) {
-                    match tok.kind {
-                        TokenKind::Ident => {
-                            let name = tok.text.strip_prefix("r#").unwrap_or(tok.text);
-                            mentions.insert(name.to_string());
-                            if let Some(short) = name.strip_prefix("aipan_") {
-                                crate_refs.push((short.to_string(), tok.line, tok.col));
-                            }
-                        }
-                        TokenKind::LineComment | TokenKind::BlockComment => {
-                            for word in tok
-                                .text
-                                .split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
-                            {
-                                if !word.is_empty() {
-                                    mentions.insert(word.to_string());
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                AnalyzedFile {
-                    crate_name: crate_of(rel_path),
-                    class: FileClass::classify(rel_path),
-                    mentions,
-                    crate_refs,
-                    lines: src.lines().map(str::to_string).collect(),
-                    parsed,
-                }
-            })
+            .map(|(rel_path, src)| AnalyzedFile::from_tokens(rel_path, src, &lex(src)))
             .collect();
-        Workspace { files: analyzed }
+        Workspace { files }
     }
 
     /// `L1`: every `aipan_*` reference must be granted by the layering
@@ -188,22 +199,12 @@ impl Workspace {
             if !file.class.is_library_code() {
                 continue;
             }
-            // Propagation units: named non-test items. Containers are
-            // excluded — a `mod`'s or `impl`'s span covers its children,
-            // which propagate individually — as are `use` declarations
-            // (an import is not a use; the item consuming it propagates).
+            // Propagation units: see `Item::propagates_liveness`.
             let units: Vec<&Item> = file
                 .parsed
                 .all_items()
                 .into_iter()
-                .filter(|i| {
-                    !i.cfg_test
-                        && !i.name.is_empty()
-                        && !matches!(
-                            i.kind,
-                            ItemKind::Mod | ItemKind::Impl { .. } | ItemKind::Use { .. }
-                        )
-                })
+                .filter(|i| i.propagates_liveness())
                 .collect();
             let mut alive: Vec<bool> = units
                 .iter()
@@ -218,9 +219,9 @@ impl Workspace {
                     .flat_map(|(i, _)| i.idents.iter().map(String::as_str))
                     .collect();
                 let mut changed = false;
-                for (k, unit) in units.iter().enumerate() {
-                    if !alive[k] && alive_names.contains(unit.name.as_str()) {
-                        alive[k] = true;
+                for (unit, is_alive) in units.iter().zip(alive.iter_mut()) {
+                    if !*is_alive && alive_names.contains(unit.name.as_str()) {
+                        *is_alive = true;
                         changed = true;
                     }
                 }

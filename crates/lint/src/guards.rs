@@ -32,8 +32,8 @@
 //! "was it ever provably released" question `M1` asks.
 
 use crate::callgraph::{CallGraph, FnNode, Resolution};
-use crate::cfg::{Cfg, Step};
-use crate::cost::{loop_depths, CostModel};
+use crate::cfg::Step;
+use crate::cost::CostModel;
 use crate::dataflow::{replay, solve, Analysis};
 use crate::expr::{child_blocks, for_each_child, Expr, ExprKind, Pat, Stmt};
 use crate::findings::{Finding, Severity};
@@ -103,7 +103,7 @@ fn init_mentions_lock(e: &Expr) -> bool {
 
 /// Per-fn environment of names provably bound to lock values: params and
 /// lets whose declared type or initializer names `Mutex`/`RwLock`.
-pub(crate) fn lock_locals(node: &FnNode<'_>, cfg: &Cfg<'_>) -> BTreeSet<String> {
+pub(crate) fn lock_locals(node: &FnNode<'_>) -> BTreeSet<String> {
     let mut locals: BTreeSet<String> = node
         .info
         .params
@@ -111,7 +111,7 @@ pub(crate) fn lock_locals(node: &FnNode<'_>, cfg: &Cfg<'_>) -> BTreeSet<String> 
         .filter(|p| ty_is_lock(&p.ty))
         .map(|p| p.name.clone())
         .collect();
-    for block in &cfg.nodes {
+    for block in &node.cfg.nodes {
         for step in &block.steps {
             let Step::Bind {
                 pat: Pat::Ident { name, .. },
@@ -407,8 +407,8 @@ pub fn check_guards(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) ->
         let fields = node
             .self_ty
             .and_then(|ty| registry.get(&(node.crate_name.to_string(), ty.to_string())));
-        let cfg = Cfg::build(&node.info.body);
-        let locals = lock_locals(node, &cfg);
+        let cfg = &node.cfg;
+        let locals = lock_locals(node);
 
         // Recognized guard binds.
         let mut guards: Vec<Guard> = Vec::new();
@@ -446,7 +446,7 @@ pub fn check_guards(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) ->
             .map(|g| ((g.line, g.col), g.name.clone()))
             .collect();
         let analysis = GuardLive { acquisitions };
-        let in_facts = solve(&cfg, &analysis);
+        let in_facts = solve(cfg, &analysis);
 
         // Guards live per line (fact *before* each step, scope-clipped).
         let mut live_at_line: BTreeMap<u32, BTreeMap<String, (u32, u32)>> = BTreeMap::new();
@@ -500,7 +500,7 @@ pub fn check_guards(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) ->
         }
 
         // M2: guard bound outside a loop but only used inside one.
-        let depths = loop_depths(&cfg);
+        let depths = &node.depths;
         for guard in &guards {
             let bind_depth = depths.get(guard.node).copied().unwrap_or(0);
             let mut shallow_use = false;
@@ -514,7 +514,7 @@ pub fn check_guards(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) ->
                             continue;
                         }
                     }
-                    for e in crate::cost::step_exprs(step) {
+                    if let Some(e) = crate::cost::step_expr(step) {
                         if !mentions_name(e, &guard.name) {
                             continue;
                         }

@@ -6,7 +6,9 @@
 //! ```
 //!
 //! Exit codes: 0 clean (or warnings only, without `--deny-warnings`),
-//! 1 findings failed the run, 2 usage or I/O error.
+//! 1 findings failed the run, 2 usage or I/O error — including a `--root`
+//! that is not a workspace root (a directory whose `Cargo.toml` has a
+//! `[workspace]` table) and an `--allow` file that does not exist.
 
 use aipan_lint::allow::Allowlist;
 use aipan_lint::{catalog, report, scan};
@@ -90,10 +92,15 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Load the allowlist from disk; a missing file is an empty list.
-fn load_allowlist(allow_path: &Path) -> Result<Allowlist, String> {
+/// Load the allowlist from disk. A missing default `<root>/lint.allow`
+/// is an empty list; a missing file the user `named` is an error.
+fn load_allowlist(allow_path: &Path, named: bool) -> Result<Allowlist, String> {
     if !allow_path.is_file() {
-        return Ok(Allowlist::default());
+        return if named {
+            Err("no such allowlist file".to_string())
+        } else {
+            Ok(Allowlist::default())
+        };
     }
     std::fs::read_to_string(allow_path)
         .map_err(|e| e.to_string())
@@ -109,6 +116,16 @@ fn main() -> ExitCode {
         }
     };
 
+    if let Some(root) = &opts.root {
+        if !scan::is_workspace_root(root) {
+            eprintln!(
+                "aipan-lint: --root {}: not a directory holding a Cargo.toml with a \
+                 [workspace] table",
+                root.display()
+            );
+            return ExitCode::from(2);
+        }
+    }
     let root = match opts.root.or_else(|| {
         std::env::current_dir()
             .ok()
@@ -121,9 +138,10 @@ fn main() -> ExitCode {
         }
     };
 
+    let named = opts.allow.is_some();
     let allow_path = opts.allow.unwrap_or_else(|| root.join("lint.allow"));
 
-    let allowlist = match load_allowlist(&allow_path) {
+    let allowlist = match load_allowlist(&allow_path, named) {
         Ok(list) => list,
         Err(e) => {
             eprintln!("aipan-lint: {}: {e}", allow_path.display());

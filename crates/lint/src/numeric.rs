@@ -28,9 +28,15 @@
 //! under-approximation makes the rules under-fire, never over-fire.
 //! Scale provenance over-approximates, but only ever gates sites the
 //! type facts already convicted.
+//!
+//! Both rules report only at a cast or (in a hot fn) an unchecked
+//! compound assignment, so the pass solves local types only for a fn
+//! whose body holds one (see `types::any_site`); every other fn
+//! would be solved to report nothing. A `#[cfg(test)]` reference keeps
+//! the unconditional per-fn solve, and a test in `scan.rs` holds the two
+//! equal on fixtures and on the whole workspace.
 
-use crate::callgraph::CallGraph;
-use crate::cfg::Cfg;
+use crate::callgraph::{CallGraph, FnNode};
 use crate::cost::{self, CostModel};
 use crate::dataflow;
 use crate::expr::{for_each_child, Expr, ExprKind};
@@ -166,44 +172,112 @@ fn walk_children(ctx: &mut SiteCtx<'_, '_>, fact: &BTreeMap<String, TyFact>, e: 
     }
 }
 
-/// Run the `N1`/`N2` passes over every call-graph fn.
+/// Run the `N1`/`N2` passes over every call-graph fn that holds a site
+/// they can report (see `may_report`).
 pub fn check_numeric(
     ws: &Workspace,
     graph: &CallGraph<'_>,
     model: &CostModel,
     index: &TypeIndex,
 ) -> Vec<Finding> {
+    check_where(ws, graph, model, index, |id, node| {
+        may_report(node, model.is_hot(id))
+    })
+}
+
+/// Whether a fn's body holds an expression `N1`/`N2` can report: a
+/// cast, or in a hot fn an [`UNCHECKED_OPS`] compound assignment. The
+/// walk reports nowhere else, so a fn without one needs no type solve.
+fn may_report(node: &FnNode<'_>, hot: bool) -> bool {
+    types::any_site(&node.cfg, &|e| match &e.kind {
+        ExprKind::Cast { .. } => true,
+        ExprKind::Assign { op, .. } => hot && UNCHECKED_OPS.iter().any(|(o, _)| o == op),
+        _ => false,
+    })
+}
+
+/// Solve and walk every fn `id` for which `solve(id, node)` holds.
+fn check_where(
+    ws: &Workspace,
+    graph: &CallGraph<'_>,
+    model: &CostModel,
+    index: &TypeIndex,
+    solve: impl Fn(usize, &FnNode<'_>) -> bool,
+) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (id, node) in graph.fns.iter().enumerate() {
-        let Some(file) = ws.files.get(node.file) else {
-            continue;
-        };
-        let lt = LocalTypes::new(index, node);
-        let cfg = Cfg::build(&node.info.body);
-        let facts = types::solve_fn(&lt, &cfg);
-        let hot_witness = model.is_hot(id).then(|| {
-            model
-                .hot_path(graph, id)
-                .unwrap_or_else(|| node.name.to_string())
-        });
-        let mut ctx = SiteCtx {
-            lt: &lt,
-            file,
-            hot_witness,
-            findings: &mut findings,
-        };
-        for (nid, cfg_node) in cfg.nodes.iter().enumerate() {
-            let Some(fact_in) = facts.get(nid).and_then(|f| f.as_ref()) else {
-                continue;
-            };
-            dataflow::replay(&lt, &cfg_node.steps, fact_in, &mut |step, fact| {
-                for e in cost::step_exprs(step) {
-                    walk(&mut ctx, fact, e);
-                }
-            });
+        if solve(id, node) {
+            check_fn(ws, graph, model, index, id, node, &mut findings);
         }
     }
     findings
+}
+
+/// Solve local types for fn `id` and walk every step under its facts.
+fn check_fn(
+    ws: &Workspace,
+    graph: &CallGraph<'_>,
+    model: &CostModel,
+    index: &TypeIndex,
+    id: usize,
+    node: &FnNode<'_>,
+    findings: &mut Vec<Finding>,
+) {
+    let Some(file) = ws.files.get(node.file) else {
+        return;
+    };
+    let lt = LocalTypes::new(index, node);
+    let facts = types::solve_fn(&lt, &node.cfg);
+    let hot_witness = model.is_hot(id).then(|| {
+        model
+            .hot_path(graph, id)
+            .unwrap_or_else(|| node.name.to_string())
+    });
+    let mut ctx = SiteCtx {
+        lt: &lt,
+        file,
+        hot_witness,
+        findings,
+    };
+    for (nid, cfg_node) in node.cfg.nodes.iter().enumerate() {
+        let Some(fact_in) = facts.get(nid).and_then(|f| f.as_ref()) else {
+            continue;
+        };
+        dataflow::replay(&lt, &cfg_node.steps, fact_in, &mut |step, fact| {
+            if let Some(e) = cost::step_expr(step) {
+                walk(&mut ctx, fact, e);
+            }
+        });
+    }
+}
+
+/// The reference for the gated solve: the unconditional loop, which
+/// solves local types for every fn.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// [`check_numeric`] without the gate.
+    pub(crate) fn check_numeric(
+        ws: &Workspace,
+        graph: &CallGraph<'_>,
+        model: &CostModel,
+        index: &TypeIndex,
+    ) -> Vec<Finding> {
+        check_where(ws, graph, model, index, |_, _| true)
+    }
+
+    /// What the full solve reports in the fns the gate skips.
+    pub(crate) fn skipped_findings(
+        ws: &Workspace,
+        graph: &CallGraph<'_>,
+        model: &CostModel,
+        index: &TypeIndex,
+    ) -> Vec<Finding> {
+        check_where(ws, graph, model, index, |id, node| {
+            !may_report(node, model.is_hot(id))
+        })
+    }
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ pub fn check_panic_reach(ws: &Workspace, graph: &CallGraph<'_>) -> Vec<Finding> 
     let seeds: Vec<Option<Seed>> = graph
         .fns
         .iter()
-        .map(|f| local_seed(&f.info.body, &f.info.params))
+        .map(|f| local_seed(&f.cfg, &f.info.body, &f.info.params))
         .collect();
     let reach = propagate(graph, &seeds);
     let mut findings = Vec::new();
@@ -201,10 +201,9 @@ fn describe(
 
 /// Find the earliest (line, col) panic seed in a fn body, with bounds
 /// proofs applied.
-fn local_seed(body: &[Stmt], params: &[Param]) -> Option<Seed> {
+fn local_seed(cfg: &Cfg<'_>, body: &[Stmt], params: &[Param]) -> Option<Seed> {
     let env = NameEnv::collect(body, params);
-    let cfg = Cfg::build(body);
-    let facts = dataflow::solve(&cfg, &Bounds);
+    let facts = dataflow::solve(cfg, &Bounds);
     let mut seeds: Vec<Seed> = Vec::new();
     for (id, node) in cfg.nodes.iter().enumerate() {
         let Some(fact_in) = facts.get(id).and_then(|f| f.as_ref()) else {

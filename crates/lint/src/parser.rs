@@ -140,13 +140,30 @@ pub struct Item {
     pub span: (usize, usize),
     /// Identifier texts inside the item's span (children included, raw
     /// `r#` prefixes stripped) — the names this item references. Dead-pub
-    /// liveness propagates through these.
+    /// liveness propagates through these, so they are filled only for
+    /// the items it propagates through (see `Item::propagates_liveness`):
+    /// empty for containers, `use` declarations, unnamed and
+    /// `#[cfg(test)]` items.
     pub idents: BTreeSet<String>,
     /// Nested items (mod bodies, impl/trait members).
     pub children: Vec<Item>,
 }
 
 impl Item {
+    /// Whether `P1` liveness propagates through this item: a named
+    /// non-test item that is not a container (a `mod`'s or `impl`'s span
+    /// covers its children, which propagate individually) or a `use`
+    /// declaration (an import is not a use; the item consuming it
+    /// propagates).
+    pub(crate) fn propagates_liveness(&self) -> bool {
+        !self.cfg_test
+            && !self.name.is_empty()
+            && !matches!(
+                self.kind,
+                ItemKind::Mod | ItemKind::Impl { .. } | ItemKind::Use { .. }
+            )
+    }
+
     /// Depth-first iteration over this item and all descendants.
     pub fn walk<'a>(&'a self, out: &mut Vec<&'a Item>) {
         out.push(self);
@@ -180,7 +197,12 @@ impl ParsedFile {
 
 /// Parse one file's source into its item tree.
 pub fn parse_file(rel_path: &str, src: &str) -> ParsedFile {
-    let tokens = lex(src);
+    parse_tokens(rel_path, &lex(src))
+}
+
+/// Parse one file's item tree from its token stream (as [`lex`] returns
+/// it), so a scan that already lexed the file does not lex it again.
+pub(crate) fn parse_tokens(rel_path: &str, tokens: &[Token<'_>]) -> ParsedFile {
     let sig: Vec<&Token<'_>> = tokens
         .iter()
         .filter(|t| {
@@ -205,17 +227,22 @@ pub fn parse_file(rel_path: &str, src: &str) -> ParsedFile {
     }
 }
 
-/// Attach to every item the identifier texts inside its span.
+/// Attach the identifier texts inside its span to every item liveness
+/// propagates through, allocating each distinct name once per item.
 fn fill_idents(items: &mut [Item], sig: &[&Token<'_>]) {
     for item in items {
-        let (lo, hi) = item.span;
-        item.idents = sig
-            .iter()
-            .take(hi + 1)
-            .skip(lo)
-            .filter(|t| t.kind == TokenKind::Ident)
-            .map(|t| t.text.strip_prefix("r#").unwrap_or(t.text).to_string())
-            .collect();
+        if item.propagates_liveness() {
+            let (lo, hi) = item.span;
+            for t in sig.iter().take(hi + 1).skip(lo) {
+                if t.kind != TokenKind::Ident {
+                    continue;
+                }
+                let name = t.text.strip_prefix("r#").unwrap_or(t.text);
+                if !item.idents.contains(name) {
+                    item.idents.insert(name.to_string());
+                }
+            }
+        }
         fill_idents(&mut item.children, sig);
     }
 }

@@ -47,7 +47,12 @@ impl FileClass {
 /// Lint one file's source text. `rel_path` is workspace-relative and is used
 /// both for scoping (see [`FileClass`]) and in the emitted findings.
 pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
-    let tokens = lex(src);
+    lint_tokens(rel_path, src, &lex(src))
+}
+
+/// [`lint_source`] over the file's token stream (as [`lex`] returns it),
+/// so a scan that already lexed the file does not lex it again.
+pub(crate) fn lint_tokens(rel_path: &str, src: &str, tokens: &[Token<'_>]) -> Vec<Finding> {
     let class = FileClass::classify(rel_path);
     let lines: Vec<&str> = src.lines().collect();
     let snippet = |line: u32| -> String {
@@ -81,7 +86,7 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
         &snippet,
         &mut findings,
     );
-    rule_h1(&tokens, rel_path, &mut findings);
+    rule_h1(tokens, rel_path, &mut findings);
     rule_b1(
         &sig,
         class,

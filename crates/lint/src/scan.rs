@@ -8,14 +8,17 @@
 //! [`run_filtered`] (and [`run`], its whole-workspace form) is the only
 //! driver. It runs every pass over the same file set, in this order:
 //!
-//! 1. **token rules** ([`crate::rules`]): each file independently through
-//!    the lexer-level passes (`D1`/`D2`/`R1`/`O1`/`H1`/`B1`);
-//! 2. **graph rules**: all files parsed ([`crate::parser`]) into a
-//!    [`crate::graph::Workspace`], then `L1` layering against the
+//! 1. **token rules** ([`crate::rules`]): each file is lexed once, and its
+//!    tokens go through the lexer-level passes (`D1`/`D2`/`R1`/`O1`/`H1`/
+//!    `B1`), the item parser ([`crate::parser`]) and the mention scan;
+//! 2. **graph rules**: the parsed files form a
+//!    [`crate::graph::Workspace`], then `L1` layering runs against the
 //!    `lint.toml` contract;
 //! 3. **shared models**, built once over the workspace: the
-//!    [`crate::callgraph::CallGraph`], the [`crate::cost::CostModel`], the
-//!    [`crate::types::TypeIndex`] and the [`crate::effects::EffectModel`];
+//!    [`crate::callgraph::CallGraph`], which lowers each fn once (its CFG
+//!    and loop depths, read by every dataflow pass below), the
+//!    [`crate::cost::CostModel`], the [`crate::types::TypeIndex`] and the
+//!    [`crate::effects::EffectModel`];
 //! 4. **dataflow and whole-workspace passes** over those models: `E1`
 //!    error flow, `K1` lock order, `X1` panic-reachability, `D3`
 //!    determinism taint, `H2`/`C2` cost, `M1`/`M2` guard liveness,
@@ -30,10 +33,10 @@ use crate::allow::Allowlist;
 use crate::callgraph::CallGraph;
 use crate::config::Config;
 use crate::findings::{sort_findings, Finding};
-use crate::graph::Workspace;
+use crate::graph::{AnalyzedFile, Workspace};
 use crate::{
-    atomics, cost, effects, error_flow, guards, invariants, locks, numeric, panic_reach, retain,
-    rules, share, taint, types,
+    atomics, cost, effects, error_flow, guards, invariants, lexer, locks, numeric, panic_reach,
+    retain, rules, share, taint, types,
 };
 use std::fs;
 use std::io;
@@ -45,20 +48,18 @@ const SCAN_ROOTS: &[&str] = &["crates", "src", "tests", "examples", "benches"];
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["vendor", "target"];
 
+/// Whether `dir` holds a `Cargo.toml` with a `[workspace]` table.
+pub fn is_workspace_root(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|text| text.contains("[workspace]"))
+}
+
 /// Locate the workspace root: walk up from `start` to the first directory
 /// holding a `Cargo.toml` with a `[workspace]` table.
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = Some(start);
-    while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(text) = fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(d.to_path_buf());
-            }
-        }
-        dir = d.parent();
-    }
-    None
+    start
+        .ancestors()
+        .find(|d| is_workspace_root(d))
+        .map(Path::to_path_buf)
 }
 
 /// All lintable source files under `root`, as sorted workspace-relative
@@ -158,10 +159,13 @@ pub fn run_filtered(
 ) -> io::Result<Report> {
     let sources = read_sources(root, keep)?;
     let mut raw = Vec::new();
+    let mut files = Vec::with_capacity(sources.len());
     for (rel, src) in &sources {
-        raw.extend(rules::lint_source(rel, src));
+        let tokens = lexer::lex(src);
+        raw.extend(rules::lint_tokens(rel, src, &tokens));
+        files.push(AnalyzedFile::from_tokens(rel, src, &tokens));
     }
-    let workspace = Workspace::build(&sources);
+    let workspace = Workspace { files };
     let config_path = root.join("lint.toml");
     if config_path.is_file() {
         let text = fs::read_to_string(&config_path)?;
@@ -268,6 +272,75 @@ mod tests {
             .enumerate()
             .any(|(id, f)| f.name == "annotate_policy_with" && model.is_hot(id));
         assert!(hot_annotate, "annotate_policy_with must be hot");
+    }
+
+    #[test]
+    fn gated_type_solve_matches_the_full_solve() {
+        // `N1`/`N2`/`A1` solve local types only where a site can report;
+        // the unconditional loop is the reference. Every site kind the
+        // gates name has a positive fixture, and the workspace itself
+        // supplies ~1,000 fns the gates mostly skip.
+        let fixtures = [
+            (
+                "crates/core/src/lib.rs",
+                "pub struct Tally { pub rows_total: u64 }\n\
+                 fn bump(t: &mut Tally) { t.rows_total += 1; }\n\
+                 fn cold(t: &mut Tally) { t.rows_total += 1; }\n\
+                 pub fn run_pipeline(t: &mut Tally, domains: &[String]) -> u32 {\n\
+                     for _d in domains { bump(t); }\n\
+                     let n = domains.len();\n\
+                     let byte_count = 3u32;\n\
+                     let wide = byte_count as u64;\n\
+                     n as u32\n\
+                 }\n",
+            ),
+            (
+                "crates/core/src/gauge.rs",
+                "pub struct Gauge { n: AtomicU64, m: AtomicU64 }\n\
+                 impl Gauge {\n\
+                     pub fn bump(&self) {\n\
+                         let v = self.n.load(Ordering::Relaxed);\n\
+                         self.n.store(v + 1, Ordering::Relaxed);\n\
+                     }\n\
+                     pub fn reset(&self) -> u64 { self.m.swap(0, Ordering::Relaxed) }\n\
+                     pub fn try_set(&self, v: u64) {\n\
+                         self.m.compare_exchange(0, v, Ordering::Relaxed, Ordering::Relaxed).ok();\n\
+                     }\n\
+                     pub fn read(&self) -> u64 { self.m.load(Ordering::SeqCst) }\n\
+                 }\n",
+            ),
+        ];
+        let here = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = find_workspace_root(here).unwrap();
+        let mut cases: Vec<Vec<(String, String)>> = fixtures
+            .iter()
+            .map(|(p, s)| vec![(p.to_string(), s.to_string())])
+            .collect();
+        cases.push(read_sources(&root, |_| true).unwrap());
+        let mut rules: Vec<Vec<&str>> = Vec::new();
+        for sources in &cases {
+            let workspace = Workspace::build(sources);
+            let graph = CallGraph::build(&workspace);
+            let model = cost::CostModel::build(&workspace, &graph);
+            let index = types::TypeIndex::build(&workspace);
+            let mut gated = numeric::check_numeric(&workspace, &graph, &model, &index);
+            let full = numeric::reference::check_numeric(&workspace, &graph, &model, &index);
+            assert_eq!(gated, full);
+            let skipped = numeric::reference::skipped_findings(&workspace, &graph, &model, &index);
+            assert!(skipped.is_empty(), "{skipped:?}");
+            let atomic = atomics::check_atomics(&workspace, &graph, &index);
+            let full = atomics::reference::check_atomics(&workspace, &graph, &index);
+            assert_eq!(atomic, full);
+            assert_eq!(atomics::reference::skipped_sites(&graph, &index), 0);
+            gated.extend(atomic);
+            rules.push(gated.iter().map(|f| f.rule).collect());
+        }
+        // The fixtures exercise every site kind: casts both ways, a hot
+        // counter, and each `A1` shape; the workspace is lint-clean.
+        assert_eq!(
+            rules,
+            vec![vec!["N2", "N1", "N1"], vec!["A1", "A1", "A1", "A1"], vec![]]
+        );
     }
 
     #[test]

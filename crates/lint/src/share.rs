@@ -34,7 +34,6 @@
 //! an unsynchronized mutation to fire.
 
 use crate::callgraph::{CallGraph, FnNode, Resolution};
-use crate::cfg::Cfg;
 use crate::cost::{self, CostModel};
 use crate::expr::{child_blocks, for_each_child, Expr, ExprKind, Pat, Stmt};
 use crate::findings::{Finding, Severity};
@@ -838,8 +837,7 @@ pub fn check_sharing(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) -
         if !model.is_hot(id) {
             continue;
         }
-        let cfg = Cfg::build(&node.info.body);
-        let locals = guards::lock_locals(node, &cfg);
+        let locals = guards::lock_locals(node);
         let fields = node
             .self_ty
             .and_then(|ty| registry.get(&(file.crate_name.clone(), ty.to_string())));

@@ -26,8 +26,9 @@
 //! structs built from tainted values, through fn returns, and through
 //! non-`self` method receivers is not tracked.
 
-use crate::callgraph::CallGraph;
-use crate::cfg::{Cfg, Step};
+use crate::callgraph::{CallGraph, FnNode};
+use crate::cfg::Step;
+use crate::cost;
 use crate::dataflow::{self, Analysis};
 use crate::expr::{for_each_child, for_each_expr, for_each_let, Expr, ExprKind, Pat, Stmt};
 use crate::findings::{Finding, Severity};
@@ -42,36 +43,25 @@ pub fn check_taint(ws: &Workspace, graph: &CallGraph<'_>) -> Vec<Finding> {
         let Some(file) = ws.files.get(node.file) else {
             continue;
         };
-        check_fn(file, &node.info.body, &node.info.params, &mut findings);
+        check_fn(file, node, &mut findings);
     }
     findings
 }
 
-fn check_fn(
-    file: &AnalyzedFile,
-    body: &[Stmt],
-    params: &[crate::parser::Param],
-    findings: &mut Vec<Finding>,
-) {
-    let env = Env::collect(file, body, params);
+fn check_fn(file: &AnalyzedFile, node: &FnNode<'_>, findings: &mut Vec<Finding>) {
+    let env = Env::collect(file, &node.info.body, &node.info.params);
     if env.hash_names.is_empty() {
         return;
     }
-    let cfg = Cfg::build(body);
+    let cfg = &node.cfg;
     let analysis = TaintFlow { env: &env };
-    let facts = dataflow::solve(&cfg, &analysis);
+    let facts = dataflow::solve(cfg, &analysis);
     for (id, node) in cfg.nodes.iter().enumerate() {
         let Some(fact_in) = facts.get(id).and_then(|f| f.as_ref()) else {
             continue;
         };
         dataflow::replay(&analysis, &node.steps, fact_in, &mut |step, fact| {
-            let expr = match step {
-                Step::Eval(e) | Step::Cond(e) => Some(*e),
-                Step::Bind { init, .. } => *init,
-                Step::ForHead { iter, .. } => Some(*iter),
-                Step::PatBind { .. } => None,
-            };
-            if let Some(e) = expr {
+            if let Some(e) = cost::step_expr(step) {
                 scan_sinks(e, fact, &env, file, findings);
             }
         });

@@ -18,6 +18,11 @@
 //!    combinators; it is what lets `N1` confine itself to quantities
 //!    that actually grow with the corpus.
 //!
+//! The solve runs over the CFG the call graph already lowered for each fn
+//! ([`FnNode::cfg`]), and only where a consumer can report: `N1`/`N2` and
+//! `A1` first ask `any_site` whether the fn holds an expression they
+//! report at, which most fns do not.
+//!
 //! Approximation directions (DESIGN.md §6a): inference never guesses —
 //! an unsuffixed literal, an unresolved call, or a conflicting join is
 //! [`Ty::Unknown`], and every consumer treats `Unknown` as "stay
@@ -31,8 +36,9 @@
 
 use crate::callgraph::FnNode;
 use crate::cfg::{Cfg, Step};
+use crate::cost;
 use crate::dataflow::{self, Analysis};
-use crate::expr::{Expr, ExprKind, Pat};
+use crate::expr::{for_each_child, Expr, ExprKind, Pat};
 use crate::graph::Workspace;
 use crate::parser::{FnInfo, ItemKind};
 use std::collections::BTreeMap;
@@ -811,6 +817,30 @@ impl<'a, 'w> Analysis<'a> for LocalTypes<'w> {
             }
         }
     }
+}
+
+/// Whether some expression a step of `cfg` evaluates holds a node that
+/// satisfies `is_site`, outside its control-flow subexpressions (the CFG
+/// hoists those into steps of their own) — exactly the subtrees the
+/// `N1`/`N2` and `A1` walkers visit. Those passes report only at such
+/// sites, so they solve local types only for a fn where this holds.
+pub(crate) fn any_site(cfg: &Cfg<'_>, is_site: &impl Fn(&Expr) -> bool) -> bool {
+    fn visit(e: &Expr, is_site: &impl Fn(&Expr) -> bool) -> bool {
+        if e.is_control() {
+            return false;
+        }
+        if is_site(e) {
+            return true;
+        }
+        let mut found = false;
+        for_each_child(e, &mut |c| found = found || visit(c, is_site));
+        found
+    }
+    cfg.nodes
+        .iter()
+        .flat_map(|node| &node.steps)
+        .filter_map(cost::step_expr)
+        .any(|e| visit(e, is_site))
 }
 
 /// Solve local types for one fn body; returns per-node in-facts (see

@@ -124,3 +124,31 @@ fn removed_spellings_are_usage_errors() {
         assert!(out.stdout.is_empty(), "{args:?} printed a report");
     }
 }
+
+#[test]
+fn a_root_without_a_workspace_manifest_is_a_usage_error() {
+    let ws = ScratchWs::new("root");
+    // A missing directory, and a directory with no `[workspace]` manifest.
+    for root in [ws.root.join("missing"), ws.root.join("crates")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_aipan-lint"))
+            .arg("--root")
+            .arg(&root)
+            .output()
+            .expect("run aipan-lint");
+        assert_eq!(out.status.code(), Some(2), "{} passed", root.display());
+        assert!(out.stdout.is_empty(), "{} printed a report", root.display());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&*root.to_string_lossy()), "{stderr}");
+    }
+}
+
+#[test]
+fn a_named_allowlist_must_exist() {
+    let ws = ScratchWs::new("allow");
+    let missing = ws.root.join("missing.allow");
+    let out = ws.lint(&["--allow", &missing.to_string_lossy()]);
+    assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+    assert!(out.stdout.is_empty(), "{}", stdout(&out));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&*missing.to_string_lossy()), "{stderr}");
+}
