@@ -45,7 +45,7 @@ use crate::dataflow;
 use crate::expr::{for_each_child, Expr, ExprKind};
 use crate::findings::{Finding, Severity};
 use crate::graph::Workspace;
-use crate::types::{self, LocalTypes, Ty, TyFact, TypeIndex};
+use crate::types::{self, LocalTypes, Ty, TyFacts, TypeIndex};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The atomic method families the rule recognizes.
@@ -69,14 +69,14 @@ const ATOMIC_METHODS: &[&str] = &[
 const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
 /// One recognized atomic access site.
-struct AtomicSite {
+struct AtomicSite<'a> {
     /// `(owning struct or "", field name)` — the location identity.
-    key: (String, String),
+    key: (&'a str, &'a str),
     /// Method name (`"fetch_add"`).
-    method: String,
+    method: &'a str,
     /// First memory-ordering argument (success ordering for CAS), when
     /// syntactically recognizable.
-    ordering: Option<String>,
+    ordering: Option<&'a str>,
     file: usize,
     line: u32,
     col: u32,
@@ -84,24 +84,21 @@ struct AtomicSite {
     depth: u32,
 }
 
-/// Extract the memory-ordering arguments of one call, in order.
-fn ordering_args(args: &[Expr]) -> Vec<String> {
-    args.iter()
-        .filter_map(|a| {
-            let segs = a.plain_path()?;
-            let last = segs.last()?;
-            ORDERINGS.contains(&last.as_str()).then(|| last.clone())
-        })
-        .collect()
+/// The first memory-ordering argument of one call.
+fn first_ordering<'a>(args: &[Expr<'a>]) -> Option<&'a str> {
+    args.iter().find_map(|a| {
+        let last = *a.plain_path()?.last()?;
+        ORDERINGS.contains(&last).then_some(last)
+    })
 }
 
 /// Resolve a method receiver to an atomic field identity, when it is a
 /// field access whose declared type is an `Atomic*` wrapper.
-fn atomic_field(
-    lt: &LocalTypes<'_>,
-    fact: &BTreeMap<String, TyFact>,
-    recv: &Expr,
-) -> Option<(String, String)> {
+fn atomic_field<'a>(
+    lt: &LocalTypes<'a>,
+    fact: &TyFacts<'a>,
+    recv: &Expr<'a>,
+) -> Option<(&'a str, &'a str)> {
     let ExprKind::Field { base, name } = &recv.kind else {
         return None;
     };
@@ -113,24 +110,24 @@ fn atomic_field(
         return None;
     }
     let owner = match &base.kind {
-        ExprKind::Path(segs) if segs.as_slice() == ["self"] => lt.self_ty.clone(),
+        ExprKind::Path(segs) if segs.as_slice() == ["self"] => lt.self_ty,
         _ => match lt.infer(fact, base).ty {
             Ty::Named(s) => Some(s),
             _ => None,
         },
     };
-    Some((owner.unwrap_or_default(), name.clone()))
+    Some((owner.unwrap_or_default(), name))
 }
 
 /// Collect every atomic access in one expression tree (the CFG hoists
 /// control-flow subexpressions into their own steps, so don't descend).
-fn sites_in(
-    lt: &LocalTypes<'_>,
-    fact: &BTreeMap<String, TyFact>,
-    e: &Expr,
+fn sites_in<'a>(
+    lt: &LocalTypes<'a>,
+    fact: &TyFacts<'a>,
+    e: &Expr<'a>,
     file: usize,
     depths: &BTreeMap<u32, u32>,
-    out: &mut Vec<AtomicSite>,
+    out: &mut Vec<AtomicSite<'a>>,
 ) {
     if e.is_control() {
         return;
@@ -139,12 +136,12 @@ fn sites_in(
         recv, name, args, ..
     } = &e.kind
     {
-        if ATOMIC_METHODS.contains(&name.as_str()) {
+        if ATOMIC_METHODS.contains(name) {
             if let Some(key) = atomic_field(lt, fact, recv) {
                 out.push(AtomicSite {
                     key,
-                    method: name.clone(),
-                    ordering: ordering_args(args).into_iter().next(),
+                    method: name,
+                    ordering: first_ordering(args),
                     file,
                     line: e.line,
                     col: e.col,
@@ -158,7 +155,11 @@ fn sites_in(
 
 /// Run the `A1` pass over every call-graph fn that calls a method named
 /// in `ATOMIC_METHODS` (see `may_access`).
-pub fn check_atomics(ws: &Workspace, graph: &CallGraph<'_>, index: &TypeIndex) -> Vec<Finding> {
+pub fn check_atomics(
+    ws: &Workspace<'_>,
+    graph: &CallGraph<'_>,
+    index: &TypeIndex<'_>,
+) -> Vec<Finding> {
     check_sites(ws, graph, |node| {
         if may_access(node) {
             fn_sites(index, node)
@@ -173,13 +174,13 @@ pub fn check_atomics(ws: &Workspace, graph: &CallGraph<'_>, index: &TypeIndex) -
 /// type solve.
 fn may_access(node: &FnNode<'_>) -> bool {
     types::any_site(&node.cfg, &|e| match &e.kind {
-        ExprKind::MethodCall { name, .. } => ATOMIC_METHODS.contains(&name.as_str()),
+        ExprKind::MethodCall { name, .. } => ATOMIC_METHODS.contains(name),
         _ => false,
     })
 }
 
 /// Solve local types for one fn and collect its atomic access sites.
-fn fn_sites(index: &TypeIndex, node: &FnNode<'_>) -> Vec<AtomicSite> {
+fn fn_sites<'a>(index: &'a TypeIndex<'a>, node: &'a FnNode<'a>) -> Vec<AtomicSite<'a>> {
     let lt = LocalTypes::new(index, node);
     let facts = types::solve_fn(&lt, &node.cfg);
     let mut sites = Vec::new();
@@ -197,40 +198,37 @@ fn fn_sites(index: &TypeIndex, node: &FnNode<'_>) -> Vec<AtomicSite> {
 }
 
 /// `A1` over the access sites `sites_of` collects from each fn.
-fn check_sites(
-    ws: &Workspace,
-    graph: &CallGraph<'_>,
-    mut sites_of: impl FnMut(&FnNode<'_>) -> Vec<AtomicSite>,
+fn check_sites<'a>(
+    ws: &Workspace<'_>,
+    graph: &'a CallGraph<'a>,
+    mut sites_of: impl FnMut(&'a FnNode<'a>) -> Vec<AtomicSite<'a>>,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
     // Workspace-wide ordering census: field identity -> orderings seen,
     // plus the first site for the mixed-ordering finding's anchor.
-    let mut orderings: BTreeMap<(String, String), BTreeSet<String>> = BTreeMap::new();
-    let mut first_site: BTreeMap<(String, String), (usize, u32, u32)> = BTreeMap::new();
+    let mut orderings: BTreeMap<(&str, &str), BTreeSet<&str>> = BTreeMap::new();
+    let mut first_site: BTreeMap<(&str, &str), (usize, u32, u32)> = BTreeMap::new();
     for node in &graph.fns {
         let Some(file) = ws.files.get(node.file) else {
             continue;
         };
         let sites = sites_of(node);
-        let loaded: BTreeSet<&(String, String)> = sites
+        let loaded: BTreeSet<(&str, &str)> = sites
             .iter()
             .filter(|s| s.method == "load")
-            .map(|s| &s.key)
+            .map(|s| s.key)
             .collect();
         for site in &sites {
-            let field = site.key.1.as_str();
-            orderings
-                .entry(site.key.clone())
-                .or_default()
-                .extend(site.ordering.clone());
+            let field = site.key.1;
+            orderings.entry(site.key).or_default().extend(site.ordering);
             first_site
-                .entry(site.key.clone())
+                .entry(site.key)
                 .or_insert((site.file, site.line, site.col));
             if site.method == "store" && loaded.contains(&site.key) {
                 findings.push(Finding::at(
                     "A1",
                     Severity::Deny,
-                    &file.parsed.rel_path,
+                    file.parsed.rel_path,
                     site.line,
                     site.col,
                     format!(
@@ -242,12 +240,12 @@ fn check_sites(
                     file.snippet(site.line),
                 ));
             }
-            let relaxed = site.ordering.as_deref() == Some("Relaxed");
+            let relaxed = site.ordering == Some("Relaxed");
             if site.method == "swap" && relaxed {
                 findings.push(Finding::at(
                     "A1",
                     Severity::Deny,
-                    &file.parsed.rel_path,
+                    file.parsed.rel_path,
                     site.line,
                     site.col,
                     format!(
@@ -262,7 +260,7 @@ fn check_sites(
                 findings.push(Finding::at(
                     "A1",
                     Severity::Deny,
-                    &file.parsed.rel_path,
+                    file.parsed.rel_path,
                     site.line,
                     site.col,
                     format!(
@@ -280,11 +278,11 @@ fn check_sites(
         if seen.len() > 1 {
             if let Some(&(file_id, line, col)) = first_site.get(key) {
                 if let Some(file) = ws.files.get(file_id) {
-                    let mix: Vec<&str> = seen.iter().map(String::as_str).collect();
+                    let mix: Vec<&str> = seen.iter().copied().collect();
                     findings.push(Finding::at(
                         "A1",
                         Severity::Deny,
-                        &file.parsed.rel_path,
+                        file.parsed.rel_path,
                         line,
                         col,
                         format!(
@@ -311,16 +309,16 @@ pub(crate) mod reference {
 
     /// [`check_atomics`] without the gate.
     pub(crate) fn check_atomics(
-        ws: &Workspace,
+        ws: &Workspace<'_>,
         graph: &CallGraph<'_>,
-        index: &TypeIndex,
+        index: &TypeIndex<'_>,
     ) -> Vec<Finding> {
         check_sites(ws, graph, |node| fn_sites(index, node))
     }
 
     /// How many access sites the full solve finds in the fns the gate
     /// skips.
-    pub(crate) fn skipped_sites(graph: &CallGraph<'_>, index: &TypeIndex) -> usize {
+    pub(crate) fn skipped_sites(graph: &CallGraph<'_>, index: &TypeIndex<'_>) -> usize {
         graph
             .fns
             .iter()
@@ -335,11 +333,7 @@ mod tests {
     use super::*;
 
     fn run(files: &[(&str, &str)]) -> Vec<Finding> {
-        let owned: Vec<(String, String)> = files
-            .iter()
-            .map(|(p, s)| (p.to_string(), s.to_string()))
-            .collect();
-        let ws = Workspace::build(&owned);
+        let ws = Workspace::build(files);
         let graph = CallGraph::build(&ws);
         let index = TypeIndex::build(&ws);
         check_atomics(&ws, &graph, &index)

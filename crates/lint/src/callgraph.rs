@@ -60,7 +60,7 @@ pub struct FnNode<'a> {
     /// 1-based column of the `fn` keyword.
     pub col: u32,
     /// Parsed body facts.
-    pub info: &'a FnInfo,
+    pub info: &'a FnInfo<'a>,
     /// The body's control-flow graph.
     pub cfg: Cfg<'a>,
     /// Loop-nesting depth of each CFG node (see [`cost::loop_depths`]).
@@ -95,20 +95,20 @@ pub enum Resolution {
 }
 
 /// Where an imported leaf name comes from.
-#[derive(Debug, Clone, PartialEq)]
-enum Origin {
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Origin<'a> {
     /// A workspace crate (short name).
-    Ws(String),
+    Ws(&'a str),
     /// Anything else (`std`, vendored deps, ...).
     Ext,
 }
 
 #[derive(Debug, Default)]
-struct FileImports {
+struct FileImports<'a> {
     /// Leaf name → origin crate.
-    leaves: BTreeMap<String, Origin>,
+    leaves: BTreeMap<&'a str, Origin<'a>>,
     /// Workspace crates glob-imported (`use aipan_x::module::*`).
-    glob_crates: Vec<String>,
+    glob_crates: Vec<&'a str>,
 }
 
 /// The workspace call graph. Fn ids index [`CallGraph::fns`] and
@@ -121,28 +121,28 @@ pub struct CallGraph<'a> {
     pub edges: Vec<Vec<CallEdge>>,
     free: BTreeMap<(&'a str, &'a str), Vec<usize>>,
     methods: BTreeMap<(&'a str, &'a str, &'a str), Vec<usize>>,
-    imports: Vec<FileImports>,
+    imports: Vec<FileImports<'a>>,
     file_crates: Vec<&'a str>,
 }
 
 impl<'a> CallGraph<'a> {
     /// Build the graph over an analyzed workspace.
-    pub fn build(ws: &'a Workspace) -> CallGraph<'a> {
+    pub fn build(ws: &'a Workspace<'a>) -> CallGraph<'a> {
         let mut fns: Vec<FnNode<'a>> = Vec::new();
-        let mut imports: Vec<FileImports> = Vec::new();
+        let mut imports: Vec<FileImports<'a>> = Vec::new();
         let mut file_crates: Vec<&'a str> = Vec::new();
         for (file_idx, file) in ws.files.iter().enumerate() {
             let mut fi = FileImports::default();
-            collect_imports(&file.parsed.items, &file.crate_name, &mut fi);
+            collect_imports(&file.parsed.items, file.crate_name, &mut fi);
             imports.push(fi);
-            file_crates.push(&file.crate_name);
+            file_crates.push(file.crate_name);
             if !file.class.is_library_code() {
                 continue;
             }
             collect_fns(
                 &file.parsed.items,
                 file_idx,
-                &file.crate_name,
+                file.crate_name,
                 None,
                 &mut fns,
             );
@@ -188,7 +188,7 @@ impl<'a> CallGraph<'a> {
 
     /// Resolve one call site occurring in `file` (with `self_ty` the
     /// enclosing impl's type, if any).
-    pub fn resolve(&self, file: usize, self_ty: Option<&str>, call: &CallSite) -> Resolution {
+    pub fn resolve(&self, file: usize, self_ty: Option<&str>, call: &CallSite<'_>) -> Resolution {
         let crate_name = self.file_crates.get(file).copied().unwrap_or("");
         self.resolve_in(crate_name, self_ty, call, file)
     }
@@ -197,14 +197,14 @@ impl<'a> CallGraph<'a> {
         &self,
         crate_name: &str,
         self_ty: Option<&str>,
-        call: &CallSite,
+        call: &CallSite<'_>,
         file: usize,
     ) -> Resolution {
         if call.is_method {
             // Only `self.m()` resolves; other receivers need inference.
-            if call.recv.first().map(String::as_str) == Some("self") && call.recv.len() == 1 {
+            if call.recv.as_slice() == ["self"] {
                 if let Some(ty) = self_ty {
-                    if let Some(ids) = self.methods.get(&(crate_name, ty, call.name.as_str())) {
+                    if let Some(ids) = self.methods.get(&(crate_name, ty, call.name)) {
                         return Resolution::Fns(ids.clone());
                     }
                 }
@@ -213,15 +213,12 @@ impl<'a> CallGraph<'a> {
         }
         let path = &call.path;
         if path.len() <= 1 {
-            return self.resolve_bare(crate_name, file, &call.name);
+            return self.resolve_bare(crate_name, file, call.name);
         }
-        let penult = path
-            .get(path.len().wrapping_sub(2))
-            .map(String::as_str)
-            .unwrap_or("");
+        let penult = path.get(path.len().wrapping_sub(2)).copied().unwrap_or("");
         if penult == "Self" {
             if let Some(ty) = self_ty {
-                if let Some(ids) = self.methods.get(&(crate_name, ty, call.name.as_str())) {
+                if let Some(ids) = self.methods.get(&(crate_name, ty, call.name)) {
                     return Resolution::Fns(ids.clone());
                 }
             }
@@ -234,25 +231,25 @@ impl<'a> CallGraph<'a> {
         {
             // Associated fn: `T::m` / `path::T::m`.
             let ty_crate = if path.len() >= 3 {
-                self.root_crate(crate_name, file, path.first().map(String::as_str))
+                self.root_crate(crate_name, file, path.first().copied())
             } else {
                 match self.imports.get(file).and_then(|fi| fi.leaves.get(penult)) {
-                    Some(Origin::Ws(c)) => Some(c.clone()),
+                    Some(Origin::Ws(c)) => Some(*c),
                     Some(Origin::Ext) => None,
-                    None => Some(crate_name.to_string()),
+                    None => Some(crate_name),
                 }
             };
             if let Some(tc) = ty_crate {
-                if let Some(ids) = self.methods.get(&(tc.as_str(), penult, call.name.as_str())) {
+                if let Some(ids) = self.methods.get(&(tc, penult, call.name)) {
                     return Resolution::Fns(ids.clone());
                 }
             }
             return Resolution::External;
         }
         // Module path to a free fn.
-        let root = path.first().map(String::as_str);
+        let root = path.first().copied();
         match self.root_crate(crate_name, file, root) {
-            Some(rc) => match self.free.get(&(rc.as_str(), call.name.as_str())) {
+            Some(rc) => match self.free.get(&(rc, call.name)) {
                 Some(ids) => Resolution::Fns(ids.clone()),
                 None => Resolution::External,
             },
@@ -264,19 +261,24 @@ impl<'a> CallGraph<'a> {
     /// the current crate, an imported module leaf → its origin crate, a
     /// sibling module (current crate defines the target name) → the
     /// current crate; `None` for external roots.
-    fn root_crate(&self, crate_name: &str, file: usize, root: Option<&str>) -> Option<String> {
+    fn root_crate<'r>(
+        &'r self,
+        crate_name: &'r str,
+        file: usize,
+        root: Option<&'r str>,
+    ) -> Option<&'r str> {
         let root = root?;
         if let Some(short) = root.strip_prefix("aipan_") {
-            return Some(short.to_string());
+            return Some(short);
         }
         if matches!(root, "crate" | "self" | "super") {
-            return Some(crate_name.to_string());
+            return Some(crate_name);
         }
         match self.imports.get(file).and_then(|fi| fi.leaves.get(root)) {
-            Some(Origin::Ws(c)) => Some(c.clone()),
+            Some(Origin::Ws(c)) => Some(*c),
             Some(Origin::Ext) => None,
             // Unimported lowercase root: a sibling module of this crate.
-            None => Some(crate_name.to_string()),
+            None => Some(crate_name),
         }
     }
 
@@ -285,7 +287,7 @@ impl<'a> CallGraph<'a> {
             return Resolution::Fns(ids.clone());
         }
         match self.imports.get(file).and_then(|fi| fi.leaves.get(name)) {
-            Some(Origin::Ws(c)) => match self.free.get(&(c.as_str(), name)) {
+            Some(Origin::Ws(c)) => match self.free.get(&(*c, name)) {
                 Some(ids) => Resolution::Fns(ids.clone()),
                 None => Resolution::External,
             },
@@ -293,8 +295,8 @@ impl<'a> CallGraph<'a> {
             None => {
                 let mut ids = Vec::new();
                 if let Some(fi) = self.imports.get(file) {
-                    for c in &fi.glob_crates {
-                        if let Some(more) = self.free.get(&(c.as_str(), name)) {
+                    for &c in &fi.glob_crates {
+                        if let Some(more) = self.free.get(&(c, name)) {
                             ids.extend(more.iter().copied());
                         }
                     }
@@ -310,30 +312,30 @@ impl<'a> CallGraph<'a> {
 }
 
 /// Record every `use` leaf of a file's item tree into `fi`.
-fn collect_imports(items: &[Item], crate_name: &str, fi: &mut FileImports) {
+fn collect_imports<'a>(items: &'a [Item<'a>], crate_name: &'a str, fi: &mut FileImports<'a>) {
     for item in items {
         if let ItemKind::Use { paths } = &item.kind {
             for path in paths {
-                let origin = match path.first().map(String::as_str) {
+                let origin = match path.first().copied() {
                     Some(root) => {
                         if let Some(short) = root.strip_prefix("aipan_") {
-                            Origin::Ws(short.to_string())
+                            Origin::Ws(short)
                         } else if matches!(root, "crate" | "self" | "super") {
-                            Origin::Ws(crate_name.to_string())
+                            Origin::Ws(crate_name)
                         } else {
                             Origin::Ext
                         }
                     }
                     None => continue,
                 };
-                match path.last().map(String::as_str) {
+                match path.last().copied() {
                     Some("*") => {
                         if let Origin::Ws(c) = origin {
                             fi.glob_crates.push(c);
                         }
                     }
                     Some(leaf) => {
-                        fi.leaves.insert(leaf.to_string(), origin);
+                        fi.leaves.insert(leaf, origin);
                     }
                     None => {}
                 }
@@ -345,7 +347,7 @@ fn collect_imports(items: &[Item], crate_name: &str, fi: &mut FileImports) {
 
 /// Collect fn nodes, tracking the enclosing impl's self type.
 fn collect_fns<'a>(
-    items: &'a [Item],
+    items: &'a [Item<'a>],
     file: usize,
     crate_name: &'a str,
     self_ty: Option<&'a str>,
@@ -364,7 +366,7 @@ fn collect_fns<'a>(
                     file,
                     crate_name,
                     self_ty,
-                    name: &item.name,
+                    name: item.name,
                     is_pub: item.is_pub,
                     line: item.line,
                     col: item.col,
@@ -375,7 +377,7 @@ fn collect_fns<'a>(
                 });
             }
             ItemKind::Impl { self_ty: ty, .. } => {
-                collect_fns(&item.children, file, crate_name, Some(ty.as_str()), out);
+                collect_fns(&item.children, file, crate_name, Some(ty), out);
             }
             _ => collect_fns(&item.children, file, crate_name, self_ty, out),
         }
@@ -386,12 +388,8 @@ fn collect_fns<'a>(
 mod tests {
     use super::*;
 
-    fn ws(files: &[(&str, &str)]) -> Workspace {
-        let owned: Vec<(String, String)> = files
-            .iter()
-            .map(|(p, s)| (p.to_string(), s.to_string()))
-            .collect();
-        Workspace::build(&owned)
+    fn ws<'a>(files: &'a [(&'a str, &'a str)]) -> Workspace<'a> {
+        Workspace::build(files)
     }
 
     fn fn_id<'a>(g: &CallGraph<'a>, name: &str) -> usize {

@@ -34,15 +34,15 @@ use crate::expr::{for_each_child, Expr, ExprKind, Pat, Stmt};
 #[derive(Debug, Clone, Copy)]
 pub enum Step<'a> {
     /// Evaluate an expression for effect or value.
-    Eval(&'a Expr),
+    Eval(&'a Expr<'a>),
     /// `let pat: ty = init;` — bind (or rebind) the pattern's names.
     Bind {
         /// Bound pattern.
-        pat: &'a Pat,
+        pat: &'a Pat<'a>,
         /// Declared type tokens (empty when inferred).
-        ty: &'a [String],
+        ty: &'a [&'a str],
         /// Initializer, when present (already hoisted if control flow).
-        init: Option<&'a Expr>,
+        init: Option<&'a Expr<'a>>,
         /// 1-based line of the `let`.
         line: u32,
         /// 1-based column of the `let`.
@@ -51,20 +51,20 @@ pub enum Step<'a> {
     /// Pattern bind from a scrutinee (`if let` / `while let` / match arm).
     PatBind {
         /// Bound pattern.
-        pat: &'a Pat,
+        pat: &'a Pat<'a>,
         /// The matched value.
-        from: &'a Expr,
+        from: &'a Expr<'a>,
     },
     /// A branch condition; the node's outgoing `True`/`False` edges
     /// refine facts against it.
-    Cond(&'a Expr),
+    Cond(&'a Expr<'a>),
     /// A `for` loop head; `True` edges enter the body with `pat` bound
     /// from `iter`'s items, `False` edges leave the loop.
     ForHead {
         /// Loop binding.
-        pat: &'a Pat,
+        pat: &'a Pat<'a>,
         /// Iterated expression (evaluated before the loop).
-        iter: &'a Expr,
+        iter: &'a Expr<'a>,
     },
 }
 
@@ -113,7 +113,7 @@ pub struct Cfg<'a> {
 
 impl<'a> Cfg<'a> {
     /// Build the CFG for one fn body.
-    pub fn build(body: &'a [Stmt]) -> Cfg<'a> {
+    pub fn build(body: &'a [Stmt<'a>]) -> Cfg<'a> {
         let mut b = Builder {
             nodes: vec![Node::default(), Node::default()],
             loops: Vec::new(),
@@ -166,7 +166,7 @@ impl<'a> Builder<'a> {
 
     /// Lower a statement list starting in node `cur`; returns the open
     /// node at the end, or `None` if every path diverged.
-    fn lower_block(&mut self, stmts: &'a [Stmt], mut cur: usize) -> Option<usize> {
+    fn lower_block(&mut self, stmts: &'a [Stmt<'a>], mut cur: usize) -> Option<usize> {
         for stmt in stmts {
             match stmt {
                 Stmt::Let {
@@ -221,7 +221,7 @@ impl<'a> Builder<'a> {
     /// condition, scrutinee): control flow lowers structurally, anything
     /// else hoists its nested control flow. The operand's own `Eval`/
     /// `Bind` step is the *caller's* responsibility.
-    fn lower_operand(&mut self, e: &'a Expr, cur: usize) -> Option<usize> {
+    fn lower_operand(&mut self, e: &'a Expr<'a>, cur: usize) -> Option<usize> {
         if e.is_control() {
             self.lower_cf(e, cur)
         } else {
@@ -231,7 +231,7 @@ impl<'a> Builder<'a> {
 
     /// Hoist control-flow subexpressions nested inside a non-CF
     /// expression, left to right.
-    fn hoist_nested(&mut self, e: &'a Expr, cur: usize) -> Option<usize> {
+    fn hoist_nested(&mut self, e: &'a Expr<'a>, cur: usize) -> Option<usize> {
         let mut children = Vec::new();
         for_each_child(e, &mut |c| children.push(c));
         let mut cur = cur;
@@ -246,7 +246,7 @@ impl<'a> Builder<'a> {
     }
 
     /// Lower one control-flow expression; returns the join node.
-    fn lower_cf(&mut self, e: &'a Expr, cur: usize) -> Option<usize> {
+    fn lower_cf(&mut self, e: &'a Expr<'a>, cur: usize) -> Option<usize> {
         match &e.kind {
             ExprKind::Block(stmts) => self.lower_block(stmts, cur),
             ExprKind::If {
@@ -458,7 +458,7 @@ impl<'a> Builder<'a> {
 
     /// Lower an expression in value position, recording an `Eval` step
     /// for non-CF expressions.
-    fn lower_value(&mut self, e: &'a Expr, cur: usize) -> Option<usize> {
+    fn lower_value(&mut self, e: &'a Expr<'a>, cur: usize) -> Option<usize> {
         if e.is_control() {
             self.lower_cf(e, cur)
         } else {

@@ -297,31 +297,28 @@ struct AllocSite {
 
 /// Collect allocation sites in one expression tree (block statements are
 /// separate CFG steps and are not descended into).
-fn allocs_in(e: &Expr, out: &mut Vec<AllocSite>) {
+fn allocs_in(e: &Expr<'_>, out: &mut Vec<AllocSite>) {
     match &e.kind {
         ExprKind::MethodCall { name, .. } => {
-            if CLONE_METHODS.contains(&name.as_str()) || GROW_METHODS.contains(&name.as_str()) {
+            if CLONE_METHODS.contains(name) || GROW_METHODS.contains(name) {
                 out.push(AllocSite { weight: 1 });
-            } else if name == "collect" {
+            } else if *name == "collect" {
                 out.push(AllocSite { weight: 2 });
             }
         }
-        ExprKind::MacroCall { path, .. } => match path.last().map(String::as_str) {
+        ExprKind::MacroCall { path, .. } => match path.last().copied() {
             Some("format") => out.push(AllocSite { weight: 2 }),
             Some("vec") => out.push(AllocSite { weight: 1 }),
             _ => {}
         },
         ExprKind::Call { callee, .. } => {
             if let ExprKind::Path(segs) = &callee.kind {
-                let ctor = matches!(
-                    segs.last().map(String::as_str),
-                    Some("new" | "with_capacity")
-                );
+                let ctor = matches!(segs.last().copied(), Some("new" | "with_capacity"));
                 let coll = segs
                     .iter()
                     .rev()
                     .nth(1)
-                    .is_some_and(|s| GROWABLE_CTORS.contains(&s.as_str()));
+                    .is_some_and(|s| GROWABLE_CTORS.contains(s));
                 if ctor && coll {
                     out.push(AllocSite { weight: 1 });
                 }
@@ -336,7 +333,7 @@ fn allocs_in(e: &Expr, out: &mut Vec<AllocSite>) {
 /// cost model uses for `H2`/`C2` (clone/grow 1, `collect`/`format!` 2,
 /// growable ctors 1). Shared with the `W2` held-cost computation so one
 /// vocabulary prices both hot loops and lock regions.
-pub(crate) fn alloc_weight(e: &Expr) -> u64 {
+pub(crate) fn alloc_weight(e: &Expr<'_>) -> u64 {
     let mut sites = Vec::new();
     allocs_in(e, &mut sites);
     sites.iter().map(|s| s.weight).sum()
@@ -344,7 +341,7 @@ pub(crate) fn alloc_weight(e: &Expr) -> u64 {
 
 /// The top-level expression one step evaluates, if any (a `PatBind`'s
 /// scrutinee is evaluated by the step before it).
-pub(crate) fn step_expr<'a>(step: &Step<'a>) -> Option<&'a Expr> {
+pub(crate) fn step_expr<'a>(step: &Step<'a>) -> Option<&'a Expr<'a>> {
     match *step {
         Step::Eval(e) | Step::Cond(e) => Some(e),
         Step::Bind { init, .. } => init,
@@ -404,7 +401,7 @@ pub struct CostModel {
 
 /// Whether a fn is one of the pipeline entry points the hot set grows
 /// from.
-fn is_entry(ws: &Workspace, node: &FnNode<'_>) -> bool {
+fn is_entry(ws: &Workspace<'_>, node: &FnNode<'_>) -> bool {
     if node.name.starts_with("run_pipeline")
         || node.name == "crawl_all"
         || node.name == "crawl_all_with"
@@ -496,7 +493,7 @@ pub(crate) fn call_sccs(n: usize, succs: &[Vec<usize>]) -> Vec<Vec<usize>> {
 
 impl CostModel {
     /// Build the cost model for a workspace and its call graph.
-    pub fn build(ws: &Workspace, graph: &CallGraph<'_>) -> CostModel {
+    pub fn build(ws: &Workspace<'_>, graph: &CallGraph<'_>) -> CostModel {
         let n = graph.fns.len();
         let local: Vec<u64> = graph
             .fns
@@ -626,27 +623,34 @@ pub(crate) fn fn_display(node: &FnNode<'_>) -> String {
     }
 }
 
-/// The plain root identifier and dotted display form of a place
-/// expression (`x`, `x.field.sub`); `None` for anything else.
-fn place_root(e: &Expr) -> Option<(String, String)> {
+/// The plain root identifier of a place expression (`x`, `x.field.sub`);
+/// `None` for anything else.
+fn place_root<'a>(e: &Expr<'a>) -> Option<&'a str> {
     match &e.kind {
-        ExprKind::Path(segs) => match segs.as_slice() {
-            [only] if only != "self" => Some((only.clone(), only.clone())),
+        ExprKind::Path(segs) => match *segs.as_slice() {
+            [only] if only != "self" => Some(only),
             _ => None,
         },
-        ExprKind::Field { base, name } => {
-            let (root, display) = place_root(base)?;
-            Some((root, format!("{display}.{name}")))
-        }
+        ExprKind::Field { base, .. } => place_root(base),
         _ => None,
+    }
+}
+
+/// The dotted display form of a place expression [`place_root`] accepts
+/// (`x.field.sub`), for messages.
+fn place_display(e: &Expr<'_>) -> String {
+    match &e.kind {
+        ExprKind::Field { base, name } => format!("{}.{name}", place_display(base)),
+        ExprKind::Path(segs) => segs.join("::"),
+        _ => String::new(),
     }
 }
 
 /// Root identifier of an assignment target, peeling derefs, fields, and
 /// indexing.
-fn assign_root(e: &Expr) -> Option<String> {
+fn assign_root<'a>(e: &Expr<'a>) -> Option<&'a str> {
     match &e.kind {
-        ExprKind::Path(segs) => segs.first().cloned(),
+        ExprKind::Path(segs) => segs.first().copied(),
         ExprKind::Field { base, .. } | ExprKind::Index { base, .. } => assign_root(base),
         ExprKind::Unary { operand, .. } | ExprKind::Ref { operand, .. } => assign_root(operand),
         _ => None,
@@ -656,7 +660,7 @@ fn assign_root(e: &Expr) -> Option<String> {
 /// Modification sites `(name, line, col)` performed by one expression
 /// tree: assignments, `&mut` borrows, and method calls not known to be
 /// read-only.
-fn expr_mods(e: &Expr, out: &mut Vec<(String, u32, u32)>) {
+fn expr_mods<'a>(e: &Expr<'a>, out: &mut Vec<(&'a str, u32, u32)>) {
     match &e.kind {
         ExprKind::Assign { lhs, .. } => {
             if let Some(root) = assign_root(lhs) {
@@ -671,8 +675,8 @@ fn expr_mods(e: &Expr, out: &mut Vec<(String, u32, u32)>) {
                 out.push((root, operand.line, operand.col));
             }
         }
-        ExprKind::MethodCall { recv, name, .. } if !READ_ONLY_METHODS.contains(&name.as_str()) => {
-            if let Some((root, _)) = place_root(recv) {
+        ExprKind::MethodCall { recv, name, .. } if !READ_ONLY_METHODS.contains(name) => {
+            if let Some(root) = place_root(recv) {
                 out.push((root, recv.line, recv.col));
             }
         }
@@ -683,7 +687,7 @@ fn expr_mods(e: &Expr, out: &mut Vec<(String, u32, u32)>) {
 
 /// Modification sites performed by one CFG step (bindings count as
 /// modifications of the bound names).
-fn step_mods(step: &Step<'_>) -> Vec<(String, u32, u32)> {
+fn step_mods<'a>(step: &Step<'a>) -> Vec<(&'a str, u32, u32)> {
     let mut out = Vec::new();
     match *step {
         Step::Bind {
@@ -728,15 +732,15 @@ fn step_mods(step: &Step<'_>) -> Vec<(String, u32, u32)> {
 struct MayMod;
 
 impl<'a> Analysis<'a> for MayMod {
-    type Fact = BTreeMap<String, BTreeSet<(u32, u32)>>;
+    type Fact = BTreeMap<&'a str, BTreeSet<(u32, u32)>>;
 
     fn boundary(&self) -> Self::Fact {
         BTreeMap::new()
     }
 
     fn join(&self, acc: &mut Self::Fact, other: &Self::Fact) {
-        for (name, sites) in other {
-            acc.entry(name.clone()).or_default().extend(sites.iter());
+        for (&name, sites) in other {
+            acc.entry(name).or_default().extend(sites.iter());
         }
     }
 
@@ -748,7 +752,7 @@ impl<'a> Analysis<'a> for MayMod {
 }
 
 /// Run the `H2` and `C2` passes over an analyzed workspace.
-pub fn check_cost(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) -> Vec<Finding> {
+pub fn check_cost(ws: &Workspace<'_>, graph: &CallGraph<'_>, model: &CostModel) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (id, node) in graph.fns.iter().enumerate() {
         let Some(file) = ws.files.get(node.file) else {
@@ -763,9 +767,9 @@ pub fn check_cost(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) -> V
 }
 
 /// A growable-container binding tracked by `H2`.
-struct Candidate {
-    name: String,
-    ctor: String,
+struct Candidate<'a> {
+    name: &'a str,
+    ctor: &'a str,
     bind_line: u32,
     bind_col: u32,
     depth: u32,
@@ -773,7 +777,7 @@ struct Candidate {
 }
 
 fn check_h2(
-    file: &crate::graph::AnalyzedFile,
+    file: &crate::graph::AnalyzedFile<'_>,
     graph: &CallGraph<'_>,
     model: &CostModel,
     id: usize,
@@ -781,7 +785,7 @@ fn check_h2(
     findings: &mut Vec<Finding>,
 ) {
     let (cfg, depths) = (&node.cfg, &node.depths);
-    let mut candidates: Vec<Candidate> = Vec::new();
+    let mut candidates: Vec<Candidate<'_>> = Vec::new();
     for (nid, block) in cfg.nodes.iter().enumerate() {
         let d = depths.get(nid).copied().unwrap_or(0);
         for step in &block.steps {
@@ -804,10 +808,8 @@ fn check_h2(
             let ExprKind::Path(segs) = &callee.kind else {
                 continue;
             };
-            let ctor = match segs.as_slice() {
-                [ty, method] if method == "new" && GROWABLE_CTORS.contains(&ty.as_str()) => {
-                    ty.clone()
-                }
+            let ctor = match *segs.as_slice() {
+                [ty, "new"] if GROWABLE_CTORS.contains(&ty) => ty,
                 _ => continue,
             };
             if let Some(existing) = candidates.iter_mut().find(|c| c.name == *name) {
@@ -815,7 +817,7 @@ fn check_h2(
                 continue;
             }
             candidates.push(Candidate {
-                name: name.clone(),
+                name,
                 ctor,
                 bind_line: *line,
                 bind_col: *col,
@@ -829,7 +831,7 @@ fn check_h2(
     }
 
     // Growth sites per candidate name: (line, col of receiver, depth).
-    let mut grows: BTreeMap<String, Vec<(u32, u32, u32)>> = BTreeMap::new();
+    let mut grows: BTreeMap<&str, Vec<(u32, u32, u32)>> = BTreeMap::new();
     for (nid, block) in cfg.nodes.iter().enumerate() {
         let d = depths.get(nid).copied().unwrap_or(0);
         for step in &block.steps {
@@ -840,7 +842,7 @@ fn check_h2(
     }
 
     for cand in candidates.iter().filter(|c| !c.ambiguous) {
-        let sites = grows.get(&cand.name).map(Vec::as_slice).unwrap_or(&[]);
+        let sites = grows.get(cand.name).map(Vec::as_slice).unwrap_or(&[]);
         let max_depth = sites.iter().map(|(_, _, d)| *d).max().unwrap_or(0);
         if sites.is_empty() || max_depth <= cand.depth {
             continue;
@@ -851,7 +853,7 @@ fn check_h2(
         findings.push(Finding::at(
             "H2",
             Severity::Warn,
-            &file.parsed.rel_path,
+            file.parsed.rel_path,
             cand.bind_line,
             cand.bind_col,
             format!(
@@ -867,12 +869,12 @@ fn check_h2(
     }
 }
 
-fn collect_grows(e: &Expr, depth: u32, out: &mut BTreeMap<String, Vec<(u32, u32, u32)>>) {
+fn collect_grows<'a>(e: &Expr<'a>, depth: u32, out: &mut BTreeMap<&'a str, Vec<(u32, u32, u32)>>) {
     if let ExprKind::MethodCall { recv, name, .. } = &e.kind {
-        if GROW_METHODS.contains(&name.as_str()) {
+        if GROW_METHODS.contains(name) {
             if let ExprKind::Path(segs) = &recv.kind {
-                if let [only] = segs.as_slice() {
-                    out.entry(only.clone())
+                if let [only] = *segs.as_slice() {
+                    out.entry(only)
                         .or_default()
                         .push((recv.line, recv.col, depth));
                 }
@@ -882,19 +884,19 @@ fn collect_grows(e: &Expr, depth: u32, out: &mut BTreeMap<String, Vec<(u32, u32,
     for_each_child(e, &mut |c| collect_grows(c, depth, out));
 }
 
-fn check_c2(file: &crate::graph::AnalyzedFile, node: &FnNode<'_>, findings: &mut Vec<Finding>) {
+fn check_c2(file: &crate::graph::AnalyzedFile<'_>, node: &FnNode<'_>, findings: &mut Vec<Finding>) {
     let (cfg, depths) = (&node.cfg, &node.depths);
     // Candidate clone binds in loops.
-    struct CloneBind {
+    struct CloneBind<'a> {
         nid: usize,
-        y: String,
-        root: String,
-        display: String,
-        method: String,
+        y: &'a str,
+        root: &'a str,
+        recv: &'a Expr<'a>,
+        method: &'a str,
         line: u32,
         col: u32,
     }
-    let mut cands: Vec<CloneBind> = Vec::new();
+    let mut cands: Vec<CloneBind<'_>> = Vec::new();
     for (nid, block) in cfg.nodes.iter().enumerate() {
         if depths.get(nid).copied().unwrap_or(0) == 0 {
             continue;
@@ -919,18 +921,18 @@ fn check_c2(file: &crate::graph::AnalyzedFile, node: &FnNode<'_>, findings: &mut
             else {
                 continue;
             };
-            if !args.is_empty() || !CLONE_METHODS.contains(&method.as_str()) {
+            if !args.is_empty() || !CLONE_METHODS.contains(method) {
                 continue;
             }
-            let Some((root, display)) = place_root(recv) else {
+            let Some(root) = place_root(recv) else {
                 continue;
             };
             cands.push(CloneBind {
                 nid,
-                y: y.clone(),
+                y,
                 root,
-                display,
-                method: method.clone(),
+                recv,
+                method,
                 line: *line,
                 col: *col,
             });
@@ -942,7 +944,7 @@ fn check_c2(file: &crate::graph::AnalyzedFile, node: &FnNode<'_>, findings: &mut
     let loops = natural_loops(cfg);
 
     // Map every modification site to the CFG nodes that perform it.
-    let mut site_nodes: BTreeMap<(String, u32, u32), BTreeSet<usize>> = BTreeMap::new();
+    let mut site_nodes: BTreeMap<(&str, u32, u32), BTreeSet<usize>> = BTreeMap::new();
     for (nid, block) in cfg.nodes.iter().enumerate() {
         for step in &block.steps {
             for (name, line, col) in step_mods(step) {
@@ -986,21 +988,21 @@ fn check_c2(file: &crate::graph::AnalyzedFile, node: &FnNode<'_>, findings: &mut
             sites.is_some_and(|sites| {
                 sites.iter().any(|(l, c)| {
                     site_nodes
-                        .get(&(name.to_string(), *l, *c))
+                        .get(&(name, *l, *c))
                         .is_some_and(|nodes| nodes.iter().any(|n| body.contains(n)))
                 })
             })
         };
-        if in_loop(&cand.root, fact.get(&cand.root)) {
+        if in_loop(cand.root, fact.get(cand.root)) {
             continue;
         }
         // `y` must not be separately modified inside the loop (its own
         // bind site is the candidate itself).
-        let y_modified = fact.get(&cand.y).is_some_and(|sites| {
+        let y_modified = fact.get(cand.y).is_some_and(|sites| {
             sites.iter().any(|(l, c)| {
                 (*l, *c) != (cand.line, cand.col)
                     && site_nodes
-                        .get(&(cand.y.clone(), *l, *c))
+                        .get(&(cand.y, *l, *c))
                         .is_some_and(|nodes| nodes.iter().any(|n| body.contains(n)))
             })
         });
@@ -1010,14 +1012,17 @@ fn check_c2(file: &crate::graph::AnalyzedFile, node: &FnNode<'_>, findings: &mut
         findings.push(Finding::at(
             "C2",
             Severity::Warn,
-            &file.parsed.rel_path,
+            file.parsed.rel_path,
             cand.line,
             cand.col,
             format!(
                 "`{}.{}()` is loop-invariant: `{}` is never modified inside the \
                  enclosing loop, so the copy is re-made every iteration; hoist the \
                  `let {}` above the loop",
-                cand.display, cand.method, cand.root, cand.y
+                place_display(cand.recv),
+                cand.method,
+                cand.root,
+                cand.y
             ),
             file.snippet(cand.line),
         ));
@@ -1029,15 +1034,11 @@ mod tests {
     use super::*;
     use crate::parser::{parse_file, ItemKind};
 
-    fn ws(files: &[(&str, &str)]) -> Workspace {
-        let owned: Vec<(String, String)> = files
-            .iter()
-            .map(|(p, s)| (p.to_string(), s.to_string()))
-            .collect();
-        Workspace::build(&owned)
+    fn ws<'a>(files: &'a [(&'a str, &'a str)]) -> Workspace<'a> {
+        Workspace::build(files)
     }
 
-    fn first_fn_cfg(src: &str) -> (crate::parser::ParsedFile, Vec<u32>) {
+    fn first_fn_cfg(src: &str) -> (crate::parser::ParsedFile<'_>, Vec<u32>) {
         let parsed = parse_file("crates/x/src/lib.rs", src);
         let depths = parsed
             .items

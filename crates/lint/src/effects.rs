@@ -7,7 +7,7 @@
 //! makes that contract checkable: every fn gets an *fs effect* bit —
 //! true when it (transitively) performs filesystem I/O that does **not**
 //! originate inside the sanctioned journal/shard modules — propagated
-//! callees-first over the [`crate::cost::call_sccs`] condensation,
+//! callees-first over the `cost::call_sccs` condensation,
 //! exactly the way the cost model propagates totals.
 //!
 //! **`F1` filesystem-I/O-in-hot-loop** (Warn): a call at loop depth ≥ 1
@@ -43,21 +43,21 @@ const FS_TYPES: &[&str] = &["File", "OpenOptions", "DirBuilder"];
 const SANCTIONED_SUFFIXES: &[&str] = &["/journal.rs", "/shard.rs"];
 
 /// Whether one call site is directly filesystem I/O.
-fn is_fs_call(call: &CallSite) -> bool {
+fn is_fs_call(call: &CallSite<'_>) -> bool {
     if call.is_method {
-        return FS_METHODS.contains(&call.name.as_str());
+        return FS_METHODS.contains(&call.name);
     }
     // Path calls: `fs::write`, `std::fs::read_to_string`,
     // `File::open`, `OpenOptions::new`.
-    call.path.iter().any(|s| s == "fs")
+    call.path.contains(&"fs")
         || call
             .path
             .first()
-            .is_some_and(|head| FS_TYPES.contains(&head.as_str()))
+            .is_some_and(|head| FS_TYPES.contains(head))
 }
 
 /// Whether a fn's defining file is part of the sanctioned write layer.
-fn is_sanctioned(ws: &Workspace, node: &FnNode<'_>) -> bool {
+fn is_sanctioned(ws: &Workspace<'_>, node: &FnNode<'_>) -> bool {
     ws.files.get(node.file).is_some_and(|f| {
         SANCTIONED_SUFFIXES
             .iter()
@@ -75,7 +75,7 @@ pub struct EffectModel {
 
 impl EffectModel {
     /// Infer effects for every call-graph fn, callees first.
-    pub fn build(ws: &Workspace, graph: &CallGraph<'_>) -> EffectModel {
+    pub fn build(ws: &Workspace<'_>, graph: &CallGraph<'_>) -> EffectModel {
         let n = graph.fns.len();
         let mut fs_unsanctioned = vec![false; n];
         for (i, node) in graph.fns.iter().enumerate() {
@@ -129,7 +129,7 @@ impl EffectModel {
 /// Run the `F1` pass: unsanctioned filesystem I/O at loop depth ≥ 1 in
 /// hot-set fns outside the journal/shard layer.
 pub fn check_effects(
-    ws: &Workspace,
+    ws: &Workspace<'_>,
     graph: &CallGraph<'_>,
     model: &CostModel,
     effects: &EffectModel,
@@ -142,9 +142,9 @@ pub fn check_effects(
         let Some(file) = ws.files.get(node.file) else {
             continue;
         };
-        let resolved_fs = |call: &CallSite| -> Option<String> {
+        let resolved_fs = |call: &CallSite<'_>| -> Option<String> {
             if is_fs_call(call) {
-                return Some(call.name.clone());
+                return Some(call.name.to_string());
             }
             match graph.resolve(node.file, node.self_ty, call) {
                 Resolution::Fns(ids) => ids
@@ -165,7 +165,7 @@ pub fn check_effects(
             findings.push(Finding::at(
                 "F1",
                 Severity::Warn,
-                &file.parsed.rel_path,
+                file.parsed.rel_path,
                 call.line,
                 call.col,
                 format!(
@@ -187,12 +187,8 @@ pub fn check_effects(
 mod tests {
     use super::*;
 
-    fn ws(files: &[(&str, &str)]) -> Workspace {
-        let owned: Vec<(String, String)> = files
-            .iter()
-            .map(|(p, s)| (p.to_string(), s.to_string()))
-            .collect();
-        Workspace::build(&owned)
+    fn ws<'a>(files: &'a [(&'a str, &'a str)]) -> Workspace<'a> {
+        Workspace::build(files)
     }
 
     fn f1_findings(files: &[(&str, &str)]) -> Vec<Finding> {

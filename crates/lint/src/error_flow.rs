@@ -26,13 +26,13 @@ use crate::graph::Workspace;
 use crate::parser::Discard;
 
 /// Run the `E1` pass over an analyzed workspace.
-pub fn check_error_flow(ws: &Workspace) -> Vec<Finding> {
+pub fn check_error_flow(ws: &Workspace<'_>) -> Vec<Finding> {
     let graph = CallGraph::build(ws);
     check_with_graph(ws, &graph)
 }
 
 /// `E1` against a prebuilt call graph (shared with the `X1` pass).
-pub fn check_with_graph(ws: &Workspace, graph: &CallGraph<'_>) -> Vec<Finding> {
+pub fn check_with_graph(ws: &Workspace<'_>, graph: &CallGraph<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
     for node in &graph.fns {
         let Some(file) = ws.files.get(node.file) else {
@@ -46,7 +46,7 @@ pub fn check_with_graph(ws: &Workspace, graph: &CallGraph<'_>) -> Vec<Finding> {
                 findings.push(Finding::at(
                     "E1",
                     Severity::Warn,
-                    &file.parsed.rel_path,
+                    file.parsed.rel_path,
                     call.line,
                     call.col,
                     "`.ok()` whose value is immediately dropped swallows the error; \
@@ -72,7 +72,7 @@ pub fn check_with_graph(ws: &Workspace, graph: &CallGraph<'_>) -> Vec<Finding> {
             findings.push(Finding::at(
                 "E1",
                 Severity::Warn,
-                &file.parsed.rel_path,
+                file.parsed.rel_path,
                 call.line,
                 call.col,
                 format!(
@@ -91,12 +91,8 @@ pub fn check_with_graph(ws: &Workspace, graph: &CallGraph<'_>) -> Vec<Finding> {
 mod tests {
     use super::*;
 
-    fn ws(files: &[(&str, &str)]) -> Workspace {
-        let owned: Vec<(String, String)> = files
-            .iter()
-            .map(|(p, s)| (p.to_string(), s.to_string()))
-            .collect();
-        Workspace::build(&owned)
+    fn ws<'a>(files: &'a [(&'a str, &'a str)]) -> Workspace<'a> {
+        Workspace::build(files)
     }
 
     const FALLIBLE_DEF: (&str, &str) = (

@@ -6,7 +6,7 @@
 //! closures, struct literals, and macro invocations. The CFG builder
 //! ([`crate::cfg`]) and the dataflow rules (`X1`, `D3`) consume this AST;
 //! the legacy [`crate::parser::CallSite`] list is *derived* from it (see
-//! [`collect_calls`]), so the statement-level consumers (`E1`, `K1`) keep
+//! `collect_calls`), so the statement-level consumers (`E1`, `K1`) keep
 //! their exact semantics.
 //!
 //! The lexer emits multi-byte operators as consecutive single-byte
@@ -23,20 +23,23 @@
 
 use crate::lexer::{Token, TokenKind};
 use crate::parser::{CallSite, Discard};
+use std::borrow::Cow;
 
-/// One statement inside a fn body or block.
+/// One statement inside a fn body or block. Like every node of the
+/// tree, it borrows its names, type tokens and literals from the source
+/// text (`'src`): a parse allocates per node, never per name.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+pub enum Stmt<'src> {
     /// `let pat[: ty] [= init] [else { .. }];`
     Let {
         /// Bound pattern.
-        pat: Pat,
+        pat: Pat<'src>,
         /// Declared type tokens (empty when inferred).
-        ty: Vec<String>,
+        ty: Vec<&'src str>,
         /// Initializer expression, when present.
-        init: Option<Expr>,
+        init: Option<Expr<'src>>,
         /// `let .. else` diverging block.
-        else_block: Option<Vec<Stmt>>,
+        else_block: Option<Vec<Stmt<'src>>>,
         /// 1-based line of the `let` keyword.
         line: u32,
         /// 1-based column of the `let` keyword.
@@ -45,7 +48,7 @@ pub enum Stmt {
     /// An expression statement; `semi` records a trailing `;`.
     Expr {
         /// The expression.
-        expr: Expr,
+        expr: Expr<'src>,
         /// Whether the statement ends with `;` (value dropped).
         semi: bool,
     },
@@ -53,9 +56,9 @@ pub enum Stmt {
 
 /// One expression node.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Expr {
+pub struct Expr<'src> {
     /// Shape and children.
-    pub kind: ExprKind,
+    pub kind: ExprKind<'src>,
     /// 1-based line of the expression's first token.
     pub line: u32,
     /// 1-based column of the expression's first token.
@@ -72,199 +75,199 @@ pub struct Expr {
 /// lowered structurally by the CFG builder; everything else is a leaf or
 /// an operator node the rule walkers descend through.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ExprKind {
+pub enum ExprKind<'src> {
     /// A (possibly qualified) path: `x`, `self`, `Url::parse`.
-    Path(Vec<String>),
+    Path(Vec<&'src str>),
     /// Number, string, char, or bool literal.
-    Lit(String),
+    Lit(&'src str),
     /// Prefix operator: `-x`, `!x`, `*x`.
     Unary {
         /// Operator byte (`-`, `!`, `*`).
         op: char,
         /// Operand.
-        operand: Box<Expr>,
+        operand: Box<Expr<'src>>,
     },
     /// `&expr` / `&mut expr`.
     Ref {
         /// True for `&mut`.
         mutable: bool,
         /// Referent.
-        operand: Box<Expr>,
+        operand: Box<Expr<'src>>,
     },
     /// Infix operator (`+`, `==`, `&&`, `<<`, ...).
     Binary {
-        /// Operator text.
-        op: String,
+        /// Operator text (a multi-byte operator comes from a fixed table).
+        op: &'src str,
         /// Left operand.
-        lhs: Box<Expr>,
+        lhs: Box<Expr<'src>>,
         /// Right operand.
-        rhs: Box<Expr>,
+        rhs: Box<Expr<'src>>,
     },
     /// `lhs = rhs`, `lhs += rhs`, ...
     Assign {
         /// Operator text (`=`, `+=`, ...).
-        op: String,
+        op: &'src str,
         /// Assignee.
-        lhs: Box<Expr>,
+        lhs: Box<Expr<'src>>,
         /// Value.
-        rhs: Box<Expr>,
+        rhs: Box<Expr<'src>>,
     },
     /// `expr as Ty`.
     Cast {
         /// Value being cast.
-        operand: Box<Expr>,
+        operand: Box<Expr<'src>>,
         /// Target type tokens.
-        ty: Vec<String>,
+        ty: Vec<&'src str>,
     },
     /// `callee(args)`.
     Call {
         /// Callee (usually a `Path`).
-        callee: Box<Expr>,
+        callee: Box<Expr<'src>>,
         /// Arguments.
-        args: Vec<Expr>,
+        args: Vec<Expr<'src>>,
     },
     /// `recv.name::<T>(args)`.
     MethodCall {
         /// Receiver.
-        recv: Box<Expr>,
+        recv: Box<Expr<'src>>,
         /// Method name.
-        name: String,
+        name: &'src str,
         /// Turbofish type tokens (empty when absent).
-        turbofish: Vec<String>,
+        turbofish: Vec<&'src str>,
         /// Arguments.
-        args: Vec<Expr>,
+        args: Vec<Expr<'src>>,
     },
     /// `name!(args)` / `path::name![..]` / `name!{..}`.
     MacroCall {
         /// Macro path.
-        path: Vec<String>,
+        path: Vec<&'src str>,
         /// Arguments that parsed as expressions (others become `Unknown`).
-        args: Vec<Expr>,
+        args: Vec<Expr<'src>>,
         /// Identifiers captured by `{ident}` holes in a leading format
         /// string literal argument.
-        captures: Vec<String>,
+        captures: Vec<&'src str>,
     },
     /// `base.field` / `base.0` / `base.await`.
     Field {
         /// Base expression.
-        base: Box<Expr>,
+        base: Box<Expr<'src>>,
         /// Field name (tuple indices as digits; `await` for awaits).
-        name: String,
+        name: &'src str,
     },
     /// `base[index]`.
     Index {
         /// Indexed expression.
-        base: Box<Expr>,
+        base: Box<Expr<'src>>,
         /// Index expression.
-        index: Box<Expr>,
+        index: Box<Expr<'src>>,
     },
     /// `expr?`.
     Try {
         /// Fallible operand.
-        operand: Box<Expr>,
+        operand: Box<Expr<'src>>,
     },
     /// `lo..hi` / `lo..=hi` with either side optional.
     Range {
         /// Lower bound.
-        lo: Option<Box<Expr>>,
+        lo: Option<Box<Expr<'src>>>,
         /// Upper bound.
-        hi: Option<Box<Expr>>,
+        hi: Option<Box<Expr<'src>>>,
         /// True for `..=`.
         inclusive: bool,
     },
     /// `(a, b, ..)` — a 1-tuple of parens yields the inner expression
     /// instead.
-    Tuple(Vec<Expr>),
+    Tuple(Vec<Expr<'src>>),
     /// `[a, b, ..]`.
-    Array(Vec<Expr>),
+    Array(Vec<Expr<'src>>),
     /// `[elem; len]`.
     Repeat {
         /// Element expression.
-        elem: Box<Expr>,
+        elem: Box<Expr<'src>>,
         /// Length expression.
-        len: Box<Expr>,
+        len: Box<Expr<'src>>,
     },
     /// `Path { field: expr, .. }`.
     StructLit {
         /// Struct path.
-        path: Vec<String>,
+        path: Vec<&'src str>,
         /// Field initializers (shorthand `field` becomes `field: field`).
-        fields: Vec<(String, Expr)>,
+        fields: Vec<(&'src str, Expr<'src>)>,
         /// `..base` functional-update expression.
-        rest: Option<Box<Expr>>,
+        rest: Option<Box<Expr<'src>>>,
     },
     /// `{ stmts }` (including `unsafe { .. }`).
-    Block(Vec<Stmt>),
+    Block(Vec<Stmt<'src>>),
     /// `if cond { .. } [else ..]`.
     If {
         /// Condition.
-        cond: Box<Expr>,
+        cond: Box<Expr<'src>>,
         /// Then-block statements.
-        then_block: Vec<Stmt>,
+        then_block: Vec<Stmt<'src>>,
         /// Else expression (`Block` or chained `If`).
-        else_expr: Option<Box<Expr>>,
+        else_expr: Option<Box<Expr<'src>>>,
     },
     /// `if let pat = scrutinee { .. } [else ..]`.
     IfLet {
         /// Matched pattern.
-        pat: Pat,
+        pat: Pat<'src>,
         /// Matched value.
-        scrutinee: Box<Expr>,
+        scrutinee: Box<Expr<'src>>,
         /// Then-block statements.
-        then_block: Vec<Stmt>,
+        then_block: Vec<Stmt<'src>>,
         /// Else expression.
-        else_expr: Option<Box<Expr>>,
+        else_expr: Option<Box<Expr<'src>>>,
     },
     /// `while cond { .. }`.
     While {
         /// Condition.
-        cond: Box<Expr>,
+        cond: Box<Expr<'src>>,
         /// Body statements.
-        body: Vec<Stmt>,
+        body: Vec<Stmt<'src>>,
     },
     /// `while let pat = scrutinee { .. }`.
     WhileLet {
         /// Matched pattern.
-        pat: Pat,
+        pat: Pat<'src>,
         /// Matched value.
-        scrutinee: Box<Expr>,
+        scrutinee: Box<Expr<'src>>,
         /// Body statements.
-        body: Vec<Stmt>,
+        body: Vec<Stmt<'src>>,
     },
     /// `for pat in iter { .. }`.
     For {
         /// Loop binding.
-        pat: Pat,
+        pat: Pat<'src>,
         /// Iterated expression.
-        iter: Box<Expr>,
+        iter: Box<Expr<'src>>,
         /// Body statements.
-        body: Vec<Stmt>,
+        body: Vec<Stmt<'src>>,
     },
     /// `loop { .. }`.
     Loop {
         /// Body statements.
-        body: Vec<Stmt>,
+        body: Vec<Stmt<'src>>,
     },
     /// `match scrutinee { arms }`.
     Match {
         /// Matched value.
-        scrutinee: Box<Expr>,
+        scrutinee: Box<Expr<'src>>,
         /// Arms in source order.
-        arms: Vec<Arm>,
+        arms: Vec<Arm<'src>>,
     },
     /// `|params| body` / `move |params| body`.
     Closure {
         /// True for `move` closures.
         moves: bool,
         /// Parameter patterns.
-        params: Vec<Pat>,
+        params: Vec<Pat<'src>>,
         /// Body expression.
-        body: Box<Expr>,
+        body: Box<Expr<'src>>,
     },
     /// `return [expr]`.
-    Return(Option<Box<Expr>>),
+    Return(Option<Box<Expr<'src>>>),
     /// `break ['label] [expr]`.
-    Break(Option<Box<Expr>>),
+    Break(Option<Box<Expr<'src>>>),
     /// `continue ['label]`.
     Continue,
     /// Token run the parser could not shape (tolerant recovery).
@@ -273,67 +276,68 @@ pub enum ExprKind {
 
 /// One match arm: `pat | pat if guard => body`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Arm {
+pub struct Arm<'src> {
     /// Arm pattern (alternatives folded into [`Pat::Or`]).
-    pub pat: Pat,
+    pub pat: Pat<'src>,
     /// Guard expression after `if`, when present.
-    pub guard: Option<Expr>,
+    pub guard: Option<Expr<'src>>,
     /// Arm body.
-    pub body: Expr,
+    pub body: Expr<'src>,
 }
 
 /// Patterns, at the resolution the dataflow rules need: which names a
 /// pattern binds, plus enough structure to walk tuples and variants.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Pat {
+pub enum Pat<'src> {
     /// `_`.
     Wild,
     /// A binding: `x`, `ref x`, `mut x`, `x @ sub`.
     Ident {
         /// Bound name.
-        name: String,
+        name: &'src str,
         /// True for `ref` bindings.
         by_ref: bool,
         /// True for `mut` bindings.
         mutable: bool,
     },
     /// A unit path pattern: `None`, `Sector::Web`, `true`.
-    Path(Vec<String>),
-    /// A literal pattern (including literal ranges).
-    Lit(String),
+    Path(Vec<&'src str>),
+    /// A literal pattern (including literal ranges); a negative literal
+    /// keeps only its number token.
+    Lit(&'src str),
     /// `(a, b)`.
-    Tuple(Vec<Pat>),
+    Tuple(Vec<Pat<'src>>),
     /// `Variant(a, b)`.
     TupleStruct {
         /// Variant path.
-        path: Vec<String>,
+        path: Vec<&'src str>,
         /// Element patterns.
-        elems: Vec<Pat>,
+        elems: Vec<Pat<'src>>,
     },
     /// `Struct { field: pat, .. }`.
     Struct {
         /// Struct path.
-        path: Vec<String>,
+        path: Vec<&'src str>,
         /// Field patterns (shorthand `field` binds `field`).
-        fields: Vec<(String, Pat)>,
+        fields: Vec<(&'src str, Pat<'src>)>,
     },
     /// `[a, b, ..]`.
-    Slice(Vec<Pat>),
+    Slice(Vec<Pat<'src>>),
     /// `&pat` / `&mut pat`.
-    Ref(Box<Pat>),
+    Ref(Box<Pat<'src>>),
     /// `a | b` alternatives.
-    Or(Vec<Pat>),
+    Or(Vec<Pat<'src>>),
     /// `..` rest.
     Rest,
     /// Unrecognized pattern tokens.
     Unknown,
 }
 
-impl Pat {
+impl<'src> Pat<'src> {
     /// All names this pattern binds, in source order.
-    pub fn bound_names(&self, out: &mut Vec<String>) {
+    pub fn bound_names(&self, out: &mut Vec<&'src str>) {
         match self {
-            Pat::Ident { name, .. } => out.push(name.clone()),
+            Pat::Ident { name, .. } => out.push(name),
             Pat::Tuple(elems) | Pat::Slice(elems) | Pat::Or(elems) => {
                 for p in elems {
                     p.bound_names(out);
@@ -355,17 +359,33 @@ impl Pat {
     }
 }
 
-impl Expr {
+impl<'src> Expr<'src> {
     /// The plain dotted path of this expression when it is a chain of
     /// `Path`/`Field` over identifiers (`self.metrics` →
     /// `["self", "metrics"]`); `None` when any link is computed.
-    pub fn plain_path(&self) -> Option<Vec<String>> {
+    pub fn plain_path(&self) -> Option<Vec<&'src str>> {
         match &self.kind {
             ExprKind::Path(segs) => Some(segs.clone()),
             ExprKind::Field { base, name } => {
                 let mut segs = base.plain_path()?;
-                segs.push(name.clone());
+                segs.push(name);
                 Some(segs)
+            }
+            _ => None,
+        }
+    }
+
+    /// The dotted place this expression names (`xs`, `self.goto`) when it
+    /// is a plain path: a single identifier stays borrowed, a longer path
+    /// is joined once.
+    pub(crate) fn dotted_place(&self) -> Option<Cow<'src, str>> {
+        match &self.kind {
+            ExprKind::Path(segs) => Some(match *segs.as_slice() {
+                [one] => Cow::Borrowed(one),
+                _ => Cow::Owned(segs.join(".")),
+            }),
+            ExprKind::Field { base, name } => {
+                Some(Cow::Owned(format!("{}.{name}", base.dotted_place()?)))
             }
             _ => None,
         }
@@ -406,12 +426,12 @@ const STOP_WORDS: &[&str] = &[
 
 /// Parse the body token range `[start, end)` (inside the braces) into
 /// statements. `sig`/`texts` are the file's significant tokens.
-pub(crate) fn parse_body<'a>(
-    sig: &[&Token<'a>],
-    texts: &[&'a str],
+pub(crate) fn parse_body<'src>(
+    sig: &[&Token<'src>],
+    texts: &[&'src str],
     start: usize,
     end: usize,
-) -> Vec<Stmt> {
+) -> Vec<Stmt<'src>> {
     let mut p = BodyParser {
         sig,
         texts,
@@ -478,8 +498,9 @@ impl<'a, 'b> BodyParser<'a, 'b> {
 
     /// Maximal-munch operator at the cursor: joins source-adjacent
     /// `Punct` tokens into one operator text, returning it with its token
-    /// length. Returns `None` for non-punctuation.
-    fn op_ahead(&self) -> Option<(String, usize)> {
+    /// length. A joined operator comes from [`MULTI_OPS`]; a single byte
+    /// is the token itself. Returns `None` for non-punctuation.
+    fn op_ahead(&self) -> Option<(&'b str, usize)> {
         if self.kind_at(self.pos) != Some(TokenKind::Punct) {
             return None;
         }
@@ -494,39 +515,25 @@ impl<'a, 'b> BodyParser<'a, 'b> {
         } else {
             ""
         };
-        let three = format!("{a}{b}{c}");
-        if matches!(three.as_str(), "..=" | "<<=" | ">>=") {
-            return Some((three, 3));
+        let joined = |len: usize, parts: &[&str]| {
+            MULTI_OPS.iter().copied().find(|op| {
+                op.len() == len
+                    && parts
+                        .iter()
+                        .zip(op.as_bytes())
+                        .all(|(p, &byte)| p.as_bytes() == [byte])
+            })
+        };
+        if let Some(op) = joined(3, &[a, b, c]) {
+            return Some((op, 3));
         }
-        let two = format!("{a}{b}");
-        if matches!(
-            two.as_str(),
-            "&&" | "||"
-                | "=="
-                | "!="
-                | "<="
-                | ">="
-                | "+="
-                | "-="
-                | "*="
-                | "/="
-                | "%="
-                | "^="
-                | "&="
-                | "|="
-                | "<<"
-                | ">>"
-                | "->"
-                | "=>"
-                | "::"
-                | ".."
-        ) {
-            return Some((two, 2));
+        if let Some(op) = joined(2, &[a, b]) {
+            return Some((op, 2));
         }
-        Some((a.to_string(), 1))
+        Some((a, 1))
     }
 
-    fn expr_at(&self, start: usize, kind: ExprKind) -> Expr {
+    fn expr_at(&self, start: usize, kind: ExprKind<'b>) -> Expr<'b> {
         let (line, col) = self.pos_of(start);
         Expr {
             kind,
@@ -538,7 +545,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
     }
 
     /// Parse statements up to the region end or a `}` at this level.
-    fn parse_stmts(&mut self) -> Vec<Stmt> {
+    fn parse_stmts(&mut self) -> Vec<Stmt<'b>> {
         let mut stmts = Vec::new();
         while !self.done() && self.cur() != "}" {
             let before = self.pos;
@@ -650,17 +657,17 @@ impl<'a, 'b> BodyParser<'a, 'b> {
         }
     }
 
-    fn parse_let(&mut self) -> Stmt {
+    fn parse_let(&mut self) -> Stmt<'b> {
         let (line, col) = self.pos_of(self.pos);
         self.pos += 1; // let
         let pat = self.parse_pat(true);
         let mut ty = Vec::new();
-        if self.cur() == ":" && self.op_ahead().map(|(op, _)| op) == Some(":".to_string()) {
+        if self.cur() == ":" && self.op_ahead().map(|(op, _)| op) == Some(":") {
             self.pos += 1;
             ty = self.scan_type(&["=", ";"]);
         }
         let mut init = None;
-        if self.cur() == "=" && self.op_ahead().map(|(op, _)| op) == Some("=".to_string()) {
+        if self.cur() == "=" && self.op_ahead().map(|(op, _)| op) == Some("=") {
             self.pos += 1;
             init = Some(self.parse_expr(0, false));
         }
@@ -685,14 +692,14 @@ impl<'a, 'b> BodyParser<'a, 'b> {
     /// Collect type tokens until one of `stops` at bracket/angle depth 0;
     /// `->` inside `Fn(..) -> T` is tolerated. Cursor stops on the stop
     /// token (or an enclosing closer).
-    fn scan_type(&mut self, stops: &[&str]) -> Vec<String> {
+    fn scan_type(&mut self, stops: &[&str]) -> Vec<&'b str> {
         let mut out = Vec::new();
         let mut angle = 0i32;
         let mut group = 0i32;
         while !self.done() {
             let t = self.cur();
             if t == "-" && self.adjacent(self.pos) && self.peek(1) == ">" {
-                out.push("->".to_string());
+                out.push("->");
                 self.pos += 2;
                 continue;
             }
@@ -717,7 +724,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
                 ";" | "=" if group == 0 && angle == 0 => break,
                 _ => {}
             }
-            out.push(t.to_string());
+            out.push(t);
             self.pos += 1;
         }
         out
@@ -726,7 +733,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
     /// Parse one expression with operator precedence (`min_bp` is the
     /// minimum binding power; `no_struct` suppresses struct literals, as
     /// in condition position).
-    fn parse_expr(&mut self, min_bp: u8, no_struct: bool) -> Expr {
+    fn parse_expr(&mut self, min_bp: u8, no_struct: bool) -> Expr<'b> {
         if self.depth >= MAX_DEPTH {
             let start = self.pos;
             match self.cur() {
@@ -741,7 +748,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
         e
     }
 
-    fn parse_expr_inner(&mut self, min_bp: u8, no_struct: bool) -> Expr {
+    fn parse_expr_inner(&mut self, min_bp: u8, no_struct: bool) -> Expr<'b> {
         let mut lhs = self.parse_prefix(no_struct);
         loop {
             if self.done() {
@@ -822,7 +829,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
             let Some((op, len)) = self.op_ahead() else {
                 break;
             };
-            let Some((l_bp, r_bp)) = infix_binding(&op) else {
+            let Some((l_bp, r_bp)) = infix_binding(op) else {
                 break;
             };
             if l_bp < min_bp {
@@ -848,7 +855,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
             }
             let rhs = self.parse_expr(r_bp, no_struct);
             let start = lhs.tok;
-            let kind = if op == "=" || op.len() == 2 && op.ends_with('=') && is_compound_assign(&op)
+            let kind = if op == "=" || op.len() == 2 && op.ends_with('=') && is_compound_assign(op)
             {
                 ExprKind::Assign {
                     op,
@@ -882,18 +889,13 @@ impl<'a, 'b> BodyParser<'a, 'b> {
     }
 
     /// Parse `.name`, `.name(..)`, `.name::<T>(..)`, `.0`, `.await`.
-    fn parse_postfix_dot(&mut self, base: Expr) -> Expr {
+    fn parse_postfix_dot(&mut self, base: Expr<'b>) -> Expr<'b> {
         let start = base.tok;
         self.pos += 1; // .
         let name_tok = self.pos;
         let name = match self.kind_at(self.pos) {
-            Some(TokenKind::Ident) => {
-                let n = self.cur().to_string();
-                self.pos += 1;
-                n
-            }
-            Some(TokenKind::Number) => {
-                let n = self.cur().to_string();
+            Some(TokenKind::Ident | TokenKind::Number) => {
+                let n = self.cur();
                 self.pos += 1;
                 n
             }
@@ -902,7 +904,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
                     start,
                     ExprKind::Field {
                         base: Box::new(base),
-                        name: String::new(),
+                        name: "",
                     },
                 );
             }
@@ -944,7 +946,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
     /// Consume a `<..>` generic-argument list (cursor on `<`), returning
     /// its inner token texts. Single-byte `>` tokens close one level each,
     /// which is exactly how `Vec<Vec<u32>>` splits its `>>`.
-    fn scan_generic_args(&mut self) -> Vec<String> {
+    fn scan_generic_args(&mut self) -> Vec<&'b str> {
         let mut out = Vec::new();
         if self.cur() != "<" {
             return out;
@@ -954,7 +956,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
         while !self.done() {
             let t = self.cur();
             if t == "-" && self.adjacent(self.pos) && self.peek(1) == ">" {
-                out.push("->".to_string());
+                out.push("->");
                 self.pos += 2;
                 continue;
             }
@@ -972,21 +974,21 @@ impl<'a, 'b> BodyParser<'a, 'b> {
                     let before = self.pos;
                     self.skip_balanced();
                     for i in before..self.pos {
-                        out.push(self.at(i).to_string());
+                        out.push(self.at(i));
                     }
                     continue;
                 }
                 ";" | "{" | "}" => return out, // malformed: bail
                 _ => {}
             }
-            out.push(t.to_string());
+            out.push(t);
             self.pos += 1;
         }
         out
     }
 
     /// Parse a parenthesized argument list with the cursor on `(`.
-    fn parse_paren_args(&mut self) -> Vec<Expr> {
+    fn parse_paren_args(&mut self) -> Vec<Expr<'b>> {
         let mut args = Vec::new();
         if self.cur() != "(" {
             return args;
@@ -1009,7 +1011,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
 
     /// Parse a `{ .. }` block with the cursor on `{`; returns its
     /// statements with the cursor past the closing `}`.
-    fn parse_block(&mut self) -> Vec<Stmt> {
+    fn parse_block(&mut self) -> Vec<Stmt<'b>> {
         if self.cur() != "{" {
             return Vec::new();
         }
@@ -1021,7 +1023,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
         stmts
     }
 
-    fn parse_prefix(&mut self, no_struct: bool) -> Expr {
+    fn parse_prefix(&mut self, no_struct: bool) -> Expr<'b> {
         let start = self.pos;
         if self.done() {
             return self.expr_at(start, ExprKind::Unknown);
@@ -1204,7 +1206,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
             }
             _ => match self.kind_at(self.pos) {
                 Some(TokenKind::Number) | Some(TokenKind::Literal) => {
-                    let text = self.cur().to_string();
+                    let text = self.cur();
                     self.pos += 1;
                     self.expr_at(start, ExprKind::Lit(text))
                 }
@@ -1236,7 +1238,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
     }
 
     /// Parse `|params| body` with the cursor on `|` (or just past `move`).
-    fn parse_closure(&mut self, start: usize, moves: bool) -> Expr {
+    fn parse_closure(&mut self, start: usize, moves: bool) -> Expr<'b> {
         let mut params = Vec::new();
         // `||` adjacent = empty parameter list.
         if self.cur() == "|" && self.adjacent(self.pos) && self.peek(1) == "|" {
@@ -1276,7 +1278,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
         )
     }
 
-    fn parse_if(&mut self, start: usize) -> Expr {
+    fn parse_if(&mut self, start: usize) -> Expr<'b> {
         self.pos += 1; // if
         if self.cur() == "let" {
             self.pos += 1;
@@ -1310,7 +1312,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
         )
     }
 
-    fn parse_else(&mut self) -> Option<Box<Expr>> {
+    fn parse_else(&mut self) -> Option<Box<Expr<'b>>> {
         if self.cur() != "else" {
             return None;
         }
@@ -1324,7 +1326,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
         }
     }
 
-    fn parse_while(&mut self, start: usize) -> Expr {
+    fn parse_while(&mut self, start: usize) -> Expr<'b> {
         self.pos += 1; // while
         if self.cur() == "let" {
             self.pos += 1;
@@ -1354,7 +1356,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
         )
     }
 
-    fn parse_for(&mut self, start: usize) -> Expr {
+    fn parse_for(&mut self, start: usize) -> Expr<'b> {
         self.pos += 1; // for
         let pat = self.parse_pat(true);
         if self.cur() == "in" {
@@ -1372,7 +1374,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
         )
     }
 
-    fn parse_match(&mut self, start: usize) -> Expr {
+    fn parse_match(&mut self, start: usize) -> Expr<'b> {
         self.pos += 1; // match
         let scrutinee = self.parse_expr(0, true);
         let mut arms = Vec::new();
@@ -1415,13 +1417,13 @@ impl<'a, 'b> BodyParser<'a, 'b> {
 
     /// Parse a path-rooted expression: path, turbofish call, macro call,
     /// or struct literal.
-    fn parse_path_expr(&mut self, start: usize, no_struct: bool) -> Expr {
+    fn parse_path_expr(&mut self, start: usize, no_struct: bool) -> Expr<'b> {
         let mut segs = Vec::new();
         let mut last_seg_tok = self.pos;
         while let Some(TokenKind::Ident) = self.kind_at(self.pos) {
             let raw = self.cur();
             last_seg_tok = self.pos;
-            segs.push(raw.strip_prefix("r#").unwrap_or(raw).to_string());
+            segs.push(raw.strip_prefix("r#").unwrap_or(raw));
             self.pos += 1;
             // `::` continuation (segment or turbofish).
             if self.cur() == ":" && self.adjacent(self.pos) && self.peek(1) == ":" {
@@ -1450,7 +1452,8 @@ impl<'a, 'b> BodyParser<'a, 'b> {
         if self.cur() == "!" && matches!(self.peek(1), "(" | "[" | "{") {
             self.pos += 1;
             let delim = self.cur();
-            let (args, captures) = self.parse_macro_args(delim);
+            let matches = segs.last() == Some(&"matches");
+            let (args, captures) = self.parse_macro_args(delim, matches);
             let mut e = self.expr_at(
                 start,
                 ExprKind::MacroCall {
@@ -1490,7 +1493,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
     }
 
     /// Parse `{ field: expr, field, ..rest }` with the cursor on `{`.
-    fn parse_struct_lit_body(&mut self) -> (Vec<(String, Expr)>, Option<Box<Expr>>) {
+    fn parse_struct_lit_body(&mut self) -> StructLitBody<'b> {
         let mut fields = Vec::new();
         let mut rest = None;
         self.pos += 1; // {
@@ -1505,7 +1508,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
                 continue;
             }
             if self.kind_at(self.pos) == Some(TokenKind::Ident) {
-                let name = self.cur().to_string();
+                let name = self.cur();
                 let name_tok = self.pos;
                 self.pos += 1;
                 if self.cur() == ":" && !(self.adjacent(self.pos) && self.peek(1) == ":") {
@@ -1514,7 +1517,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
                     fields.push((name, value));
                 } else {
                     // Shorthand `field` — value is the same-named path.
-                    let mut value = self.expr_at(name_tok, ExprKind::Path(vec![name.clone()]));
+                    let mut value = self.expr_at(name_tok, ExprKind::Path(vec![name]));
                     value.name_tok = name_tok;
                     fields.push((name, value));
                 }
@@ -1532,8 +1535,10 @@ impl<'a, 'b> BodyParser<'a, 'b> {
     /// Parse macro arguments. For `(`/`[` delimiters the contents are
     /// comma-separated expressions (tolerantly); `{}` bodies are skipped.
     /// A leading string-literal argument contributes its `{ident}`
-    /// capture names.
-    fn parse_macro_args(&mut self, delim: &str) -> (Vec<Expr>, Vec<String>) {
+    /// capture names. For `matches!` (`matches`) the second argument is a
+    /// pattern, parsed as one and not kept (it is matched, not
+    /// evaluated); its `if` guard is kept as an argument.
+    fn parse_macro_args(&mut self, delim: &str, matches: bool) -> (Vec<Expr<'b>>, Vec<&'b str>) {
         let mut args = Vec::new();
         let mut captures = Vec::new();
         let close = match delim {
@@ -1545,15 +1550,25 @@ impl<'a, 'b> BodyParser<'a, 'b> {
             }
         };
         self.pos += 1;
+        let mut index = 0;
         while !self.done() && self.cur() != close {
             let before = self.pos;
-            let arg = self.parse_expr(0, false);
-            if let ExprKind::Lit(text) = &arg.kind {
-                if text.starts_with('"') || text.starts_with("r\"") || text.starts_with("r#") {
-                    captures.extend(format_captures(text));
+            if matches && index == 1 {
+                self.parse_pat(true);
+                if self.cur() == "if" {
+                    self.pos += 1;
+                    args.push(self.parse_expr(0, false));
                 }
+            } else {
+                let arg = self.parse_expr(0, false);
+                if let ExprKind::Lit(text) = arg.kind {
+                    if text.starts_with('"') || text.starts_with("r\"") || text.starts_with("r#") {
+                        format_captures(text, &mut captures);
+                    }
+                }
+                args.push(arg);
             }
-            args.push(arg);
+            index += 1;
             if self.cur() == "," || self.pos == before {
                 self.pos += 1;
             }
@@ -1567,7 +1582,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
     /// Parse one pattern. `allow_or` permits top-level `|` alternatives
     /// (match arms, `let`); closure parameters must not eat their closing
     /// `|`.
-    fn parse_pat(&mut self, allow_or: bool) -> Pat {
+    fn parse_pat(&mut self, allow_or: bool) -> Pat<'b> {
         if self.depth >= MAX_DEPTH {
             self.pos += 1;
             return Pat::Unknown;
@@ -1586,7 +1601,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
         first
     }
 
-    fn parse_pat_single(&mut self) -> Pat {
+    fn parse_pat_single(&mut self) -> Pat<'b> {
         // Leading `|` in or-patterns.
         match self.cur() {
             "_" => {
@@ -1633,7 +1648,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
                     self.kind_at(self.pos),
                     Some(TokenKind::Number) | Some(TokenKind::Literal)
                 ) {
-                    let text = format!("-{}", self.cur());
+                    let text = self.cur();
                     self.pos += 1;
                     self.consume_range_pat_tail();
                     return Pat::Lit(text);
@@ -1644,7 +1659,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
         }
         match self.kind_at(self.pos) {
             Some(TokenKind::Number) | Some(TokenKind::Literal) => {
-                let text = self.cur().to_string();
+                let text = self.cur();
                 self.pos += 1;
                 self.consume_range_pat_tail();
                 Pat::Lit(text)
@@ -1673,7 +1688,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
         }
     }
 
-    fn parse_pat_path(&mut self) -> Pat {
+    fn parse_pat_path(&mut self) -> Pat<'b> {
         let mut by_ref = false;
         let mut mutable = false;
         loop {
@@ -1698,7 +1713,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
                 break;
             }
             let raw = self.cur();
-            segs.push(raw.strip_prefix("r#").unwrap_or(raw).to_string());
+            segs.push(raw.strip_prefix("r#").unwrap_or(raw));
             self.pos += 1;
             if self.cur() == ":"
                 && self.adjacent(self.pos)
@@ -1722,38 +1737,34 @@ impl<'a, 'b> BodyParser<'a, 'b> {
             "@" => {
                 self.pos += 1;
                 let _sub = self.parse_pat_single();
+                // A binding is one identifier; a path before `@` is not
+                // Rust, and binds its last segment.
                 Pat::Ident {
-                    name: segs.join("::"),
+                    name: segs.last().copied().unwrap_or(""),
                     by_ref,
                     mutable,
                 }
             }
-            _ => {
-                let is_binding = segs.len() == 1
-                    && segs
-                        .first()
-                        .map(|s| {
-                            s.bytes()
-                                .next()
-                                .is_some_and(|b| b.is_ascii_lowercase() || b == b'_')
-                        })
-                        .unwrap_or(false);
-                if is_binding {
-                    let name = segs.join("");
+            _ => match segs.as_slice() {
+                [name]
+                    if name
+                        .bytes()
+                        .next()
+                        .is_some_and(|b| b.is_ascii_lowercase() || b == b'_') =>
+                {
                     Pat::Ident {
                         name,
                         by_ref,
                         mutable,
                     }
-                } else {
-                    Pat::Path(segs)
                 }
-            }
+                _ => Pat::Path(segs),
+            },
         }
     }
 
     /// Comma-separated sub-patterns up to `close` (cursor on opener).
-    fn parse_pat_list(&mut self, close: &str) -> Vec<Pat> {
+    fn parse_pat_list(&mut self, close: &str) -> Vec<Pat<'b>> {
         let mut elems = Vec::new();
         self.pos += 1;
         while !self.done() && self.cur() != close {
@@ -1770,7 +1781,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
     }
 
     /// `{ field: pat, field, .. }` body of a struct pattern.
-    fn parse_pat_struct_body(&mut self) -> Vec<(String, Pat)> {
+    fn parse_pat_struct_body(&mut self) -> Vec<(&'b str, Pat<'b>)> {
         let mut fields = Vec::new();
         self.pos += 1; // {
         while !self.done() && self.cur() != "}" {
@@ -1795,7 +1806,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
                 }
             }
             if self.kind_at(self.pos) == Some(TokenKind::Ident) {
-                let name = self.cur().to_string();
+                let name = self.cur();
                 self.pos += 1;
                 if self.cur() == ":" && !(self.adjacent(self.pos) && self.peek(1) == ":") {
                     self.pos += 1;
@@ -1803,7 +1814,7 @@ impl<'a, 'b> BodyParser<'a, 'b> {
                     fields.push((name, pat));
                 } else {
                     fields.push((
-                        name.clone(),
+                        name,
                         Pat::Ident {
                             name,
                             by_ref,
@@ -1822,6 +1833,16 @@ impl<'a, 'b> BodyParser<'a, 'b> {
         fields
     }
 }
+
+/// Field initializers and functional-update base of a struct literal.
+type StructLitBody<'src> = (Vec<(&'src str, Expr<'src>)>, Option<Box<Expr<'src>>>);
+
+/// The operators [`BodyParser::op_ahead`] joins from adjacent
+/// single-byte `Punct` tokens.
+const MULTI_OPS: &[&str] = &[
+    "..=", "<<=", ">>=", "&&", "||", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=", "^=",
+    "&=", "|=", "<<", ">>", "->", "=>", "::", "..",
+];
 
 /// Binding power used for unary operand parsing.
 const UNARY_BP: u8 = 17;
@@ -1881,10 +1902,9 @@ fn is_item_start(t: &str) -> bool {
     )
 }
 
-/// Identifier capture names inside a format string literal (`"{name}"`,
-/// `"{name:?}"`), skipping escaped `{{`.
-fn format_captures(lit: &str) -> Vec<String> {
-    let mut out = Vec::new();
+/// Append the identifier capture names inside a format string literal
+/// (`"{name}"`, `"{name:?}"`), skipping escaped `{{`, as slices of it.
+fn format_captures<'src>(lit: &'src str, out: &mut Vec<&'src str>) {
     let bytes = lit.as_bytes();
     let mut i = 0usize;
     while i < bytes.len() {
@@ -1895,21 +1915,17 @@ fn format_captures(lit: &str) -> Vec<String> {
                 continue;
             }
             let mut j = i + 1;
-            let mut name = String::new();
-            while j < bytes.len() {
-                let c = bytes.get(j).copied().unwrap_or(0);
-                if c.is_ascii_alphanumeric() || c == b'_' {
-                    name.push(c as char);
-                    j += 1;
-                } else {
-                    break;
-                }
+            while bytes
+                .get(j)
+                .is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_')
+            {
+                j += 1;
             }
-            if !name.is_empty()
-                && name
-                    .bytes()
-                    .next()
-                    .is_some_and(|c| c.is_ascii_alphabetic() || c == b'_')
+            let name = lit.get(i + 1..j).unwrap_or("");
+            if name
+                .bytes()
+                .next()
+                .is_some_and(|c| c.is_ascii_alphabetic() || c == b'_')
             {
                 let closes = matches!(bytes.get(j).copied(), Some(b'}') | Some(b':'));
                 if closes {
@@ -1921,7 +1937,6 @@ fn format_captures(lit: &str) -> Vec<String> {
             i += 1;
         }
     }
-    out
 }
 
 /// How a call's statement context discards (or keeps) its value.
@@ -1937,14 +1952,18 @@ enum StmtCtx {
 /// source order; the *outermost* call of a `expr;` statement is a
 /// [`Discard::StmtDrop`], of a `let _ = expr;` statement a
 /// [`Discard::LetUnderscore`]; every other call keeps its value.
-pub(crate) fn collect_calls(body: &[Stmt], sig: &[&Token<'_>]) -> Vec<crate::parser::CallSite> {
-    let mut acc: Vec<(usize, CallSite)> = Vec::new();
+pub(crate) fn collect_calls<'src>(body: &[Stmt<'src>], sig: &[&Token<'_>]) -> Vec<CallSite<'src>> {
+    let mut acc: Vec<(usize, CallSite<'src>)> = Vec::new();
     collect_calls_block(body, sig, &mut acc);
     acc.sort_by_key(|(tok, _)| *tok);
     acc.into_iter().map(|(_, c)| c).collect()
 }
 
-fn collect_calls_block(stmts: &[Stmt], sig: &[&Token<'_>], acc: &mut Vec<(usize, CallSite)>) {
+fn collect_calls_block<'src>(
+    stmts: &[Stmt<'src>],
+    sig: &[&Token<'_>],
+    acc: &mut Vec<(usize, CallSite<'src>)>,
+) {
     for stmt in stmts {
         match stmt {
             Stmt::Let {
@@ -1978,11 +1997,11 @@ fn collect_calls_block(stmts: &[Stmt], sig: &[&Token<'_>], acc: &mut Vec<(usize,
 }
 
 /// Walk one expression; `ctx` applies to the outermost call only.
-fn collect_calls_expr(
-    expr: &Expr,
+fn collect_calls_expr<'src>(
+    expr: &Expr<'src>,
     sig: &[&Token<'_>],
     ctx: StmtCtx,
-    acc: &mut Vec<(usize, CallSite)>,
+    acc: &mut Vec<(usize, CallSite<'src>)>,
 ) {
     match &expr.kind {
         ExprKind::Call { callee, args } => {
@@ -1995,7 +2014,7 @@ fn collect_calls_expr(
                     acc.push((
                         callee.name_tok,
                         CallSite {
-                            name: name.clone(),
+                            name,
                             recv: Vec::new(),
                             path: segs.clone(),
                             is_method: false,
@@ -2023,7 +2042,7 @@ fn collect_calls_expr(
             acc.push((
                 expr.name_tok,
                 CallSite {
-                    name: name.clone(),
+                    name,
                     recv: recv_path,
                     path: Vec::new(),
                     is_method: true,
@@ -2066,7 +2085,7 @@ fn discard_of(ctx: StmtCtx) -> Discard {
 
 /// Visit each direct child *expression* of `expr` (blocks excluded; see
 /// [`child_blocks`]; match guards/bodies handled by callers needing them).
-pub fn for_each_child<'e>(expr: &'e Expr, visit: &mut impl FnMut(&'e Expr)) {
+pub fn for_each_child<'e, 'src>(expr: &'e Expr<'src>, visit: &mut impl FnMut(&'e Expr<'src>)) {
     match &expr.kind {
         ExprKind::Unary { operand, .. }
         | ExprKind::Ref { operand, .. }
@@ -2162,7 +2181,7 @@ pub fn for_each_child<'e>(expr: &'e Expr, visit: &mut impl FnMut(&'e Expr)) {
 
 /// The statement blocks directly owned by `expr` (loop bodies, branch
 /// blocks) — callers recurse into these for whole-tree walks.
-pub fn child_blocks(expr: &Expr) -> Vec<&Vec<Stmt>> {
+pub fn child_blocks<'e, 'src>(expr: &'e Expr<'src>) -> Vec<&'e Vec<Stmt<'src>>> {
     match &expr.kind {
         ExprKind::Block(b) => vec![b],
         ExprKind::If { then_block, .. } => vec![then_block],
@@ -2177,8 +2196,8 @@ pub fn child_blocks(expr: &Expr) -> Vec<&Vec<Stmt>> {
 
 /// Visit every expression in a statement list, descending into nested
 /// blocks and control flow.
-pub fn for_each_expr<'b>(stmts: &'b [Stmt], f: &mut impl FnMut(&'b Expr)) {
-    fn visit<'b>(e: &'b Expr, f: &mut impl FnMut(&'b Expr)) {
+pub fn for_each_expr<'b, 'src>(stmts: &'b [Stmt<'src>], f: &mut impl FnMut(&'b Expr<'src>)) {
+    fn visit<'b, 'src>(e: &'b Expr<'src>, f: &mut impl FnMut(&'b Expr<'src>)) {
         f(e);
         for_each_child(e, &mut |c| visit(c, f));
         for block in child_blocks(e) {
@@ -2205,11 +2224,14 @@ pub fn for_each_expr<'b>(stmts: &'b [Stmt], f: &mut impl FnMut(&'b Expr)) {
 /// Visit every `let` statement (pattern, type annotation, initializer)
 /// in a statement list, including lets inside nested blocks, in source
 /// order.
-pub fn for_each_let<'b>(
-    stmts: &'b [Stmt],
-    f: &mut impl FnMut(&'b Pat, &'b [String], Option<&'b Expr>),
+pub fn for_each_let<'b, 'src>(
+    stmts: &'b [Stmt<'src>],
+    f: &mut impl FnMut(&'b Pat<'src>, &'b [&'src str], Option<&'b Expr<'src>>),
 ) {
-    fn in_expr<'b>(e: &'b Expr, f: &mut impl FnMut(&'b Pat, &'b [String], Option<&'b Expr>)) {
+    fn in_expr<'b, 'src>(
+        e: &'b Expr<'src>,
+        f: &mut impl FnMut(&'b Pat<'src>, &'b [&'src str], Option<&'b Expr<'src>>),
+    ) {
         for_each_child(e, &mut |c| in_expr(c, f));
         for block in child_blocks(e) {
             for_each_let(block, f);

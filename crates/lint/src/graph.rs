@@ -17,40 +17,144 @@ use crate::findings::{Finding, Severity};
 use crate::lexer::{lex, Token, TokenKind};
 use crate::parser::{parse_tokens, Item, ItemKind, ParsedFile};
 use crate::rules::FileClass;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
-/// One source file with everything the graph passes need.
+/// One source file with everything the graph passes need. Every name it
+/// holds borrows the source text (`'src`).
 #[derive(Debug)]
-pub struct AnalyzedFile {
+pub struct AnalyzedFile<'src> {
     /// Parsed item tree.
-    pub parsed: ParsedFile,
+    pub parsed: ParsedFile<'src>,
     /// Short crate name: the directory under `crates/`, or `aipan` for
     /// the umbrella package rooted at `src/`/`tests/`/`examples/`.
-    pub crate_name: String,
+    pub crate_name: &'src str,
     /// Target classification (library / test / binary), as for the token
     /// rules.
     pub class: FileClass,
-    /// Every identifier the file mentions — code idents plus words inside
-    /// comments (so doc examples keep their subjects alive for `P1`).
-    pub mentions: BTreeSet<String>,
     /// Workspace-crate references: `(short name, line, col)` for every
     /// `aipan_*` identifier in code.
-    pub crate_refs: Vec<(String, u32, u32)>,
-    /// The source text, kept whole (one allocation, not one per line)
-    /// for finding snippets.
-    pub text: String,
+    pub crate_refs: Vec<(&'src str, u32, u32)>,
+    /// The source text, for finding snippets.
+    pub text: &'src str,
 }
 
-impl AnalyzedFile {
-    /// Parse and index one file from its source and its token stream (as
-    /// [`lex`] returns it), so a scan lexes each file once.
-    pub(crate) fn from_tokens(rel_path: &str, src: &str, tokens: &[Token<'_>]) -> AnalyzedFile {
-        let parsed = parse_tokens(rel_path, tokens);
-        let mut mentions = BTreeSet::new();
-        let mut mention = |name: &str| {
-            if !mentions.contains(name) {
-                mentions.insert(name.to_string());
-            }
+impl<'src> AnalyzedFile<'src> {
+    /// Trimmed source line for a 1-based line number.
+    pub fn snippet(&self, line: u32) -> String {
+        self.text
+            .lines()
+            .nth(line.saturating_sub(1) as usize)
+            .map(|l| l.trim().to_string())
+            .unwrap_or_default()
+    }
+}
+
+/// Which files mention one identifier: the first file (by index) and
+/// whether any other file does too — all `P1` needs to decide "mentioned
+/// by another file".
+#[derive(Debug, Clone, Copy)]
+struct Mentions {
+    first: usize,
+    more: bool,
+}
+
+/// A key of the mention index: a word borrowed from the source, ordered
+/// by its first eight bytes and its length before its text, so nearly
+/// every comparison in the index is an integer comparison that does not
+/// read the source. A word of at most eight bytes is identified by the
+/// two integers alone.
+#[derive(Debug, Clone, Copy)]
+struct Word<'src> {
+    head: u64,
+    len: usize,
+    text: &'src str,
+}
+
+impl<'src> Word<'src> {
+    fn new(text: &'src str) -> Word<'src> {
+        let mut head = [0u8; 8];
+        for (slot, &byte) in head.iter_mut().zip(text.as_bytes()) {
+            *slot = byte;
+        }
+        Word {
+            head: u64::from_be_bytes(head),
+            len: text.len(),
+            text,
+        }
+    }
+}
+
+impl Ord for Word<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.head, self.len)
+            .cmp(&(other.head, other.len))
+            .then_with(|| {
+                if self.len > 8 {
+                    self.text.cmp(other.text)
+                } else {
+                    Ordering::Equal
+                }
+            })
+    }
+}
+
+impl PartialOrd for Word<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Word<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Word<'_> {}
+
+/// The whole workspace, parsed and indexed.
+#[derive(Debug, Default)]
+pub struct Workspace<'src> {
+    /// All analyzed files, in the (sorted) order they were supplied.
+    pub files: Vec<AnalyzedFile<'src>>,
+    /// Every identifier any file mentions — code idents plus words inside
+    /// comments (so doc examples keep their subjects alive for `P1`).
+    mentions: BTreeMap<Word<'src>, Mentions>,
+}
+
+/// Short crate name for a workspace-relative path.
+pub(crate) fn crate_of(rel_path: &str) -> &str {
+    rel_path
+        .strip_prefix("crates/")
+        .and_then(|rest| rest.split('/').next())
+        .unwrap_or("aipan")
+}
+
+impl<'src> Workspace<'src> {
+    /// Parse and index a set of `(rel_path, source)` files. The workspace
+    /// borrows the texts.
+    pub fn build<S: AsRef<str>>(files: &'src [(S, S)]) -> Workspace<'src> {
+        let mut ws = Workspace::default();
+        for (rel_path, src) in files {
+            let src = src.as_ref();
+            ws.add_file(rel_path.as_ref(), src, &lex(src));
+        }
+        ws
+    }
+
+    /// Parse and index one more file from its source and its token stream
+    /// (as [`lex`] returns it), so a scan lexes each file once.
+    pub(crate) fn add_file(&mut self, rel_path: &'src str, src: &'src str, tokens: &[Token<'src>]) {
+        let index = self.files.len();
+        let mut mention = |name: &'src str| {
+            self.mentions
+                .entry(Word::new(name))
+                .and_modify(|m| m.more |= m.first != index)
+                .or_insert(Mentions {
+                    first: index,
+                    more: false,
+                });
         };
         let mut crate_refs = Vec::new();
         for tok in tokens {
@@ -59,7 +163,7 @@ impl AnalyzedFile {
                     let name = tok.text.strip_prefix("r#").unwrap_or(tok.text);
                     mention(name);
                     if let Some(short) = name.strip_prefix("aipan_") {
-                        crate_refs.push((short.to_string(), tok.line, tok.col));
+                        crate_refs.push((short, tok.line, tok.col));
                     }
                 }
                 TokenKind::LineComment | TokenKind::BlockComment => {
@@ -75,50 +179,20 @@ impl AnalyzedFile {
                 _ => {}
             }
         }
-        AnalyzedFile {
+        self.files.push(AnalyzedFile {
+            parsed: parse_tokens(rel_path, tokens),
             crate_name: crate_of(rel_path),
             class: FileClass::classify(rel_path),
-            mentions,
             crate_refs,
-            text: src.to_string(),
-            parsed,
-        }
+            text: src,
+        });
     }
 
-    /// Trimmed source line for a 1-based line number.
-    pub fn snippet(&self, line: u32) -> String {
-        self.text
-            .lines()
-            .nth(line.saturating_sub(1) as usize)
-            .map(|l| l.trim().to_string())
-            .unwrap_or_default()
-    }
-}
-
-/// The whole workspace, parsed and indexed.
-#[derive(Debug, Default)]
-pub struct Workspace {
-    /// All analyzed files, in the (sorted) order they were supplied.
-    pub files: Vec<AnalyzedFile>,
-}
-
-/// Short crate name for a workspace-relative path.
-pub(crate) fn crate_of(rel_path: &str) -> String {
-    rel_path
-        .strip_prefix("crates/")
-        .and_then(|rest| rest.split('/').next())
-        .unwrap_or("aipan")
-        .to_string()
-}
-
-impl Workspace {
-    /// Parse and index a set of `(rel_path, source)` files.
-    pub fn build(files: &[(String, String)]) -> Workspace {
-        let files = files
-            .iter()
-            .map(|(rel_path, src)| AnalyzedFile::from_tokens(rel_path, src, &lex(src)))
-            .collect();
-        Workspace { files }
+    /// Whether a file other than `files[file]` mentions `name`.
+    fn mentioned_elsewhere(&self, file: usize, name: &str) -> bool {
+        self.mentions
+            .get(&Word::new(name))
+            .is_some_and(|m| m.more || m.first != file)
     }
 
     /// `L1`: every `aipan_*` reference must be granted by the layering
@@ -127,18 +201,18 @@ impl Workspace {
         let mut findings = Vec::new();
         let mut undeclared: BTreeMap<&str, &str> = BTreeMap::new();
         for file in &self.files {
-            if !config.declares(&file.crate_name) {
+            if !config.declares(file.crate_name) {
                 undeclared
-                    .entry(file.crate_name.as_str())
-                    .or_insert(file.parsed.rel_path.as_str());
+                    .entry(file.crate_name)
+                    .or_insert(file.parsed.rel_path);
                 continue;
             }
             for (target, line, col) in &file.crate_refs {
-                if !config.allows(&file.crate_name, target) {
+                if !config.allows(file.crate_name, target) {
                     findings.push(Finding::at(
                         "L1",
                         Severity::Deny,
-                        &file.parsed.rel_path,
+                        file.parsed.rel_path,
                         *line,
                         *col,
                         format!(
@@ -180,71 +254,64 @@ impl Workspace {
     /// shrinking visibility to `pub(crate)`, wiring the item in, or
     /// justifying the surface in `lint.allow`.
     pub fn check_dead_pub(&self) -> Vec<Finding> {
-        // How many files mention each identifier, so "mentioned by another
-        // file" is one lookup instead of a scan per candidate.
-        let mut file_count: BTreeMap<&str, usize> = BTreeMap::new();
-        for file in &self.files {
-            for name in &file.mentions {
-                *file_count.entry(name.as_str()).or_insert(0) += 1;
-            }
-        }
-        let mentioned_elsewhere = |file: &AnalyzedFile, name: &str| {
-            let total = file_count.get(name).copied().unwrap_or(0);
-            let here = usize::from(file.mentions.contains(name));
-            total > here
-        };
-
         let mut findings = Vec::new();
-        for file in &self.files {
+        for (index, file) in self.files.iter().enumerate() {
             if !file.class.is_library_code() {
                 continue;
             }
-            // Propagation units: see `Item::propagates_liveness`.
-            let units: Vec<&Item> = file
+            // Propagation units (see `Item::propagates_liveness`), and the
+            // units by name, sorted, so a woken name finds its units.
+            let units: Vec<&Item<'_>> = file
                 .parsed
                 .all_items()
                 .into_iter()
                 .filter(|i| i.propagates_liveness())
                 .collect();
+            let mut by_name: Vec<(&str, usize)> =
+                units.iter().enumerate().map(|(u, i)| (i.name, u)).collect();
+            by_name.sort_unstable();
+            let units_named = |name: &str| {
+                let lo = by_name.partition_point(|&(n, _)| n < name);
+                let hi = by_name.partition_point(|&(n, _)| n <= name);
+                by_name.get(lo..hi).unwrap_or_default()
+            };
+            // Worklist: a unit mentioned by another file is alive; an
+            // alive unit's idents wake the units they name. Each unit's
+            // idents are read once, when it wakes.
             let mut alive: Vec<bool> = units
                 .iter()
-                .map(|i| mentioned_elsewhere(file, &i.name))
+                .map(|i| self.mentioned_elsewhere(index, i.name))
                 .collect();
-            // Fixpoint: names referenced by alive units wake further units.
-            loop {
-                let alive_names: BTreeSet<&str> = units
-                    .iter()
-                    .zip(&alive)
-                    .filter(|(_, &a)| a)
-                    .flat_map(|(i, _)| i.idents.iter().map(String::as_str))
-                    .collect();
-                let mut changed = false;
-                for (unit, is_alive) in units.iter().zip(alive.iter_mut()) {
-                    if !*is_alive && alive_names.contains(unit.name.as_str()) {
-                        *is_alive = true;
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            let alive_names: BTreeSet<&str> = units
+            let mut woken: Vec<&Item<'_>> = units
                 .iter()
                 .zip(&alive)
-                .filter(|(_, &a)| a)
-                .map(|(i, _)| i.name.as_str())
+                .filter_map(|(&unit, &a)| a.then_some(unit))
                 .collect();
+            while let Some(unit) = woken.pop() {
+                for &ident in &unit.idents {
+                    for &(_, v) in units_named(ident) {
+                        if let Some(slot) = alive.get_mut(v).filter(|a| !**a) {
+                            *slot = true;
+                            woken.extend(units.get(v));
+                        }
+                    }
+                }
+            }
+            let name_alive = |name: &str| {
+                units_named(name)
+                    .iter()
+                    .any(|&(_, u)| alive.get(u).copied().unwrap_or(false))
+            };
 
             for candidate in pub_item_candidates(&file.parsed.items) {
-                let name = candidate.name.as_str();
-                if mentioned_elsewhere(file, name) || alive_names.contains(name) {
+                let name = candidate.name;
+                if self.mentioned_elsewhere(index, name) || name_alive(name) {
                     continue;
                 }
                 findings.push(Finding::at(
                     "P1",
                     Severity::Warn,
-                    &file.parsed.rel_path,
+                    file.parsed.rel_path,
                     candidate.line,
                     candidate.col,
                     format!(
@@ -265,13 +332,13 @@ impl Workspace {
 /// `#[cfg(test)]`), plus pub fns in inherent impls. Trait-impl members are
 /// excluded (their names are dictated by the trait), as are `main` and
 /// underscore-prefixed names.
-fn pub_item_candidates(items: &[Item]) -> Vec<&Item> {
+fn pub_item_candidates<'a, 'src>(items: &'a [Item<'src>]) -> Vec<&'a Item<'src>> {
     let mut out = Vec::new();
     collect_candidates(items, &mut out);
     out
 }
 
-fn collect_candidates<'a>(items: &'a [Item], out: &mut Vec<&'a Item>) {
+fn collect_candidates<'a, 'src>(items: &'a [Item<'src>], out: &mut Vec<&'a Item<'src>>) {
     for item in items {
         if item.cfg_test {
             continue;
@@ -284,7 +351,7 @@ fn collect_candidates<'a>(items: &'a [Item], out: &mut Vec<&'a Item>) {
                         if child.is_pub
                             && matches!(child.kind, ItemKind::Fn(_))
                             && !child.cfg_test
-                            && eligible_name(&child.name)
+                            && eligible_name(child.name)
                         {
                             out.push(child);
                         }
@@ -297,7 +364,7 @@ fn collect_candidates<'a>(items: &'a [Item], out: &mut Vec<&'a Item>) {
             | ItemKind::Trait
             | ItemKind::Const
             | ItemKind::TypeAlias => {
-                if item.is_pub && eligible_name(&item.name) {
+                if item.is_pub && eligible_name(item.name) {
                     out.push(item);
                 }
             }
@@ -310,7 +377,7 @@ fn eligible_name(name: &str) -> bool {
     !name.is_empty() && name != "main" && !name.starts_with('_')
 }
 
-fn kind_word(kind: &ItemKind) -> &'static str {
+fn kind_word(kind: &ItemKind<'_>) -> &'static str {
     match kind {
         ItemKind::Fn(_) => "fn",
         ItemKind::Struct { .. } => "struct",
@@ -326,12 +393,8 @@ fn kind_word(kind: &ItemKind) -> &'static str {
 mod tests {
     use super::*;
 
-    fn ws(files: &[(&str, &str)]) -> Workspace {
-        let owned: Vec<(String, String)> = files
-            .iter()
-            .map(|(p, s)| (p.to_string(), s.to_string()))
-            .collect();
-        Workspace::build(&owned)
+    fn ws<'a>(files: &'a [(&'a str, &'a str)]) -> Workspace<'a> {
+        Workspace::build(files)
     }
 
     fn contract(text: &str) -> Config {

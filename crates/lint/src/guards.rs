@@ -54,21 +54,23 @@ const EXPENSIVE_PREFIXES: &[&str] = &["fetch", "complete", "annotate"];
 
 /// Lock registry: `(crate, struct) -> lock-typed field names` (the same
 /// parser-level registry `K1` builds).
-pub(crate) fn lock_registry(ws: &Workspace) -> BTreeMap<(String, String), BTreeSet<String>> {
-    let mut registry: BTreeMap<(String, String), BTreeSet<String>> = BTreeMap::new();
+pub(crate) fn lock_registry<'a>(
+    ws: &'a Workspace<'a>,
+) -> BTreeMap<(&'a str, &'a str), BTreeSet<&'a str>> {
+    let mut registry = BTreeMap::new();
     for file in &ws.files {
         for item in file.parsed.all_items() {
             if item.cfg_test {
                 continue;
             }
             if let ItemKind::Struct { fields } = &item.kind {
-                let locks: BTreeSet<String> = fields
+                let locks: BTreeSet<&str> = fields
                     .iter()
                     .filter(|f| f.is_lock)
-                    .map(|f| f.name.clone())
+                    .map(|f| f.name)
                     .collect();
                 if !locks.is_empty() {
-                    registry.insert((file.crate_name.clone(), item.name.clone()), locks);
+                    registry.insert((file.crate_name, item.name), locks);
                 }
             }
         }
@@ -77,16 +79,16 @@ pub(crate) fn lock_registry(ws: &Workspace) -> BTreeMap<(String, String), BTreeS
 }
 
 /// Whether a type-token list names a lock type.
-fn ty_is_lock(ty: &[String]) -> bool {
-    ty.iter().any(|t| t == "Mutex" || t == "RwLock")
+fn ty_is_lock(ty: &[&str]) -> bool {
+    ty.iter().any(|&t| t == "Mutex" || t == "RwLock")
 }
 
 /// Whether an expression tree mentions a lock type constructor
 /// (`Mutex::new(..)`, `RwLock::new(..)`, or a path through one).
-fn init_mentions_lock(e: &Expr) -> bool {
+fn init_mentions_lock(e: &Expr<'_>) -> bool {
     let own = match &e.kind {
-        ExprKind::Path(segs) => segs.iter().any(|s| s == "Mutex" || s == "RwLock"),
-        ExprKind::StructLit { path, .. } => path.iter().any(|s| s == "Mutex" || s == "RwLock"),
+        ExprKind::Path(segs) => segs.iter().any(|&s| s == "Mutex" || s == "RwLock"),
+        ExprKind::StructLit { path, .. } => path.iter().any(|&s| s == "Mutex" || s == "RwLock"),
         _ => false,
     };
     if own {
@@ -103,13 +105,13 @@ fn init_mentions_lock(e: &Expr) -> bool {
 
 /// Per-fn environment of names provably bound to lock values: params and
 /// lets whose declared type or initializer names `Mutex`/`RwLock`.
-pub(crate) fn lock_locals(node: &FnNode<'_>) -> BTreeSet<String> {
-    let mut locals: BTreeSet<String> = node
+pub(crate) fn lock_locals<'a>(node: &FnNode<'a>) -> BTreeSet<&'a str> {
+    let mut locals: BTreeSet<&str> = node
         .info
         .params
         .iter()
         .filter(|p| ty_is_lock(&p.ty))
-        .map(|p| p.name.clone())
+        .map(|p| p.name)
         .collect();
     for block in &node.cfg.nodes {
         for step in &block.steps {
@@ -123,7 +125,7 @@ pub(crate) fn lock_locals(node: &FnNode<'_>) -> BTreeSet<String> {
                 continue;
             };
             if ty_is_lock(ty) || init.is_some_and(init_mentions_lock) {
-                locals.insert(name.clone());
+                locals.insert(name);
             }
         }
     }
@@ -134,10 +136,10 @@ pub(crate) fn lock_locals(node: &FnNode<'_>) -> BTreeSet<String> {
 /// `self.<field>` with the field registered, or a path rooted at a local
 /// the environment proves is a lock.
 pub(crate) fn recv_is_lock(
-    recv: &Expr,
+    recv: &Expr<'_>,
     method: &str,
-    fields: Option<&BTreeSet<String>>,
-    locals: &BTreeSet<String>,
+    fields: Option<&BTreeSet<&str>>,
+    locals: &BTreeSet<&str>,
 ) -> bool {
     let _ = method;
     match &recv.kind {
@@ -158,14 +160,14 @@ pub(crate) fn recv_is_lock(
 
 /// The guard acquisition inside a bind initializer, if any: returns the
 /// acquisition method name.
-pub(crate) fn acquisition_in(
-    init: &Expr,
-    fields: Option<&BTreeSet<String>>,
-    locals: &BTreeSet<String>,
-) -> Option<String> {
+pub(crate) fn acquisition_in<'a>(
+    init: &Expr<'a>,
+    fields: Option<&BTreeSet<&str>>,
+    locals: &BTreeSet<&str>,
+) -> Option<&'a str> {
     if let ExprKind::MethodCall { recv, name, .. } = &init.kind {
-        if ACQUIRE_METHODS.contains(&name.as_str()) && recv_is_lock(recv, name, fields, locals) {
-            return Some(name.clone());
+        if ACQUIRE_METHODS.contains(name) && recv_is_lock(recv, name, fields, locals) {
+            return Some(name);
         }
     }
     let mut found = None;
@@ -178,9 +180,9 @@ pub(crate) fn acquisition_in(
 }
 
 /// One recognized guard binding.
-struct Guard {
-    name: String,
-    method: String,
+struct Guard<'a> {
+    name: &'a str,
+    method: &'a str,
     line: u32,
     col: u32,
     /// CFG node holding the bind.
@@ -191,7 +193,7 @@ struct Guard {
 
 /// Maximum source line spanned by an expression (including nested
 /// blocks).
-fn expr_max_line(e: &Expr) -> u32 {
+fn expr_max_line(e: &Expr<'_>) -> u32 {
     let mut max = e.line;
     for_each_child(e, &mut |c| max = max.max(expr_max_line(c)));
     for block in child_blocks(e) {
@@ -202,7 +204,7 @@ fn expr_max_line(e: &Expr) -> u32 {
     max
 }
 
-fn stmt_max_line(stmt: &Stmt) -> u32 {
+fn stmt_max_line(stmt: &Stmt<'_>) -> u32 {
     match stmt {
         Stmt::Let {
             init,
@@ -226,8 +228,8 @@ fn stmt_max_line(stmt: &Stmt) -> u32 {
 /// Last line of the scope that declares the `let` at `(line, col)`: the
 /// maximum line spanned by the remainder of its statement list. Falls
 /// back to `u32::MAX` (no clipping) when the statement is not found.
-pub(crate) fn scope_end_of(body: &[Stmt], line: u32, col: u32) -> u32 {
-    fn search(stmts: &[Stmt], line: u32, col: u32) -> Option<u32> {
+pub(crate) fn scope_end_of(body: &[Stmt<'_>], line: u32, col: u32) -> u32 {
+    fn search(stmts: &[Stmt<'_>], line: u32, col: u32) -> Option<u32> {
         for (i, stmt) in stmts.iter().enumerate() {
             if let Stmt::Let {
                 line: l, col: c, ..
@@ -256,7 +258,7 @@ pub(crate) fn scope_end_of(body: &[Stmt], line: u32, col: u32) -> u32 {
         }
         None
     }
-    fn search_expr(e: &Expr, line: u32, col: u32) -> Option<u32> {
+    fn search_expr(e: &Expr<'_>, line: u32, col: u32) -> Option<u32> {
         for block in child_blocks(e) {
             if let Some(end) = search(block, line, col) {
                 return Some(end);
@@ -275,21 +277,21 @@ pub(crate) fn scope_end_of(body: &[Stmt], line: u32, col: u32) -> u32 {
 
 /// Guard-liveness dataflow: the set of guards that may be held, mapped
 /// to their acquisition sites.
-struct GuardLive {
+struct GuardLive<'a> {
     /// Bind sites `(line, col) -> guard name` recognized as acquisitions.
-    acquisitions: BTreeMap<(u32, u32), String>,
+    acquisitions: BTreeMap<(u32, u32), &'a str>,
 }
 
-impl<'a> Analysis<'a> for GuardLive {
-    type Fact = BTreeMap<String, (u32, u32)>;
+impl<'a> Analysis<'a> for GuardLive<'a> {
+    type Fact = BTreeMap<&'a str, (u32, u32)>;
 
     fn boundary(&self) -> Self::Fact {
         BTreeMap::new()
     }
 
     fn join(&self, acc: &mut Self::Fact, other: &Self::Fact) {
-        for (name, site) in other {
-            acc.entry(name.clone()).or_insert(*site);
+        for (&name, site) in other {
+            acc.entry(name).or_insert(*site);
         }
     }
 
@@ -300,23 +302,23 @@ impl<'a> Analysis<'a> for GuardLive {
                 // a recognized acquisition re-arms it.
                 let mut names = Vec::new();
                 pat.bound_names(&mut names);
-                for name in &names {
+                for name in names {
                     fact.remove(name);
                 }
-                if let Some(g) = self.acquisitions.get(&(line, col)) {
-                    fact.insert(g.clone(), (line, col));
+                if let Some(&g) = self.acquisitions.get(&(line, col)) {
+                    fact.insert(g, (line, col));
                 }
             }
             Step::PatBind { pat, .. } => {
                 let mut names = Vec::new();
                 pat.bound_names(&mut names);
-                for name in &names {
+                for name in names {
                     fact.remove(name);
                 }
             }
             Step::Eval(e) => {
                 if let Some(dropped) = dropped_guard(e) {
-                    fact.remove(&dropped);
+                    fact.remove(dropped);
                 }
             }
             _ => {}
@@ -325,22 +327,22 @@ impl<'a> Analysis<'a> for GuardLive {
 }
 
 /// The guard released by a top-level `drop(g)` / `mem::drop(g)` call.
-fn dropped_guard(e: &Expr) -> Option<String> {
+fn dropped_guard<'a>(e: &Expr<'a>) -> Option<&'a str> {
     let ExprKind::Call { callee, args } = &e.kind else {
         return None;
     };
     let ExprKind::Path(segs) = &callee.kind else {
         return None;
     };
-    if segs.last().map(String::as_str) != Some("drop") {
+    if segs.last().copied() != Some("drop") {
         return None;
     }
     let [arg] = args.as_slice() else {
         return None;
     };
     match &arg.kind {
-        ExprKind::Path(segs) => match segs.as_slice() {
-            [one] => Some(one.clone()),
+        ExprKind::Path(segs) => match *segs.as_slice() {
+            [one] => Some(one),
             _ => None,
         },
         _ => None,
@@ -353,9 +355,9 @@ fn expensive_reason(
     model: &CostModel,
     file: usize,
     self_ty: Option<&str>,
-    call: &CallSite,
+    call: &CallSite<'_>,
 ) -> Option<String> {
-    if ACQUIRE_METHODS.contains(&call.name.as_str()) || call.name == "drop" {
+    if ACQUIRE_METHODS.contains(&call.name) || call.name == "drop" {
         return None;
     }
     if EXPENSIVE_PREFIXES.iter().any(|p| call.name.starts_with(p)) {
@@ -383,7 +385,7 @@ fn expensive_reason(
 }
 
 /// Mentions of a plain name in an expression tree.
-fn mentions_name(e: &Expr, name: &str) -> bool {
+fn mentions_name(e: &Expr<'_>, name: &str) -> bool {
     if matches!(&e.kind, ExprKind::Path(segs) if segs.as_slice() == [name]) {
         return true;
     }
@@ -397,7 +399,7 @@ fn mentions_name(e: &Expr, name: &str) -> bool {
 }
 
 /// Run the `M1`/`M2` passes over an analyzed workspace.
-pub fn check_guards(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) -> Vec<Finding> {
+pub fn check_guards(ws: &Workspace<'_>, graph: &CallGraph<'_>, model: &CostModel) -> Vec<Finding> {
     let registry = lock_registry(ws);
     let mut findings = Vec::new();
     for node in &graph.fns {
@@ -406,12 +408,12 @@ pub fn check_guards(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) ->
         };
         let fields = node
             .self_ty
-            .and_then(|ty| registry.get(&(node.crate_name.to_string(), ty.to_string())));
+            .and_then(|ty| registry.get(&(node.crate_name, ty)));
         let cfg = &node.cfg;
         let locals = lock_locals(node);
 
         // Recognized guard binds.
-        let mut guards: Vec<Guard> = Vec::new();
+        let mut guards: Vec<Guard<'_>> = Vec::new();
         for (nid, block) in cfg.nodes.iter().enumerate() {
             for step in &block.steps {
                 let Step::Bind {
@@ -428,7 +430,7 @@ pub fn check_guards(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) ->
                     continue;
                 };
                 guards.push(Guard {
-                    name: name.clone(),
+                    name,
                     method,
                     line: *line,
                     col: *col,
@@ -441,15 +443,13 @@ pub fn check_guards(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) ->
             continue;
         }
 
-        let acquisitions: BTreeMap<(u32, u32), String> = guards
-            .iter()
-            .map(|g| ((g.line, g.col), g.name.clone()))
-            .collect();
+        let acquisitions: BTreeMap<(u32, u32), &str> =
+            guards.iter().map(|g| ((g.line, g.col), g.name)).collect();
         let analysis = GuardLive { acquisitions };
         let in_facts = solve(cfg, &analysis);
 
         // Guards live per line (fact *before* each step, scope-clipped).
-        let mut live_at_line: BTreeMap<u32, BTreeMap<String, (u32, u32)>> = BTreeMap::new();
+        let mut live_at_line: BTreeMap<u32, BTreeMap<&str, (u32, u32)>> = BTreeMap::new();
         for (nid, block) in cfg.nodes.iter().enumerate() {
             let Some(fact_in) = in_facts.get(nid).and_then(|f| f.as_ref()) else {
                 continue;
@@ -457,12 +457,12 @@ pub fn check_guards(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) ->
             replay(&analysis, &block.steps, fact_in, &mut |step, fact| {
                 let (line, _) = step.pos();
                 let slot = live_at_line.entry(line).or_default();
-                for (g, site) in fact {
+                for (&g, site) in fact {
                     let in_scope = guards.iter().any(|gd| {
-                        gd.name == *g && (gd.line, gd.col) == *site && line <= gd.scope_end
+                        gd.name == g && (gd.line, gd.col) == *site && line <= gd.scope_end
                     });
                     if in_scope {
-                        slot.entry(g.clone()).or_insert(*site);
+                        slot.entry(g).or_insert(*site);
                     }
                 }
             });
@@ -486,7 +486,7 @@ pub fn check_guards(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) ->
             findings.push(Finding::at(
                 "M1",
                 Severity::Deny,
-                &file.parsed.rel_path,
+                file.parsed.rel_path,
                 call.line,
                 call.col,
                 format!(
@@ -515,10 +515,10 @@ pub fn check_guards(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) ->
                         }
                     }
                     if let Some(e) = crate::cost::step_expr(step) {
-                        if !mentions_name(e, &guard.name) {
+                        if !mentions_name(e, guard.name) {
                             continue;
                         }
-                        if dropped_guard(e).as_deref() == Some(guard.name.as_str()) {
+                        if dropped_guard(e) == Some(guard.name) {
                             dropped = true;
                         }
                         if d > bind_depth {
@@ -533,7 +533,7 @@ pub fn check_guards(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) ->
                 findings.push(Finding::at(
                     "M2",
                     Severity::Warn,
-                    &file.parsed.rel_path,
+                    file.parsed.rel_path,
                     guard.line,
                     guard.col,
                     format!(

@@ -8,7 +8,7 @@
 //! | `T2` | no duplicate canonical names across the datatype, purpose, rights, and handling vocabularies |
 //! | `T3` | aspect coverage: all nine paper aspects present, keys unique and round-tripping through `Aspect::from_key` |
 //!
-//! Each check takes its vocabulary as a value (built by [`workspace_vocab`]
+//! Each check takes its vocabulary as a value (built by `workspace_vocab`
 //! for the real tables), so tests can corrupt a copy in memory and watch the
 //! corresponding finding appear without touching the taxonomy crate.
 

@@ -19,7 +19,7 @@
 //!    fallible workspace fns (see [`error_flow`]), `K1` lock-acquisition
 //!    cycles (see [`locks`]), and `P1` unreferenced pub items (see
 //!    [`graph`]).
-//! 3. **Dataflow rules** on per-fn CFGs ([`expr`] → [`cfg`] →
+//! 3. **Dataflow rules** on per-fn CFGs ([`expr`] → [`cfg`](mod@cfg) →
 //!    [`dataflow`]): `X1` interprocedural panic-reachability (see
 //!    [`panic_reach`]), `D3` determinism taint (see [`taint`]), the
 //!    hot-path cost rules `H2`/`C2` over the interprocedural cost model

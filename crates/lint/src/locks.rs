@@ -22,71 +22,45 @@
 
 use crate::findings::{Finding, Severity};
 use crate::graph::Workspace;
-use crate::parser::{CallSite, FieldInfo, ItemKind};
+use crate::guards::{lock_registry, ACQUIRE_METHODS};
+use crate::parser::{CallSite, ItemKind};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Methods that acquire a lock on `Mutex`/`RwLock` receivers.
-const ACQUIRE_METHODS: &[&str] = &["lock", "read", "write"];
-
-/// Names of the lock-typed fields in one struct declaration.
-fn lock_field_names(fields: &[FieldInfo]) -> BTreeSet<String> {
-    fields
-        .iter()
-        .filter(|f| f.is_lock)
-        .map(|f| f.name.clone())
-        .collect()
-}
 
 /// The registered lock field a call acquires via `self.<field>.lock()` /
 /// `.read()` / `.write()`, if any.
-fn acquired_field<'a>(call: &'a CallSite, locks: &BTreeSet<String>) -> Option<&'a str> {
-    if call.is_method
-        && ACQUIRE_METHODS.contains(&call.name.as_str())
-        && call.recv.len() == 2
-        && call.recv[0] == "self"
-        && locks.contains(&call.recv[1])
-    {
-        Some(&call.recv[1])
-    } else {
-        None
+fn acquired_field<'a>(call: &CallSite<'a>, locks: &BTreeSet<&str>) -> Option<&'a str> {
+    match *call.recv.as_slice() {
+        ["self", field]
+            if call.is_method && ACQUIRE_METHODS.contains(&call.name) && locks.contains(field) =>
+        {
+            Some(field)
+        }
+        _ => None,
     }
 }
 
 /// Where one lock-after-lock edge was observed.
 #[derive(Debug, Clone, PartialEq)]
-struct Witness {
-    file: String,
-    fn_name: String,
+struct Witness<'a> {
+    file: &'a str,
+    fn_name: &'a str,
     line: u32,
     col: u32,
 }
 
 /// Run the `K1` pass over an analyzed workspace.
-pub fn check_lock_order(ws: &Workspace) -> Vec<Finding> {
+pub fn check_lock_order(ws: &Workspace<'_>) -> Vec<Finding> {
     // Pass 1: the lock registry — (crate, struct) -> lock field names.
-    let mut registry: BTreeMap<(String, String), BTreeSet<String>> = BTreeMap::new();
-    for file in &ws.files {
-        for item in file.parsed.all_items() {
-            if item.cfg_test {
-                continue;
-            }
-            if let ItemKind::Struct { fields } = &item.kind {
-                let locks = lock_field_names(fields);
-                if !locks.is_empty() {
-                    registry.insert((file.crate_name.clone(), item.name.clone()), locks);
-                }
-            }
-        }
-    }
+    let registry = lock_registry(ws);
 
     // Pass 2: acquisition sequences per fn -> global edge map.
-    let mut edges: BTreeMap<(String, String), Witness> = BTreeMap::new();
+    let mut edges: BTreeMap<(String, String), Witness<'_>> = BTreeMap::new();
     for file in &ws.files {
         for item in &file.parsed.items {
             let ItemKind::Impl { self_ty, .. } = &item.kind else {
                 continue;
             };
-            let Some(locks) = registry.get(&(file.crate_name.clone(), self_ty.clone())) else {
+            let Some(locks) = registry.get(&(file.crate_name, *self_ty)) else {
                 continue;
             };
             for child in &item.children {
@@ -113,8 +87,8 @@ pub fn check_lock_order(ws: &Workspace) -> Vec<Finding> {
                         edges
                             .entry((a.clone(), b.clone()))
                             .or_insert_with(|| Witness {
-                                file: file.parsed.rel_path.clone(),
-                                fn_name: child.name.clone(),
+                                file: file.parsed.rel_path,
+                                fn_name: child.name,
                                 line: *line,
                                 col: *col,
                             });
@@ -130,15 +104,14 @@ pub fn check_lock_order(ws: &Workspace) -> Vec<Finding> {
         // Every edge inside the component is part of the inversion; cite
         // each with its witness, anchored at the first site.
         let mut cited: Vec<String> = Vec::new();
-        let mut anchor: Option<&Witness> = None;
+        let mut anchor: Option<&Witness<'_>> = None;
         for ((a, b), w) in &edges {
             if component.contains(a) && component.contains(b) {
                 cited.push(format!(
                     "{} then {} in {} ({}:{})",
                     a, b, w.fn_name, w.file, w.line
                 ));
-                let earlier = anchor
-                    .is_none_or(|cur| (w.file.as_str(), w.line) < (cur.file.as_str(), cur.line));
+                let earlier = anchor.is_none_or(|cur| (w.file, w.line) < (cur.file, cur.line));
                 if earlier {
                     anchor = Some(w);
                 }
@@ -149,7 +122,7 @@ pub fn check_lock_order(ws: &Workspace) -> Vec<Finding> {
         findings.push(Finding::at(
             "K1",
             Severity::Deny,
-            &anchor.file,
+            anchor.file,
             anchor.line,
             anchor.col,
             format!(
@@ -166,7 +139,7 @@ pub fn check_lock_order(ws: &Workspace) -> Vec<Finding> {
 
 /// Strongly-connected components with at least two nodes, sorted for
 /// deterministic output (Kosaraju on the tiny lock graph).
-fn cyclic_components(edges: &BTreeMap<(String, String), Witness>) -> Vec<BTreeSet<String>> {
+fn cyclic_components(edges: &BTreeMap<(String, String), Witness<'_>>) -> Vec<BTreeSet<String>> {
     let mut nodes: BTreeSet<&str> = BTreeSet::new();
     let mut fwd: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     let mut rev: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
@@ -235,12 +208,8 @@ fn cyclic_components(edges: &BTreeMap<(String, String), Witness>) -> Vec<BTreeSe
 mod tests {
     use super::*;
 
-    fn ws(files: &[(&str, &str)]) -> Workspace {
-        let owned: Vec<(String, String)> = files
-            .iter()
-            .map(|(p, s)| (p.to_string(), s.to_string()))
-            .collect();
-        Workspace::build(&owned)
+    fn ws<'a>(files: &'a [(&'a str, &'a str)]) -> Workspace<'a> {
+        Workspace::build(files)
     }
 
     const TWO_LOCK_STRUCT: &str = "pub struct Shared {\n\
@@ -256,7 +225,8 @@ mod tests {
              \x20   pub fn b(&self) {{ let h = self.hosts.write(); let j = self.jobs.lock(); work(j, h); }}\n\
              }}\n"
         );
-        let w = ws(&[("crates/crawler/src/pool.rs", &src)]);
+        let files = [("crates/crawler/src/pool.rs", src.as_str())];
+        let w = ws(&files);
         let f = check_lock_order(&w);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "K1");
@@ -277,7 +247,8 @@ mod tests {
              \x20   pub fn b(&self) {{ let j = self.jobs.lock(); let h = self.hosts.write(); work(j, h); }}\n\
              }}\n"
         );
-        let w = ws(&[("crates/crawler/src/pool.rs", &src)]);
+        let files = [("crates/crawler/src/pool.rs", src.as_str())];
+        let w = ws(&files);
         assert!(check_lock_order(&w).is_empty());
     }
 
@@ -291,10 +262,11 @@ mod tests {
         let b = "impl Shared {\n\
              \x20   pub fn b(&self) { let h = self.hosts.write(); let j = self.jobs.lock(); work(j, h); }\n\
              }\n";
-        let w = ws(&[
+        let files = [
             ("crates/crawler/src/pool.rs", a.as_str()),
             ("crates/crawler/src/steal.rs", b),
-        ]);
+        ];
+        let w = ws(&files);
         let f = check_lock_order(&w);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("steal.rs") || f[0].file.contains("pool.rs"));
@@ -306,7 +278,8 @@ mod tests {
              impl M {\n\
              \x20   pub fn bump(&self) { self.inner.lock(); self.inner.lock(); }\n\
              }\n";
-        let w = ws(&[("crates/net/src/m.rs", src)]);
+        let files = [("crates/net/src/m.rs", src)];
+        let w = ws(&files);
         assert!(check_lock_order(&w).is_empty());
     }
 
@@ -317,7 +290,8 @@ mod tests {
              \x20   pub fn go(&self) { self.file.read(); self.buf.lock(); }\n\
              \x20   pub fn back(&self) { self.buf.lock(); self.file.read(); }\n\
              }\n";
-        let w = ws(&[("crates/net/src/f.rs", src)]);
+        let files = [("crates/net/src/f.rs", src)];
+        let w = ws(&files);
         assert!(check_lock_order(&w).is_empty(), "file is not a lock field");
     }
 }

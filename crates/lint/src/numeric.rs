@@ -42,8 +42,7 @@ use crate::dataflow;
 use crate::expr::{for_each_child, Expr, ExprKind};
 use crate::findings::{Finding, Severity};
 use crate::graph::{AnalyzedFile, Workspace};
-use crate::types::{self, CastKind, LocalTypes, Ty, TyFact, TypeIndex};
-use std::collections::BTreeMap;
+use crate::types::{self, CastKind, LocalTypes, Ty, TyFacts, TypeIndex};
 
 /// Compound-assign operators `N2` treats as unchecked arithmetic, with
 /// the saturating/checked combinator the message suggests.
@@ -56,7 +55,7 @@ const UNCHECKED_OPS: &[(&str, &str)] = &[
 
 /// Short description of a cast operand for messages: a plain path
 /// renders itself (`self.total`, `n`), anything else its type.
-fn operand_desc(operand: &Expr, src: &Ty) -> String {
+fn operand_desc(operand: &Expr<'_>, src: &Ty<'_>) -> String {
     match operand.plain_path() {
         Some(segs) => format!("`{}`", segs.join(".")),
         None => format!("this `{}` value", src.name()),
@@ -66,7 +65,7 @@ fn operand_desc(operand: &Expr, src: &Ty) -> String {
 /// Shared per-site context for the expression walk.
 struct SiteCtx<'w, 'g> {
     lt: &'w LocalTypes<'w>,
-    file: &'g AnalyzedFile,
+    file: &'g AnalyzedFile<'g>,
     hot_witness: Option<String>,
     findings: &'w mut Vec<Finding>,
 }
@@ -74,13 +73,13 @@ struct SiteCtx<'w, 'g> {
 /// Walk one expression tree under the facts holding before its step,
 /// emitting `N1`/`N2` findings. Control-flow subexpressions are hoisted
 /// into their own CFG steps, so the walk must not descend into them.
-fn walk(ctx: &mut SiteCtx<'_, '_>, fact: &BTreeMap<String, TyFact>, e: &Expr) {
+fn walk(ctx: &mut SiteCtx<'_, '_>, fact: &TyFacts<'_>, e: &Expr<'_>) {
     if e.is_control() {
         return;
     }
     match &e.kind {
         ExprKind::Cast { operand, ty } => {
-            let dst = Ty::from_tokens_with(ty, ctx.lt.self_ty.as_deref());
+            let dst = Ty::from_tokens_with(ty, ctx.lt.self_ty);
             let src_fact = ctx.lt.infer(fact, operand);
             if src_fact.scale {
                 match types::classify_cast(&src_fact.ty, &dst) {
@@ -88,7 +87,7 @@ fn walk(ctx: &mut SiteCtx<'_, '_>, fact: &BTreeMap<String, TyFact>, e: &Expr) {
                         ctx.findings.push(Finding::at(
                             "N1",
                             Severity::Deny,
-                            &ctx.file.parsed.rel_path,
+                            ctx.file.parsed.rel_path,
                             e.line,
                             e.col,
                             format!(
@@ -107,7 +106,7 @@ fn walk(ctx: &mut SiteCtx<'_, '_>, fact: &BTreeMap<String, TyFact>, e: &Expr) {
                         ctx.findings.push(Finding::at(
                             "N1",
                             Severity::Warn,
-                            &ctx.file.parsed.rel_path,
+                            ctx.file.parsed.rel_path,
                             e.line,
                             e.col,
                             format!(
@@ -137,7 +136,7 @@ fn walk(ctx: &mut SiteCtx<'_, '_>, fact: &BTreeMap<String, TyFact>, e: &Expr) {
                             ctx.findings.push(Finding::at(
                                 "N2",
                                 Severity::Warn,
-                                &ctx.file.parsed.rel_path,
+                                ctx.file.parsed.rel_path,
                                 e.line,
                                 e.col,
                                 format!(
@@ -164,7 +163,7 @@ fn walk(ctx: &mut SiteCtx<'_, '_>, fact: &BTreeMap<String, TyFact>, e: &Expr) {
 }
 
 /// Recurse into non-control children.
-fn walk_children(ctx: &mut SiteCtx<'_, '_>, fact: &BTreeMap<String, TyFact>, e: &Expr) {
+fn walk_children(ctx: &mut SiteCtx<'_, '_>, fact: &TyFacts<'_>, e: &Expr<'_>) {
     let mut kids = Vec::new();
     for_each_child(e, &mut |c| kids.push(c));
     for c in kids {
@@ -175,10 +174,10 @@ fn walk_children(ctx: &mut SiteCtx<'_, '_>, fact: &BTreeMap<String, TyFact>, e: 
 /// Run the `N1`/`N2` passes over every call-graph fn that holds a site
 /// they can report (see `may_report`).
 pub fn check_numeric(
-    ws: &Workspace,
+    ws: &Workspace<'_>,
     graph: &CallGraph<'_>,
     model: &CostModel,
-    index: &TypeIndex,
+    index: &TypeIndex<'_>,
 ) -> Vec<Finding> {
     check_where(ws, graph, model, index, |id, node| {
         may_report(node, model.is_hot(id))
@@ -198,10 +197,10 @@ fn may_report(node: &FnNode<'_>, hot: bool) -> bool {
 
 /// Solve and walk every fn `id` for which `solve(id, node)` holds.
 fn check_where(
-    ws: &Workspace,
+    ws: &Workspace<'_>,
     graph: &CallGraph<'_>,
     model: &CostModel,
-    index: &TypeIndex,
+    index: &TypeIndex<'_>,
     solve: impl Fn(usize, &FnNode<'_>) -> bool,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -215,10 +214,10 @@ fn check_where(
 
 /// Solve local types for fn `id` and walk every step under its facts.
 fn check_fn(
-    ws: &Workspace,
+    ws: &Workspace<'_>,
     graph: &CallGraph<'_>,
     model: &CostModel,
-    index: &TypeIndex,
+    index: &TypeIndex<'_>,
     id: usize,
     node: &FnNode<'_>,
     findings: &mut Vec<Finding>,
@@ -259,20 +258,20 @@ pub(crate) mod reference {
 
     /// [`check_numeric`] without the gate.
     pub(crate) fn check_numeric(
-        ws: &Workspace,
+        ws: &Workspace<'_>,
         graph: &CallGraph<'_>,
         model: &CostModel,
-        index: &TypeIndex,
+        index: &TypeIndex<'_>,
     ) -> Vec<Finding> {
         check_where(ws, graph, model, index, |_, _| true)
     }
 
     /// What the full solve reports in the fns the gate skips.
     pub(crate) fn skipped_findings(
-        ws: &Workspace,
+        ws: &Workspace<'_>,
         graph: &CallGraph<'_>,
         model: &CostModel,
-        index: &TypeIndex,
+        index: &TypeIndex<'_>,
     ) -> Vec<Finding> {
         check_where(ws, graph, model, index, |id, node| {
             !may_report(node, model.is_hot(id))
@@ -285,11 +284,7 @@ mod tests {
     use super::*;
 
     fn run(files: &[(&str, &str)]) -> Vec<Finding> {
-        let owned: Vec<(String, String)> = files
-            .iter()
-            .map(|(p, s)| (p.to_string(), s.to_string()))
-            .collect();
-        let ws = Workspace::build(&owned);
+        let ws = Workspace::build(files);
         let graph = CallGraph::build(&ws);
         let model = CostModel::build(&ws, &graph);
         let index = TypeIndex::build(&ws);

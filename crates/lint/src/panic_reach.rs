@@ -44,10 +44,11 @@ use crate::expr::{for_each_child, for_each_let, Expr, ExprKind, Pat, Stmt};
 use crate::findings::{Finding, Severity};
 use crate::graph::Workspace;
 use crate::parser::Param;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// Run the `X1` pass over an analyzed workspace and its call graph.
-pub fn check_panic_reach(ws: &Workspace, graph: &CallGraph<'_>) -> Vec<Finding> {
+pub fn check_panic_reach(ws: &Workspace<'_>, graph: &CallGraph<'_>) -> Vec<Finding> {
     let seeds: Vec<Option<Seed>> = graph
         .fns
         .iter()
@@ -68,7 +69,7 @@ pub fn check_panic_reach(ws: &Workspace, graph: &CallGraph<'_>) -> Vec<Finding> 
         findings.push(Finding::at(
             "X1",
             Severity::Deny,
-            &file.parsed.rel_path,
+            file.parsed.rel_path,
             node.line,
             node.col,
             describe(graph, ws, id, r, &reach),
@@ -133,14 +134,14 @@ fn propagate(graph: &CallGraph<'_>, seeds: &[Option<Seed>]) -> Vec<Option<Reach>
 /// Render the finding message: witness call path plus the seed.
 fn describe(
     graph: &CallGraph<'_>,
-    ws: &Workspace,
+    ws: &Workspace<'_>,
     start: usize,
     r: &Reach,
     reach: &[Option<Reach>],
 ) -> String {
-    let mut path: Vec<String> = Vec::new();
+    let mut path: Vec<&str> = Vec::new();
     if let Some(f) = graph.fns.get(start) {
-        path.push(f.name.to_string());
+        path.push(f.name);
     }
     let mut cur = r.clone();
     let mut at = start;
@@ -154,7 +155,7 @@ fn describe(
                     break None;
                 }
                 if let Some(f) = graph.fns.get(callee) {
-                    path.push(f.name.to_string());
+                    path.push(f.name);
                 }
                 at = callee;
                 match reach.get(callee).and_then(|r| r.clone()) {
@@ -168,14 +169,14 @@ fn describe(
         .fns
         .get(at)
         .and_then(|f| ws.files.get(f.file))
-        .map(|f| f.parsed.rel_path.as_str())
+        .map(|f| f.parsed.rel_path)
         .unwrap_or("?");
     match seed {
         Some(s) => {
             if path.len() > 1 {
                 format!(
                     "pub fn `{}` can reach a panic (call path {}): {} at {}:{}",
-                    path.first().map(String::as_str).unwrap_or("?"),
+                    path.first().copied().unwrap_or("?"),
                     path.join(" -> "),
                     s.desc,
                     seed_file,
@@ -184,7 +185,7 @@ fn describe(
             } else {
                 format!(
                     "pub fn `{}` can panic: {} at line {}",
-                    path.first().map(String::as_str).unwrap_or("?"),
+                    path.first().copied().unwrap_or("?"),
                     s.desc,
                     s.line,
                 )
@@ -193,7 +194,7 @@ fn describe(
         None => format!(
             "pub fn `{}` can reach a panic through a call chain deeper than 8 \
              (path starts {})",
-            path.first().map(String::as_str).unwrap_or("?"),
+            path.first().copied().unwrap_or("?"),
             path.join(" -> "),
         ),
     }
@@ -201,7 +202,7 @@ fn describe(
 
 /// Find the earliest (line, col) panic seed in a fn body, with bounds
 /// proofs applied.
-fn local_seed(cfg: &Cfg<'_>, body: &[Stmt], params: &[Param]) -> Option<Seed> {
+fn local_seed<'a>(cfg: &Cfg<'a>, body: &'a [Stmt<'a>], params: &'a [Param<'a>]) -> Option<Seed> {
     let env = NameEnv::collect(body, params);
     let facts = dataflow::solve(cfg, &Bounds);
     let mut seeds: Vec<Seed> = Vec::new();
@@ -229,18 +230,18 @@ fn local_seed(cfg: &Cfg<'_>, body: &[Stmt], params: &[Param]) -> Option<Seed> {
 /// bound to a shape-proved nonzero value (`let n = xs.count().max(1)`).
 /// A plain `name = expr` re-assignment does *not* drop a name — an
 /// accepted over-approximation, noted in the module docs.
-struct NameEnv {
-    floats: BTreeSet<String>,
-    nonzero: BTreeSet<String>,
+struct NameEnv<'a> {
+    floats: BTreeSet<&'a str>,
+    nonzero: BTreeSet<&'a str>,
 }
 
-impl NameEnv {
-    fn collect(body: &[Stmt], params: &[Param]) -> NameEnv {
+impl<'a> NameEnv<'a> {
+    fn collect(body: &'a [Stmt<'a>], params: &'a [Param<'a>]) -> NameEnv<'a> {
         let mut env = NameEnv {
             floats: params
                 .iter()
                 .filter(|p| is_float_ty(&p.ty))
-                .map(|p| p.name.clone())
+                .map(|p| p.name)
                 .collect(),
             nonzero: BTreeSet::new(),
         };
@@ -249,12 +250,12 @@ impl NameEnv {
                 let is_float =
                     is_float_ty(ty) || init.is_some_and(|e| is_float_operand(e, &env.floats));
                 if is_float {
-                    env.floats.insert(name.clone());
+                    env.floats.insert(name);
                 } else {
                     env.floats.remove(name);
                 }
                 if init.is_some_and(divisor_is_nonzero_literal) {
-                    env.nonzero.insert(name.clone());
+                    env.nonzero.insert(name);
                 } else {
                     env.nonzero.remove(name);
                 }
@@ -267,32 +268,30 @@ impl NameEnv {
 /// A declared type that is exactly a (possibly referenced) float scalar.
 /// Deliberately *not* "mentions f64": `&[f64]` is a slice, and indexing
 /// or `.len()` arithmetic on it is integer work.
-fn is_float_ty(ty: &[String]) -> bool {
+fn is_float_ty(ty: &[&str]) -> bool {
     !ty.is_empty()
-        && ty
-            .iter()
-            .all(|t| matches!(t.as_str(), "&" | "mut" | "f64" | "f32"))
-        && ty.iter().any(|t| t == "f64" || t == "f32")
+        && ty.iter().all(|t| matches!(*t, "&" | "mut" | "f64" | "f32"))
+        && ty.iter().any(|&t| t == "f64" || t == "f32")
 }
 
 /// Scan one expression tree for seeds, skipping control-flow children
 /// (they are separate CFG steps).
-fn scan_expr(e: &Expr, fact: &BoundsFact, env: &NameEnv, out: &mut Vec<Seed>) {
+fn scan_expr(e: &Expr<'_>, fact: &BoundsFact<'_>, env: &NameEnv<'_>, out: &mut Vec<Seed>) {
     match &e.kind {
         // Short-circuit: the rhs of `a && b` only evaluates with `a`
         // known true (dually `||`/false), so scan it under those facts —
         // `i < xs.len() && xs[i] == 0` is proved inside the condition
         // itself, not just on its True edge.
-        ExprKind::Binary { op, lhs, rhs } if op == "&&" || op == "||" => {
+        ExprKind::Binary { op, lhs, rhs } if *op == "&&" || *op == "||" => {
             scan_expr(lhs, fact, env, out);
             let mut rhs_fact = fact.clone();
-            gen_cond(lhs, op == "&&", &mut rhs_fact);
+            gen_cond(lhs, *op == "&&", &mut rhs_fact);
             scan_expr(rhs, &rhs_fact, env, out);
             return;
         }
         ExprKind::Index { base, index } => {
-            if let (Some(b), Some(i)) = (place_name(base), ident_name(index)) {
-                if !fact.pairs.contains(&(i.to_string(), b.clone())) {
+            if let (Some(b), Some(i)) = (base.dotted_place(), ident_name(index)) {
+                if !fact.pairs.contains(&(i, b.clone())) {
                     out.push(Seed {
                         line: e.line,
                         col: e.col,
@@ -307,7 +306,7 @@ fn scan_expr(e: &Expr, fact: &BoundsFact, env: &NameEnv, out: &mut Vec<Seed>) {
         // Float division yields inf/NaN, it never panics; only integer
         // division with a possibly-zero divisor seeds.
         ExprKind::Binary { op, lhs, rhs }
-            if (op == "/" || op == "%")
+            if (*op == "/" || *op == "%")
                 && !divisor_is_nonzero_literal(rhs)
                 && !matches!(ident_name(rhs), Some(n) if env.nonzero.contains(n))
                 && !is_float_operand(lhs, &env.floats)
@@ -319,7 +318,7 @@ fn scan_expr(e: &Expr, fact: &BoundsFact, env: &NameEnv, out: &mut Vec<Seed>) {
                 desc: format!("`{op}` with a possibly-zero integer divisor"),
             });
         }
-        ExprKind::MethodCall { name, .. } if name == "unwrap" || name == "expect" => {
+        ExprKind::MethodCall { name, .. } if *name == "unwrap" || *name == "expect" => {
             out.push(Seed {
                 line: e.line,
                 col: e.col,
@@ -327,7 +326,7 @@ fn scan_expr(e: &Expr, fact: &BoundsFact, env: &NameEnv, out: &mut Vec<Seed>) {
             });
         }
         ExprKind::MacroCall { path, .. } => {
-            let last = path.last().map(String::as_str).unwrap_or("");
+            let last = path.last().copied().unwrap_or("");
             if matches!(last, "panic" | "unreachable" | "todo" | "unimplemented") {
                 out.push(Seed {
                     line: e.line,
@@ -349,13 +348,13 @@ fn scan_expr(e: &Expr, fact: &BoundsFact, env: &NameEnv, out: &mut Vec<Seed>) {
 /// name from the fn's float environment, a `sum::<f64>()`-style
 /// turbofish, float-only math methods, `max`/`min`/`clamp` with a float
 /// argument — or an arithmetic/negated/method-chained form thereof.
-fn is_float_operand(e: &Expr, floats: &BTreeSet<String>) -> bool {
+fn is_float_operand(e: &Expr<'_>, floats: &BTreeSet<&str>) -> bool {
     match &e.kind {
         ExprKind::Cast { ty, .. } => is_float_ty(ty),
         ExprKind::Lit(text) => is_float_literal(text),
         ExprKind::Path(segs) => matches!(segs.as_slice(), [one] if floats.contains(one)),
         ExprKind::Unary { operand, .. } => is_float_operand(operand, floats),
-        ExprKind::Binary { op, lhs, rhs } if matches!(op.as_str(), "+" | "-" | "*" | "/") => {
+        ExprKind::Binary { op, lhs, rhs } if matches!(*op, "+" | "-" | "*" | "/") => {
             is_float_operand(lhs, floats) || is_float_operand(rhs, floats)
         }
         ExprKind::MethodCall {
@@ -367,11 +366,11 @@ fn is_float_operand(e: &Expr, floats: &BTreeSet<String>) -> bool {
             // Float math chains: `(..).sqrt()`, `x.max(0.0)`,
             // `iter.sum::<f64>()`, ...
             matches!(
-                name.as_str(),
+                *name,
                 "sqrt" | "ln" | "log2" | "log10" | "exp" | "powi" | "powf"
-            ) || turbofish.iter().any(|t| t == "f64" || t == "f32")
+            ) || turbofish.iter().any(|&t| t == "f64" || t == "f32")
                 || (matches!(
-                    name.as_str(),
+                    *name,
                     "max" | "min" | "clamp" | "abs" | "floor" | "ceil" | "round"
                 ) && args.iter().any(|a| is_float_operand(a, floats)))
                 || is_float_operand(recv, floats)
@@ -395,13 +394,13 @@ fn is_float_literal(text: &str) -> bool {
 
 /// Divisors proved nonzero by shape: a nonzero literal (through casts
 /// and negation), or `expr.max(<nonzero positive literal>)`.
-fn divisor_is_nonzero_literal(rhs: &Expr) -> bool {
+fn divisor_is_nonzero_literal(rhs: &Expr<'_>) -> bool {
     match &rhs.kind {
         ExprKind::Lit(text) => !is_zero_literal(text),
         ExprKind::Unary { op: '-', operand } | ExprKind::Cast { operand, .. } => {
             divisor_is_nonzero_literal(operand)
         }
-        ExprKind::MethodCall { name, args, .. } if name == "max" => {
+        ExprKind::MethodCall { name, args, .. } if *name == "max" => {
             // `n.max(1)` ≥ 1 regardless of `n` (a negative literal would
             // not prove it, so require a bare nonzero literal).
             matches!(
@@ -418,16 +417,11 @@ fn is_zero_literal(text: &str) -> bool {
     !digits.is_empty() && digits.chars().all(|c| c == '0' || c == '.')
 }
 
-/// Dotted name of a plain place expression (`xs`, `self.goto`).
-fn place_name(e: &Expr) -> Option<String> {
-    e.plain_path().map(|segs| segs.join("."))
-}
-
 /// A plain single-identifier index, with `as`-casts stripped.
-fn ident_name(e: &Expr) -> Option<&str> {
+fn ident_name<'a>(e: &Expr<'a>) -> Option<&'a str> {
     match &e.kind {
-        ExprKind::Path(segs) => match segs.as_slice() {
-            [single] => Some(single.as_str()),
+        ExprKind::Path(segs) => match *segs.as_slice() {
+            [single] => Some(single),
             _ => None,
         },
         ExprKind::Cast { operand, .. } => ident_name(operand),
@@ -436,31 +430,32 @@ fn ident_name(e: &Expr) -> Option<&str> {
 }
 
 /// The base of an `xs.len()` call, as a dotted place name.
-fn len_call_base(e: &Expr) -> Option<String> {
+fn len_call_base<'a>(e: &Expr<'a>) -> Option<Cow<'a, str>> {
     if let ExprKind::MethodCall {
         recv, name, args, ..
     } = &e.kind
     {
-        if name == "len" && args.is_empty() {
-            return place_name(recv);
+        if *name == "len" && args.is_empty() {
+            return recv.dotted_place();
         }
     }
     None
 }
 
 /// Must-facts: `pairs` holds `(i, xs)` meaning `i < xs.len()`; `aliases`
-/// holds `(n, xs)` meaning `n == xs.len()`.
+/// holds `(n, xs)` meaning `n == xs.len()`. Index names borrow the
+/// source; a place is borrowed too unless it is a dotted path.
 #[derive(Debug, Clone, PartialEq, Default)]
-struct BoundsFact {
-    pairs: BTreeSet<(String, String)>,
-    aliases: BTreeSet<(String, String)>,
+struct BoundsFact<'a> {
+    pairs: BTreeSet<(&'a str, Cow<'a, str>)>,
+    aliases: BTreeSet<(&'a str, Cow<'a, str>)>,
 }
 
-impl BoundsFact {
+impl BoundsFact<'_> {
     /// Drop every fact mentioning `name` on either side.
     fn kill_name(&mut self, name: &str) {
-        self.pairs.retain(|(i, b)| i != name && b != name);
-        self.aliases.retain(|(n, b)| n != name && b != name);
+        self.pairs.retain(|(i, b)| *i != name && b != name);
+        self.aliases.retain(|(n, b)| *n != name && b != name);
     }
 
     /// Drop every fact about the place `base` (its length may change).
@@ -492,18 +487,18 @@ const LEN_MUTATORS: &[&str] = &[
 struct Bounds;
 
 impl<'a> Analysis<'a> for Bounds {
-    type Fact = BoundsFact;
+    type Fact = BoundsFact<'a>;
 
-    fn boundary(&self) -> BoundsFact {
+    fn boundary(&self) -> BoundsFact<'a> {
         BoundsFact::default()
     }
 
-    fn join(&self, acc: &mut BoundsFact, other: &BoundsFact) {
+    fn join(&self, acc: &mut BoundsFact<'a>, other: &BoundsFact<'a>) {
         acc.pairs.retain(|p| other.pairs.contains(p));
         acc.aliases.retain(|p| other.aliases.contains(p));
     }
 
-    fn step(&self, step: &Step<'a>, fact: &mut BoundsFact) {
+    fn step(&self, step: &Step<'a>, fact: &mut BoundsFact<'a>) {
         match step {
             Step::Eval(e) | Step::Cond(e) => kill_effects(e, fact),
             Step::Bind { pat, init, .. } => {
@@ -512,12 +507,12 @@ impl<'a> Analysis<'a> for Bounds {
                 }
                 let mut names = Vec::new();
                 pat.bound_names(&mut names);
-                for n in &names {
+                for n in names {
                     fact.kill_name(n);
                 }
                 if let (Pat::Ident { name, .. }, Some(init)) = (pat, init) {
                     if let Some(base) = len_call_base(init) {
-                        fact.aliases.insert((name.clone(), base));
+                        fact.aliases.insert((name, base));
                     }
                 }
             }
@@ -539,7 +534,7 @@ impl<'a> Analysis<'a> for Bounds {
         }
     }
 
-    fn edge(&self, branch: Option<&Step<'a>>, label: Edge, fact: &mut BoundsFact) {
+    fn edge(&self, branch: Option<&Step<'a>>, label: Edge, fact: &mut BoundsFact<'a>) {
         match branch {
             Some(Step::Cond(e)) => match label {
                 Edge::True => gen_cond(e, true, fact),
@@ -555,10 +550,10 @@ impl<'a> Analysis<'a> for Bounds {
 }
 
 /// Learn bounds facts from a condition known `positive` (or known false).
-fn gen_cond(e: &Expr, positive: bool, fact: &mut BoundsFact) {
+fn gen_cond<'a>(e: &Expr<'a>, positive: bool, fact: &mut BoundsFact<'a>) {
     match &e.kind {
         ExprKind::Unary { op: '!', operand } => gen_cond(operand, !positive, fact),
-        ExprKind::Binary { op, lhs, rhs } => match op.as_str() {
+        ExprKind::Binary { op, lhs, rhs } => match *op {
             "&&" if positive => {
                 gen_cond(lhs, true, fact);
                 gen_cond(rhs, true, fact);
@@ -579,30 +574,30 @@ fn gen_cond(e: &Expr, positive: bool, fact: &mut BoundsFact) {
 
 /// Record `small < big.len()` when `small` is a plain index and `big` is
 /// a `len()` call or a recorded length alias.
-fn gen_upper_bound(small: &Expr, big: &Expr, fact: &mut BoundsFact) {
+fn gen_upper_bound<'a>(small: &Expr<'a>, big: &Expr<'a>, fact: &mut BoundsFact<'a>) {
     let Some(idx) = ident_name(small) else {
         return;
     };
     if let Some(base) = len_call_base(big) {
-        fact.pairs.insert((idx.to_string(), base));
+        fact.pairs.insert((idx, base));
         return;
     }
     if let Some(n) = ident_name(big) {
-        let bases: Vec<String> = fact
+        let bases: Vec<Cow<'a, str>> = fact
             .aliases
             .iter()
-            .filter(|(alias, _)| alias == n)
+            .filter(|(alias, _)| *alias == n)
             .map(|(_, base)| base.clone())
             .collect();
         for base in bases {
-            fact.pairs.insert((idx.to_string(), base));
+            fact.pairs.insert((idx, base));
         }
     }
 }
 
 /// Loop-head proofs: `for i in 0..xs.len()` and
 /// `for (i, _) in xs.iter().enumerate()`.
-fn gen_for(pat: &Pat, iter: &Expr, fact: &mut BoundsFact) {
+fn gen_for<'a>(pat: &Pat<'a>, iter: &Expr<'a>, fact: &mut BoundsFact<'a>) {
     match (&iter.kind, pat) {
         (
             ExprKind::Range {
@@ -613,10 +608,10 @@ fn gen_for(pat: &Pat, iter: &Expr, fact: &mut BoundsFact) {
             Pat::Ident { name, .. },
         ) => {
             if let Some(base) = len_call_base(hi) {
-                fact.pairs.insert((name.clone(), base));
+                fact.pairs.insert((name, base));
             }
         }
-        (ExprKind::MethodCall { recv, name, .. }, Pat::Tuple(elems)) if name == "enumerate" => {
+        (ExprKind::MethodCall { recv, name, .. }, Pat::Tuple(elems)) if *name == "enumerate" => {
             let Some(Pat::Ident { name: idx, .. }) = elems.first() else {
                 return;
             };
@@ -626,9 +621,9 @@ fn gen_for(pat: &Pat, iter: &Expr, fact: &mut BoundsFact) {
                 ..
             } = &recv.kind
             {
-                if m == "iter" || m == "iter_mut" {
-                    if let Some(base) = place_name(inner) {
-                        fact.pairs.insert((idx.clone(), base));
+                if *m == "iter" || *m == "iter_mut" {
+                    if let Some(base) = inner.dotted_place() {
+                        fact.pairs.insert((idx, base));
                     }
                 }
             }
@@ -640,15 +635,15 @@ fn gen_for(pat: &Pat, iter: &Expr, fact: &mut BoundsFact) {
 /// Apply an expression's *kill* effects: writes to an index variable,
 /// `&mut` on a place, or a length-changing method call. Control-flow
 /// children are separate steps and skipped.
-fn kill_effects(e: &Expr, fact: &mut BoundsFact) {
+fn kill_effects(e: &Expr<'_>, fact: &mut BoundsFact<'_>) {
     match &e.kind {
         ExprKind::Assign { lhs, .. } => {
-            if let Some(place) = place_name(lhs) {
+            if let Some(place) = lhs.dotted_place() {
                 fact.kill_name(&place);
             }
         }
-        ExprKind::MethodCall { recv, name, .. } if LEN_MUTATORS.contains(&name.as_str()) => {
-            if let Some(base) = place_name(recv) {
+        ExprKind::MethodCall { recv, name, .. } if LEN_MUTATORS.contains(name) => {
+            if let Some(base) = recv.dotted_place() {
                 fact.kill_base(&base);
             }
         }
@@ -656,7 +651,7 @@ fn kill_effects(e: &Expr, fact: &mut BoundsFact) {
             mutable: true,
             operand,
         } => {
-            if let Some(base) = place_name(operand) {
+            if let Some(base) = operand.dotted_place() {
                 fact.kill_base(&base);
             }
         }

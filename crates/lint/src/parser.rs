@@ -15,25 +15,25 @@
 //! proptest (`tests/parser_props.rs`) enforces on arbitrary input.
 
 use crate::lexer::{lex, Token, TokenKind};
-use std::collections::BTreeSet;
 
-/// What a parsed item is.
+/// What a parsed item is. Every name and type token borrows the source
+/// text (`'src`), so a parse copies no identifier.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ItemKind {
+pub enum ItemKind<'src> {
     /// A free or associated function.
-    Fn(FnInfo),
+    Fn(FnInfo<'src>),
     /// A struct, with its named fields.
-    Struct { fields: Vec<FieldInfo> },
+    Struct { fields: Vec<FieldInfo<'src>> },
     /// An enum or union.
     Enum,
     /// A trait declaration (children hold provided methods).
     Trait,
     /// An `impl` block; `of_trait` is true for `impl Trait for Type`.
-    Impl { of_trait: bool, self_ty: String },
+    Impl { of_trait: bool, self_ty: &'src str },
     /// An inline or file module (children hold its items).
     Mod,
     /// A `use` declaration; `paths` are the expanded leaf paths.
-    Use { paths: Vec<Vec<String>> },
+    Use { paths: Vec<Vec<&'src str>> },
     /// A `const` or `static` item.
     Const,
     /// A `type` alias.
@@ -44,9 +44,9 @@ pub enum ItemKind {
 
 /// A named struct field and whether its declared type is a lock.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FieldInfo {
+pub struct FieldInfo<'src> {
     /// Field name.
-    pub name: String,
+    pub name: &'src str,
     /// Whether the declared type mentions `Mutex` or `RwLock`.
     pub is_lock: bool,
     /// Whether the declared type mentions `HashMap` or `HashSet`
@@ -54,35 +54,35 @@ pub struct FieldInfo {
     pub is_hash: bool,
     /// Declared type tokens, verbatim (type/effect layer input: numeric
     /// field types for `N1`/`N2`, `Atomic*` detection for `A1`).
-    pub ty: Vec<String>,
+    pub ty: Vec<&'src str>,
 }
 
 /// One declared fn parameter.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Param {
+pub struct Param<'src> {
     /// Parameter name; `self` for receiver forms, empty for pattern
     /// parameters (`(a, b): (u32, u32)`).
-    pub name: String,
+    pub name: &'src str,
     /// Declared type tokens (empty for `self` receivers).
-    pub ty: Vec<String>,
+    pub ty: Vec<&'src str>,
 }
 
 /// Function-level facts the rule passes consume.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct FnInfo {
+pub struct FnInfo<'src> {
     /// Whether the declared return type mentions `Result`.
     pub returns_result: bool,
     /// Declared return type tokens, verbatim (empty for `()` fns). The
     /// type index derives ctor/method return types from these.
-    pub ret: Vec<String>,
+    pub ret: Vec<&'src str>,
     /// Call and method-call expressions in the body, in source order
     /// (derived from `body`; kept for the statement-level passes).
-    pub calls: Vec<CallSite>,
+    pub calls: Vec<CallSite<'src>>,
     /// Declared parameters, in order.
-    pub params: Vec<Param>,
+    pub params: Vec<Param<'src>>,
     /// The parsed body statements (expression grammar; see
     /// [`crate::expr`]). Empty for bodyless fns.
-    pub body: Vec<crate::expr::Stmt>,
+    pub body: Vec<crate::expr::Stmt<'src>>,
 }
 
 /// How a call's value leaves (or fails to leave) its statement.
@@ -98,17 +98,17 @@ pub enum Discard {
 
 /// One call or method-call expression inside a fn body.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CallSite {
+pub struct CallSite<'src> {
     /// Callee name: last path segment (`parse` in `Url::parse`) or the
     /// method name (`lock` in `self.metrics.lock()`).
-    pub name: String,
+    pub name: &'src str,
     /// For method calls, the receiver's plain path (`["self", "metrics"]`
     /// for `self.metrics.lock()`); empty when the receiver is itself an
     /// expression (chained calls) or for path calls.
-    pub recv: Vec<String>,
+    pub recv: Vec<&'src str>,
     /// For path calls, the full path (`["Url", "parse"]`); empty for
     /// method calls.
-    pub path: Vec<String>,
+    pub path: Vec<&'src str>,
     /// True for `.name(...)` method syntax.
     pub is_method: bool,
     /// 1-based line of the callee token.
@@ -121,11 +121,11 @@ pub struct CallSite {
 
 /// One parsed item with its nested children.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Item {
+pub struct Item<'src> {
     /// Classification plus kind-specific facts.
-    pub kind: ItemKind,
+    pub kind: ItemKind<'src>,
     /// Item name; empty for `impl` blocks and `use` declarations.
-    pub name: String,
+    pub name: &'src str,
     /// Whether the item is plain `pub` (scoped visibility such as
     /// `pub(crate)` does not count — it is already restricted).
     pub is_pub: bool,
@@ -139,17 +139,17 @@ pub struct Item {
     /// Inclusive span in significant-token indices.
     pub span: (usize, usize),
     /// Identifier texts inside the item's span (children included, raw
-    /// `r#` prefixes stripped) — the names this item references. Dead-pub
-    /// liveness propagates through these, so they are filled only for
-    /// the items it propagates through (see `Item::propagates_liveness`):
-    /// empty for containers, `use` declarations, unnamed and
-    /// `#[cfg(test)]` items.
-    pub idents: BTreeSet<String>,
+    /// `r#` prefixes stripped), sorted and deduplicated — the names this
+    /// item references. Dead-pub liveness propagates through these, so
+    /// they are filled only for the items it propagates through (see
+    /// `Item::propagates_liveness`): empty for containers, `use`
+    /// declarations, unnamed and `#[cfg(test)]` items.
+    pub idents: Vec<&'src str>,
     /// Nested items (mod bodies, impl/trait members).
-    pub children: Vec<Item>,
+    pub children: Vec<Item<'src>>,
 }
 
-impl Item {
+impl<'src> Item<'src> {
     /// Whether `P1` liveness propagates through this item: a named
     /// non-test item that is not a container (a `mod`'s or `impl`'s span
     /// covers its children, which propagate individually) or a `use`
@@ -165,7 +165,7 @@ impl Item {
     }
 
     /// Depth-first iteration over this item and all descendants.
-    pub fn walk<'a>(&'a self, out: &mut Vec<&'a Item>) {
+    pub fn walk<'a>(&'a self, out: &mut Vec<&'a Item<'src>>) {
         out.push(self);
         for child in &self.children {
             child.walk(out);
@@ -175,18 +175,18 @@ impl Item {
 
 /// A fully parsed source file.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ParsedFile {
+pub struct ParsedFile<'src> {
     /// Workspace-relative path with forward slashes.
-    pub rel_path: String,
+    pub rel_path: &'src str,
     /// Top-level items.
-    pub items: Vec<Item>,
+    pub items: Vec<Item<'src>>,
     /// Number of significant tokens (span upper bound).
     pub sig_len: usize,
 }
 
-impl ParsedFile {
+impl<'src> ParsedFile<'src> {
     /// All items, flattened depth-first.
-    pub fn all_items(&self) -> Vec<&Item> {
+    pub fn all_items(&self) -> Vec<&Item<'src>> {
         let mut out = Vec::new();
         for item in &self.items {
             item.walk(&mut out);
@@ -196,14 +196,14 @@ impl ParsedFile {
 }
 
 /// Parse one file's source into its item tree.
-pub fn parse_file(rel_path: &str, src: &str) -> ParsedFile {
+pub fn parse_file<'src>(rel_path: &'src str, src: &'src str) -> ParsedFile<'src> {
     parse_tokens(rel_path, &lex(src))
 }
 
 /// Parse one file's item tree from its token stream (as [`lex`] returns
 /// it), so a scan that already lexed the file does not lex it again.
-pub(crate) fn parse_tokens(rel_path: &str, tokens: &[Token<'_>]) -> ParsedFile {
-    let sig: Vec<&Token<'_>> = tokens
+pub(crate) fn parse_tokens<'src>(rel_path: &'src str, tokens: &[Token<'src>]) -> ParsedFile<'src> {
+    let sig: Vec<&Token<'src>> = tokens
         .iter()
         .filter(|t| {
             !matches!(
@@ -212,7 +212,7 @@ pub(crate) fn parse_tokens(rel_path: &str, tokens: &[Token<'_>]) -> ParsedFile {
             )
         })
         .collect();
-    let texts: Vec<&str> = sig.iter().map(|t| t.text).collect();
+    let texts: Vec<&'src str> = sig.iter().map(|t| t.text).collect();
     let mut parser = Parser {
         sig: &sig,
         texts: &texts,
@@ -221,27 +221,27 @@ pub(crate) fn parse_tokens(rel_path: &str, tokens: &[Token<'_>]) -> ParsedFile {
     let mut items = parser.parse_items(false, false);
     fill_idents(&mut items, &sig);
     ParsedFile {
-        rel_path: rel_path.to_string(),
+        rel_path,
         items,
         sig_len: sig.len(),
     }
 }
 
 /// Attach the identifier texts inside its span to every item liveness
-/// propagates through, allocating each distinct name once per item.
-fn fill_idents(items: &mut [Item], sig: &[&Token<'_>]) {
+/// propagates through, as one sorted, deduplicated list of source slices.
+fn fill_idents<'src>(items: &mut [Item<'src>], sig: &[&Token<'src>]) {
     for item in items {
         if item.propagates_liveness() {
             let (lo, hi) = item.span;
-            for t in sig.iter().take(hi + 1).skip(lo) {
-                if t.kind != TokenKind::Ident {
-                    continue;
-                }
-                let name = t.text.strip_prefix("r#").unwrap_or(t.text);
-                if !item.idents.contains(name) {
-                    item.idents.insert(name.to_string());
-                }
-            }
+            item.idents = sig
+                .iter()
+                .take(hi + 1)
+                .skip(lo)
+                .filter(|t| t.kind == TokenKind::Ident)
+                .map(|t| t.text.strip_prefix("r#").unwrap_or(t.text))
+                .collect();
+            item.idents.sort_unstable();
+            item.idents.dedup();
         }
         fill_idents(&mut item.children, sig);
     }
@@ -261,15 +261,15 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 ];
 
 impl<'a, 'b> Parser<'a, 'b> {
-    fn at(&self, i: usize) -> &str {
+    fn at(&self, i: usize) -> &'b str {
         self.texts.get(i).copied().unwrap_or("")
     }
 
-    fn cur(&self) -> &str {
+    fn cur(&self) -> &'b str {
         self.at(self.pos)
     }
 
-    fn peek(&self, n: usize) -> &str {
+    fn peek(&self, n: usize) -> &'b str {
         self.at(self.pos + n)
     }
 
@@ -280,7 +280,7 @@ impl<'a, 'b> Parser<'a, 'b> {
     /// Parse items until end-of-input or (when `stop_at_brace`) a `}` at
     /// this nesting level. `in_cfg_test` propagates `#[cfg(test)]` from an
     /// enclosing module.
-    fn parse_items(&mut self, stop_at_brace: bool, in_cfg_test: bool) -> Vec<Item> {
+    fn parse_items(&mut self, stop_at_brace: bool, in_cfg_test: bool) -> Vec<Item<'b>> {
         let mut items = Vec::new();
         while self.pos < self.texts.len() {
             if stop_at_brace && self.cur() == "}" {
@@ -291,8 +291,7 @@ impl<'a, 'b> Parser<'a, 'b> {
             let is_pub = self.skip_visibility();
             self.skip_fn_qualifiers();
             let (line, col) = self.pos_of(self.pos);
-            let keyword = self.cur().to_string();
-            let parsed = match keyword.as_str() {
+            let parsed = match self.cur() {
                 "fn" => self.parse_fn(),
                 "struct" => self.parse_struct(),
                 "enum" | "union" => self.parse_enum_like(),
@@ -314,7 +313,7 @@ impl<'a, 'b> Parser<'a, 'b> {
                     line,
                     col,
                     span: (start, self.pos.saturating_sub(1).max(start)),
-                    idents: BTreeSet::new(),
+                    idents: Vec::new(),
                     children,
                 }),
                 None => {
@@ -459,14 +458,14 @@ impl<'a, 'b> Parser<'a, 'b> {
 
     /// Collect type tokens until one of `stops` at bracket-depth 0;
     /// cursor is left on the stop token. Returns the collected texts.
-    fn scan_type_until(&mut self, stops: &[&str]) -> Vec<String> {
+    fn scan_type_until(&mut self, stops: &[&str]) -> Vec<&'b str> {
         let mut out = Vec::new();
         let mut angle = 0i32;
         let mut group = 0i32;
         while self.pos < self.texts.len() {
             let t = self.cur();
             if t == "-" && self.peek(1) == ">" {
-                out.push("->".to_string());
+                out.push("->");
                 self.pos += 2;
                 continue;
             }
@@ -485,13 +484,13 @@ impl<'a, 'b> Parser<'a, 'b> {
                 }
                 _ => {}
             }
-            out.push(t.to_string());
+            out.push(t);
             self.pos += 1;
         }
         out
     }
 
-    fn parse_fn(&mut self) -> Option<(ItemKind, String, Vec<Item>)> {
+    fn parse_fn(&mut self) -> Option<(ItemKind<'b>, &'b str, Vec<Item<'b>>)> {
         self.pos += 1; // fn
         let name = self.ident()?;
         self.skip_generics();
@@ -507,7 +506,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         if self.cur() == "-" && self.peek(1) == ">" {
             self.pos += 2;
             ret = self.scan_type_until(&["{", ";", "where"]);
-            returns_result = ret.iter().any(|t| t == "Result");
+            returns_result = ret.contains(&"Result");
         }
         if self.cur() == "where" {
             self.scan_type_until(&["{", ";"]);
@@ -545,7 +544,7 @@ impl<'a, 'b> Parser<'a, 'b> {
     /// parens) into [`Param`]s: depth-0 commas split parameters, the name
     /// is the single identifier before a depth-0 `:` (empty for pattern
     /// parameters), and receiver forms collapse to name `self`.
-    fn parse_params(&mut self, start: usize, end: usize) -> Vec<Param> {
+    fn parse_params(&mut self, start: usize, end: usize) -> Vec<Param<'b>> {
         let mut params = Vec::new();
         let mut j = start;
         while j < end {
@@ -575,7 +574,7 @@ impl<'a, 'b> Parser<'a, 'b> {
     }
 
     /// Shape one parameter's token range `[j, k)`.
-    fn parse_one_param(&self, mut j: usize, k: usize) -> Option<Param> {
+    fn parse_one_param(&self, mut j: usize, k: usize) -> Option<Param<'b>> {
         // Skip attributes and leading modifiers.
         while j < k {
             match self.at(j) {
@@ -612,7 +611,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         }
         if self.at(j) == "self" {
             return Some(Param {
-                name: "self".to_string(),
+                name: "self",
                 ty: Vec::new(),
             });
         }
@@ -634,15 +633,15 @@ impl<'a, 'b> Parser<'a, 'b> {
         }
         let colon = colon?;
         let name = if colon == j + 1 && self.sig.get(j).map(|s| s.kind) == Some(TokenKind::Ident) {
-            self.at(j).to_string()
+            self.at(j)
         } else {
-            String::new()
+            ""
         };
-        let ty: Vec<String> = ((colon + 1)..k).map(|i| self.at(i).to_string()).collect();
+        let ty: Vec<&'b str> = ((colon + 1)..k).map(|i| self.at(i)).collect();
         Some(Param { name, ty })
     }
 
-    fn parse_struct(&mut self) -> Option<(ItemKind, String, Vec<Item>)> {
+    fn parse_struct(&mut self) -> Option<(ItemKind<'b>, &'b str, Vec<Item<'b>>)> {
         self.pos += 1; // struct
         let name = self.ident()?;
         self.skip_generics();
@@ -672,8 +671,8 @@ impl<'a, 'b> Parser<'a, 'b> {
                     }
                     self.pos += 1;
                     let ty = self.scan_type_until(&[","]);
-                    let is_lock = ty.iter().any(|t| t == "Mutex" || t == "RwLock");
-                    let is_hash = ty.iter().any(|t| t == "HashMap" || t == "HashSet");
+                    let is_lock = ty.iter().any(|&t| t == "Mutex" || t == "RwLock");
+                    let is_hash = ty.iter().any(|&t| t == "HashMap" || t == "HashSet");
                     fields.push(FieldInfo {
                         name: field,
                         is_lock,
@@ -692,7 +691,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         Some((ItemKind::Struct { fields }, name, Vec::new()))
     }
 
-    fn parse_enum_like(&mut self) -> Option<(ItemKind, String, Vec<Item>)> {
+    fn parse_enum_like(&mut self) -> Option<(ItemKind<'b>, &'b str, Vec<Item<'b>>)> {
         self.pos += 1;
         let name = self.ident()?;
         self.skip_generics();
@@ -707,7 +706,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         Some((ItemKind::Enum, name, Vec::new()))
     }
 
-    fn parse_trait(&mut self, cfg_test: bool) -> Option<(ItemKind, String, Vec<Item>)> {
+    fn parse_trait(&mut self, cfg_test: bool) -> Option<(ItemKind<'b>, &'b str, Vec<Item<'b>>)> {
         self.pos += 1;
         let name = self.ident()?;
         self.skip_generics();
@@ -725,7 +724,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         Some((ItemKind::Trait, name, children))
     }
 
-    fn parse_impl(&mut self, cfg_test: bool) -> Option<(ItemKind, String, Vec<Item>)> {
+    fn parse_impl(&mut self, cfg_test: bool) -> Option<(ItemKind<'b>, &'b str, Vec<Item<'b>>)> {
         self.pos += 1;
         self.skip_generics();
         let first_ty = self.scan_type_until(&["{", "for", ";"]);
@@ -749,14 +748,10 @@ impl<'a, 'b> Parser<'a, 'b> {
         } else if self.cur() == ";" {
             self.pos += 1;
         }
-        Some((
-            ItemKind::Impl { of_trait, self_ty },
-            String::new(),
-            children,
-        ))
+        Some((ItemKind::Impl { of_trait, self_ty }, "", children))
     }
 
-    fn parse_mod(&mut self, cfg_test: bool) -> Option<(ItemKind, String, Vec<Item>)> {
+    fn parse_mod(&mut self, cfg_test: bool) -> Option<(ItemKind<'b>, &'b str, Vec<Item<'b>>)> {
         self.pos += 1;
         let name = self.ident()?;
         let mut children = Vec::new();
@@ -772,18 +767,18 @@ impl<'a, 'b> Parser<'a, 'b> {
         Some((ItemKind::Mod, name, children))
     }
 
-    fn parse_use(&mut self) -> Option<(ItemKind, String, Vec<Item>)> {
+    fn parse_use(&mut self) -> Option<(ItemKind<'b>, &'b str, Vec<Item<'b>>)> {
         self.pos += 1; // use
         let mut paths = Vec::new();
         self.parse_use_tree(&mut Vec::new(), &mut paths);
         if self.cur() == ";" {
             self.pos += 1;
         }
-        Some((ItemKind::Use { paths }, String::new(), Vec::new()))
+        Some((ItemKind::Use { paths }, "", Vec::new()))
     }
 
     /// Parse one use-tree level, expanding `{...}` groups into leaf paths.
-    fn parse_use_tree(&mut self, prefix: &mut Vec<String>, out: &mut Vec<Vec<String>>) {
+    fn parse_use_tree(&mut self, prefix: &mut Vec<&'b str>, out: &mut Vec<Vec<&'b str>>) {
         let depth_at_entry = prefix.len();
         loop {
             match self.cur() {
@@ -804,7 +799,7 @@ impl<'a, 'b> Parser<'a, 'b> {
                 }
                 "*" => {
                     self.pos += 1;
-                    prefix.push("*".to_string());
+                    prefix.push("*");
                     out.push(prefix.clone());
                     prefix.pop();
                     break;
@@ -817,7 +812,7 @@ impl<'a, 'b> Parser<'a, 'b> {
                     break;
                 }
                 t if is_path_segment(t) => {
-                    prefix.push(t.to_string());
+                    prefix.push(t);
                     self.pos += 1;
                     if self.cur() == ":" && self.peek(1) == ":" {
                         self.pos += 2;
@@ -832,7 +827,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         prefix.truncate(depth_at_entry);
     }
 
-    fn parse_const_static(&mut self) -> Option<(ItemKind, String, Vec<Item>)> {
+    fn parse_const_static(&mut self) -> Option<(ItemKind<'b>, &'b str, Vec<Item<'b>>)> {
         self.pos += 1; // const | static
         if self.cur() == "mut" {
             self.pos += 1;
@@ -861,7 +856,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         Some((ItemKind::Const, name, Vec::new()))
     }
 
-    fn parse_type_alias(&mut self) -> Option<(ItemKind, String, Vec<Item>)> {
+    fn parse_type_alias(&mut self) -> Option<(ItemKind<'b>, &'b str, Vec<Item<'b>>)> {
         self.pos += 1;
         let name = self.ident()?;
         self.scan_type_until(&[";"]);
@@ -871,7 +866,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         Some((ItemKind::TypeAlias, name, Vec::new()))
     }
 
-    fn parse_macro_def(&mut self) -> Option<(ItemKind, String, Vec<Item>)> {
+    fn parse_macro_def(&mut self) -> Option<(ItemKind<'b>, &'b str, Vec<Item<'b>>)> {
         self.pos += 1; // macro_rules
         if self.cur() == "!" {
             self.pos += 1;
@@ -884,13 +879,13 @@ impl<'a, 'b> Parser<'a, 'b> {
     }
 
     /// Consume one identifier token, if present.
-    fn ident(&mut self) -> Option<String> {
+    fn ident(&mut self) -> Option<&'b str> {
         let tok = self.sig.get(self.pos)?;
         if tok.kind != TokenKind::Ident {
             return None;
         }
         self.pos += 1;
-        Some(tok.text.to_string())
+        Some(tok.text)
     }
 
     /// Index of the `}` matching the `{` at `open` (or last token).
@@ -925,20 +920,20 @@ fn is_path_segment(t: &str) -> bool {
 /// The "head" identifier of a type token run: the last identifier seen at
 /// angle-depth 0 (`html::dom::Node<T>` → `Node`, `fmt::Display` →
 /// `Display`).
-fn type_head(ty: &[String]) -> String {
+fn type_head<'src>(ty: &[&'src str]) -> &'src str {
     let mut depth = 0i32;
-    let mut head = String::new();
-    for t in ty {
-        match t.as_str() {
+    let mut head = "";
+    for &t in ty {
+        match t {
             "<" => depth += 1,
             ">" => depth -= 1,
             _ => {
                 if depth == 0
                     && t.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_')
                     && t.bytes().next().is_some_and(|b| !b.is_ascii_digit())
-                    && !NON_CALL_KEYWORDS.contains(&t.as_str())
+                    && !NON_CALL_KEYWORDS.contains(&t)
                 {
-                    head = t.clone();
+                    head = t;
                 }
             }
         }
@@ -950,8 +945,8 @@ fn type_head(ty: &[String]) -> String {
 mod tests {
     use super::*;
 
-    fn names(items: &[Item]) -> Vec<&str> {
-        items.iter().map(|i| i.name.as_str()).collect()
+    fn names<'a>(items: &[Item<'a>]) -> Vec<&'a str> {
+        items.iter().map(|i| i.name).collect()
     }
 
     #[test]
@@ -1017,8 +1012,8 @@ mod tests {
                     self_ty: t2,
                 },
             ) => {
-                assert_eq!(t1, "Foo");
-                assert_eq!(t2, "Foo");
+                assert_eq!(*t1, "Foo");
+                assert_eq!(*t2, "Foo");
             }
             other => panic!("unexpected kinds: {other:?}"),
         }
@@ -1030,7 +1025,7 @@ mod tests {
     fn use_trees_expand_to_leaf_paths() {
         let src = "use aipan_net::{Client, host::{Internet, StaticSite}};\nuse aipan_taxonomy::Aspect as A;\nuse std::fmt::*;\n";
         let file = parse_file("x.rs", src);
-        let mut all: Vec<Vec<String>> = Vec::new();
+        let mut all: Vec<Vec<&str>> = Vec::new();
         for item in &file.items {
             if let ItemKind::Use { paths } = &item.kind {
                 all.extend(paths.clone());
@@ -1056,10 +1051,7 @@ mod tests {
         let ItemKind::Struct { fields } = &file.items[0].kind else {
             panic!("expected struct");
         };
-        let locks: Vec<(&str, bool)> = fields
-            .iter()
-            .map(|f| (f.name.as_str(), f.is_lock))
-            .collect();
+        let locks: Vec<(&str, bool)> = fields.iter().map(|f| (f.name, f.is_lock)).collect();
         assert_eq!(
             locks,
             vec![("metrics", true), ("hosts", true), ("name", false)]
@@ -1084,7 +1076,7 @@ mod tests {
         let got: Vec<(&str, Discard, bool)> = info
             .calls
             .iter()
-            .map(|c| (c.name.as_str(), c.discard, c.is_method))
+            .map(|c| (c.name, c.discard, c.is_method))
             .collect();
         assert_eq!(
             got,

@@ -109,30 +109,30 @@ pub struct RetentionRecord {
 /// `Vec::new()`, `HashMap::with_capacity(..)`, `vec![..]`, `String::from`,
 /// or a `collect()` into one (type-directed collects are unknowable, so
 /// only ctor forms count — under-approximating the candidate set).
-fn growable_init(e: &Expr) -> bool {
+fn growable_init(e: &Expr<'_>) -> bool {
     match &e.kind {
         ExprKind::Call { callee, .. } => {
             if let ExprKind::Path(segs) = &callee.kind {
-                segs.iter().any(|s| GROWABLE_HEADS.contains(&s.as_str()))
+                segs.iter().any(|s| GROWABLE_HEADS.contains(s))
             } else {
                 false
             }
         }
-        ExprKind::MacroCall { path, .. } => path.last().is_some_and(|s| s == "vec"),
+        ExprKind::MacroCall { path, .. } => path.last() == Some(&"vec"),
         _ => false,
     }
 }
 
 /// A growable binding in one fn body.
 #[derive(Debug)]
-struct Accumulator {
-    name: String,
+struct Accumulator<'a> {
+    name: &'a str,
     line: u32,
     col: u32,
 }
 
 /// Every `let <name> = <growable ctor>` in a body, in source order.
-fn accumulators(body: &[Stmt]) -> Vec<Accumulator> {
+fn accumulators<'a>(body: &'a [Stmt<'a>]) -> Vec<Accumulator<'a>> {
     let mut out = Vec::new();
     crate::expr::for_each_let(body, &mut |pat, _ty, init| {
         let Pat::Ident { name, .. } = pat else {
@@ -140,7 +140,7 @@ fn accumulators(body: &[Stmt]) -> Vec<Accumulator> {
         };
         if init.is_some_and(growable_init) {
             out.push(Accumulator {
-                name: name.clone(),
+                name,
                 line: init.map(|e| e.line).unwrap_or(0),
                 col: init.map(|e| e.col).unwrap_or(0),
             });
@@ -151,24 +151,24 @@ fn accumulators(body: &[Stmt]) -> Vec<Accumulator> {
 
 /// Whether an expression is a grow call on the named binding
 /// (`name.push(..)` and friends).
-fn is_grow_on(e: &Expr, name: &str) -> bool {
+fn is_grow_on(e: &Expr<'_>, name: &str) -> bool {
     let ExprKind::MethodCall { recv, name: m, .. } = &e.kind else {
         return false;
     };
-    GROW_METHODS.contains(&m.as_str())
+    GROW_METHODS.contains(m)
         && matches!(&recv.kind, ExprKind::Path(segs) if segs.as_slice() == [name])
 }
 
 /// Whether an expression consumes/resets the named binding in place.
-fn is_consume_on(e: &Expr, name: &str) -> bool {
+fn is_consume_on(e: &Expr<'_>, name: &str) -> bool {
     match &e.kind {
         ExprKind::MethodCall { recv, name: m, .. } => {
-            CONSUME_METHODS.contains(&m.as_str())
+            CONSUME_METHODS.contains(m)
                 && matches!(&recv.kind, ExprKind::Path(segs) if segs.as_slice() == [name])
         }
         // `mem::take(&mut name)` / `std::mem::take(&mut name)`.
         ExprKind::Call { callee, args } => {
-            matches!(&callee.kind, ExprKind::Path(segs) if segs.last().is_some_and(|s| s == "take"))
+            matches!(&callee.kind, ExprKind::Path(segs) if segs.last() == Some(&"take"))
                 && args.iter().any(|a| match &a.kind {
                     ExprKind::Ref { operand, .. } => {
                         matches!(&operand.kind, ExprKind::Path(segs) if segs.as_slice() == [name])
@@ -178,7 +178,7 @@ fn is_consume_on(e: &Expr, name: &str) -> bool {
         }
         // Rebinding the accumulator resets it for the next iteration.
         ExprKind::Assign { lhs, op, .. } => {
-            op == "=" && matches!(&lhs.kind, ExprKind::Path(segs) if segs.as_slice() == [name])
+            *op == "=" && matches!(&lhs.kind, ExprKind::Path(segs) if segs.as_slice() == [name])
         }
         _ => false,
     }
@@ -188,7 +188,7 @@ fn is_consume_on(e: &Expr, name: &str) -> bool {
 /// [`for_each_expr`](crate::expr::for_each_expr) walk this also descends
 /// into match-arm guards and bodies, which the retention rules need
 /// (accumulators are often grown inside `match` arms).
-pub(crate) fn tree_any(e: &Expr, pred: &impl Fn(&Expr) -> bool) -> bool {
+pub(crate) fn tree_any(e: &Expr<'_>, pred: &impl Fn(&Expr<'_>) -> bool) -> bool {
     if pred(e) {
         return true;
     }
@@ -216,7 +216,7 @@ pub(crate) fn tree_any(e: &Expr, pred: &impl Fn(&Expr) -> bool) -> bool {
     false
 }
 
-pub(crate) fn stmts_any(stmts: &[Stmt], pred: &impl Fn(&Expr) -> bool) -> bool {
+pub(crate) fn stmts_any(stmts: &[Stmt<'_>], pred: &impl Fn(&Expr<'_>) -> bool) -> bool {
     for stmt in stmts {
         let hit = match stmt {
             Stmt::Let {
@@ -238,21 +238,21 @@ pub(crate) fn stmts_any(stmts: &[Stmt], pred: &impl Fn(&Expr) -> bool) -> bool {
 /// in-loop facts were observed.
 struct GrowingLoop<'a> {
     /// The loop expression itself.
-    lp: &'a Expr,
+    lp: &'a Expr<'a>,
     /// First grow site (line, col) inside the loop.
     site: (u32, u32),
 }
 
 /// Find every loop that grows `name`, walking the body with a loop stack
 /// (closures are descended into — the CFG inlines them the same way).
-fn growing_loops<'a>(body: &'a [Stmt], name: &str) -> Vec<GrowingLoop<'a>> {
+fn growing_loops<'a>(body: &'a [Stmt<'a>], name: &str) -> Vec<GrowingLoop<'a>> {
     let mut out: Vec<GrowingLoop<'a>> = Vec::new();
-    let mut stack: Vec<&'a Expr> = Vec::new();
+    let mut stack: Vec<&'a Expr<'a>> = Vec::new();
     walk(body, name, &mut stack, &mut out);
     fn walk<'a>(
-        stmts: &'a [Stmt],
+        stmts: &'a [Stmt<'a>],
         name: &str,
-        stack: &mut Vec<&'a Expr>,
+        stack: &mut Vec<&'a Expr<'a>>,
         out: &mut Vec<GrowingLoop<'a>>,
     ) {
         for stmt in stmts {
@@ -272,9 +272,9 @@ fn growing_loops<'a>(body: &'a [Stmt], name: &str) -> Vec<GrowingLoop<'a>> {
         }
     }
     fn walk_expr<'a>(
-        e: &'a Expr,
+        e: &'a Expr<'a>,
         name: &str,
-        stack: &mut Vec<&'a Expr>,
+        stack: &mut Vec<&'a Expr<'a>>,
         out: &mut Vec<GrowingLoop<'a>>,
     ) {
         let is_loop = matches!(
@@ -318,15 +318,15 @@ fn growing_loops<'a>(body: &'a [Stmt], name: &str) -> Vec<GrowingLoop<'a>> {
 
 /// Whether the fn returns the named binding: a tail expression or
 /// `return` of `name`, optionally wrapped in `Ok(..)`/`Some(..)`.
-fn escapes_by_return(body: &[Stmt], name: &str) -> bool {
-    fn is_name_or_wrapped(e: &Expr, name: &str) -> bool {
+fn escapes_by_return(body: &[Stmt<'_>], name: &str) -> bool {
+    fn is_name_or_wrapped(e: &Expr<'_>, name: &str) -> bool {
         match &e.kind {
             ExprKind::Path(segs) => segs.as_slice() == [name],
             ExprKind::Call { callee, args } => {
                 matches!(
                     &callee.kind,
                     ExprKind::Path(segs)
-                        if matches!(segs.last().map(String::as_str), Some("Ok" | "Some"))
+                        if matches!(segs.last().copied(), Some("Ok" | "Some"))
                 ) && args.len() == 1
                     && args.first().is_some_and(|a| is_name_or_wrapped(a, name))
             }
@@ -351,17 +351,26 @@ fn escapes_by_return(body: &[Stmt], name: &str) -> bool {
 /// `.len()`/`.is_empty()` probe, or a fn-local the body derived from a
 /// sized input (see [`bound_locals`]) — the syntactic evidence `S2`
 /// accepts.
-pub(crate) fn mentions_bound(e: &Expr, bounds: &BTreeSet<String>) -> bool {
+pub(crate) fn mentions_bound(e: &Expr<'_>, bounds: &BTreeSet<&str>) -> bool {
     tree_any(e, &|x| match &x.kind {
         ExprKind::MethodCall { name, .. } => {
-            name == "len" || name == "is_empty" || name == "min" || name == "capacity"
+            matches!(*name, "len" | "is_empty" | "min" | "capacity")
         }
         ExprKind::Path(segs) => segs.iter().any(|s| {
-            let lower = s.to_ascii_lowercase();
-            BOUND_NAME_HINTS.iter().any(|h| lower.contains(h))
+            has_fragment(s, BOUND_NAME_HINTS)
                 || matches!(segs.as_slice(), [one] if bounds.contains(one))
         }),
         _ => false,
+    })
+}
+
+/// Whether `name` contains one of the lowercase `fragments`, ignoring
+/// ASCII case (`maxDepth` holds `depth`).
+pub(crate) fn has_fragment(name: &str, fragments: &[&str]) -> bool {
+    fragments.iter().any(|f| {
+        name.as_bytes()
+            .windows(f.len())
+            .any(|w| w.eq_ignore_ascii_case(f.as_bytes()))
     })
 }
 
@@ -370,7 +379,7 @@ pub(crate) fn mentions_bound(e: &Expr, bounds: &BTreeSet<String>) -> bool {
 /// local inside a loop guard is a bound even though the `.len()` call is
 /// lexically outside the loop. (A bare literal initializer does NOT
 /// qualify — `let i = 0` is a counter, not a cap.)
-pub(crate) fn bound_locals(body: &[Stmt]) -> BTreeSet<String> {
+pub(crate) fn bound_locals<'a>(body: &'a [Stmt<'a>]) -> BTreeSet<&'a str> {
     let empty = BTreeSet::new();
     let mut out = BTreeSet::new();
     crate::expr::for_each_let(body, &mut |pat, _ty, init| {
@@ -378,7 +387,7 @@ pub(crate) fn bound_locals(body: &[Stmt]) -> BTreeSet<String> {
             return;
         };
         if init.is_some_and(|e| mentions_bound(e, &empty)) {
-            out.insert(name.clone());
+            out.insert(*name);
         }
     });
     out
@@ -386,20 +395,20 @@ pub(crate) fn bound_locals(body: &[Stmt]) -> BTreeSet<String> {
 
 /// Whether an expression tree contains a visited-set guard: an
 /// `insert`/`contains`/`contains_key` probe on some collection.
-fn visited_guard(e: &Expr) -> bool {
+fn visited_guard(e: &Expr<'_>) -> bool {
     tree_any(e, &|x| {
         matches!(
             &x.kind,
             ExprKind::MethodCall { name, .. }
-                if name == "insert" || name == "contains" || name == "contains_key"
+                if matches!(*name, "insert" | "contains" | "contains_key")
         )
     })
 }
 
 /// Whether a `break`/`return` inside the loop body sits under an `if` or
 /// `match` whose condition shows a bound or visited-set probe.
-pub(crate) fn guarded_exit(body: &[Stmt], bounds: &BTreeSet<String>) -> bool {
-    fn expr_has(e: &Expr, bounds: &BTreeSet<String>) -> bool {
+pub(crate) fn guarded_exit(body: &[Stmt<'_>], bounds: &BTreeSet<&str>) -> bool {
+    fn expr_has(e: &Expr<'_>, bounds: &BTreeSet<&str>) -> bool {
         let own = match &e.kind {
             ExprKind::If {
                 cond, then_block, ..
@@ -433,7 +442,7 @@ pub(crate) fn guarded_exit(body: &[Stmt], bounds: &BTreeSet<String>) -> bool {
         }
         child_blocks(e).iter().any(|b| stmts_has(b, bounds))
     }
-    fn stmts_has(stmts: &[Stmt], bounds: &BTreeSet<String>) -> bool {
+    fn stmts_has(stmts: &[Stmt<'_>], bounds: &BTreeSet<&str>) -> bool {
         stmts.iter().any(|stmt| match stmt {
             Stmt::Let {
                 init, else_block, ..
@@ -449,16 +458,16 @@ pub(crate) fn guarded_exit(body: &[Stmt], bounds: &BTreeSet<String>) -> bool {
 
 /// Worklist-drain scrutinee: `while let Some(x) = <queue>.pop*()` /
 /// `.next()` — returns the drained queue's root name.
-fn drained_root(scrutinee: &Expr) -> Option<String> {
+fn drained_root<'a>(scrutinee: &Expr<'a>) -> Option<&'a str> {
     let ExprKind::MethodCall { recv, name, .. } = &scrutinee.kind else {
         return None;
     };
-    if !matches!(name.as_str(), "pop" | "pop_front" | "pop_back" | "next") {
+    if !matches!(*name, "pop" | "pop_front" | "pop_back" | "next") {
         return None;
     }
     match &recv.kind {
-        ExprKind::Path(segs) => match segs.as_slice() {
-            [one] => Some(one.clone()),
+        ExprKind::Path(segs) => match *segs.as_slice() {
+            [one] => Some(one),
             _ => None,
         },
         _ => None,
@@ -468,17 +477,17 @@ fn drained_root(scrutinee: &Expr) -> Option<String> {
 /// Whether a loop shows any bound the rule accepts. `body`/`cond` are
 /// the loop's own statements and condition (when it has one); `bounds`
 /// holds the fn's sized-input locals (see [`bound_locals`]).
-fn loop_is_bounded(lp: &Expr, grow_line: u32, grow_col: u32, bounds: &BTreeSet<String>) -> bool {
+fn loop_is_bounded(lp: &Expr<'_>, grow_line: u32, grow_col: u32, bounds: &BTreeSet<&str>) -> bool {
     match &lp.kind {
         // A `for` loop over anything but an unbounded generator is
         // inherently bounded by its input.
         ExprKind::For { iter, body, .. } => {
             let unbounded = tree_any(iter, &|x| match &x.kind {
-                ExprKind::MethodCall { name, .. } => name == "cycle",
+                ExprKind::MethodCall { name, .. } => *name == "cycle",
                 ExprKind::Call { callee, .. } => matches!(
                     &callee.kind,
                     ExprKind::Path(segs)
-                        if segs.last().is_some_and(|s| s == "repeat" || s == "repeat_with")
+                        if segs.last().is_some_and(|&s| s == "repeat" || s == "repeat_with")
                 ),
                 ExprKind::Range { hi, .. } => hi.is_none(),
                 _ => false,
@@ -496,7 +505,7 @@ fn loop_is_bounded(lp: &Expr, grow_line: u32, grow_col: u32, bounds: &BTreeSet<S
             // Draining a worklist is bounded unless the body re-feeds the
             // same queue without a visited-set guard.
             if let Some(queue) = drained_root(scrutinee) {
-                let refeeds = stmts_any(body, &|x| is_grow_on(x, &queue));
+                let refeeds = stmts_any(body, &|x| is_grow_on(x, queue));
                 if !refeeds {
                     return true;
                 }
@@ -512,11 +521,11 @@ fn loop_is_bounded(lp: &Expr, grow_line: u32, grow_col: u32, bounds: &BTreeSet<S
 
 /// Whether the grow site at `(line, col)` sits under an `if` whose
 /// condition carries a visited-set or bound probe.
-fn grow_is_guarded(body: &[Stmt], line: u32, col: u32, bounds: &BTreeSet<String>) -> bool {
-    fn contains_site(stmts: &[Stmt], line: u32, col: u32) -> bool {
+fn grow_is_guarded(body: &[Stmt<'_>], line: u32, col: u32, bounds: &BTreeSet<&str>) -> bool {
+    fn contains_site(stmts: &[Stmt<'_>], line: u32, col: u32) -> bool {
         stmts_any(stmts, &|e| e.line == line && e.col == col)
     }
-    fn expr_guards(e: &Expr, line: u32, col: u32, bounds: &BTreeSet<String>) -> bool {
+    fn expr_guards(e: &Expr<'_>, line: u32, col: u32, bounds: &BTreeSet<&str>) -> bool {
         let own = match &e.kind {
             ExprKind::If {
                 cond, then_block, ..
@@ -550,7 +559,7 @@ fn grow_is_guarded(body: &[Stmt], line: u32, col: u32, bounds: &BTreeSet<String>
             .iter()
             .any(|b| stmts_guard(b, line, col, bounds))
     }
-    fn stmts_guard(stmts: &[Stmt], line: u32, col: u32, bounds: &BTreeSet<String>) -> bool {
+    fn stmts_guard(stmts: &[Stmt<'_>], line: u32, col: u32, bounds: &BTreeSet<&str>) -> bool {
         stmts.iter().any(|stmt| match stmt {
             Stmt::Let {
                 init, else_block, ..
@@ -569,7 +578,7 @@ fn grow_is_guarded(body: &[Stmt], line: u32, col: u32, bounds: &BTreeSet<String>
 
 /// Classify every growable collection in every fn of the workspace.
 pub fn retention_records(
-    ws: &Workspace,
+    ws: &Workspace<'_>,
     graph: &CallGraph<'_>,
     model: &CostModel,
 ) -> Vec<RetentionRecord> {
@@ -580,7 +589,7 @@ pub fn retention_records(
         };
         let body = &node.info.body;
         for acc in accumulators(body) {
-            let loops = growing_loops(body, &acc.name);
+            let loops = growing_loops(body, acc.name);
             if loops.is_empty() {
                 continue;
             }
@@ -588,19 +597,19 @@ pub fn retention_records(
                 let blocks = child_blocks(g.lp);
                 blocks
                     .iter()
-                    .any(|b| stmts_any(b, &|e| is_consume_on(e, &acc.name)))
+                    .any(|b| stmts_any(b, &|e| is_consume_on(e, acc.name)))
             });
             let class = if streamed {
                 Retention::Streamed
-            } else if escapes_by_return(body, &acc.name) {
+            } else if escapes_by_return(body, acc.name) {
                 Retention::Retained
             } else {
                 Retention::Local
             };
             out.push(RetentionRecord {
-                file: file.parsed.rel_path.clone(),
+                file: file.parsed.rel_path.to_string(),
                 fn_name: node.name.to_string(),
-                name: acc.name.clone(),
+                name: acc.name.to_string(),
                 line: acc.line,
                 col: acc.col,
                 class,
@@ -632,7 +641,7 @@ fn sole_iterating_consumer(caller: &FnNode<'_>, line: u32, col: u32) -> bool {
     let body = &caller.info.body;
     // Direct form: the call appears inside a `for` head.
     let mut direct = false;
-    let mut bound_name: Option<String> = None;
+    let mut bound_name: Option<&str> = None;
     crate::expr::for_each_expr(body, &mut |e| {
         if let ExprKind::For { iter, .. } = &e.kind {
             if tree_any(iter, &|x| x.line == line && x.col == col) {
@@ -652,7 +661,7 @@ fn sole_iterating_consumer(caller: &FnNode<'_>, line: u32, col: u32) -> bool {
             return;
         };
         if init.is_some_and(|e| tree_any(e, &|x| x.line == line && x.col == col)) {
-            bound_name = Some(name.clone());
+            bound_name = Some(*name);
         }
     });
     let Some(name) = bound_name else {
@@ -664,13 +673,13 @@ fn sole_iterating_consumer(caller: &FnNode<'_>, line: u32, col: u32) -> bool {
     crate::expr::for_each_expr(body, &mut |e| {
         if let ExprKind::For { iter, .. } = &e.kind {
             let in_head = match &iter.kind {
-                ExprKind::Path(segs) => segs.as_slice() == [name.as_str()],
+                ExprKind::Path(segs) => segs.as_slice() == [name],
                 ExprKind::Ref { operand, .. } => {
-                    matches!(&operand.kind, ExprKind::Path(segs) if segs.as_slice() == [name.as_str()])
+                    matches!(&operand.kind, ExprKind::Path(segs) if segs.as_slice() == [name])
                 }
                 ExprKind::MethodCall { recv, name: m, .. } => {
-                    matches!(m.as_str(), "iter" | "into_iter" | "iter_mut" | "drain")
-                        && matches!(&recv.kind, ExprKind::Path(segs) if segs.as_slice() == [name.as_str()])
+                    matches!(*m, "iter" | "into_iter" | "iter_mut" | "drain")
+                        && matches!(&recv.kind, ExprKind::Path(segs) if segs.as_slice() == [name])
                 }
                 _ => false,
             };
@@ -678,7 +687,7 @@ fn sole_iterating_consumer(caller: &FnNode<'_>, line: u32, col: u32) -> bool {
                 for_uses += 1;
             }
         }
-        if matches!(&e.kind, ExprKind::Path(segs) if segs.as_slice() == [name.as_str()])
+        if matches!(&e.kind, ExprKind::Path(segs) if segs.as_slice() == [name])
             && !(e.line == line && e.col == col)
         {
             uses += 1;
@@ -688,10 +697,14 @@ fn sole_iterating_consumer(caller: &FnNode<'_>, line: u32, col: u32) -> bool {
 }
 
 /// Run the `S1`/`S2` retention passes over an analyzed workspace.
-pub fn check_retention(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) -> Vec<Finding> {
+pub fn check_retention(
+    ws: &Workspace<'_>,
+    graph: &CallGraph<'_>,
+    model: &CostModel,
+) -> Vec<Finding> {
     let mut findings = Vec::new();
     // Pre-index record lookups per fn id for S1.
-    let mut by_fn: BTreeMap<usize, Vec<(Accumulator, bool)>> = BTreeMap::new();
+    let mut by_fn: BTreeMap<usize, Vec<(Accumulator<'_>, bool)>> = BTreeMap::new();
     for (id, node) in graph.fns.iter().enumerate() {
         if !model.is_hot(id) {
             continue;
@@ -702,14 +715,14 @@ pub fn check_retention(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel)
         let body = &node.info.body;
         let bounds = bound_locals(body);
         for acc in accumulators(body) {
-            let loops = growing_loops(body, &acc.name);
+            let loops = growing_loops(body, acc.name);
             if loops.is_empty() {
                 continue;
             }
             let streamed = loops.iter().all(|g| {
                 child_blocks(g.lp)
                     .iter()
-                    .any(|b| stmts_any(b, &|e| is_consume_on(e, &acc.name)))
+                    .any(|b| stmts_any(b, &|e| is_consume_on(e, acc.name)))
             });
 
             // S2: any growing loop with no visible bound.
@@ -718,7 +731,7 @@ pub fn check_retention(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel)
                     findings.push(Finding::at(
                         "S2",
                         Severity::Warn,
-                        &file.parsed.rel_path,
+                        file.parsed.rel_path,
                         g.site.0,
                         g.site.1,
                         format!(
@@ -737,7 +750,7 @@ pub fn check_retention(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel)
                 }
             }
 
-            if !streamed && escapes_by_return(body, &acc.name) {
+            if !streamed && escapes_by_return(body, acc.name) {
                 by_fn.entry(id).or_default().push((acc, true));
             }
         }
@@ -766,7 +779,7 @@ pub fn check_retention(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel)
             findings.push(Finding::at(
                 "S1",
                 Severity::Warn,
-                &file.parsed.rel_path,
+                file.parsed.rel_path,
                 acc.line,
                 acc.col,
                 format!(

@@ -33,7 +33,7 @@ use crate::allow::Allowlist;
 use crate::callgraph::CallGraph;
 use crate::config::Config;
 use crate::findings::{sort_findings, Finding};
-use crate::graph::{AnalyzedFile, Workspace};
+use crate::graph::Workspace;
 use crate::{
     atomics, cost, effects, error_flow, guards, invariants, lexer, locks, numeric, panic_reach,
     retain, rules, share, taint, types,
@@ -159,13 +159,12 @@ pub fn run_filtered(
 ) -> io::Result<Report> {
     let sources = read_sources(root, keep)?;
     let mut raw = Vec::new();
-    let mut files = Vec::with_capacity(sources.len());
+    let mut workspace = Workspace::default();
     for (rel, src) in &sources {
         let tokens = lexer::lex(src);
         raw.extend(rules::lint_tokens(rel, src, &tokens));
-        files.push(AnalyzedFile::from_tokens(rel, src, &tokens));
+        workspace.add_file(rel, src, &tokens);
     }
-    let workspace = Workspace { files };
     let config_path = root.join("lint.toml");
     if config_path.is_file() {
         let text = fs::read_to_string(&config_path)?;

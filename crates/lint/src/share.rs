@@ -125,10 +125,10 @@ fn is_value_root(root: &str) -> bool {
 
 /// Root identifier of a place expression, peeling fields, indexing,
 /// derefs, and borrows; `self.x.y` roots at `self`.
-fn place_root_of(e: &Expr) -> Option<String> {
+fn place_root_of<'a>(e: &Expr<'a>) -> Option<&'a str> {
     match &e.kind {
-        ExprKind::Path(segs) => match segs.as_slice() {
-            [one] => Some(one.clone()),
+        ExprKind::Path(segs) => match *segs.as_slice() {
+            [one] => Some(one),
             _ => None,
         },
         ExprKind::Field { base, .. } | ExprKind::Index { base, .. } => place_root_of(base),
@@ -141,9 +141,9 @@ fn place_root_of(e: &Expr) -> Option<String> {
 /// tree, match-arm guards and bodies included (the shared walkers stop
 /// at arm boundaries, which the capture analysis cannot afford).
 fn deep_walk_stmts<'e>(
-    stmts: &'e [Stmt],
-    on_stmt: &mut impl FnMut(&'e Stmt),
-    on_expr: &mut impl FnMut(&'e Expr),
+    stmts: &'e [Stmt<'e>],
+    on_stmt: &mut impl FnMut(&'e Stmt<'e>),
+    on_expr: &mut impl FnMut(&'e Expr<'e>),
 ) {
     for stmt in stmts {
         on_stmt(stmt);
@@ -164,9 +164,9 @@ fn deep_walk_stmts<'e>(
 }
 
 fn deep_walk_expr<'e>(
-    e: &'e Expr,
-    on_stmt: &mut impl FnMut(&'e Stmt),
-    on_expr: &mut impl FnMut(&'e Expr),
+    e: &'e Expr<'e>,
+    on_stmt: &mut impl FnMut(&'e Stmt<'e>),
+    on_expr: &mut impl FnMut(&'e Expr<'e>),
 ) {
     on_expr(e);
     for_each_child(e, &mut |c| deep_walk_expr(c, on_stmt, on_expr));
@@ -187,8 +187,8 @@ fn deep_walk_expr<'e>(
 /// `for`/`if let`/`while let` patterns, match-arm patterns, and nested
 /// closure params. Over-approximating boundness under-approximates the
 /// capture set — the safe direction for a `Deny` rule.
-fn bound_names_in(e: &Expr, out: &mut BTreeSet<String>) {
-    let mut pats: Vec<&Pat> = Vec::new();
+fn bound_names_in<'a>(e: &'a Expr<'a>, out: &mut BTreeSet<&'a str>) {
+    let mut pats: Vec<&Pat<'a>> = Vec::new();
     // Two walks: the walker takes two independent `FnMut`s, so one
     // collector per pass keeps the borrows disjoint.
     deep_walk_expr(
@@ -225,12 +225,12 @@ fn bound_names_in(e: &Expr, out: &mut BTreeSet<String>) {
 
 /// Value roots *used* inside an expression tree (single-segment path
 /// roots of places, plus `self`), match-arm and closure bodies included.
-fn used_roots_in(e: &Expr, out: &mut BTreeSet<String>) {
+fn used_roots_in<'a>(e: &'a Expr<'a>, out: &mut BTreeSet<&'a str>) {
     deep_walk_expr(e, &mut |_| {}, &mut |x| {
         if let ExprKind::Path(segs) = &x.kind {
-            if let [one] = segs.as_slice() {
+            if let [one] = *segs.as_slice() {
                 if is_value_root(one) {
-                    out.insert(one.clone());
+                    out.insert(one);
                 }
             }
         }
@@ -242,29 +242,29 @@ fn used_roots_in(e: &Expr, out: &mut BTreeSet<String>) {
 /// inside the body. This is the worker-reachable set for `W1`, and — by
 /// construction — depends only on the closure text, never on how many
 /// workers the enclosing loop spawns.
-pub fn captured_roots(params: &[Pat], body: &Expr) -> BTreeSet<String> {
-    let mut bound = BTreeSet::new();
+pub fn captured_roots<'a>(params: &'a [Pat<'a>], body: &'a Expr<'a>) -> BTreeSet<String> {
+    let mut names = Vec::new();
     for p in params {
-        let mut names = Vec::new();
         p.bound_names(&mut names);
-        bound.extend(names);
     }
+    let mut bound: BTreeSet<&str> = names.into_iter().collect();
     bound_names_in(body, &mut bound);
     let mut used = BTreeSet::new();
     used_roots_in(body, &mut used);
-    used.retain(|r| !bound.contains(r));
-    used
+    used.into_iter()
+        .filter(|r| !bound.contains(r))
+        .map(str::to_string)
+        .collect()
 }
 
 /// A spawn call's worker closure, when the expression is one: the first
 /// closure among the call arguments (searching through nested trees, so
 /// `scope.spawn(move |_| { .. })` and builder forms both resolve).
-fn spawn_closure(e: &Expr) -> Option<&Expr> {
+fn spawn_closure<'e, 'a>(e: &'e Expr<'a>) -> Option<&'e Expr<'a>> {
     let args = match &e.kind {
-        ExprKind::MethodCall { name, args, .. } if name == "spawn" => args,
+        ExprKind::MethodCall { name, args, .. } if *name == "spawn" => args,
         ExprKind::Call { callee, args } => {
-            if matches!(&callee.kind, ExprKind::Path(segs) if segs.last().is_some_and(|s| s == "spawn"))
-            {
+            if matches!(&callee.kind, ExprKind::Path(segs) if segs.last() == Some(&"spawn")) {
                 args
             } else {
                 return None;
@@ -272,7 +272,7 @@ fn spawn_closure(e: &Expr) -> Option<&Expr> {
         }
         _ => return None,
     };
-    fn first_closure(e: &Expr) -> Option<&Expr> {
+    fn first_closure<'e, 'a>(e: &'e Expr<'a>) -> Option<&'e Expr<'a>> {
         if matches!(e.kind, ExprKind::Closure { .. }) {
             return Some(e);
         }
@@ -289,28 +289,27 @@ fn spawn_closure(e: &Expr) -> Option<&Expr> {
 
 /// Whether a `for` head iterates worker-count state rather than the
 /// corpus (`for _ in 0..workers.min(n)`).
-fn is_worker_loop(lp: &Expr) -> bool {
+fn is_worker_loop(lp: &Expr<'_>) -> bool {
     let ExprKind::For { iter, .. } = &lp.kind else {
         return false;
     };
     tree_any(iter, &|x| match &x.kind {
-        ExprKind::Path(segs) => segs.iter().any(|s| {
-            let lower = s.to_ascii_lowercase();
-            WORKER_LOOP_HINTS.iter().any(|h| lower.contains(h))
-        }),
+        ExprKind::Path(segs) => segs
+            .iter()
+            .any(|s| retain::has_fragment(s, WORKER_LOOP_HINTS)),
         _ => false,
     })
 }
 
 /// Per-fn effect summary for the interprocedural leg of `W1`: whether
 /// the fn mutates `self`, and which params it mutates.
-struct EffectSummary {
+struct EffectSummary<'a> {
     mutates_self: bool,
-    mutated_params: BTreeSet<String>,
+    mutated_params: BTreeSet<&'a str>,
 }
 
-fn effect_summary(node: &FnNode<'_>) -> EffectSummary {
-    let params: BTreeSet<String> = node.info.params.iter().map(|p| p.name.clone()).collect();
+fn effect_summary<'a>(node: &FnNode<'a>) -> EffectSummary<'a> {
+    let params: BTreeSet<&str> = node.info.params.iter().map(|p| p.name).collect();
     let mut mutates_self = false;
     let mut mutated_params = BTreeSet::new();
     deep_walk_stmts(&node.info.body, &mut |_| {}, &mut |e| {
@@ -320,9 +319,7 @@ fn effect_summary(node: &FnNode<'_>) -> EffectSummary {
                 mutable: true,
                 operand,
             } => place_root_of(operand),
-            ExprKind::MethodCall { recv, name, .. }
-                if MUTATING_METHODS.contains(&name.as_str()) =>
-            {
+            ExprKind::MethodCall { recv, name, .. } if MUTATING_METHODS.contains(name) => {
                 place_root_of(recv)
             }
             _ => None,
@@ -330,7 +327,7 @@ fn effect_summary(node: &FnNode<'_>) -> EffectSummary {
         if let Some(root) = target {
             if root == "self" {
                 mutates_self = true;
-            } else if params.contains(&root) {
+            } else if params.contains(root) {
                 mutated_params.insert(root);
             }
         }
@@ -345,14 +342,18 @@ fn effect_summary(node: &FnNode<'_>) -> EffectSummary {
 /// names bound inside the spawning loop (per-worker state).
 struct SpawnPoint<'a> {
     spawn_line: u32,
-    closure: &'a Expr,
-    per_worker: BTreeSet<String>,
+    closure: &'a Expr<'a>,
+    per_worker: BTreeSet<&'a str>,
 }
 
 /// Every spawn-in-a-loop in a fn body.
-fn spawn_points<'a>(body: &'a [Stmt]) -> Vec<SpawnPoint<'a>> {
+fn spawn_points<'a>(body: &'a [Stmt<'a>]) -> Vec<SpawnPoint<'a>> {
     let mut out = Vec::new();
-    fn walk<'a>(stmts: &'a [Stmt], stack: &mut Vec<&'a Expr>, out: &mut Vec<SpawnPoint<'a>>) {
+    fn walk<'a>(
+        stmts: &'a [Stmt<'a>],
+        stack: &mut Vec<&'a Expr<'a>>,
+        out: &mut Vec<SpawnPoint<'a>>,
+    ) {
         for stmt in stmts {
             match stmt {
                 Stmt::Let {
@@ -369,7 +370,11 @@ fn spawn_points<'a>(body: &'a [Stmt]) -> Vec<SpawnPoint<'a>> {
             }
         }
     }
-    fn walk_expr<'a>(e: &'a Expr, stack: &mut Vec<&'a Expr>, out: &mut Vec<SpawnPoint<'a>>) {
+    fn walk_expr<'a>(
+        e: &'a Expr<'a>,
+        stack: &mut Vec<&'a Expr<'a>>,
+        out: &mut Vec<SpawnPoint<'a>>,
+    ) {
         let is_loop = matches!(
             e.kind,
             ExprKind::While { .. }
@@ -439,8 +444,8 @@ struct SharedMutation {
 fn shared_mutations(
     node: &FnNode<'_>,
     graph: &CallGraph<'_>,
-    effects: &[EffectSummary],
-    closure_body: &Expr,
+    effects: &[EffectSummary<'_>],
+    closure_body: &Expr<'_>,
     shared: &BTreeSet<String>,
 ) -> Vec<SharedMutation> {
     let mut out = Vec::new();
@@ -448,9 +453,9 @@ fn shared_mutations(
         match &e.kind {
             ExprKind::Assign { lhs, .. } => {
                 if let Some(root) = place_root_of(lhs) {
-                    if shared.contains(&root) {
+                    if shared.contains(root) {
                         out.push(SharedMutation {
-                            capture: root,
+                            capture: root.to_string(),
                             line: lhs.line,
                             col: lhs.col,
                             how: "assigned".to_string(),
@@ -463,9 +468,9 @@ fn shared_mutations(
                 operand,
             } => {
                 if let Some(root) = place_root_of(operand) {
-                    if shared.contains(&root) {
+                    if shared.contains(root) {
                         out.push(SharedMutation {
-                            capture: root,
+                            capture: root.to_string(),
                             line: operand.line,
                             col: operand.col,
                             how: "mutably borrowed".to_string(),
@@ -474,18 +479,18 @@ fn shared_mutations(
                 }
             }
             ExprKind::MethodCall { recv, name, .. } => {
-                if SYNC_METHODS.contains(&name.as_str()) {
+                if SYNC_METHODS.contains(name) {
                     return;
                 }
                 let Some(root) = place_root_of(recv) else {
                     return;
                 };
-                if !shared.contains(&root) {
+                if !shared.contains(root) {
                     return;
                 }
-                if MUTATING_METHODS.contains(&name.as_str()) {
+                if MUTATING_METHODS.contains(name) {
                     out.push(SharedMutation {
-                        capture: root,
+                        capture: root.to_string(),
                         line: e.line,
                         col: e.col,
                         how: format!("mutated via `.{name}()`"),
@@ -503,7 +508,7 @@ fn shared_mutations(
                                 .any(|id| effects.get(*id).is_some_and(|s| s.mutates_self))
                             {
                                 out.push(SharedMutation {
-                                    capture: root.clone(),
+                                    capture: root.to_string(),
                                     line: e.line,
                                     col: e.col,
                                     how: format!("mutated through workspace method `{name}`"),
@@ -517,7 +522,7 @@ fn shared_mutations(
                 // Interprocedural: the capture passed to a resolved
                 // workspace fn that mutates the matching parameter.
                 let callee_name = match &callee.kind {
-                    ExprKind::Path(segs) => segs.last().cloned(),
+                    ExprKind::Path(segs) => segs.last().copied(),
                     _ => None,
                 };
                 let Some(callee_name) = callee_name else {
@@ -536,7 +541,7 @@ fn shared_mutations(
                             _ => place_root_of(arg),
                         };
                         let Some(root) = root else { continue };
-                        if !shared.contains(&root) {
+                        if !shared.contains(root) {
                             continue;
                         }
                         for id in &ids {
@@ -548,10 +553,10 @@ fn shared_mutations(
                             };
                             if effects
                                 .get(*id)
-                                .is_some_and(|s| s.mutated_params.contains(&param.name))
+                                .is_some_and(|s| s.mutated_params.contains(param.name))
                             {
                                 out.push(SharedMutation {
-                                    capture: root.clone(),
+                                    capture: root.to_string(),
                                     line: arg.line,
                                     col: arg.col,
                                     how: format!(
@@ -578,7 +583,7 @@ fn shared_mutations(
 /// and must not multiply contention depth the way a per-domain corpus
 /// loop does. `for` loops never qualify — iterating a sized input IS the
 /// corpus-scale case.
-fn is_constant_bounded_loop(e: &Expr, bounds: &BTreeSet<String>) -> bool {
+fn is_constant_bounded_loop(e: &Expr<'_>, bounds: &BTreeSet<&str>) -> bool {
     match &e.kind {
         ExprKind::While { cond, body } => {
             retain::mentions_bound(cond, bounds) || retain::guarded_exit(body, bounds)
@@ -607,16 +612,16 @@ struct AcquisitionSite {
 /// chained acquisition holds for its own statement.
 fn acquisition_sites(
     node: &FnNode<'_>,
-    fields: Option<&BTreeSet<String>>,
-    locals: &BTreeSet<String>,
+    fields: Option<&BTreeSet<&str>>,
+    locals: &BTreeSet<&str>,
 ) -> Vec<AcquisitionSite> {
     let mut out = Vec::new();
     let body = &node.info.body;
     let bounds = retain::bound_locals(body);
-    fn lock_name(node: &FnNode<'_>, e: &Expr) -> Option<String> {
-        fn acq_recv(e: &Expr) -> Option<&Expr> {
+    fn lock_name(node: &FnNode<'_>, e: &Expr<'_>) -> Option<String> {
+        fn acq_recv<'e, 'a>(e: &'e Expr<'a>) -> Option<&'e Expr<'a>> {
             if let ExprKind::MethodCall { recv, name, .. } = &e.kind {
-                if guards::ACQUIRE_METHODS.contains(&name.as_str()) {
+                if guards::ACQUIRE_METHODS.contains(name) {
                     return Some(recv);
                 }
             }
@@ -646,12 +651,12 @@ fn acquisition_sites(
         }
     }
     fn walk(
-        stmts: &[Stmt],
+        stmts: &[Stmt<'_>],
         depth: u32,
         node: &FnNode<'_>,
-        fields: Option<&BTreeSet<String>>,
-        locals: &BTreeSet<String>,
-        bounds: &BTreeSet<String>,
+        fields: Option<&BTreeSet<&str>>,
+        locals: &BTreeSet<&str>,
+        bounds: &BTreeSet<&str>,
         out: &mut Vec<AcquisitionSite>,
     ) {
         for (i, stmt) in stmts.iter().enumerate() {
@@ -712,12 +717,12 @@ fn acquisition_sites(
         }
     }
     fn walk_expr(
-        e: &Expr,
+        e: &Expr<'_>,
         depth: u32,
         node: &FnNode<'_>,
-        fields: Option<&BTreeSet<String>>,
-        locals: &BTreeSet<String>,
-        bounds: &BTreeSet<String>,
+        fields: Option<&BTreeSet<&str>>,
+        locals: &BTreeSet<&str>,
+        bounds: &BTreeSet<&str>,
         out: &mut Vec<AcquisitionSite>,
     ) {
         let is_loop = matches!(
@@ -749,10 +754,10 @@ fn acquisition_sites(
 }
 
 /// Whether an expression is `drop(name)`.
-fn is_drop_of(e: &Expr, name: &str) -> bool {
+fn is_drop_of(e: &Expr<'_>, name: &str) -> bool {
     tree_any(e, &|x| match &x.kind {
         ExprKind::Call { callee, args } => {
-            matches!(&callee.kind, ExprKind::Path(segs) if segs.last().is_some_and(|s| s == "drop"))
+            matches!(&callee.kind, ExprKind::Path(segs) if segs.last() == Some(&"drop"))
                 && args
                     .iter()
                     .any(|a| matches!(&a.kind, ExprKind::Path(segs) if segs.as_slice() == [name]))
@@ -764,9 +769,9 @@ fn is_drop_of(e: &Expr, name: &str) -> bool {
 /// Allocation weight of everything one statement evaluates, including
 /// nested blocks (the held region is priced pessimistically — the guard
 /// outlives everything declared after it in the block).
-fn stmt_alloc_weight(stmt: &Stmt) -> u64 {
+fn stmt_alloc_weight(stmt: &Stmt<'_>) -> u64 {
     let mut total = 0u64;
-    let add = |total: &mut u64, e: &Expr| {
+    let add = |total: &mut u64, e: &Expr<'_>| {
         *total = total.saturating_add(cost::alloc_weight(e));
     };
     match stmt {
@@ -786,16 +791,16 @@ fn stmt_alloc_weight(stmt: &Stmt) -> u64 {
 }
 
 /// Run the `W1`/`W2` sharing passes over an analyzed workspace.
-pub fn check_sharing(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) -> Vec<Finding> {
+pub fn check_sharing(ws: &Workspace<'_>, graph: &CallGraph<'_>, model: &CostModel) -> Vec<Finding> {
     let mut findings = Vec::new();
     let registry = guards::lock_registry(ws);
-    let effects: Vec<EffectSummary> = graph.fns.iter().map(effect_summary).collect();
+    let effects: Vec<EffectSummary<'_>> = graph.fns.iter().map(effect_summary).collect();
 
     for (id, node) in graph.fns.iter().enumerate() {
         let Some(file) = ws.files.get(node.file) else {
             continue;
         };
-        let params: BTreeSet<String> = node.info.params.iter().map(|p| p.name.clone()).collect();
+        let params: BTreeSet<&str> = node.info.params.iter().map(|p| p.name).collect();
 
         // W1: spawn-in-loop worker pools.
         for sp in spawn_points(&node.info.body) {
@@ -810,7 +815,11 @@ pub fn check_sharing(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) -
             let captures = captured_roots(cl_params, body);
             let shared: BTreeSet<String> = captures
                 .into_iter()
-                .filter(|c| c == "self" || params.contains(c) || !sp.per_worker.contains(c))
+                .filter(|c| {
+                    c == "self"
+                        || params.contains(c.as_str())
+                        || !sp.per_worker.contains(c.as_str())
+                })
                 .collect();
             if shared.is_empty() {
                 continue;
@@ -819,7 +828,7 @@ pub fn check_sharing(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) -
                 findings.push(Finding::at(
                     "W1",
                     Severity::Deny,
-                    &file.parsed.rel_path,
+                    file.parsed.rel_path,
                     m.line,
                     m.col,
                     format!(
@@ -840,7 +849,7 @@ pub fn check_sharing(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) -
         let locals = guards::lock_locals(node);
         let fields = node
             .self_ty
-            .and_then(|ty| registry.get(&(file.crate_name.clone(), ty.to_string())));
+            .and_then(|ty| registry.get(&(file.crate_name, ty)));
         for site in acquisition_sites(node, fields, &locals) {
             if site.depth == 0 || site.held < W2_HELD_MIN {
                 continue;
@@ -848,7 +857,7 @@ pub fn check_sharing(ws: &Workspace, graph: &CallGraph<'_>, model: &CostModel) -
             findings.push(Finding::at(
                 "W2",
                 Severity::Warn,
-                &file.parsed.rel_path,
+                file.parsed.rel_path,
                 site.line,
                 site.col,
                 format!(

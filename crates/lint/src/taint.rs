@@ -34,10 +34,15 @@ use crate::expr::{for_each_child, for_each_expr, for_each_let, Expr, ExprKind, P
 use crate::findings::{Finding, Severity};
 use crate::graph::{AnalyzedFile, Workspace};
 use crate::parser::ItemKind;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
+/// A place name: a binding (borrowed from the source) or a dotted field
+/// path (`self.cache`, made once when a rule reads it).
+type Place<'a> = Cow<'a, str>;
+
 /// Run the `D3` pass over an analyzed workspace and its call graph.
-pub fn check_taint(ws: &Workspace, graph: &CallGraph<'_>) -> Vec<Finding> {
+pub fn check_taint(ws: &Workspace<'_>, graph: &CallGraph<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
     for node in &graph.fns {
         let Some(file) = ws.files.get(node.file) else {
@@ -48,7 +53,7 @@ pub fn check_taint(ws: &Workspace, graph: &CallGraph<'_>) -> Vec<Finding> {
     findings
 }
 
-fn check_fn(file: &AnalyzedFile, node: &FnNode<'_>, findings: &mut Vec<Finding>) {
+fn check_fn(file: &AnalyzedFile<'_>, node: &FnNode<'_>, findings: &mut Vec<Finding>) {
     let env = Env::collect(file, &node.info.body, &node.info.params);
     if env.hash_names.is_empty() {
         return;
@@ -70,22 +75,26 @@ fn check_fn(file: &AnalyzedFile, node: &FnNode<'_>, findings: &mut Vec<Finding>)
 
 /// Flow-insensitive facts about one fn: which names are hash containers,
 /// which are BTree containers, which the fn returns.
-struct Env {
-    hash_names: BTreeSet<String>,
-    btree_names: BTreeSet<String>,
-    returned: BTreeSet<String>,
+struct Env<'a> {
+    hash_names: BTreeSet<Place<'a>>,
+    btree_names: BTreeSet<&'a str>,
+    returned: BTreeSet<&'a str>,
 }
 
-impl Env {
-    fn collect(file: &AnalyzedFile, body: &[Stmt], params: &[crate::parser::Param]) -> Env {
+impl<'a> Env<'a> {
+    fn collect(
+        file: &AnalyzedFile<'a>,
+        body: &'a [Stmt<'a>],
+        params: &'a [crate::parser::Param<'a>],
+    ) -> Env<'a> {
         let mut hash_names = BTreeSet::new();
         let mut btree_names = BTreeSet::new();
         for p in params {
             if ty_mentions(&p.ty, &["HashMap", "HashSet"]) {
-                hash_names.insert(p.name.clone());
+                hash_names.insert(Place::Borrowed(p.name));
             }
             if ty_mentions(&p.ty, &["BTreeMap", "BTreeSet"]) {
-                btree_names.insert(p.name.clone());
+                btree_names.insert(p.name);
             }
         }
         // `self.<field>` for hash-typed struct fields anywhere in the
@@ -96,13 +105,13 @@ impl Env {
                 return;
             };
             if ty_mentions(ty, &["HashMap", "HashSet"]) || init.is_some_and(is_hash_producer) {
-                hash_names.insert(name.clone());
+                hash_names.insert(Place::Borrowed(name));
             }
             if ty_mentions(ty, &["BTreeMap", "BTreeSet"]) || init.is_some_and(is_btree_producer) {
-                btree_names.insert(name.clone());
+                btree_names.insert(name);
             }
         });
-        hash_names.retain(|n| !btree_names.contains(n));
+        hash_names.retain(|n| !btree_names.contains(n.as_ref()));
         let mut returned = BTreeSet::new();
         collect_returned(body, &mut returned);
         Env {
@@ -113,16 +122,16 @@ impl Env {
     }
 }
 
-fn ty_mentions(ty: &[String], names: &[&str]) -> bool {
-    ty.iter().any(|t| names.contains(&t.as_str()))
+fn ty_mentions(ty: &[&str], names: &[&str]) -> bool {
+    ty.iter().any(|t| names.contains(t))
 }
 
-fn collect_hash_fields(items: &[crate::parser::Item], out: &mut BTreeSet<String>) {
+fn collect_hash_fields(items: &[crate::parser::Item<'_>], out: &mut BTreeSet<Place<'_>>) {
     for item in items {
         if let ItemKind::Struct { fields } = &item.kind {
             for f in fields {
                 if f.is_hash {
-                    out.insert(format!("self.{}", f.name));
+                    out.insert(Place::Owned(format!("self.{}", f.name)));
                 }
             }
         }
@@ -131,29 +140,29 @@ fn collect_hash_fields(items: &[crate::parser::Item], out: &mut BTreeSet<String>
 }
 
 /// `HashMap::new()` / `HashSet::with_capacity(..)` / `collect::<HashMap..>()`.
-fn is_hash_producer(e: &Expr) -> bool {
+fn is_hash_producer(e: &Expr<'_>) -> bool {
     constructor_of(e, &["HashMap", "HashSet"])
 }
 
-fn is_btree_producer(e: &Expr) -> bool {
+fn is_btree_producer(e: &Expr<'_>) -> bool {
     constructor_of(e, &["BTreeMap", "BTreeSet"])
 }
 
-fn constructor_of(e: &Expr, tys: &[&str]) -> bool {
+fn constructor_of(e: &Expr<'_>, tys: &[&str]) -> bool {
     match &e.kind {
         ExprKind::Call { callee, .. } => callee
             .plain_path()
-            .is_some_and(|segs| segs.iter().any(|s| tys.contains(&s.as_str()))),
+            .is_some_and(|segs| segs.iter().any(|s| tys.contains(s))),
         ExprKind::MethodCall {
             name, turbofish, ..
-        } if name == "collect" => turbofish.iter().any(|t| tys.contains(&t.as_str())),
+        } if *name == "collect" => turbofish.iter().any(|t| tys.contains(t)),
         _ => false,
     }
 }
 
 /// Names the fn hands back: the tail expression, `return n`, and the
 /// payload of `Ok(n)` / `Some(n)` in either position.
-fn collect_returned(body: &[Stmt], out: &mut BTreeSet<String>) {
+fn collect_returned<'a>(body: &'a [Stmt<'a>], out: &mut BTreeSet<&'a str>) {
     if let Some(Stmt::Expr { expr, semi: false }) = body.last() {
         returned_name(expr, out);
     }
@@ -164,17 +173,17 @@ fn collect_returned(body: &[Stmt], out: &mut BTreeSet<String>) {
     });
 }
 
-fn returned_name(e: &Expr, out: &mut BTreeSet<String>) {
+fn returned_name<'a>(e: &Expr<'a>, out: &mut BTreeSet<&'a str>) {
     match &e.kind {
         ExprKind::Path(segs) => {
-            if let [single] = segs.as_slice() {
-                out.insert(single.clone());
+            if let [single] = *segs.as_slice() {
+                out.insert(single);
             }
         }
         ExprKind::Call { callee, args } => {
             let wrapper = callee
                 .plain_path()
-                .is_some_and(|p| matches!(p.last().map(String::as_str), Some("Ok" | "Some")));
+                .is_some_and(|p| matches!(p.last().copied(), Some("Ok" | "Some")));
             if wrapper {
                 if let [arg] = args.as_slice() {
                     returned_name(arg, out);
@@ -186,12 +195,12 @@ fn returned_name(e: &Expr, out: &mut BTreeSet<String>) {
 }
 
 /// The taint lattice: the set of tainted names, union join.
-struct TaintFlow<'e> {
-    env: &'e Env,
+struct TaintFlow<'e, 'a> {
+    env: &'e Env<'a>,
 }
 
-impl<'a> Analysis<'a> for TaintFlow<'_> {
-    type Fact = BTreeSet<String>;
+impl<'a> Analysis<'a> for TaintFlow<'_, 'a> {
+    type Fact = BTreeSet<Place<'a>>;
 
     fn boundary(&self) -> Self::Fact {
         BTreeSet::new()
@@ -223,24 +232,24 @@ impl<'a> Analysis<'a> for TaintFlow<'_> {
     }
 }
 
-fn rebind(pat: &Pat, tainted: bool, fact: &mut BTreeSet<String>) {
+fn rebind<'a>(pat: &Pat<'a>, tainted: bool, fact: &mut BTreeSet<Place<'a>>) {
     let mut names = Vec::new();
     pat.bound_names(&mut names);
     for n in names {
         if tainted {
-            fact.insert(n);
+            fact.insert(Place::Borrowed(n));
         } else {
-            fact.remove(&n);
+            fact.remove(n);
         }
     }
 }
 
 /// `v.sort()` / `v.sort_unstable_by(..)` as a statement cleanses `v`.
-fn apply_sanitizers(e: &Expr, fact: &mut BTreeSet<String>) {
+fn apply_sanitizers(e: &Expr<'_>, fact: &mut BTreeSet<Place<'_>>) {
     if let ExprKind::MethodCall { recv, name, .. } = &e.kind {
         if name.starts_with("sort") {
-            if let Some(place) = place_name(recv) {
-                fact.remove(&place);
+            if let Some(place) = recv.dotted_place() {
+                fact.remove(place.as_ref());
             }
         }
     }
@@ -251,12 +260,8 @@ fn apply_sanitizers(e: &Expr, fact: &mut BTreeSet<String>) {
     });
 }
 
-fn place_name(e: &Expr) -> Option<String> {
-    e.plain_path().map(|segs| segs.join("."))
-}
-
 /// Is this expression's value hash-order dependent?
-fn expr_tainted(e: &Expr, fact: &BTreeSet<String>, env: &Env) -> bool {
+fn expr_tainted(e: &Expr<'_>, fact: &BTreeSet<Place<'_>>, env: &Env<'_>) -> bool {
     if hash_iteration_chain(e, env) {
         return true;
     }
@@ -271,23 +276,26 @@ fn expr_tainted(e: &Expr, fact: &BTreeSet<String>, env: &Env) -> bool {
 /// Like [`expr_tainted`], but in *iteration position* (a `for` head or
 /// `while let` scrutinee), where naming a hash container directly —
 /// `for k in &set` — is itself hash-order iteration.
-fn iter_tainted(e: &Expr, fact: &BTreeSet<String>, env: &Env) -> bool {
+fn iter_tainted(e: &Expr<'_>, fact: &BTreeSet<Place<'_>>, env: &Env<'_>) -> bool {
     let mut root = e;
     while let ExprKind::Ref { operand, .. } = &root.kind {
         root = operand;
     }
-    if place_name(root).is_some_and(|p| env.hash_names.contains(&p)) {
+    if root
+        .dotted_place()
+        .is_some_and(|p| env.hash_names.contains(p.as_ref()))
+    {
         return true;
     }
     expr_tainted(e, fact, env)
 }
 
-fn mentions_tainted(e: &Expr, fact: &BTreeSet<String>, found: &mut bool) {
+fn mentions_tainted(e: &Expr<'_>, fact: &BTreeSet<Place<'_>>, found: &mut bool) {
     if *found {
         return;
     }
-    if let Some(place) = place_name(e) {
-        if fact.contains(&place)
+    if let Some(place) = e.dotted_place() {
+        if fact.contains(place.as_ref())
             || place
                 .split('.')
                 .next()
@@ -306,7 +314,7 @@ fn mentions_tainted(e: &Expr, fact: &BTreeSet<String>, found: &mut bool) {
 
 /// A method chain rooted at a hash container that applies an iteration
 /// method, with no re-ordering `collect::<BTree..>` step.
-fn hash_iteration_chain(e: &Expr, env: &Env) -> bool {
+fn hash_iteration_chain(e: &Expr<'_>, env: &Env<'_>) -> bool {
     let mut cur = e;
     let mut saw_iter = false;
     loop {
@@ -317,12 +325,15 @@ fn hash_iteration_chain(e: &Expr, env: &Env) -> bool {
                 turbofish,
                 ..
             } => {
-                if name == "collect" && turbofish.iter().any(|t| t == "BTreeMap" || t == "BTreeSet")
+                if *name == "collect"
+                    && turbofish
+                        .iter()
+                        .any(|&t| t == "BTreeMap" || t == "BTreeSet")
                 {
                     return false;
                 }
                 if matches!(
-                    name.as_str(),
+                    *name,
                     "iter" | "iter_mut" | "into_iter" | "keys" | "values" | "values_mut" | "drain"
                 ) {
                     saw_iter = true;
@@ -333,16 +344,23 @@ fn hash_iteration_chain(e: &Expr, env: &Env) -> bool {
             _ => break,
         }
     }
-    saw_iter && place_name(cur).is_some_and(|p| env.hash_names.contains(&p))
+    saw_iter
+        && cur
+            .dotted_place()
+            .is_some_and(|p| env.hash_names.contains(p.as_ref()))
 }
 
 /// A chain that ends in an explicit re-ordering step.
-fn sanitized_chain(e: &Expr) -> bool {
+fn sanitized_chain(e: &Expr<'_>) -> bool {
     if let ExprKind::MethodCall {
         name, turbofish, ..
     } = &e.kind
     {
-        if name == "collect" && turbofish.iter().any(|t| t == "BTreeMap" || t == "BTreeSet") {
+        if *name == "collect"
+            && turbofish
+                .iter()
+                .any(|&t| t == "BTreeMap" || t == "BTreeSet")
+        {
             return true;
         }
     }
@@ -356,10 +374,10 @@ const SINK_MACROS: &[&str] = &[
 
 /// Detect tainted values reaching sinks in one step's expression tree.
 fn scan_sinks(
-    e: &Expr,
-    fact: &BTreeSet<String>,
-    env: &Env,
-    file: &AnalyzedFile,
+    e: &Expr<'_>,
+    fact: &BTreeSet<Place<'_>>,
+    env: &Env<'_>,
+    file: &AnalyzedFile<'_>,
     findings: &mut Vec<Finding>,
 ) {
     match &e.kind {
@@ -368,10 +386,10 @@ fn scan_sinks(
             args,
             captures,
         } => {
-            let last = path.last().map(String::as_str).unwrap_or("");
+            let last = path.last().copied().unwrap_or("");
             if SINK_MACROS.contains(&last) {
                 let arg_hit = args.iter().any(|a| expr_tainted(a, fact, env));
-                let cap_hit = captures.iter().find(|c| fact.contains(c.as_str()));
+                let cap_hit = captures.iter().copied().find(|&c| fact.contains(c));
                 if arg_hit || cap_hit.is_some() {
                     push_sink(e, format!("`{last}!`"), cap_hit, fact, file, findings);
                 }
@@ -379,9 +397,9 @@ fn scan_sinks(
         }
         ExprKind::Call { callee, args } => {
             let serde = callee.plain_path().is_some_and(|p| {
-                p.first().map(String::as_str) == Some("serde_json")
+                p.first().copied() == Some("serde_json")
                     && matches!(
-                        p.last().map(String::as_str),
+                        p.last().copied(),
                         Some("to_string" | "to_vec" | "to_writer" | "to_value")
                     )
             });
@@ -399,7 +417,7 @@ fn scan_sinks(
         ExprKind::MethodCall {
             recv, name, args, ..
         } => {
-            if name == "serialize" && args.iter().any(|a| expr_tainted(a, fact, env)) {
+            if *name == "serialize" && args.iter().any(|a| expr_tainted(a, fact, env)) {
                 push_sink(
                     e,
                     "`.serialize(..)`".to_string(),
@@ -409,10 +427,10 @@ fn scan_sinks(
                     findings,
                 );
             }
-            if matches!(name.as_str(), "push" | "insert" | "extend") {
-                if let Some(r) = place_name(recv) {
-                    if env.returned.contains(&r)
-                        && !env.btree_names.contains(&r)
+            if matches!(*name, "push" | "insert" | "extend") {
+                if let Some(r) = recv.dotted_place() {
+                    if env.returned.contains(r.as_ref())
+                        && !env.btree_names.contains(r.as_ref())
                         && args.iter().any(|a| expr_tainted(a, fact, env))
                     {
                         push_sink(
@@ -437,21 +455,20 @@ fn scan_sinks(
 }
 
 fn push_sink(
-    e: &Expr,
+    e: &Expr<'_>,
     sink: String,
-    capture: Option<&String>,
-    fact: &BTreeSet<String>,
-    file: &AnalyzedFile,
+    capture: Option<&str>,
+    fact: &BTreeSet<Place<'_>>,
+    file: &AnalyzedFile<'_>,
     findings: &mut Vec<Finding>,
 ) {
     let what = capture
-        .cloned()
-        .or_else(|| fact.iter().next().cloned())
-        .unwrap_or_else(|| "value".to_string());
+        .or_else(|| fact.iter().next().map(AsRef::as_ref))
+        .unwrap_or("value");
     findings.push(Finding::at(
         "D3",
         Severity::Deny,
-        &file.parsed.rel_path,
+        file.parsed.rel_path,
         e.line,
         e.col,
         format!(

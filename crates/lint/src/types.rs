@@ -44,10 +44,10 @@ use crate::parser::{FnInfo, ItemKind};
 use std::collections::BTreeMap;
 
 /// The primitive-focused type lattice. `Named` carries the head of any
-/// nominal type (`String`, `Vec`, `AtomicU64`, `PolicyDoc`); everything
-/// the analyzer cannot prove is `Unknown`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Ty {
+/// nominal type (`String`, `Vec`, `AtomicU64`, `PolicyDoc`), borrowed from
+/// the source; everything the analyzer cannot prove is `Unknown`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Ty<'a> {
     /// `u8`/`u16`/`u32`/`u64`/`u128` (the width in bits).
     Uint(u16),
     /// `i8`..`i128`.
@@ -65,14 +65,14 @@ pub enum Ty {
     /// `char`.
     Char,
     /// A nominal type's head segment.
-    Named(String),
+    Named(&'a str),
     /// No provable fact.
     Unknown,
 }
 
-impl Ty {
+impl<'a> Ty<'a> {
     /// Parse a primitive type name.
-    pub fn prim(name: &str) -> Option<Ty> {
+    pub fn prim(name: &str) -> Option<Ty<'a>> {
         Some(match name {
             "u8" => Ty::Uint(8),
             "u16" => Ty::Uint(16),
@@ -97,10 +97,10 @@ impl Ty {
     /// Resolve declared type tokens to a `Ty`: strip references,
     /// mutability, and lifetimes, then classify the head. `Self` maps to
     /// `self_ty` when one is supplied.
-    pub fn from_tokens_with(tokens: &[String], self_ty: Option<&str>) -> Ty {
+    pub fn from_tokens_with(tokens: &[&'a str], self_ty: Option<&'a str>) -> Ty<'a> {
         let mut head = None;
-        for t in tokens {
-            match t.as_str() {
+        for &t in tokens {
+            match t {
                 "&" | "mut" | "*" | "const" => continue,
                 s if s.starts_with('\'') => continue,
                 s => {
@@ -114,21 +114,19 @@ impl Ty {
         };
         if head == "Self" {
             return match self_ty {
-                Some(name) => Ty::Named(name.to_string()),
+                Some(name) => Ty::Named(name),
                 None => Ty::Unknown,
             };
         }
         match Ty::prim(head) {
             Some(ty) => ty,
-            None if head.chars().next().is_some_and(|c| c.is_ascii_uppercase()) => {
-                Ty::Named(head.to_string())
-            }
+            None if head.chars().next().is_some_and(|c| c.is_ascii_uppercase()) => Ty::Named(head),
             None => Ty::Unknown,
         }
     }
 
     /// [`Ty::from_tokens_with`] without a `Self` context.
-    pub fn from_tokens(tokens: &[String]) -> Ty {
+    pub fn from_tokens(tokens: &[&'a str]) -> Ty<'a> {
         Ty::from_tokens_with(tokens, None)
     }
 
@@ -174,7 +172,7 @@ impl Ty {
             Ty::F64 => "f64".to_string(),
             Ty::Bool => "bool".to_string(),
             Ty::Char => "char".to_string(),
-            Ty::Named(s) => s.clone(),
+            Ty::Named(s) => s.to_string(),
             Ty::Unknown => "_".to_string(),
         }
     }
@@ -204,7 +202,7 @@ pub enum CastKind {
 /// is deliberately exhaustive rather than rule-derived: `From<u32> for
 /// usize` and `From<usize> for u64` famously do *not* exist, so a
 /// width-based rule would suggest rewrites that do not compile.
-fn from_impl(src: &Ty, dst: &Ty) -> bool {
+fn from_impl(src: &Ty<'_>, dst: &Ty<'_>) -> bool {
     match (src, dst) {
         (Ty::Uint(a), Ty::Uint(b)) | (Ty::Int(a), Ty::Int(b)) | (Ty::Uint(a), Ty::Int(b)) => b > a,
         (Ty::Uint(8) | Ty::Uint(16), Ty::Usize) => true,
@@ -220,7 +218,7 @@ fn from_impl(src: &Ty, dst: &Ty) -> bool {
 }
 
 /// Classify a numeric `as` cast (see [`CastKind`]).
-pub fn classify_cast(src: &Ty, dst: &Ty) -> CastKind {
+pub fn classify_cast(src: &Ty<'_>, dst: &Ty<'_>) -> CastKind {
     if !src.is_numeric() || !dst.is_numeric() {
         return CastKind::Opaque;
     }
@@ -281,17 +279,17 @@ pub fn scale_name(name: &str) -> bool {
 }
 
 /// One struct field's type facts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FieldFact {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FieldFact<'a> {
     /// Declared type head.
-    pub ty: Ty,
+    pub ty: Ty<'a>,
     /// When the declared type is `Atomic*`, the wrapped value type
     /// (`AtomicU64` -> `Uint(64)`, `AtomicBool` -> `Bool`).
-    pub atomic: Option<Ty>,
+    pub atomic: Option<Ty<'a>>,
 }
 
 /// The `Atomic*` wrapper's inner type, when `head` names one.
-fn atomic_inner(head: &str) -> Option<Ty> {
+fn atomic_inner(head: &str) -> Option<Ty<'static>> {
     let inner = head.strip_prefix("Atomic")?;
     match inner {
         "Usize" => Some(Ty::Usize),
@@ -302,22 +300,22 @@ fn atomic_inner(head: &str) -> Option<Ty> {
 }
 
 /// Workspace-wide type facts: struct fields and fn return types, keyed
-/// by name with cross-crate collisions degraded to `Unknown` (never a
-/// wrong fact, at worst a missing one).
+/// by name (borrowed from the parsed tree) with cross-crate collisions
+/// degraded to `Unknown` (never a wrong fact, at worst a missing one).
 #[derive(Debug, Default)]
-pub struct TypeIndex {
+pub struct TypeIndex<'a> {
     /// `(struct name, field name)` -> fact.
-    fields: BTreeMap<(String, String), FieldFact>,
+    fields: BTreeMap<(&'a str, &'a str), FieldFact<'a>>,
     /// Field name -> fact when the name is unique workspace-wide;
     /// `None` marks an ambiguous name.
-    field_by_name: BTreeMap<String, Option<FieldFact>>,
+    field_by_name: BTreeMap<&'a str, Option<FieldFact<'a>>>,
     /// `(self type or "", fn name)` -> declared return type.
-    returns: BTreeMap<(String, String), Ty>,
+    returns: BTreeMap<(&'a str, &'a str), Ty<'a>>,
 }
 
-impl TypeIndex {
+impl<'a> TypeIndex<'a> {
     /// Build the index from every parsed item in the workspace.
-    pub fn build(ws: &Workspace) -> TypeIndex {
+    pub fn build(ws: &'a Workspace<'a>) -> TypeIndex<'a> {
         let mut index = TypeIndex::default();
         for file in &ws.files {
             for item in &file.parsed.items {
@@ -327,17 +325,17 @@ impl TypeIndex {
         index
     }
 
-    fn add_item(&mut self, item: &crate::parser::Item, self_ty: Option<&str>) {
+    fn add_item(&mut self, item: &'a crate::parser::Item<'a>, self_ty: Option<&'a str>) {
         match &item.kind {
             ItemKind::Struct { fields } => {
                 for field in fields {
                     let ty = Ty::from_tokens(&field.ty);
-                    let atomic = match &ty {
+                    let atomic = match ty {
                         Ty::Named(head) => atomic_inner(head),
                         _ => None,
                     };
                     let fact = FieldFact { ty, atomic };
-                    let key = (item.name.clone(), field.name.clone());
+                    let key = (item.name, field.name);
                     match self.fields.get(&key) {
                         Some(existing) if *existing != fact => {
                             self.fields.insert(
@@ -350,23 +348,23 @@ impl TypeIndex {
                         }
                         Some(_) => {}
                         None => {
-                            self.fields.insert(key, fact.clone());
+                            self.fields.insert(key, fact);
                         }
                     }
-                    match self.field_by_name.get(&field.name) {
+                    match self.field_by_name.get(field.name) {
                         Some(Some(existing)) if *existing != fact => {
-                            self.field_by_name.insert(field.name.clone(), None);
+                            self.field_by_name.insert(field.name, None);
                         }
                         Some(_) => {}
                         None => {
-                            self.field_by_name.insert(field.name.clone(), Some(fact));
+                            self.field_by_name.insert(field.name, Some(fact));
                         }
                     }
                 }
             }
             ItemKind::Fn(info) => {
                 let ret = Ty::from_tokens_with(&info.ret, self_ty);
-                let key = (self_ty.unwrap_or("").to_string(), item.name.clone());
+                let key = (self_ty.unwrap_or(""), item.name);
                 match self.returns.get(&key) {
                     Some(existing) if *existing != ret => {
                         self.returns.insert(key, Ty::Unknown);
@@ -380,7 +378,7 @@ impl TypeIndex {
             _ => {}
         }
         let child_self_ty = match &item.kind {
-            ItemKind::Impl { self_ty, .. } => Some(self_ty.as_str()),
+            ItemKind::Impl { self_ty, .. } => Some(*self_ty),
             _ => self_ty,
         };
         for child in &item.children {
@@ -389,39 +387,38 @@ impl TypeIndex {
     }
 
     /// Field fact by `(struct, field)`.
-    pub fn field(&self, struct_name: &str, field: &str) -> Option<&FieldFact> {
-        self.fields
-            .get(&(struct_name.to_string(), field.to_string()))
+    pub fn field(&self, struct_name: &str, field: &str) -> Option<FieldFact<'a>> {
+        self.fields.get(&(struct_name, field)).copied()
     }
 
     /// Field fact by name alone, when the name is unique workspace-wide.
-    pub fn field_named(&self, field: &str) -> Option<&FieldFact> {
-        self.field_by_name.get(field).and_then(|f| f.as_ref())
+    pub fn field_named(&self, field: &str) -> Option<FieldFact<'a>> {
+        self.field_by_name.get(field).copied().flatten()
     }
 
     /// Declared return type of `self_ty::name` (free fns use `""`).
-    pub fn ret(&self, self_ty: &str, name: &str) -> Ty {
+    pub fn ret(&self, self_ty: &str, name: &str) -> Ty<'a> {
         self.returns
-            .get(&(self_ty.to_string(), name.to_string()))
-            .cloned()
+            .get(&(self_ty, name))
+            .copied()
             .unwrap_or(Ty::Unknown)
     }
 }
 
 /// One inferred fact: the type plus corpus-scale provenance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TyFact {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TyFact<'a> {
     /// Inferred type (`Unknown` when unprovable).
-    pub ty: Ty,
+    pub ty: Ty<'a>,
     /// Whether the value derives from a corpus-scale quantity
     /// (`.len()`/`.count()` results, counter-family names, and anything
     /// arithmetic over them).
     pub scale: bool,
 }
 
-impl TyFact {
+impl TyFact<'_> {
     /// An unprovable fact with no scale provenance.
-    pub fn unknown() -> TyFact {
+    pub fn unknown() -> Self {
         TyFact {
             ty: Ty::Unknown,
             scale: false,
@@ -450,40 +447,44 @@ const TY_PRESERVING_METHODS: &[&str] = &[
     "to_be",
 ];
 
+/// The local fact map: in-scope names to what is known of them, both
+/// borrowed from the parsed tree.
+pub type TyFacts<'a> = BTreeMap<&'a str, TyFact<'a>>;
+
 /// The per-fn local type inference, as a [`crate::dataflow`] client.
 /// The fact maps in-scope names to [`TyFact`]s; the boundary fact holds
 /// the declared parameter types.
-pub struct LocalTypes<'w> {
+pub struct LocalTypes<'a> {
     /// Workspace type facts.
-    pub index: &'w TypeIndex,
+    pub index: &'a TypeIndex<'a>,
     /// Enclosing impl type, for `self.field` resolution.
-    pub self_ty: Option<String>,
+    pub self_ty: Option<&'a str>,
     /// Declared parameter facts (the boundary).
-    pub params: BTreeMap<String, TyFact>,
+    pub params: TyFacts<'a>,
 }
 
-impl<'w> LocalTypes<'w> {
+impl<'a> LocalTypes<'a> {
     /// Inference context for one call-graph fn.
-    pub fn new(index: &'w TypeIndex, node: &FnNode<'_>) -> LocalTypes<'w> {
-        LocalTypes::for_info(index, node.self_ty.map(str::to_string), node.info)
+    pub fn new(index: &'a TypeIndex<'a>, node: &FnNode<'a>) -> LocalTypes<'a> {
+        LocalTypes::for_info(index, node.self_ty, node.info)
     }
 
     /// Inference context from raw fn facts (fixture tests use this).
     pub fn for_info(
-        index: &'w TypeIndex,
-        self_ty: Option<String>,
-        info: &FnInfo,
-    ) -> LocalTypes<'w> {
+        index: &'a TypeIndex<'a>,
+        self_ty: Option<&'a str>,
+        info: &'a FnInfo<'a>,
+    ) -> LocalTypes<'a> {
         let mut params = BTreeMap::new();
         for p in &info.params {
             if p.name.is_empty() || p.name == "self" {
                 continue;
             }
             params.insert(
-                p.name.clone(),
+                p.name,
                 TyFact {
-                    ty: Ty::from_tokens_with(&p.ty, self_ty.as_deref()),
-                    scale: scale_name(&p.name),
+                    ty: Ty::from_tokens_with(&p.ty, self_ty),
+                    scale: scale_name(p.name),
                 },
             );
         }
@@ -496,21 +497,21 @@ impl<'w> LocalTypes<'w> {
 
     /// Look up a field through the receiver's inferred type, falling
     /// back to the unique-name map.
-    fn field_fact(&self, fact: &BTreeMap<String, TyFact>, base: &Expr, name: &str) -> TyFact {
+    fn field_fact(&self, fact: &TyFacts<'a>, base: &Expr<'a>, name: &str) -> TyFact<'a> {
         let owner = match &base.kind {
-            ExprKind::Path(segs) if segs.as_slice() == ["self"] => self.self_ty.clone(),
+            ExprKind::Path(segs) if segs.as_slice() == ["self"] => self.self_ty,
             _ => match self.infer(fact, base).ty {
                 Ty::Named(s) => Some(s),
                 _ => None,
             },
         };
         let looked = match owner {
-            Some(owner) => self.index.field(&owner, name),
+            Some(owner) => self.index.field(owner, name),
             None => self.index.field_named(name),
         };
         match looked {
             Some(f) => TyFact {
-                ty: f.ty.clone(),
+                ty: f.ty,
                 scale: scale_name(name),
             },
             None => TyFact {
@@ -522,22 +523,18 @@ impl<'w> LocalTypes<'w> {
 
     /// Infer one expression's fact under the current local facts. Never
     /// guesses: anything unresolvable is `Unknown` (see module docs).
-    pub fn infer(&self, fact: &BTreeMap<String, TyFact>, e: &Expr) -> TyFact {
+    pub fn infer(&self, fact: &TyFacts<'a>, e: &Expr<'a>) -> TyFact<'a> {
         match &e.kind {
-            ExprKind::Path(segs) => match segs.as_slice() {
-                [s] if s == "self" => TyFact {
-                    ty: self
-                        .self_ty
-                        .as_ref()
-                        .map(|s| Ty::Named(s.clone()))
-                        .unwrap_or(Ty::Unknown),
+            ExprKind::Path(segs) => match *segs.as_slice() {
+                ["self"] => TyFact {
+                    ty: self.self_ty.map(Ty::Named).unwrap_or(Ty::Unknown),
                     scale: false,
                 },
-                [one] => fact.get(one).cloned().unwrap_or_else(|| TyFact {
+                [one] => fact.get(one).copied().unwrap_or(TyFact {
                     ty: Ty::Unknown,
                     scale: scale_name(one),
                 }),
-                [head, konst] if matches!(konst.as_str(), "MAX" | "MIN") => TyFact {
+                [head, "MAX" | "MIN"] => TyFact {
                     ty: Ty::prim(head).unwrap_or(Ty::Unknown),
                     scale: false,
                 },
@@ -552,7 +549,7 @@ impl<'w> LocalTypes<'w> {
                 operand,
             } => self.infer(fact, operand),
             ExprKind::Ref { operand, .. } => self.infer(fact, operand),
-            ExprKind::Binary { op, lhs, rhs } => match op.as_str() {
+            ExprKind::Binary { op, lhs, rhs } => match *op {
                 "==" | "!=" | "<" | "<=" | ">" | ">=" | "&&" | "||" => TyFact {
                     ty: Ty::Bool,
                     scale: false,
@@ -561,9 +558,9 @@ impl<'w> LocalTypes<'w> {
                 _ => {
                     let l = self.infer(fact, lhs);
                     let r = self.infer(fact, rhs);
-                    let ty = match (&l.ty, &r.ty) {
-                        (Ty::Unknown, other) | (other, Ty::Unknown) => other.clone(),
-                        (a, b) if a == b => a.clone(),
+                    let ty = match (l.ty, r.ty) {
+                        (Ty::Unknown, other) | (other, Ty::Unknown) => other,
+                        (a, b) if a == b => a,
                         _ => Ty::Unknown,
                     };
                     TyFact {
@@ -573,7 +570,7 @@ impl<'w> LocalTypes<'w> {
                 }
             },
             ExprKind::Cast { operand, ty } => TyFact {
-                ty: Ty::from_tokens_with(ty, self.self_ty.as_deref()),
+                ty: Ty::from_tokens_with(ty, self.self_ty),
                 scale: self.infer(fact, operand).scale,
             },
             ExprKind::Field { base, name } => self.field_fact(fact, base, name),
@@ -582,7 +579,7 @@ impl<'w> LocalTypes<'w> {
                 name,
                 turbofish,
                 args,
-            } => match name.as_str() {
+            } => match *name {
                 "len" | "count" | "capacity" => TyFact {
                     ty: Ty::Usize,
                     scale: true,
@@ -591,7 +588,7 @@ impl<'w> LocalTypes<'w> {
                     ty: if turbofish.is_empty() {
                         Ty::Unknown
                     } else {
-                        Ty::from_tokens_with(turbofish, self.self_ty.as_deref())
+                        Ty::from_tokens_with(turbofish, self.self_ty)
                     },
                     scale: true,
                 },
@@ -611,7 +608,7 @@ impl<'w> LocalTypes<'w> {
                     let r = self.infer(fact, recv);
                     match r.ty {
                         Ty::Named(owner) => TyFact {
-                            ty: self.index.ret(&owner, name),
+                            ty: self.index.ret(owner, name),
                             scale: scale_name(name),
                         },
                         _ => TyFact {
@@ -625,8 +622,8 @@ impl<'w> LocalTypes<'w> {
                 let ExprKind::Path(segs) = &callee.kind else {
                     return TyFact::unknown();
                 };
-                match segs.as_slice() {
-                    [head, from] if from == "from" && Ty::prim(head).is_some() => TyFact {
+                match *segs.as_slice() {
+                    [head, "from"] if Ty::prim(head).is_some() => TyFact {
                         ty: Ty::prim(head).unwrap_or(Ty::Unknown),
                         scale: args.first().is_some_and(|a| self.infer(fact, a).scale),
                     },
@@ -639,7 +636,7 @@ impl<'w> LocalTypes<'w> {
                         let ret = self.index.ret(ty_name, method);
                         TyFact {
                             ty: match ret {
-                                Ty::Unknown if method == "new" => Ty::Named(ty_name.clone()),
+                                Ty::Unknown if method == "new" => Ty::Named(ty_name),
                                 other => other,
                             },
                             scale: false,
@@ -655,10 +652,7 @@ impl<'w> LocalTypes<'w> {
                 }
             }
             ExprKind::StructLit { path, .. } => TyFact {
-                ty: path
-                    .last()
-                    .map(|s| Ty::Named(s.clone()))
-                    .unwrap_or(Ty::Unknown),
+                ty: path.last().map(|&s| Ty::Named(s)).unwrap_or(Ty::Unknown),
                 scale: false,
             },
             _ => TyFact::unknown(),
@@ -667,13 +661,13 @@ impl<'w> LocalTypes<'w> {
 
     /// Bind every name of `pat` to `whole` when it is a single binding,
     /// or to hint-seeded `Unknown` facts otherwise.
-    fn bind_pat(&self, fact: &mut BTreeMap<String, TyFact>, pat: &Pat, whole: Option<TyFact>) {
+    fn bind_pat(&self, fact: &mut TyFacts<'a>, pat: &Pat<'a>, whole: Option<TyFact<'a>>) {
         let mut names = Vec::new();
         pat.bound_names(&mut names);
         match (names.as_slice(), whole) {
-            ([one], Some(f)) => {
+            (&[one], Some(f)) => {
                 fact.insert(
-                    one.clone(),
+                    one,
                     TyFact {
                         scale: f.scale || scale_name(one),
                         ..f
@@ -681,9 +675,9 @@ impl<'w> LocalTypes<'w> {
                 );
             }
             (many, _) => {
-                for name in many {
+                for &name in many {
                     fact.insert(
-                        name.clone(),
+                        name,
                         TyFact {
                             ty: Ty::Unknown,
                             scale: scale_name(name),
@@ -698,7 +692,7 @@ impl<'w> LocalTypes<'w> {
 /// Literal type from its suffix (`7u64`, `1.5f32`); unsuffixed floats
 /// default to `f64`, unsuffixed integers stay `Unknown` (their type is
 /// inference-context-dependent, which this analysis does not model).
-fn lit_ty(text: &str) -> Ty {
+fn lit_ty(text: &str) -> Ty<'static> {
     const SUFFIXES: &[&str] = &[
         "usize", "isize", "u128", "i128", "u64", "i64", "u32", "i32", "u16", "i16", "u8", "i8",
         "f64", "f32",
@@ -711,7 +705,7 @@ fn lit_ty(text: &str) -> Ty {
     match text {
         "true" | "false" => Ty::Bool,
         t if t.starts_with('\'') => Ty::Char,
-        t if t.starts_with('"') => Ty::Named("str".to_string()),
+        t if t.starts_with('"') => Ty::Named("str"),
         t if t.starts_with(|c: char| c.is_ascii_digit())
             && !t.starts_with("0x")
             && (t.contains('.') || t.contains('e') || t.contains('E')) =>
@@ -722,15 +716,15 @@ fn lit_ty(text: &str) -> Ty {
     }
 }
 
-impl<'a, 'w> Analysis<'a> for LocalTypes<'w> {
-    type Fact = BTreeMap<String, TyFact>;
+impl<'a> Analysis<'a> for LocalTypes<'a> {
+    type Fact = TyFacts<'a>;
 
     fn boundary(&self) -> Self::Fact {
         self.params.clone()
     }
 
     fn join(&self, acc: &mut Self::Fact, other: &Self::Fact) {
-        for (name, theirs) in other {
+        for (&name, theirs) in other {
             match acc.get_mut(name) {
                 Some(ours) => {
                     if ours.ty != theirs.ty {
@@ -739,7 +733,7 @@ impl<'a, 'w> Analysis<'a> for LocalTypes<'w> {
                     ours.scale = ours.scale || theirs.scale;
                 }
                 None => {
-                    acc.insert(name.clone(), theirs.clone());
+                    acc.insert(name, *theirs);
                 }
             }
         }
@@ -751,7 +745,7 @@ impl<'a, 'w> Analysis<'a> for LocalTypes<'w> {
                 let declared = if ty.is_empty() {
                     None
                 } else {
-                    Some(Ty::from_tokens_with(ty, self.self_ty.as_deref()))
+                    Some(Ty::from_tokens_with(ty, self.self_ty))
                 };
                 let inferred = init.map(|e| self.infer(fact, e));
                 let whole = match (declared, inferred) {
@@ -776,9 +770,9 @@ impl<'a, 'w> Analysis<'a> for LocalTypes<'w> {
                             .as_deref()
                             .map(|e| self.infer(fact, e))
                             .unwrap_or_else(TyFact::unknown);
-                        let ty = match (&l.ty, &h.ty) {
-                            (Ty::Unknown, other) | (other, Ty::Unknown) => other.clone(),
-                            (a, b) if a == b => a.clone(),
+                        let ty = match (l.ty, h.ty) {
+                            (Ty::Unknown, other) | (other, Ty::Unknown) => other,
+                            (a, b) if a == b => a,
                             _ => Ty::Unknown,
                         };
                         Some(TyFact {
@@ -793,17 +787,17 @@ impl<'a, 'w> Analysis<'a> for LocalTypes<'w> {
             Step::Eval(e) | Step::Cond(e) => {
                 if let ExprKind::Assign { op, lhs, rhs } = &e.kind {
                     if let ExprKind::Path(segs) = &lhs.kind {
-                        if let [name] = segs.as_slice() {
+                        if let &[name] = segs.as_slice() {
                             let r = self.infer(fact, rhs);
                             match fact.get_mut(name) {
-                                Some(ours) if op != "=" => {
+                                Some(ours) if *op != "=" => {
                                     // Compound assign keeps the type,
                                     // accumulates scale provenance.
                                     ours.scale = ours.scale || r.scale;
                                 }
                                 _ => {
                                     fact.insert(
-                                        name.clone(),
+                                        name,
                                         TyFact {
                                             scale: r.scale || scale_name(name),
                                             ..r
@@ -824,8 +818,8 @@ impl<'a, 'w> Analysis<'a> for LocalTypes<'w> {
 /// hoists those into steps of their own) — exactly the subtrees the
 /// `N1`/`N2` and `A1` walkers visit. Those passes report only at such
 /// sites, so they solve local types only for a fn where this holds.
-pub(crate) fn any_site(cfg: &Cfg<'_>, is_site: &impl Fn(&Expr) -> bool) -> bool {
-    fn visit(e: &Expr, is_site: &impl Fn(&Expr) -> bool) -> bool {
+pub(crate) fn any_site(cfg: &Cfg<'_>, is_site: &impl Fn(&Expr<'_>) -> bool) -> bool {
+    fn visit(e: &Expr<'_>, is_site: &impl Fn(&Expr<'_>) -> bool) -> bool {
         if e.is_control() {
             return false;
         }
@@ -845,18 +839,18 @@ pub(crate) fn any_site(cfg: &Cfg<'_>, is_site: &impl Fn(&Expr) -> bool) -> bool 
 
 /// Solve local types for one fn body; returns per-node in-facts (see
 /// [`dataflow::solve`]) for use with [`dataflow::replay`].
-pub fn solve_fn<'a>(lt: &LocalTypes<'_>, cfg: &Cfg<'a>) -> Vec<Option<BTreeMap<String, TyFact>>> {
+pub fn solve_fn<'a>(lt: &LocalTypes<'a>, cfg: &Cfg<'a>) -> Vec<Option<TyFacts<'a>>> {
     dataflow::solve(cfg, lt)
 }
 
 /// The fact at the fn's exit node — what the reorder-stability proptest
 /// and the unit tests below assert against.
-pub fn exit_types(
-    index: &TypeIndex,
-    self_ty: Option<&str>,
-    info: &FnInfo,
-) -> BTreeMap<String, TyFact> {
-    let lt = LocalTypes::for_info(index, self_ty.map(str::to_string), info);
+pub fn exit_types<'a>(
+    index: &'a TypeIndex<'a>,
+    self_ty: Option<&'a str>,
+    info: &'a FnInfo<'a>,
+) -> TyFacts<'a> {
+    let lt = LocalTypes::for_info(index, self_ty, info);
     let cfg = Cfg::build(&info.body);
     let facts = solve_fn(&lt, &cfg);
     facts
@@ -870,9 +864,12 @@ mod tests {
     use super::*;
     use crate::parser::parse_file;
 
-    fn fn_types(src: &str) -> BTreeMap<String, TyFact> {
+    /// Solve the local types of `fn f` in `src` and hand its exit facts
+    /// to `check`.
+    fn fn_types(src: &str, check: impl FnOnce(&TyFacts<'_>)) {
         let parsed = parse_file("crates/x/src/lib.rs", src);
-        let ws = Workspace::build(&[("crates/x/src/lib.rs".to_string(), src.to_string())]);
+        let files = [("crates/x/src/lib.rs", src)];
+        let ws = Workspace::build(&files);
         let index = TypeIndex::build(&ws);
         let mut out = None;
         let mut items = Vec::new();
@@ -886,78 +883,89 @@ mod tests {
                 }
             }
         }
-        out.expect("fn f in fixture")
+        check(&out.expect("fn f in fixture"));
     }
 
     #[test]
     fn annotations_literal_suffixes_and_casts_resolve() {
-        let t = fn_types(
+        fn_types(
             "fn f() { let a: u32 = read(); let b = 7u64; let c = b as u16; let d = 1.5; }\n",
+            |t| {
+                assert_eq!(t.get("a").map(|f| f.ty), Some(Ty::Uint(32)));
+                assert_eq!(t.get("b").map(|f| f.ty), Some(Ty::Uint(64)));
+                assert_eq!(t.get("c").map(|f| f.ty), Some(Ty::Uint(16)));
+                assert_eq!(t.get("d").map(|f| f.ty), Some(Ty::F64));
+            },
         );
-        assert_eq!(t.get("a").map(|f| f.ty.clone()), Some(Ty::Uint(32)));
-        assert_eq!(t.get("b").map(|f| f.ty.clone()), Some(Ty::Uint(64)));
-        assert_eq!(t.get("c").map(|f| f.ty.clone()), Some(Ty::Uint(16)));
-        assert_eq!(t.get("d").map(|f| f.ty.clone()), Some(Ty::F64));
     }
 
     #[test]
     fn len_results_carry_usize_and_scale() {
-        let t = fn_types("fn f(xs: &[u8]) { let n = xs.len(); let doubled = n * 2; }\n");
-        let n = t.get("n").expect("n");
-        assert_eq!(n.ty, Ty::Usize);
-        assert!(n.scale);
-        let d = t.get("doubled").expect("doubled");
-        assert_eq!(d.ty, Ty::Usize, "arith on usize stays usize");
-        assert!(d.scale, "scale propagates through arithmetic");
+        fn_types(
+            "fn f(xs: &[u8]) { let n = xs.len(); let doubled = n * 2; }\n",
+            |t| {
+                let n = t.get("n").expect("n");
+                assert_eq!(n.ty, Ty::Usize);
+                assert!(n.scale);
+                let d = t.get("doubled").expect("doubled");
+                assert_eq!(d.ty, Ty::Usize, "arith on usize stays usize");
+                assert!(d.scale, "scale propagates through arithmetic");
+            },
+        );
     }
 
     #[test]
     fn ctor_and_method_returns_propagate() {
-        let t = fn_types(
+        fn_types(
             "pub struct Pool { n: u64 }\n\
              impl Pool {\n\
                  pub fn new() -> Pool { Pool { n: 0 } }\n\
                  pub fn level(&self) -> u64 { self.n }\n\
              }\n\
              fn f() { let p = Pool::new(); let lvl = p.level(); }\n",
+            |t| {
+                assert_eq!(t.get("p").map(|f| f.ty), Some(Ty::Named("Pool")));
+                assert_eq!(t.get("lvl").map(|f| f.ty), Some(Ty::Uint(64)));
+            },
         );
-        assert_eq!(
-            t.get("p").map(|f| f.ty.clone()),
-            Some(Ty::Named("Pool".to_string()))
-        );
-        assert_eq!(t.get("lvl").map(|f| f.ty.clone()), Some(Ty::Uint(64)));
     }
 
     #[test]
     fn joins_degrade_to_unknown_not_wrong() {
-        let t = fn_types("fn f(c: bool) { let x = if c { 1u32 } else { 2u64 }; }\n");
-        // The two arms disagree; the join must not pick either.
-        assert_eq!(t.get("x").map(|f| f.ty.clone()), Some(Ty::Unknown));
+        fn_types(
+            "fn f(c: bool) { let x = if c { 1u32 } else { 2u64 }; }\n",
+            |t| {
+                // The two arms disagree; the join must not pick either.
+                assert_eq!(t.get("x").map(|f| f.ty), Some(Ty::Unknown));
+            },
+        );
     }
 
     #[test]
     fn counter_names_seed_scale_without_types() {
-        let t = fn_types("fn f() { let mut total = 0; total += 1; }\n");
-        let total = t.get("total").expect("total");
-        assert!(total.scale, "counter-family name seeds scale");
-        assert_eq!(total.ty, Ty::Unknown, "unsuffixed literal stays unknown");
+        fn_types("fn f() { let mut total = 0; total += 1; }\n", |t| {
+            let total = t.get("total").expect("total");
+            assert!(total.scale, "counter-family name seeds scale");
+            assert_eq!(total.ty, Ty::Unknown, "unsuffixed literal stays unknown");
+        });
     }
 
     #[test]
     fn atomic_fields_are_indexed() {
         let src = "pub struct G { current: AtomicU64, peak: AtomicUsize, on: AtomicBool }\n";
-        let ws = Workspace::build(&[("crates/x/src/lib.rs".to_string(), src.to_string())]);
+        let files = [("crates/x/src/lib.rs", src)];
+        let ws = Workspace::build(&files);
         let index = TypeIndex::build(&ws);
         assert_eq!(
-            index.field("G", "current").and_then(|f| f.atomic.clone()),
+            index.field("G", "current").and_then(|f| f.atomic),
             Some(Ty::Uint(64))
         );
         assert_eq!(
-            index.field("G", "peak").and_then(|f| f.atomic.clone()),
+            index.field("G", "peak").and_then(|f| f.atomic),
             Some(Ty::Usize)
         );
         assert_eq!(
-            index.field("G", "on").and_then(|f| f.atomic.clone()),
+            index.field("G", "on").and_then(|f| f.atomic),
             Some(Ty::Bool)
         );
     }
@@ -1003,9 +1011,6 @@ mod tests {
             Noop,
             "same width under the 64-bit model"
         );
-        assert_eq!(
-            classify_cast(&Ty::Named("Vec".into()), &Ty::Uint(8)),
-            Opaque
-        );
+        assert_eq!(classify_cast(&Ty::Named("Vec"), &Ty::Uint(8)), Opaque);
     }
 }

@@ -8,7 +8,7 @@ use aipan_lint::expr::{Expr, ExprKind, Pat, Stmt};
 use aipan_lint::parser::{parse_file, ItemKind};
 
 /// Parse `src` and return the body of the first fn named `name`.
-fn fn_body(src: &str, name: &str) -> Vec<Stmt> {
+fn fn_body<'src>(src: &'src str, name: &str) -> Vec<Stmt<'src>> {
     let parsed = parse_file("crates/x/src/lib.rs", src);
     parsed
         .items
@@ -21,7 +21,7 @@ fn fn_body(src: &str, name: &str) -> Vec<Stmt> {
 }
 
 /// The tail expression of a body (final statement without `;`).
-fn tail(body: &[Stmt]) -> &Expr {
+fn tail<'b, 'src>(body: &'b [Stmt<'src>]) -> &'b Expr<'src> {
     match body.last() {
         Some(Stmt::Expr { expr, semi: false }) => expr,
         other => panic!("fixture must end in a tail expression, got {other:?}"),
@@ -39,7 +39,7 @@ fn nested_generic_close_splits_shift_right() {
     };
     // `>>` must arrive as two `>` tokens, closing both lists.
     assert_eq!(
-        ty.iter().map(String::as_str).collect::<Vec<_>>(),
+        *ty,
         ["Vec", "<", "Vec", "<", "u32", ">", ">"],
         "nested-generic type annotation"
     );
@@ -58,7 +58,7 @@ fn turbofish_in_method_chain_is_captured() {
     else {
         panic!("tail must be the sum call");
     };
-    assert_eq!(name, "sum");
+    assert_eq!(*name, "sum");
     assert_eq!(turbofish, &["f64"], "turbofish type token");
 }
 
@@ -73,7 +73,7 @@ fn turbofish_with_nested_generics_keeps_chaining() {
     let ExprKind::MethodCall { recv, name, .. } = &tail(&body).kind else {
         panic!("tail must be the len call");
     };
-    assert_eq!(name, "len");
+    assert_eq!(*name, "len");
     let ExprKind::MethodCall {
         name: inner,
         turbofish,
@@ -82,9 +82,9 @@ fn turbofish_with_nested_generics_keeps_chaining() {
     else {
         panic!("receiver must be the collect call");
     };
-    assert_eq!(inner, "collect");
+    assert_eq!(*inner, "collect");
     assert_eq!(
-        turbofish.iter().map(String::as_str).collect::<Vec<_>>(),
+        *turbofish,
         ["Vec", "<", "Vec", "<", "u32", ">", ">"],
         "nested turbofish tokens (>>> split into three closers)"
     );
@@ -112,7 +112,7 @@ fn guarded_or_pattern_arm_keeps_pipe_out_of_the_guard() {
     let guard = arms[0].guard.as_ref().expect("guard must be recognized");
     assert_eq!(
         guard.plain_path().as_deref(),
-        Some(&["flag".to_string()][..]),
+        Some(&["flag"][..]),
         "guard is the bare flag, not a pipe-mangled expression"
     );
     assert!(arms[1].guard.is_none());
@@ -136,7 +136,7 @@ fn guard_with_logical_or_is_not_an_or_pattern() {
     let ExprKind::Binary { op, .. } = &guard.kind else {
         panic!("guard must be the `||` expression, got {:?}", guard.kind);
     };
-    assert_eq!(op, "||", "`||` in a guard stays one logical operator");
+    assert_eq!(*op, "||", "`||` in a guard stays one logical operator");
     assert!(matches!(arms[0].pat, Pat::Or(_)));
 }
 
@@ -163,7 +163,7 @@ fn move_closure_is_a_closure_not_a_pattern() {
     assert!(*moves, "`move` captured");
     assert_eq!(params.len(), 1);
     assert!(
-        matches!(&cbody.kind, ExprKind::Binary { op, .. } if op == "+"),
+        matches!(&cbody.kind, ExprKind::Binary { op, .. } if *op == "+"),
         "closure body is the sum"
     );
 

@@ -72,7 +72,7 @@ proptest! {
         let parsed = parse_file("crates/x/src/gen.rs", &src);
         prop_assert_eq!(parsed.items.len(), 2, "fn + struct: {:?}", parsed.items);
         check_siblings(&parsed.items, (0, parsed.sig_len - 1))?;
-        prop_assert_eq!(parsed.items[0].name.as_str(), name.as_str());
-        prop_assert_eq!(parsed.items[1].name.as_str(), "After");
+        prop_assert_eq!(parsed.items[0].name, name.as_str());
+        prop_assert_eq!(parsed.items[1].name, "After");
     }
 }

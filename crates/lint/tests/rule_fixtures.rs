@@ -189,12 +189,15 @@ use aipan_lint::config::Config;
 use aipan_lint::graph::Workspace;
 use aipan_lint::{error_flow, locks};
 
-fn workspace(files: &[(&str, &str)]) -> Workspace {
+/// A workspace over fixture sources. The workspace borrows its sources,
+/// so the fixture copies them into storage that lives for the rest of
+/// the test run (a few KiB per test).
+fn workspace(files: &[(&str, &str)]) -> Workspace<'static> {
     let owned: Vec<(String, String)> = files
         .iter()
         .map(|(p, s)| (p.to_string(), s.to_string()))
         .collect();
-    Workspace::build(&owned)
+    Workspace::build(Vec::leak(owned))
 }
 
 const LAYERING: &str = "[layering]\n\
@@ -382,6 +385,31 @@ fn x1_float_division_is_exempt_integer_division_is_not() {
     let graph = CallGraph::build(&clean);
     let findings = panic_reach::check_panic_reach(&clean, &graph);
     assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn x1_sees_past_matches_with_every_pattern_shape() {
+    // `matches!`'s second argument is a pattern: a struct pattern's
+    // `{ .. }` must not swallow what follows, so the unproven index
+    // after it is reported for each shape alike.
+    for pat in ["Kind::Impl", "Kind::Impl(..)", "Kind::Impl { .. }"] {
+        let src = format!(
+            "pub fn probe(u: &Unit, flags: &[bool], k: usize) -> bool {{\n\
+             \x20   let m = matches!(u.kind, {pat});\n\
+             \x20   m && flags[k]\n\
+             }}\n"
+        );
+        let ws = workspace(&[("crates/core/src/lib.rs", &src)]);
+        let graph = CallGraph::build(&ws);
+        let findings = panic_reach::check_panic_reach(&ws, &graph);
+        assert_eq!(findings.len(), 1, "{pat}: {findings:?}");
+        assert_eq!(findings[0].rule, "X1");
+        assert!(
+            findings[0].message.contains("flags[k]"),
+            "{pat}: {}",
+            findings[0].message
+        );
+    }
 }
 
 #[test]

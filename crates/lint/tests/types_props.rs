@@ -8,7 +8,7 @@
 
 use aipan_lint::graph::Workspace;
 use aipan_lint::parser::{parse_file, ItemKind};
-use aipan_lint::types::{exit_types, TyFact, TypeIndex};
+use aipan_lint::types::{exit_types, TypeIndex};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -30,11 +30,13 @@ const INITS: &[&str] = &[
 /// Distinct binding names (disjoint from everything in `INITS`).
 const NAMES: &[&str] = &["a", "b", "c", "d", "e", "g", "h", "k"];
 
-/// Exit-node type facts of a generated `fn f` holding `stmts` in order.
-fn exit_of(stmts: &[String]) -> BTreeMap<String, TyFact> {
+/// Exit-node type facts of a generated `fn f` holding `stmts` in order,
+/// each rendered with `{:?}` so the map outlives the source it borrows.
+fn exit_of(stmts: &[String]) -> BTreeMap<String, String> {
     let body = stmts.join("\n    ");
     let src = format!("fn read() -> u32 {{ 4 }}\nfn f(xs: &[u8]) {{\n    {body}\n}}\n");
-    let ws = Workspace::build(&[("crates/x/src/gen.rs".to_string(), src.clone())]);
+    let files = [("crates/x/src/gen.rs", src.as_str())];
+    let ws = Workspace::build(&files);
     let index = TypeIndex::build(&ws);
     let parsed = parse_file("crates/x/src/gen.rs", &src);
     let info = parsed
@@ -46,6 +48,9 @@ fn exit_of(stmts: &[String]) -> BTreeMap<String, TyFact> {
         })
         .expect("generated source parses to fn f");
     exit_types(&index, None, info)
+        .into_iter()
+        .map(|(name, fact)| (name.to_string(), format!("{fact:?}")))
+        .collect()
 }
 
 // Any rotation or reversal of independent bindings leaves the exit

@@ -2,12 +2,45 @@
 //! layers on arbitrary input and invariants of the core data structures.
 
 use aipan::chatbot::protocol;
-use aipan::html::entity;
+use aipan::html::{entity, HeadingLevel, Line, LineKind};
 use aipan::net::Url;
 use aipan::taxonomy::normalize::fold;
 use aipan::taxonomy::{Aspect, Normalizer, Sector};
 use aipan::webgen::GroundTruth;
 use proptest::prelude::*;
+
+/// One part of a tag-soup document: tags (closed or not), text runs,
+/// arbitrary chars, comment delimiters, entities, stray markup bytes and
+/// U+00A0.
+const TAGGY_PART: &str =
+    "(<[a-zA-Z]{1,8}>?|</[a-zA-Z]{0,8}>|[a-zA-Z ]{1,12}|.{0,12}|<!--|-->|&[a-zA-Z#0-9]{0,7};?|[<>/=\"' ]|\u{a0})";
+
+/// Render extracted lines back to HTML: `<p>` for text, `<hN>` for a
+/// heading tag, `<p><b>…</b></p>` for bold on its own line, each line's
+/// text through `entity::escape`.
+fn render_lines(lines: &[Line]) -> String {
+    let mut html = String::new();
+    for line in lines {
+        let text = entity::escape(&line.text);
+        let tag = match line.kind {
+            LineKind::Text => "p",
+            LineKind::Heading(HeadingLevel::Bold) => {
+                html.push_str(&format!("<p><b>{text}</b></p>"));
+                continue;
+            }
+            LineKind::Heading(level) => match level.rank() {
+                1 => "h1",
+                2 => "h2",
+                3 => "h3",
+                4 => "h4",
+                5 => "h5",
+                _ => "h6",
+            },
+        };
+        html.push_str(&format!("<{tag}>{text}</{tag}>"));
+    }
+    html
+}
 
 proptest! {
     // ---- HTML layer ----
@@ -20,10 +53,7 @@ proptest! {
 
     #[test]
     fn html_extract_never_panics_on_taggy_soup(
-        parts in proptest::collection::vec(
-            "(<[a-zA-Z]{1,8}>?|</[a-zA-Z]{0,8}>|[a-zA-Z ]{1,12}|.{0,12}|<!--|-->|&[a-zA-Z#0-9]{0,7};?|[<>/=\"' ]|\u{a0})",
-            0..120,
-        )
+        parts in proptest::collection::vec(TAGGY_PART, 0..120)
     ) {
         let input: String = parts.concat();
         let doc = aipan::html::extract(&input);
@@ -38,6 +68,20 @@ proptest! {
         }
         // The links-only pass returns exactly the same links.
         prop_assert_eq!(aipan::html::links(&input), doc.links);
+    }
+
+    #[test]
+    fn html_extract_reextracts_its_own_lines(input in ".{0,800}") {
+        let lines = aipan::html::extract(&input).lines;
+        prop_assert_eq!(aipan::html::extract(&render_lines(&lines)).lines, lines);
+    }
+
+    #[test]
+    fn html_extract_reextracts_its_own_lines_from_taggy_soup(
+        parts in proptest::collection::vec(TAGGY_PART, 0..120)
+    ) {
+        let lines = aipan::html::extract(&parts.concat()).lines;
+        prop_assert_eq!(aipan::html::extract(&render_lines(&lines)).lines, lines);
     }
 
     #[test]
