@@ -1,4 +1,14 @@
 //! The single-domain crawl procedure (§3.1 navigation policy).
+//!
+//! A crawl reads its links from [`links`], the links-only pass of the HTML
+//! renderer, on the homepage and on each HTML seed page. The footer link
+//! and both path probes often reach one policy page, directly or by
+//! redirect, so each crawl keeps the link list of every page it passed, and
+//! a seed page whose body is byte-equal to one of them reuses that list
+//! instead of passing the body again. `links` is a pure function of the
+//! body, so the reuse is exact: each href still resolves against the
+//! page's own final URL, and every fetch, page record, robots check and
+//! header target stays as it was.
 
 use crate::robots::RobotsPolicy;
 use aipan_html::{links, PageLink, PageRegion};
@@ -192,6 +202,30 @@ pub const DEFAULT_POLITENESS_MS: u64 = 500;
 /// The crawler's user-agent string (matched against robots groups).
 pub const USER_AGENT: &str = "aipan-crawler/0.1 (headless)";
 
+/// The link list of every page one crawl has link-passed, each with the
+/// index its page has in the crawl's page list.
+struct LinkPasses {
+    lists: Vec<(usize, Vec<PageLink>)>,
+}
+
+impl LinkPasses {
+    /// The links of `body`, the body of the page about to be stored at
+    /// the end of `pages`. A page passed before with a byte-equal body
+    /// lends its list, since [`links`] is a pure function of the body;
+    /// otherwise the body is passed and its list kept.
+    fn links_of(&mut self, pages: &[CrawledPage], body: &str) -> &[PageLink] {
+        let known = self
+            .lists
+            .iter()
+            .position(|&(page, _)| pages.get(page).is_some_and(|p| p.body == body));
+        let at = known.unwrap_or_else(|| {
+            self.lists.push((pages.len(), links(body)));
+            self.lists.len() - 1
+        });
+        self.lists.get(at).map_or(&[], |(_, list)| list)
+    }
+}
+
 /// Mutable crawl bookkeeping threaded through the fetch stages.
 struct CrawlState {
     pages: Vec<CrawledPage>,
@@ -294,7 +328,6 @@ pub fn crawl_domain_with(client: &Client, domain: &str, options: &CrawlOptions) 
     };
     visited.insert(home_url.clone());
     visited.insert(home.final_url.clone());
-    let home_ok = home.response.status.is_success();
     let home_page = CrawledPage {
         url: home_url.clone(),
         final_url: home.final_url,
@@ -303,21 +336,21 @@ pub fn crawl_domain_with(client: &Client, domain: &str, options: &CrawlOptions) 
         body: home.response.body_text(),
         via: LinkSource::Homepage,
     };
-    let home_links = if home_ok {
-        links(&home_page.body)
-    } else {
-        Vec::new()
-    };
-    state.pages.push(home_page);
-
-    if !home_ok {
+    if !home_page.status.is_success() {
+        state.pages.push(home_page);
         let retries = session.total_retries();
         return state.finish(domain, CrawlOutcome::NoPrivacyPage, false, retries);
     }
+    // Sized for the homepage and every seed page, the most one crawl passes.
+    let mut passes = LinkPasses {
+        lists: Vec::with_capacity(1 + MAX_FOOTER_LINKS + 2),
+    };
+    let home_links = passes.links_of(&state.pages, &home_page.body);
+    state.pages.push(home_page);
 
     // 2. Up to three "privacy" links from the bottom of the homepage.
     let mut seed_targets: Vec<(Url, LinkSource)> = Vec::with_capacity(MAX_FOOTER_LINKS + 2);
-    for link in privacy_links(&home_links, PageRegion::Footer, MAX_FOOTER_LINKS) {
+    for link in privacy_links(home_links, PageRegion::Footer, MAX_FOOTER_LINKS) {
         if let Ok(url) = home_url.join(&link.href) {
             if url.same_site(&home_url) && !is_binary_link(&url) {
                 seed_targets.push((url, LinkSource::FooterLink));
@@ -366,8 +399,8 @@ pub fn crawl_domain_with(client: &Client, domain: &str, options: &CrawlOptions) 
         if fetched.response.status.is_success()
             && fetched.response.content_type == ContentType::Html
         {
-            let page_links = links(&body);
-            for link in privacy_links(&page_links, PageRegion::Header, MAX_HEADER_LINKS) {
+            let page_links = passes.links_of(&state.pages, &body);
+            for link in privacy_links(page_links, PageRegion::Header, MAX_HEADER_LINKS) {
                 if let Ok(target) = fetched.final_url.join(&link.href) {
                     if target.same_site(&home_url)
                         && !is_binary_link(&target)
@@ -688,6 +721,112 @@ mod tests {
             1,
             "redirected duplicate merged"
         );
+    }
+
+    #[test]
+    fn one_page_reached_three_ways_is_recorded_three_times_and_followed_once() {
+        // The footer link and the `/privacy-policy` probe fetch the policy
+        // page and `/privacy` redirects to it: three fetches of one body,
+        // each recorded with its `via`. The body's header link is a target
+        // of all three, and is fetched once.
+        let net = Internet::new();
+        net.register(
+            "m.com",
+            StaticSite::new()
+                .page(
+                    "/",
+                    home_with_footer("<a href=\"/privacy-policy\">Privacy Policy</a>"),
+                )
+                .page(
+                    "/privacy-policy",
+                    Response::html(
+                        "<header><a href=\"/privacy-policy/cookies\">Privacy and cookies</a>\
+                         </header><main><p>the policy</p></main>",
+                    ),
+                )
+                .page(
+                    "/privacy",
+                    Response::redirect(Status::MOVED_PERMANENTLY, "/privacy-policy"),
+                )
+                .page(
+                    "/privacy-policy/cookies",
+                    Response::html("<p>cookie policy</p>"),
+                ),
+        );
+        let crawl = crawl_domain(&client_for(net), "m.com");
+        let fetched: Vec<_> = crawl
+            .pages
+            .iter()
+            .map(|p| {
+                (
+                    p.url.path.as_str(),
+                    p.final_url.path.as_str(),
+                    p.via,
+                    p.status,
+                )
+            })
+            .collect();
+        assert_eq!(
+            fetched,
+            [
+                ("/", "/", LinkSource::Homepage, Status::OK),
+                (
+                    "/privacy-policy",
+                    "/privacy-policy",
+                    LinkSource::FooterLink,
+                    Status::OK
+                ),
+                (
+                    "/privacy-policy",
+                    "/privacy-policy",
+                    LinkSource::ProbePolicyPath,
+                    Status::OK
+                ),
+                (
+                    "/privacy",
+                    "/privacy-policy",
+                    LinkSource::ProbePrivacyPath,
+                    Status::OK
+                ),
+                (
+                    "/privacy-policy/cookies",
+                    "/privacy-policy/cookies",
+                    LinkSource::HeaderLink,
+                    Status::OK
+                ),
+            ]
+        );
+        assert_eq!(crawl.fetch_attempts, 5);
+        assert_eq!(crawl.privacy_pages().len(), 2);
+    }
+
+    #[test]
+    fn a_shared_body_resolves_its_links_against_each_pages_own_url() {
+        // Two URLs serve one body whose header link is relative, so the
+        // link names a different page under each.
+        let body = "<header><a href=\"details\">Privacy details</a></header>\
+                    <main><p>the policy</p></main>";
+        let net = Internet::new();
+        net.register(
+            "n.com",
+            StaticSite::new()
+                .page(
+                    "/",
+                    home_with_footer("<a href=\"/legal/privacy\">Privacy</a>"),
+                )
+                .page("/legal/privacy", Response::html(body))
+                .page("/privacy", Response::html(body))
+                .page("/legal/details", Response::html("<p>legal details</p>"))
+                .page("/details", Response::html("<p>details</p>")),
+        );
+        let crawl = crawl_domain(&client_for(net), "n.com");
+        let followed: Vec<&str> = crawl
+            .pages
+            .iter()
+            .filter(|p| p.via == LinkSource::HeaderLink)
+            .map(|p| p.final_url.path.as_str())
+            .collect();
+        assert_eq!(followed, ["/legal/details", "/details"]);
     }
 
     #[test]

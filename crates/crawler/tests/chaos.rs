@@ -4,11 +4,14 @@
 //! byte-identical results regardless of worker count. A deterministic
 //! breaker-bound scenario rides along.
 
-use aipan_crawler::{crawl_all_with, crawl_domain_with, CrawlOptions, DomainCrawl, PoolConfig};
+mod common;
+
+use aipan_crawler::{crawl_all_with, crawl_domain_with, CrawlOptions, PoolConfig};
 use aipan_net::fault::{FaultConfig, FaultInjector};
 use aipan_net::host::StaticSite;
 use aipan_net::http::Response;
 use aipan_net::{Client, Internet, RetryPolicy};
+use common::fingerprint;
 use proptest::prelude::*;
 
 fn make_net(n: usize) -> (Internet, Vec<String>) {
@@ -61,40 +64,6 @@ fn options_from(retry: (u32, u64, u64, u32), seed: u64) -> CrawlOptions {
         },
         seed,
     }
-}
-
-/// A stable, comparable fingerprint of a crawl result (DomainCrawl holds
-/// page bodies and is deliberately not PartialEq).
-fn fingerprint(crawls: &[DomainCrawl]) -> Vec<String> {
-    crawls
-        .iter()
-        .map(|c| {
-            let pages: Vec<String> = c
-                .pages
-                .iter()
-                .map(|p| {
-                    format!(
-                        "{}|{}|{:?}|{}",
-                        p.final_url.path,
-                        p.status.0,
-                        p.via,
-                        p.body.len()
-                    )
-                })
-                .collect();
-            format!(
-                "{} {:?} attempts={} retries={} robots={}/{} delay={} pages=[{}]",
-                c.domain,
-                c.outcome,
-                c.fetch_attempts,
-                c.retries,
-                c.robots_skipped,
-                c.robots_blocked,
-                c.politeness_delay_ms,
-                pages.join(", ")
-            )
-        })
-        .collect()
 }
 
 proptest! {

@@ -38,7 +38,7 @@ use crate::cost::CostModel;
 use crate::expr::{child_blocks, for_each_child, Expr, ExprKind, Pat, Stmt};
 use crate::findings::{Finding, Severity};
 use crate::graph::Workspace;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Constructors that start a growable collection.
 const GROWABLE_HEADS: &[&str] = &[
@@ -576,6 +576,28 @@ fn grow_is_guarded(body: &[Stmt<'_>], line: u32, col: u32, bounds: &BTreeSet<&st
     stmts_guard(body, line, col, bounds)
 }
 
+/// How the collection `name` of `body` relates to the loops that grow
+/// it, with those loops; `None` when no loop grows it.
+fn classify<'a>(body: &'a [Stmt<'a>], name: &str) -> Option<(Retention, Vec<GrowingLoop<'a>>)> {
+    let loops = growing_loops(body, name);
+    if loops.is_empty() {
+        return None;
+    }
+    let streamed = loops.iter().all(|g| {
+        child_blocks(g.lp)
+            .iter()
+            .any(|b| stmts_any(b, &|e| is_consume_on(e, name)))
+    });
+    let class = if streamed {
+        Retention::Streamed
+    } else if escapes_by_return(body, name) {
+        Retention::Retained
+    } else {
+        Retention::Local
+    };
+    Some((class, loops))
+}
+
 /// Classify every growable collection in every fn of the workspace.
 pub fn retention_records(
     ws: &Workspace<'_>,
@@ -589,22 +611,8 @@ pub fn retention_records(
         };
         let body = &node.info.body;
         for acc in accumulators(body) {
-            let loops = growing_loops(body, acc.name);
-            if loops.is_empty() {
+            let Some((class, _)) = classify(body, acc.name) else {
                 continue;
-            }
-            let streamed = loops.iter().all(|g| {
-                let blocks = child_blocks(g.lp);
-                blocks
-                    .iter()
-                    .any(|b| stmts_any(b, &|e| is_consume_on(e, acc.name)))
-            });
-            let class = if streamed {
-                Retention::Streamed
-            } else if escapes_by_return(body, acc.name) {
-                Retention::Retained
-            } else {
-                Retention::Local
             };
             out.push(RetentionRecord {
                 file: file.parsed.rel_path.to_string(),
@@ -703,8 +711,8 @@ pub fn check_retention(
     model: &CostModel,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
-    // Pre-index record lookups per fn id for S1.
-    let mut by_fn: BTreeMap<usize, Vec<(Accumulator<'_>, bool)>> = BTreeMap::new();
+    // `S1` findings, reported after every `S2` one.
+    let mut handoffs = Vec::new();
     for (id, node) in graph.fns.iter().enumerate() {
         if !model.is_hot(id) {
             continue;
@@ -714,16 +722,11 @@ pub fn check_retention(
         };
         let body = &node.info.body;
         let bounds = bound_locals(body);
+        let mut retained = Vec::new();
         for acc in accumulators(body) {
-            let loops = growing_loops(body, acc.name);
-            if loops.is_empty() {
+            let Some((class, loops)) = classify(body, acc.name) else {
                 continue;
-            }
-            let streamed = loops.iter().all(|g| {
-                child_blocks(g.lp)
-                    .iter()
-                    .any(|b| stmts_any(b, &|e| is_consume_on(e, acc.name)))
-            });
+            };
 
             // S2: any growing loop with no visible bound.
             for g in &loops {
@@ -750,22 +753,17 @@ pub fn check_retention(
                 }
             }
 
-            if !streamed && escapes_by_return(body, acc.name) {
-                by_fn.entry(id).or_default().push((acc, true));
+            if class == Retention::Retained {
+                retained.push(acc);
             }
         }
-    }
 
-    // S1: retained accumulator whose fn has exactly one workspace caller
-    // that iterates the result exactly once.
-    for (id, accs) in &by_fn {
-        let Some(node) = graph.fns.get(*id) else {
+        // S1: retained accumulators of a fn with exactly one workspace
+        // caller, which iterates the result exactly once.
+        if retained.is_empty() {
             continue;
-        };
-        let Some(file) = ws.files.get(node.file) else {
-            continue;
-        };
-        let callers = callers_of(graph, *id);
+        }
+        let callers = callers_of(graph, id);
         let [(caller_id, line, col)] = callers.as_slice() else {
             continue;
         };
@@ -775,8 +773,8 @@ pub fn check_retention(
         if !sole_iterating_consumer(caller, *line, *col) {
             continue;
         }
-        for (acc, _) in accs {
-            findings.push(Finding::at(
+        for acc in retained {
+            handoffs.push(Finding::at(
                 "S1",
                 Severity::Warn,
                 file.parsed.rel_path,
@@ -791,12 +789,13 @@ pub fn check_retention(
                     node.name,
                     caller.name,
                     model
-                        .hot_path(graph, *id)
+                        .hot_path(graph, id)
                         .unwrap_or_else(|| node.name.to_string()),
                 ),
                 file.snippet(acc.line),
             ));
         }
     }
+    findings.extend(handoffs);
     findings
 }
