@@ -445,14 +445,14 @@ pub fn table6(
         let Some(truth) = world.truth(&policy.domain) else {
             continue;
         };
-        let Some(style) = world.styles.get(&policy.domain) else {
+        let Some(style) = world.style(&policy.domain) else {
             continue;
         };
         let Some(company) = world.company(&policy.domain) else {
             continue;
         };
         let html =
-            aipan_webgen::policy::render_policy(truth, style, &company.name, world.config.seed);
+            aipan_webgen::policy::render_policy(&truth, &style, &company.name, world.config.seed);
         let doc = aipan_html::extract(&html);
         for ann in &policy.annotations {
             let idx = match ann.aspect_kind() {

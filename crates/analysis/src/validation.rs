@@ -283,12 +283,8 @@ impl PrecisionReport {
         let mut rights = (0usize, 0usize);
         let mut rights_errors_do_not_use = 0usize;
 
-        let mut keys: Vec<&String> = pools.keys().collect();
-        keys.sort();
-        for key in keys {
-            let Some(pool) = pools.get(key) else {
-                continue;
-            };
+        let mut sampled: Vec<(&str, &AnnotationPayload)> = Vec::new();
+        for (key, pool) in &pools {
             let quota = if key.starts_with("dt:") {
                 per_type
             } else if key.starts_with("pu:") {
@@ -302,13 +298,17 @@ impl PrecisionReport {
             let mut rng = sample_rng(seed, hash_key(key));
             indices.shuffle(&mut rng);
             for &i in indices.iter().take(quota) {
-                let Some(&(domain, payload)) = pool.get(i) else {
-                    continue;
-                };
-                let correct = world
-                    .truth(domain)
-                    .map(|t| payload_correct(t, payload))
-                    .unwrap_or(false);
+                sampled.extend(pool.get(i).copied());
+            }
+        }
+
+        // Grade the sample a domain at a time, so each domain's truth is
+        // sampled once however many of its rows were drawn.
+        sampled.sort_by_key(|&(domain, _)| domain);
+        for rows in sampled.chunk_by(|a, b| a.0 == b.0) {
+            let truth = rows.first().and_then(|&(domain, _)| world.truth(domain));
+            for &(_, payload) in rows {
+                let correct = truth.as_ref().is_some_and(|t| payload_correct(t, payload));
                 match payload.aspect_kind() {
                     AspectKind::Types => bump(&mut types, correct),
                     AspectKind::Purposes => bump(&mut purposes, correct),
@@ -449,12 +449,12 @@ impl ModelComparison {
     /// Run the comparison over `n` randomly selected Normal-fate domains.
     pub fn run(world: &World, profiles: &[ModelProfile], n: usize, seed: u64) -> ModelComparison {
         let mut candidates: Vec<String> = world
-            .fates
+            .universe
+            .unique_domains()
             .iter()
-            .filter(|(_, f)| f.expect_extraction())
-            .map(|(d, _)| d.clone())
+            .map(|c| c.domain.clone())
+            .filter(|d| world.fate(d).expect_extraction())
             .collect();
-        candidates.sort();
         let mut rng = sample_rng(seed, 0x6C39);
         candidates.shuffle(&mut rng);
         candidates.truncate(n);
@@ -466,10 +466,10 @@ impl ModelComparison {
             FaultInjector::new(0, FaultConfig::none()),
         );
         let normalizer = Normalizer::new();
-        let mut docs: Vec<(String, String)> = Vec::new(); // (domain, numbered text)
+        let mut docs: Vec<(GroundTruth, String)> = Vec::new(); // (truth, numbered text)
         for domain in &candidates {
             let crawl = crawl_domain(&client, domain);
-            let Some(path) = world.policy_paths.get(domain) else {
+            let (Some(path), Some(truth)) = (world.policy_path(domain), world.truth(domain)) else {
                 continue;
             };
             let Some(page) = crawl
@@ -481,7 +481,7 @@ impl ModelComparison {
             };
             let doc = aipan_html::extract(&page.body);
             let input = protocol::number_lines(doc.lines.iter().map(|l| l.text.as_str()));
-            docs.push((domain.clone(), input));
+            docs.push((truth, input));
         }
 
         let prompt = TaskPrompt::build(TaskKind::ExtractDataTypes);
@@ -491,10 +491,7 @@ impl ModelComparison {
             let mut extracted = 0usize;
             let mut correct = 0usize;
             let mut negated = 0usize;
-            for (domain, input) in &docs {
-                let Some(truth) = world.truth(domain) else {
-                    continue;
-                };
+            for (truth, input) in &docs {
                 // A malformed completion extracts nothing.
                 let rows = protocol::parse_extractions(&bot.complete(prompt, input));
                 for (_, text) in rows.unwrap_or_default() {
@@ -663,14 +660,14 @@ mod tests {
     #[test]
     fn payload_correct_grades_properly() {
         let (world, _) = fixture();
-        let (domain, truth) = world.truths.iter().next().unwrap();
-        let _ = domain;
+        let unique = world.universe.unique_domains();
+        let truth = unique.iter().find_map(|c| world.truth(&c.domain)).unwrap();
         if let Some(m) = truth.types.first() {
             let good = AnnotationPayload::DataType {
                 descriptor: m.descriptor.clone(),
                 category: m.category,
             };
-            assert!(payload_correct(truth, &good));
+            assert!(payload_correct(&truth, &good));
             let bad = AnnotationPayload::DataType {
                 descriptor: m.descriptor.clone(),
                 category: if m.category == DataTypeCategory::ContactInfo {
@@ -679,7 +676,7 @@ mod tests {
                     DataTypeCategory::ContactInfo
                 },
             };
-            assert!(!payload_correct(truth, &bad));
+            assert!(!payload_correct(&truth, &bad));
         }
     }
 

@@ -466,18 +466,18 @@ mod tests {
             .any(|(task, u)| task == "extract_data_types" && u.calls > 0));
         // Every annotated domain must be a real domain of the world.
         for p in &run.dataset.policies {
-            assert!(world.fates.contains_key(&p.domain));
+            assert!(world.company(&p.domain).is_some());
         }
     }
 
     #[test]
     fn normal_sites_generally_annotated() {
         let (run, world) = small_run(7, 150);
-        let normal_domains: Vec<&String> = world
-            .fates
+        let unique = world.universe.unique_domains();
+        let normal_domains: Vec<&String> = unique
             .iter()
-            .filter(|(_, f)| **f == CompanyFate::Normal)
-            .map(|(d, _)| d)
+            .map(|c| &c.domain)
+            .filter(|d| world.fate(d) == CompanyFate::Normal)
             .collect();
         let annotated: usize = normal_domains
             .iter()
@@ -490,7 +490,8 @@ mod tests {
     #[test]
     fn failure_fates_not_annotated() {
         let (run, world) = small_run(9, 400);
-        for (domain, fate) in &world.fates {
+        for company in world.universe.unique_domains() {
+            let (domain, fate) = (&company.domain, world.fate(&company.domain));
             let bad = matches!(
                 fate,
                 CompanyFate::NoPolicy

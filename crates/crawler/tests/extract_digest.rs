@@ -125,8 +125,9 @@ fn links_match_extract_on_the_pages_of_every_company_fate() {
         FaultInjector::new(world.config.seed, world.config.faults),
     );
     let mut first_domain: BTreeMap<CompanyFate, &str> = BTreeMap::new();
-    for (domain, fate) in &world.fates {
-        first_domain.entry(*fate).or_insert(domain);
+    for company in world.universe.unique_domains() {
+        let domain = company.domain.as_str();
+        first_domain.entry(world.fate(domain)).or_insert(domain);
     }
     let mut policy_pages = BTreeSet::new();
     for (fate, domain) in first_domain {
@@ -134,7 +135,7 @@ fn links_match_extract_on_the_pages_of_every_company_fate() {
         for page in &crawl.pages {
             extract_checking_links(page);
             if page.status.is_success()
-                && world.policy_paths.get(domain) == Some(&page.final_url.path)
+                && world.policy_path(domain) == Some(page.final_url.path.as_str())
             {
                 policy_pages.insert(fate);
             }

@@ -3,8 +3,10 @@
 //! Each domain gets a deterministic [`CompanyFate`] that reproduces one of
 //! the §4 failure classes (or `Normal`), a site layout variant (canonical
 //! `/privacy-policy`, `/privacy`, custom paths, or a privacy-center
-//! arrangement — calibrated so the §3.1 path-existence rates hold), and its
-//! rendered pages registered on an [`Internet`].
+//! arrangement — calibrated so the §3.1 path-existence rates hold), and a
+//! host on an [`Internet`]. The fate, the planted [`GroundTruth`], the
+//! [`PolicyStyle`] and the policy path are pure functions of `(seed, domain,
+//! sector)`, which the [`World`] computes when asked rather than keeps.
 
 use crate::groundtruth::GroundTruth;
 use crate::policy::{render_policy, render_policy_german, render_policy_mixed, PolicyStyle};
@@ -77,8 +79,8 @@ impl CompanyFate {
     }
 
     /// Path of the page actually containing the policy under this fate —
-    /// the single source of truth shared by eager metadata construction and
-    /// lazy site assembly (`None` for [`CompanyFate::NoPolicy`]).
+    /// the single source of truth shared by site assembly and
+    /// [`World::policy_path`] (`None` for [`CompanyFate::NoPolicy`]).
     pub fn policy_path(self, seed: u64, domain: &str) -> Option<&'static str> {
         match self {
             CompanyFate::NoPolicy => None,
@@ -180,15 +182,6 @@ pub struct World {
     pub search: SearchIndex,
     /// The simulated web.
     pub internet: Internet,
-    /// Per-domain fates.
-    pub fates: BTreeMap<String, CompanyFate>,
-    /// Per-domain planted ground truth (absent for [`CompanyFate::NoPolicy`]).
-    pub truths: BTreeMap<String, GroundTruth>,
-    /// Per-domain policy rendering style.
-    pub styles: BTreeMap<String, PolicyStyle>,
-    /// Per-domain path of the page actually containing the policy (absent
-    /// for `NoPolicy`).
-    pub policy_paths: BTreeMap<String, String>,
     /// Lazily generated hosts by domain (empty for eagerly built worlds):
     /// each site is materialized on first fetch and can be released once
     /// its domain has been processed, bounding resident memory by the
@@ -198,32 +191,56 @@ pub struct World {
     /// high-water mark across materialize/release cycles; eager worlds
     /// record the full registered byte count once at build time.
     pub site_memory: Arc<MemoryGauge>,
+    /// Each domain's first-listed position in `universe.companies`, by
+    /// domain; built with the world, whose universe nothing changes after.
+    by_domain: Vec<usize>,
 }
 
 impl World {
-    /// Fate of a domain (`Normal` for unknown domains).
+    /// Fate of a domain (`Normal` for a domain this world does not hold).
     pub fn fate(&self, domain: &str) -> CompanyFate {
-        self.fates
-            .get(domain)
-            .copied()
-            .unwrap_or(CompanyFate::Normal)
+        self.company(domain).map_or(CompanyFate::Normal, |_| {
+            CompanyFate::assign(self.config.seed, domain)
+        })
     }
 
-    /// Ground truth of a domain.
-    pub fn truth(&self, domain: &str) -> Option<&GroundTruth> {
-        self.truths.get(domain)
+    /// Planted ground truth of a domain, sampled on each call (`None` for
+    /// [`CompanyFate::NoPolicy`] and for a domain this world does not hold).
+    pub fn truth(&self, domain: &str) -> Option<GroundTruth> {
+        let company = self.company(domain)?;
+        planted_truth(self.config.seed, company, self.fate(domain))
     }
 
-    /// The first-listed company for a domain.
+    /// Rendering style of a domain's policy (`None` for a domain this world
+    /// does not hold).
+    pub fn style(&self, domain: &str) -> Option<PolicyStyle> {
+        self.company(domain)
+            .map(|_| PolicyStyle::sample(self.config.seed, domain))
+    }
+
+    /// Path of the page actually containing a domain's policy (`None` for
+    /// [`CompanyFate::NoPolicy`] and for a domain this world does not hold).
+    pub fn policy_path(&self, domain: &str) -> Option<&'static str> {
+        self.company(domain)?;
+        self.fate(domain).policy_path(self.config.seed, domain)
+    }
+
+    /// The first-listed company for a domain, by binary search.
     pub fn company(&self, domain: &str) -> Option<&Company> {
-        self.universe.by_domain(domain)
+        let companies = &self.universe.companies;
+        let domain_at = |&i: &usize| companies.get(i).map_or("", |c| c.domain.as_str());
+        let at = self
+            .by_domain
+            .binary_search_by(|i| domain_at(i).cmp(domain))
+            .ok()?;
+        self.by_domain.get(at).and_then(|&i| companies.get(i))
     }
 
     /// Count of domains with each fate.
     pub fn fate_histogram(&self) -> BTreeMap<CompanyFate, usize> {
         let mut h = BTreeMap::new();
-        for &fate in self.fates.values() {
-            *h.entry(fate).or_insert(0) += 1;
+        for company in self.universe.unique_domains() {
+            *h.entry(self.fate(&company.domain)).or_insert(0) += 1;
         }
         h
     }
@@ -241,6 +258,16 @@ impl World {
             host.release();
         }
     }
+}
+
+/// Positions of each domain's first-listed company, sorted by domain: the
+/// stable sort keeps a domain's positions in listing order, `dedup` the first.
+fn domain_index(universe: &Universe) -> Vec<usize> {
+    let domain_at = |i: usize| universe.companies.get(i).map_or("", |c| c.domain.as_str());
+    let mut index: Vec<usize> = (0..universe.len()).collect();
+    index.sort_by_key(|&i| domain_at(i));
+    index.dedup_by_key(|i| domain_at(*i));
+    index
 }
 
 /// Current and peak resident bytes, tracked with commutative atomic ops so
@@ -346,12 +373,11 @@ pub fn build_world(config: WorldConfig) -> World {
     build_world_mode(config, false)
 }
 
-/// Build the world with **lazy** per-domain site generation: metadata
-/// (universe, search index, fates, ground truths, styles, policy paths) is
-/// constructed eagerly exactly as [`build_world`] does, but each domain's
-/// pages are only rendered on its first fetch, and can be dropped again
-/// via [`World::release_site`]. Crawl results are byte-identical to the
-/// eager world's; resident site memory is bounded by the number of
+/// Build the world with **lazy** per-domain site generation: the universe,
+/// the search index and one host per domain are built up front, but each
+/// domain's pages are only rendered on its first fetch, and can be dropped
+/// again via [`World::release_site`]. Crawl results are byte-identical to
+/// the eager world's; resident site memory is bounded by the number of
 /// materialized (in-flight) domains rather than the universe size.
 pub fn build_world_lazy(config: WorldConfig) -> World {
     build_world_mode(config, true)
@@ -362,25 +388,11 @@ fn build_world_mode(config: WorldConfig, lazy: bool) -> World {
     let search = SearchIndex::build(config.seed, &universe);
     let internet = Internet::new();
     let site_memory = Arc::new(MemoryGauge::default());
-    let mut fates = BTreeMap::new();
-    let mut truths = BTreeMap::new();
-    let mut styles = BTreeMap::new();
-    let mut policy_paths = BTreeMap::new();
     let mut lazy_hosts = BTreeMap::new();
 
     for company in universe.unique_domains() {
-        let domain = company.domain.clone();
-        let fate = CompanyFate::assign(config.seed, &domain);
-        fates.insert(domain.clone(), fate);
-        if let Some(path) = fate.policy_path(config.seed, &domain) {
-            policy_paths.insert(domain.clone(), path.to_string());
-        }
-        let style = PolicyStyle::sample(config.seed, &domain);
-        let truth = match fate {
-            CompanyFate::NoPolicy => None,
-            _ => Some(GroundTruth::sample(config.seed, &domain, company.sector)),
-        };
-
+        let domain = &company.domain;
+        let fate = CompanyFate::assign(config.seed, domain);
         if lazy {
             let host = Arc::new(LazySite {
                 seed: config.seed,
@@ -389,57 +401,45 @@ fn build_world_mode(config: WorldConfig, lazy: bool) -> World {
                 gauge: site_memory.clone(),
                 built: Mutex::new(None),
             });
-            internet.register_shared(&domain, host.clone());
+            internet.register_shared(domain, host.clone());
             lazy_hosts.insert(domain.clone(), host);
         } else {
-            let site = assemble_site_with(config.seed, company, fate, truth.as_ref(), &style);
+            let site = assemble_site(config.seed, company, fate);
             site_memory.add(site.resident_bytes());
-            internet.register(&domain, site);
+            internet.register(domain, site);
         }
-
-        if let Some(truth) = truth {
-            truths.insert(domain.clone(), truth);
-        }
-        styles.insert(domain, style);
     }
 
+    let by_domain = domain_index(&universe);
     World {
         config,
         universe,
         search,
         internet,
-        fates,
-        truths,
-        styles,
-        policy_paths,
         lazy_hosts,
         site_memory,
+        by_domain,
     }
 }
 
-/// Assemble one domain's full site from scratch — the lazy-generation
-/// entry point. Pure in `(seed, company, fate)`.
-fn assemble_site(seed: u64, company: &Company, fate: CompanyFate) -> StaticSite {
-    let style = PolicyStyle::sample(seed, &company.domain);
-    let truth = match fate {
+/// The ground truth a site under `fate` is authored from (`None` for
+/// [`CompanyFate::NoPolicy`]).
+fn planted_truth(seed: u64, company: &Company, fate: CompanyFate) -> Option<GroundTruth> {
+    match fate {
         CompanyFate::NoPolicy => None,
         _ => Some(GroundTruth::sample(seed, &company.domain, company.sector)),
-    };
-    assemble_site_with(seed, company, fate, truth.as_ref(), &style)
+    }
 }
 
-/// Assemble one domain's site from pre-sampled metadata (shared by the
-/// eager build loop, which already holds the truth and style).
-fn assemble_site_with(
-    seed: u64,
-    company: &Company,
-    fate: CompanyFate,
-    truth: Option<&GroundTruth>,
-    style: &PolicyStyle,
-) -> StaticSite {
-    let mut site = match (fate, truth) {
-        (CompanyFate::NoPolicy, _) | (_, None) => build_no_policy_site(company),
-        (_, Some(truth)) => build_site(seed, company, truth, style, fate),
+/// Assemble one domain's full site from scratch. Pure in
+/// `(seed, company, fate)`.
+fn assemble_site(seed: u64, company: &Company, fate: CompanyFate) -> StaticSite {
+    let mut site = match planted_truth(seed, company, fate) {
+        None => build_no_policy_site(company),
+        Some(truth) => {
+            let style = PolicyStyle::sample(seed, &company.domain);
+            build_site(seed, company, &truth, &style, fate)
+        }
     };
     if let Some(robots) = robots_txt(seed, &company.domain) {
         site = site.page("/robots.txt", robots);
@@ -832,6 +832,35 @@ mod tests {
         build_world(WorldConfig::small(11, 300))
     }
 
+    /// Every domain of `world`, sorted.
+    fn domains(world: &World) -> Vec<String> {
+        let unique = world.universe.unique_domains();
+        unique.iter().map(|c| c.domain.clone()).collect()
+    }
+
+    /// The first domain of `world` with `fate`.
+    fn first_with(world: &World, fate: CompanyFate) -> Option<String> {
+        domains(world).into_iter().find(|d| world.fate(d) == fate)
+    }
+
+    /// A domain's fate, policy path, style and planted truth.
+    type Answers = (
+        CompanyFate,
+        Option<&'static str>,
+        Option<PolicyStyle>,
+        Option<GroundTruth>,
+    );
+
+    /// What `world` answers about `domain`.
+    fn answers(world: &World, domain: &str) -> Answers {
+        (
+            world.fate(domain),
+            world.policy_path(domain),
+            world.style(domain),
+            world.truth(domain),
+        )
+    }
+
     #[test]
     fn world_registers_all_unique_domains() {
         let w = small_world();
@@ -855,17 +884,13 @@ mod tests {
             w.internet.clone(),
             FaultInjector::new(0, FaultConfig::none()),
         );
-        let (domain, _) = w
-            .fates
-            .iter()
-            .find(|(_, f)| **f == CompanyFate::Normal)
-            .expect("some normal site");
-        let path = w.policy_paths.get(domain).unwrap();
+        let domain = first_with(&w, CompanyFate::Normal).expect("some normal site");
+        let path = w.policy_path(&domain).unwrap();
         let url = Url::parse(&format!("https://{domain}{path}")).unwrap();
         let res = client.fetch(&url).unwrap();
         assert!(res.response.status.is_success());
         let body = res.response.body_text().to_lowercase();
-        let truth = w.truth(domain).unwrap();
+        let truth = w.truth(&domain).unwrap();
         for m in &truth.types {
             assert!(
                 body.contains(&m.surface.to_lowercase()),
@@ -882,13 +907,14 @@ mod tests {
             w.internet.clone(),
             FaultInjector::new(0, FaultConfig::none()),
         );
-        if let Some((domain, _)) = w.fates.iter().find(|(_, f)| **f == CompanyFate::NoPolicy) {
+        if let Some(domain) = first_with(&w, CompanyFate::NoPolicy) {
             for path in ["/privacy-policy", "/privacy"] {
                 let url = Url::parse(&format!("https://{domain}{path}")).unwrap();
                 let res = client.fetch(&url).unwrap();
                 assert_eq!(res.response.status, Status::NOT_FOUND);
             }
-            assert!(w.truth(domain).is_none());
+            assert!(w.truth(&domain).is_none());
+            assert!(w.policy_path(&domain).is_none());
         }
     }
 
@@ -899,7 +925,8 @@ mod tests {
             w.internet.clone(),
             FaultInjector::new(0, FaultConfig::none()),
         );
-        for (domain, fate) in &w.fates {
+        for domain in domains(&w) {
+            let fate = w.fate(&domain);
             let url = Url::parse(&format!("https://{domain}/")).unwrap();
             let res = client.fetch(&url).unwrap();
             let doc = aipan_html::extract(&res.response.body_text());
@@ -942,7 +969,7 @@ mod tests {
         );
         let mut pp = 0usize;
         let mut p = 0usize;
-        let domains: Vec<String> = w.fates.keys().cloned().collect();
+        let domains = domains(&w);
         for domain in &domains {
             for (path, counter) in [("/privacy-policy", &mut pp), ("/privacy", &mut p)] {
                 let url = Url::parse(&format!("https://{domain}{path}")).unwrap();
@@ -969,9 +996,14 @@ mod tests {
         let eager = build_world(WorldConfig::small(17, 200));
         let lazy = build_world_lazy(WorldConfig::small(17, 200));
         assert!(lazy.is_lazy() && !eager.is_lazy());
-        assert_eq!(eager.fates, lazy.fates);
-        assert_eq!(eager.truths, lazy.truths);
-        assert_eq!(eager.policy_paths, lazy.policy_paths);
+        assert_eq!(domains(&eager), domains(&lazy));
+        for domain in domains(&eager) {
+            assert_eq!(
+                answers(&eager, &domain),
+                answers(&lazy, &domain),
+                "{domain}"
+            );
+        }
         assert_eq!(eager.internet.len(), lazy.internet.len());
         // Nothing is materialized until fetched.
         assert_eq!(lazy.site_memory.current_bytes(), 0);
@@ -981,15 +1013,10 @@ mod tests {
             let url = Url::parse(&format!("https://{domain}{path}")).unwrap();
             host.handle(&aipan_net::Request::get(url))
         };
-        for (domain, _) in eager.fates.iter().take(40) {
-            let paths: Vec<String> = {
-                let mut p = vec!["/".to_string(), "/robots.txt".to_string()];
-                if let Some(policy) = eager.policy_paths.get(domain) {
-                    p.push(policy.clone());
-                }
-                p
-            };
-            for path in &paths {
+        for domain in domains(&eager).iter().take(40) {
+            let mut paths = vec!["/", "/robots.txt"];
+            paths.extend(eager.policy_path(domain));
+            for path in paths {
                 let a = fetch(&eager, domain, path);
                 let b = fetch(&lazy, domain, path);
                 assert_eq!(a, b, "{domain}{path} differs between eager and lazy");
@@ -1040,10 +1067,29 @@ mod tests {
     fn deterministic_world() {
         let a = build_world(WorldConfig::small(21, 100));
         let b = build_world(WorldConfig::small(21, 100));
-        assert_eq!(a.fates, b.fates);
-        assert_eq!(a.policy_paths, b.policy_paths);
-        for (d, t) in &a.truths {
-            assert_eq!(Some(t), b.truths.get(d));
+        assert_eq!(domains(&a), domains(&b));
+        for d in domains(&a) {
+            assert_eq!(answers(&a, &d), answers(&b, &d), "{d}");
+        }
+    }
+
+    #[test]
+    fn company_lookup_matches_the_linear_scan() {
+        let w = build_world_lazy(WorldConfig::small(42, UNIVERSE_SIZE));
+        for c in &w.universe.companies {
+            let indexed = w.company(&c.domain).expect("every listed domain");
+            let scanned = w
+                .universe
+                .by_domain(&c.domain)
+                .expect("every listed domain");
+            assert!(std::ptr::eq(indexed, scanned), "{}", c.domain);
+        }
+        for unknown in ["", "absent.example", "zzzz.com", "aaaa.com"] {
+            assert!(w.company(unknown).is_none(), "{unknown:?}");
+            assert_eq!(
+                answers(&w, unknown),
+                (CompanyFate::Normal, None, None, None)
+            );
         }
     }
 
@@ -1054,12 +1100,8 @@ mod tests {
             w.internet.clone(),
             FaultInjector::new(0, FaultConfig::none()),
         );
-        let found = w
-            .fates
-            .iter()
-            .find(|(_, f)| **f == CompanyFate::ExpandablePolicy);
-        if let Some((domain, _)) = found {
-            let path = w.policy_paths.get(domain).unwrap();
+        if let Some(domain) = first_with(&w, CompanyFate::ExpandablePolicy) {
+            let path = w.policy_path(&domain).unwrap();
             let url = Url::parse(&format!("https://{domain}{path}")).unwrap();
             let res = client.fetch(&url).unwrap();
             let doc = aipan_html::extract(&res.response.body_text());

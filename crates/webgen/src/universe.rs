@@ -41,6 +41,9 @@ pub const UNIVERSE_SIZE: usize = 2916;
 pub const UNIQUE_DOMAINS: usize = 2892;
 /// The smallest universe size [`Universe::generate_sized`] accepts.
 pub const MIN_UNIVERSE_SIZE: usize = 8;
+/// Names a (head, core) pair takes before the generator moves on to other
+/// pairs, as long as any pair has room.
+const NAMES_PER_PAIR: u32 = 3;
 
 const NAME_HEADS: &[&str] = &[
     "Apex",
@@ -192,8 +195,8 @@ impl Universe {
         Universe::generate_sized(seed, UNIVERSE_SIZE)
     }
 
-    /// Generate a smaller universe (for tests/benches), of at least
-    /// [`MIN_UNIVERSE_SIZE`] constituents.
+    /// Generate a universe of `n` constituents, for any `n` of at least
+    /// [`MIN_UNIVERSE_SIZE`].
     ///
     /// Duplicate-share pairs scale proportionally so that
     /// `unique_domains() ≈ n - 24·n/2916`.
@@ -217,6 +220,10 @@ impl Universe {
             ("PG", "Procter & Gamble", Sector::ConsumerStaples, "pg.com"),
             ("BMY", "Bristol-Myers Squibb", Sector::HealthCare, "bms.com"),
         ];
+        // Once every (head, core) pair holds `NAMES_PER_PAIR` names, every
+        // draw is accepted, so a universe of any size can be generated.
+        let capacity =
+            planted.len() + NAME_HEADS.len() * NAME_CORES.len() * NAMES_PER_PAIR as usize;
         let mut remaining = quotas;
         for (ticker, name, sector, domain) in planted {
             companies.push(Company {
@@ -243,7 +250,8 @@ impl Universe {
                 if companies.len() >= n {
                     break;
                 }
-                let (name, domain, ticker) = fresh_company(&mut rng, &mut used_names);
+                let (name, domain, ticker) =
+                    fresh_company(&mut rng, &mut used_names, companies.len() >= capacity);
                 companies.push(Company {
                     ticker,
                     name,
@@ -257,7 +265,8 @@ impl Universe {
             // Same draw as `choose`, but indexing a non-empty const array
             // cannot fail.
             let sector = Sector::ALL[rng.gen_range(0..Sector::ALL.len())];
-            let (name, domain, ticker) = fresh_company(&mut rng, &mut used_names);
+            let (name, domain, ticker) =
+                fresh_company(&mut rng, &mut used_names, companies.len() >= capacity);
             companies.push(Company {
                 ticker,
                 name,
@@ -319,8 +328,10 @@ impl Universe {
         self.companies.is_empty()
     }
 
-    /// Look up a company by domain (the first listed share class).
-    pub fn by_domain(&self, domain: &str) -> Option<&Company> {
+    /// Look up a company by domain (the first listed share class), by a
+    /// linear scan: the oracle for `World::company`'s index.
+    #[cfg(test)]
+    pub(crate) fn by_domain(&self, domain: &str) -> Option<&Company> {
         self.companies.iter().find(|c| c.domain == domain)
     }
 }
@@ -348,7 +359,14 @@ fn sector_quotas(n: usize) -> [usize; 11] {
     quotas
 }
 
-fn fresh_company(rng: &mut impl Rng, used: &mut HashMap<String, u32>) -> (String, String, String) {
+/// A fresh (name, domain, ticker). A name's suffix is its (head, core)
+/// pair's draw count, so names and domains never repeat; until `full`, a
+/// draw of a pair that already holds [`NAMES_PER_PAIR`] names is redrawn.
+fn fresh_company(
+    rng: &mut impl Rng,
+    used: &mut HashMap<String, u32>,
+    full: bool,
+) -> (String, String, String) {
     loop {
         let head = NAME_HEADS[rng.gen_range(0..NAME_HEADS.len())];
         let core = NAME_CORES[rng.gen_range(0..NAME_CORES.len())];
@@ -361,7 +379,7 @@ fn fresh_company(rng: &mut impl Rng, used: &mut HashMap<String, u32>) -> (String
                 format!("{base} {tail}"),
                 format!("{}{}", head.to_lowercase(), core.to_lowercase()),
             )
-        } else if *count <= 3 {
+        } else if *count <= NAMES_PER_PAIR || full {
             (
                 format!("{base} {tail} {count}"),
                 format!("{}{}{}", head.to_lowercase(), core.to_lowercase(), count),
@@ -469,6 +487,24 @@ mod tests {
         for group in dups {
             let sector = group[0].sector;
             assert!(group.iter().all(|c| c.sector == sector));
+        }
+    }
+
+    #[test]
+    fn domains_and_tickers_stay_unique_past_the_name_pairs() {
+        // 3 planted companies and 3 names for each of the 71 × 50 (head,
+        // core) pairs hold 10,653 companies; past that, names repeat a pair.
+        let u = Universe::generate_sized(1, 100_000);
+        assert_eq!(u.len(), 100_000);
+        let mut tickers = std::collections::HashSet::new();
+        let mut owners: HashMap<&str, &str> = HashMap::new();
+        for c in &u.companies {
+            assert!(tickers.insert(&c.ticker), "duplicate ticker {}", c.ticker);
+            // A domain belongs to one issuer: only its `.B` share class
+            // may repeat it.
+            let issuer = c.name.trim_end_matches(" Class B");
+            let owner = *owners.entry(&c.domain).or_insert(issuer);
+            assert_eq!(owner, issuer, "{} is shared by two issuers", c.domain);
         }
     }
 

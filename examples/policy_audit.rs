@@ -106,7 +106,7 @@ fn main() {
         let correct = policy
             .annotations
             .iter()
-            .filter(|a| aipan::analysis::validation::payload_correct(truth, &a.payload))
+            .filter(|a| aipan::analysis::validation::payload_correct(&truth, &a.payload))
             .count();
         println!(
             "\nground truth check: {}/{} annotations correct",
