@@ -351,21 +351,7 @@ pub fn run_extract_datatypes(
             .filter(|h| !purpose_spans.iter().any(|s| h.contained_in(s)));
         for (idx, hit) in hits.enumerate() {
             let item = format!("{n}:{idx}:{}", hit.text);
-            if hit.negated {
-                // The prompt says to ignore negated contexts; weaker models
-                // extract them anyway (the Llama-3.1 failure of §6).
-                if !decide(
-                    seed,
-                    &[&profile.id, "neg", doc, &item],
-                    profile.negation_error,
-                ) {
-                    continue;
-                }
-            } else if !decide(
-                seed,
-                &[&profile.id, "recall", doc, &item],
-                profile.extraction_recall,
-            ) {
+            if !reports_hit(profile, seed, doc, &item, hit.negated, ["neg", "recall"]) {
                 continue;
             }
             rows.push((n, hit.text));
@@ -391,6 +377,27 @@ pub fn run_extract_datatypes(
         rows.push((1, "telepathic preference signals".to_string()));
     }
     rows
+}
+
+/// Whether the model reports one vocabulary hit. The prompt says to
+/// ignore negated contexts; weaker models report a negated hit anyway at
+/// `negation_error` (the Llama-3.1 failure of §6). Any other hit survives
+/// at `extraction_recall`. `draws` name the two decisions, negated first;
+/// each is keyed `[model, draw, doc, item]`.
+fn reports_hit(
+    profile: &ModelProfile,
+    seed: u64,
+    doc: &str,
+    item: &str,
+    negated: bool,
+    [negated_draw, recall_draw]: [&str; 2],
+) -> bool {
+    let (draw, rate) = if negated {
+        (negated_draw, profile.negation_error)
+    } else {
+        (recall_draw, profile.extraction_recall)
+    };
+    decide(seed, &[&profile.id, draw, doc, item], rate)
 }
 
 /// Pick a plausible-looking non-vocabulary span from a line.
@@ -602,19 +609,7 @@ pub fn run_annotate_purposes(
             .filter(|h| !dt_spans.iter().any(|s| h.contained_in(s)));
         for (idx, hit) in hits.enumerate() {
             let item = format!("{n}:{idx}:{}", hit.text);
-            if hit.negated {
-                if !decide(
-                    seed,
-                    &[&profile.id, "pneg", doc, &item],
-                    profile.negation_error,
-                ) {
-                    continue;
-                }
-            } else if !decide(
-                seed,
-                &[&profile.id, "precall", doc, &item],
-                profile.extraction_recall,
-            ) {
+            if !reports_hit(profile, seed, doc, &item, hit.negated, ["pneg", "precall"]) {
                 continue;
             }
             let MatchTarget::Purpose {
@@ -740,7 +735,14 @@ pub fn run_annotate_handling(
     let mut rows = Vec::new();
     for (n, text) in parse_numbered(input) {
         if let Some((label, period)) = classify_retention(text) {
-            let label = maybe_confuse_retention(profile, seed, doc, n, label);
+            let label = maybe_confuse(
+                seed,
+                [&profile.id, "hconfuse-r", doc, &n.to_string()],
+                "hpick-r",
+                profile.handling_confusion,
+                &RetentionLabel::ALL,
+                label,
+            );
             let period = if label == RetentionLabel::Stated {
                 period
             } else {
@@ -749,60 +751,42 @@ pub fn run_annotate_handling(
             rows.push((n, text.to_string(), label.name().to_string(), period));
         }
         for (idx, label) in classify_protection(text).into_iter().enumerate() {
-            let label = maybe_confuse_protection(profile, seed, doc, n, idx, label);
+            let label = maybe_confuse(
+                seed,
+                [&profile.id, "hconfuse-p", doc, &format!("{n}:{idx}")],
+                "hpick-p",
+                profile.handling_confusion,
+                &ProtectionLabel::ALL,
+                label,
+            );
             rows.push((n, text.to_string(), label.name().to_string(), None));
         }
     }
     rows
 }
 
-fn maybe_confuse_retention(
-    profile: &ModelProfile,
+/// Label confusion, one rule for every label family: the decision keyed
+/// `key` (`[model, draw, doc, item]`) comes up at `rate`, and the model
+/// then answers a uniform pick from `all`, keyed the same with `pick_draw`
+/// as its draw and stepped past `label`, so a confusion always changes
+/// the label.
+fn maybe_confuse<T: Copy + PartialEq>(
     seed: u64,
-    doc: &str,
-    n: usize,
-    label: RetentionLabel,
-) -> RetentionLabel {
-    if decide(
-        seed,
-        &[&profile.id, "hconfuse-r", doc, &n.to_string()],
-        profile.handling_confusion,
-    ) {
-        let mut i = pick(seed, &[&profile.id, "hpick-r", doc, &n.to_string()], 3);
-        if RetentionLabel::ALL.get(i) == Some(&label) {
-            i = (i + 1) % 3;
-        }
-        RetentionLabel::ALL.get(i).copied().unwrap_or(label)
-    } else {
-        label
+    key: [&str; 4],
+    pick_draw: &str,
+    rate: f64,
+    all: &[T],
+    label: T,
+) -> T {
+    if !decide(seed, &key, rate) {
+        return label;
     }
-}
-
-fn maybe_confuse_protection(
-    profile: &ModelProfile,
-    seed: u64,
-    doc: &str,
-    n: usize,
-    idx: usize,
-    label: ProtectionLabel,
-) -> ProtectionLabel {
-    if decide(
-        seed,
-        &[&profile.id, "hconfuse-p", doc, &format!("{n}:{idx}")],
-        profile.handling_confusion,
-    ) {
-        let mut i = pick(
-            seed,
-            &[&profile.id, "hpick-p", doc, &format!("{n}:{idx}")],
-            ProtectionLabel::ALL.len(),
-        );
-        if ProtectionLabel::ALL.get(i) == Some(&label) {
-            i = (i + 1) % ProtectionLabel::ALL.len().max(1);
-        }
-        ProtectionLabel::ALL.get(i).copied().unwrap_or(label)
-    } else {
-        label
+    let [model, _, doc, item] = key;
+    let mut i = pick(seed, &[model, pick_draw, doc, item], all.len());
+    if all.get(i) == Some(&label) {
+        i = (i + 1) % all.len().max(1);
     }
+    all.get(i).copied().unwrap_or(label)
 }
 
 // ---------------------------------------------------------------------------
@@ -877,12 +861,26 @@ pub fn run_annotate_rights(
         let mut produced = false;
         for (idx, label) in classify_choices(text).into_iter().enumerate() {
             produced = true;
-            let label = maybe_confuse_choice(profile, seed, doc, n, idx, label);
+            let label = maybe_confuse(
+                seed,
+                [&profile.id, "rconfuse-c", doc, &format!("{n}:{idx}")],
+                "rpick-c",
+                profile.rights_confusion,
+                &ChoiceLabel::ALL,
+                label,
+            );
             rows.push((n, text.to_string(), label.name().to_string()));
         }
         for (idx, label) in classify_access(text).into_iter().enumerate() {
             produced = true;
-            let label = maybe_confuse_access(profile, seed, doc, n, idx, label);
+            let label = maybe_confuse(
+                seed,
+                [&profile.id, "rconfuse-a", doc, &format!("{n}:{idx}")],
+                "rpick-a",
+                profile.rights_confusion,
+                &AccessLabel::ALL,
+                label,
+            );
             rows.push((n, text.to_string(), label.name().to_string()));
         }
         // Spurious "Do not use": boilerplate containing negations is the
@@ -904,60 +902,6 @@ pub fn run_annotate_rights(
         }
     }
     rows
-}
-
-fn maybe_confuse_choice(
-    profile: &ModelProfile,
-    seed: u64,
-    doc: &str,
-    n: usize,
-    idx: usize,
-    label: ChoiceLabel,
-) -> ChoiceLabel {
-    if decide(
-        seed,
-        &[&profile.id, "rconfuse-c", doc, &format!("{n}:{idx}")],
-        profile.rights_confusion,
-    ) {
-        let mut i = pick(
-            seed,
-            &[&profile.id, "rpick-c", doc, &format!("{n}:{idx}")],
-            ChoiceLabel::ALL.len(),
-        );
-        if ChoiceLabel::ALL.get(i) == Some(&label) {
-            i = (i + 1) % ChoiceLabel::ALL.len().max(1);
-        }
-        ChoiceLabel::ALL.get(i).copied().unwrap_or(label)
-    } else {
-        label
-    }
-}
-
-fn maybe_confuse_access(
-    profile: &ModelProfile,
-    seed: u64,
-    doc: &str,
-    n: usize,
-    idx: usize,
-    label: AccessLabel,
-) -> AccessLabel {
-    if decide(
-        seed,
-        &[&profile.id, "rconfuse-a", doc, &format!("{n}:{idx}")],
-        profile.rights_confusion,
-    ) {
-        let mut i = pick(
-            seed,
-            &[&profile.id, "rpick-a", doc, &format!("{n}:{idx}")],
-            AccessLabel::ALL.len(),
-        );
-        if AccessLabel::ALL.get(i) == Some(&label) {
-            i = (i + 1) % AccessLabel::ALL.len().max(1);
-        }
-        AccessLabel::ALL.get(i).copied().unwrap_or(label)
-    } else {
-        label
-    }
 }
 
 /// The `to_lowercase().contains` classifier the cue automaton replaces,

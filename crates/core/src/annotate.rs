@@ -122,47 +122,35 @@ pub fn annotate_policy_in(
 ) -> AnnotationOutcome {
     // Rough upper bound: a handful of annotations per document line.
     let mut annotations = Vec::with_capacity(doc.lines.len());
-    let mut fallbacks = Vec::new();
-    let mut reprompts = 0usize;
 
     protocol::number_lines_into(
         &mut arena.full_text,
         doc.lines.iter().map(|l| l.text.as_str()),
     );
-    let full_text_input: &str = &arena.full_text;
     // Fold the policy exactly once; every verbatim-presence check below
     // looks in this buffer, on the row's cited line first.
     let folded_policy =
         FoldedDoc::from_lines_in(&mut arena.fold, doc.lines.iter().map(|l| l.text.as_str()));
-
-    // --- Data types: extract (section → fallback), then normalize. ---
-    let (mut rows, used_fallback) = extract_with_fallback(
+    let mut steps = AspectSteps {
         chatbot,
-        TaskKind::ExtractDataTypes,
-        seg.text_for(Aspect::Types, doc),
-        full_text_input,
-        &options,
-        &mut reprompts,
-        protocol::parse_extractions,
-    );
-    if used_fallback {
-        fallbacks.push(AspectKind::Types);
-    }
-    // Verify verbatim presence before normalization (the paper's
-    // hallucination check).
-    let before = rows.len();
-    if options.verify {
-        let present =
-            folded_policy.verify_batch(rows.iter().map(|(line, text)| (*line, text.as_str())));
-        let mut idx = 0;
-        rows.retain(|_| {
-            let keep = present.get(idx).copied().unwrap_or(false);
-            idx += 1;
-            keep
-        });
-    }
-    let mut hallucinations_removed = before - rows.len();
+        doc,
+        seg,
+        options,
+        full_text_input: &arena.full_text,
+        folded_policy: &folded_policy,
+        reprompts: 0,
+        fallbacks: Vec::new(),
+        hallucinations_removed: 0,
+    };
 
+    // --- Data types: extract and verify, then normalize. ---
+    let rows = steps.verified_rows(
+        TaskKind::ExtractDataTypes,
+        Aspect::Types,
+        AspectKind::Types,
+        protocol::parse_extractions,
+        |(line, text)| (*line, text.as_str()),
+    );
     if !rows.is_empty() {
         // Unique mention texts, order-preserving (hash-set guarded; the
         // index also serves the descriptor join below).
@@ -180,7 +168,7 @@ pub fn annotate_policy_in(
             TaskPrompt::build(TaskKind::NormalizeDataTypes),
             &norm_input,
             options.reprompt_retries,
-            &mut reprompts,
+            &mut steps.reprompts,
             protocol::parse_normalizations,
         );
         // index (1-based) → (descriptor, category)
@@ -210,32 +198,14 @@ pub fn annotate_policy_in(
     }
 
     // --- Purposes. ---
-    let (purpose_rows, used_fallback) = extract_with_fallback(
-        chatbot,
+    let purpose_rows = steps.verified_rows(
         TaskKind::AnnotatePurposes,
-        seg.text_for(Aspect::Purposes, doc),
-        full_text_input,
-        &options,
-        &mut reprompts,
+        Aspect::Purposes,
+        AspectKind::Purposes,
         protocol::parse_purposes,
+        |(line, text, _, _)| (*line, text.as_str()),
     );
-    if used_fallback {
-        fallbacks.push(AspectKind::Purposes);
-    }
-    let present = options.verify.then(|| {
-        folded_policy.verify_batch(
-            purpose_rows
-                .iter()
-                .map(|(line, text, _, _)| (*line, text.as_str())),
-        )
-    });
-    for (i, (line, text, descriptor, category_name)) in purpose_rows.into_iter().enumerate() {
-        if let Some(p) = &present {
-            if !p.get(i).copied().unwrap_or(false) {
-                hallucinations_removed = hallucinations_removed.saturating_add(1);
-                continue;
-            }
-        }
+    for (line, text, descriptor, category_name) in purpose_rows {
         if let Some(category) = PurposeCategory::from_name(&category_name) {
             annotations.push(Annotation::new(
                 AnnotationPayload::Purpose {
@@ -249,32 +219,14 @@ pub fn annotate_policy_in(
     }
 
     // --- Handling. ---
-    let (handling_rows, used_fallback) = extract_with_fallback(
-        chatbot,
+    let handling_rows = steps.verified_rows(
         TaskKind::AnnotateHandling,
-        seg.text_for(Aspect::Handling, doc),
-        full_text_input,
-        &options,
-        &mut reprompts,
+        Aspect::Handling,
+        AspectKind::Handling,
         protocol::parse_handling,
+        |(line, text, _, _)| (*line, text.as_str()),
     );
-    if used_fallback {
-        fallbacks.push(AspectKind::Handling);
-    }
-    let present = options.verify.then(|| {
-        folded_policy.verify_batch(
-            handling_rows
-                .iter()
-                .map(|(line, text, _, _)| (*line, text.as_str())),
-        )
-    });
-    for (i, (line, text, label_name, period)) in handling_rows.into_iter().enumerate() {
-        if let Some(p) = &present {
-            if !p.get(i).copied().unwrap_or(false) {
-                hallucinations_removed = hallucinations_removed.saturating_add(1);
-                continue;
-            }
-        }
+    for (line, text, label_name, period) in handling_rows {
         if let Some(label) = RetentionLabel::from_name(&label_name) {
             let period_days = period.as_deref().and_then(parse_period_days);
             annotations.push(Annotation::new(
@@ -292,32 +244,14 @@ pub fn annotate_policy_in(
     }
 
     // --- Rights. ---
-    let (rights_rows, used_fallback) = extract_with_fallback(
-        chatbot,
+    let rights_rows = steps.verified_rows(
         TaskKind::AnnotateRights,
-        seg.text_for(Aspect::Rights, doc),
-        full_text_input,
-        &options,
-        &mut reprompts,
+        Aspect::Rights,
+        AspectKind::Rights,
         protocol::parse_rights,
+        |(line, text, _)| (*line, text.as_str()),
     );
-    if used_fallback {
-        fallbacks.push(AspectKind::Rights);
-    }
-    let present = options.verify.then(|| {
-        folded_policy.verify_batch(
-            rights_rows
-                .iter()
-                .map(|(line, text, _)| (*line, text.as_str())),
-        )
-    });
-    for (i, (line, text, label_name)) in rights_rows.into_iter().enumerate() {
-        if let Some(p) = &present {
-            if !p.get(i).copied().unwrap_or(false) {
-                hallucinations_removed = hallucinations_removed.saturating_add(1);
-                continue;
-            }
-        }
+    for (line, text, label_name) in rights_rows {
         if let Some(label) = ChoiceLabel::from_name(&label_name) {
             annotations.push(Annotation::new(
                 AnnotationPayload::Choice { label },
@@ -332,6 +266,12 @@ pub fn annotate_policy_in(
             ));
         }
     }
+    let AspectSteps {
+        reprompts,
+        fallbacks,
+        hallucinations_removed,
+        ..
+    } = steps;
 
     // Dedup repeated mentions of the same term (Table 1's "unique
     // annotations" rule), keeping the first mention. Data types and
@@ -360,6 +300,59 @@ pub fn annotate_policy_in(
         fallbacks,
         hallucinations_removed,
         reprompts,
+    }
+}
+
+/// What the four aspect steps of one [`annotate_policy_in`] call share:
+/// their inputs, and the counters each step adds to.
+struct AspectSteps<'a> {
+    chatbot: &'a dyn Chatbot,
+    doc: &'a ExtractedDoc,
+    seg: &'a SegmentedPolicy,
+    options: AnnotateOptions,
+    full_text_input: &'a str,
+    folded_policy: &'a FoldedDoc,
+    reprompts: usize,
+    fallbacks: Vec<AspectKind>,
+    hallucinations_removed: usize,
+}
+
+impl AspectSteps<'_> {
+    /// One aspect's verified rows: run `task` on the aspect's section text
+    /// (with the full-text fallback), record a fallback as `kind`, then
+    /// drop in place every row whose text, as `cited` gives it with its
+    /// line, the policy does not hold verbatim (the paper's hallucination
+    /// check), and count the drops.
+    fn verified_rows<T>(
+        &mut self,
+        task: TaskKind,
+        aspect: Aspect,
+        kind: AspectKind,
+        parse: impl Fn(&str) -> Option<Vec<T>>,
+        cited: impl Fn(&T) -> (usize, &str),
+    ) -> Vec<T> {
+        let (mut rows, used_fallback) = extract_with_fallback(
+            self.chatbot,
+            task,
+            self.seg.text_for(aspect, self.doc),
+            self.full_text_input,
+            &self.options,
+            &mut self.reprompts,
+            parse,
+        );
+        if used_fallback {
+            self.fallbacks.push(kind);
+        }
+        if self.options.verify {
+            let present = self.folded_policy.verify_batch(rows.iter().map(&cited));
+            let mut verdicts = present.into_iter();
+            let before = rows.len();
+            rows.retain(|_| verdicts.next().unwrap_or(false));
+            self.hallucinations_removed = self
+                .hallucinations_removed
+                .saturating_add(before - rows.len());
+        }
+        rows
     }
 }
 

@@ -70,17 +70,6 @@ pub const RULES: &[RuleDoc] = &[
         example: "// TODO: handle the German pages   (H1: needs TODO(#123))",
     },
     RuleDoc {
-        id: "B1",
-        severity: Severity::Warn,
-        summary: "fetch/complete call inside a loop/while with no visible retry bound",
-        rationale: "An unbounded retry loop around a transport or chatbot call turns one \
-                    slow host into a hung pipeline. Every such loop must show its cap — an \
-                    attempt counter, a tries/budget variable, or a bounded `for` — or \
-                    delegate to the RetryPolicy/FetchSession layer, which owns backoff, \
-                    budgets, and the circuit breaker.",
-        example: "loop {\n    if let Ok(p) = client.fetch_page(url) { return p; }\n} // B1: no attempt cap",
-    },
-    RuleDoc {
         id: "L1",
         severity: Severity::Deny,
         summary: "cross-crate reference the lint.toml layering contract does not grant",
@@ -151,16 +140,6 @@ pub const RULES: &[RuleDoc] = &[
         example: "let mut out = Vec::new();\nfor d in domains {\n    out.push(annotate(d)); // H2: Vec::new grown in a hot loop\n}",
     },
     RuleDoc {
-        id: "C2",
-        severity: Severity::Warn,
-        summary: "clone of a loop-invariant value re-done every iteration",
-        rationale: "A `.clone()`/`.to_string()`/`.to_owned()`/`.to_vec()` whose source is \
-                    proven unmodified inside the loop (by a may-modified dataflow over \
-                    the fn's CFG) allocates the same bytes once per iteration. Hoist the \
-                    clone above the loop.",
-        example: "for row in rows {\n    let hdr = header.clone(); // C2: header never changes in the loop\n    emit(&hdr, row);\n}",
-    },
-    RuleDoc {
         id: "M1",
         severity: Severity::Deny,
         summary: "lock guard held across an expensive call",
@@ -171,16 +150,6 @@ pub const RULES: &[RuleDoc] = &[
                     lexical scope ends. Copy what you need out of the guard, drop it, \
                     then call.",
         example: "let jobs = self.queue.lock()?;\nlet page = client.fetch_page(&jobs[0])?; // M1: lock held across fetch",
-    },
-    RuleDoc {
-        id: "M2",
-        severity: Severity::Warn,
-        summary: "lock guard acquired outside a loop but only used inside it",
-        rationale: "A guard bound before a loop whose every use sits inside the loop body \
-                    pins the lock for the full iteration when per-iteration acquisition \
-                    would do. Either move the acquisition into the loop or document the \
-                    batch-hold by touching the guard outside it.",
-        example: "let stats = self.stats.lock()?;\nfor d in domains {\n    stats.record(d); // M2: guard only ever used inside the loop\n}",
     },
     RuleDoc {
         id: "S1",
@@ -195,17 +164,6 @@ pub const RULES: &[RuleDoc] = &[
         example: "fn load_all(&self) -> Vec<Page> {\n    let mut pages = Vec::new();\n    for d in &self.domains { pages.push(self.fetch(d)); }\n    pages // S1: only caller is `for p in load_all()` — stream instead\n}",
     },
     RuleDoc {
-        id: "S2",
-        severity: Severity::Warn,
-        summary: "collection grown in a loop with no bound derived from a sized input",
-        rationale: "A `while`/`loop` (or an open-range `for`) that keeps pushing into a \
-                    collection without a visible cap — a `len`/`limit`/`budget`-style \
-                    bound in the condition, a guarded break, or a draining iteration — \
-                    grows without limit when the input misbehaves; on a hot path that is \
-                    an OOM seeded by one pathological domain. Make the bound explicit.",
-        example: "let mut seen = Vec::new();\nwhile let Some(url) = frontier.pop() {\n    seen.push(url);\n    frontier.extend(discover(&seen)); // S2: frontier re-fed, no bound\n}",
-    },
-    RuleDoc {
         id: "W1",
         severity: Severity::Deny,
         summary: "worker-reachable mutable state accessed outside any lock region",
@@ -216,16 +174,6 @@ pub const RULES: &[RuleDoc] = &[
                     adapters it is the analysis's job. Move the state behind a lock or \
                     give each worker its own clone.",
         example: "let mut tally = BTreeMap::new();\nfor w in 0..workers {\n    pool.spawn(move || tally.insert(w, crawl(w))); // W1: unsynchronized shared write\n}",
-    },
-    RuleDoc {
-        id: "W2",
-        severity: Severity::Warn,
-        summary: "lock acquired inside a corpus-scale hot loop with non-trivial held cost",
-        rationale: "Acquiring a lock once per corpus element and holding it across \
-                    allocating work serializes the worker pool exactly where the pipeline \
-                    fans out. The held cost counts the allocation sites inside the \
-                    region; worker-dispatch and constant-bounded loops are exempt.",
-        example: "for page in &corpus {\n    let mut ledger = self.usage.lock()?; // W2: per-page acquire\n    ledger.record(expensive_breakdown(page));\n}",
     },
     RuleDoc {
         id: "N1",
@@ -356,8 +304,8 @@ mod tests {
         // The ids the passes actually emit, kept in sync by hand; a new
         // rule without a catalog entry fails here.
         let emitted = [
-            "D1", "D2", "R1", "O1", "H1", "B1", "L1", "E1", "K1", "P1", "X1", "D3", "H2", "C2",
-            "M1", "M2", "S1", "S2", "W1", "W2", "N1", "N2", "A1", "F1", "T1", "T2", "T3", "A0",
+            "D1", "D2", "R1", "O1", "H1", "L1", "E1", "K1", "P1", "X1", "D3", "H2", "M1", "S1",
+            "W1", "N1", "N2", "A1", "F1", "T1", "T2", "T3", "A0",
         ];
         for id in emitted {
             assert!(find(id).is_some(), "rule {id} missing from catalog");

@@ -1,5 +1,5 @@
 //! Hot-path cost analysis: per-fn static cost summaries propagated over
-//! the cross-crate call graph, and the `H2`/`C2` allocation rules.
+//! the cross-crate call graph, and the `H2` allocation rule.
 //!
 //! **Cost model.** Every fn gets a *local* cost: each allocation site
 //! (clone-family methods, `collect`, `format!`/`vec!`, collection
@@ -23,21 +23,9 @@
 //! `Vec::new()`/`String::new()` in a hot fn that grows inside a loop —
 //! every `push` may reallocate on the hottest paths the workspace has.
 //! The message names the remedy, `with_capacity`.
-//!
-//! **`C2` redundant-clone-in-loop** (Warn): a `let y = x.clone()` (or
-//! `to_string`/`to_vec`/`to_owned`) inside a loop whose receiver is
-//! loop-invariant — proven by a may-modified dataflow over the worklist
-//! solver: the clone's in-fact at fixpoint carries every modification
-//! site that can reach it (including around the back edge), and none of
-//! the receiver root's sites lie inside the innermost enclosing loop.
-//! Unknown method calls on the root count as modifications, so the
-//! analysis under-approximates invariance (fewer findings), never the
-//! reverse. The message names the remedy: hoist the `let` above the
-//! loop.
 
 use crate::callgraph::{CallGraph, FnNode};
 use crate::cfg::{Cfg, Step};
-use crate::dataflow::{replay, solve, Analysis};
 use crate::expr::{for_each_child, Expr, ExprKind, Pat};
 use crate::findings::{Finding, Severity};
 use crate::graph::Workspace;
@@ -51,48 +39,6 @@ const GROW_METHODS: &[&str] = &["push", "push_str", "extend", "append", "insert"
 
 /// Collection constructors whose `new()` starts at capacity zero.
 const GROWABLE_CTORS: &[&str] = &["Vec", "String"];
-
-/// Methods assumed not to modify their receiver; anything else on a
-/// candidate root counts as a modification (conservative for `C2`).
-const READ_ONLY_METHODS: &[&str] = &[
-    "as_bytes",
-    "as_deref",
-    "as_ref",
-    "as_slice",
-    "as_str",
-    "chars",
-    "clone",
-    "cloned",
-    "cmp",
-    "contains",
-    "contains_key",
-    "copied",
-    "ends_with",
-    "eq",
-    "find",
-    "first",
-    "get",
-    "is_empty",
-    "is_none",
-    "is_some",
-    "iter",
-    "join",
-    "keys",
-    "last",
-    "len",
-    "lines",
-    "map",
-    "max",
-    "min",
-    "split",
-    "split_whitespace",
-    "starts_with",
-    "to_owned",
-    "to_string",
-    "to_vec",
-    "trim",
-    "values",
-];
 
 /// Cost multiplier per loop-nesting level is `1 << LOOP_SHIFT` (= 8).
 const LOOP_SHIFT: u32 = 3;
@@ -327,16 +273,6 @@ fn allocs_in(e: &Expr<'_>, out: &mut Vec<AllocSite>) {
         _ => {}
     }
     for_each_child(e, &mut |c| allocs_in(c, out));
-}
-
-/// Total allocation weight of one expression tree, on the same scale the
-/// cost model uses for `H2`/`C2` (clone/grow 1, `collect`/`format!` 2,
-/// growable ctors 1). Shared with the `W2` held-cost computation so one
-/// vocabulary prices both hot loops and lock regions.
-pub(crate) fn alloc_weight(e: &Expr<'_>) -> u64 {
-    let mut sites = Vec::new();
-    allocs_in(e, &mut sites);
-    sites.iter().map(|s| s.weight).sum()
 }
 
 /// The top-level expression one step evaluates, if any (a `PatBind`'s
@@ -623,135 +559,7 @@ pub(crate) fn fn_display(node: &FnNode<'_>) -> String {
     }
 }
 
-/// The plain root identifier of a place expression (`x`, `x.field.sub`);
-/// `None` for anything else.
-fn place_root<'a>(e: &Expr<'a>) -> Option<&'a str> {
-    match &e.kind {
-        ExprKind::Path(segs) => match *segs.as_slice() {
-            [only] if only != "self" => Some(only),
-            _ => None,
-        },
-        ExprKind::Field { base, .. } => place_root(base),
-        _ => None,
-    }
-}
-
-/// The dotted display form of a place expression [`place_root`] accepts
-/// (`x.field.sub`), for messages.
-fn place_display(e: &Expr<'_>) -> String {
-    match &e.kind {
-        ExprKind::Field { base, name } => format!("{}.{name}", place_display(base)),
-        ExprKind::Path(segs) => segs.join("::"),
-        _ => String::new(),
-    }
-}
-
-/// Root identifier of an assignment target, peeling derefs, fields, and
-/// indexing.
-fn assign_root<'a>(e: &Expr<'a>) -> Option<&'a str> {
-    match &e.kind {
-        ExprKind::Path(segs) => segs.first().copied(),
-        ExprKind::Field { base, .. } | ExprKind::Index { base, .. } => assign_root(base),
-        ExprKind::Unary { operand, .. } | ExprKind::Ref { operand, .. } => assign_root(operand),
-        _ => None,
-    }
-}
-
-/// Modification sites `(name, line, col)` performed by one expression
-/// tree: assignments, `&mut` borrows, and method calls not known to be
-/// read-only.
-fn expr_mods<'a>(e: &Expr<'a>, out: &mut Vec<(&'a str, u32, u32)>) {
-    match &e.kind {
-        ExprKind::Assign { lhs, .. } => {
-            if let Some(root) = assign_root(lhs) {
-                out.push((root, lhs.line, lhs.col));
-            }
-        }
-        ExprKind::Ref {
-            mutable: true,
-            operand,
-        } => {
-            if let Some(root) = assign_root(operand) {
-                out.push((root, operand.line, operand.col));
-            }
-        }
-        ExprKind::MethodCall { recv, name, .. } if !READ_ONLY_METHODS.contains(name) => {
-            if let Some(root) = place_root(recv) {
-                out.push((root, recv.line, recv.col));
-            }
-        }
-        _ => {}
-    }
-    for_each_child(e, &mut |c| expr_mods(c, out));
-}
-
-/// Modification sites performed by one CFG step (bindings count as
-/// modifications of the bound names).
-fn step_mods<'a>(step: &Step<'a>) -> Vec<(&'a str, u32, u32)> {
-    let mut out = Vec::new();
-    match *step {
-        Step::Bind {
-            pat,
-            init,
-            line,
-            col,
-            ..
-        } => {
-            let mut names = Vec::new();
-            pat.bound_names(&mut names);
-            for name in names {
-                out.push((name, line, col));
-            }
-            if let Some(e) = init {
-                expr_mods(e, &mut out);
-            }
-        }
-        Step::PatBind { pat, from } => {
-            let mut names = Vec::new();
-            pat.bound_names(&mut names);
-            for name in names {
-                out.push((name, from.line, from.col));
-            }
-        }
-        Step::ForHead { pat, iter } => {
-            let mut names = Vec::new();
-            pat.bound_names(&mut names);
-            for name in names {
-                out.push((name, iter.line, iter.col));
-            }
-            expr_mods(iter, &mut out);
-        }
-        Step::Eval(e) | Step::Cond(e) => expr_mods(e, &mut out),
-    }
-    out
-}
-
-/// May-modified dataflow: for every name, the set of modification sites
-/// that can reach the program point (union join; no kills, so the
-/// analysis only ever claims *more* modification, the safe direction).
-struct MayMod;
-
-impl<'a> Analysis<'a> for MayMod {
-    type Fact = BTreeMap<&'a str, BTreeSet<(u32, u32)>>;
-
-    fn boundary(&self) -> Self::Fact {
-        BTreeMap::new()
-    }
-
-    fn join(&self, acc: &mut Self::Fact, other: &Self::Fact) {
-        for (&name, sites) in other {
-            acc.entry(name).or_default().extend(sites.iter());
-        }
-    }
-
-    fn step(&self, step: &Step<'a>, fact: &mut Self::Fact) {
-        for (name, line, col) in step_mods(step) {
-            fact.entry(name).or_default().insert((line, col));
-        }
-    }
-}
-
-/// Run the `H2` and `C2` passes over an analyzed workspace.
+/// Run the `H2` pass over an analyzed workspace.
 pub fn check_cost(ws: &Workspace<'_>, graph: &CallGraph<'_>, model: &CostModel) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (id, node) in graph.fns.iter().enumerate() {
@@ -761,7 +569,6 @@ pub fn check_cost(ws: &Workspace<'_>, graph: &CallGraph<'_>, model: &CostModel) 
         if model.is_hot(id) {
             check_h2(file, graph, model, id, node, &mut findings);
         }
-        check_c2(file, node, &mut findings);
     }
     findings
 }
@@ -882,151 +689,6 @@ fn collect_grows<'a>(e: &Expr<'a>, depth: u32, out: &mut BTreeMap<&'a str, Vec<(
         }
     }
     for_each_child(e, &mut |c| collect_grows(c, depth, out));
-}
-
-fn check_c2(file: &crate::graph::AnalyzedFile<'_>, node: &FnNode<'_>, findings: &mut Vec<Finding>) {
-    let (cfg, depths) = (&node.cfg, &node.depths);
-    // Candidate clone binds in loops.
-    struct CloneBind<'a> {
-        nid: usize,
-        y: &'a str,
-        root: &'a str,
-        recv: &'a Expr<'a>,
-        method: &'a str,
-        line: u32,
-        col: u32,
-    }
-    let mut cands: Vec<CloneBind<'_>> = Vec::new();
-    for (nid, block) in cfg.nodes.iter().enumerate() {
-        if depths.get(nid).copied().unwrap_or(0) == 0 {
-            continue;
-        }
-        for step in &block.steps {
-            let Step::Bind {
-                pat: Pat::Ident { name: y, .. },
-                init: Some(init),
-                line,
-                col,
-                ..
-            } = step
-            else {
-                continue;
-            };
-            let ExprKind::MethodCall {
-                recv,
-                name: method,
-                args,
-                ..
-            } = &init.kind
-            else {
-                continue;
-            };
-            if !args.is_empty() || !CLONE_METHODS.contains(method) {
-                continue;
-            }
-            let Some(root) = place_root(recv) else {
-                continue;
-            };
-            cands.push(CloneBind {
-                nid,
-                y,
-                root,
-                recv,
-                method,
-                line: *line,
-                col: *col,
-            });
-        }
-    }
-    if cands.is_empty() {
-        return;
-    }
-    let loops = natural_loops(cfg);
-
-    // Map every modification site to the CFG nodes that perform it.
-    let mut site_nodes: BTreeMap<(&str, u32, u32), BTreeSet<usize>> = BTreeMap::new();
-    for (nid, block) in cfg.nodes.iter().enumerate() {
-        for step in &block.steps {
-            for (name, line, col) in step_mods(step) {
-                site_nodes.entry((name, line, col)).or_default().insert(nid);
-            }
-        }
-    }
-
-    let analysis = MayMod;
-    let in_facts = solve(cfg, &analysis);
-    for cand in cands {
-        // Innermost natural loop containing the clone's node.
-        let Some(body) = loops
-            .iter()
-            .filter(|b| b.contains(&cand.nid))
-            .min_by_key(|b| b.len())
-        else {
-            continue;
-        };
-        let Some(fact_in) = in_facts.get(cand.nid).and_then(|f| f.as_ref()) else {
-            continue;
-        };
-        let Some(steps) = cfg.nodes.get(cand.nid).map(|n| n.steps.as_slice()) else {
-            continue;
-        };
-        // Fact holding immediately before the clone bind.
-        let mut at_bind: Option<<MayMod as Analysis<'_>>::Fact> = None;
-        replay(&analysis, steps, fact_in, &mut |step, fact| {
-            if at_bind.is_none() {
-                if let Step::Bind { line, col, .. } = step {
-                    if *line == cand.line && *col == cand.col {
-                        at_bind = Some(fact.clone());
-                    }
-                }
-            }
-        });
-        let Some(fact) = at_bind else {
-            continue;
-        };
-        let in_loop = |name: &str, sites: Option<&BTreeSet<(u32, u32)>>| {
-            sites.is_some_and(|sites| {
-                sites.iter().any(|(l, c)| {
-                    site_nodes
-                        .get(&(name, *l, *c))
-                        .is_some_and(|nodes| nodes.iter().any(|n| body.contains(n)))
-                })
-            })
-        };
-        if in_loop(cand.root, fact.get(cand.root)) {
-            continue;
-        }
-        // `y` must not be separately modified inside the loop (its own
-        // bind site is the candidate itself).
-        let y_modified = fact.get(cand.y).is_some_and(|sites| {
-            sites.iter().any(|(l, c)| {
-                (*l, *c) != (cand.line, cand.col)
-                    && site_nodes
-                        .get(&(cand.y, *l, *c))
-                        .is_some_and(|nodes| nodes.iter().any(|n| body.contains(n)))
-            })
-        });
-        if y_modified {
-            continue;
-        }
-        findings.push(Finding::at(
-            "C2",
-            Severity::Warn,
-            file.parsed.rel_path,
-            cand.line,
-            cand.col,
-            format!(
-                "`{}.{}()` is loop-invariant: `{}` is never modified inside the \
-                 enclosing loop, so the copy is re-made every iteration; hoist the \
-                 `let {}` above the loop",
-                place_display(cand.recv),
-                cand.method,
-                cand.root,
-                cand.y
-            ),
-            file.snippet(cand.line),
-        ));
-    }
 }
 
 #[cfg(test)]

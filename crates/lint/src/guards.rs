@@ -1,4 +1,4 @@
-//! `M1`/`M2`: lock-guard liveness across expensive calls and loops.
+//! `M1`: lock-guard liveness across expensive calls.
 //!
 //! The pool's slower-than-serial cells come from exactly one shape: a
 //! `Mutex`/`RwLock` guard that stays live across work that does not need
@@ -17,12 +17,7 @@
 //! [`crate::cost`]) exceeds a threshold. Holding a lock across I/O- or
 //! annotation-shaped work serializes every sibling worker.
 //!
-//! **`M2` guard-across-loop-iteration** (Warn): a guard bound outside a
-//! loop whose every use sits strictly inside the loop — the lock is held
-//! for all iterations when per-iteration acquisition (or dropping
-//! before the loop) would do.
-//!
-//! Approximations, in the conservative direction for each rule: guard
+//! Approximations, in the conservative direction: guard
 //! recognition needs a provable lock receiver, so guards behind type
 //! inference the parser cannot see are missed (fewer findings);
 //! scope-end clipping is line-based, so a block that shares its closing
@@ -105,7 +100,7 @@ fn init_mentions_lock(e: &Expr<'_>) -> bool {
 
 /// Per-fn environment of names provably bound to lock values: params and
 /// lets whose declared type or initializer names `Mutex`/`RwLock`.
-pub(crate) fn lock_locals<'a>(node: &FnNode<'a>) -> BTreeSet<&'a str> {
+fn lock_locals<'a>(node: &FnNode<'a>) -> BTreeSet<&'a str> {
     let mut locals: BTreeSet<&str> = node
         .info
         .params
@@ -135,7 +130,7 @@ pub(crate) fn lock_locals<'a>(node: &FnNode<'a>) -> BTreeSet<&'a str> {
 /// Whether `recv` is a provable lock place for an acquisition method:
 /// `self.<field>` with the field registered, or a path rooted at a local
 /// the environment proves is a lock.
-pub(crate) fn recv_is_lock(
+fn recv_is_lock(
     recv: &Expr<'_>,
     method: &str,
     fields: Option<&BTreeSet<&str>>,
@@ -158,21 +153,20 @@ pub(crate) fn recv_is_lock(
     }
 }
 
-/// The guard acquisition inside a bind initializer, if any: returns the
-/// acquisition method name.
-pub(crate) fn acquisition_in<'a>(
-    init: &Expr<'a>,
+/// Whether a bind initializer holds a guard acquisition.
+fn acquisition_in(
+    init: &Expr<'_>,
     fields: Option<&BTreeSet<&str>>,
     locals: &BTreeSet<&str>,
-) -> Option<&'a str> {
+) -> bool {
     if let ExprKind::MethodCall { recv, name, .. } = &init.kind {
         if ACQUIRE_METHODS.contains(name) && recv_is_lock(recv, name, fields, locals) {
-            return Some(name);
+            return true;
         }
     }
-    let mut found = None;
+    let mut found = false;
     for_each_child(init, &mut |c| {
-        if found.is_none() {
+        if !found {
             found = acquisition_in(c, fields, locals);
         }
     });
@@ -182,11 +176,8 @@ pub(crate) fn acquisition_in<'a>(
 /// One recognized guard binding.
 struct Guard<'a> {
     name: &'a str,
-    method: &'a str,
     line: u32,
     col: u32,
-    /// CFG node holding the bind.
-    node: usize,
     /// Last source line of the statement list that declared it.
     scope_end: u32,
 }
@@ -228,7 +219,7 @@ fn stmt_max_line(stmt: &Stmt<'_>) -> u32 {
 /// Last line of the scope that declares the `let` at `(line, col)`: the
 /// maximum line spanned by the remainder of its statement list. Falls
 /// back to `u32::MAX` (no clipping) when the statement is not found.
-pub(crate) fn scope_end_of(body: &[Stmt<'_>], line: u32, col: u32) -> u32 {
+fn scope_end_of(body: &[Stmt<'_>], line: u32, col: u32) -> u32 {
     fn search(stmts: &[Stmt<'_>], line: u32, col: u32) -> Option<u32> {
         for (i, stmt) in stmts.iter().enumerate() {
             if let Stmt::Let {
@@ -384,21 +375,7 @@ fn expensive_reason(
     }
 }
 
-/// Mentions of a plain name in an expression tree.
-fn mentions_name(e: &Expr<'_>, name: &str) -> bool {
-    if matches!(&e.kind, ExprKind::Path(segs) if segs.as_slice() == [name]) {
-        return true;
-    }
-    let mut found = false;
-    for_each_child(e, &mut |c| {
-        if !found {
-            found = mentions_name(c, name);
-        }
-    });
-    found
-}
-
-/// Run the `M1`/`M2` passes over an analyzed workspace.
+/// Run the `M1` pass over an analyzed workspace.
 pub fn check_guards(ws: &Workspace<'_>, graph: &CallGraph<'_>, model: &CostModel) -> Vec<Finding> {
     let registry = lock_registry(ws);
     let mut findings = Vec::new();
@@ -414,7 +391,7 @@ pub fn check_guards(ws: &Workspace<'_>, graph: &CallGraph<'_>, model: &CostModel
 
         // Recognized guard binds.
         let mut guards: Vec<Guard<'_>> = Vec::new();
-        for (nid, block) in cfg.nodes.iter().enumerate() {
+        for block in &cfg.nodes {
             for step in &block.steps {
                 let Step::Bind {
                     pat: Pat::Ident { name, .. },
@@ -426,15 +403,13 @@ pub fn check_guards(ws: &Workspace<'_>, graph: &CallGraph<'_>, model: &CostModel
                 else {
                     continue;
                 };
-                let Some(method) = acquisition_in(init, fields, &locals) else {
+                if !acquisition_in(init, fields, &locals) {
                     continue;
-                };
+                }
                 guards.push(Guard {
                     name,
-                    method,
                     line: *line,
                     col: *col,
-                    node: nid,
                     scope_end: scope_end_of(&node.info.body, *line, *col),
                 });
             }
@@ -497,54 +472,6 @@ pub fn check_guards(ws: &Workspace<'_>, graph: &CallGraph<'_>, model: &CostModel
                 ),
                 file.snippet(call.line),
             ));
-        }
-
-        // M2: guard bound outside a loop but only used inside one.
-        let depths = &node.depths;
-        for guard in &guards {
-            let bind_depth = depths.get(guard.node).copied().unwrap_or(0);
-            let mut shallow_use = false;
-            let mut deep_use = false;
-            let mut dropped = false;
-            for (nid, block) in cfg.nodes.iter().enumerate() {
-                let d = depths.get(nid).copied().unwrap_or(0);
-                for step in &block.steps {
-                    if let Step::Bind { line, col, .. } = step {
-                        if (*line, *col) == (guard.line, guard.col) {
-                            continue;
-                        }
-                    }
-                    if let Some(e) = crate::cost::step_expr(step) {
-                        if !mentions_name(e, guard.name) {
-                            continue;
-                        }
-                        if dropped_guard(e) == Some(guard.name) {
-                            dropped = true;
-                        }
-                        if d > bind_depth {
-                            deep_use = true;
-                        } else {
-                            shallow_use = true;
-                        }
-                    }
-                }
-            }
-            if deep_use && !shallow_use && !dropped {
-                findings.push(Finding::at(
-                    "M2",
-                    Severity::Warn,
-                    file.parsed.rel_path,
-                    guard.line,
-                    guard.col,
-                    format!(
-                        "guard `{}` (`.{}()`) is acquired outside a loop but only \
-                         used inside it, holding the lock for every iteration; \
-                         acquire it per iteration or drop it before the loop",
-                        guard.name, guard.method
-                    ),
-                    file.snippet(guard.line),
-                ));
-            }
         }
     }
     findings
@@ -621,39 +548,6 @@ mod tests {
         );
         let f = scan(&[("crates/crawler/src/pool.rs", &src)]);
         assert!(f.iter().all(|f| f.rule != "M1"), "{f:?}");
-    }
-
-    #[test]
-    fn guard_used_only_inside_loop_fires_m2() {
-        let src = format!(
-            "{SHARED}impl Shared {{\n\
-             \x20   pub fn go(&self, items: Vec<u32>) {{\n\
-             \x20       let g = self.jobs.lock();\n\
-             \x20       for item in items {{\n\
-             \x20           use_it(g.first(), item);\n\
-             \x20       }}\n\
-             \x20   }}\n\
-             }}\n"
-        );
-        let f = scan(&[("crates/crawler/src/pool.rs", &src)]);
-        assert!(f.iter().any(|f| f.rule == "M2"), "{f:?}");
-    }
-
-    #[test]
-    fn guard_used_before_loop_is_clean_for_m2() {
-        let src = format!(
-            "{SHARED}impl Shared {{\n\
-             \x20   pub fn go(&self, items: Vec<u32>) {{\n\
-             \x20       let g = self.jobs.lock();\n\
-             \x20       seed(g.first());\n\
-             \x20       for item in items {{\n\
-             \x20           use_it(g.first(), item);\n\
-             \x20       }}\n\
-             \x20   }}\n\
-             }}\n"
-        );
-        let f = scan(&[("crates/crawler/src/pool.rs", &src)]);
-        assert!(f.iter().all(|f| f.rule != "M2"), "{f:?}");
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //! 3. **Dataflow rules** on per-fn CFGs ([`expr`] → [`cfg`](mod@cfg) →
 //!    [`dataflow`]): `X1` interprocedural panic-reachability (see
 //!    [`panic_reach`]), `D3` determinism taint (see [`taint`]), the
-//!    hot-path cost rules `H2`/`C2` over the interprocedural cost model
-//!    (see [`cost`]), the lock-guard liveness rules `M1`/`M2` (see
-//!    [`guards`]), and the type- and effect-aware rules over the
+//!    hot-path allocation rule `H2` over the interprocedural cost model
+//!    (see [`cost`]), the lock-guard liveness rule `M1` (see [`guards`]),
+//!    the retention rule `S1` (see [`retain`]), the worker-sharing rule
+//!    `W1` (see [`share`]), and the type- and effect-aware rules over the
 //!    workspace type index (see [`types`]): `N1`/`N2` numeric safety
 //!    (see [`numeric`]), `A1` atomic commutativity (see [`atomics`]),
 //!    and `F1` filesystem-I/O confinement (see [`effects`]).

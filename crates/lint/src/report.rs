@@ -76,13 +76,14 @@ pub fn human(report: &Report, deny_warnings: bool) -> String {
     out
 }
 
-/// JSON shape version: 5 gives each finding exactly the seven members
-/// `finding_value` writes; 4 carried an eighth, `fix`, and introduced the
-/// type- and effect-aware vocabulary (`N1`/`N2`/`A1`/`F1`).
-pub const SCHEMA_VERSION: u64 = 5;
+/// JSON shape version: 6 drops the rules `B1`, `C2`, `M2`, `S2` and `W2`
+/// from the vocabulary, with the same seven members per finding that
+/// `finding_value` writes since 5; 4 carried an eighth, `fix`, and
+/// introduced the type- and effect-aware vocabulary (`N1`/`N2`/`A1`/`F1`).
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Render the report as a single JSON object with sorted member order:
-/// `{"files_scanned": N, "findings": [...], "schema_version": 5,
+/// `{"files_scanned": N, "findings": [...], "schema_version": 6,
 /// "suppressed": [...]}`.
 pub fn json(report: &Report) -> String {
     let obj = sorted_object(vec![

@@ -1,4 +1,4 @@
-//! `S1`/`S2`: interprocedural memory-retention and escape analysis.
+//! `S1`: interprocedural memory-retention and escape analysis.
 //!
 //! The ROADMAP's streaming refactor needs the analyzer to *see* which
 //! collections materialize corpus-scale data. This pass classifies each
@@ -15,30 +15,19 @@
 //! per-item via a callback or iterator instead). Findings carry the
 //! entry→fn witness chain like `X1`/`H2`.
 //!
-//! **`S2` unbounded-growth-in-loop** (Warn): a collection grown inside a
-//! `loop`/`while` (or a `for` over an unbounded iterator) of a hot fn,
-//! with no visible bound: no length/limit test in the loop condition, no
-//! guarded `break`/`return`, no visited-set guard around the growth, and
-//! — for worklist loops — the drained queue is itself re-fed inside the
-//! body. At the 30k/300k-domain universe an unbounded accumulator is an
-//! OOM, not a slowdown.
-//!
 //! Approximation directions (see DESIGN.md §6a): *streamed* requires a
 //! syntactic consume (`clear`/`drain`/rebind) inside the growing loop,
 //! so a collection consumed through a helper is conservatively treated
 //! as retained (over-approximates retention — more `S1` candidates,
-//! never a missed one); bound evidence for `S2` is recognized
-//! syntactically, so an exotic bound yields a spurious finding rather
-//! than a silent OOM (`S2` over-approximates unboundedness), while both
-//! rules fire only inside the hot set (fns the pipeline provably
-//! reaches), which under-approximates the workspace as a whole.
+//! never a missed one), while the rule fires only inside the hot set
+//! (fns the pipeline provably reaches), which under-approximates the
+//! workspace as a whole.
 
 use crate::callgraph::{CallGraph, FnNode};
 use crate::cost::CostModel;
 use crate::expr::{child_blocks, for_each_child, Expr, ExprKind, Pat, Stmt};
 use crate::findings::{Finding, Severity};
 use crate::graph::Workspace;
-use std::collections::BTreeSet;
 
 /// Constructors that start a growable collection.
 const GROWABLE_HEADS: &[&str] = &[
@@ -58,22 +47,6 @@ const GROW_METHODS: &[&str] = &[
 
 /// Methods that consume/reset a collection in place (the streamed shape).
 const CONSUME_METHODS: &[&str] = &["clear", "drain", "take", "split_off"];
-
-/// Identifier fragments that signal a loop bound (budgets, caps, limits).
-const BOUND_NAME_HINTS: &[&str] = &[
-    "len",
-    "limit",
-    "max",
-    "cap",
-    "budget",
-    "remaining",
-    "count",
-    "attempt",
-    "tries",
-    "depth",
-    "bound",
-    "quota",
-];
 
 /// How a fn's collection relates to the loop that grows it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,7 +161,7 @@ fn is_consume_on(e: &Expr<'_>, name: &str) -> bool {
 /// [`for_each_expr`](crate::expr::for_each_expr) walk this also descends
 /// into match-arm guards and bodies, which the retention rules need
 /// (accumulators are often grown inside `match` arms).
-pub(crate) fn tree_any(e: &Expr<'_>, pred: &impl Fn(&Expr<'_>) -> bool) -> bool {
+fn tree_any(e: &Expr<'_>, pred: &impl Fn(&Expr<'_>) -> bool) -> bool {
     if pred(e) {
         return true;
     }
@@ -216,7 +189,7 @@ pub(crate) fn tree_any(e: &Expr<'_>, pred: &impl Fn(&Expr<'_>) -> bool) -> bool 
     false
 }
 
-pub(crate) fn stmts_any(stmts: &[Stmt<'_>], pred: &impl Fn(&Expr<'_>) -> bool) -> bool {
+fn stmts_any(stmts: &[Stmt<'_>], pred: &impl Fn(&Expr<'_>) -> bool) -> bool {
     for stmt in stmts {
         let hit = match stmt {
             Stmt::Let {
@@ -234,26 +207,17 @@ pub(crate) fn stmts_any(stmts: &[Stmt<'_>], pred: &impl Fn(&Expr<'_>) -> bool) -
     false
 }
 
-/// One loop that grows an accumulator: the loop expression plus which
-/// in-loop facts were observed.
-struct GrowingLoop<'a> {
-    /// The loop expression itself.
-    lp: &'a Expr<'a>,
-    /// First grow site (line, col) inside the loop.
-    site: (u32, u32),
-}
-
 /// Find every loop that grows `name`, walking the body with a loop stack
 /// (closures are descended into — the CFG inlines them the same way).
-fn growing_loops<'a>(body: &'a [Stmt<'a>], name: &str) -> Vec<GrowingLoop<'a>> {
-    let mut out: Vec<GrowingLoop<'a>> = Vec::new();
+fn growing_loops<'a>(body: &'a [Stmt<'a>], name: &str) -> Vec<&'a Expr<'a>> {
+    let mut out: Vec<&'a Expr<'a>> = Vec::new();
     let mut stack: Vec<&'a Expr<'a>> = Vec::new();
     walk(body, name, &mut stack, &mut out);
     fn walk<'a>(
         stmts: &'a [Stmt<'a>],
         name: &str,
         stack: &mut Vec<&'a Expr<'a>>,
-        out: &mut Vec<GrowingLoop<'a>>,
+        out: &mut Vec<&'a Expr<'a>>,
     ) {
         for stmt in stmts {
             match stmt {
@@ -275,7 +239,7 @@ fn growing_loops<'a>(body: &'a [Stmt<'a>], name: &str) -> Vec<GrowingLoop<'a>> {
         e: &'a Expr<'a>,
         name: &str,
         stack: &mut Vec<&'a Expr<'a>>,
-        out: &mut Vec<GrowingLoop<'a>>,
+        out: &mut Vec<&'a Expr<'a>>,
     ) {
         let is_loop = matches!(
             e.kind,
@@ -288,15 +252,9 @@ fn growing_loops<'a>(body: &'a [Stmt<'a>], name: &str) -> Vec<GrowingLoop<'a>> {
             stack.push(e);
         }
         if is_grow_on(e, name) {
-            if let Some(lp) = stack.last() {
-                if !out
-                    .iter()
-                    .any(|g| (g.lp.line, g.lp.col) == (lp.line, lp.col))
-                {
-                    out.push(GrowingLoop {
-                        lp,
-                        site: (e.line, e.col),
-                    });
+            if let Some(&lp) = stack.last() {
+                if !out.iter().any(|g| (g.line, g.col) == (lp.line, lp.col)) {
+                    out.push(lp);
                 }
             }
         }
@@ -347,244 +305,15 @@ fn escapes_by_return(body: &[Stmt<'_>], name: &str) -> bool {
     })
 }
 
-/// Whether an expression tree mentions a bound-shaped identifier, a
-/// `.len()`/`.is_empty()` probe, or a fn-local the body derived from a
-/// sized input (see [`bound_locals`]) — the syntactic evidence `S2`
-/// accepts.
-pub(crate) fn mentions_bound(e: &Expr<'_>, bounds: &BTreeSet<&str>) -> bool {
-    tree_any(e, &|x| match &x.kind {
-        ExprKind::MethodCall { name, .. } => {
-            matches!(*name, "len" | "is_empty" | "min" | "capacity")
-        }
-        ExprKind::Path(segs) => segs.iter().any(|s| {
-            has_fragment(s, BOUND_NAME_HINTS)
-                || matches!(segs.as_slice(), [one] if bounds.contains(one))
-        }),
-        _ => false,
-    })
-}
-
-/// Whether `name` contains one of the lowercase `fragments`, ignoring
-/// ASCII case (`maxDepth` holds `depth`).
-pub(crate) fn has_fragment(name: &str, fragments: &[&str]) -> bool {
-    fragments.iter().any(|f| {
-        name.as_bytes()
-            .windows(f.len())
-            .any(|w| w.eq_ignore_ascii_case(f.as_bytes()))
-    })
-}
-
-/// Locals whose initializer is itself bound evidence: `let n =
-/// items.len()` or `let cap = limit.min(..)`. Comparing against such a
-/// local inside a loop guard is a bound even though the `.len()` call is
-/// lexically outside the loop. (A bare literal initializer does NOT
-/// qualify — `let i = 0` is a counter, not a cap.)
-pub(crate) fn bound_locals<'a>(body: &'a [Stmt<'a>]) -> BTreeSet<&'a str> {
-    let empty = BTreeSet::new();
-    let mut out = BTreeSet::new();
-    crate::expr::for_each_let(body, &mut |pat, _ty, init| {
-        let Pat::Ident { name, .. } = pat else {
-            return;
-        };
-        if init.is_some_and(|e| mentions_bound(e, &empty)) {
-            out.insert(*name);
-        }
-    });
-    out
-}
-
-/// Whether an expression tree contains a visited-set guard: an
-/// `insert`/`contains`/`contains_key` probe on some collection.
-fn visited_guard(e: &Expr<'_>) -> bool {
-    tree_any(e, &|x| {
-        matches!(
-            &x.kind,
-            ExprKind::MethodCall { name, .. }
-                if matches!(*name, "insert" | "contains" | "contains_key")
-        )
-    })
-}
-
-/// Whether a `break`/`return` inside the loop body sits under an `if` or
-/// `match` whose condition shows a bound or visited-set probe.
-pub(crate) fn guarded_exit(body: &[Stmt<'_>], bounds: &BTreeSet<&str>) -> bool {
-    fn expr_has(e: &Expr<'_>, bounds: &BTreeSet<&str>) -> bool {
-        let own = match &e.kind {
-            ExprKind::If {
-                cond, then_block, ..
-            } => {
-                (mentions_bound(cond, bounds) || visited_guard(cond))
-                    && stmts_any(then_block, &|x| {
-                        matches!(x.kind, ExprKind::Break(_) | ExprKind::Return(_))
-                    })
-            }
-            ExprKind::Match { scrutinee, arms } => {
-                (mentions_bound(scrutinee, bounds) || visited_guard(scrutinee))
-                    && arms.iter().any(|arm| {
-                        tree_any(&arm.body, &|x| {
-                            matches!(x.kind, ExprKind::Break(_) | ExprKind::Return(_))
-                        })
-                    })
-            }
-            _ => false,
-        };
-        if own {
-            return true;
-        }
-        let mut found = false;
-        for_each_child(e, &mut |c| {
-            if !found {
-                found = expr_has(c, bounds);
-            }
-        });
-        if found {
-            return true;
-        }
-        child_blocks(e).iter().any(|b| stmts_has(b, bounds))
-    }
-    fn stmts_has(stmts: &[Stmt<'_>], bounds: &BTreeSet<&str>) -> bool {
-        stmts.iter().any(|stmt| match stmt {
-            Stmt::Let {
-                init, else_block, ..
-            } => {
-                init.as_ref().is_some_and(|e| expr_has(e, bounds))
-                    || else_block.as_ref().is_some_and(|b| stmts_has(b, bounds))
-            }
-            Stmt::Expr { expr, .. } => expr_has(expr, bounds),
-        })
-    }
-    stmts_has(body, bounds)
-}
-
-/// Worklist-drain scrutinee: `while let Some(x) = <queue>.pop*()` /
-/// `.next()` — returns the drained queue's root name.
-fn drained_root<'a>(scrutinee: &Expr<'a>) -> Option<&'a str> {
-    let ExprKind::MethodCall { recv, name, .. } = &scrutinee.kind else {
-        return None;
-    };
-    if !matches!(*name, "pop" | "pop_front" | "pop_back" | "next") {
-        return None;
-    }
-    match &recv.kind {
-        ExprKind::Path(segs) => match *segs.as_slice() {
-            [one] => Some(one),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-/// Whether a loop shows any bound the rule accepts. `body`/`cond` are
-/// the loop's own statements and condition (when it has one); `bounds`
-/// holds the fn's sized-input locals (see [`bound_locals`]).
-fn loop_is_bounded(lp: &Expr<'_>, grow_line: u32, grow_col: u32, bounds: &BTreeSet<&str>) -> bool {
-    match &lp.kind {
-        // A `for` loop over anything but an unbounded generator is
-        // inherently bounded by its input.
-        ExprKind::For { iter, body, .. } => {
-            let unbounded = tree_any(iter, &|x| match &x.kind {
-                ExprKind::MethodCall { name, .. } => *name == "cycle",
-                ExprKind::Call { callee, .. } => matches!(
-                    &callee.kind,
-                    ExprKind::Path(segs)
-                        if segs.last().is_some_and(|&s| s == "repeat" || s == "repeat_with")
-                ),
-                ExprKind::Range { hi, .. } => hi.is_none(),
-                _ => false,
-            });
-            !unbounded || guarded_exit(body, bounds)
-        }
-        ExprKind::While { cond, body } => {
-            mentions_bound(cond, bounds)
-                || guarded_exit(body, bounds)
-                || grow_is_guarded(body, grow_line, grow_col, bounds)
-        }
-        ExprKind::WhileLet {
-            scrutinee, body, ..
-        } => {
-            // Draining a worklist is bounded unless the body re-feeds the
-            // same queue without a visited-set guard.
-            if let Some(queue) = drained_root(scrutinee) {
-                let refeeds = stmts_any(body, &|x| is_grow_on(x, queue));
-                if !refeeds {
-                    return true;
-                }
-            }
-            guarded_exit(body, bounds) || grow_is_guarded(body, grow_line, grow_col, bounds)
-        }
-        ExprKind::Loop { body } => {
-            guarded_exit(body, bounds) || grow_is_guarded(body, grow_line, grow_col, bounds)
-        }
-        _ => true,
-    }
-}
-
-/// Whether the grow site at `(line, col)` sits under an `if` whose
-/// condition carries a visited-set or bound probe.
-fn grow_is_guarded(body: &[Stmt<'_>], line: u32, col: u32, bounds: &BTreeSet<&str>) -> bool {
-    fn contains_site(stmts: &[Stmt<'_>], line: u32, col: u32) -> bool {
-        stmts_any(stmts, &|e| e.line == line && e.col == col)
-    }
-    fn expr_guards(e: &Expr<'_>, line: u32, col: u32, bounds: &BTreeSet<&str>) -> bool {
-        let own = match &e.kind {
-            ExprKind::If {
-                cond, then_block, ..
-            } => {
-                (visited_guard(cond) || mentions_bound(cond, bounds))
-                    && contains_site(then_block, line, col)
-            }
-            ExprKind::IfLet {
-                scrutinee,
-                then_block,
-                ..
-            } => {
-                (visited_guard(scrutinee) || mentions_bound(scrutinee, bounds))
-                    && contains_site(then_block, line, col)
-            }
-            _ => false,
-        };
-        if own {
-            return true;
-        }
-        let mut found = false;
-        for_each_child(e, &mut |c| {
-            if !found {
-                found = expr_guards(c, line, col, bounds);
-            }
-        });
-        if found {
-            return true;
-        }
-        child_blocks(e)
-            .iter()
-            .any(|b| stmts_guard(b, line, col, bounds))
-    }
-    fn stmts_guard(stmts: &[Stmt<'_>], line: u32, col: u32, bounds: &BTreeSet<&str>) -> bool {
-        stmts.iter().any(|stmt| match stmt {
-            Stmt::Let {
-                init, else_block, ..
-            } => {
-                init.as_ref()
-                    .is_some_and(|e| expr_guards(e, line, col, bounds))
-                    || else_block
-                        .as_ref()
-                        .is_some_and(|b| stmts_guard(b, line, col, bounds))
-            }
-            Stmt::Expr { expr, .. } => expr_guards(expr, line, col, bounds),
-        })
-    }
-    stmts_guard(body, line, col, bounds)
-}
-
 /// How the collection `name` of `body` relates to the loops that grow
-/// it, with those loops; `None` when no loop grows it.
-fn classify<'a>(body: &'a [Stmt<'a>], name: &str) -> Option<(Retention, Vec<GrowingLoop<'a>>)> {
+/// it; `None` when no loop grows it.
+fn classify(body: &[Stmt<'_>], name: &str) -> Option<Retention> {
     let loops = growing_loops(body, name);
     if loops.is_empty() {
         return None;
     }
-    let streamed = loops.iter().all(|g| {
-        child_blocks(g.lp)
+    let streamed = loops.iter().all(|lp| {
+        child_blocks(lp)
             .iter()
             .any(|b| stmts_any(b, &|e| is_consume_on(e, name)))
     });
@@ -595,7 +324,7 @@ fn classify<'a>(body: &'a [Stmt<'a>], name: &str) -> Option<(Retention, Vec<Grow
     } else {
         Retention::Local
     };
-    Some((class, loops))
+    Some(class)
 }
 
 /// Classify every growable collection in every fn of the workspace.
@@ -611,7 +340,7 @@ pub fn retention_records(
         };
         let body = &node.info.body;
         for acc in accumulators(body) {
-            let Some((class, _)) = classify(body, acc.name) else {
+            let Some(class) = classify(body, acc.name) else {
                 continue;
             };
             out.push(RetentionRecord {
@@ -704,15 +433,13 @@ fn sole_iterating_consumer(caller: &FnNode<'_>, line: u32, col: u32) -> bool {
     for_uses == 1 && uses == 1
 }
 
-/// Run the `S1`/`S2` retention passes over an analyzed workspace.
+/// Run the `S1` retention pass over an analyzed workspace.
 pub fn check_retention(
     ws: &Workspace<'_>,
     graph: &CallGraph<'_>,
     model: &CostModel,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
-    // `S1` findings, reported after every `S2` one.
-    let mut handoffs = Vec::new();
     for (id, node) in graph.fns.iter().enumerate() {
         if !model.is_hot(id) {
             continue;
@@ -721,39 +448,9 @@ pub fn check_retention(
             continue;
         };
         let body = &node.info.body;
-        let bounds = bound_locals(body);
         let mut retained = Vec::new();
         for acc in accumulators(body) {
-            let Some((class, loops)) = classify(body, acc.name) else {
-                continue;
-            };
-
-            // S2: any growing loop with no visible bound.
-            for g in &loops {
-                if !loop_is_bounded(g.lp, g.site.0, g.site.1, &bounds) {
-                    findings.push(Finding::at(
-                        "S2",
-                        Severity::Warn,
-                        file.parsed.rel_path,
-                        g.site.0,
-                        g.site.1,
-                        format!(
-                            "`{}` grows inside a loop with no bound derived from a sized \
-                             input (hot path: {}); at corpus scale this is unbounded \
-                             memory — add a length/budget check, a visited-set guard, \
-                             or a guarded break",
-                            acc.name,
-                            model
-                                .hot_path(graph, id)
-                                .unwrap_or_else(|| node.name.to_string()),
-                        ),
-                        file.snippet(g.site.0),
-                    ));
-                    break;
-                }
-            }
-
-            if class == Retention::Retained {
+            if classify(body, acc.name) == Some(Retention::Retained) {
                 retained.push(acc);
             }
         }
@@ -774,7 +471,7 @@ pub fn check_retention(
             continue;
         }
         for acc in retained {
-            handoffs.push(Finding::at(
+            findings.push(Finding::at(
                 "S1",
                 Severity::Warn,
                 file.parsed.rel_path,
@@ -796,6 +493,5 @@ pub fn check_retention(
             ));
         }
     }
-    findings.extend(handoffs);
     findings
 }

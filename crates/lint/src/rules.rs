@@ -7,7 +7,6 @@
 //! | `R1` | deny | `.unwrap()` / `.expect(..)` / `panic!` in library code |
 //! | `O1` | warn | `println!` / `eprintln!` in library code |
 //! | `H1` | warn | to-do markers missing an issue tag (`TODO(#NNN)`-style required) |
-//! | `B1` | warn | `loop`/`while` retry loops around fetch/complete calls with no visible attempt/retry/budget bound |
 //!
 //! Rules operate on the [`crate::lexer`] token stream, so occurrences inside
 //! string literals and comments never fire (except `H1`, which looks *only*
@@ -87,14 +86,6 @@ pub(crate) fn lint_tokens(rel_path: &str, src: &str, tokens: &[Token<'_>]) -> Ve
         &mut findings,
     );
     rule_h1(tokens, rel_path, &mut findings);
-    rule_b1(
-        &sig,
-        class,
-        &in_test_code,
-        rel_path,
-        &snippet,
-        &mut findings,
-    );
     findings
 }
 
@@ -365,108 +356,6 @@ fn rule_h1(tokens: &[Token<'_>], rel_path: &str, out: &mut Vec<Finding>) {
     }
 }
 
-/// Name fragments that count as evidence a retry loop is bounded: an
-/// attempt counter, a retry budget, or a tries cap somewhere in the loop's
-/// header or body.
-const BOUND_MARKERS: &[&str] = &["attempt", "retr", "tries", "budget"];
-
-/// Whether an identifier carries bound evidence (case-insensitive
-/// substring match against [`BOUND_MARKERS`]).
-fn is_bound_ident(name: &str) -> bool {
-    let lower = name.to_ascii_lowercase();
-    BOUND_MARKERS.iter().any(|m| lower.contains(m))
-}
-
-fn rule_b1(
-    sig: &[&Token<'_>],
-    class: FileClass,
-    in_test_code: &dyn Fn(usize) -> bool,
-    rel_path: &str,
-    snippet: &dyn Fn(u32) -> String,
-    out: &mut Vec<Finding>,
-) {
-    if !class.is_library_code() {
-        return;
-    }
-    // One finding per call site, even when loops nest.
-    let mut flagged: Vec<(u32, u32)> = Vec::new();
-    for (i, t) in sig.iter().enumerate() {
-        if t.kind != TokenKind::Ident || !matches!(t.text, "loop" | "while") || in_test_code(i) {
-            continue;
-        }
-        // The loop's span runs from the keyword (so `while attempt < n`
-        // conditions count as bound evidence) through the body's brace pair.
-        let Some(open) = sig
-            .iter()
-            .enumerate()
-            .skip(i + 1)
-            .find(|(_, t)| t.text == "{")
-            .map(|(j, _)| j)
-        else {
-            continue;
-        };
-        let mut depth = 0usize;
-        let mut close = open;
-        while close < sig.len() {
-            match sig[close].text {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            close += 1;
-        }
-        let span = &sig[i..=close.min(sig.len() - 1)];
-        if span
-            .iter()
-            .any(|t| t.kind == TokenKind::Ident && is_bound_ident(t.text))
-        {
-            continue;
-        }
-        for (off, c) in span.iter().enumerate() {
-            // Atomic read-modify-write methods (`fetch_add`, `fetch_or`, ...)
-            // share the `fetch` prefix but never touch the network.
-            let atomic_rmw = matches!(
-                c.text,
-                "fetch_add"
-                    | "fetch_sub"
-                    | "fetch_and"
-                    | "fetch_or"
-                    | "fetch_xor"
-                    | "fetch_nand"
-                    | "fetch_max"
-                    | "fetch_min"
-                    | "fetch_update"
-            );
-            let is_call = c.kind == TokenKind::Ident
-                && !atomic_rmw
-                && (c.text.starts_with("fetch") || c.text.starts_with("complete"))
-                && span.get(off + 1).is_some_and(|t| t.text == "(");
-            if is_call && !flagged.contains(&(c.line, c.col)) {
-                flagged.push((c.line, c.col));
-                out.push(Finding::at(
-                    "B1",
-                    Severity::Warn,
-                    rel_path,
-                    c.line,
-                    c.col,
-                    format!(
-                        "`{}` is called from a `{}` loop with no visible attempt/retry/budget \
-                         bound; cap the loop (e.g. `for attempt in 0..max`) or route the call \
-                         through a RetryPolicy",
-                        c.text, t.text
-                    ),
-                    snippet(c.line),
-                ));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,35 +427,6 @@ mod tests {
         // Same iteration, but the file writes output: flagged.
         let src = "use std::collections::HashMap;\npub fn f(m: HashMap<u32, u32>) -> String {\n    let mut out = String::new();\n    for (k, v) in &m {\n        out.push_str(&format!(\"{k}={v}\"));\n    }\n    out\n}\n";
         assert_eq!(rules_fired("crates/x/src/lib.rs", src), vec!["D2"]);
-    }
-
-    #[test]
-    fn b1_flags_unbounded_retry_loops_only() {
-        // Unbounded `loop` around a fetch-family call: flagged once.
-        let src = "pub fn poll(c: &Client) -> Page {\n\
-                   \x20   loop {\n\
-                   \x20       if let Ok(p) = c.fetch_page(\"/\") { return p; }\n\
-                   \x20   }\n\
-                   }\n";
-        assert_eq!(rules_fired("crates/net/src/x.rs", src), vec!["B1"]);
-        // Same loop with an attempt counter in the header: bounded.
-        let src = "pub fn poll(c: &Client) -> Option<Page> {\n\
-                   \x20   let mut attempt = 0;\n\
-                   \x20   while attempt < 3 {\n\
-                   \x20       attempt += 1;\n\
-                   \x20       if let Ok(p) = c.fetch_page(\"/\") { return Some(p); }\n\
-                   \x20   }\n\
-                   \x20   None\n\
-                   }\n";
-        assert!(rules_fired("crates/net/src/x.rs", src).is_empty());
-        // `for` loops are inherently bounded; tests and binaries are exempt.
-        let src = "pub fn poll(c: &Client) { for _ in 0..3 { let _ = c.fetch_page(\"/\"); } }\n";
-        assert!(rules_fired("crates/net/src/x.rs", src).is_empty());
-        let src = "pub fn poll(c: &Client) { loop { let _ = c.fetch_page(\"/\"); } }\n";
-        assert!(rules_fired("crates/net/tests/x.rs", src).is_empty());
-        // A drain loop with no fetch/complete call never fires.
-        let src = "pub fn drain(q: &mut Vec<u32>) { while let Some(x) = q.pop() { use_it(x); } }\n";
-        assert!(rules_fired("crates/net/src/x.rs", src).is_empty());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! driver. It runs every pass over the same file set, in this order:
 //!
 //! 1. **token rules** ([`crate::rules`]): each file is lexed once, and its
-//!    tokens go through the lexer-level passes (`D1`/`D2`/`R1`/`O1`/`H1`/
-//!    `B1`), the item parser ([`crate::parser`]) and the mention scan;
+//!    tokens go through the lexer-level passes (`D1`/`D2`/`R1`/`O1`/`H1`),
+//!    the item parser ([`crate::parser`]) and the mention scan;
 //! 2. **graph rules**: the parsed files form a
 //!    [`crate::graph::Workspace`], then `L1` layering runs against the
 //!    `lint.toml` contract;
@@ -21,9 +21,9 @@
 //!    [`crate::effects::EffectModel`];
 //! 4. **dataflow and whole-workspace passes** over those models: `E1`
 //!    error flow, `K1` lock order, `X1` panic-reachability, `D3`
-//!    determinism taint, `H2`/`C2` cost, `M1`/`M2` guard liveness,
-//!    `S1`/`S2` retention, `W1`/`W2` sharing, `N1`/`N2` numeric safety,
-//!    `A1` atomics, `F1` filesystem effects, and `P1` dead pub;
+//!    determinism taint, `H2` cost, `M1` guard liveness, `S1`
+//!    retention, `W1` sharing, `N1`/`N2` numeric safety, `A1` atomics,
+//!    `F1` filesystem effects, and `P1` dead pub;
 //! 5. the taxonomy data invariants (`T1`–`T3`).
 //!
 //! Last, findings are partitioned through the allowlist, unused entries
@@ -248,7 +248,7 @@ mod tests {
 
     #[test]
     fn cost_model_entries_cover_the_pipeline_and_annotate_surface() {
-        // `H2`/`N2`/`F1`/`W2` fire only in hot fns, so renaming an entry
+        // `H2`/`S1`/`N2`/`F1` fire only in hot fns, so renaming an entry
         // point would silently mute them: pin the real workspace's entries
         // and one annotate fn the hot set must reach.
         let here = Path::new(env!("CARGO_MANIFEST_DIR"));

@@ -1,5 +1,4 @@
-//! `W1`/`W2`: static sharing and lock-contention analysis for worker
-//! pools.
+//! `W1`: static sharing analysis for worker pools.
 //!
 //! Early pipeline timings measured multi-worker runs *slower* than
 //! serial: the workers parallelized the crawl but serialized on shared
@@ -7,8 +6,7 @@
 //! signatures of that failure. From every spawn point inside a loop (a
 //! worker pool), it computes the values reachable by the worker closure —
 //! capture analysis over the [`crate::expr`] walkers plus the
-//! [`crate::callgraph`] for callee effects — and combines them with the
-//! [`crate::guards`] lock vocabulary and [`crate::cost`] weights.
+//! [`crate::callgraph`] for callee effects.
 //!
 //! **`W1` unsynchronized-worker-mutation** (Deny): a worker closure
 //! spawned in a loop mutates state that is shared across workers (bound
@@ -19,12 +17,6 @@
 //! inside the spawning loop, e.g. cloned channel handles) and accesses
 //! through `Mutex`/`RwLock`/atomic/channel methods are exempt.
 //!
-//! **`W2` hot-loop-lock-with-expensive-region** (Warn): a lock acquired
-//! inside a *corpus-scale* loop of a hot fn, holding allocation work of
-//! weight ≥ [`W2_HELD_MIN`] while other workers wait. Worker-scale loops
-//! (`for _ in 0..workers`) are not corpus loops — spawning N workers
-//! acquires N times, iterating the corpus acquires 30k times.
-//!
 //! Approximation directions (see DESIGN.md §6a): the bound-name set
 //! inside a closure is over-approximated (any binding anywhere in the
 //! closure), so captures — and therefore `W1` findings — are
@@ -34,18 +26,11 @@
 //! an unsynchronized mutation to fire.
 
 use crate::callgraph::{CallGraph, FnNode, Resolution};
-use crate::cost::{self, CostModel};
+use crate::cost::CostModel;
 use crate::expr::{child_blocks, for_each_child, Expr, ExprKind, Pat, Stmt};
 use crate::findings::{Finding, Severity};
 use crate::graph::Workspace;
-use crate::guards;
-use crate::retain::{self, tree_any};
 use std::collections::BTreeSet;
-
-/// Held allocation weight at or above which `W2` fires (a bare
-/// counter-bump region weighs 1 and stays quiet; one clone or grow
-/// inside the region reaches 2).
-pub const W2_HELD_MIN: u64 = 2;
 
 /// Methods whose receiver is a synchronization primitive: accessing
 /// shared state through these is the *sanctioned* path, never a `W1`
@@ -111,11 +96,6 @@ const MUTATING_METHODS: &[&str] = &[
     "truncate",
     "values_mut",
 ];
-
-/// Identifier fragments that mark a loop as worker-scale rather than
-/// corpus-scale (`for _ in 0..workers`): spawning N workers is O(N) in
-/// worker count, not in corpus size.
-const WORKER_LOOP_HINTS: &[&str] = &["worker", "thread"];
 
 /// Path roots that name types/modules rather than runtime values.
 fn is_value_root(root: &str) -> bool {
@@ -285,20 +265,6 @@ fn spawn_closure<'e, 'a>(e: &'e Expr<'a>) -> Option<&'e Expr<'a>> {
         found
     }
     args.iter().find_map(first_closure)
-}
-
-/// Whether a `for` head iterates worker-count state rather than the
-/// corpus (`for _ in 0..workers.min(n)`).
-fn is_worker_loop(lp: &Expr<'_>) -> bool {
-    let ExprKind::For { iter, .. } = &lp.kind else {
-        return false;
-    };
-    tree_any(iter, &|x| match &x.kind {
-        ExprKind::Path(segs) => segs
-            .iter()
-            .any(|s| retain::has_fragment(s, WORKER_LOOP_HINTS)),
-        _ => false,
-    })
 }
 
 /// Per-fn effect summary for the interprocedural leg of `W1`: whether
@@ -575,234 +541,23 @@ fn shared_mutations(
     out
 }
 
-/// Whether a loop is *constant-bounded* rather than corpus-scale: a
-/// `while` whose condition shows bound evidence, or a `loop`/`while let`
-/// whose body has a bound-guarded exit (`if redirects >= MAX { return }`,
-/// `if i >= n { break }` with `n` derived from `.len()`). Such loops run
-/// a small constant number of times (retries, redirects, index hand-off)
-/// and must not multiply contention depth the way a per-domain corpus
-/// loop does. `for` loops never qualify — iterating a sized input IS the
-/// corpus-scale case.
-fn is_constant_bounded_loop(e: &Expr<'_>, bounds: &BTreeSet<&str>) -> bool {
-    match &e.kind {
-        ExprKind::While { cond, body } => {
-            retain::mentions_bound(cond, bounds) || retain::guarded_exit(body, bounds)
-        }
-        ExprKind::WhileLet { body, .. } | ExprKind::Loop { body } => {
-            retain::guarded_exit(body, bounds)
-        }
-        _ => false,
-    }
-}
-
-/// One recognized lock-acquisition site.
-struct AcquisitionSite {
-    /// Lock identity (`crate::Struct.field` or `crate::fn::local`).
-    lock: String,
-    line: u32,
-    col: u32,
-    /// 1 + allocation weight of the held region.
-    held: u64,
-    /// Corpus loop depth of the site inside its fn.
-    depth: u32,
-}
-
-/// Collect every acquisition site in one fn, with held weight and corpus
-/// loop depth. Guard binds hold until `drop(guard)` or scope end; a
-/// chained acquisition holds for its own statement.
-fn acquisition_sites(
-    node: &FnNode<'_>,
-    fields: Option<&BTreeSet<&str>>,
-    locals: &BTreeSet<&str>,
-) -> Vec<AcquisitionSite> {
-    let mut out = Vec::new();
-    let body = &node.info.body;
-    let bounds = retain::bound_locals(body);
-    fn lock_name(node: &FnNode<'_>, e: &Expr<'_>) -> Option<String> {
-        fn acq_recv<'e, 'a>(e: &'e Expr<'a>) -> Option<&'e Expr<'a>> {
-            if let ExprKind::MethodCall { recv, name, .. } = &e.kind {
-                if guards::ACQUIRE_METHODS.contains(name) {
-                    return Some(recv);
-                }
-            }
-            let mut found = None;
-            for_each_child(e, &mut |c| {
-                if found.is_none() {
-                    found = acq_recv(c);
-                }
-            });
-            found
-        }
-        let recv = acq_recv(e)?;
-        match &recv.kind {
-            ExprKind::Field { base, name } if matches!(&base.kind, ExprKind::Path(segs) if segs.as_slice() == ["self"]) => {
-                Some(format!(
-                    "{}::{}.{}",
-                    node.crate_name,
-                    node.self_ty.unwrap_or("?"),
-                    name
-                ))
-            }
-            ExprKind::Path(segs) => match segs.as_slice() {
-                [one] => Some(format!("{}::{}::{}", node.crate_name, node.name, one)),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-    fn walk(
-        stmts: &[Stmt<'_>],
-        depth: u32,
-        node: &FnNode<'_>,
-        fields: Option<&BTreeSet<&str>>,
-        locals: &BTreeSet<&str>,
-        bounds: &BTreeSet<&str>,
-        out: &mut Vec<AcquisitionSite>,
-    ) {
-        for (i, stmt) in stmts.iter().enumerate() {
-            match stmt {
-                Stmt::Let {
-                    pat, init, line, ..
-                } => {
-                    if let Some(init) = init {
-                        if guards::acquisition_in(init, fields, locals).is_some() {
-                            if let Some(lock) = lock_name(node, init) {
-                                let mut guard_names = Vec::new();
-                                pat.bound_names(&mut guard_names);
-                                // Held region: the remainder of this
-                                // statement list, clipped at an explicit
-                                // `drop(guard)`.
-                                let mut held = cost::alloc_weight(init);
-                                for later in stmts.iter().skip(i + 1) {
-                                    if let Stmt::Expr { expr, .. } = later {
-                                        let dropped = guard_names
-                                            .first()
-                                            .is_some_and(|g| is_drop_of(expr, g));
-                                        if dropped {
-                                            break;
-                                        }
-                                    }
-                                    held = held.saturating_add(stmt_alloc_weight(later));
-                                }
-                                out.push(AcquisitionSite {
-                                    lock,
-                                    line: *line,
-                                    col: init.col,
-                                    held: held.saturating_add(1),
-                                    depth,
-                                });
-                            }
-                        }
-                        walk_expr(init, depth, node, fields, locals, bounds, out);
-                        continue;
-                    }
-                }
-                Stmt::Expr { expr, .. } => {
-                    if guards::acquisition_in(expr, fields, locals).is_some() {
-                        if let Some(lock) = lock_name(node, expr) {
-                            out.push(AcquisitionSite {
-                                lock,
-                                line: expr.line,
-                                col: expr.col,
-                                held: cost::alloc_weight(expr).saturating_add(1),
-                                depth,
-                            });
-                        }
-                        // The acquisition is priced at this statement;
-                        // still walk nested blocks for deeper sites.
-                    }
-                    walk_expr(expr, depth, node, fields, locals, bounds, out);
-                }
-            }
-        }
-    }
-    fn walk_expr(
-        e: &Expr<'_>,
-        depth: u32,
-        node: &FnNode<'_>,
-        fields: Option<&BTreeSet<&str>>,
-        locals: &BTreeSet<&str>,
-        bounds: &BTreeSet<&str>,
-        out: &mut Vec<AcquisitionSite>,
-    ) {
-        let is_loop = matches!(
-            e.kind,
-            ExprKind::While { .. }
-                | ExprKind::WhileLet { .. }
-                | ExprKind::For { .. }
-                | ExprKind::Loop { .. }
-        );
-        let inner = if is_loop && !is_worker_loop(e) && !is_constant_bounded_loop(e, bounds) {
-            depth.saturating_add(1)
-        } else {
-            depth
-        };
-        for_each_child(e, &mut |c| {
-            walk_expr(c, depth, node, fields, locals, bounds, out)
-        });
-        if let ExprKind::Match { arms, .. } = &e.kind {
-            for arm in arms {
-                walk_expr(&arm.body, depth, node, fields, locals, bounds, out);
-            }
-        }
-        for block in child_blocks(e) {
-            walk(block, inner, node, fields, locals, bounds, out);
-        }
-    }
-    walk(body, 0, node, fields, locals, &bounds, &mut out);
-    out
-}
-
-/// Whether an expression is `drop(name)`.
-fn is_drop_of(e: &Expr<'_>, name: &str) -> bool {
-    tree_any(e, &|x| match &x.kind {
-        ExprKind::Call { callee, args } => {
-            matches!(&callee.kind, ExprKind::Path(segs) if segs.last() == Some(&"drop"))
-                && args
-                    .iter()
-                    .any(|a| matches!(&a.kind, ExprKind::Path(segs) if segs.as_slice() == [name]))
-        }
-        _ => false,
-    })
-}
-
-/// Allocation weight of everything one statement evaluates, including
-/// nested blocks (the held region is priced pessimistically — the guard
-/// outlives everything declared after it in the block).
-fn stmt_alloc_weight(stmt: &Stmt<'_>) -> u64 {
-    let mut total = 0u64;
-    let add = |total: &mut u64, e: &Expr<'_>| {
-        *total = total.saturating_add(cost::alloc_weight(e));
-    };
-    match stmt {
-        Stmt::Let {
-            init, else_block, ..
-        } => {
-            if let Some(e) = init {
-                add(&mut total, e);
-            }
-            for s in else_block.iter().flatten() {
-                total = total.saturating_add(stmt_alloc_weight(s));
-            }
-        }
-        Stmt::Expr { expr, .. } => add(&mut total, expr),
-    }
-    total
-}
-
-/// Run the `W1`/`W2` sharing passes over an analyzed workspace.
-pub fn check_sharing(ws: &Workspace<'_>, graph: &CallGraph<'_>, model: &CostModel) -> Vec<Finding> {
+/// Run the `W1` sharing pass over an analyzed workspace. `W1` reads no
+/// cost summary; `_model` keeps the signature that `benchmark/src/lint.rs`
+/// calls pass by pass.
+pub fn check_sharing(
+    ws: &Workspace<'_>,
+    graph: &CallGraph<'_>,
+    _model: &CostModel,
+) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let registry = guards::lock_registry(ws);
     let effects: Vec<EffectSummary<'_>> = graph.fns.iter().map(effect_summary).collect();
 
-    for (id, node) in graph.fns.iter().enumerate() {
+    for node in &graph.fns {
         let Some(file) = ws.files.get(node.file) else {
             continue;
         };
         let params: BTreeSet<&str> = node.info.params.iter().map(|p| p.name).collect();
 
-        // W1: spawn-in-loop worker pools.
         for sp in spawn_points(&node.info.body) {
             let ExprKind::Closure {
                 params: cl_params,
@@ -840,39 +595,6 @@ pub fn check_sharing(ws: &Workspace<'_>, graph: &CallGraph<'_>, model: &CostMode
                     file.snippet(m.line),
                 ));
             }
-        }
-
-        // W2: expensive lock regions inside corpus-scale hot loops.
-        if !model.is_hot(id) {
-            continue;
-        }
-        let locals = guards::lock_locals(node);
-        let fields = node
-            .self_ty
-            .and_then(|ty| registry.get(&(file.crate_name, ty)));
-        for site in acquisition_sites(node, fields, &locals) {
-            if site.depth == 0 || site.held < W2_HELD_MIN {
-                continue;
-            }
-            findings.push(Finding::at(
-                "W2",
-                Severity::Warn,
-                file.parsed.rel_path,
-                site.line,
-                site.col,
-                format!(
-                    "lock `{}` is acquired inside a corpus-scale loop with held \
-                     allocation weight {} (threshold {}) (hot path: {}); move the \
-                     allocation out of the region or batch updates per iteration",
-                    site.lock,
-                    site.held,
-                    W2_HELD_MIN,
-                    model
-                        .hot_path(graph, id)
-                        .unwrap_or_else(|| node.name.to_string()),
-                ),
-                file.snippet(site.line),
-            ));
         }
     }
     findings

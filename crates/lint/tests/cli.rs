@@ -126,6 +126,26 @@ fn removed_spellings_are_usage_errors() {
 }
 
 #[test]
+fn removed_rules_are_not_explained() {
+    let explain = |id: &str| {
+        Command::new(env!("CARGO_BIN_EXE_aipan-lint"))
+            .args(["--explain", id])
+            .output()
+            .expect("run aipan-lint")
+    };
+    let kept = explain("W1");
+    assert_eq!(kept.status.code(), Some(0), "{}", stdout(&kept));
+    assert!(stdout(&kept).starts_with("W1 (deny)"), "{}", stdout(&kept));
+    for id in ["B1", "C2", "M2", "S2", "W2"] {
+        let out = explain(id);
+        assert_eq!(out.status.code(), Some(2), "{id} is still explained");
+        assert!(out.stdout.is_empty(), "{id} printed {}", stdout(&out));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown rule `{id}`")), "{stderr}");
+    }
+}
+
+#[test]
 fn a_root_without_a_workspace_manifest_is_a_usage_error() {
     let ws = ScratchWs::new("root");
     // A missing directory, and a directory with no `[workspace]` manifest.

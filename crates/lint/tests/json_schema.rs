@@ -32,11 +32,12 @@ fn sample_report() -> Report {
     }
 }
 
-/// The full rendered document, byte for byte. `schema_version` is 5:
-/// each finding has exactly the seven members below (4 carried an
-/// eighth, `fix`, and introduced the `N1`/`N2`/`A1`/`F1` rule vocabulary
-/// from the type/effect layer), so a consumer pinned to 5 knows every
-/// member it may meet.
+/// The full rendered document, byte for byte. `schema_version` is 6:
+/// each finding has exactly the seven members below, as at 5, and the
+/// rule vocabulary no longer holds `B1`, `C2`, `M2`, `S2` or `W2` (4
+/// carried an eighth member, `fix`, and introduced the
+/// `N1`/`N2`/`A1`/`F1` rule vocabulary from the type/effect layer), so a
+/// consumer pinned to 6 knows every member and rule it may meet.
 const SNAPSHOT: &str = r#"{
   "files_scanned": 2,
   "findings": [
@@ -59,7 +60,7 @@ const SNAPSHOT: &str = r#"{
       "snippet": ""
     }
   ],
-  "schema_version": 5,
+  "schema_version": 6,
   "suppressed": []
 }"#;
 

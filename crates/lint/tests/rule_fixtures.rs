@@ -130,42 +130,6 @@ fn h1_untracked_todo_positive_and_allowlisted() {
 }
 
 #[test]
-fn b1_unbounded_retry_loop_positive_and_allowlisted() {
-    let path = "crates/net/src/poller.rs";
-    let src = "pub fn poll(c: &Client, url: &Url) -> Page {\n\
-               \x20   loop {\n\
-               \x20       if let Ok(p) = c.fetch_page(url) {\n\
-               \x20           return p;\n\
-               \x20       }\n\
-               \x20   }\n\
-               }\n";
-    let findings = lint_source(path, src);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    let f = &findings[0];
-    assert_eq!((f.rule, f.file.as_str(), f.line), ("B1", path, 3));
-    assert_eq!(f.severity, aipan_lint::Severity::Warn);
-    assert!(f.message.contains("fetch_page"), "{}", f.message);
-    assert!(f.message.contains("RetryPolicy"), "{}", f.message);
-
-    let (kept, suppressed) = lint_with_allow(path, src, &allow_entry("B1", path));
-    assert!(kept.is_empty(), "{kept:?}");
-    assert_eq!(suppressed.len(), 1);
-
-    // The same loop bounded by a retry budget is clean without any allow.
-    let bounded = "pub fn poll(c: &Client, url: &Url) -> Option<Page> {\n\
-                   \x20   let mut retries_left = 3;\n\
-                   \x20   while retries_left > 0 {\n\
-                   \x20       retries_left -= 1;\n\
-                   \x20       if let Ok(p) = c.fetch_page(url) {\n\
-                   \x20           return Some(p);\n\
-                   \x20       }\n\
-                   \x20   }\n\
-                   \x20   None\n\
-                   }\n";
-    assert!(lint_source(path, bounded).is_empty());
-}
-
-#[test]
 fn injected_thread_rng_into_core_is_named_precisely() {
     // The acceptance scenario: drop a thread_rng() call into crates/core and
     // the lint names the file, line, and rule.
@@ -493,7 +457,7 @@ fn d3_btree_collect_sanitizes_and_returned_collection_is_a_sink() {
 }
 
 // ---------------------------------------------------------------------------
-// Cost & guard rules (H2 / C2 / M1 / M2): one violating and one clean
+// Cost & guard rules (H2 / M1): one violating and one clean
 // fixture pair each, driven through the cost model like `scan::run`.
 // ---------------------------------------------------------------------------
 
@@ -567,61 +531,6 @@ fn h2_requires_a_hot_path() {
 }
 
 #[test]
-fn c2_loop_invariant_clone_fires_and_hoisted_clone_does_not() {
-    // Violating: `header` is never modified inside the loop, yet cloned
-    // once per iteration.
-    let bad = workspace(&[(
-        "crates/analysis/src/lib.rs",
-        "pub fn total_len(rows: &[String], header: &String) -> usize {\n\
-         \x20   let mut total = 0usize;\n\
-         \x20   for _row in rows {\n\
-         \x20       let h = header.clone();\n\
-         \x20       total += h.len();\n\
-         \x20   }\n\
-         \x20   total\n\
-         }\n",
-    )]);
-    let findings = cost_findings(&bad);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    let f = &findings[0];
-    assert_eq!((f.rule, f.severity), ("C2", aipan_lint::Severity::Warn));
-    assert_eq!(f.line, 4);
-    assert!(f.message.contains("header"), "{}", f.message);
-
-    // Clean: the clone hoisted above the loop.
-    let clean = workspace(&[(
-        "crates/analysis/src/lib.rs",
-        "pub fn total_len(rows: &[String], header: &String) -> usize {\n\
-         \x20   let mut total = 0usize;\n\
-         \x20   let h = header.clone();\n\
-         \x20   for _row in rows {\n\
-         \x20       total += h.len();\n\
-         \x20   }\n\
-         \x20   total\n\
-         }\n",
-    )]);
-    let findings = cost_findings(&clean);
-    assert!(findings.is_empty(), "{findings:?}");
-
-    // Clean: the source is modified inside the loop, so the clone is not
-    // invariant and must stay.
-    let modified = workspace(&[(
-        "crates/analysis/src/lib.rs",
-        "pub fn total_len(rows: &[String], header: &mut String) -> usize {\n\
-         \x20   let mut total = 0usize;\n\
-         \x20   for row in rows {\n\
-         \x20       let h = header.clone();\n\
-         \x20       header.push_str(row);\n\
-         \x20       total += h.len();\n\
-         \x20   }\n\
-         \x20   total\n\
-         }\n",
-    )]);
-    let findings = cost_findings(&modified);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
 fn m1_lock_across_fetch_fires_and_dropped_guard_does_not() {
     let decl = "pub struct P { jobs: Mutex<Vec<String>> }\n";
     let bad = workspace(&[(
@@ -662,53 +571,8 @@ fn m1_lock_across_fetch_fires_and_dropped_guard_does_not() {
     assert!(findings.is_empty(), "{findings:?}");
 }
 
-#[test]
-fn m2_guard_used_only_inside_loop_fires_and_outside_use_does_not() {
-    let decl = "pub struct P { jobs: Mutex<Vec<u32>> }\n";
-    let bad = workspace(&[(
-        "crates/crawler/src/queue.rs",
-        &format!(
-            "{decl}impl P {{\n\
-             \x20   pub fn tally(&self, xs: &[u32]) -> usize {{\n\
-             \x20       let g = self.jobs.lock();\n\
-             \x20       let mut n = 0usize;\n\
-             \x20       for x in xs {{\n\
-             \x20           n += g.len() + (*x as usize);\n\
-             \x20       }}\n\
-             \x20       n\n\
-             \x20   }}\n\
-             }}\n"
-        ),
-    )]);
-    let findings = guard_findings(&bad);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    let f = &findings[0];
-    assert_eq!((f.rule, f.severity), ("M2", aipan_lint::Severity::Warn));
-    assert!(f.message.contains("`g`"), "{}", f.message);
-
-    // Clean: the guard is also read before the loop, so holding it across
-    // iterations is a deliberate batch-hold.
-    let clean = workspace(&[(
-        "crates/crawler/src/queue.rs",
-        &format!(
-            "{decl}impl P {{\n\
-             \x20   pub fn tally(&self, xs: &[u32]) -> usize {{\n\
-             \x20       let g = self.jobs.lock();\n\
-             \x20       let mut n = g.len();\n\
-             \x20       for x in xs {{\n\
-             \x20           n += g.len() + (*x as usize);\n\
-             \x20       }}\n\
-             \x20       n\n\
-             \x20   }}\n\
-             }}\n"
-        ),
-    )]);
-    let findings = guard_findings(&clean);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
 // ---------------------------------------------------------------------------
-// Retention & sharing rules (S1 / S2 / W1 / W2): one violating and one
+// Retention & sharing rules (S1 / W1): one violating and one
 // clean fixture pair each, driven through the same passes `scan::run` uses.
 // ---------------------------------------------------------------------------
 
@@ -777,50 +641,6 @@ fn s1_materialized_hand_off_fires_and_multi_use_consumer_does_not() {
 }
 
 #[test]
-fn s2_unbounded_growth_fires_and_len_derived_bound_does_not() {
-    // Violating: a hot fn grows a Vec in a `loop` with no exit bound at
-    // all — unbounded memory at corpus scale.
-    let bad = workspace(&[(
-        "crates/core/src/annotate.rs",
-        "pub fn annotate_feed(feed: &Feed) -> Vec<String> {\n\
-         \x20   let mut out = Vec::new();\n\
-         \x20   loop {\n\
-         \x20       out.push(feed.next_chunk());\n\
-         \x20   }\n\
-         }\n",
-    )]);
-    let findings = retention_findings(&bad);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    let f = &findings[0];
-    assert_eq!((f.rule, f.severity), ("S2", aipan_lint::Severity::Warn));
-    assert_eq!(f.line, 4);
-    assert!(f.message.contains("out"), "{}", f.message);
-    assert!(f.message.contains("no bound"), "{}", f.message);
-
-    // Clean: the same loop exits on a bound *derived from* a sized
-    // input (`let n = items.len()`), recognized through the bound-locals
-    // analysis even though the guard itself only names `n`.
-    let clean = workspace(&[(
-        "crates/core/src/annotate.rs",
-        "pub fn annotate_feed(feed: &Feed, items: &[String]) -> Vec<String> {\n\
-         \x20   let n = items.len();\n\
-         \x20   let mut out = Vec::new();\n\
-         \x20   let mut i = 0;\n\
-         \x20   loop {\n\
-         \x20       if i >= n {\n\
-         \x20           break;\n\
-         \x20       }\n\
-         \x20       out.push(feed.next_chunk());\n\
-         \x20       i += 1;\n\
-         \x20   }\n\
-         \x20   out\n\
-         }\n",
-    )]);
-    let findings = retention_findings(&clean);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
 fn w1_unsynchronized_worker_mutation_fires_and_locked_access_does_not() {
     // Violating: a worker pool (spawn inside a loop) where every worker
     // pushes into the same captured Vec with no lock in sight.
@@ -857,68 +677,6 @@ fn w1_unsynchronized_worker_mutation_fires_and_locked_access_does_not() {
          }\n",
     )]);
     let findings = sharing_findings(&clean);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn w2_lock_in_corpus_loop_fires_and_hoisted_or_worker_loop_does_not() {
-    let decl = "pub struct Stats { totals: Mutex<Vec<String>> }\n";
-    // Violating: the lock is taken once per corpus item and the held
-    // region allocates (clone + grow) while other workers wait.
-    let bad = workspace(&[(
-        "crates/core/src/annotate.rs",
-        &format!(
-            "{decl}impl Stats {{\n\
-             \x20   pub fn annotate_tally(&self, docs: &[String]) {{\n\
-             \x20       for d in docs {{\n\
-             \x20           let mut g = self.totals.lock();\n\
-             \x20           g.push(d.clone());\n\
-             \x20       }}\n\
-             \x20   }}\n\
-             }}\n"
-        ),
-    )]);
-    let findings = sharing_findings(&bad);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    let f = &findings[0];
-    assert_eq!((f.rule, f.severity), ("W2", aipan_lint::Severity::Warn));
-    assert_eq!(f.line, 5);
-    assert!(f.message.contains("totals"), "{}", f.message);
-    assert!(f.message.contains("batch updates"), "{}", f.message);
-
-    // Clean: the lock hoisted out of the corpus loop (depth 0).
-    let hoisted = workspace(&[(
-        "crates/core/src/annotate.rs",
-        &format!(
-            "{decl}impl Stats {{\n\
-             \x20   pub fn annotate_tally(&self, docs: &[String]) {{\n\
-             \x20       let mut g = self.totals.lock();\n\
-             \x20       for d in docs {{\n\
-             \x20           g.push(d.clone());\n\
-             \x20       }}\n\
-             \x20   }}\n\
-             }}\n"
-        ),
-    )]);
-    let findings = sharing_findings(&hoisted);
-    assert!(findings.is_empty(), "{findings:?}");
-
-    // Clean: the same acquisition inside a *worker-count* loop — spawning
-    // N workers locks N times, not 30k times, so it is not corpus-scale.
-    let worker_loop = workspace(&[(
-        "crates/core/src/annotate.rs",
-        &format!(
-            "{decl}impl Stats {{\n\
-             \x20   pub fn annotate_spawn(&self, workers: usize, name: &String) {{\n\
-             \x20       for _w in 0..workers {{\n\
-             \x20           let mut g = self.totals.lock();\n\
-             \x20           g.push(name.clone());\n\
-             \x20       }}\n\
-             \x20   }}\n\
-             }}\n"
-        ),
-    )]);
-    let findings = sharing_findings(&worker_loop);
     assert!(findings.is_empty(), "{findings:?}");
 }
 

@@ -4,7 +4,7 @@
 //! statement order. Reordering independent `let` statements (none
 //! references another's binding) is therefore fact-preserving — the
 //! stability the `N1`/`N2` rules rely on when an edit moves code around,
-//! such as hoisting a `let` out of a loop as `C2` asks.
+//! such as hoisting a loop-invariant `let` out of a loop.
 
 use aipan_lint::graph::Workspace;
 use aipan_lint::parser::{parse_file, ItemKind};

@@ -191,8 +191,9 @@ pub struct World {
     /// high-water mark across materialize/release cycles; eager worlds
     /// record the full registered byte count once at build time.
     pub site_memory: Arc<MemoryGauge>,
-    /// Each domain's first-listed position in `universe.companies`, by
-    /// domain; built with the world, whose universe nothing changes after.
+    /// Position in `universe.companies` of the company each domain's site
+    /// is built from, by domain; built with the world, whose universe
+    /// nothing changes after.
     by_domain: Vec<usize>,
 }
 
@@ -225,7 +226,9 @@ impl World {
         self.fate(domain).policy_path(self.config.seed, domain)
     }
 
-    /// The first-listed company for a domain, by binary search.
+    /// The company a domain's site is built from: its listing with the
+    /// lowest ticker, the one [`Universe::unique_domains`] keeps. By binary
+    /// search.
     pub fn company(&self, domain: &str) -> Option<&Company> {
         let companies = &self.universe.companies;
         let domain_at = |&i: &usize| companies.get(i).map_or("", |c| c.domain.as_str());
@@ -260,13 +263,19 @@ impl World {
     }
 }
 
-/// Positions of each domain's first-listed company, sorted by domain: the
-/// stable sort keeps a domain's positions in listing order, `dedup` the first.
+/// Positions of the company each domain's site is built from, sorted by
+/// domain: sorting by (domain, ticker) puts a domain's lowest ticker, the
+/// listing [`Universe::unique_domains`] keeps, first, and `dedup` keeps it.
 fn domain_index(universe: &Universe) -> Vec<usize> {
-    let domain_at = |i: usize| universe.companies.get(i).map_or("", |c| c.domain.as_str());
+    let key_at = |i: usize| {
+        universe
+            .companies
+            .get(i)
+            .map_or(("", ""), |c| (c.domain.as_str(), c.ticker.as_str()))
+    };
     let mut index: Vec<usize> = (0..universe.len()).collect();
-    index.sort_by_key(|&i| domain_at(i));
-    index.dedup_by_key(|i| domain_at(*i));
+    index.sort_by_key(|&i| key_at(i));
+    index.dedup_by_key(|i| key_at(*i).0);
     index
 }
 
@@ -1075,15 +1084,47 @@ mod tests {
 
     #[test]
     fn company_lookup_matches_the_linear_scan() {
-        let w = build_world_lazy(WorldConfig::small(42, UNIVERSE_SIZE));
-        for c in &w.universe.companies {
-            let indexed = w.company(&c.domain).expect("every listed domain");
-            let scanned = w
+        // `company` names the company each site is built from: for a domain
+        // listed under two share classes, the homepage's title is its name.
+        for seed in [42, 1, 1_000_003] {
+            let w = build_world_lazy(WorldConfig::small(seed, UNIVERSE_SIZE));
+            let client = Client::new(
+                w.internet.clone(),
+                FaultInjector::new(0, FaultConfig::none()),
+            );
+            let built: BTreeMap<&str, &Company> = w
                 .universe
-                .by_domain(&c.domain)
-                .expect("every listed domain");
-            assert!(std::ptr::eq(indexed, scanned), "{}", c.domain);
+                .unique_domains()
+                .into_iter()
+                .map(|c| (c.domain.as_str(), c))
+                .collect();
+            let mut listings: BTreeMap<&str, usize> = BTreeMap::new();
+            for c in &w.universe.companies {
+                let indexed = w.company(&c.domain).expect("every listed domain");
+                let scanned = w
+                    .universe
+                    .by_domain(&c.domain)
+                    .expect("every listed domain");
+                assert!(std::ptr::eq(indexed, scanned), "{seed}: {}", c.domain);
+                assert!(std::ptr::eq(indexed, built[c.domain.as_str()]), "{seed}");
+                *listings.entry(&c.domain).or_default() += 1;
+            }
+            let shared: Vec<&str> = listings
+                .into_iter()
+                .filter_map(|(domain, n)| (n > 1).then_some(domain))
+                .collect();
+            assert!(!shared.is_empty(), "seed {seed} lists no domain twice");
+            for domain in shared {
+                let url = Url::parse(&format!("https://{domain}/")).unwrap();
+                let body = client.fetch(&url).unwrap().response.body_text();
+                let title = body
+                    .split_once("<title>")
+                    .and_then(|(_, rest)| rest.split_once("</title>"))
+                    .map(|(title, _)| title);
+                assert_eq!(title, Some(built[domain].name.as_str()), "{seed}");
+            }
         }
+        let w = build_world_lazy(WorldConfig::small(42, UNIVERSE_SIZE));
         for unknown in ["", "absent.example", "zzzz.com", "aaaa.com"] {
             assert!(w.company(unknown).is_none(), "{unknown:?}");
             assert_eq!(

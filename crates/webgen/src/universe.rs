@@ -328,11 +328,15 @@ impl Universe {
         self.companies.is_empty()
     }
 
-    /// Look up a company by domain (the first listed share class), by a
-    /// linear scan: the oracle for `World::company`'s index.
+    /// Look up a company by domain (the share class with the lowest
+    /// ticker, the one [`Universe::unique_domains`] keeps), by a linear
+    /// scan: the oracle for `World::company`'s index.
     #[cfg(test)]
     pub(crate) fn by_domain(&self, domain: &str) -> Option<&Company> {
-        self.companies.iter().find(|c| c.domain == domain)
+        self.companies
+            .iter()
+            .filter(|c| c.domain == domain)
+            .min_by(|a, b| a.ticker.cmp(&b.ticker))
     }
 }
 
